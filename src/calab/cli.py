@@ -96,6 +96,25 @@ def body_from_descriptor(desc: dict, n: int):
         raise ConfigError(f"bad body descriptor: {exc}") from exc
 
 
+def read_density_csv(path, node_count: int) -> np.ndarray:
+    """Density values from a CSV with columns ``node,value``, placed by node.
+
+    The node indices must be exactly 0..node_count-1, in any order."""
+    try:
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        nodes = np.array([int(r["node"]) for r in rows], dtype=int)
+        values = np.array([float(r["value"]) for r in rows])
+    except (OSError, KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"bad density_csv: {exc}") from exc
+    if not np.array_equal(np.sort(nodes), np.arange(node_count)):
+        raise ConfigError(
+            f"density_csv nodes must be exactly 0..{node_count - 1}")
+    density = np.empty(node_count)
+    density[nodes] = values
+    return density
+
+
 # ----------------------------------------------------------------------
 # report plumbing
 
@@ -136,7 +155,7 @@ def _cmd_spectrum(cfg, seed, out_dir):
     tol = float(cfg.get("lambda1_tol", 1e-3 if n == 3 else 1e-6))
     checks = [
         _check("lambda1", rep.lambda1, n - 1, tol,
-               abs(rep.lambda1 - (n - 1)) <= tol),
+               rep.lambda1 is not None and abs(rep.lambda1 - (n - 1)) <= tol),
         _check("eigenvalues_nonnegative", rep.eigenvalues.min(), 0.0, 1e-8,
                rep.eigenvalues.min() >= -1e-8),
         _check("max_residual", rep.residuals.max(), 0.0, 1e-8,
@@ -249,8 +268,7 @@ def _cmd_solve(cfg, seed, out_dir):
         body = body_from_descriptor(target["body"], grid.n)
         mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), p)
     elif "density_csv" in target:
-        rows = list(csv.reader(open(target["density_csv"])))
-        vals = np.array([float(r[1]) for r in rows[1:]])
+        vals = read_density_csv(target["density_csv"], grid.node_count)
         mu = TargetMeasure.from_density(grid, vals)
     else:
         raise ConfigError("solve target needs 'body' or 'density_csv'")

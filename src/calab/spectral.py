@@ -97,44 +97,61 @@ class SpectrumReport:
 
 
 def _metric_factor(state: CentroAffineState) -> np.ndarray:
-    """Per-node factor F with g^{-1} = F F^t (PSD, rank n-1)."""
+    """Per-node factor F with g^{-1} = F F^t, shape (N, n, n-1).
+
+    g^{-1} is PSD of rank n-1 (it annihilates the node direction), so of
+    the eigenvector columns scaled by sqrt(eigenvalue) in ascending order
+    only the last n-1 are nonzero; F spans the tangent space."""
     lam, V = np.linalg.eigh(state.ginv)
-    lam = np.clip(lam, 0.0, None)
-    return V * np.sqrt(lam)[:, None, :]
+    lam = np.clip(lam[:, 1:], 0.0, None)
+    return V[:, :, 1:] * np.sqrt(lam)[:, None, :]
+
+
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^t X for X of shape (..., nb), flattened over the leading axes."""
+    X = X.reshape(-1, X.shape[-1])
+    return X.T @ X
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
-    """Stiffness, mass, and Hessian-form matrices of the operator."""
+    """Stiffness, mass, and Hessian-form matrices of the operator.
+
+    Each form is one Gram product X^t X over (node, frame component) rows,
+    contracted in the frame F of g^{-1} = F F^t.  Against the density
+    rho = w h det(D^2 h):
+      stiffness  sum_i rho_i <F^t grad_a, F^t grad_b>,
+      mass       sum_i rho_i a_i b_i,
+      Hessian    sum_i rho_i <F^t Hess*_a F, F^t Hess*_b F>,
+    where F^t Hess*_a F = F^t H_a F + p (x) t_a + t_a (x) p with
+    t_a = F^t grad_a and p = F^t grad log h.
+    """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
     grid = state.grid
     B, G, H = grid.basis_tables()
     sel = basis.selection
-    B = B[:, sel]
-    G = G[:, sel, :]
-    H = H[:, sel, :, :]
-    rho = grid.weights * state.nu_density
-    sq = np.sqrt(rho)
+    if len(sel) < grid.basis.size:
+        B, G, H = B[:, sel], G[:, sel], H[:, sel]
+    N, nb, n = G.shape
+    sq = np.sqrt(grid.weights * state.nu_density)
 
-    F = _metric_factor(state)
-    # stiffness: sum_i rho_i <F^t grad_a, F^t grad_b>
-    T = np.einsum("ikq,iak->iaq", F, G) * sq[:, None, None]
-    nb = basis.size
-    S = np.einsum("iaq,ibq->ab", T, T)
+    Ft = _metric_factor(state).transpose(0, 2, 1)    # (N, q, n)
+    q = Ft.shape[1]
+    S = _gram((Ft * sq[:, None, None]) @ G.transpose(0, 2, 1))
+    M = _gram(B * sq[:, None])
 
-    M = (B * rho[:, None]).T @ B
-
-    # conjugate Hessian of each basis function, then the g-inner product
-    glh = state.log_h_gradient.vectors
-    cross = glh[:, None, :, None] * G[:, :, None, :]
-    Hs = H + cross + cross.transpose(0, 1, 3, 2)
-    D = np.einsum("ikq,iakl,ilr->iaqr", F, Hs, F) * sq[:, None, None, None]
-    D = D.reshape(len(rho), nb, -1)
-    Hmat = np.einsum("iam,ibm->ab", D, D)
-
-    S = 0.5 * (S + S.T)
-    M = 0.5 * (M + M.T)
-    Hmat = 0.5 * (Hmat + Hmat.T)
+    # packed frame components q1 <= q2 (off-diagonal ones weighted sqrt 2,
+    # so the Gram product is the full Frobenius inner product) of the
+    # conjugate Hessians, as one product against the ambient components
+    # (k, l) of H and k of grad
+    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors)
+    iu, ju = np.triu_indices(q)
+    WH = (Ft[:, iu, :, None] * Ft[:, ju, None, :]).reshape(N, len(iu), n * n)
+    WG = p[:, iu, None] * Ft[:, ju, :] + Ft[:, iu, :] * p[:, ju, None]
+    w = (sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
+    D = ((w * WH) @ H.reshape(N, nb, n * n).transpose(0, 2, 1)
+         + (w * WG) @ G.transpose(0, 2, 1))
+    Hmat = _gram(D)
     return GalerkinSystem(basis=basis, stiffness=S, mass=M, hessform=Hmat)
 
 
@@ -157,23 +174,25 @@ def _cluster(eigs: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def _even_nonconstant_subspace(system: GalerkinSystem):
-    """(column indices of even functions, projector Z onto the mass-orthogonal
-    complement of the constant within them)."""
+def _even_nonconstant(system: GalerkinSystem, *forms: np.ndarray):
+    """Restriction of forms to the even functions with the constant deflated.
+
+    Returns (cols, Z, [Z^t A[cols, cols] Z for A in forms]): cols are the
+    even basis columns and Z spans the mass-orthogonal complement of the
+    constant within them, so coefficient vectors lift back as Z v on cols."""
     basis = system.basis
-    even_cols = np.flatnonzero(basis.parities > 0)
-    if len(even_cols) == 0:
+    cols = np.flatnonzero(basis.parities > 0)
+    if len(cols) == 0:
         raise ValueError("basis has no even functions")
-    degs = basis.degrees[even_cols]
-    Me = system.mass[np.ix_(even_cols, even_cols)]
-    const_pos = np.flatnonzero(degs == 0)
+    const_pos = np.flatnonzero(basis.degrees[cols] == 0)
     if len(const_pos) == 0:
-        return even_cols, np.eye(len(even_cols))
-    c0 = np.zeros(len(even_cols))
-    c0[const_pos[0]] = 1.0
-    w = Me @ c0
-    Z = scipy.linalg.null_space(w[None, :])
-    return even_cols, Z
+        Z = np.eye(len(cols))
+    else:
+        # the constant's mass column within the even block
+        w = system.mass[cols, cols[const_pos[0]]]
+        Z = scipy.linalg.null_space(w[None, :])
+    ix = np.ix_(cols, cols)
+    return cols, Z, [Z.T @ A[ix] @ Z for A in forms]
 
 
 def _zero_tol(eigs: np.ndarray) -> float:
@@ -198,12 +217,9 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     if subspace == "all":
         eigs, vecs = scipy.linalg.eigh(S, M)
     elif subspace == "even-nonconstant":
-        cols, Z = _even_nonconstant_subspace(system)
-        Sz = Z.T @ S[np.ix_(cols, cols)] @ Z
-        Mz = Z.T @ M[np.ix_(cols, cols)] @ Z
-        ez, vz = scipy.linalg.eigh(Sz, Mz)
-        eigs = ez
-        vecs = np.zeros((nb, len(ez)))
+        cols, Z, (Sz, Mz) = _even_nonconstant(system, S, M)
+        eigs, vz = scipy.linalg.eigh(Sz, Mz)
+        vecs = np.zeros((nb, len(eigs)))
         vecs[cols] = Z @ vz
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
@@ -222,11 +238,9 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
         lambda1_even = None
         has_even = (system.basis.parities > 0) & (system.basis.degrees > 0)
         if has_even.any():
-            cols, Z = _even_nonconstant_subspace(system)
-            Sz = Z.T @ S[np.ix_(cols, cols)] @ Z
-            Mz = Z.T @ M[np.ix_(cols, cols)] @ Z
-            ez = scipy.linalg.eigh(Sz, Mz, eigvals_only=True)
-            lambda1_even = float(ez[0]) if len(ez) else None
+            _, _, (Sz, Mz) = _even_nonconstant(system, S, M)
+            ez = scipy.linalg.eigh(Sz, Mz, eigvals_only=True, subset_by_index=[0, 0])
+            lambda1_even = float(ez[0])
 
     return SpectrumReport(
         eigenvalues=eigs,
@@ -290,9 +304,7 @@ def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
 def hessian_gap_even(system: GalerkinSystem) -> float:
     """Minimum of the Hessian-form Rayleigh quotient over even non-constant
     functions: min v^t H v / v^t S v."""
-    cols, Z = _even_nonconstant_subspace(system)
-    Hz = Z.T @ system.hessform[np.ix_(cols, cols)] @ Z
-    Sz = Z.T @ system.stiffness[np.ix_(cols, cols)] @ Z
+    _, _, (Hz, Sz) = _even_nonconstant(system, system.hessform, system.stiffness)
     if np.linalg.eigvalsh(Sz).min() <= 0:
         raise ValueError("stiffness is singular on the even non-constant subspace")
     eigs = scipy.linalg.eigh(Hz, Sz, eigvals_only=True)

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre, sph_harm_y
+from scipy.special import roots_legendre, sph_harm_y, sph_legendre_p_all
 
 SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -276,68 +276,57 @@ class HarmonicBasis:
         return vals, grads, hess
 
     def _eval_sphere(self, pts, order):
+        """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
+
+        The colatitude factor is evaluated once per distinct colatitude (L+2
+        of them on a product grid) and scattered back to the points; the
+        longitude factor and its derivatives are closed form.
+        """
         theta, phi = _angles_from_points(pts, 3)
-        st = np.maximum(np.sin(theta), _SIN_FLOOR)
-        ct = np.cos(theta)
-        e_th, e_ph = _sph_frames(theta, phi)
-        P, nb = len(theta), self.size
-        vals = np.empty((P, nb))
-        grads = np.empty((P, nb, 3)) if order >= 1 else None
-        hess = np.empty((P, nb, 3, 3)) if order >= 2 else None
+        modes = np.array(self._modes)
+        l, m, kind = modes[:, 0], modes[:, 1], modes[:, 2]
+        scale = np.where(m == 0, 1.0, np.sqrt(2.0))
 
-        # one broadcast call over all complex (l, m >= 0) pairs
-        ls = np.concatenate([np.full(l + 1, l) for l in range(self.L + 1)])
-        ms = np.concatenate([np.arange(l + 1) for l in range(self.L + 1)])
+        # colatitude factors N P_lm(cos theta) = Y_lm(theta, 0) and their
+        # theta-derivatives on the distinct colatitudes, as (d, T, nb); row
+        # inv[i] belongs to point i
+        theta_u, inv = np.unique(theta, return_inverse=True)
+        lat = sph_legendre_p_all(self.L, self.L, theta_u, diff_n=min(order, 2))
+        lat = (lat[:, l, m] * scale[:, None]).transpose(0, 2, 1)
+
+        # longitude factors: cos(m phi) / sin(m phi) and their phi-derivatives
+        mphi = np.multiply.outer(phi, m)
+        lon, dlon = np.cos(mphi), np.sin(mphi)
+        sin_type = kind == 1
+        lon[:, sin_type], dlon[:, sin_type] = dlon[:, sin_type], -lon[:, sin_type]
+        dlon *= -m
+
+        vals = lat[0][inv] * lon
         if order == 0:
-            y = sph_harm_y(ls[:, None], ms[:, None], theta[None, :], phi[None, :])
-            dy = d2y = None
-        else:
-            y, dy, d2y = sph_harm_y(
-                ls[:, None], ms[:, None], theta[None, :], phi[None, :], diff_n=2
-            )
+            return vals, None, None
+        f_t = lat[1][inv] * lon
+        f_p = lat[0][inv] * dlon
 
-        if order >= 2:
-            oth = e_th[:, :, None] * e_th[:, None, :]
-            oph = e_ph[:, :, None] * e_ph[:, None, :]
-            oxm = e_th[:, :, None] * e_ph[:, None, :]
-            oxm = oxm + oxm.transpose(0, 2, 1)
+        st = np.maximum(np.sin(theta), _SIN_FLOOR)[:, None]
+        e_th, e_ph = _sph_frames(theta, phi)
+        frame = np.stack([e_th, e_ph], axis=1)  # (P, 2, 3)
+        grads = np.stack([f_t, f_p / st], axis=-1) @ frame
+        if order == 1:
+            return vals, grads, None
 
-        def emit(a, comp, d1, d2):
-            vals[:, a] = comp
-            if order >= 1:
-                f_t, f_p = d1[:, 0], d1[:, 1]
-                grads[:, a] = f_t[:, None] * e_th + (f_p / st)[:, None] * e_ph
-                if order >= 2:
-                    # covariant Hessian in the orthonormal frame
-                    h_tt = d2[:, 0, 0]
-                    h_tp = (d2[:, 0, 1] - (ct / st) * f_p) / st
-                    h_pp = d2[:, 1, 1] / st**2 + (ct / st) * f_t
-                    hess[:, a] = (
-                        h_tt[:, None, None] * oth
-                        + h_pp[:, None, None] * oph
-                        + h_tp[:, None, None] * oxm
-                    )
-
-        a = 0
-        s2 = np.sqrt(2.0)
-        for row, (l, m) in enumerate(zip(ls, ms)):
-            yr = y[row]
-            d1r = dy[row] if order >= 1 else None
-            d2r = d2y[row] if order >= 2 else None
-            if m == 0:
-                emit(a, yr.real,
-                     d1r.real if order >= 1 else None,
-                     d2r.real if order >= 2 else None)
-                a += 1
-            else:
-                emit(a, s2 * yr.real,
-                     s2 * d1r.real if order >= 1 else None,
-                     s2 * d2r.real if order >= 2 else None)
-                emit(a + 1, s2 * yr.imag,
-                     s2 * d1r.imag if order >= 1 else None,
-                     s2 * d2r.imag if order >= 2 else None)
-                a += 2
-        return vals, grads, hess
+        # covariant Hessian: components (tt, tp, pp) in the orthonormal frame
+        # times e_t e_t^t, e_t e_p^t + e_p e_t^t and e_p e_p^t
+        cot = np.cos(theta)[:, None] / st
+        comps = np.empty(vals.shape + (3,))
+        comps[..., 0] = lat[2][inv] * lon
+        comps[..., 1] = (lat[1][inv] * dlon - cot * f_p) / st
+        comps[..., 2] = -(m * m) * vals / st**2 + cot * f_t
+        oth = e_th[:, :, None] * e_th[:, None, :]
+        oph = e_ph[:, :, None] * e_ph[:, None, :]
+        oxm = e_th[:, :, None] * e_ph[:, None, :]
+        outer = np.stack([oth, oxm + oxm.transpose(0, 2, 1), oph], axis=1)
+        hess = comps @ outer.reshape(len(theta), 3, 9)
+        return vals, grads, hess.reshape(vals.shape + (3, 3))
 
 
 # ----------------------------------------------------------------------

@@ -5,9 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from calab import cli
+from calab.bodies import ellipsoid, evaluate_on_grid
+from calab.minkowski import TargetMeasure
+from calab.sphere import build_grid
 
 
 def write_config(tmp_path, name, payload):
@@ -148,6 +152,66 @@ def test_solve_command(tmp_path):
     assert sol["converged"]
     assert sol["el_residual"] < 1e-4
     assert (out / "solution_h.csv").exists()
+
+
+def _ellipse_density_rows(grid_cfg, p):
+    g = build_grid(grid_cfg["n"], grid_cfg["L"])
+    mu = TargetMeasure.from_body(
+        evaluate_on_grid(ellipsoid(np.diag([1.5, 1.0])), g), p)
+    return [(i, repr(float(v))) for i, v in enumerate(mu.density)]
+
+
+def test_solve_density_csv_placed_by_node(tmp_path):
+    # shuffled node,value rows give the same solution as the generating body
+    grid = {"n": 2, "L": 24}
+    rows = _ellipse_density_rows(grid, 0.5)
+    np.random.default_rng(0).shuffle(rows)
+    csv_path = tmp_path / "density.csv"
+    csv_path.write_text("node,value\n"
+                        + "".join(f"{i},{v}\n" for i, v in rows))
+    sols = []
+    for sub, target in (
+        ("body", {"p": 0.5, "body": {"type": "ellipsoid", "diag": [1.5, 1.0]}}),
+        ("csv", {"p": 0.5, "density_csv": str(csv_path)}),
+    ):
+        cfg = write_config(tmp_path, f"{sub}.json",
+                           {"grid": grid, "target": target, "band": 16})
+        out = tmp_path / sub
+        assert run_cli(["solve", "--config", cfg, "--out", out]) == 0
+        sols.append((out / "solution.json").read_bytes())
+    assert sols[0] == sols[1]
+
+
+@pytest.mark.parametrize("case", ["missing_file", "duplicate_node"])
+def test_solve_bad_density_csv_exits_2(tmp_path, case):
+    grid = {"n": 2, "L": 24}
+    csv_path = tmp_path / "density.csv"
+    if case == "duplicate_node":
+        rows = _ellipse_density_rows(grid, 0.5)
+        rows[1] = (0, rows[1][1])
+        csv_path.write_text("node,value\n"
+                            + "".join(f"{i},{v}\n" for i, v in rows))
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": grid,
+        "target": {"p": 0.5, "density_csv": str(csv_path)},
+    })
+    out = tmp_path / "out"
+    assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
+    assert not (out / "report.json").exists()
+
+
+def test_spectrum_without_lambda1_fails_check(tmp_path):
+    # k=1 keeps only the zero eigenvalue: lambda1 is null and its check
+    # fails, but the run still writes its full report
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 8}, "k": 1})
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 1
+    report = json.loads((out / "report.json").read_text())
+    assert "error" not in report
+    lam = [c for c in report["checks"] if c["name"] == "lambda1"][0]
+    assert lam["value"] is None and not lam["pass"]
+    assert report["result"]["spectrum"]["lambda1"] is None
+    assert (out / "spectrum.json").exists()
 
 
 def test_isomorphic_command(tmp_path):

@@ -147,9 +147,11 @@ def test_analysis_synthesis_roundtrip(n):
     assert np.abs(c2 - c).max() < 1e-10
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_basis_orthonormal_under_quadrature(n):
-    g = build_grid(n, 8)
+@pytest.mark.parametrize("n,L", [pytest.param(2, 8, id="2"),
+                                 pytest.param(3, 8, id="3"),
+                                 pytest.param(3, 24, id="3-L24")])
+def test_basis_orthonormal_under_quadrature(n, L):
+    g = build_grid(n, L)
     B, _, _ = g.basis_tables()
     gram = B.T @ (g.weights[:, None] * B)
     assert np.abs(gram - np.eye(g.basis.size)).max() < 1e-10
@@ -225,9 +227,10 @@ def test_derivative_fields_are_tangential():
     assert np.abs(H - H.transpose(0, 2, 1)).max() < 1e-12
 
 
-def test_spherical_harmonics_eigenfunctions_of_laplacian():
+@pytest.mark.parametrize("L", [16, 24])
+def test_spherical_harmonics_eigenfunctions_of_laplacian(L):
     # closed-form check up to degree L/2
-    g = build_grid(3, 16)
+    g = build_grid(3, L)
     B, _, _ = g.basis_tables()
     for a in range(g.basis.size):
         l = g.basis.degrees[a]
