@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import shutil
 import sys
 import time
 from concurrent.futures import ThreadPoolExecutor
@@ -68,32 +69,40 @@ def grid_from_config(cfg: dict):
         raise ConfigError(f"bad grid config: {exc}") from exc
 
 
-def body_from_descriptor(desc: dict, n: int):
+def body_from_descriptor(desc, n: int):
+    """Body for a config descriptor; it must live in the grid's dimension n."""
+    if not isinstance(desc, dict):
+        raise ConfigError("config needs a 'body' object")
     try:
         kind = desc["type"]
         if kind == "ball":
-            return ball(float(desc.get("r", 1.0)), int(desc.get("n", n)))
-        if kind == "ellipsoid":
+            body = ball(float(desc.get("r", 1.0)), int(desc.get("n", n)))
+        elif kind == "ellipsoid":
             if "diag" in desc:
-                return ellipsoid(np.diag([float(v) for v in desc["diag"]]))
-            return ellipsoid(np.array(desc["matrix"], dtype=float))
-        if kind == "perturbed_ball":
+                body = ellipsoid(np.diag([float(v) for v in desc["diag"]]))
+            else:
+                body = ellipsoid(np.array(desc["matrix"], dtype=float))
+        elif kind == "perturbed_ball":
             coeffs = desc.get("coeffs")
             if coeffs is not None:
                 coeffs = [tuple(c) for c in coeffs]
-            return perturbed_ball(int(desc.get("n", n)),
+            body = perturbed_ball(int(desc.get("n", n)),
                                   float(desc.get("eps", 0.1)), coeffs)
-        if kind == "random":
-            return random_even_body(
+        elif kind == "random":
+            body = random_even_body(
                 int(desc.get("n", n)), seed=int(desc["seed"]),
                 band=int(desc.get("band", 8)),
                 strength=float(desc.get("strength", 0.3)),
             )
-        if kind == "lq":
-            return lq_gauge_body(int(desc.get("q", 4)), int(desc.get("n", n)))
-        raise ConfigError(f"unknown body type {kind!r}")
+        elif kind == "lq":
+            body = lq_gauge_body(int(desc.get("q", 4)), int(desc.get("n", n)))
+        else:
+            raise ConfigError(f"unknown body type {kind!r}")
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"bad body descriptor: {exc}") from exc
+    if body.n != n:
+        raise ConfigError(f"body dimension {body.n} does not match grid n={n}")
+    return body
 
 
 def read_density_csv(path, node_count: int) -> np.ndarray:
@@ -187,7 +196,7 @@ def _cmd_bochner(cfg, seed, out_dir):
 
 def _cmd_pinch(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
-    body = body_from_descriptor(cfg["body"], grid.n)
+    body = body_from_descriptor(cfg.get("body"), grid.n)
     bg = evaluate_on_grid(body, grid)
     rep = measure_pinching(bg)
     opt_cfg = cfg.get("optimize")
@@ -220,7 +229,7 @@ def _cmd_pinch(cfg, seed, out_dir):
 
 def _cmd_isomorphic(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
-    body = body_from_descriptor(cfg["body"], grid.n)
+    body = body_from_descriptor(cfg.get("body"), grid.n)
     if "gamma" in cfg:
         # distance budget gamma = (1+beta) sqrt(1+alpha^2); beta defaults to
         # the constant-order choice 1 + sqrt(2) of the isomorphic regime
@@ -425,12 +434,18 @@ def main(argv=None) -> int:
         return 2
 
     out_dir = Path(args.out)
+    # commands meet some config errors only while reading their inputs; the
+    # topmost directory this run creates is removed again when they do
+    created = next((p for p in reversed((out_dir, *out_dir.parents))
+                    if not p.exists()), None)
     t0 = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
         report = run_command(args.command, cfg, args.seed, out_dir,
                              threads=args.threads)
     except ConfigError as exc:
+        if created is not None:
+            shutil.rmtree(created)
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # numerical failure: report what we know

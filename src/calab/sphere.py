@@ -13,17 +13,13 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre, sph_harm_y, sph_legendre_p_all
+from scipy.special import roots_legendre
 
 SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 # nodes with |cos(colatitude)| above this are flagged (coordinate-frame
 # singularity for n=3 spherical frames; the geometry itself is fine there)
 POLE_COS_CUTOFF = 0.999
-
-# sin(colatitude) floor when converting spherical-frame derivatives of basis
-# functions to ambient coordinates at arbitrary (non-grid) points
-_SIN_FLOOR = 1e-9
 
 
 def _angles_from_points(points: np.ndarray, n: int):
@@ -44,129 +40,57 @@ def _sph_frames(theta: np.ndarray, phi: np.ndarray):
     return e_th, e_ph
 
 
-class _PolyHarmonics3:
-    """Fast exact backend for low-band real spherical harmonics (n = 3).
+def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
+    """N P_l^m(cos theta) = Y_l^m(theta, 0), Condon-Shortley phase included,
+    for 0 <= m <= l <= L as an (L+1, L+1, T) table that is zero for m > l.
 
-    The degree-l solid harmonic r^l Y_lm is a homogeneous polynomial; its
-    monomial coefficients are recovered once by least squares against the
-    reference evaluator, after which values and ambient derivatives are
-    batched matrix products.  Exact up to the ~1e-13 fit residual.
+    Column recurrence in l from the sectoral seed (Holmes & Featherstone,
+    J. Geodesy 76, 2002); it never divides by sin theta.
     """
-
-    MAX_L = 12
-
-    def __init__(self, L: int, reference):
-        self.L = L
-        rng = np.random.default_rng(20240901)
-        self._expo = {}      # degree -> (m_l, 3) exponent table
-        self._index = {}     # degree -> exponent tuple -> column
-        self._coeff = {}     # degree -> (n_funcs_l, m_l) monomial coefficients
-        self._gmaps = {}     # degree -> list of 3 (m_{l-1}, m_l) matrices
-        self._hmaps = {}     # degree -> 3x3 nested list of (m_{l-2}, m_l)
-        for l in range(L + 1):
-            expo = np.array(
-                [(i, j, l - i - j) for i in range(l + 1) for j in range(l + 1 - i)],
-                dtype=int,
-            )
-            self._expo[l] = expo
-            self._index[l] = {tuple(e): k for k, e in enumerate(expo)}
-        for l in range(L + 1):
-            m_l = len(self._expo[l])
-            pts = rng.normal(size=(max(4 * m_l, 40), 3))
-            pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-            M = self._monomials(pts, l)
-            Y = reference(pts, l)  # (P, 2l+1) values of the degree-l functions
-            coeff, *_ = np.linalg.lstsq(M, Y, rcond=None)
-            self._coeff[l] = coeff.T  # (2l+1, m_l)
-            if l >= 1:
-                self._gmaps[l] = [self._deriv_map(l, ax) for ax in range(3)]
-        for l in range(2, L + 1):
-            self._hmaps[l] = [
-                [self._gmaps[l - 1][a] @ self._gmaps[l][b] for b in range(3)]
-                for a in range(3)
-            ]
-
-    def _power_table(self, pts):
-        """(3, P, L+1) table of coordinate powers x^0..x^L."""
-        P = len(pts)
-        tab = np.empty((3, P, self.L + 1))
-        tab[:, :, 0] = 1.0
-        for k in range(1, self.L + 1):
-            tab[:, :, k] = tab[:, :, k - 1] * pts.T
-        return tab
-
-    def _monomials(self, pts, l, ptab=None):
-        expo = self._expo[l]
-        if ptab is None:
-            ptab = self._power_table(pts)
-        return ptab[0][:, expo[:, 0]] * ptab[1][:, expo[:, 1]] * ptab[2][:, expo[:, 2]]
-
-    def _deriv_map(self, l, axis):
-        src, dst = self._expo[l], self._index[l - 1]
-        D = np.zeros((len(dst), len(src)))
-        for k, e in enumerate(src):
-            if e[axis] == 0:
-                continue
-            e2 = list(e)
-            e2[axis] -= 1
-            D[dst[tuple(e2)], k] = e[axis]
-        return D
-
-    def eval_derivs(self, pts, order):
-        """Same contract as HarmonicBasis._eval_sphere (unit points assumed)."""
-        P = len(pts)
-        ptab = self._power_table(pts)
-        nb = (self.L + 1) ** 2
-        vals = np.empty((P, nb))
-        grads = np.empty((P, nb, 3)) if order >= 1 else None
-        hess = np.empty((P, nb, 3, 3)) if order >= 2 else None
-        if order >= 2:
-            proj = np.eye(3)[None] - pts[:, :, None] * pts[:, None, :]
-        a = 0
-        for l in range(self.L + 1):
-            C = self._coeff[l]
-            nl = C.shape[0]
-            M = self._monomials(pts, l, ptab)
-            Y = M @ C.T
-            sl = slice(a, a + nl)
-            vals[:, sl] = Y
-            if order >= 1:
-                if l == 0:
-                    grads[:, sl] = 0.0
-                    if order >= 2:
-                        hess[:, sl] = 0.0
-                    a += nl
-                    continue
-                Ml1 = self._monomials(pts, l - 1, ptab)
-                Du = np.stack(
-                    [Ml1 @ (self._gmaps[l][ax] @ C.T) for ax in range(3)], axis=-1
-                )
-                # tangential gradient of Y: P Du = Du - l Y theta
-                grads[:, sl] = Du - l * Y[:, :, None] * pts[:, None, :]
-                if order >= 2:
-                    if l == 1:
-                        hess[:, sl] = -Y[:, :, None, None] * proj[:, None, :, :]
-                    else:
-                        Ml2 = self._monomials(pts, l - 2, ptab)
-                        D2u = np.empty((P, nl, 3, 3))
-                        for i in range(3):
-                            for j in range(i, 3):
-                                block = Ml2 @ (self._hmaps[l][i][j] @ C.T)
-                                D2u[:, :, i, j] = block
-                                D2u[:, :, j, i] = block
-                        cross = pts[:, None, :, None] * Du[:, :, None, :]
-                        PD2P = (
-                            D2u
-                            - (l - 1) * (cross + cross.transpose(0, 1, 3, 2))
-                            + (l * (l - 1)) * Y[:, :, None, None]
-                            * (pts[:, :, None] * pts[:, None, :])[:, None]
-                        )
-                        hess[:, sl] = PD2P - l * Y[:, :, None, None] * proj[:, None]
-            a += nl
-        return vals, grads, hess
+    P = np.zeros((L + 1, L + 1, len(ct)))
+    P[0, 0] = 0.5 / np.sqrt(np.pi)
+    for l in range(1, L + 1):
+        m = np.arange(l)[:, None]
+        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        P[l, :l] = a * ct * P[l - 1, :l]
+        if l >= 2:
+            b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            P[l, :l] -= a * b * P[l - 2, :l]
+        P[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * st * P[l - 1, l - 1]
+    return P
 
 
-_poly_backends: dict[int, _PolyHarmonics3] = {}
+def _ladder(P: np.ndarray):
+    """(l, m) grids and the m-neighbours P^{m+1}, P^{m-1} of an (l, m, T)
+    table; P^{-1} = -P^1, and columns past the table are zero."""
+    l = np.arange(P.shape[0])[:, None, None]
+    m = np.arange(P.shape[1])[None, :, None]
+    up = np.zeros_like(P)
+    up[:, :-1] = P[:, 1:]
+    down = np.empty_like(P)
+    down[:, 1:] = P[:, :-1]
+    down[:, 0] = -P[:, 1]
+    return l, m, up, down
+
+
+def _dtheta(P: np.ndarray) -> np.ndarray:
+    """theta-derivative of a Legendre table:
+    2 d_theta P_l^m = sqrt((l-m)(l+m+1)) P_l^{m+1} - sqrt((l+m)(l-m+1)) P_l^{m-1}."""
+    l, m, up, down = _ladder(P)
+    a = np.sqrt(np.maximum((l - m) * (l + m + 1), 0))
+    b = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))
+    return 0.5 * (a * up - b * down)
+
+
+def _over_sin(P: np.ndarray) -> np.ndarray:
+    """m P_l^m / sin theta for bands 0..rows-2, from band l+1 of the table:
+    -(1/2) sqrt((2l+1)/(2l+3)) [sqrt((l+m+1)(l+m+2)) P_{l+1}^{m+1}
+                                + sqrt((l-m+1)(l-m+2)) P_{l+1}^{m-1}].
+    Linear in the table, so it maps d_theta P to d_theta(m P / sin theta)."""
+    l, m, up, down = _ladder(P[1:])
+    a = np.sqrt((l + m + 1) * (l + m + 2))
+    b = np.sqrt((l - m + 1) * (l - m + 2))
+    return -0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (a * up + b * down)
 
 
 class HarmonicBasis:
@@ -221,25 +145,7 @@ class HarmonicBasis:
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.n == 2:
             return self._eval_circle(pts, order)
-        if self.L <= _PolyHarmonics3.MAX_L:
-            backend = _poly_backends.get(self.L)
-            if backend is None:
-                backend = _PolyHarmonics3(self.L, self._reference_values)
-                _poly_backends[self.L] = backend
-            u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-            return backend.eval_derivs(u, order)
         return self._eval_sphere(pts, order)
-
-    def _reference_values(self, pts, l):
-        """Degree-l real harmonic values via the scipy evaluator (fit target)."""
-        theta, phi = _angles_from_points(pts, 3)
-        ms = np.arange(l + 1)
-        y = sph_harm_y(l, ms[:, None], theta[None, :], phi[None, :])
-        cols = [y[0].real]
-        for m in range(1, l + 1):
-            cols.append(np.sqrt(2.0) * y[m].real)
-            cols.append(np.sqrt(2.0) * y[m].imag)
-        return np.stack(cols, axis=-1)
 
     # ------------------------------------------------------------------
     def _eval_circle(self, pts, order):
@@ -278,54 +184,59 @@ class HarmonicBasis:
     def _eval_sphere(self, pts, order):
         """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
 
-        The colatitude factor is evaluated once per distinct colatitude (L+2
-        of them on a product grid) and scattered back to the points; the
-        longitude factor and its derivatives are closed form.
+        cos theta = z and sin theta = |(x, y)| come straight from the point and
+        no expression divides by sin theta, so the derivatives stay exact at
+        the poles.  The colatitude factors are evaluated once per distinct z
+        (L+2 of them on a product grid) and scattered back to the points.
         """
-        theta, phi = _angles_from_points(pts, 3)
-        modes = np.array(self._modes)
-        l, m, kind = modes[:, 0], modes[:, 1], modes[:, 2]
+        L = self.L
+        l, m, kind = np.array(self._modes).T
         scale = np.where(m == 0, 1.0, np.sqrt(2.0))
+        x, y, z = pts.T
+        st = np.hypot(x, y)
+        z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
 
-        # colatitude factors N P_lm(cos theta) = Y_lm(theta, 0) and their
-        # theta-derivatives on the distinct colatitudes, as (d, T, nb); row
-        # inv[i] belongs to point i
-        theta_u, inv = np.unique(theta, return_inverse=True)
-        lat = sph_legendre_p_all(self.L, self.L, theta_u, diff_n=min(order, 2))
-        lat = (lat[:, l, m] * scale[:, None]).transpose(0, 2, 1)
+        def columns(table):
+            """(l, m, distinct z) table -> (points, basis) colatitude factors."""
+            return table[l, m].T[inv] * scale
 
-        # longitude factors: cos(m phi) / sin(m phi) and their phi-derivatives
-        mphi = np.multiply.outer(phi, m)
-        lon, dlon = np.cos(mphi), np.sin(mphi)
-        sin_type = kind == 1
-        lon[:, sin_type], dlon[:, sin_type] = dlon[:, sin_type], -lon[:, sin_type]
-        dlon *= -m
+        # band L+1 feeds the ladder that yields m P_l^m / sin theta
+        P = _legendre(z_u, st[first], L + (order > 0))
 
-        vals = lat[0][inv] * lon
+        # longitude factors: cos/sin m phi, formed once per m, and (1/m) d/dphi
+        phi = np.arctan2(y, x)
+        mphi = np.multiply.outer(phi, np.arange(L + 1))
+        c, s = np.cos(mphi), np.sin(mphi)
+        col = m + kind * (L + 1)
+        lon = np.concatenate([c, s], axis=1)[:, col]
+
+        vals = columns(P) * lon
         if order == 0:
             return vals, None, None
-        f_t = lat[1][inv] * lon
-        f_p = lat[0][inv] * dlon
-
-        st = np.maximum(np.sin(theta), _SIN_FLOOR)[:, None]
-        e_th, e_ph = _sph_frames(theta, phi)
+        lon_m = np.concatenate([-s, c], axis=1)[:, col]
+        dP = _dtheta(P)
+        cp, sp = np.cos(phi), np.sin(phi)
+        e_th = np.stack([z * cp, z * sp, -st], axis=-1)
+        e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
         frame = np.stack([e_th, e_ph], axis=1)  # (P, 2, 3)
-        grads = np.stack([f_t, f_p / st], axis=-1) @ frame
+        # components d_theta Y and d_phi Y / sin theta in the frame
+        grads = np.stack([columns(dP) * lon, columns(_over_sin(P)) * lon_m],
+                         axis=-1) @ frame
         if order == 1:
             return vals, grads, None
 
         # covariant Hessian: components (tt, tp, pp) in the orthonormal frame
-        # times e_t e_t^t, e_t e_p^t + e_p e_t^t and e_p e_p^t
-        cot = np.cos(theta)[:, None] / st
+        # times e_t e_t^t, e_t e_p^t + e_p e_t^t and e_p e_p^t; tp is
+        # d_theta(d_phi Y / sin theta) and pp follows from Delta Y = -l(l+1) Y
         comps = np.empty(vals.shape + (3,))
-        comps[..., 0] = lat[2][inv] * lon
-        comps[..., 1] = (lat[1][inv] * dlon - cot * f_p) / st
-        comps[..., 2] = -(m * m) * vals / st**2 + cot * f_t
+        comps[..., 0] = columns(_dtheta(dP)) * lon
+        comps[..., 1] = columns(_over_sin(dP)) * lon_m
+        comps[..., 2] = -(l * (l + 1)) * vals - comps[..., 0]
         oth = e_th[:, :, None] * e_th[:, None, :]
         oph = e_ph[:, :, None] * e_ph[:, None, :]
         oxm = e_th[:, :, None] * e_ph[:, None, :]
         outer = np.stack([oth, oxm + oxm.transpose(0, 2, 1), oph], axis=1)
-        hess = comps @ outer.reshape(len(theta), 3, 9)
+        hess = comps @ outer.reshape(len(z), 3, 9)
         return vals, grads, hess.reshape(vals.shape + (3, 3))
 
 

@@ -64,6 +64,24 @@ def test_missing_body_field_exits_2(tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8}}, id="pinch_no_body"),
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "alpha": 0.5,
+                                "beta": 1.0}, id="isomorphic_no_body"),
+    pytest.param("spectrum", {"grid": {"n": 3, "L": 8},
+                              "body": {"type": "ellipsoid", "diag": [2, 1]}},
+                 id="ellipsoid_2d_on_n3"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8},
+                           "body": {"type": "ball", "n": 3}},
+                 id="ball_3d_on_n2"),
+])
+def test_missing_or_mismatched_body_exits_2(tmp_path, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out" / "nested"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert not (tmp_path / "out").exists()
+
+
 def test_numerical_failure_exit_1_report_written(tmp_path):
     # a wildly non-convex body: grid evaluation raises, report still lands
     cfg = write_config(tmp_path, "c.json", {
@@ -197,7 +215,7 @@ def test_solve_bad_density_csv_exits_2(tmp_path, case):
     })
     out = tmp_path / "out"
     assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
-    assert not (out / "report.json").exists()
+    assert not out.exists()
 
 
 def test_spectrum_without_lambda1_fails_check(tmp_path):

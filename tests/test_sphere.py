@@ -2,8 +2,10 @@
 
 import numpy as np
 import pytest
+from scipy.special import sph_harm_y
 
 from calab.sphere import (
+    HarmonicBasis,
     ScalarField,
     build_grid,
     quadrature,
@@ -239,6 +241,75 @@ def test_spherical_harmonics_eigenfunctions_of_laplacian(L):
         f = ScalarField.from_values(g, B[:, a])
         lap = laplace_beltrami(f).values
         assert np.abs(lap + l * (l + 1) * B[:, a]).max() < 1e-8
+
+
+def _scipy_real_harmonics(L, pts):
+    """Real Y_lm, tangential gradients and covariant Hessians at off-pole
+    points from scipy's complex harmonics, in the basis order (l, then m = 0,
+    (1, cos), (1, sin), ...); the frame formulas divide by sin(theta)."""
+    lm = np.array([(l, m) for l in range(L + 1) for m in range(l + 1)])
+    theta = np.arccos(pts[:, 2])
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    y, dy, d2y = sph_harm_y(lm[:, :1], lm[:, 1:], theta, phi, diff_n=2)
+    st, ct = np.sin(theta), np.cos(theta)
+    cot = ct / st
+    e_th = np.stack([ct * np.cos(phi), ct * np.sin(phi), -st], axis=-1)
+    e_ph = np.stack([-np.sin(phi), np.cos(phi), np.zeros_like(phi)], axis=-1)
+    f_t, f_p = dy[..., 0], dy[..., 1]
+    grad = (f_t[..., None] * e_th + (f_p / st)[..., None] * e_ph)
+    tt = d2y[..., 0, 0]
+    tp = (d2y[..., 0, 1] - cot * f_p) / st
+    pp = d2y[..., 1, 1] / st**2 + cot * f_t
+    oth = e_th[:, :, None] * e_th[:, None, :]
+    oph = e_ph[:, :, None] * e_ph[:, None, :]
+    oxm = e_th[:, :, None] * e_ph[:, None, :]
+    hess = (tt[..., None, None] * oth + pp[..., None, None] * oph
+            + tp[..., None, None] * (oxm + oxm.transpose(0, 2, 1)))
+    out = []
+    for q in (y, grad, hess):
+        cols = []
+        for k, (_, m) in enumerate(lm):
+            if m == 0:
+                cols.append(q[k].real)
+            else:
+                cols.extend([np.sqrt(2.0) * q[k].real, np.sqrt(2.0) * q[k].imag])
+        out.append(np.stack(cols, axis=1))
+    return out
+
+
+@pytest.mark.parametrize("L", [8, 24])
+def test_harmonic_basis_matches_scipy_convention(L):
+    # sign and normalization of the real harmonics are those of sph_harm_y
+    rng = np.random.default_rng(L)
+    pts = rng.normal(size=(60, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = pts[np.abs(pts[:, 2]) < 0.99]
+    ours = HarmonicBasis(3, L).eval_derivs(pts, order=2)
+    for got, ref in zip(ours, _scipy_real_harmonics(L, pts)):
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("L", [8, 16])
+def test_derivatives_exact_at_and_near_poles(L):
+    basis = HarmonicBasis(3, L)
+    rng = np.random.default_rng(L)
+    c = rng.normal(size=basis.size) * np.exp(-0.3 * basis.degrees)
+
+    def fn(x):
+        return basis.eval(x) @ c
+
+    t = 1e-6
+    pts = np.array([
+        [0.0, 0.0, 1.0],
+        [0.0, 0.0, -1.0],
+        [np.sin(t) * np.cos(1.0), np.sin(t) * np.sin(1.0), np.cos(t)],
+        [-np.sin(t), 0.0, -np.cos(t)],
+    ])
+    _, G, H = basis.eval_derivs(pts, order=2)
+    grad = np.einsum("iak,a->ik", G, c)
+    hess = np.einsum("iakl,a->ikl", H, c)
+    assert np.abs(grad - fd_gradient_on_sphere(fn, pts)).max() < 1e-6
+    assert np.abs(hess - fd_hessian_on_sphere(fn, pts)).max() < 1e-6
 
 
 def test_divergence_identity():
