@@ -1,9 +1,9 @@
 """Origin-symmetric strongly convex bodies represented by support functions.
 
-A body is an evaluator for its 1-homogeneous support function h with ambient
-gradient and Hessian access (closed-form where the family allows it, finite
-differences otherwise).  Grid sampling is a view: linear images, Firey sums
-and polars compose evaluators exactly, without resampling.
+A body is an evaluator for the jet (h, grad h, Hess h) of its 1-homogeneous
+support function in ambient coordinates (closed-form where the family allows
+it, finite differences otherwise).  Grid sampling is a view: linear images,
+Firey sums and polars compose evaluators exactly, without resampling.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ from calab.sphere import (
     HarmonicBasis,
     SphereGrid,
     build_grid,
+    tangent_frames,
     tangential_eigenvalues,
 )
 
@@ -41,9 +42,12 @@ def _as_points(X, n):
 class BodyEvaluator:
     """Base class: positive 1-homogeneous support function with derivatives.
 
-    Subclasses implement support(); support_grad()/support_hess() default to
-    finite differences (Richardson-extrapolated central differences, with the
-    Euler identity and radial annihilation enforced on the results).
+    Subclasses implement jet(), which returns the support function and its
+    ambient derivatives up to the order asked in one pass through the layers
+    below; support()/support_grad()/support_hess() read one entry of it.  The
+    finite-difference helpers (Richardson-extrapolated central differences,
+    with the Euler identity and radial annihilation enforced on the results)
+    serve families without closed-form derivatives and the tests' oracles.
     """
 
     def __init__(self, n: int, even: bool = True, label: str = ""):
@@ -52,20 +56,25 @@ class BodyEvaluator:
         self.label = label
 
     # -- interface ------------------------------------------------------
-    def support(self, X) -> np.ndarray:
+    def jet(self, X, order: int = 2) -> tuple:
+        """(h,), (h, grad) or (h, grad, hess) at the points X for order 0, 1
+        or 2; each entry is bit-identical across orders."""
         raise NotImplementedError
 
+    def support(self, X) -> np.ndarray:
+        return self.jet(X, 0)[0]
+
     def support_grad(self, X) -> np.ndarray:
-        return self._fd_grad(X)
+        return self.jet(X, 1)[1]
 
     def support_hess(self, X) -> np.ndarray:
-        return self._fd_hess(X)
+        return self.jet(X, 2)[2]
 
     def gauge_body(self) -> "BodyEvaluator | None":
         """Closed-form evaluator for the Minkowski gauge ||.||_K, if known."""
         return None
 
-    # -- finite-difference fallbacks -------------------------------------
+    # -- finite differences ----------------------------------------------
     def _fd_grad(self, X, step: float = 1e-5) -> np.ndarray:
         pts = _as_points(X, self.n)
 
@@ -93,12 +102,20 @@ class BodyEvaluator:
             H[:, :, j] = (self.support_grad(pts + e) - self.support_grad(pts - e)) / (
                 2 * step
             )
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        # the Hessian of a 1-homogeneous function annihilates the position
-        r = np.linalg.norm(pts, axis=1, keepdims=True)
-        u = pts / r
-        proj = np.eye(self.n)[None] - u[:, :, None] * u[:, None, :]
-        return np.einsum("iab,ibc,icd->iad", proj, H, proj)
+        U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        return _symmetric_tangential(H, U)
+
+
+def _symmetric_tangential(H, U):
+    """Symmetrized H projected on the tangent spaces at the unit points U
+    (the Hessian of a 1-homogeneous function annihilates the position)."""
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    proj = np.eye(U.shape[1])[None] - U[:, :, None] * U[:, None, :]
+    return np.einsum("iab,ibc,icd->iad", proj, H, proj)
+
+
+def _outer(a, b):
+    return a[:, :, None] * b[:, None, :]
 
 
 # ----------------------------------------------------------------------
@@ -112,19 +129,18 @@ class BallBody(BodyEvaluator):
         super().__init__(n, even=True, label=f"ball({r})")
         self.r = float(r)
 
-    def support(self, X):
-        return self.r * np.linalg.norm(_as_points(X, self.n), axis=1)
-
-    def support_grad(self, X):
-        pts = _as_points(X, self.n)
-        return self.r * pts / np.linalg.norm(pts, axis=1, keepdims=True)
-
-    def support_hess(self, X):
+    def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
+        h = self.r * r
+        if order == 0:
+            return (h,)
+        grad = self.r * pts / r[:, None]
+        if order == 1:
+            return h, grad
         u = pts / r[:, None]
-        proj = np.eye(self.n)[None] - u[:, :, None] * u[:, None, :]
-        return (self.r / r)[:, None, None] * proj
+        proj = np.eye(self.n)[None] - _outer(u, u)
+        return h, grad, (self.r / r)[:, None, None] * proj
 
     def gauge_body(self):
         return BallBody(1.0 / self.r, self.n)
@@ -145,23 +161,17 @@ class EllipsoidBody(BodyEvaluator):
         self.A = A
         self._A2 = A @ A
 
-    def support(self, X):
+    def jet(self, X, order=2):
         pts = _as_points(X, self.n)
-        return np.linalg.norm(pts @ self.A.T, axis=1)
-
-    def support_grad(self, X):
-        pts = _as_points(X, self.n)
-        h = self.support(pts)
-        return (pts @ self._A2.T) / h[:, None]
-
-    def support_hess(self, X):
-        pts = _as_points(X, self.n)
-        h = self.support(pts)
+        h = np.linalg.norm(pts @ self.A.T, axis=1)
+        if order == 0:
+            return (h,)
         w = pts @ self._A2.T
-        return (
-            self._A2[None, :, :] / h[:, None, None]
-            - w[:, :, None] * w[:, None, :] / h[:, None, None] ** 3
-        )
+        grad = w / h[:, None]
+        if order == 1:
+            return h, grad
+        return h, grad, (self._A2[None, :, :] / h[:, None, None]
+                         - _outer(w, w) / h[:, None, None] ** 3)
 
     def gauge_body(self):
         return EllipsoidBody(np.linalg.inv(self.A))
@@ -182,30 +192,21 @@ class SpectralBody(BodyEvaluator):
         self.basis = basis
         self.coeffs = coeffs
 
-    def _restriction(self, pts, order):
-        u = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        B, G, H = self.basis.eval_derivs(u, order=order)
-        f = B @ self.coeffs
-        gf = np.einsum("iak,a->ik", G, self.coeffs) if order >= 1 else None
-        hf = np.einsum("iakl,a->ikl", H, self.coeffs) if order >= 2 else None
-        return u, f, gf, hf
-
-    def support(self, X):
-        pts = _as_points(X, self.n)
-        _, f, _, _ = self._restriction(pts, 0)
-        return np.linalg.norm(pts, axis=1) * f
-
-    def support_grad(self, X):
-        pts = _as_points(X, self.n)
-        u, f, gf, _ = self._restriction(pts, 1)
-        return gf + f[:, None] * u
-
-    def support_hess(self, X):
+    def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
-        u, f, _, hf = self._restriction(pts, 2)
-        proj = np.eye(self.n)[None] - u[:, :, None] * u[:, None, :]
-        return (hf + f[:, None, None] * proj) / r[:, None, None]
+        u = pts / r[:, None]
+        B, G, H = self.basis.eval_derivs(u, order=order)
+        f = B @ self.coeffs
+        h = r * f
+        if order == 0:
+            return (h,)
+        grad = np.einsum("iak,a->ik", G, self.coeffs) + f[:, None] * u
+        if order == 1:
+            return h, grad
+        proj = np.eye(self.n)[None] - _outer(u, u)
+        hf = np.einsum("iakl,a->ikl", H, self.coeffs)
+        return h, grad, (hf + f[:, None, None] * proj) / r[:, None, None]
 
 
 class LinearImageBody(BodyEvaluator):
@@ -221,15 +222,14 @@ class LinearImageBody(BodyEvaluator):
         self.base = base
         self.T = T
 
-    def support(self, X):
-        return self.base.support(_as_points(X, self.n) @ self.T)
-
-    def support_grad(self, X):
-        return self.base.support_grad(_as_points(X, self.n) @ self.T) @ self.T.T
-
-    def support_hess(self, X):
-        H = self.base.support_hess(_as_points(X, self.n) @ self.T)
-        return np.einsum("ab,ibc,dc->iad", self.T, H, self.T)
+    def jet(self, X, order=2):
+        j = self.base.jet(_as_points(X, self.n) @ self.T, order)
+        if order == 0:
+            return j
+        grad = j[1] @ self.T.T
+        if order == 1:
+            return j[0], grad
+        return j[0], grad, np.einsum("ab,ibc,dc->iad", self.T, j[2], self.T)
 
     def gauge_body(self):
         gb = self.base.gauge_body()
@@ -240,6 +240,13 @@ class LinearImageBody(BodyEvaluator):
 
 class FireySumBody(BodyEvaluator):
     """Candidate support function (a h_K^p + b h_L^p)^(1/p); h_K^a h_L^b at p=0.
+
+    Derivatives go through log F: with weights s_K = a h_K^p / F^p and
+    s_L = b h_L^p / F^p (a and b at p = 0) and w_i = grad log h_i,
+    w = sum s_i w_i, grad F = F w and
+
+        Hess log F = sum s_i (H_i/h_i - w_i w_i^t) + p (sum s_i w_i w_i^t - w w^t),
+        Hess F = F (Hess log F + w w^t).
 
     For p < 1 the result may fail convexity; validity is reported by
     evaluate_on_grid, not repaired here.
@@ -257,54 +264,31 @@ class FireySumBody(BodyEvaluator):
         self.a, self.b, self.p = float(a), float(b), float(p)
         self.K, self.L = K, L
 
-    def support(self, X):
-        u, v = self.K.support(X), self.L.support(X)
-        if self.p == 0:
-            return u**self.a * v**self.b
-        return (self.a * u**self.p + self.b * v**self.p) ** (1.0 / self.p)
-
-    def support_grad(self, X):
-        u, v = self.K.support(X), self.L.support(X)
-        du, dv = self.K.support_grad(X), self.L.support_grad(X)
-        if self.p == 0:
-            F = u**self.a * v**self.b
-            return F[:, None] * (self.a * du / u[:, None] + self.b * dv / v[:, None])
-        p = self.p
-        F = (self.a * u**p + self.b * v**p) ** (1.0 / p)
-        G = self.a * u ** (p - 1.0) * du.T + self.b * v ** (p - 1.0) * dv.T
-        return (F ** (1.0 - p) * G).T
-
-    def support_hess(self, X):
-        u, v = self.K.support(X), self.L.support(X)
-        du, dv = self.K.support_grad(X), self.L.support_grad(X)
-        Hu, Hv = self.K.support_hess(X), self.L.support_hess(X)
+    def jet(self, X, order=2):
+        jK, jL = self.K.jet(X, order), self.L.jet(X, order)
+        u, v = jK[0], jL[0]
         a, b, p = self.a, self.b, self.p
         if p == 0:
             F = u**a * v**b
-            W = a * du / u[:, None] + b * dv / v[:, None]
-            out = F[:, None, None] * (W[:, :, None] * W[:, None, :])
-            out += F[:, None, None] * (
-                a * Hu / u[:, None, None]
-                - a * du[:, :, None] * du[:, None, :] / u[:, None, None] ** 2
-                + b * Hv / v[:, None, None]
-                - b * dv[:, :, None] * dv[:, None, :] / v[:, None, None] ** 2
-            )
-            return out
-        F = (a * u**p + b * v**p) ** (1.0 / p)
-        G = (a * u ** (p - 1.0))[:, None] * du + (b * v ** (p - 1.0))[:, None] * dv
-        out = (1.0 - p) * (F ** (1.0 - 2.0 * p))[:, None, None] * (
-            G[:, :, None] * G[:, None, :]
-        )
-        inner = (
-            (a * (p - 1.0) * u ** (p - 2.0))[:, None, None]
-            * (du[:, :, None] * du[:, None, :])
-            + (a * u ** (p - 1.0))[:, None, None] * Hu
-            + (b * (p - 1.0) * v ** (p - 2.0))[:, None, None]
-            * (dv[:, :, None] * dv[:, None, :])
-            + (b * v ** (p - 1.0))[:, None, None] * Hv
-        )
-        out += (F ** (1.0 - p))[:, None, None] * inner
-        return out
+            sK, sL = np.full_like(u, a), np.full_like(v, b)
+        else:
+            tK, tL = a * u**p, b * v**p
+            Fp = tK + tL
+            F = Fp ** (1.0 / p)
+            sK, sL = tK / Fp, tL / Fp
+        if order == 0:
+            return (F,)
+        wK, wL = jK[1] / u[:, None], jL[1] / v[:, None]
+        w = sK[:, None] * wK + sL[:, None] * wL
+        grad = F[:, None] * w
+        if order == 1:
+            return F, grad
+        wwK, wwL, ww = _outer(wK, wK), _outer(wL, wL), _outer(w, w)
+        sK, sL = sK[:, None, None], sL[:, None, None]
+        hess_log = (sK * (jK[2] / u[:, None, None] - wwK)
+                    + sL * (jL[2] / v[:, None, None] - wwL)
+                    + p * (sK * wwK + sL * wwL - ww))
+        return F, grad, F[:, None, None] * (hess_log + ww)
 
 
 class LqNormBody(BodyEvaluator):
@@ -317,28 +301,21 @@ class LqNormBody(BodyEvaluator):
         super().__init__(n, even=True, label=f"l{q}-norm")
         self.q = q
 
-    def support(self, X):
-        pts = _as_points(X, self.n)
-        return (pts**self.q).sum(axis=1) ** (1.0 / self.q)
-
-    def support_grad(self, X):
-        pts = _as_points(X, self.n)
-        h = self.support(pts)
-        return pts ** (self.q - 1) / h[:, None] ** (self.q - 1)
-
-    def support_hess(self, X):
+    def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         q = self.q
-        h = self.support(pts)
+        h = (pts**q).sum(axis=1) ** (1.0 / q)
+        if order == 0:
+            return (h,)
         w = pts ** (q - 1)
-        diag = (q - 1) * pts ** (q - 2) / h[:, None] ** (q - 1)
-        out = np.zeros((len(pts), self.n, self.n))
+        grad = w / h[:, None] ** (q - 1)
+        if order == 1:
+            return h, grad
+        hess = np.zeros((len(pts), self.n, self.n))
         idx = np.arange(self.n)
-        out[:, idx, idx] = diag
-        out -= (q - 1) * (w[:, :, None] * w[:, None, :]) / h[:, None, None] ** (
-            2 * q - 1
-        )
-        return out
+        hess[:, idx, idx] = (q - 1) * pts ** (q - 2) / h[:, None] ** (q - 1)
+        hess -= (q - 1) * _outer(w, w) / h[:, None, None] ** (2 * q - 1)
+        return h, grad, hess
 
 
 class PolarBody(BodyEvaluator):
@@ -352,37 +329,33 @@ class PolarBody(BodyEvaluator):
 
     _PG_STEPS = 10
     _NEWTON_STEPS = 4
+    _HESS_STEP = 1e-4
 
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
         super().__init__(base.n, even=base.even, label=f"polar({base.label})")
         self.base = base
         self._ref_nodes = grid.nodes
         self._ref_h = base.support(grid.nodes)
-        self._cache: dict[bytes, tuple[np.ndarray, np.ndarray]] = {}
 
-    # -- maximizer of <u, theta>/h(theta) over unit theta ----------------
+    # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
         return np.einsum("ij,ij->i", U, TH) / self.base.support(TH)
 
-    def _psi_grad(self, U, TH):
-        h = self.base.support(TH)
-        dh = self.base.support_grad(TH)
+    @staticmethod
+    def _psi_grad(U, TH, h, dh):
+        """Tangential gradient of psi at TH, from the base's h and grad h there."""
         g = U / h[:, None] - (np.einsum("ij,ij->i", U, TH) / h**2)[:, None] * dh
         g -= np.einsum("ij,ij->i", g, TH)[:, None] * TH
         return g
 
     def _maximize(self, U, warm_start: np.ndarray | None = None):
         if warm_start is None:
-            key = U.tobytes()
-            hit = self._cache.get(key)
-            if hit is not None:
-                return hit
             scores = (U @ self._ref_nodes.T) / self._ref_h[None, :]
             th = self._ref_nodes[np.argmax(scores, axis=1)].copy()
             val = self._psi(U, th)
             step = np.full(len(U), 0.2)
             for _ in range(self._PG_STEPS):
-                g = self._psi_grad(U, th)
+                g = self._psi_grad(U, th, *self.base.jet(th, 1))
                 cand = th + step[:, None] * g
                 cand /= np.linalg.norm(cand, axis=1, keepdims=True)
                 cval = self._psi(U, cand)
@@ -393,30 +366,23 @@ class PolarBody(BodyEvaluator):
         else:
             th = warm_start.copy()
             val = self._psi(U, th)
-        th, val = self._newton(U, th, val)
-        if warm_start is None:
-            if len(self._cache) > 16:
-                self._cache.clear()
-            self._cache[key] = (th, val)
-        return th, val
+        return self._newton(U, th, val)
 
     def _newton(self, U, th, val):
         n = self.n
         for _ in range(self._NEWTON_STEPS):
-            h = self.base.support(th)
-            dh = self.base.support_grad(th)
-            Hh = self.base.support_hess(th)
+            h, dh, Hh = self.base.jet(th, 2)
             ut = np.einsum("ij,ij->i", U, th)
             # ambient Hessian of the 0-homogeneous objective psi
-            cross = U[:, :, None] * dh[:, None, :]
+            cross = _outer(U, dh)
             Hpsi = (
                 -(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
                 - Hh * (ut / h**2)[:, None, None]
-                + 2.0 * (ut / h**3)[:, None, None] * (dh[:, :, None] * dh[:, None, :])
+                + 2.0 * (ut / h**3)[:, None, None] * _outer(dh, dh)
             )
             # frame per point (rows orthonormal, orthogonal to th)
-            frames = _tangent_frames(th)
-            g = self._psi_grad(U, th)
+            frames = tangent_frames(th)
+            g = self._psi_grad(U, th, h, dh)
             gf = np.einsum("ikq,ik->iq", frames, g)
             Hf = np.einsum("ikq,ikl,ilr->iqr", frames, Hpsi, frames)
             # Newton step, guarded to stay an ascent step
@@ -434,54 +400,33 @@ class PolarBody(BodyEvaluator):
             val[ok] = cval[ok]
         return th, val
 
-    # -- evaluator interface ----------------------------------------------
-    def support(self, X):
-        pts = _as_points(X, self.n)
-        r = np.linalg.norm(pts, axis=1)
-        _, val = self._maximize(pts / r[:, None])
-        return r * val
-
-    def support_grad(self, X):
-        pts = _as_points(X, self.n)
-        r = np.linalg.norm(pts, axis=1)
-        th, _ = self._maximize(pts / r[:, None])
-        return th / self.base.support(th)[:, None]
-
-    def support_hess(self, X, step: float = 1e-4):
-        # difference the envelope gradient, warm-starting the maximizer at
-        # each shifted point from the unshifted one (Newton-only refinement)
-        pts = _as_points(X, self.n)
-        r = np.linalg.norm(pts, axis=1)
-        U = pts / r[:, None]
-        th0, _ = self._maximize(U)
-        H = np.empty((len(U), self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = step
-            gp = self._envelope_grad(U + e, th0)
-            gm = self._envelope_grad(U - e, th0)
-            H[:, :, j] = (gp - gm) / (2.0 * step)
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        proj = np.eye(self.n)[None] - U[:, :, None] * U[:, None, :]
-        H = np.einsum("iab,ibc,icd->iad", proj, H, proj)
-        return H / r[:, None, None]
-
     def _envelope_grad(self, X, warm_start):
         U = X / np.linalg.norm(X, axis=1, keepdims=True)
         th, _ = self._maximize(U, warm_start=warm_start)
         return th / self.base.support(th)[:, None]
 
-
-def _tangent_frames(points: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames at unit points, shape (P, n, n-1).
-
-    Householder completion of the point direction (vectorized)."""
-    pts = np.atleast_2d(points)
-    P, n = pts.shape
-    v = pts.copy()
-    v[:, 0] += np.where(pts[:, 0] < 0.99, -1.0, 1.0)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.eye(n)[None, :, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
+    # -- evaluator interface ----------------------------------------------
+    def jet(self, X, order=2):
+        pts = _as_points(X, self.n)
+        r = np.linalg.norm(pts, axis=1)
+        U = pts / r[:, None]
+        th, val = self._maximize(U)
+        h = r * val
+        if order == 0:
+            return (h,)
+        grad = th / self.base.support(th)[:, None]
+        if order == 1:
+            return h, grad
+        # difference the envelope gradient, warm-starting the maximizer at
+        # each shifted point from the unshifted one (Newton-only refinement)
+        H = np.empty((len(U), self.n, self.n))
+        for j in range(self.n):
+            e = np.zeros(self.n)
+            e[j] = self._HESS_STEP
+            gp = self._envelope_grad(U + e, th)
+            gm = self._envelope_grad(U - e, th)
+            H[:, :, j] = (gp - gm) / (2.0 * self._HESS_STEP)
+        return h, grad, _symmetric_tangential(H, U) / r[:, None, None]
 
 
 # ----------------------------------------------------------------------
@@ -581,9 +526,14 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
             qd = q / (q - 1)
             self._qd = qd
 
-        def support(self, X):
+        def jet(self, X, order=2):
             pts = _as_points(X, self.n)
-            return (np.abs(pts) ** self._qd).sum(axis=1) ** (1.0 / self._qd)
+            h = (np.abs(pts) ** self._qd).sum(axis=1) ** (1.0 / self._qd)
+            if order == 0:
+                return (h,)
+            if order == 1:
+                return h, self._fd_grad(pts)
+            return h, self._fd_grad(pts), self._fd_hess(pts)
 
         def gauge_body(self):
             return LqNormBody(q, n)
@@ -635,11 +585,9 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
     nodes = grid.nodes
-    h = body.support(nodes)
+    h, x, H = body.jet(nodes, 2)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("support function must be positive and finite on the grid")
-    x = body.support_grad(nodes)
-    H = body.support_hess(nodes)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise ValueError("non-finite derivative on the grid")
     proj = np.eye(grid.n)[None] - nodes[:, :, None] * nodes[:, None, :]

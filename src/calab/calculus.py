@@ -34,7 +34,6 @@ class CentroAffineState:
     nu_density: np.ndarray        # h * det D^2 h (primal volume density)
     nu_star_density: np.ndarray   # h^{-n} (dual volume density)
     log_h_gradient: TangentField
-    frames: np.ndarray            # (N, n, n-1) orthonormal tangent frames
     ginv: np.ndarray              # (N, n, n) tangential inverse metric
 
     @property
@@ -53,17 +52,6 @@ def _tangential_pinv(tensors: np.ndarray, nodes: np.ndarray) -> np.ndarray:
     return np.linalg.inv(tensors + pad) - pad
 
 
-def _smooth_frames(grid) -> np.ndarray:
-    """Spherical-coordinate orthonormal frames (smooth away from the poles)."""
-    if grid.n == 2:
-        t = np.arctan2(grid.nodes[:, 1], grid.nodes[:, 0])
-        tau = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        return tau[:, :, None]
-    theta, phi = _angles_from_points(grid.nodes, 3)
-    e_th, e_ph = _sph_frames(theta, phi)
-    return np.stack([e_th, e_ph], axis=-1)
-
-
 def build_state(bg: BodyOnGrid) -> CentroAffineState:
     if not bg.valid:
         raise ValueError("state requires a strongly convex body on the grid")
@@ -78,7 +66,6 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
         nu_density=nu,
         nu_star_density=nu_star,
         log_h_gradient=TangentField(bg.grid, glh),
-        frames=_smooth_frames(bg.grid),
         ginv=ginv,
     )
 
@@ -171,8 +158,7 @@ def _coord_partials_log_h(body: BodyEvaluator, theta, phi):
     """Coordinate partials (d_theta log h, d_phi log h) at given angles."""
     st, ct = np.sin(theta), np.cos(theta)
     pts = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    h = body.support(pts)
-    xb = body.support_grad(pts)
+    h, xb = body.jet(pts, 1)
     glh = (xb - h[:, None] * pts) / h[:, None]
     e_th, e_ph = _sph_frames(theta, phi)
     return (
@@ -333,8 +319,7 @@ def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
     r = np.linalg.norm(xs, axis=1)
     dirs = xs / r[:, None]
 
-    hp = polar_body.support(dirs)
-    Hp = polar_body.support_hess(dirs)
+    hp, _, Hp = polar_body.jet(dirs, 2)
     proj = np.eye(grid.n)[None] - dirs[:, :, None] * dirs[:, None, :]
     D2hp = np.einsum("iab,ibc,icd->iad", proj, Hp, proj)
     gP = D2hp / hp[:, None, None]

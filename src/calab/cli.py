@@ -105,6 +105,21 @@ def body_from_descriptor(desc, n: int):
     return body
 
 
+def required_numbers(section, keys, where: str) -> list[float]:
+    """The values of required keys of a config object, as floats.
+
+    A section that is not an object, a missing key or a value that is not a
+    number is a ConfigError, raised before the command does any numerics."""
+    if not isinstance(section, dict):
+        raise ConfigError(f"{where} must be an object")
+    try:
+        return [float(section[k]) for k in keys]
+    except KeyError as exc:
+        raise ConfigError(f"{where} needs {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
 def read_density_csv(path, node_count: int) -> np.ndarray:
     """Density values from a CSV with columns ``node,value``, placed by node.
 
@@ -229,17 +244,18 @@ def _cmd_pinch(cfg, seed, out_dir):
 
 def _cmd_isomorphic(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
-    body = body_from_descriptor(cfg.get("body"), grid.n)
     if "gamma" in cfg:
         # distance budget gamma = (1+beta) sqrt(1+alpha^2); beta defaults to
         # the constant-order choice 1 + sqrt(2) of the isomorphic regime
         beta = float(cfg.get("beta", 1.0 + np.sqrt(2.0)))
-        gamma = float(cfg["gamma"])
+        (gamma,) = required_numbers(cfg, ["gamma"], "config")
         if gamma <= 1.0 + beta:
             raise ConfigError("gamma target must exceed 1 + beta")
         alpha = float(np.sqrt((gamma / (1.0 + beta)) ** 2 - 1.0))
     else:
-        alpha, beta = float(cfg["alpha"]), float(cfg["beta"])
+        alpha, beta = required_numbers(cfg, ["alpha", "beta"],
+                                       "config without 'gamma'")
+    body = body_from_descriptor(cfg.get("body"), grid.n)
     cert = cfg.get("certificate")
     if cert is not None:
         cert = (float(cert[0]), float(cert[1]))
@@ -271,8 +287,8 @@ def _cmd_isomorphic(cfg, seed, out_dir):
 
 def _cmd_solve(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
-    target = cfg["target"]
-    p = float(target["p"])
+    target = cfg.get("target")
+    (p,) = required_numbers(target, ["p"], "solve target")
     if "body" in target:
         body = body_from_descriptor(target["body"], grid.n)
         mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), p)
@@ -438,9 +454,14 @@ def main(argv=None) -> int:
     # topmost directory this run creates is removed again when they do
     created = next((p for p in reversed((out_dir, *out_dir.parents))
                     if not p.exists()), None)
-    t0 = time.perf_counter()
     try:
         out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:  # --out names a file, or a path through one
+        print(f"config error: cannot create output directory: {exc}",
+              file=sys.stderr)
+        return 2
+    t0 = time.perf_counter()
+    try:
         report = run_command(args.command, cfg, args.seed, out_dir,
                              threads=args.threads)
     except ConfigError as exc:

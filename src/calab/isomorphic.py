@@ -123,32 +123,24 @@ class _RoundedGaugeBody(BodyEvaluator):
         self.gb = gauge_body
         self.c = float(c)
 
-    def support(self, X):
+    def jet(self, X, order=2):
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = self.gb.support(X)
-        return np.sqrt(u**2 + self.c**2 * (X**2).sum(axis=1))
-
-    def support_grad(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = self.gb.support(X)
-        du = self.gb.support_grad(X)
+        j = self.gb.jet(X, order)
+        u = j[0]
         G = np.sqrt(u**2 + self.c**2 * (X**2).sum(axis=1))
-        return (u[:, None] * du + self.c**2 * X) / G[:, None]
-
-    def support_hess(self, X):
-        X = np.atleast_2d(np.asarray(X, dtype=float))
-        u = self.gb.support(X)
-        du = self.gb.support_grad(X)
-        d2u = self.gb.support_hess(X)
-        G = np.sqrt(u**2 + self.c**2 * (X**2).sum(axis=1))
+        if order == 0:
+            return (G,)
+        du = j[1]
         dG = (u[:, None] * du + self.c**2 * X) / G[:, None]
+        if order == 1:
+            return G, dG
         num = (
             du[:, :, None] * du[:, None, :]
-            + u[:, None, None] * d2u
+            + u[:, None, None] * j[2]
             + self.c**2 * np.eye(self.n)[None]
             - dG[:, :, None] * dG[:, None, :]
         )
-        return num / G[:, None, None]
+        return G, dG, num / G[:, None, None]
 
 
 def direct_route_support(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float,

@@ -240,6 +240,21 @@ class HarmonicBasis:
         return vals, grads, hess.reshape(vals.shape + (3, 3))
 
 
+def tangent_frames(points: np.ndarray) -> np.ndarray:
+    """Orthonormal tangent frames at unit points, shape (P, n, n-1).
+
+    Built by Householder completion of the point direction; valid at every
+    point (including the poles) but not globally smooth.
+    """
+    pts = np.atleast_2d(points)
+    # Householder vector mapping e_1 to the point direction; the remaining
+    # columns of the reflection span the tangent space
+    v = pts.copy()
+    v[:, 0] += np.where(pts[:, 0] < 0.99, -1.0, 1.0)
+    v /= np.linalg.norm(v, axis=1, keepdims=True)
+    return np.eye(pts.shape[1])[None, :, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
+
+
 # ----------------------------------------------------------------------
 # grids
 
@@ -271,19 +286,10 @@ class SphereGrid:
         return self._tables
 
     def tangent_frames(self) -> np.ndarray:
-        """Per-node orthonormal tangent frames, shape (N, n, n-1).
-
-        Built by Householder completion of the node direction; valid at every
-        node (including pole-masked ones) but not globally smooth.
-        """
+        """Per-node orthonormal tangent frames, shape (N, n, n-1); see
+        tangent_frames().  Cached, read-only."""
         if self._frames is None:
-            n = self.n
-            # Householder vector mapping e_1 to the node direction; the
-            # remaining columns of the reflection span the tangent space
-            v = self.nodes.copy()
-            v[:, 0] += np.where(self.nodes[:, 0] < 0.99, -1.0, 1.0)
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            frames = np.eye(n)[None, :, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
+            frames = tangent_frames(self.nodes)
             frames.setflags(write=False)
             self._frames = frames
         return self._frames

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from calab.bodies import (
+    LqNormBody,
     Tolerances,
     ball,
     ellipsoid,
@@ -16,6 +17,7 @@ from calab.bodies import (
     firey_sum,
     quantities,
 )
+from calab.isomorphic import _RoundedGaugeBody
 from calab.sphere import build_grid
 
 
@@ -222,11 +224,53 @@ def test_firey_derivative_consistency():
     L = ball(0.7, 2)
     rng = np.random.default_rng(9)
     u = unit_vectors(rng, 20, 2)
-    for p in (2.0, 1.0, 0.5):
-        S = firey_sum(1.0, K, 0.8, L, p)
+    for a, b, p in ((1.0, 0.8, 2.0), (1.0, 0.8, 1.0), (1.0, 0.8, 0.5),
+                    (0.4, 0.6, 0.0)):
+        S = firey_sum(a, K, b, L, p)
         H = S.support_hess(u)
         Hfd = S._fd_hess(u)
         assert np.abs(H - Hfd).max() < 1e-6
+
+
+def _jet_families():
+    n = 3
+    g = build_grid(n, 8)
+    rng = np.random.default_rng(11)
+    Q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    E = ellipsoid(Q @ np.diag([1.6, 1.1, 0.7]) @ Q.T)
+    pb = perturbed_ball(n, 0.1)
+    closed = {
+        "ball": ball(1.3, n),
+        "ellipsoid": E,
+        "spectral": pb,
+        "linear_image": linear_image(pb, np.eye(n) + 0.3 * rng.normal(size=(n, n))),
+        "firey_p2": firey_sum(1.0, E, 0.8, pb, 2.0),
+        "firey_p0": firey_sum(0.4, E, 0.6, pb, 0.0),
+        "lq_norm": LqNormBody(4, n),
+        "rounded_gauge": _RoundedGaugeBody(LqNormBody(4, n), 0.5),
+    }
+    numeric = {
+        "polar": polar(E, g),
+        "lq_ball": lq_gauge_body(4, n),
+    }
+    return [pytest.param(body, True, id=k) for k, body in closed.items()] + [
+        pytest.param(body, False, id=k) for k, body in numeric.items()]
+
+
+@pytest.mark.parametrize("body,closed_form", _jet_families())
+def test_jet_orders_agree(body, closed_form):
+    rng = np.random.default_rng(12)
+    X = unit_vectors(rng, 16, body.n) * rng.uniform(0.5, 2.0, size=(16, 1))
+    full = body.jet(X, 2)
+    assert len(full) == 3
+    for order in (0, 1):
+        part = body.jet(X, order)
+        assert len(part) == order + 1
+        for a, b in zip(part, full):
+            assert np.array_equal(a, b)
+    if closed_form:
+        assert np.abs(full[1] - body._fd_grad(X)).max() < 1e-6
+        assert np.abs(full[2] - body._fd_hess(X)).max() < 1e-6
 
 
 def test_minkowski_superadditivity_of_volume():

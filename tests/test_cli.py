@@ -74,12 +74,35 @@ def test_missing_body_field_exits_2(tmp_path):
     pytest.param("pinch", {"grid": {"n": 2, "L": 8},
                            "body": {"type": "ball", "n": 3}},
                  id="ball_3d_on_n2"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 8}}, id="solve_no_target"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 8},
+                           "target": {"body": {"type": "ball"}}},
+                 id="solve_no_p"),
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8},
+                                "body": {"type": "ball"}},
+                 id="isomorphic_no_alpha_beta_gamma"),
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8},
+                                "body": {"type": "ball"}, "alpha": 0.5},
+                 id="isomorphic_no_beta_gamma"),
 ])
 def test_missing_or_mismatched_body_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
     out = tmp_path / "out" / "nested"
     assert run_cli([command, "--config", cfg, "--out", out]) == 2
     assert not (tmp_path / "out").exists()
+
+
+def test_out_naming_a_file_exits_2(tmp_path):
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": {"n": 2, "L": 8},
+        "body": {"type": "ball"},
+    })
+    existing = tmp_path / "existing.txt"
+    existing.write_text("keep me\n")
+    for out in (existing, existing / "sub"):
+        assert run_cli(["pinch", "--config", cfg, "--out", out]) == 2
+        assert existing.read_text() == "keep me\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "existing.txt"]
 
 
 def test_numerical_failure_exit_1_report_written(tmp_path):
