@@ -105,6 +105,17 @@ def body_from_descriptor(desc, n: int):
     return body
 
 
+def config_number(value, what: str, kind=float):
+    """``kind(value)`` (float or int) for a config value.
+
+    A value that is not a number is a ConfigError, raised before the command
+    does any numerics."""
+    try:
+        return kind(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"bad {what}: {exc}") from exc
+
+
 def required_numbers(section, keys, where: str) -> list[float]:
     """The values of required keys of a config object, as floats.
 
@@ -112,12 +123,10 @@ def required_numbers(section, keys, where: str) -> list[float]:
     number is a ConfigError, raised before the command does any numerics."""
     if not isinstance(section, dict):
         raise ConfigError(f"{where} must be an object")
-    try:
-        return [float(section[k]) for k in keys]
-    except KeyError as exc:
-        raise ConfigError(f"{where} needs {exc}") from exc
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    missing = [k for k in keys if k not in section]
+    if missing:
+        raise ConfigError(f"{where} needs {missing[0]!r}")
+    return [config_number(section[k], f"{where} {k!r}") for k in keys]
 
 
 def read_density_csv(path, node_count: int) -> np.ndarray:
@@ -172,11 +181,15 @@ def _write_csv(path: Path, header: list[str], rows: list[list]):
 def _cmd_spectrum(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
     body = body_from_descriptor(cfg.get("body", {"type": "ball"}), grid.n)
-    k = int(cfg.get("k", 10))
-    rep = spectrum_of_body(body, grid, degree_max=cfg.get("degree_max"), k=k,
-                           subspace=cfg.get("subspace", "all"))
     n = grid.n
-    tol = float(cfg.get("lambda1_tol", 1e-3 if n == 3 else 1e-6))
+    k = config_number(cfg.get("k", 10), "k", int)
+    tol = config_number(cfg.get("lambda1_tol", 1e-3 if n == 3 else 1e-6),
+                        "lambda1_tol")
+    degree_max = cfg.get("degree_max")
+    if degree_max is not None:
+        degree_max = config_number(degree_max, "degree_max", int)
+    rep = spectrum_of_body(body, grid, degree_max=degree_max, k=k,
+                           subspace=cfg.get("subspace", "all"))
     checks = [
         _check("lambda1", rep.lambda1, n - 1, tol,
                rep.lambda1 is not None and abs(rep.lambda1 - (n - 1)) <= tol),
@@ -196,11 +209,13 @@ def _cmd_bochner(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
     body = body_from_descriptor(cfg.get("body", {"type": "random", "seed": seed}),
                                 grid.n)
+    n_fields = config_number(cfg.get("n_fields", 20), "n_fields", int)
+    band = config_number(cfg.get("field_band", max(grid.band_limit // 3, 4)),
+                         "field_band", int)
+    tol = config_number(cfg.get("tolerance", 1e-6 if grid.n == 2 else 1e-3),
+                        "tolerance")
     st = build_state(evaluate_on_grid(body, grid))
     rng = np.random.default_rng(seed)
-    n_fields = int(cfg.get("n_fields", 20))
-    band = int(cfg.get("field_band", max(grid.band_limit // 3, 4)))
-    tol = float(cfg.get("tolerance", 1e-6 if grid.n == 2 else 1e-3))
     worst = 0.0
     for _ in range(n_fields):
         c = rng.normal(size=grid.basis.size) * (grid.basis.degrees <= band)
@@ -212,13 +227,16 @@ def _cmd_bochner(cfg, seed, out_dir):
 def _cmd_pinch(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
     body = body_from_descriptor(cfg.get("body"), grid.n)
+    opt_cfg = cfg.get("optimize")
+    if opt_cfg:
+        if not isinstance(opt_cfg, dict):
+            raise ConfigError("optimize must be an object")
+        iters = config_number(opt_cfg.get("iters", 200), "optimize 'iters'", int)
     bg = evaluate_on_grid(body, grid)
     rep = measure_pinching(bg)
-    opt_cfg = cfg.get("optimize")
     opt_report = None
     if opt_cfg:
-        res = optimize_image(body, grid, iters=int(opt_cfg.get("iters", 200)))
-        opt_report = res["report"]
+        opt_report = optimize_image(body, grid, iters=iters)["report"]
     checks = [
         _check("rolling_lower", rep.r_curv, rep.r_in, 1e-8,
                rep.r_curv <= rep.r_in + 1e-8),
@@ -247,7 +265,7 @@ def _cmd_isomorphic(cfg, seed, out_dir):
     if "gamma" in cfg:
         # distance budget gamma = (1+beta) sqrt(1+alpha^2); beta defaults to
         # the constant-order choice 1 + sqrt(2) of the isomorphic regime
-        beta = float(cfg.get("beta", 1.0 + np.sqrt(2.0)))
+        beta = config_number(cfg.get("beta", 1.0 + np.sqrt(2.0)), "beta")
         (gamma,) = required_numbers(cfg, ["gamma"], "config")
         if gamma <= 1.0 + beta:
             raise ConfigError("gamma target must exceed 1 + beta")
@@ -258,11 +276,14 @@ def _cmd_isomorphic(cfg, seed, out_dir):
     body = body_from_descriptor(cfg.get("body"), grid.n)
     cert = cfg.get("certificate")
     if cert is not None:
-        cert = (float(cert[0]), float(cert[1]))
+        if not isinstance(cert, list) or len(cert) != 2:
+            raise ConfigError("certificate must be a pair [r_in, R_out]")
+        cert = tuple(config_number(c, "certificate") for c in cert)
+    slack = config_number(cfg.get("slack", 0.02), "slack")
+    C = config_number(cfg.get("C", 1.0), "C")
     kt, params = construct(body, grid, alpha, beta,
                            gauge=cfg.get("gauge", "auto"), certificate=cert)
-    res = verify(evaluate_on_grid(kt, grid), params,
-                 slack=float(cfg.get("slack", 0.02)))
+    res = verify(evaluate_on_grid(kt, grid), params, slack=slack)
     checks = [
         _check(f"bound/{c['name']}", c["measured"], c["bound"], res["slack"],
                c["pass"])
@@ -272,8 +293,7 @@ def _cmd_isomorphic(cfg, seed, out_dir):
     # section-level exponents: the universal constant C is a CLI parameter
     # (default 1.0); the theory does not pin it down
     payload["p_gamma_D"] = p_gamma_D(grid.n, params.dbm_bound, params.D)
-    payload["isometric_gamma"] = isometric_gamma(
-        grid.n, params.D, C=float(cfg.get("C", 1.0)))
+    payload["isometric_gamma"] = isometric_gamma(grid.n, params.D, C=C)
     if out_dir is not None:
         (out_dir / "iso_params.json").write_bytes(report_bytes(params.to_dict()))
         _write_csv(
@@ -289,6 +309,9 @@ def _cmd_solve(cfg, seed, out_dir):
     grid = grid_from_config(cfg)
     target = cfg.get("target")
     (p,) = required_numbers(target, ["p"], "solve target")
+    opts = SolveOptions(band=config_number(cfg.get("band", 16), "band", int),
+                        max_iter=config_number(cfg.get("max_iter", 4000),
+                                               "max_iter", int))
     if "body" in target:
         body = body_from_descriptor(target["body"], grid.n)
         mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), p)
@@ -297,8 +320,6 @@ def _cmd_solve(cfg, seed, out_dir):
         mu = TargetMeasure.from_density(grid, vals)
     else:
         raise ConfigError("solve target needs 'body' or 'density_csv'")
-    opts = SolveOptions(band=int(cfg.get("band", 16)),
-                        max_iter=int(cfg.get("max_iter", 4000)))
     res = minimize(mu, p, options=opts)
     checks = [
         _check("converged", float(res.converged), 1.0, 0.0, res.converged),
@@ -348,13 +369,16 @@ def _cmd_sweep(cfg, seed, out_dir, threads=1):
         descs = cfg["bodies"]
     elif "family" in cfg:
         fam = cfg["family"]
-        if fam.get("type") != "random":
+        if not isinstance(fam, dict) or fam.get("type") != "random":
             raise ConfigError("sweep family must be 'random' or use 'bodies'")
         seeds = fam.get("seeds")
         if seeds is None:
-            seeds = list(range(seed, seed + int(fam.get("count", 0))))
+            count = config_number(fam.get("count", 0), "family 'count'", int)
+            seeds = list(range(seed, seed + count))
+        elif not isinstance(seeds, list):
+            raise ConfigError("sweep family 'seeds' must be a list")
         descs = [
-            {"type": "random", "seed": int(s),
+            {"type": "random", "seed": config_number(s, "family seed", int),
              "band": fam.get("band", 8), "strength": fam.get("strength", 0.3)}
             for s in seeds
         ]

@@ -92,6 +92,54 @@ def test_missing_or_mismatched_body_exits_2(tmp_path, command, payload):
     assert not (tmp_path / "out").exists()
 
 
+_ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
+        "beta": 1.0}
+
+
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                                "gamma": 5.0, "beta": "x"}, id="iso_beta"),
+    pytest.param("isomorphic", {**_ISO, "certificate": ["a", 1.0]},
+                 id="iso_certificate"),
+    pytest.param("isomorphic", {**_ISO, "certificate": [1.0]},
+                 id="iso_certificate_length"),
+    pytest.param("isomorphic", {**_ISO, "slack": "x"}, id="iso_slack"),
+    pytest.param("isomorphic", {**_ISO, "C": [1]}, id="iso_C"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "k": "x"}, id="spectrum_k"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "lambda1_tol": "x"},
+                 id="spectrum_lambda1_tol"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "n_fields": "x"},
+                 id="bochner_n_fields"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "field_band": None},
+                 id="bochner_field_band"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "tolerance": "x"},
+                 id="bochner_tolerance"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                           "optimize": {"iters": "x"}}, id="pinch_iters"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 8}, "band": "x",
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_band"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 8}, "max_iter": "x",
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_max_iter"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "degree_max": "x"},
+                 id="spectrum_degree_max"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random", "count": "x"}},
+                 id="sweep_count"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random", "seeds": ["x"]}},
+                 id="sweep_seeds"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "family": [1]},
+                 id="sweep_family_not_object"),
+])
+def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+
+
 def test_out_naming_a_file_exits_2(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "grid": {"n": 2, "L": 8},
