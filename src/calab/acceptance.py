@@ -378,8 +378,9 @@ def criterion_determinism(seed: int = 0) -> list[Check]:
     }
     blobs = []
     for _ in range(2):
-        report = cli.run_command("spectrum", json.loads(json.dumps(cfg)),
-                                 seed=seed, out_dir=None)
+        raw = json.loads(json.dumps(cfg))
+        report, _ = cli.run_command("spectrum", raw,
+                                    cli.validate("spectrum", raw, seed))
         blobs.append(cli.report_bytes(report))
     return [Check("report_bytes_identical", float(blobs[0] == blobs[1]),
                   1.0, 0.0, blobs[0] == blobs[1])]

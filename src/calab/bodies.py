@@ -23,12 +23,10 @@ from calab.sphere import (
 
 @dataclass(frozen=True)
 class Tolerances:
-    derivative_step: float = 1e-5
     eig_tol: float = 1e-12
-    quad_tol: float = 1e-10
 
     def __post_init__(self):
-        if min(self.derivative_step, self.eig_tol, self.quad_tol) <= 0:
+        if self.eig_tol <= 0:
             raise ValueError("tolerances must be positive")
 
 
@@ -423,7 +421,12 @@ class PolarBody(BodyEvaluator):
         M = (np.eye(self.n)[None] / hb[:, None, None]
              - _outer(dh, th) / hb[:, None, None] ** 2)
         FtM = np.einsum("ikq,ikl->iql", frames, M)
-        H = -np.einsum("iqk,iqr->ikr", FtM, np.linalg.solve(A, FtM))
+        # a base Hessian exactly degenerate at the maximizer makes A singular:
+        # those points get a NaN Hessian, which evaluate_on_grid reports
+        ok = np.linalg.det(A) != 0.0
+        sol = np.full_like(FtM, np.nan)
+        sol[ok] = np.linalg.solve(A[ok], FtM[ok])
+        H = -np.einsum("iqk,iqr->ikr", FtM, sol)
         return h, grad, _symmetric_tangential(H, U) / r[:, None, None]
 
 

@@ -21,7 +21,6 @@ from calab.sphere import HarmonicBasis, ScalarField, SphereGrid
 class TargetMeasure:
     grid: SphereGrid
     density: np.ndarray
-    even: bool = True
 
     @classmethod
     def from_density(cls, grid: SphereGrid, density) -> "TargetMeasure":
@@ -33,7 +32,7 @@ class TargetMeasure:
         anti = f[grid.antipodal_index]
         if np.abs(f - anti).max() > 1e-12 * f.max():
             raise ValueError("density must be even (antipodally symmetric)")
-        return cls(grid, f, True)
+        return cls(grid, f)
 
     @classmethod
     def from_body(cls, bg: BodyOnGrid, p: float) -> "TargetMeasure":
@@ -54,7 +53,6 @@ class SolveOptions:
     gtol: float = 1e-9
     eig_floor_factor: float = 1e-6
     step0: float = 0.5
-    precondition: bool = True
 
 
 @dataclass(frozen=True)
@@ -204,8 +202,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     total_scale *= s
 
     degs = model.basis.degrees.astype(float)
-    precond = 1.0 / (1.0 + degs * (degs + n - 2)) if opts.precondition \
-        else np.ones_like(degs)
+    precond = 1.0 / (1.0 + degs * (degs + n - 2))
 
     F, grad = _value_and_grad(model, mu, p, c, h, det)
     history = [F]

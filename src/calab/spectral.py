@@ -32,7 +32,6 @@ class GalerkinBasis:
     grid: SphereGrid
     degree_max: int
     parity: str = "all"          # 'all' or 'even-only'
-    include_constant: bool = True
     selection: np.ndarray = field(init=False)
 
     def __post_init__(self):
@@ -44,8 +43,6 @@ class GalerkinBasis:
         keep = degs <= self.degree_max
         if self.parity == "even-only":
             keep &= self.grid.basis.parity > 0
-        if not self.include_constant:
-            keep &= degs > 0
         object.__setattr__(self, "selection", np.flatnonzero(keep))
 
     @property

@@ -113,8 +113,6 @@ class HarmonicBasis:
         if n == 2:
             degs = [0] + [k for k in range(1, L + 1) for _ in (0, 1)]
             self.degrees = np.array(degs, dtype=int)
-            # (k, kind): kind 0 = cos, 1 = sin
-            self._modes = [(0, 0)] + [(k, s) for k in range(1, L + 1) for s in (0, 1)]
         else:
             degs, modes = [], []
             for l in range(L + 1):
@@ -150,34 +148,26 @@ class HarmonicBasis:
     # ------------------------------------------------------------------
     def _eval_circle(self, pts, order):
         (t,) = _angles_from_points(pts, 2)
-        P, nb = len(t), self.size
-        vals = np.empty((P, nb))
-        dvals = np.empty((P, nb)) if order >= 1 else None
-        d2vals = np.empty((P, nb)) if order >= 2 else None
-        inv_sqrt2pi = 1.0 / np.sqrt(2.0 * np.pi)
+        P = len(t)
+        k = np.arange(1, self.L + 1)
+        c, s = np.cos(k * t[:, None]), np.sin(k * t[:, None])
         inv_sqrtpi = 1.0 / np.sqrt(np.pi)
-        for a, (k, kind) in enumerate(self._modes):
-            if k == 0:
-                vals[:, a] = inv_sqrt2pi
-                if order >= 1:
-                    dvals[:, a] = 0.0
-                if order >= 2:
-                    d2vals[:, a] = 0.0
-                continue
-            c, s = np.cos(k * t), np.sin(k * t)
-            f = c if kind == 0 else s
-            df = -k * s if kind == 0 else k * c
-            vals[:, a] = inv_sqrtpi * f
-            if order >= 1:
-                dvals[:, a] = inv_sqrtpi * df
-            if order >= 2:
-                d2vals[:, a] = -(k * k) * inv_sqrtpi * f
+
+        def columns(const, cos_part, sin_part):
+            # basis order: constant, then cos(k t), sin(k t) for k = 1..L
+            pairs = np.stack([cos_part, sin_part], axis=2).reshape(P, -1)
+            return np.concatenate([np.full((P, 1), const), pairs], axis=1)
+
+        vals = columns(1.0 / np.sqrt(2.0 * np.pi), inv_sqrtpi * c, inv_sqrtpi * s)
         if order == 0:
             return vals, None, None
         tau = np.stack([-np.sin(t), np.cos(t)], axis=-1)
+        dvals = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))
         grads = dvals[:, :, None] * tau[:, None, :]
         if order == 1:
             return vals, grads, None
+        kk = -(k * k) * inv_sqrtpi
+        d2vals = columns(0.0, kk * c, kk * s)
         hess = d2vals[:, :, None, None] * (tau[:, None, :, None] * tau[:, None, None, :])
         return vals, grads, hess
 

@@ -1,6 +1,7 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -132,6 +133,25 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                  id="sweep_seeds"),
     pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "family": [1]},
                  id="sweep_family_not_object"),
+    pytest.param("isomorphic", {**_ISO, "gauge": "foo"}, id="iso_gauge"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "subspace": "foo"},
+                 id="spectrum_subspace"),
+    pytest.param("verify-all", {"criteria": ["nope"]}, id="verify_all_criteria"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random", "count": 1, "band": "x"}},
+                 id="sweep_family_band"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random", "count": 1,
+                                      "strength": "x"}},
+                 id="sweep_family_strength"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "bodies": [1]},
+                 id="sweep_bodies_not_objects"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "kk": 3},
+                 id="misspelt_top_level_key"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8},
+                           "body": {"type": "ball", "radius": 2.0}},
+                 id="misspelt_body_key"),
+    pytest.param("isomorphic", {**_ISO, "gamma": 5.0}, id="iso_gamma_and_alpha"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
@@ -373,10 +393,14 @@ def test_console_entry_point(tmp_path):
         "k": 4,
     })
     out = tmp_path / "out"
+    # the child imports calab from the same tree as this process
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run(
         [sys.executable, "-m", "calab.cli", "spectrum", "--config", str(cfg),
          "--out", str(out)],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=env,
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
