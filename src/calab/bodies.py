@@ -109,7 +109,7 @@ def _symmetric_tangential(H, U):
     (the Hessian of a 1-homogeneous function annihilates the position)."""
     H = 0.5 * (H + H.transpose(0, 2, 1))
     proj = np.eye(U.shape[1])[None] - U[:, :, None] * U[:, None, :]
-    return np.einsum("iab,ibc,icd->iad", proj, H, proj)
+    return proj @ H @ proj
 
 
 def _outer(a, b):
@@ -227,7 +227,7 @@ class LinearImageBody(BodyEvaluator):
         grad = j[1] @ self.T.T
         if order == 1:
             return j[0], grad
-        return j[0], grad, np.einsum("ab,ibc,dc->iad", self.T, j[2], self.T)
+        return j[0], grad, self.T @ j[2] @ self.T.T
 
     def gauge_body(self):
         gb = self.base.gauge_body()
@@ -317,27 +317,48 @@ class LqNormBody(BodyEvaluator):
 
 
 class PolarBody(BodyEvaluator):
-    """Numeric polar: h_{K deg}(u) = sup over directions of <u, theta>/h(theta).
+    """Numeric polar: h_{K deg}(u) = max over unit theta of psi = <u, theta>/h(theta).
 
-    The supremum is seeded by the best node of a reference grid and refined by
-    10 projected-gradient ascent steps plus a short Newton polish on the
-    sphere.  The gradient of the result is envelope-exact (= maximizer point
+    Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
+    (the Gauss map), so each point starts at the reference node whose unit
+    normal is closest to u; the normals come from one first-order base jet at
+    construction.  Guarded Newton on the sphere then runs on the points not
+    yet certified.  A point is certified when the tangential gradient of psi
+    is at most 1e-13 psi and F^T Hess(psi) F is negative-definite (F the
+    tangent frame at theta).  The certificate proves the maximizer global: on
+    the slice <u, theta> = 1, psi = 1/h and h is convex, so a strict local
+    maximum of psi is its unique global one.  The loop stops when every point
+    is certified or after _NEWTON_CAP steps.  Points left uncertified (bases
+    whose support function is not C^2, finite-difference bases) are solved
+    again from the reference node of best score, with _PG_STEPS
+    projected-gradient ascent steps before the Newton loop, and keep
+    whichever psi is larger.
+
+    The gradient of the result is envelope-exact (= maximizer point
     theta/h(theta) on the boundary of the polar).  The Hessian is closed-form
     by the implicit-function theorem at the maximizer: with the base jet
-    h, grad h at theta, a tangent frame F, A = F^T Hess(psi) F and
+    h, grad h at theta, A = F^T Hess(psi) F and
     M = I/h - grad h theta^T / h^2 (the U-derivative of grad_theta psi),
-    Hess h_{K deg}(u) = -M^T F A^{-1} F^T M.  It matches the exact
-    inverse-ellipsoid Hessian to ~1e-8 relative.
+    Hess h_{K deg}(u) = -M^T F A^{-1} F^T M.  Against the exact inverse
+    ellipsoid, h, its gradient and its Hessian agree to ~1e-13 relative.
     """
 
+    _NEWTON_CAP = 8
     _PG_STEPS = 10
-    _NEWTON_STEPS = 4
+    _GRAD_TOL = 1e-13
+    # near the optimum psi changes by ~|grad psi|^2, below its rounding, so a
+    # strict ascent test would reject the last Newton steps; steps whose
+    # first-order gain is below _UNRESOLVED psi (psi of a harmonic base
+    # rounds by up to ~1e-15) are judged by the gradient instead
+    _ACCEPT = 1.0 - 4e-16
+    _UNRESOLVED = 1e-14
 
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
         super().__init__(base.n, even=base.even, label=f"polar({base.label})")
         self.base = base
         self._ref_nodes = grid.nodes
-        self._ref_h = base.support(grid.nodes)
+        self._ref_h, dh = base.jet(grid.nodes, 1)
+        self._ref_normals = dh / np.linalg.norm(dh, axis=1, keepdims=True)
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -362,11 +383,26 @@ class PolarBody(BodyEvaluator):
             + 2.0 * (ut / h**3)[:, None, None] * _outer(dh, dh)
         )
         frames = tangent_frames(TH)
-        return frames, np.einsum("ikq,ikl,ilr->iqr", frames, Hpsi, frames)
+        return frames, frames.transpose(0, 2, 1) @ Hpsi @ frames
 
     def _maximize(self, U):
+        """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
+        Newton from the Gauss-map seed, the fallback for the uncertified."""
+        seed = self._ref_nodes[np.argmax(U @ self._ref_normals.T, axis=1)]
+        best, certified = self._newton(U, seed)
+        idx = np.flatnonzero(~certified)
+        if idx.size:
+            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx]))
+            better = alt[1] > best[1][idx]
+            for a, b in zip(best, alt):
+                a[idx[better]] = b[better]
+        return best
+
+    def _projected_gradient(self, U):
+        """Best reference node by psi, then _PG_STEPS projected-gradient
+        ascent steps (one first-order base jet each)."""
         scores = (U @ self._ref_nodes.T) / self._ref_h[None, :]
-        th = self._ref_nodes[np.argmax(scores, axis=1)].copy()
+        th = self._ref_nodes[np.argmax(scores, axis=1)]
         val = self._psi(U, th)
         step = np.full(len(U), 0.2)
         for _ in range(self._PG_STEPS):
@@ -378,55 +414,79 @@ class PolarBody(BodyEvaluator):
             th[ok] = cand[ok]
             val[ok] = cval[ok]
             step = np.where(ok, step * 1.5, step * 0.4)
-        return self._newton(U, th, val)
+        return th
 
-    def _newton(self, U, th, val):
-        n = self.n
-        for _ in range(self._NEWTON_STEPS):
-            h, dh, Hh = self.base.jet(th, 2)
-            frames, Hf = self._psi_hess(U, th, h, dh, Hh)
-            gf = np.einsum("ikq,ik->iq", frames, self._psi_grad(U, th, h, dh))
-            # Newton step, guarded to stay an ascent step
-            lam = np.linalg.eigvalsh(Hf).max(axis=1)
-            shift = np.maximum(lam + 1e-9, 0.0)
-            Hf -= (shift + 1e-12)[:, None, None] * np.eye(n - 1)[None]
+    def _newton(self, U, th):
+        """Guarded Newton ascent from th on the points not yet certified.
+
+        Each step costs one second-order base jet, at the candidate.  Returns
+        ((theta, psi, h, grad h, Hess h), certified), the base jet being the
+        one at the returned theta, so jet() reuses it."""
+        N, n = U.shape
+        th = th.copy()
+        h, dh, Hh = self.base.jet(th, 2)
+        out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh)
+        certified = np.zeros(N, dtype=bool)
+        radius = np.full(N, 0.2)
+        act = np.arange(N)
+        for it in range(self._NEWTON_CAP + 1):
+            Ua, (ta, psi, h, dh, Hh) = U[act], (a[act] for a in out)
+            frames, Hf = self._psi_hess(Ua, ta, h, dh, Hh)
+            gf = (self._psi_grad(Ua, ta, h, dh)[:, None, :] @ frames)[:, 0]
+            gnorm = np.linalg.norm(gf, axis=1)
+            lam = np.linalg.eigvalsh(Hf)[:, -1]
+            done = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
+            certified[act[done]] = True
+            if done.all() or it == self._NEWTON_CAP:
+                break
+            live = ~done
+            act, Ua, ta, psi = act[live], Ua[live], ta[live], psi[live]
+            frames, Hf, gf, gnorm, lam = (a[live] for a in (frames, Hf, gf, gnorm, lam))
+            # Newton step, shifted to stay an ascent step, inside a trust
+            # radius that shrinks on each rejected step
+            shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
+            Hf -= shift[:, None, None] * np.eye(n - 1)[None]
             s = -np.linalg.solve(Hf, gf[:, :, None])[:, :, 0]
             norm = np.linalg.norm(s, axis=1)
-            s *= (np.minimum(norm, 0.2) / np.maximum(norm, 1e-300))[:, None]
-            cand = th + np.einsum("ikq,iq->ik", frames, s)
+            s *= (np.minimum(norm, radius[act]) / np.maximum(norm, 1e-300))[:, None]
+            cand = ta + (frames @ s[:, :, None])[:, :, 0]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            cval = self._psi(U, cand)
-            ok = cval >= val
-            th[ok] = cand[ok]
-            val[ok] = cval[ok]
-        return th, val
+            jc = self.base.jet(cand, 2)
+            pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
+            # a step whose first-order gain is below psi's rounding is judged
+            # by the gradient, which still resolves it
+            small = np.einsum("ij,ij->i", gf, s) <= self._UNRESOLVED * psi
+            gc = np.linalg.norm(self._psi_grad(Ua, cand, *jc[:2]), axis=1)
+            ok = np.where(small, gc < gnorm, pc >= psi * self._ACCEPT)
+            for a, b in zip(out, (cand, pc) + jc):
+                a[act[ok]] = b[ok]
+            radius[act[~ok]] = 0.25 * np.minimum(radius[act[~ok]], norm[~ok])
+        return out, certified
 
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         U = pts / r[:, None]
-        th, val = self._maximize(U)
+        th, val, hb, dh, Hh = self._maximize(U)
         h = r * val
         if order == 0:
             return (h,)
-        base = self.base.jet(th, order)
-        grad = th / base[0][:, None]
+        grad = th / hb[:, None]
         if order == 1:
             return h, grad
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
         # the frame's derivative drops out, and M U = grad_theta psi = 0
-        hb, dh, Hh = base
         frames, A = self._psi_hess(U, th, hb, dh, Hh)
         M = (np.eye(self.n)[None] / hb[:, None, None]
              - _outer(dh, th) / hb[:, None, None] ** 2)
-        FtM = np.einsum("ikq,ikl->iql", frames, M)
+        FtM = frames.transpose(0, 2, 1) @ M
         # a base Hessian exactly degenerate at the maximizer makes A singular:
         # those points get a NaN Hessian, which evaluate_on_grid reports
         ok = np.linalg.det(A) != 0.0
         sol = np.full_like(FtM, np.nan)
         sol[ok] = np.linalg.solve(A[ok], FtM[ok])
-        H = -np.einsum("iqk,iqr->ikr", FtM, sol)
+        H = -FtM.transpose(0, 2, 1) @ sol
         return h, grad, _symmetric_tangential(H, U) / r[:, None, None]
 
 
@@ -451,6 +511,8 @@ def _coeff_vector(n: int, entries, basis: HarmonicBasis) -> np.ndarray:
     c = np.zeros(basis.size)
     for deg, order, val in entries:
         if n == 2:
+            if order not in (0, 1) or (deg == 0 and order != 0):
+                raise ValueError("order must be 0 (cos) or 1 (sin), and 0 at degree 0")
             if deg == 0:
                 c[0] += val
                 continue
@@ -592,6 +654,9 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise ValueError("non-finite derivative on the grid")
     proj = np.eye(grid.n)[None] - nodes[:, :, None] * nodes[:, None, :]
+    # einsum, not matmul: TargetMeasure.from_body reads this D2h, and
+    # minkowski.minimize's exit (converged, stalled, or max_iter) flips with
+    # the last bit of the target density
     D2h = np.einsum("iab,ibc,icd->iad", proj, H, proj)
     D2h = 0.5 * (D2h + D2h.transpose(0, 2, 1))
     g = D2h / h[:, None, None]

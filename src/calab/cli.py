@@ -245,15 +245,30 @@ def _cmd_pinch(v, threads):
                              "pinching.csv": (["label"] + _PINCH_FIELDS, [row])}
 
 
+def _spectrum_ranges(v):
+    """degree_max within 0..L of the grid, k within 1..the basis size."""
+    L = v["grid"].band_limit
+    if v["degree_max"] is not None and not 0 <= v["degree_max"] <= L:
+        raise ConfigError(f"degree_max must be in 0..{L}, the grid's L")
+    band = L if v["degree_max"] is None else v["degree_max"]
+    size = int((v["grid"].basis.degrees <= band).sum())
+    if not 1 <= v["k"] <= size:
+        raise ConfigError(f"k must be in 1..{size}, the basis size")
+
+
 def _isomorphic_alpha(v):
     """alpha from the distance budget gamma = (1+beta) sqrt(1+alpha^2), or
-    the explicit alpha and beta."""
+    the explicit alpha and beta; both must be positive."""
     if v["gamma"] is None:
         if v["alpha"] is None or v["beta"] is None:
             raise ConfigError("isomorphic needs 'gamma', or 'alpha' and 'beta'")
+        if v["alpha"] <= 0 or v["beta"] <= 0:
+            raise ConfigError("alpha and beta must be positive")
         return
     if v["alpha"] is not None:
         raise ConfigError("isomorphic takes 'gamma' or 'alpha', not both")
+    if v["beta"] <= 0:
+        raise ConfigError("beta must be positive")
     if v["gamma"] <= 1.0 + v["beta"]:
         raise ConfigError("gamma target must exceed 1 + beta")
     v["alpha"] = float(np.sqrt((v["gamma"] / (1.0 + v["beta"])) ** 2 - 1.0))
@@ -381,7 +396,7 @@ COMMAND_TABLE = {
         "lambda1_tol": (float, lambda v: 1e-3 if v["grid"].n == 3 else 1e-6),
         "degree_max": (int, None),
         "subspace": (("all", "even-nonconstant"), "all"),
-    }),
+    }, _spectrum_ranges),
     "bochner": Command(_cmd_bochner, {
         "grid": _GRID,
         "body": (_body, lambda v: {"type": "random", "seed": v["seed"]}),

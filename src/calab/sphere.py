@@ -521,13 +521,13 @@ def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
             H[:, i, j] = val
             H[:, j, i] = val
     proj = np.eye(n)[None, :, :] - pts[:, :, None] * pts[:, None, :]
-    return np.einsum("iab,ibc,icd->iad", proj, H, proj)
+    return proj @ H @ proj
 
 
 def tangential_eigenvalues(grid: SphereGrid, tensors: np.ndarray) -> np.ndarray:
     """Eigenvalues of tangential symmetric tensors in per-node frames, (N, n-1)."""
     frames = grid.tangent_frames()
-    restricted = np.einsum("ika,ikl,ilb->iab", frames, tensors, frames)
+    restricted = frames.transpose(0, 2, 1) @ tensors @ frames
     return np.linalg.eigvalsh(restricted)
 
 

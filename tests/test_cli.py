@@ -152,6 +152,22 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                            "body": {"type": "ball", "radius": 2.0}},
                  id="misspelt_body_key"),
     pytest.param("isomorphic", {**_ISO, "gamma": 5.0}, id="iso_gamma_and_alpha"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "k": 0}, id="spectrum_k_zero"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "k": 1000},
+                 id="spectrum_k_above_basis"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "degree_max": 2, "k": 10},
+                 id="spectrum_k_above_degree_max_basis"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "degree_max": 12},
+                 id="spectrum_degree_max_above_L"),
+    pytest.param("isomorphic", {**_ISO, "alpha": -0.5}, id="iso_alpha_nonpositive"),
+    pytest.param("isomorphic", {**_ISO, "beta": 0.0}, id="iso_beta_nonpositive"),
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                                "gamma": 5.0, "beta": -0.5},
+                 id="iso_gamma_beta_nonpositive"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8},
+                           "body": {"type": "perturbed_ball",
+                                    "coeffs": [[4, 0, 1.0], [2, 3, 0.5]]}},
+                 id="perturbed_ball_bad_order"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
