@@ -16,13 +16,16 @@ import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
 from calab.sphere import (
+    TAIL_WARNING,
     ScalarField,
     TangentField,
     TangentTensorField,
     analyze,
+    gradient_from_coeffs,
+    hessian_from_coeffs,
     quad_values,
+    spectral_tail,
     tangential_gradient,
-    tangential_hessian,
     _sph_frames,
     _angles_from_points,
 )
@@ -84,11 +87,11 @@ def _conjugate_hessian_arrays(state: CentroAffineState, grad: np.ndarray,
 def conjugate_hessian(state: CentroAffineState, f: ScalarField) -> TangentTensorField:
     """Hessian of f for the conjugate connection:
     Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h)."""
-    grad = tangential_gradient(f)
-    hess = tangential_hessian(f)
-    tens = _conjugate_hessian_arrays(state, grad.vectors, hess.tensors)
+    c = analyze(f)
+    tens = _conjugate_hessian_arrays(state, gradient_from_coeffs(f.grid, c),
+                                     hessian_from_coeffs(f.grid, c))
     return TangentTensorField(state.grid, tens,
-                              tail_warning=grad.tail_warning or hess.tail_warning)
+                              tail_warning=spectral_tail(f, c) > TAIL_WARNING)
 
 
 def _hbm_arrays(state: CentroAffineState, grad: np.ndarray,
@@ -98,11 +101,11 @@ def _hbm_arrays(state: CentroAffineState, grad: np.ndarray,
 
 
 def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
-    """The Hilbert-Brunn-Minkowski operator: trace of Hess* f in the metric."""
-    grad = tangential_gradient(f)
-    hess = tangential_hessian(f)
-    return ScalarField.from_values(state.grid, _hbm_arrays(state, grad.vectors,
-                                                           hess.tensors))
+    """The Hilbert-Brunn-Minkowski operator: trace of Hess* f in the metric,
+    from one analysis of f."""
+    c = analyze(f)
+    return ScalarField.from_values(state.grid, _hbm_arrays(
+        state, gradient_from_coeffs(f.grid, c), hessian_from_coeffs(f.grid, c)))
 
 
 def grad_norm_sq(state: CentroAffineState, f: ScalarField) -> np.ndarray:

@@ -2,13 +2,15 @@
 
 The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
-density h det(D^2 h).  The generalized eigenproblem is dense symmetric
-definite; even spectra deflate the constant by mass-orthogonal projection.
+density h det(D^2 h).  For an even body the forms split into an even and an
+odd diagonal block, each summed over one node of every antipodal pair; the
+generalized eigenproblem is dense symmetric definite, solved per block.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -59,11 +61,34 @@ class GalerkinBasis:
 
 
 @dataclass(frozen=True)
+class _Rows:
+    """The node rows the forms sum over: every node, or for an even body the
+    first half of the grid (one node of each antipodal pair) at double weight."""
+
+    index: slice
+    sq: np.ndarray      # sqrt of the row weight w nu (2 w nu on the half grid)
+    Ft: np.ndarray      # (rows, n-1, n), transposed frame of g^{-1} = F F^t
+    p: np.ndarray       # (rows, n-1), F^t grad log h
+
+
+@dataclass(frozen=True)
 class GalerkinSystem:
+    """Stiffness, mass and (built when first read) Hessian-form matrices.
+
+    Entries outside the diagonal blocks are zero: for an even body the blocks
+    are the even and the odd basis columns, otherwise one block holds every
+    column."""
+
     basis: GalerkinBasis
+    blocks: tuple[np.ndarray, ...]   # basis positions of each diagonal block
     stiffness: np.ndarray   # Dirichlet form of the operator against nu
     mass: np.ndarray        # L^2(nu) Gram matrix
-    hessform: np.ndarray    # conjugate-Hessian form against nu
+    _rows: _Rows = field(repr=False)
+
+    @cached_property
+    def hessform(self) -> np.ndarray:
+        """Conjugate-Hessian form against nu."""
+        return _hessian_form(self)
 
 
 @dataclass(frozen=True)
@@ -93,27 +118,42 @@ class SpectrumReport:
 # assembly
 
 
-def _metric_factor(state: CentroAffineState) -> np.ndarray:
+def _metric_factor(ginv: np.ndarray) -> np.ndarray:
     """Per-node factor F with g^{-1} = F F^t, shape (N, n, n-1).
 
     g^{-1} is PSD of rank n-1 (it annihilates the node direction), so of
     the eigenvector columns scaled by sqrt(eigenvalue) in ascending order
     only the last n-1 are nonzero; F spans the tangent space."""
-    lam, V = np.linalg.eigh(state.ginv)
+    lam, V = np.linalg.eigh(ginv)
     lam = np.clip(lam[:, 1:], 0.0, None)
     return V[:, :, 1:] * np.sqrt(lam)[:, None, :]
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """X^t X for X of shape (..., nb), flattened over the leading axes."""
+def _restrict(table: np.ndarray, basis: GalerkinBasis, rows: _Rows) -> np.ndarray:
+    """A grid basis table on the given rows and the basis columns."""
+    table = table[rows.index]
+    if basis.size < basis.grid.basis.size:
+        table = table[:, basis.selection]
+    return table
+
+
+def _block_gram(blocks, X: np.ndarray) -> np.ndarray:
+    """X^t X over the rows of X (shape (rows, ..., nb)), one Gram product per
+    diagonal block; zero outside the blocks."""
     X = X.reshape(-1, X.shape[-1])
-    return X.T @ X
+    nb = X.shape[1]
+    A = np.zeros((nb, nb))
+    for cols in blocks:
+        Xc = np.take(X, cols, axis=1)
+        A[np.ix_(cols, cols)] = Xc.T @ Xc
+    return A
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
-    """Stiffness, mass, and Hessian-form matrices of the operator.
+    """Stiffness and mass matrices of the operator; the Hessian form is
+    assembled the first time `hessform` is read.
 
-    Each form is one Gram product X^t X over (node, frame component) rows,
+    Each form is a Gram product X^t X over (node, frame component) rows,
     contracted in the frame F of g^{-1} = F F^t.  Against the density
     rho = w h det(D^2 h):
       stiffness  sum_i rho_i <F^t grad_a, F^t grad_b>,
@@ -121,35 +161,49 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
       Hessian    sum_i rho_i <F^t Hess*_a F, F^t Hess*_b F>,
     where F^t Hess*_a F = F^t H_a F + p (x) t_a + t_a (x) p with
     t_a = F^t grad_a and p = F^t grad log h.
+
+    For an even body every row of a basis function of parity pi at -u is pi
+    times its row at u, so the even-odd blocks vanish and each diagonal
+    block is twice its sum over the first half of the grid.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
     grid = state.grid
-    B, G, H = grid.basis_tables()
-    sel = basis.selection
-    if len(sel) < grid.basis.size:
-        B, G, H = B[:, sel], G[:, sel], H[:, sel]
+    rho = grid.weights * state.nu_density
+    if state.bg.body.even:
+        half = grid.node_count // 2
+        index, rho = slice(0, half), 2.0 * rho[:half]
+        blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
+                                   np.flatnonzero(basis.parities < 0)) if len(c))
+    else:
+        index, blocks = slice(None), (np.arange(basis.size),)
+    Ft = _metric_factor(state.ginv[index]).transpose(0, 2, 1)    # (rows, q, n)
+    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors[index])
+    rows = _Rows(index=index, sq=np.sqrt(rho), Ft=Ft, p=p)
+    B, G = (_restrict(T, basis, rows) for T in grid.basis_tables()[:2])
+    S = _block_gram(blocks, (Ft * rows.sq[:, None, None]) @ G.transpose(0, 2, 1))
+    M = _block_gram(blocks, B * rows.sq[:, None])
+    return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M, _rows=rows)
+
+
+def _hessian_form(system: GalerkinSystem) -> np.ndarray:
+    """Hessian-form Gram product: the packed frame components q1 <= q2
+    (off-diagonal ones weighted sqrt 2, so the Gram product is the full
+    Frobenius inner product) of the conjugate Hessians, as one product
+    against the ambient components (k, l) of H and k of grad."""
+    rows = system._rows
+    G, H = (_restrict(T, system.basis, rows)
+            for T in system.basis.grid.basis_tables()[1:])
+    Ft, p, sq = rows.Ft, rows.p, rows.sq
     N, nb, n = G.shape
-    sq = np.sqrt(grid.weights * state.nu_density)
-
-    Ft = _metric_factor(state).transpose(0, 2, 1)    # (N, q, n)
     q = Ft.shape[1]
-    S = _gram((Ft * sq[:, None, None]) @ G.transpose(0, 2, 1))
-    M = _gram(B * sq[:, None])
-
-    # packed frame components q1 <= q2 (off-diagonal ones weighted sqrt 2,
-    # so the Gram product is the full Frobenius inner product) of the
-    # conjugate Hessians, as one product against the ambient components
-    # (k, l) of H and k of grad
-    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors)
     iu, ju = np.triu_indices(q)
     WH = (Ft[:, iu, :, None] * Ft[:, ju, None, :]).reshape(N, len(iu), n * n)
     WG = p[:, iu, None] * Ft[:, ju, :] + Ft[:, iu, :] * p[:, ju, None]
     w = (sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
     D = ((w * WH) @ H.reshape(N, nb, n * n).transpose(0, 2, 1)
          + (w * WG) @ G.transpose(0, 2, 1))
-    Hmat = _gram(D)
-    return GalerkinSystem(basis=basis, stiffness=S, mass=M, hessform=Hmat)
+    return _block_gram(system.blocks, D)
 
 
 # ----------------------------------------------------------------------
@@ -171,73 +225,74 @@ def _cluster(eigs: np.ndarray) -> list[tuple[float, int]]:
     return out
 
 
-def _even_nonconstant(system: GalerkinSystem, *forms: np.ndarray):
-    """Restriction of forms to the even functions with the constant deflated.
-
-    Returns (cols, Z, [Z^t A[cols, cols] Z for A in forms]): cols are the
-    even basis columns and Z spans the mass-orthogonal complement of the
-    constant within them, so coefficient vectors lift back as Z v on cols."""
-    basis = system.basis
-    cols = np.flatnonzero(basis.parities > 0)
-    if len(cols) == 0:
-        raise ValueError("basis has no even functions")
-    const_pos = np.flatnonzero(basis.degrees[cols] == 0)
-    if len(const_pos) == 0:
-        Z = np.eye(len(cols))
-    else:
-        # the constant's mass column within the even block
-        w = system.mass[cols, cols[const_pos[0]]]
-        Z = scipy.linalg.null_space(w[None, :])
-    ix = np.ix_(cols, cols)
-    return cols, Z, [Z.T @ A[ix] @ Z for A in forms]
-
-
 def _zero_tol(eigs: np.ndarray) -> float:
     scale = max(abs(eigs[-1]), 1.0) if len(eigs) else 1.0
     return 1e-6 * scale
+
+
+def _block_eigh(system: GalerkinSystem, cols: np.ndarray, first: int, last: int):
+    """Eigenpairs first..last (ascending) of (stiffness, mass) restricted to
+    the columns cols, eigenvectors in full basis coordinates."""
+    ix = np.ix_(cols, cols)
+    eigs, v = scipy.linalg.eigh(system.stiffness[ix], system.mass[ix],
+                                subset_by_index=[first, last])
+    vecs = np.zeros((system.basis.size, len(eigs)))
+    vecs[cols] = v
+    return eigs, vecs
+
+
+def _even_columns(system: GalerkinSystem) -> np.ndarray:
+    """Even basis columns; the first is the constant (degree 0)."""
+    return np.flatnonzero(system.basis.parities > 0)
 
 
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
                    subspace: str = "all") -> SpectrumReport:
     """k smallest generalized eigenpairs of (stiffness, mass).
 
-    subspace 'all' solves on the full basis; 'even-nonconstant' restricts to
-    even functions with the constant deflated mass-orthogonally.
+    subspace 'all' solves each diagonal block for its k smallest pairs and
+    merges them; 'even-nonconstant' solves on the even functions and drops
+    the constant, whose eigenvalue is an exact 0 (the stiffness annihilates
+    it, and the other eigenvectors are mass-orthogonal to it).  lambda1_even
+    is the even eigenvalue right after that 0.
     """
-    S, M = system.stiffness, system.mass
     nb = system.basis.size
     if k is None:
         k = nb
     if k > nb:
         raise ValueError("k exceeds basis size")
+    even = _even_columns(system)
 
+    lambda1_even = None
     if subspace == "all":
-        eigs, vecs = scipy.linalg.eigh(S, M)
+        eigs, vecs = [], []
+        for cols in system.blocks:
+            e, v = _block_eigh(system, cols, 0, min(k, len(cols)) - 1)
+            if len(e) > 1 and np.array_equal(cols, even):
+                lambda1_even = float(e[1])
+            eigs.append(e)
+            vecs.append(v)
+        eigs, vecs = np.concatenate(eigs), np.concatenate(vecs, axis=1)
+        order = np.argsort(eigs, kind="stable")[:k]
+        eigs, vecs = eigs[order], vecs[:, order]
+        if lambda1_even is None and len(even) > 1:   # no even block, or k = 1
+            lambda1_even = float(_block_eigh(system, even, 1, 1)[0][0])
     elif subspace == "even-nonconstant":
-        cols, Z, (Sz, Mz) = _even_nonconstant(system, S, M)
-        eigs, vz = scipy.linalg.eigh(Sz, Mz)
-        vecs = np.zeros((nb, len(eigs)))
-        vecs[cols] = Z @ vz
+        count = min(k, len(even) - 1)
+        eigs, vecs = np.zeros(0), np.zeros((nb, 0))
+        if count > 0:
+            eigs, vecs = _block_eigh(system, even, 1, count)
+            lambda1_even = float(eigs[0])
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
 
-    eigs = eigs[:k]
-    vecs = vecs[:, :k]
+    S, M = system.stiffness, system.mass
     resid = np.linalg.norm(S @ vecs - M @ vecs * eigs[None, :], axis=0)
     resid /= np.maximum(np.linalg.norm(M @ vecs, axis=0), 1e-300)
 
     ztol = _zero_tol(eigs)
     nonzero = eigs[eigs > ztol]
     lambda1 = float(nonzero[0]) if len(nonzero) else None
-    if subspace == "even-nonconstant":
-        lambda1_even = float(eigs[0]) if len(eigs) else None
-    else:
-        lambda1_even = None
-        has_even = (system.basis.parities > 0) & (system.basis.degrees > 0)
-        if has_even.any():
-            _, _, (Sz, Mz) = _even_nonconstant(system, S, M)
-            ez = scipy.linalg.eigh(Sz, Mz, eigvals_only=True, subset_by_index=[0, 0])
-            lambda1_even = float(ez[0])
 
     return SpectrumReport(
         eigenvalues=eigs,
@@ -300,11 +355,16 @@ def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
 
 def hessian_gap_even(system: GalerkinSystem) -> float:
     """Minimum of the Hessian-form Rayleigh quotient over even non-constant
-    functions: min v^t H v / v^t S v."""
-    _, _, (Hz, Sz) = _even_nonconstant(system, system.hessform, system.stiffness)
-    if np.linalg.eigvalsh(Sz).min() <= 0:
-        raise ValueError("stiffness is singular on the even non-constant subspace")
-    eigs = scipy.linalg.eigh(Hz, Sz, eigvals_only=True)
+    functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
+    dropping its column leaves the quotient's range unchanged."""
+    cols = _even_columns(system)[1:]
+    ix = np.ix_(cols, cols)
+    try:
+        eigs = scipy.linalg.eigh(system.hessform[ix], system.stiffness[ix],
+                                 eigvals_only=True, subset_by_index=[0, 0])
+    except np.linalg.LinAlgError:
+        raise ValueError("stiffness is singular on the even non-constant "
+                         "subspace") from None
     return float(eigs[0])
 
 

@@ -21,6 +21,9 @@ SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 # singularity for n=3 spherical frames; the geometry itself is fine there)
 POLE_COS_CUTOFF = 0.999
 
+# spectral tail fraction above which derivative fields carry tail_warning
+TAIL_WARNING = 1e-8
+
 
 def _angles_from_points(points: np.ndarray, n: int):
     pts = np.atleast_2d(np.asarray(points, dtype=float))
@@ -248,11 +251,20 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # grids
 
+_UNFOLD_ROWS = 32
+
 
 class SphereGrid:
-    """Antipodally symmetric quadrature grid with attached spectral basis."""
+    """Antipodally symmetric quadrature grid with attached spectral basis.
+
+    The first half of the nodes holds exactly one node of each antipodal
+    pair; basis tables and parity-blocked assembly rely on it."""
 
     def __init__(self, n, band_limit, nodes, weights, antipodal_index, pole_mask):
+        half = len(weights) // 2
+        if not (antipodal_index[:half] >= half).all():
+            raise ValueError("the first half of the nodes must hold one node of "
+                             "each antipodal pair")
         self.n = n
         self.band_limit = band_limit
         self.nodes = nodes
@@ -270,9 +282,29 @@ class SphereGrid:
         return len(self.weights)
 
     def basis_tables(self):
-        """(values, gradients, hessians) of the grid basis at the grid nodes."""
+        """(values, gradients, hessians) of the grid basis at the grid nodes.
+
+        Evaluated on the first half of the nodes only; a node u of the second
+        half copies its antipode's rows by the basis parity pi:
+        B(u) = pi B(-u), G(u) = -pi G(-u), H(u) = pi H(-u)."""
         if self._tables is None:
-            self._tables = self.basis.eval_derivs(self.nodes, order=2)
+            N, half = self.node_count, self.node_count // 2
+            anti = self.antipodal_index
+            halves = list(self.basis.eval_derivs(self.nodes[:half], order=2))
+            tables = []
+            for sign in (1, -1, 1):
+                # each half table is released once unfolded, which keeps the
+                # peak below that of a full-grid evaluation
+                T = halves.pop(0)
+                signs = (sign * self.basis.parity).reshape((-1,) + (1,) * (T.ndim - 2))
+                full = np.empty((N,) + T.shape[1:])
+                full[:half] = T
+                # a few rows at a time, so each gathered block stays in cache
+                for s in range(half, N, _UNFOLD_ROWS):
+                    np.multiply(T[anti[s:s + _UNFOLD_ROWS]], signs,
+                                out=full[s:s + _UNFOLD_ROWS])
+                tables.append(full)
+            self._tables = tuple(tables)
         return self._tables
 
     def tangent_frames(self) -> np.ndarray:
@@ -399,9 +431,16 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
 
 
 def analyze(field: ScalarField) -> np.ndarray:
-    """Spectral coefficients of the field in the grid basis (by quadrature)."""
+    """Spectral coefficients of the field in the grid basis (by quadrature).
+
+    The quadrature runs on f - f(u_0) and the constant f(u_0) enters through
+    its exact coefficient, so a constant field has no other coefficient and
+    exactly zero derivatives (quadrature alone leaves ~1e-15 in every mode)."""
     B, _, _ = field.grid.basis_tables()
-    return B.T @ (field.grid.weights * field.values)
+    v0 = field.values[0]
+    c = B.T @ (field.grid.weights * (field.values - v0))
+    c[0] += v0 / B[0, 0]    # column 0 is the constant 1/sqrt(|S^{n-1}|)
+    return c
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> ScalarField:
@@ -409,32 +448,42 @@ def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> ScalarField:
     return ScalarField.from_values(grid, B @ np.asarray(coeffs))
 
 
-def spectral_tail(field: ScalarField) -> float:
-    """Fraction of quadratic energy not captured by the band-limited model."""
-    c = analyze(field)
+def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
+    """Fraction of quadratic energy not captured by the band-limited model;
+    coeffs are the field's coefficients, analyze(field)."""
     B, _, _ = field.grid.basis_tables()
-    resid = field.values - B @ c
+    resid = field.values - B @ coeffs
     total = quad_values(field.grid, field.values**2)
     if total <= 0.0:
         return 0.0
     return max(quad_values(field.grid, resid**2) / total, 0.0)
 
 
+def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Tangential gradients (N, n) of the field with these coefficients."""
+    _, G, _ = grid.basis_tables()
+    return np.einsum("a,iak->ik", coeffs, G)
+
+
+def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """Covariant Hessians (N, n, n) of the field with these coefficients."""
+    _, _, H = grid.basis_tables()
+    return np.einsum("a,iakl->ikl", coeffs, H)
+
+
 def tangential_gradient(field: ScalarField) -> TangentField:
     """Gradient of the 0-homogeneous extension at the nodes (tangential)."""
     c = analyze(field)
-    _, G, _ = field.grid.basis_tables()
-    vecs = np.einsum("a,iak->ik", c, G)
-    return TangentField(field.grid, vecs, tail_warning=spectral_tail(field) > 1e-8)
+    return TangentField(field.grid, gradient_from_coeffs(field.grid, c),
+                        tail_warning=spectral_tail(field, c) > TAIL_WARNING)
 
 
 def tangential_hessian(field: ScalarField) -> TangentTensorField:
     """Covariant Hessian on the sphere (= tangential part of the ambient
     Hessian of the 0-homogeneous extension), as ambient matrices."""
     c = analyze(field)
-    _, _, H = field.grid.basis_tables()
-    tens = np.einsum("a,iakl->ikl", c, H)
-    return TangentTensorField(field.grid, tens, tail_warning=spectral_tail(field) > 1e-8)
+    return TangentTensorField(field.grid, hessian_from_coeffs(field.grid, c),
+                              tail_warning=spectral_tail(field, c) > TAIL_WARNING)
 
 
 def parity_split(field: ScalarField):

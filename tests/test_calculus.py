@@ -35,6 +35,7 @@ from calab.sphere import (
     ScalarField,
     build_grid,
     synthesize,
+    tangential_gradient,
     tangential_hessian,
 )
 
@@ -153,6 +154,38 @@ def test_adapted_linear_functions_are_first_eigenfunctions(body, n, L):
     # -L f = (n-1) f
     scale = np.abs(fv).max()
     assert np.abs(lf + (n - 1) * fv).max() < 1e-8 * scale
+
+
+def test_hbm_apply_analyzes_once_and_matches_separate_derivatives(monkeypatch):
+    # one analysis feeds both derivatives; the result keeps the bits of the
+    # composition of tangential_gradient and tangential_hessian
+    from calab import calculus, sphere
+
+    st = state_for(random_even_body(3, seed=2), 3, 12)
+    rng = np.random.default_rng(5)
+    f = synthesize(st.grid, rng.normal(size=st.grid.basis.size)
+                   * np.exp(-0.4 * st.grid.basis.degrees))
+    composed = _hbm_arrays(st, tangential_gradient(f).vectors,
+                           tangential_hessian(f).tensors)
+    grad, hess = tangential_gradient(f), tangential_hessian(f)
+    conj = _conjugate_hessian_arrays(st, grad.vectors, hess.tensors)
+
+    calls = []
+    monkeypatch.setattr(calculus, "analyze",
+                        lambda field: calls.append(1) or sphere.analyze(field))
+    assert np.array_equal(hbm_apply(st, f).values, composed)
+    assert calls == [1]
+    H = conjugate_hessian(st, f)
+    assert calls == [1, 1]
+    assert np.array_equal(H.tensors, conj)
+    assert H.tail_warning == (grad.tail_warning or hess.tail_warning)
+
+
+def test_constant_field_has_exactly_zero_derivatives():
+    g = build_grid(3, 12)
+    f = ScalarField.from_values(g, np.full(g.node_count, 0.1))
+    assert not tangential_gradient(f).vectors.any()
+    assert not tangential_hessian(f).tensors.any()
 
 
 def test_ball_hbm_is_laplace_beltrami():

@@ -132,6 +132,18 @@ def test_minimize_monotone_and_feasible(grid):
     assert out.valid
 
 
+def test_minimize_stops_when_accepted_steps_no_longer_decrease(grid):
+    # at p=0 this target's descent reaches a point where Armijo accepts steps
+    # that leave the functional unchanged; it used to run all 4000 iterations
+    body = random_even_body(2, seed=5223)
+    mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), 0.0)
+    res = minimize(mu, 0.0)
+    assert res.message == "no decrease at roundoff"
+    assert not res.converged
+    assert res.iterations < 200
+    assert res.el_residual < 1e-4
+
+
 def test_minimize_rejects_infeasible_init(grid, lebesgue):
     from calab.minkowski import _EvenModel
 

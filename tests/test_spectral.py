@@ -2,8 +2,12 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
+
+from calab import spectral
 
 from calab.bodies import (
+    SpectralBody,
     ball,
     ellipsoid,
     evaluate_on_grid,
@@ -67,8 +71,10 @@ def test_matrices_symmetric_and_definite():
 
 def _einsum_assembly(state, basis):
     """Reference oracle: the per-node einsum contraction of the three forms
-    with the full (n, n) metric factor and ambient conjugate Hessians."""
-    B, G, H = state.grid.basis_tables()
+    over every node, with the full (n, n) metric factor and ambient conjugate
+    Hessians, from a direct evaluation of the basis (not the grid's tables)."""
+    grid = state.grid
+    B, G, H = grid.basis.eval_derivs(grid.nodes, order=2)
     sel = basis.selection
     B, G, H = B[:, sel], G[:, sel, :], H[:, sel, :, :]
     rho = state.grid.weights * state.nu_density
@@ -87,18 +93,92 @@ def _einsum_assembly(state, basis):
     return S, M, Hmat
 
 
-@pytest.mark.parametrize("kw", [{}, {"parity": "even-only"}])
-def test_assembly_matches_einsum_oracle(kw):
+def _rotated_ellipsoid():
     # a rotated, non-axis-aligned ellipsoid: every metric entry is nonzero
     c, s = np.cos(0.7), np.sin(0.7)
     Rz = np.array([[c, -s, 0.0], [s, c, 0.0], [0.0, 0.0, 1.0]])
     Rx = np.array([[1.0, 0.0, 0.0], [0.0, c, -s], [0.0, s, c]])
     R = Rz @ Rx
-    body = ellipsoid(R @ np.diag([1.6, 1.0, 0.7]) @ R.T)
-    st, sys_ = system_for(body, 3, 16, **kw)
+    return ellipsoid(R @ np.diag([1.6, 1.0, 0.7]) @ R.T)
+
+
+def _odd_perturbed_ball(n, L):
+    # a small odd (degree-3) coefficient: a convex body that is not even
+    basis = build_grid(n, L).basis
+    c = np.zeros(basis.size)
+    c[0] = np.sqrt(2.0 * np.pi) if n == 2 else 2.0 * np.sqrt(np.pi)
+    c[np.flatnonzero(basis.degrees == 3)[0]] = 0.02
+    return SpectralBody(n, c, basis)
+
+
+@pytest.mark.parametrize("kw", [{}, {"parity": "even-only"}])
+def test_assembly_matches_einsum_oracle(kw):
+    st, sys_ = system_for(_rotated_ellipsoid(), 3, 16, **kw)
+    assert len(sys_.blocks) == (1 if kw else 2)
     for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform),
                       _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
+def test_non_even_body_assembles_as_one_block(n, L):
+    body = _odd_perturbed_ball(n, L)
+    assert not body.even
+    st, sys_ = system_for(body, n, L)
+    assert len(sys_.blocks) == 1 and len(sys_.blocks[0]) == sys_.basis.size
+    refs = _einsum_assembly(st, sys_.basis)
+    # the even-odd coupling of an odd perturbation is present and assembled
+    odd = sys_.basis.parities < 0
+    assert np.abs(refs[0][np.ix_(~odd, odd)]).max() > 1e-4
+    for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform), refs):
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+def _dense_spectrum(sys_, k):
+    """Reference: one dense generalized eigensolve of the full matrices, and
+    the even spectrum with the constant deflated mass-orthogonally."""
+    S, M = sys_.stiffness, sys_.mass
+    eigs = scipy.linalg.eigh(S, M, eigvals_only=True)[:k]
+    cols = np.flatnonzero(sys_.basis.parities > 0)
+    Z = scipy.linalg.null_space(M[cols, cols[0]][None, :])
+    ix = np.ix_(cols, cols)
+    even = scipy.linalg.eigh(Z.T @ S[ix] @ Z, Z.T @ M[ix] @ Z, eigvals_only=True)
+    return eigs, even[:k]
+
+
+@pytest.mark.parametrize("case", ["rotated_ellipsoid", "random_n2", "odd_n2"])
+def test_blocked_solve_matches_dense_eigh(case):
+    body, n, L = {"rotated_ellipsoid": (_rotated_ellipsoid(), 3, 16),
+                  "random_n2": (random_even_body(2, seed=3), 2, 16),
+                  "odd_n2": (_odd_perturbed_ball(2, 16), 2, 16)}[case]
+    _, sys_ = system_for(body, n, L)
+    k = 12
+    ref, ref_even = _dense_spectrum(sys_, k)
+    rep = solve_spectrum(sys_, k=k)
+    scale = np.maximum(np.abs(ref), 1.0)
+    assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * scale.max()
+    assert abs(rep.lambda1_even - ref_even[0]) <= 1e-12 * ref_even[0]
+    # with k = 1 no block solve reaches the even block's second eigenvalue
+    assert abs(solve_spectrum(sys_, k=1).lambda1_even - ref_even[0]) <= 1e-12 * ref_even[0]
+    assert rep.residuals.max() < 1e-10
+    even = solve_spectrum(sys_, k=k, subspace="even-nonconstant")
+    assert np.abs(even.eigenvalues - ref_even).max() <= 1e-12 * ref_even.max()
+    # eigenvectors of the even subspace are mass-orthogonal to the constant
+    assert np.abs(sys_.mass[0] @ even.eigenvectors).max() < 1e-10
+
+
+def test_hessform_built_only_when_read(monkeypatch):
+    calls = []
+    build = spectral._hessian_form
+    monkeypatch.setattr(spectral, "_hessian_form",
+                        lambda system: calls.append(1) or build(system))
+    _, sys_ = system_for(perturbed_ball(3, 0.1), 3, 8)
+    solve_spectrum(sys_, k=4)
+    solve_spectrum(sys_, k=4, subspace="even-nonconstant")
+    assert calls == []
+    hessian_gap_even(sys_)
+    discrete_bochner_residual(sys_, k=4)
+    assert calls == [1]
 
 
 def test_basis_band_limit_capped_by_grid():

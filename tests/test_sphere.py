@@ -7,6 +7,7 @@ from scipy.special import sph_harm_y
 from calab.sphere import (
     HarmonicBasis,
     ScalarField,
+    SphereGrid,
     build_grid,
     quadrature,
     tangential_gradient,
@@ -132,6 +133,47 @@ def test_parity_detection():
     assert const.parity == "even"
     lin = ScalarField.from_function(g, lambda x: x[:, 0])
     assert lin.parity == "odd"
+
+
+# n=2 at the default node count and the 256-node override, n=3 at three bands
+HALF_GRID_CASES = [(2, 16, None), (2, 62, 256), (3, 4, None), (3, 16, None),
+                   (3, 24, None)]
+
+
+@pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
+def test_first_half_holds_one_node_per_antipodal_pair(n, L, n_nodes):
+    g = build_grid(n, L, n_nodes=n_nodes)
+    half = g.node_count // 2
+    assert g.node_count % 2 == 0
+    assert (g.antipodal_index[:half] >= half).all()
+    assert np.array_equal(np.sort(g.antipodal_index[:half]),
+                          np.arange(half, g.node_count))
+
+
+def test_grid_without_half_structure_is_rejected():
+    g = build_grid(2, 8)
+    # interleaved order: antipodal pairs sit next to each other
+    order = np.stack([np.arange(g.node_count // 2),
+                      np.arange(g.node_count // 2) + g.node_count // 2], axis=1).ravel()
+    nodes = g.nodes[order]
+    anti = np.argsort(order)[g.antipodal_index[order]]
+    assert np.abs(nodes[anti] + nodes).max() < 1e-12
+    with pytest.raises(ValueError, match="antipodal pair"):
+        SphereGrid(2, 8, nodes, g.weights[order], anti, g.pole_mask[order])
+
+
+@pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
+def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
+    # the grid evaluates its first half and fills the second by parity
+    g = build_grid(n, L, n_nodes=n_nodes)
+    tables = g.basis_tables()
+    direct = g.basis.eval_derivs(g.nodes, order=2)
+    ring = np.abs(g.nodes[:, -1]) == np.abs(g.nodes[:, -1]).max()  # pole rings
+    for got, ref in zip(tables, direct):
+        assert got.shape == ref.shape
+        err = np.abs(got - ref)
+        assert err.max() <= 1e-13 * np.abs(ref).max()
+        assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
 
 
 # ---------------------------------------------------------------------------
