@@ -653,7 +653,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
         raise ValueError("support function must be positive and finite on the grid")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise ValueError("non-finite derivative on the grid")
-    proj = np.eye(grid.n)[None] - nodes[:, :, None] * nodes[:, None, :]
+    proj = grid.tangent_projector()
     # einsum, not matmul: TargetMeasure.from_body reads this D2h, and
     # minkowski.minimize's exit (converged, stalled, or max_iter) flips with
     # the last bit of the target density

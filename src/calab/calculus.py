@@ -144,7 +144,7 @@ def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
         - (u / h**2)[:, None, None] * bg.D2h
         + 2.0 * (u / h**3)[:, None, None] * (x[:, :, None] * x[:, None, :])
     )
-    proj = np.eye(state.n)[None] - nodes[:, :, None] * nodes[:, None, :]
+    proj = state.grid.tangent_projector()
     grad = np.einsum("ikl,il->ik", proj, grad)
     hess = np.einsum("iab,ibc,icd->iad", proj, D2f, proj)
     return f, grad, hess

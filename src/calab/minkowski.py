@@ -130,7 +130,7 @@ class _EvenModel:
         B, G, H = self.basis.eval_derivs(grid.nodes, order=2)
         self.B, self.G, self.H = B, G, H
         nodes = grid.nodes
-        self.proj = np.eye(grid.n)[None] - nodes[:, :, None] * nodes[:, None, :]
+        self.proj = grid.tangent_projector()
         self.pad = nodes[:, :, None] * nodes[:, None, :]
         self.tau = grid.tangent_frames()
 

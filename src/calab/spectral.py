@@ -62,13 +62,18 @@ class GalerkinBasis:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The node rows the forms sum over: every node, or for an even body the
-    first half of the grid (one node of each antipodal pair) at double weight."""
+    """One group of node rows the forms sum over, each row read against the
+    basis tables of its first-half node u: the first half of the grid itself
+    (at double weight for an even body), or, for a body that is not even,
+    the antipodes -u.  At the antipodes the tables read pi B, -pi G, pi H, so
+    the group's Gram products are taken without the signs and flipped by
+    pi_a pi_b afterwards; p is stored negated there, since its term pairs
+    with G."""
 
-    index: slice
-    sq: np.ndarray      # sqrt of the row weight w nu (2 w nu on the half grid)
-    Ft: np.ndarray      # (rows, n-1, n), transposed frame of g^{-1} = F F^t
-    p: np.ndarray       # (rows, n-1), F^t grad log h
+    sq: np.ndarray      # sqrt of the row weight w nu (2 w nu for an even body)
+    K: np.ndarray       # (N/2, n-1, n-1), F^t E: g^{-1} = F F^t, E the table frame
+    p: np.ndarray       # (N/2, n-1), F^t grad log h (negated at the antipodes)
+    antipodal: bool
 
 
 @dataclass(frozen=True)
@@ -83,12 +88,12 @@ class GalerkinSystem:
     blocks: tuple[np.ndarray, ...]   # basis positions of each diagonal block
     stiffness: np.ndarray   # Dirichlet form of the operator against nu
     mass: np.ndarray        # L^2(nu) Gram matrix
-    _rows: _Rows = field(repr=False)
+    _rows: tuple[_Rows, ...] = field(repr=False)
 
     @cached_property
     def hessform(self) -> np.ndarray:
         """Conjugate-Hessian form against nu."""
-        return _hessian_form(self)
+        return _hessian_form(self, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -129,24 +134,42 @@ def _metric_factor(ginv: np.ndarray) -> np.ndarray:
     return V[:, :, 1:] * np.sqrt(lam)[:, None, :]
 
 
-def _restrict(table: np.ndarray, basis: GalerkinBasis, rows: _Rows) -> np.ndarray:
-    """A grid basis table on the given rows and the basis columns."""
-    table = table[rows.index]
+def _columns(table: np.ndarray, basis: GalerkinBasis) -> np.ndarray:
+    """A grid basis table on the basis columns."""
     if basis.size < basis.grid.basis.size:
         table = table[:, basis.selection]
     return table
 
 
-def _block_gram(blocks, X: np.ndarray) -> np.ndarray:
-    """X^t X over the rows of X (shape (rows, ..., nb)), one Gram product per
-    diagonal block; zero outside the blocks."""
-    X = X.reshape(-1, X.shape[-1])
-    nb = X.shape[1]
+def _gram(blocks, groups, parities: np.ndarray, rows_of) -> np.ndarray:
+    """Sum over the row groups of X^t X, X = rows_of(group) of shape
+    (N/2, ..., nb): one Gram product per diagonal block, zero outside the
+    blocks, and flipped by pi_a pi_b for an antipodal group."""
+    Xs = [rows_of(group) for group in groups]
+    nb = len(parities)
     A = np.zeros((nb, nb))
     for cols in blocks:
-        Xc = np.take(X, cols, axis=1)
-        A[np.ix_(cols, cols)] = Xc.T @ Xc
+        block = None
+        for group, X in zip(groups, Xs):
+            Xc = np.take(X.reshape(-1, nb), cols, axis=1)
+            gram = Xc.T @ Xc
+            if group.antipodal:
+                gram *= np.multiply.outer(parities[cols], parities[cols])
+            block = gram if block is None else block + gram
+        A[np.ix_(cols, cols)] = block
     return A
+
+
+def _row_group(state: CentroAffineState, index, scale: float = 1.0,
+               antipodal: bool = False) -> _Rows:
+    """The rows at the nodes `index`, one per first-half node, at weight
+    scale * w * nu."""
+    grid = state.grid
+    rho = (grid.weights * state.nu_density)[index]
+    Ft = _metric_factor(state.ginv[index]).transpose(0, 2, 1)    # (N/2, q, n)
+    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors[index])
+    return _Rows(sq=np.sqrt(scale * rho), K=Ft @ grid.table_frames(),
+                 p=-p if antipodal else p, antipodal=antipodal)
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
@@ -160,50 +183,59 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
       mass       sum_i rho_i a_i b_i,
       Hessian    sum_i rho_i <F^t Hess*_a F, F^t Hess*_b F>,
     where F^t Hess*_a F = F^t H_a F + p (x) t_a + t_a (x) p with
-    t_a = F^t grad_a and p = F^t grad log h.
+    t_a = F^t grad_a and p = F^t grad log h.  The tables hold the
+    derivatives as components in the frame E, so F^t grad_a = K G_a and
+    F^t H_a F = K H_a K^t with K = F^t E.
 
-    For an even body every row of a basis function of parity pi at -u is pi
-    times its row at u, so the even-odd blocks vanish and each diagonal
-    block is twice its sum over the first half of the grid.
+    The tables cover the first half of the grid.  For an even body every row
+    of a basis function of parity pi at -u is pi times its row at u, so the
+    even-odd blocks vanish and each diagonal block is twice its sum over the
+    first half.  Other bodies add the antipodes as a second row group.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
     grid = state.grid
-    rho = grid.weights * state.nu_density
+    first = slice(0, grid.node_count // 2)
     if state.bg.body.even:
-        half = grid.node_count // 2
-        index, rho = slice(0, half), 2.0 * rho[:half]
+        groups = (_row_group(state, first, scale=2.0),)
         blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
                                    np.flatnonzero(basis.parities < 0)) if len(c))
     else:
-        index, blocks = slice(None), (np.arange(basis.size),)
-    Ft = _metric_factor(state.ginv[index]).transpose(0, 2, 1)    # (rows, q, n)
-    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors[index])
-    rows = _Rows(index=index, sq=np.sqrt(rho), Ft=Ft, p=p)
-    B, G = (_restrict(T, basis, rows) for T in grid.basis_tables()[:2])
-    S = _block_gram(blocks, (Ft * rows.sq[:, None, None]) @ G.transpose(0, 2, 1))
-    M = _block_gram(blocks, B * rows.sq[:, None])
-    return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M, _rows=rows)
+        groups = (_row_group(state, first),
+                  _row_group(state, grid.antipodal_index[first], antipodal=True))
+        blocks = (np.arange(basis.size),)
+    B, G, _ = (_columns(T, basis) for T in grid.basis_tables())
+    par = basis.parities.astype(float)
+    S = _gram(blocks, groups, par, lambda r: (r.K * r.sq[:, None, None])
+              @ G.transpose(0, 2, 1))
+    M = _gram(blocks, groups, par, lambda r: B * r.sq[:, None])
+    return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M,
+                          _rows=groups)
 
 
-def _hessian_form(system: GalerkinSystem) -> np.ndarray:
-    """Hessian-form Gram product: the packed frame components q1 <= q2
-    (off-diagonal ones weighted sqrt 2, so the Gram product is the full
-    Frobenius inner product) of the conjugate Hessians, as one product
-    against the ambient components (k, l) of H and k of grad."""
-    rows = system._rows
-    G, H = (_restrict(T, system.basis, rows)
-            for T in system.basis.grid.basis_tables()[1:])
-    Ft, p, sq = rows.Ft, rows.p, rows.sq
-    N, nb, n = G.shape
-    q = Ft.shape[1]
-    iu, ju = np.triu_indices(q)
-    WH = (Ft[:, iu, :, None] * Ft[:, ju, None, :]).reshape(N, len(iu), n * n)
-    WG = p[:, iu, None] * Ft[:, ju, :] + Ft[:, iu, :] * p[:, ju, None]
-    w = (sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
-    D = ((w * WH) @ H.reshape(N, nb, n * n).transpose(0, 2, 1)
-         + (w * WG) @ G.transpose(0, 2, 1))
-    return _block_gram(system.blocks, D)
+def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
+    """Hessian-form Gram product over the given diagonal blocks: the packed
+    frame components q1 <= q2 (off-diagonal ones weighted sqrt 2, so the
+    Gram product is the full Frobenius inner product) of the conjugate
+    Hessians, as one product against the packed components r1 <= r2 of H
+    and the components r of G."""
+    basis = system.basis
+    _, G, H = (_columns(T, basis) for T in basis.grid.basis_tables())
+    iu, ju = np.triu_indices(G.shape[2])
+    off = np.where(iu == ju, 0.0, 1.0)
+
+    def rows_of(r):
+        K, p = r.K, r.p
+        # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
+        # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)
+        WH = (K[:, iu][:, :, iu] * K[:, ju][:, :, ju]
+              + off * K[:, iu][:, :, ju] * K[:, ju][:, :, iu])
+        WG = p[:, iu, None] * K[:, ju, :] + K[:, iu, :] * p[:, ju, None]
+        w = (r.sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
+        return ((w * WH) @ H.transpose(0, 2, 1)
+                + (w * WG) @ G.transpose(0, 2, 1))
+
+    return _gram(blocks, system._rows, basis.parities.astype(float), rows_of)
 
 
 # ----------------------------------------------------------------------
@@ -356,11 +388,13 @@ def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
 def hessian_gap_even(system: GalerkinSystem) -> float:
     """Minimum of the Hessian-form Rayleigh quotient over even non-constant
     functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
-    dropping its column leaves the quotient's range unchanged."""
+    dropping its column leaves the quotient's range unchanged.  The Hessian
+    form is built on those columns only, not read from `hessform`."""
     cols = _even_columns(system)[1:]
     ix = np.ix_(cols, cols)
+    hess = _hessian_form(system, (cols,))[ix]
     try:
-        eigs = scipy.linalg.eigh(system.hessform[ix], system.stiffness[ix],
+        eigs = scipy.linalg.eigh(hess, system.stiffness[ix],
                                  eigvals_only=True, subset_by_index=[0, 0])
     except np.linalg.LinAlgError:
         raise ValueError("stiffness is singular on the even non-constant "

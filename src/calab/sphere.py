@@ -141,7 +141,28 @@ class HarmonicBasis:
         Returns (values (P, nb), grads (P, nb, n), hessians (P, nb, n, n));
         grads are the gradients of the 0-homogeneous extensions (tangential),
         hessians are the covariant Hessians on the sphere expressed as ambient
-        symmetric matrices annihilating the radial direction.
+        symmetric matrices annihilating the radial direction.  They are the
+        frame components of frame_derivs mapped to ambient coordinates.
+        """
+        vals, grads, hess, frames = self.frame_derivs(points, order)
+        if grads is None:
+            return vals, None, None
+        grads = _ambient_gradients(grads, frames)
+        if hess is not None:
+            hess = _ambient_hessians(hess, frames)
+        return vals, grads, hess
+
+    def frame_derivs(self, points: np.ndarray, order: int = 2):
+        """Basis values and tangential derivatives as components in a
+        per-point orthonormal tangent frame E (columns e_1..e_{n-1}).
+
+        Returns (values (P, nb), grads (P, nb, n-1), hessians
+        (P, nb, n(n-1)/2), E (P, n, n-1)).  grads holds <grad, e_r>; hessians
+        holds the covariant-Hessian components e_r1^t Hess e_r2 for r1 <= r2,
+        which is (tt, tp, pp) at n=3 with e_t, e_p the colatitude and
+        longitude directions and the single tt component at n=2 with e_t the
+        counterclockwise tangent.  Derivatives above `order`, and E at
+        order 0, are None.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.n == 2:
@@ -163,16 +184,15 @@ class HarmonicBasis:
 
         vals = columns(1.0 / np.sqrt(2.0 * np.pi), inv_sqrtpi * c, inv_sqrtpi * s)
         if order == 0:
-            return vals, None, None
+            return vals, None, None, None
         tau = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        dvals = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))
-        grads = dvals[:, :, None] * tau[:, None, :]
+        frames = tau[:, :, None]
+        grads = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))[:, :, None]
         if order == 1:
-            return vals, grads, None
+            return vals, grads, None, frames
         kk = -(k * k) * inv_sqrtpi
-        d2vals = columns(0.0, kk * c, kk * s)
-        hess = d2vals[:, :, None, None] * (tau[:, None, :, None] * tau[:, None, None, :])
-        return vals, grads, hess
+        hess = columns(0.0, kk * c, kk * s)[:, :, None]
+        return vals, grads, hess, frames
 
     def _eval_sphere(self, pts, order):
         """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
@@ -205,32 +225,60 @@ class HarmonicBasis:
 
         vals = columns(P) * lon
         if order == 0:
-            return vals, None, None
+            return vals, None, None, None
         lon_m = np.concatenate([-s, c], axis=1)[:, col]
         dP = _dtheta(P)
         cp, sp = np.cos(phi), np.sin(phi)
         e_th = np.stack([z * cp, z * sp, -st], axis=-1)
         e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        frame = np.stack([e_th, e_ph], axis=1)  # (P, 2, 3)
+        frames = np.stack([e_th, e_ph], axis=1).transpose(0, 2, 1)  # (P, 3, 2)
         # components d_theta Y and d_phi Y / sin theta in the frame
         grads = np.stack([columns(dP) * lon, columns(_over_sin(P)) * lon_m],
-                         axis=-1) @ frame
+                         axis=-1)
         if order == 1:
-            return vals, grads, None
+            return vals, grads, None, frames
 
-        # covariant Hessian: components (tt, tp, pp) in the orthonormal frame
-        # times e_t e_t^t, e_t e_p^t + e_p e_t^t and e_p e_p^t; tp is
+        # covariant Hessian components (tt, tp, pp): tp is
         # d_theta(d_phi Y / sin theta) and pp follows from Delta Y = -l(l+1) Y
-        comps = np.empty(vals.shape + (3,))
-        comps[..., 0] = columns(_dtheta(dP)) * lon
-        comps[..., 1] = columns(_over_sin(dP)) * lon_m
-        comps[..., 2] = -(l * (l + 1)) * vals - comps[..., 0]
-        oth = e_th[:, :, None] * e_th[:, None, :]
-        oph = e_ph[:, :, None] * e_ph[:, None, :]
-        oxm = e_th[:, :, None] * e_ph[:, None, :]
-        outer = np.stack([oth, oxm + oxm.transpose(0, 2, 1), oph], axis=1)
-        hess = comps @ outer.reshape(len(z), 3, 9)
-        return vals, grads, hess.reshape(vals.shape + (3, 3))
+        hess = np.empty(vals.shape + (3,))
+        hess[..., 0] = columns(_dtheta(dP)) * lon
+        hess[..., 1] = columns(_over_sin(dP)) * lon_m
+        hess[..., 2] = -(l * (l + 1)) * vals - hess[..., 0]
+        return vals, grads, hess, frames
+
+
+def _packed_outer(Et: np.ndarray) -> np.ndarray:
+    """Symmetric outer products of the frame vectors, (P, q(q+1)/2, n, n) for
+    frame rows Et (P, q, n): e_r e_r^t for r1 = r2 = r and
+    e_r1 e_r2^t + e_r2 e_r1^t for r1 < r2, in np.triu_indices(q) order."""
+    q = Et.shape[1]
+    outs = []
+    for r1 in range(q):
+        for r2 in range(r1, q):
+            o = Et[:, r1, :, None] * Et[:, r2, None, :]
+            outs.append(o if r1 == r2 else o + o.transpose(0, 2, 1))
+    return np.stack(outs, axis=1)
+
+
+def _ambient_gradients(grads: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Ambient tangent vectors (P, m, n) from frame components (P, m, q) in
+    the frames E (P, n, q)."""
+    Et = E.transpose(0, 2, 1)
+    if Et.shape[1] == 1:    # circle: one tangent direction
+        return grads * Et
+    return grads @ Et
+
+
+def _ambient_hessians(hess: np.ndarray, E: np.ndarray) -> np.ndarray:
+    """Ambient symmetric matrices (P, m, n, n) from packed frame components
+    (P, m, q(q+1)/2) in the frames E (P, n, q)."""
+    Et = E.transpose(0, 2, 1)
+    P, q, n = Et.shape
+    if q == 1:              # circle: the one component times tau tau^t
+        tau = Et[:, 0]
+        return hess[..., None] * (tau[:, None, :, None] * tau[:, None, None, :])
+    amb = hess @ _packed_outer(Et).reshape(P, -1, n * n)
+    return amb.reshape(hess.shape[:-1] + (n, n))
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:
@@ -251,20 +299,20 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # grids
 
-_UNFOLD_ROWS = 32
-
-
 class SphereGrid:
     """Antipodally symmetric quadrature grid with attached spectral basis.
 
     The first half of the nodes holds exactly one node of each antipodal
-    pair; basis tables and parity-blocked assembly rely on it."""
+    pair, and antipodal nodes carry equal weights; basis tables, transforms
+    and parity-blocked assembly rely on both."""
 
     def __init__(self, n, band_limit, nodes, weights, antipodal_index, pole_mask):
         half = len(weights) // 2
         if not (antipodal_index[:half] >= half).all():
             raise ValueError("the first half of the nodes must hold one node of "
                              "each antipodal pair")
+        if not np.array_equal(weights[:half], weights[antipodal_index[:half]]):
+            raise ValueError("antipodal nodes must carry equal weights")
         self.n = n
         self.band_limit = band_limit
         self.nodes = nodes
@@ -275,37 +323,35 @@ class SphereGrid:
         for arr in (self.nodes, self.weights, self.antipodal_index, self.pole_mask):
             arr.setflags(write=False)
         self._tables = None
+        self._table_frames = None
         self._frames = None
+        self._projector = None
 
     @property
     def node_count(self) -> int:
         return len(self.weights)
 
     def basis_tables(self):
-        """(values, gradients, hessians) of the grid basis at the grid nodes.
+        """(values, gradients, hessians) of the grid basis on the first half
+        of the nodes: (N/2, nb), (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the
+        derivatives as components in table_frames() (see
+        HarmonicBasis.frame_derivs).
 
-        Evaluated on the first half of the nodes only; a node u of the second
-        half copies its antipode's rows by the basis parity pi:
-        B(u) = pi B(-u), G(u) = -pi G(-u), H(u) = pi H(-u)."""
+        The antipode -u of a first-half node u reads the rows of u through
+        the basis parity pi, in the same frame: B(-u) = pi B(u),
+        G(-u) = -pi G(u), H(-u) = pi H(u)."""
         if self._tables is None:
-            N, half = self.node_count, self.node_count // 2
-            anti = self.antipodal_index
-            halves = list(self.basis.eval_derivs(self.nodes[:half], order=2))
-            tables = []
-            for sign in (1, -1, 1):
-                # each half table is released once unfolded, which keeps the
-                # peak below that of a full-grid evaluation
-                T = halves.pop(0)
-                signs = (sign * self.basis.parity).reshape((-1,) + (1,) * (T.ndim - 2))
-                full = np.empty((N,) + T.shape[1:])
-                full[:half] = T
-                # a few rows at a time, so each gathered block stays in cache
-                for s in range(half, N, _UNFOLD_ROWS):
-                    np.multiply(T[anti[s:s + _UNFOLD_ROWS]], signs,
-                                out=full[s:s + _UNFOLD_ROWS])
-                tables.append(full)
-            self._tables = tuple(tables)
+            half = self.node_count // 2
+            *tables, frames = self.basis.frame_derivs(self.nodes[:half], order=2)
+            frames.setflags(write=False)
+            self._tables, self._table_frames = tuple(tables), frames
         return self._tables
+
+    def table_frames(self) -> np.ndarray:
+        """Orthonormal tangent frames E (N/2, n, n-1) of basis_tables() at the
+        first half of the nodes; the antipodes use the same frames."""
+        self.basis_tables()
+        return self._table_frames
 
     def tangent_frames(self) -> np.ndarray:
         """Per-node orthonormal tangent frames, shape (N, n, n-1); see
@@ -315,6 +361,16 @@ class SphereGrid:
             frames.setflags(write=False)
             self._frames = frames
         return self._frames
+
+    def tangent_projector(self) -> np.ndarray:
+        """Per-node tangential projectors I - u u^t, shape (N, n, n).  Cached,
+        read-only."""
+        if self._projector is None:
+            nodes = self.nodes
+            proj = np.eye(self.n)[None] - nodes[:, :, None] * nodes[:, None, :]
+            proj.setflags(write=False)
+            self._projector = proj
+        return self._projector
 
     def to_json(self) -> str:
         return json.dumps(
@@ -430,29 +486,55 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
     return float(grid.weights @ np.asarray(values))
 
 
+def _antipodal_columns(grid: SphereGrid, coeffs: np.ndarray,
+                       sign: float = 1.0) -> np.ndarray:
+    """(nb, 2): the coefficients as read by the tables at the first half of
+    the grid, and sign * pi * coeffs as read at the antipodes."""
+    c = np.asarray(coeffs, dtype=float)
+    return np.stack([c, sign * grid.basis.parity * c], axis=1)
+
+
+def _unfold(grid: SphereGrid, pairs: np.ndarray) -> np.ndarray:
+    """Full-grid array from (N/2, 2, ...) rows: [:, 0] at the first half of
+    the nodes, [:, 1] at their antipodes."""
+    half = grid.node_count // 2
+    out = np.empty((grid.node_count,) + pairs.shape[2:])
+    out[:half] = pairs[:, 0]
+    out[grid.antipodal_index[:half]] = pairs[:, 1]
+    return out
+
+
 def analyze(field: ScalarField) -> np.ndarray:
     """Spectral coefficients of the field in the grid basis (by quadrature).
 
     The quadrature runs on f - f(u_0) and the constant f(u_0) enters through
     its exact coefficient, so a constant field has no other coefficient and
-    exactly zero derivatives (quadrature alone leaves ~1e-15 in every mode)."""
-    B, _, _ = field.grid.basis_tables()
+    exactly zero derivatives (quadrature alone leaves ~1e-15 in every mode).
+    Antipodal weights are equal, so even coefficients integrate the sum of f
+    over each antipodal pair and odd ones its difference, on the half grid."""
+    grid = field.grid
+    B, _, _ = grid.basis_tables()
+    half = grid.node_count // 2
     v0 = field.values[0]
-    c = B.T @ (field.grid.weights * (field.values - v0))
+    f1 = field.values[:half] - v0
+    f2 = field.values[grid.antipodal_index[:half]] - v0
+    w = grid.weights[:half]
+    sums = B.T @ np.stack([w * (f1 + f2), w * (f1 - f2)], axis=1)
+    c = np.where(grid.basis.parity > 0, sums[:, 0], sums[:, 1])
     c[0] += v0 / B[0, 0]    # column 0 is the constant 1/sqrt(|S^{n-1}|)
     return c
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> ScalarField:
     B, _, _ = grid.basis_tables()
-    return ScalarField.from_values(grid, B @ np.asarray(coeffs))
+    return ScalarField.from_values(
+        grid, _unfold(grid, B @ _antipodal_columns(grid, coeffs)))
 
 
 def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
     """Fraction of quadratic energy not captured by the band-limited model;
     coeffs are the field's coefficients, analyze(field)."""
-    B, _, _ = field.grid.basis_tables()
-    resid = field.values - B @ coeffs
+    resid = field.values - synthesize(field.grid, coeffs).values
     total = quad_values(field.grid, field.values**2)
     if total <= 0.0:
         return 0.0
@@ -462,13 +544,15 @@ def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
 def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Tangential gradients (N, n) of the field with these coefficients."""
     _, G, _ = grid.basis_tables()
-    return np.einsum("a,iak->ik", coeffs, G)
+    comps = _antipodal_columns(grid, coeffs, -1.0).T @ G    # (N/2, 2, n-1)
+    return _unfold(grid, _ambient_gradients(comps, grid.table_frames()))
 
 
 def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Covariant Hessians (N, n, n) of the field with these coefficients."""
     _, _, H = grid.basis_tables()
-    return np.einsum("a,iakl->ikl", coeffs, H)
+    comps = _antipodal_columns(grid, coeffs).T @ H
+    return _unfold(grid, _ambient_hessians(comps, grid.table_frames()))
 
 
 def tangential_gradient(field: ScalarField) -> TangentField:

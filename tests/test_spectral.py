@@ -134,6 +134,32 @@ def test_non_even_body_assembles_as_one_block(n, L):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
+@pytest.mark.parametrize("n,L,even", [(2, 16, True), (2, 16, False),
+                                      (3, 12, True), (3, 12, False)])
+def test_packed_forms_match_ambient_reference(n, L, even):
+    # half-grid frame-packed tables against full-grid ambient ones
+    if even:
+        body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
+    else:
+        body = _odd_perturbed_ball(n, L)
+    st, sys_ = system_for(body, n, L)
+    assert body.even == even and len(sys_.blocks) == (2 if even else 1)
+    for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform),
+                      _einsum_assembly(st, sys_.basis)):
+        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
+def test_hessian_gap_matches_full_hessform(n, L):
+    body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
+    _, sys_ = system_for(body, n, L)
+    cols = np.flatnonzero(sys_.basis.parities > 0)[1:]
+    ix = np.ix_(cols, cols)
+    ref = scipy.linalg.eigh(sys_.hessform[ix], sys_.stiffness[ix],
+                            eigvals_only=True)[0]
+    assert abs(hessian_gap_even(sys_) - ref) <= 1e-12 * abs(ref)
+
+
 def _dense_spectrum(sys_, k):
     """Reference: one dense generalized eigensolve of the full matrices, and
     the even spectrum with the constant deflated mass-orthogonally."""
@@ -170,15 +196,19 @@ def test_blocked_solve_matches_dense_eigh(case):
 def test_hessform_built_only_when_read(monkeypatch):
     calls = []
     build = spectral._hessian_form
-    monkeypatch.setattr(spectral, "_hessian_form",
-                        lambda system: calls.append(1) or build(system))
+    monkeypatch.setattr(spectral, "_hessian_form", lambda system, blocks:
+                        calls.append([len(c) for c in blocks]) or build(system, blocks))
     _, sys_ = system_for(perturbed_ball(3, 0.1), 3, 8)
     solve_spectrum(sys_, k=4)
     solve_spectrum(sys_, k=4, subspace="even-nonconstant")
     assert calls == []
+    # the gap forms its Gram product on the even non-constant columns only
     hessian_gap_even(sys_)
+    even = int((sys_.basis.parities > 0).sum())
+    assert calls == [[even - 1]] and "hessform" not in vars(sys_)
     discrete_bochner_residual(sys_, k=4)
-    assert calls == [1]
+    sys_.hessform
+    assert calls == [[even - 1], [len(c) for c in sys_.blocks]]
 
 
 def test_basis_band_limit_capped_by_grid():

@@ -162,18 +162,64 @@ def test_grid_without_half_structure_is_rejected():
         SphereGrid(2, 8, nodes, g.weights[order], anti, g.pole_mask[order])
 
 
+def _full_ambient_tables(g):
+    """The grid's half-grid tables mapped to ambient coordinates through
+    their frames and unfolded to every node by the basis parity pi:
+    B(-u) = pi B(u), G(-u) = -pi G(u), H(-u) = pi H(u)."""
+    B, G, H = g.basis_tables()
+    E = g.table_frames()
+    q = g.n - 1
+    iu, ju = np.triu_indices(q)
+    Hq = np.zeros(H.shape[:2] + (q, q))
+    Hq[:, :, iu, ju] = H
+    Hq[:, :, ju, iu] = H
+    tables = (B, np.einsum("iar,ikr->iak", G, E),
+              np.einsum("iars,ikr,ils->iakl", Hq, E, E))
+    half = g.node_count // 2
+    anti = g.antipodal_index[:half]
+    full = []
+    for T, sign in zip(tables, (1, -1, 1)):
+        signs = (sign * g.basis.parity).reshape((-1,) + (1,) * (T.ndim - 2))
+        F = np.empty((g.node_count,) + T.shape[1:])
+        F[:half] = T
+        F[anti] = signs * T
+        full.append(F)
+    return full
+
+
 @pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
 def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
-    # the grid evaluates its first half and fills the second by parity
+    # the grid evaluates its first half only, derivatives packed in a frame
     g = build_grid(n, L, n_nodes=n_nodes)
-    tables = g.basis_tables()
+    half, nb = g.node_count // 2, g.basis.size
+    B, G, H = g.basis_tables()
+    assert B.shape == (half, nb)
+    assert G.shape == (half, nb, n - 1)
+    assert H.shape == (half, nb, n * (n - 1) // 2)
+    E = g.table_frames()
+    assert np.abs(E.transpose(0, 2, 1) @ E - np.eye(n - 1)).max() < 1e-15
+    assert np.abs(np.einsum("ikr,ik->ir", E, g.nodes[:half])).max() < 1e-15
     direct = g.basis.eval_derivs(g.nodes, order=2)
     ring = np.abs(g.nodes[:, -1]) == np.abs(g.nodes[:, -1]).max()  # pole rings
-    for got, ref in zip(tables, direct):
+    for got, ref in zip(_full_ambient_tables(g), direct):
         assert got.shape == ref.shape
         err = np.abs(got - ref)
         assert err.max() <= 1e-13 * np.abs(ref).max()
         assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
+
+
+def test_tables_memory_at_L24():
+    # half grid (676 nodes) x 625 functions x (1 + 2 + 3) components
+    g = build_grid(3, 24)
+    assert sum(T.nbytes for T in g.basis_tables()) <= 676 * 625 * 6 * 8
+
+
+def test_grid_with_unequal_antipodal_weights_is_rejected():
+    g = build_grid(2, 8)
+    w = g.weights.copy()
+    w[0] *= 1.0 + 1e-15
+    with pytest.raises(ValueError, match="equal weights"):
+        SphereGrid(2, 8, g.nodes, w, g.antipodal_index, g.pole_mask)
 
 
 # ---------------------------------------------------------------------------
@@ -196,7 +242,7 @@ def test_analysis_synthesis_roundtrip(n):
                                  pytest.param(3, 24, id="3-L24")])
 def test_basis_orthonormal_under_quadrature(n, L):
     g = build_grid(n, L)
-    B, _, _ = g.basis_tables()
+    B = _full_ambient_tables(g)[0]
     gram = B.T @ (g.weights[:, None] * B)
     assert np.abs(gram - np.eye(g.basis.size)).max() < 1e-10
 
@@ -275,7 +321,7 @@ def test_derivative_fields_are_tangential():
 def test_spherical_harmonics_eigenfunctions_of_laplacian(L):
     # closed-form check up to degree L/2
     g = build_grid(3, L)
-    B, _, _ = g.basis_tables()
+    B = _full_ambient_tables(g)[0]
     for a in range(g.basis.size):
         l = g.basis.degrees[a]
         if l > g.band_limit // 2:
