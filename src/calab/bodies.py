@@ -9,16 +9,12 @@ Firey sums and polars compose evaluators exactly, without resampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
+from scipy.spatial import cKDTree
 
-from calab.sphere import (
-    HarmonicBasis,
-    SphereGrid,
-    build_grid,
-    tangent_frames,
-    tangential_eigenvalues,
-)
+from calab.sphere import HarmonicBasis, SphereGrid, build_grid, tangent_frames
 
 
 @dataclass(frozen=True)
@@ -219,6 +215,10 @@ class LinearImageBody(BodyEvaluator):
         super().__init__(base.n, even=base.even, label=f"{base.label}@T")
         self.base = base
         self.T = T
+        # vec(T H T^t) = kron(T, T) vec(H) for row-major vec; the kron as
+        # one broadcast product (np.kron costs ~10x more per image)
+        n2 = base.n**2
+        self._TT = (T[:, None, :, None] * T[None, :, None, :]).reshape(n2, n2).T
 
     def jet(self, X, order=2):
         j = self.base.jet(_as_points(X, self.n) @ self.T, order)
@@ -227,7 +227,8 @@ class LinearImageBody(BodyEvaluator):
         grad = j[1] @ self.T.T
         if order == 1:
             return j[0], grad
-        return j[0], grad, self.T @ j[2] @ self.T.T
+        H = j[2].reshape(len(grad), -1) @ self._TT
+        return j[0], grad, H.reshape(j[2].shape)
 
     def gauge_body(self):
         gb = self.base.gauge_body()
@@ -321,11 +322,11 @@ class PolarBody(BodyEvaluator):
 
     Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
     (the Gauss map), so each point starts at the reference node whose unit
-    normal is closest to u; the normals come from one first-order base jet at
-    construction.  Guarded Newton on the sphere then runs on the points not
-    yet certified.  A point is certified when the tangential gradient of psi
-    is at most 1e-13 psi and F^T Hess(psi) F is negative-definite (F the
-    tangent frame at theta).  The certificate proves the maximizer global: on
+    normal is closest to u, found in a k-d tree over the normals; the normals
+    come from one first-order base jet at construction.  Guarded Newton on
+    the sphere then runs on the points not yet certified.  A point is
+    certified when the tangential gradient of psi is at most 1e-13 psi and
+    F^T Hess(psi) F is negative-definite (F the tangent frame at theta).  The certificate proves the maximizer global: on
     the slice <u, theta> = 1, psi = 1/h and h is convex, so a strict local
     maximum of psi is its unique global one.  The loop stops when every point
     is certified or after _NEWTON_CAP steps.  Points left uncertified (bases
@@ -358,7 +359,7 @@ class PolarBody(BodyEvaluator):
         self.base = base
         self._ref_nodes = grid.nodes
         self._ref_h, dh = base.jet(grid.nodes, 1)
-        self._ref_normals = dh / np.linalg.norm(dh, axis=1, keepdims=True)
+        self._normal_tree = cKDTree(dh / np.linalg.norm(dh, axis=1, keepdims=True))
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -388,7 +389,7 @@ class PolarBody(BodyEvaluator):
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
         Newton from the Gauss-map seed, the fallback for the uncertified."""
-        seed = self._ref_nodes[np.argmax(U @ self._ref_normals.T, axis=1)]
+        seed = self._ref_nodes[self._normal_tree.query(U)[1]]
         best, certified = self._newton(U, seed)
         idx = np.flatnonzero(~certified)
         if idx.size:
@@ -623,12 +624,16 @@ def polar(body: BodyEvaluator, grid: SphereGrid) -> BodyEvaluator:
 
 @dataclass(frozen=True)
 class BodyOnGrid:
+    """A body sampled on a grid.  The tangential Hessian is held as
+    D2h_frame = F^t D^2h F in the grid's tangent frames F
+    (grid.tangent_frames()); the ambient D2h and g are built from it on
+    first read."""
+
     body: BodyEvaluator
     grid: SphereGrid
     h: np.ndarray            # support values per node
     x: np.ndarray            # boundary points (ambient gradient of h)
-    D2h: np.ndarray          # tangential Hessian of h, ambient matrices
-    g: np.ndarray            # centro-affine metric D2h / h
+    D2h_frame: np.ndarray    # tangential Hessian in the frames, (N, n-1, n-1)
     sk_density: np.ndarray   # det of D2h on the tangent space
     vk_density: np.ndarray   # cone-volume density h * sk / n
     eig_D2h: np.ndarray      # per-node tangential eigenvalues, (N, n-1)
@@ -641,33 +646,38 @@ class BodyOnGrid:
     def n(self) -> int:
         return self.grid.n
 
+    @cached_property
+    def D2h(self) -> np.ndarray:
+        """Tangential Hessian of h as ambient matrices F R F^t, (N, n, n)."""
+        F = self.grid.tangent_frames()
+        D2h = F @ self.D2h_frame @ F.transpose(0, 2, 1)
+        return 0.5 * (D2h + D2h.transpose(0, 2, 1))
+
+    @cached_property
+    def g(self) -> np.ndarray:
+        """Centro-affine metric D2h / h, ambient matrices."""
+        return self.D2h / self.h[:, None, None]
+
 
 def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
                      tol: Tolerances = Tolerances()) -> BodyOnGrid:
     """Sample a body on a grid and populate the derived geometric state."""
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
-    nodes = grid.nodes
-    h, x, H = body.jet(nodes, 2)
+    h, x, H = body.jet(grid.nodes, 2)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("support function must be positive and finite on the grid")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise ValueError("non-finite derivative on the grid")
-    proj = grid.tangent_projector()
-    # einsum, not matmul: TargetMeasure.from_body reads this D2h, and
-    # minkowski.minimize's exit (converged, stalled, or max_iter) flips with
-    # the last bit of the target density
-    D2h = np.einsum("iab,ibc,icd->iad", proj, H, proj)
-    D2h = 0.5 * (D2h + D2h.transpose(0, 2, 1))
-    g = D2h / h[:, None, None]
-    # tangential determinant: pad the radial kernel direction with 1
-    padded = D2h + nodes[:, :, None] * nodes[:, None, :]
-    sk = np.linalg.det(padded)
+    F = grid.tangent_frames()
+    R = F.transpose(0, 2, 1) @ H @ F
+    R = 0.5 * (R + R.transpose(0, 2, 1))
+    sk = np.linalg.det(R)
     vk = h * sk / grid.n
-    eig = tangential_eigenvalues(grid, D2h)
+    eig = np.linalg.eigvalsh(R)
     mn, mx = float(eig.min()), float(eig.max())
     return BodyOnGrid(
-        body=body, grid=grid, h=h, x=x, D2h=D2h, g=g,
+        body=body, grid=grid, h=h, x=x, D2h_frame=R,
         sk_density=sk, vk_density=vk, eig_D2h=eig,
         min_eig_D2h=mn, max_eig_D2h=mx, valid=bool(mn > tol.eig_tol), tol=tol,
     )

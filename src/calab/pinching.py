@@ -17,7 +17,7 @@ from scipy.optimize import minimize as scipy_minimize
 from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
 from calab.calculus import build_state
 from calab.spectral import GalerkinBasis, assemble, solve_spectrum
-from calab.sphere import SphereGrid
+from calab.sphere import SphereGrid, packed_positions
 
 
 @dataclass(frozen=True)
@@ -80,10 +80,8 @@ def measure_pinching(bg: BodyOnGrid) -> PinchingReport:
 
 
 def _sym_from_vec(z: np.ndarray, n: int) -> np.ndarray:
-    S = np.zeros((n, n))
-    iu = np.triu_indices(n)
-    S[iu] = z
-    S = S + S.T - np.diag(np.diag(S))
+    """Traceless symmetric matrix from its upper triangle, row by row."""
+    S = np.asarray(z, dtype=float)[packed_positions(n)]
     return S - np.trace(S) / n * np.eye(n)
 
 

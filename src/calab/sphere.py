@@ -9,6 +9,7 @@ an independent oracle (see fd_gradient_on_sphere / fd_hessian_on_sphere).
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 
@@ -245,6 +246,18 @@ class HarmonicBasis:
         hess[..., 1] = columns(_over_sin(dP)) * lon_m
         hess[..., 2] = -(l * (l + 1)) * vals - hess[..., 0]
         return vals, grads, hess, frames
+
+
+@functools.cache
+def packed_positions(q: int) -> np.ndarray:
+    """(q, q) position of each entry of a symmetric matrix in its packed
+    upper triangle (np.triu_indices(q) order), so packed[..., pos] unpacks.
+    Read-only."""
+    r, c = np.triu_indices(q)
+    pos = np.empty((q, q), dtype=int)
+    pos[r, c] = pos[c, r] = np.arange(len(r))
+    pos.setflags(write=False)
+    return pos
 
 
 def _packed_outer(Et: np.ndarray) -> np.ndarray:
@@ -655,13 +668,6 @@ def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
             H[:, j, i] = val
     proj = np.eye(n)[None, :, :] - pts[:, :, None] * pts[:, None, :]
     return proj @ H @ proj
-
-
-def tangential_eigenvalues(grid: SphereGrid, tensors: np.ndarray) -> np.ndarray:
-    """Eigenvalues of tangential symmetric tensors in per-node frames, (N, n-1)."""
-    frames = grid.tangent_frames()
-    restricted = frames.transpose(0, 2, 1) @ tensors @ frames
-    return np.linalg.eigvalsh(restricted)
 
 
 # ----------------------------------------------------------------------

@@ -6,6 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from calab.bodies import (
     LqNormBody,
+    SpectralBody,
     Tolerances,
     ball,
     ellipsoid,
@@ -101,6 +102,36 @@ def test_ball_on_grid_closed_forms():
         assert np.abs(bg.sk_density - r ** (n - 1)).max() < 1e-10
         assert np.abs(bg.vk_density - r**n / n).max() < 1e-10
         assert bg.valid
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "perturbed", "polar", "firey"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_frame_hessian_matches_ambient(n, name):
+    # evaluate_on_grid reads det and eigenvalues off the frame matrix
+    # R = F^t D^2h F; the ambient D2h built from it on first read must give
+    # the same numbers by the padded determinant and the frame restriction,
+    # and the Minkowski model's frame matrices the same for a spectral body
+    g = build_grid(n, 16)
+    E = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
+    pb = perturbed_ball(n, 0.1)
+    body = {"ellipsoid": E, "perturbed": pb, "polar": polar(E, g),
+            "firey": firey_sum(0.4, E, 0.6, pb, 0.0)}[name]
+    bg = evaluate_on_grid(body, g)
+    assert bg.D2h_frame.shape == (g.node_count, n - 1, n - 1)
+    F = g.tangent_frames()
+    pad = g.nodes[:, :, None] * g.nodes[:, None, :]
+    sk = np.linalg.det(bg.D2h + pad)
+    eig = np.linalg.eigvalsh(F.transpose(0, 2, 1) @ bg.D2h @ F)
+    assert np.abs(bg.sk_density - sk).max() <= 1e-13 * np.abs(sk).max()
+    assert np.abs(bg.eig_D2h - eig).max() <= 1e-13 * np.abs(eig).max()
+    assert np.abs(bg.g - bg.D2h / bg.h[:, None, None]).max() == 0.0
+    if isinstance(body, SpectralBody):
+        from calab.minkowski import _EvenModel
+
+        h, det, mn = _EvenModel(g, body.basis.L).geometry(body.coeffs)
+        assert np.abs(h - bg.h).max() <= 1e-13 * bg.h.max()
+        assert np.abs(det - bg.sk_density).max() <= 1e-13 * np.abs(det).max()
+        assert abs(mn - bg.min_eig_D2h) <= 1e-13 * bg.max_eig_D2h
 
 
 def test_euler_identity_on_grid():
@@ -260,6 +291,20 @@ def test_linear_image_cases():
     img = linear_image(B, np.diag([2.0, 1.0]))
     E = ellipsoid(np.diag([2.0, 1.0]))
     assert np.abs(img.support(u) - E.support(u)).max() < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_linear_image_hessian_is_congruence(n):
+    # the jet forms T H T^t as one product with kron(T, T); the per-point
+    # congruence is the reference
+    rng = np.random.default_rng(21)
+    T = np.eye(n) + 0.4 * rng.normal(size=(n, n))
+    body = perturbed_ball(n, 0.1)
+    X = unit_vectors(rng, 30, n)
+    H = body.support_hess(X @ T)
+    ref = np.einsum("ik,pkl,jl->pij", T, H, T)
+    out = linear_image(body, T).support_hess(X)
+    assert np.abs(out - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 def test_linear_image_rejects_singular():

@@ -132,16 +132,17 @@ def test_minimize_monotone_and_feasible(grid):
     assert out.valid
 
 
-def test_minimize_stops_when_accepted_steps_no_longer_decrease(grid):
-    # at p=0 this target's descent reaches a point where Armijo accepts steps
-    # that leave the functional unchanged; it used to run all 4000 iterations
-    body = random_even_body(2, seed=5223)
-    mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), 0.0)
-    res = minimize(mu, 0.0)
-    assert res.message == "no decrease at roundoff"
-    assert not res.converged
-    assert res.iterations < 200
-    assert res.el_residual < 1e-4
+def test_minimize_converges_past_roundoff_stalls(grid):
+    # at p=0 these targets' descents reach steps whose decrease F cannot
+    # resolve: Armijo stalled the line search (5006) or accepted steps that
+    # left F unchanged (5223); judged by the gradient there, both converge
+    for seed in (5006, 5223):
+        body = random_even_body(2, seed=seed)
+        mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), 0.0)
+        res = minimize(mu, 0.0)
+        assert res.converged, (seed, res.message)
+        assert res.iterations < 200
+        assert res.el_residual < 1e-4
 
 
 def test_minimize_rejects_infeasible_init(grid, lebesgue):

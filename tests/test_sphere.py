@@ -18,6 +18,7 @@ from calab.sphere import (
     synthesize,
     fd_gradient_on_sphere,
     fd_hessian_on_sphere,
+    packed_positions,
     SURFACE_MEASURE,
 )
 
@@ -25,6 +26,16 @@ from calab.sphere import (
 # ---------------------------------------------------------------------------
 # grid construction
 # ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_packed_positions_unpack_the_upper_triangle(q):
+    # packed[..., pos] is the symmetric matrix whose upper triangle, in
+    # np.triu_indices(q) order, is the packed vector
+    packed = np.arange(1.0, q * (q + 1) // 2 + 1)
+    S = packed[packed_positions(q)]
+    assert np.array_equal(S, S.T)
+    assert np.array_equal(S[np.triu_indices(q)], packed)
 
 
 def test_build_grid_n2_node_count_and_weights():
