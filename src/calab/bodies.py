@@ -14,7 +14,8 @@ from functools import cached_property
 import numpy as np
 from scipy.spatial import cKDTree
 
-from calab.sphere import HarmonicBasis, SphereGrid, build_grid, tangent_frames
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, packed_positions,
+                          tangent_frames)
 
 
 @dataclass(frozen=True)
@@ -190,17 +191,20 @@ class SpectralBody(BodyEvaluator):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
-        B, G, H = self.basis.eval_derivs(u, order=order)
-        f = B @ self.coeffs
+        # contract the frame components with the coefficients, then expand
+        # once: grad h = E (c G) + f u, Hess h = E (c H + f I) E^t / r
+        c = self.coeffs
+        B, G, H, E = self.basis.frame_derivs(u, order=order)
+        f = B @ c
         h = r * f
         if order == 0:
             return (h,)
-        grad = np.einsum("iak,a->ik", G, self.coeffs) + f[:, None] * u
+        grad = (E @ (c @ G)[:, :, None])[:, :, 0] + f[:, None] * u
         if order == 1:
             return h, grad
-        proj = np.eye(self.n)[None] - _outer(u, u)
-        hf = np.einsum("iakl,a->ikl", H, self.coeffs)
-        return h, grad, (hf + f[:, None, None] * proj) / r[:, None, None]
+        q = self.n - 1
+        R = (c @ H)[:, packed_positions(q)] + f[:, None, None] * np.eye(q)
+        return h, grad, E @ R @ E.transpose(0, 2, 1) / r[:, None, None]
 
 
 class LinearImageBody(BodyEvaluator):

@@ -25,8 +25,8 @@ from calab.sphere import (
     hessian_from_coeffs,
     quad_values,
     spectral_tail,
+    tangent_frames,
     tangential_gradient,
-    _sph_frames,
     _angles_from_points,
 )
 
@@ -48,13 +48,6 @@ class CentroAffineState:
         return self.bg.grid.n
 
 
-def _tangential_pinv(tensors: np.ndarray, nodes: np.ndarray) -> np.ndarray:
-    """Inverse on the tangent space of symmetric tensors annihilating the
-    node direction: inv(A + theta theta^t) - theta theta^t."""
-    pad = nodes[:, :, None] * nodes[:, None, :]
-    return np.linalg.inv(tensors + pad) - pad
-
-
 def build_state(bg: BodyOnGrid) -> CentroAffineState:
     if not bg.valid:
         raise ValueError("state requires a strongly convex body on the grid")
@@ -63,7 +56,10 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
     nu_star = bg.h ** (-float(n))
     # grad of log h = tangential part of the boundary point over h
     glh = (bg.x - bg.h[:, None] * bg.grid.nodes) / bg.h[:, None]
-    ginv = bg.h[:, None, None] * _tangential_pinv(bg.D2h, bg.grid.nodes)
+    # g^{-1} = h D2h^+ = h E R^{-1} E^t, R = D2h_frame in the grid frames E
+    E = bg.grid.tangent_frames()
+    ginv = bg.h[:, None, None] * (E @ np.linalg.inv(bg.D2h_frame)
+                                  @ E.transpose(0, 2, 1))
     return CentroAffineState(
         bg=bg,
         nu_density=nu,
@@ -133,21 +129,21 @@ def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
     differentiation would inject representation error into identity checks)."""
     xi = np.asarray(xi, dtype=float)
     bg = state.bg
-    nodes = state.grid.nodes
-    h, x = bg.h, bg.x
-    u = nodes @ xi
+    E = state.grid.tangent_frames()
+    h = bg.h
+    u = state.grid.nodes @ xi
     f = u / h
-    grad = xi[None, :] / h[:, None] - (f / h)[:, None] * x
-    cross = xi[None, :, None] * x[:, None, :]
-    D2f = (
+    # components in the frames E, where D2h is D2h_frame
+    Exi = xi @ E
+    Ex = np.einsum("ikq,ik->iq", E, bg.x)
+    grad = Exi / h[:, None] - (f / h)[:, None] * Ex
+    cross = Exi[:, :, None] * Ex[:, None, :]
+    hess = (
         -(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
-        - (u / h**2)[:, None, None] * bg.D2h
-        + 2.0 * (u / h**3)[:, None, None] * (x[:, :, None] * x[:, None, :])
+        - (u / h**2)[:, None, None] * bg.D2h_frame
+        + 2.0 * (u / h**3)[:, None, None] * (Ex[:, :, None] * Ex[:, None, :])
     )
-    proj = state.grid.tangent_projector()
-    grad = np.einsum("ikl,il->ik", proj, grad)
-    hess = np.einsum("iab,ibc,icd->iad", proj, D2f, proj)
-    return f, grad, hess
+    return f, (E @ grad[:, :, None])[:, :, 0], E @ hess @ E.transpose(0, 2, 1)
 
 
 # ----------------------------------------------------------------------
@@ -163,11 +159,8 @@ def _coord_partials_log_h(body: BodyEvaluator, theta, phi):
     pts = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
     h, xb = body.jet(pts, 1)
     glh = (xb - h[:, None] * pts) / h[:, None]
-    e_th, e_ph = _sph_frames(theta, phi)
-    return (
-        np.einsum("ik,ik->i", glh, e_th),
-        np.einsum("ik,ik->i", glh, e_ph) * st,
-    )
+    comps = np.einsum("ik,ikq->iq", glh, tangent_frames(pts))   # (e_theta, e_phi)
+    return comps[:, 0], comps[:, 1] * st
 
 
 def _sphere_symbols(theta):
@@ -269,9 +262,8 @@ def ricci_star_check(state: CentroAffineState) -> dict:
                     )
 
     # coordinate components of g at the nodes
-    st = np.sin(th)
-    e_th, e_ph = _sph_frames(th, ph)
-    J = np.stack([e_th, st[:, None] * e_ph], axis=-1)  # (P, 3, 2)
+    J = tangent_frames(grid.nodes[keep])     # (e_theta, sin theta e_phi)
+    J[:, :, 1] *= np.sin(th)[:, None]
     gmat = state.bg.g[keep]
     gcoord = np.einsum("ika,ikl,ilb->iab", J, gmat, J)
     dev = np.linalg.norm(ric - (state.n - 2) * gcoord, axis=(1, 2))
@@ -323,16 +315,13 @@ def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
     dirs = xs / r[:, None]
 
     hp, _, Hp = polar_body.jet(dirs, 2)
-    proj = np.eye(grid.n)[None] - dirs[:, :, None] * dirs[:, None, :]
-    D2hp = np.einsum("iab,ibc,icd->iad", proj, Hp, proj)
-    gP = D2hp / hp[:, None, None]
-
-    frames = grid.tangent_frames()
-    # differential of the map theta -> x/|x|: (P_perp/|x|) D2h
-    dM = np.einsum("iab,ibc,icq->iaq",
-                   proj / r[:, None, None], bgK.D2h, frames)
-    gK_f = np.einsum("ikq,ikl,ilr->iqr", frames, bgK.g, frames)
-    gP_f = np.einsum("ikq,ikl,ilr->iqr", dM, gP, dM)
+    R = bgK.D2h_frame
+    # differential of the map theta -> x/|x| on the frame vectors E: the
+    # part of D2h E = E R tangent at x/|x|, over |x|; its radial part is
+    # dropped by Hp, which annihilates x/|x|
+    dM = grid.tangent_frames() @ R / r[:, None, None]
+    gK_f = R / bgK.h[:, None, None]
+    gP_f = dM.transpose(0, 2, 1) @ Hp @ dM / hp[:, None, None]
     num = np.linalg.norm(gP_f - gK_f, axis=(1, 2))
     den = np.linalg.norm(gK_f, axis=(1, 2))
     pull_err = float((num / den)[keep].max())

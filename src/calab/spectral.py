@@ -33,18 +33,12 @@ class GalerkinBasis:
 
     grid: SphereGrid
     degree_max: int
-    parity: str = "all"          # 'all' or 'even-only'
     selection: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.parity not in ("all", "even-only"):
-            raise ValueError("parity must be 'all' or 'even-only'")
         if self.degree_max > self.grid.band_limit:
             raise ValueError("basis band limit exceeds grid band limit")
-        degs = self.grid.basis.degrees
-        keep = degs <= self.degree_max
-        if self.parity == "even-only":
-            keep &= self.grid.basis.parity > 0
+        keep = self.grid.basis.degrees <= self.degree_max
         object.__setattr__(self, "selection", np.flatnonzero(keep))
 
     @property
@@ -71,8 +65,8 @@ class _Rows:
     with G."""
 
     sq: np.ndarray      # sqrt of the row weight w nu (2 w nu for an even body)
-    K: np.ndarray       # (N/2, n-1, n-1), F^t E: g^{-1} = F F^t, E the table frame
-    p: np.ndarray       # (N/2, n-1), F^t grad log h (negated at the antipodes)
+    K: np.ndarray       # (N/2, n-1, n-1), sqrt(h) C^{-1}: K^t K = g^{-1} in E
+    p: np.ndarray       # (N/2, n-1), K E^t grad log h (negated at the antipodes)
     antipodal: bool
 
 
@@ -123,17 +117,6 @@ class SpectrumReport:
 # assembly
 
 
-def _metric_factor(ginv: np.ndarray) -> np.ndarray:
-    """Per-node factor F with g^{-1} = F F^t, shape (N, n, n-1).
-
-    g^{-1} is PSD of rank n-1 (it annihilates the node direction), so of
-    the eigenvector columns scaled by sqrt(eigenvalue) in ascending order
-    only the last n-1 are nonzero; F spans the tangent space."""
-    lam, V = np.linalg.eigh(ginv)
-    lam = np.clip(lam[:, 1:], 0.0, None)
-    return V[:, :, 1:] * np.sqrt(lam)[:, None, :]
-
-
 def _columns(table: np.ndarray, basis: GalerkinBasis) -> np.ndarray:
     """A grid basis table on the basis columns."""
     if basis.size < basis.grid.basis.size:
@@ -164,28 +147,31 @@ def _row_group(state: CentroAffineState, index, scale: float = 1.0,
                antipodal: bool = False) -> _Rows:
     """The rows at the nodes `index`, one per first-half node, at weight
     scale * w * nu."""
-    grid = state.grid
+    grid, bg = state.grid, state.bg
     rho = (grid.weights * state.nu_density)[index]
-    Ft = _metric_factor(state.ginv[index]).transpose(0, 2, 1)    # (N/2, q, n)
-    p = np.einsum("iqk,ik->iq", Ft, state.log_h_gradient.vectors[index])
-    return _Rows(sq=np.sqrt(scale * rho), K=Ft @ grid.table_frames(),
-                 p=-p if antipodal else p, antipodal=antipodal)
+    C = np.linalg.cholesky(bg.D2h_frame[index])
+    K = np.sqrt(bg.h[index])[:, None, None] * np.linalg.inv(C)
+    glh = np.einsum("ikq,ik->iq", grid.tangent_frames()[index],
+                    state.log_h_gradient.vectors[index])
+    p = np.einsum("iqr,ir->iq", K, glh)
+    return _Rows(sq=np.sqrt(scale * rho), K=K, p=-p if antipodal else p,
+                 antipodal=antipodal)
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     """Stiffness and mass matrices of the operator; the Hessian form is
     assembled the first time `hessform` is read.
 
-    Each form is a Gram product X^t X over (node, frame component) rows,
-    contracted in the frame F of g^{-1} = F F^t.  Against the density
-    rho = w h det(D^2 h):
-      stiffness  sum_i rho_i <F^t grad_a, F^t grad_b>,
+    Each form is a Gram product X^t X over (node, frame component) rows.
+    The tables hold the derivatives as components G_a, H_a in the grid's
+    frames E, where D^2 h is R = D2h_frame; with the Cholesky factor
+    R = C C^t and K = sqrt(h) C^{-1}, K^t K = h R^{-1} is g^{-1} in E.
+    Against the density rho = w h det(D^2 h):
+      stiffness  sum_i rho_i <K G_a, K G_b>,
       mass       sum_i rho_i a_i b_i,
-      Hessian    sum_i rho_i <F^t Hess*_a F, F^t Hess*_b F>,
-    where F^t Hess*_a F = F^t H_a F + p (x) t_a + t_a (x) p with
-    t_a = F^t grad_a and p = F^t grad log h.  The tables hold the
-    derivatives as components in the frame E, so F^t grad_a = K G_a and
-    F^t H_a F = K H_a K^t with K = F^t E.
+      Hessian    sum_i rho_i <K Hess*_a K^t, K Hess*_b K^t>,
+    where K Hess*_a K^t = K H_a K^t + p (x) t_a + t_a (x) p with
+    t_a = K G_a and p = K E^t grad log h.
 
     The tables cover the first half of the grid.  For an even body every row
     of a basis function of parity pi at -u is pi times its row at u, so the

@@ -35,15 +35,6 @@ def _angles_from_points(points: np.ndarray, n: int):
     return theta, phi
 
 
-def _sph_frames(theta: np.ndarray, phi: np.ndarray):
-    """Orthonormal tangent frame (e_theta, e_phi) at given spherical angles."""
-    st, ct = np.sin(theta), np.cos(theta)
-    sp, cp = np.sin(phi), np.cos(phi)
-    e_th = np.stack([ct * cp, ct * sp, -st], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return e_th, e_ph
-
-
 def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
     """N P_l^m(cos theta) = Y_l^m(theta, 0), Condon-Shortley phase included,
     for 0 <= m <= l <= L as an (L+1, L+1, T) table that is zero for m > l.
@@ -162,8 +153,8 @@ class HarmonicBasis:
         holds the covariant-Hessian components e_r1^t Hess e_r2 for r1 <= r2,
         which is (tt, tp, pp) at n=3 with e_t, e_p the colatitude and
         longitude directions and the single tt component at n=2 with e_t the
-        counterclockwise tangent.  Derivatives above `order`, and E at
-        order 0, are None.
+        counterclockwise tangent; E is tangent_frames(points).  Derivatives
+        above `order`, and E at order 0, are None.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.n == 2:
@@ -186,8 +177,7 @@ class HarmonicBasis:
         vals = columns(1.0 / np.sqrt(2.0 * np.pi), inv_sqrtpi * c, inv_sqrtpi * s)
         if order == 0:
             return vals, None, None, None
-        tau = np.stack([-np.sin(t), np.cos(t)], axis=-1)
-        frames = tau[:, :, None]
+        frames = tangent_frames(pts)
         grads = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))[:, :, None]
         if order == 1:
             return vals, grads, None, frames
@@ -229,10 +219,7 @@ class HarmonicBasis:
             return vals, None, None, None
         lon_m = np.concatenate([-s, c], axis=1)[:, col]
         dP = _dtheta(P)
-        cp, sp = np.cos(phi), np.sin(phi)
-        e_th = np.stack([z * cp, z * sp, -st], axis=-1)
-        e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-        frames = np.stack([e_th, e_ph], axis=1).transpose(0, 2, 1)  # (P, 3, 2)
+        frames = tangent_frames(pts)
         # components d_theta Y and d_phi Y / sin theta in the frame
         grads = np.stack([columns(dP) * lon, columns(_over_sin(P)) * lon_m],
                          axis=-1)
@@ -295,18 +282,23 @@ def _ambient_hessians(hess: np.ndarray, E: np.ndarray) -> np.ndarray:
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:
-    """Orthonormal tangent frames at unit points, shape (P, n, n-1).
-
-    Built by Householder completion of the point direction; valid at every
-    point (including the poles) but not globally smooth.
-    """
-    pts = np.atleast_2d(points)
-    # Householder vector mapping e_1 to the point direction; the remaining
-    # columns of the reflection span the tangent space
-    v = pts.copy()
-    v[:, 0] += np.where(pts[:, 0] < 0.99, -1.0, 1.0)
-    v /= np.linalg.norm(v, axis=1, keepdims=True)
-    return np.eye(pts.shape[1])[None, :, 1:] - 2.0 * v[:, :, None] * v[:, None, 1:]
+    """Orthonormal tangent frames E (P, n, n-1) at unit points, the frames of
+    HarmonicBasis.frame_derivs: the counterclockwise tangent (-y, x) at n=2,
+    and at n=3 the colatitude and longitude directions (e_theta, e_phi),
+    built from cos theta = z and sin theta = |(x, y)| so that they are
+    defined at the exact poles too (with phi = 0 there)."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    n = pts.shape[1]
+    if n == 2:
+        return np.stack([-pts[:, 1], pts[:, 0]], axis=-1)[:, :, None]
+    if n != 3:
+        raise ValueError(f"tangent frames are built for n=2 and n=3, not n={n}")
+    x, y, z = pts.T
+    phi = np.arctan2(y, x)
+    cp, sp = np.cos(phi), np.sin(phi)
+    e_th = np.stack([z * cp, z * sp, -np.hypot(x, y)], axis=-1)
+    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
+    return np.stack([e_th, e_ph], axis=-1)
 
 
 # ----------------------------------------------------------------------
@@ -336,9 +328,7 @@ class SphereGrid:
         for arr in (self.nodes, self.weights, self.antipodal_index, self.pole_mask):
             arr.setflags(write=False)
         self._tables = None
-        self._table_frames = None
         self._frames = None
-        self._projector = None
 
     @property
     def node_count(self) -> int:
@@ -347,7 +337,7 @@ class SphereGrid:
     def basis_tables(self):
         """(values, gradients, hessians) of the grid basis on the first half
         of the nodes: (N/2, nb), (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the
-        derivatives as components in table_frames() (see
+        derivatives as components in tangent_frames() (see
         HarmonicBasis.frame_derivs).
 
         The antipode -u of a first-half node u reads the rows of u through
@@ -355,35 +345,22 @@ class SphereGrid:
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
         if self._tables is None:
             half = self.node_count // 2
-            *tables, frames = self.basis.frame_derivs(self.nodes[:half], order=2)
-            frames.setflags(write=False)
-            self._tables, self._table_frames = tuple(tables), frames
+            *tables, _ = self.basis.frame_derivs(self.nodes[:half], order=2)
+            self._tables = tuple(tables)
         return self._tables
 
-    def table_frames(self) -> np.ndarray:
-        """Orthonormal tangent frames E (N/2, n, n-1) of basis_tables() at the
-        first half of the nodes; the antipodes use the same frames."""
-        self.basis_tables()
-        return self._table_frames
-
     def tangent_frames(self) -> np.ndarray:
-        """Per-node orthonormal tangent frames, shape (N, n, n-1); see
-        tangent_frames().  Cached, read-only."""
+        """Orthonormal tangent frames E (N, n, n-1): tangent_frames() at the
+        first half of the nodes, and at each antipode its partner's frame,
+        as the basis tables read it.  Cached, read-only."""
         if self._frames is None:
-            frames = tangent_frames(self.nodes)
+            half = self.node_count // 2
+            frames = np.empty((self.node_count, self.n, self.n - 1))
+            frames[:half] = tangent_frames(self.nodes[:half])
+            frames[self.antipodal_index[:half]] = frames[:half]
             frames.setflags(write=False)
             self._frames = frames
         return self._frames
-
-    def tangent_projector(self) -> np.ndarray:
-        """Per-node tangential projectors I - u u^t, shape (N, n, n).  Cached,
-        read-only."""
-        if self._projector is None:
-            nodes = self.nodes
-            proj = np.eye(self.n)[None] - nodes[:, :, None] * nodes[:, None, :]
-            proj.setflags(write=False)
-            self._projector = proj
-        return self._projector
 
     def to_json(self) -> str:
         return json.dumps(
@@ -558,14 +535,16 @@ def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Tangential gradients (N, n) of the field with these coefficients."""
     _, G, _ = grid.basis_tables()
     comps = _antipodal_columns(grid, coeffs, -1.0).T @ G    # (N/2, 2, n-1)
-    return _unfold(grid, _ambient_gradients(comps, grid.table_frames()))
+    E = grid.tangent_frames()[:grid.node_count // 2]
+    return _unfold(grid, _ambient_gradients(comps, E))
 
 
 def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Covariant Hessians (N, n, n) of the field with these coefficients."""
     _, _, H = grid.basis_tables()
     comps = _antipodal_columns(grid, coeffs).T @ H
-    return _unfold(grid, _ambient_hessians(comps, grid.table_frames()))
+    E = grid.tangent_frames()[:grid.node_count // 2]
+    return _unfold(grid, _ambient_hessians(comps, E))
 
 
 def tangential_gradient(field: ScalarField) -> TangentField:

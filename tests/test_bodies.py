@@ -20,7 +20,7 @@ from calab.bodies import (
     quantities,
 )
 from calab.isomorphic import _RoundedGaugeBody
-from calab.sphere import build_grid
+from calab.sphere import HarmonicBasis, build_grid
 
 
 def unit_vectors(rng, count, n):
@@ -132,6 +132,33 @@ def test_frame_hessian_matches_ambient(n, name):
         assert np.abs(h - bg.h).max() <= 1e-13 * bg.h.max()
         assert np.abs(det - bg.sk_density).max() <= 1e-13 * np.abs(det).max()
         assert abs(mn - bg.min_eig_D2h) <= 1e-13 * bg.max_eig_D2h
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_jet_matches_ambient_tables(n):
+    # the jet contracts the frame components with the coefficients before
+    # expanding; oracle: the ambient eval_derivs tables contracted with the
+    # coefficients, with grad h = grad f + f u and
+    # Hess h = (Hess f + f (I - u u^t)) / r, at points off the unit sphere
+    basis = HarmonicBasis(n, 12)
+    rng = np.random.default_rng(n + 20)
+    c = 0.05 * rng.normal(size=basis.size) * np.exp(-0.2 * basis.degrees)
+    c[0] = 3.0
+    body = SpectralBody(n, c, basis)
+    X = np.concatenate([rng.normal(size=(60, n)), 2.5 * np.eye(n), -0.4 * np.eye(n)])
+    r = np.linalg.norm(X, axis=1)
+    u = X / r[:, None]
+    B, G, H = basis.eval_derivs(u, order=2)
+    f = B @ c
+    proj = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
+    ref = (r * f, np.einsum("iak,a->ik", G, c) + f[:, None] * u,
+           (np.einsum("iakl,a->ikl", H, c) + f[:, None, None] * proj)
+           / r[:, None, None])
+    for order in range(3):
+        jet = body.jet(X, order)
+        assert len(jet) == order + 1
+        for got, want in zip(jet, ref):
+            assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
 def test_euler_identity_on_grid():

@@ -29,10 +29,10 @@ from calab.spectral import (
 from calab.sphere import ScalarField, build_grid, synthesize
 
 
-def system_for(body, n, L, **kw):
+def system_for(body, n, L):
     g = build_grid(n, L)
     st = build_state(evaluate_on_grid(body, g))
-    basis = GalerkinBasis(g, L, **kw)
+    basis = GalerkinBasis(g, L)
     return st, assemble(st, basis)
 
 
@@ -111,10 +111,9 @@ def _odd_perturbed_ball(n, L):
     return SpectralBody(n, c, basis)
 
 
-@pytest.mark.parametrize("kw", [{}, {"parity": "even-only"}])
-def test_assembly_matches_einsum_oracle(kw):
-    st, sys_ = system_for(_rotated_ellipsoid(), 3, 16, **kw)
-    assert len(sys_.blocks) == (1 if kw else 2)
+def test_assembly_matches_einsum_oracle():
+    st, sys_ = system_for(_rotated_ellipsoid(), 3, 16)
+    assert len(sys_.blocks) == 2
     for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform),
                       _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()

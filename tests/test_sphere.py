@@ -19,6 +19,7 @@ from calab.sphere import (
     fd_gradient_on_sphere,
     fd_hessian_on_sphere,
     packed_positions,
+    tangent_frames,
     SURFACE_MEASURE,
 )
 
@@ -178,7 +179,7 @@ def _full_ambient_tables(g):
     their frames and unfolded to every node by the basis parity pi:
     B(-u) = pi B(u), G(-u) = -pi G(u), H(-u) = pi H(u)."""
     B, G, H = g.basis_tables()
-    E = g.table_frames()
+    E = g.tangent_frames()[:g.node_count // 2]
     q = g.n - 1
     iu, ju = np.triu_indices(q)
     Hq = np.zeros(H.shape[:2] + (q, q))
@@ -207,7 +208,7 @@ def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
     assert B.shape == (half, nb)
     assert G.shape == (half, nb, n - 1)
     assert H.shape == (half, nb, n * (n - 1) // 2)
-    E = g.table_frames()
+    E = g.tangent_frames()[:half]
     assert np.abs(E.transpose(0, 2, 1) @ E - np.eye(n - 1)).max() < 1e-15
     assert np.abs(np.einsum("ikr,ik->ir", E, g.nodes[:half])).max() < 1e-15
     direct = g.basis.eval_derivs(g.nodes, order=2)
@@ -217,6 +218,52 @@ def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
         err = np.abs(got - ref)
         assert err.max() <= 1e-13 * np.abs(ref).max()
         assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_tangent_frames_are_orthonormal_and_tangent(n):
+    # random points, the coordinate axes and their negatives; at n=3 the
+    # axes include the exact poles (0, 0, +-1)
+    rng = np.random.default_rng(n)
+    pts = rng.normal(size=(1000, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.concatenate([pts, np.eye(n), -np.eye(n)])
+    E = tangent_frames(pts)
+    assert E.shape == (len(pts), n, n - 1)
+    assert np.abs(E.transpose(0, 2, 1) @ E - np.eye(n - 1)).max() <= 1e-15
+    assert np.abs(np.einsum("ikr,ik->ir", E, pts)).max() <= 1e-15
+
+
+def test_tangent_frames_reject_other_dimensions():
+    with pytest.raises(ValueError, match="n=4"):
+        tangent_frames(np.eye(4))
+
+
+@pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
+def test_grid_frames_are_the_table_frames(n, L, n_nodes):
+    # the first half holds the evaluator's frames, bit for bit, and each
+    # antipode its partner's frame; the basis tables are not built for them
+    g = build_grid(n, L, n_nodes=n_nodes)
+    half = g.node_count // 2
+    E = g.tangent_frames()
+    assert E.shape == (g.node_count, n, n - 1)
+    assert np.array_equal(E[g.antipodal_index[:half]], E[:half])
+    assert np.array_equal(E[:half], g.basis.frame_derivs(g.nodes[:half], order=1)[3])
+    assert g._tables is None
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_geometry_does_not_build_basis_tables(n):
+    from calab.bodies import ellipsoid, evaluate_on_grid, perturbed_ball
+    from calab.calculus import build_state
+    from calab.pinching import measure_pinching
+
+    g = build_grid(n, 16)
+    for body in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), perturbed_ball(n, 0.1)):
+        bg = evaluate_on_grid(body, g)
+        build_state(bg)
+        measure_pinching(bg)
+    assert g._tables is None
 
 
 def test_tables_memory_at_L24():
