@@ -175,11 +175,9 @@ class EllipsoidBody(BodyEvaluator):
 class SpectralBody(BodyEvaluator):
     """h restricted to the sphere is a band-limited harmonic expansion."""
 
-    def __init__(self, n: int, coeffs: np.ndarray, basis: HarmonicBasis | None = None,
+    def __init__(self, n: int, coeffs: np.ndarray, basis: HarmonicBasis,
                  label: str = "spectral"):
         coeffs = np.asarray(coeffs, dtype=float)
-        if basis is None:
-            raise ValueError("basis required")
         if len(coeffs) != basis.size:
             raise ValueError("coefficient length does not match basis")
         even = bool(np.all(coeffs[basis.parity < 0] == 0.0))

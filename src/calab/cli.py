@@ -297,6 +297,13 @@ def _solve_target(v):
     t = v["target"]
     if (t["body"] is None) == (t["density_csv"] is None):
         raise ConfigError("solve target needs one of 'body' and 'density_csv'")
+    n, L = v["grid"].n, v["grid"].band_limit
+    if not 0 <= v["band"] <= L:
+        raise ConfigError(f"band must be in 0..{L}, the grid's L")
+    if not -n < t["p"] < 1:
+        raise ConfigError(f"target p must lie in ({-n}, 1)")
+    if v["max_iter"] < 1:
+        raise ConfigError("max_iter must be at least 1")
 
 
 def _cmd_solve(v, threads):

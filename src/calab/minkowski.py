@@ -124,23 +124,22 @@ _NO_DECREASE_STEPS = 50
 
 
 class _EvenModel:
-    """Geometry of h = sum c_a phi_a on the grid, restricted to even degrees.
+    """Geometry of h = sum c_a phi_a over the even basis functions, whose
+    coefficients c are the variable (`even` masks them in the full basis).
 
-    The covariant Hessians of the basis are held as packed components in the
-    evaluator's tangent frames (HarmonicBasis.frame_derivs), so D^2 h at a
-    node is the (n-1)x(n-1) frame matrix R = sum c_a Hess phi_a + h I."""
+    An even h and its frame Hessian read the same at u and -u, so the model
+    reads the grid's tables on the first half of the nodes at weights 2 w:
+    D^2 h at a node is the frame matrix R = sum c_a Hess phi_a + h I."""
 
     def __init__(self, grid: SphereGrid, band: int):
-        if band > grid.band_limit:
-            raise ValueError("solver band exceeds grid band limit")
+        B, _, H = grid.basis_tables(band)
         self.grid = grid
         self.basis = HarmonicBasis(grid.n, band)
         self.even = self.basis.parity > 0
-        B, _, H, _ = self.basis.frame_derivs(grid.nodes, order=2)
-        self.B = B
-        N, nb, q = H.shape
+        self.weights = 2.0 * grid.weights[:len(B)]
+        self.B = B[:, self.even]
         # packed Hessian rows (node, component) against the coefficients
-        self._hess = np.ascontiguousarray(H.transpose(0, 2, 1)).reshape(N * q, nb)
+        self._hess = H[:, self.even].transpose(0, 2, 1).reshape(-1, self.B.shape[1])
         self._unpack = packed_positions(grid.n - 1)
 
     def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
@@ -149,8 +148,9 @@ class _EvenModel:
         return c
 
     def geometry(self, c: np.ndarray):
-        """h, det D2h and the minimum tangential eigenvalue of D2h for
-        coefficients c (None and -inf where h is not positive)."""
+        """h, det D2h and the minimum tangential eigenvalue of D2h at the
+        model's nodes for even coefficients c (None and -inf where h is not
+        positive)."""
         h = self.B @ c
         if np.any(h <= 0):
             return h, None, -np.inf
@@ -161,22 +161,22 @@ class _EvenModel:
         return h, det, float(np.linalg.eigvalsh(R).min())
 
 
-def _value_and_grad(model: _EvenModel, mu: TargetMeasure, p: float,
-                    c: np.ndarray, h, det):
-    """Functional value and gradient w.r.t. even coefficients at V = 1."""
-    w = model.grid.weights
+def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det):
+    """Functional value and gradient w.r.t. even coefficients at V = 1, for
+    the target density f on the model's nodes."""
+    w = model.weights
     n = model.grid.n
     V = float(w @ (h * det)) / n
     dV = model.B.T @ (w * det)  # first variation of volume against S_L
     if p == 0:
-        mass = mu.mass
-        avg = float(w @ (mu.density * np.log(h))) / mass
+        mass = float(w @ f)
+        avg = float(w @ (f * np.log(h))) / mass
         F = np.exp(avg) / V ** (1.0 / n)
-        dE = model.B.T @ (w * mu.density / h) / mass
+        dE = model.B.T @ (w * f / h) / mass
         grad = F * (dE - dV / (n * V))
     else:
-        E = float(w @ (mu.density * h**p)) / p
-        dE = model.B.T @ (w * mu.density * h ** (p - 1.0))
+        E = float(w @ (f * h**p)) / p
+        dE = model.B.T @ (w * f * h ** (p - 1.0))
         F = E / V ** (p / n)
         grad = dE / V ** (p / n) - (p / n) * E * V ** (-p / n - 1.0) * dV
     return F, grad
@@ -200,17 +200,18 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         raise ValueError("p must lie in (-n, 1)")
     model = _EvenModel(grid, opts.band)
 
-    c = model.ball_coeffs() if init is None else np.asarray(init, dtype=float).copy()
-    if len(c) != model.basis.size:
+    init = model.ball_coeffs() if init is None else np.asarray(init, dtype=float)
+    if len(init) != model.basis.size:
         raise ValueError("initial coefficients do not match the solver basis")
-    c[~model.even] = 0.0
+    c = init[model.even]
+    f = mu.density[:len(model.weights)]
 
     h, det, mn = model.geometry(c)
     if det is None or mn <= 0:
         raise ValueError("infeasible initial body")
 
     def renorm(c, h, det):
-        V = float(grid.weights @ (h * det)) / n
+        V = float(model.weights @ (h * det)) / n
         s = V ** (-1.0 / n)
         return c * s, h * s, det * s ** (n - 1), s
 
@@ -218,15 +219,10 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     c, h, det, s = renorm(c, h, det)
     total_scale *= s
 
-    degs = model.basis.degrees.astype(float)
+    degs = model.basis.degrees[model.even].astype(float)
     precond = 1.0 / (1.0 + degs * (degs + n - 2))
 
-    def direction(grad):
-        d = -precond * grad
-        d[~model.even] = 0.0
-        return d
-
-    F, grad = _value_and_grad(model, mu, p, c, h, det)
+    F, grad = _value_and_grad(model, f, p, h, det)
     history = [F]
     step = opts.step0
     iterations = 0
@@ -234,7 +230,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     converged = False
     message = "max iterations reached"
     for iterations in range(1, opts.max_iter + 1):
-        d = direction(grad)
+        d = -precond * grad
         slope = float(grad @ d)
         gnorm = float(np.abs(d).max())
         if gnorm <= opts.gtol * max(abs(F), 1.0):
@@ -247,9 +243,9 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
             cand = c + t * d
             hc, detc, mnc = model.geometry(cand)
             if detc is not None and mnc > opts.eig_floor_factor * np.mean(hc):
-                Fc, gradc = _value_and_grad(model, mu, p, cand, hc, detc)
+                Fc, gradc = _value_and_grad(model, f, p, hc, detc)
                 if -t * slope <= _UNRESOLVED * abs(F):
-                    accepted = float(np.abs(direction(gradc)).max()) < gnorm
+                    accepted = float(np.abs(precond * gradc).max()) < gnorm
                 else:
                     accepted = Fc <= F + 1e-4 * t * slope
                 if accepted:
@@ -262,7 +258,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         c, h, det = cand, hc, detc
         c, h, det, s = renorm(c, h, det)
         total_scale *= s
-        F, grad = _value_and_grad(model, mu, p, c, h, det)
+        F, grad = _value_and_grad(model, f, p, h, det)
         history.append(F)
         step = min(t * 1.5, 4.0)
         if flat >= _NO_DECREASE_STEPS:
@@ -271,12 +267,12 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 
     # Euler-Lagrange certificate: h^{1-p} det D2h proportional to the density
     X = h ** (1.0 - p) * det
-    wts = grid.weights
-    cfit = float((wts * X) @ mu.density) / float((wts * mu.density) @ mu.density)
-    el = float(np.abs(X / (cfit * mu.density) - 1.0).max())
+    wts = model.weights
+    cfit = float((wts * X) @ f) / float((wts * f) @ f)
+    el = float(np.abs(X / (cfit * f) - 1.0).max())
 
     full = np.zeros(model.basis.size)
-    full[:] = c
+    full[model.even] = c
     return SolveResult(
         coeffs=full, band=opts.band, n=n, value=F, el_residual=el,
         iterations=iterations, converged=converged,
@@ -288,24 +284,14 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 # uniqueness probing
 
 
-def _normalized_h(grid: SphereGrid, result: SolveResult) -> np.ndarray:
-    h = result.body.support(grid.nodes)
-    n = grid.n
-    bg = evaluate_on_grid(result.body, grid)
-    V = float(grid.weights @ bg.vk_density)
-    return h * V ** (-1.0 / n)
-
-
 def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
-                     grid: SphereGrid | None = None,
+                     grid: SphereGrid,
                      options: SolveOptions | None = None) -> dict:
     """Minimize from several random feasible starts with mu = S_p K and
-    cluster the minimizers up to scaling.
+    cluster the minimizers, which minimize returns at unit volume.
 
     One cluster is evidence of (not proof of) a unique minimizer."""
     opts = options or SolveOptions()
-    if grid is None:
-        raise ValueError("grid required")
     bg = evaluate_on_grid(bodyK, grid)
     mu = TargetMeasure.from_body(bg, p)
     model = _EvenModel(grid, opts.band)
@@ -320,14 +306,14 @@ def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
         scale = 0.3
         for _ in range(20):
             cand = c + scale * pert
-            _, det, mn = model.geometry(cand)
+            _, det, mn = model.geometry(cand[model.even])
             if det is not None and mn > 1e-4:
                 c = cand
                 break
             scale *= 0.5
         results.append(minimize(mu, p, init=c, options=opts))
 
-    hs = [_normalized_h(grid, r) for r in results]
+    hs = [model.B @ r.coeffs[model.even] for r in results]
     k = len(hs)
     dist = np.zeros((k, k))
     for i in range(k):

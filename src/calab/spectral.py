@@ -29,29 +29,27 @@ from calab.sphere import ScalarField, SphereGrid, analyze
 
 @dataclass(frozen=True)
 class GalerkinBasis:
-    """Selection of grid basis functions used as trial/test space."""
+    """The grid basis functions of degree <= degree_max, the trial/test
+    space: a prefix of the grid basis, which is in degree order."""
 
     grid: SphereGrid
     degree_max: int
-    selection: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        if self.degree_max > self.grid.band_limit:
-            raise ValueError("basis band limit exceeds grid band limit")
-        keep = self.grid.basis.degrees <= self.degree_max
-        object.__setattr__(self, "selection", np.flatnonzero(keep))
+        if not 0 <= self.degree_max <= self.grid.band_limit:
+            raise ValueError(f"degree_max must be in 0..{self.grid.band_limit}")
 
     @property
     def size(self) -> int:
-        return len(self.selection)
+        return int(np.count_nonzero(self.grid.basis.degrees <= self.degree_max))
 
     @property
     def degrees(self) -> np.ndarray:
-        return self.grid.basis.degrees[self.selection]
+        return self.grid.basis.degrees[:self.size]
 
     @property
     def parities(self) -> np.ndarray:
-        return self.grid.basis.parity[self.selection]
+        return self.grid.basis.parity[:self.size]
 
 
 @dataclass(frozen=True)
@@ -115,13 +113,6 @@ class SpectrumReport:
 
 # ----------------------------------------------------------------------
 # assembly
-
-
-def _columns(table: np.ndarray, basis: GalerkinBasis) -> np.ndarray:
-    """A grid basis table on the basis columns."""
-    if basis.size < basis.grid.basis.size:
-        table = table[:, basis.selection]
-    return table
 
 
 def _gram(blocks, groups, parities: np.ndarray, rows_of) -> np.ndarray:
@@ -190,7 +181,7 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
         groups = (_row_group(state, first),
                   _row_group(state, grid.antipodal_index[first], antipodal=True))
         blocks = (np.arange(basis.size),)
-    B, G, _ = (_columns(T, basis) for T in grid.basis_tables())
+    B, G, _ = grid.basis_tables(basis.degree_max)
     par = basis.parities.astype(float)
     S = _gram(blocks, groups, par, lambda r: (r.K * r.sq[:, None, None])
               @ G.transpose(0, 2, 1))
@@ -206,7 +197,7 @@ def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
     Hessians, as one product against the packed components r1 <= r2 of H
     and the components r of G."""
     basis = system.basis
-    _, G, H = (_columns(T, basis) for T in basis.grid.basis_tables())
+    _, G, H = basis.grid.basis_tables(basis.degree_max)
     iu, ju = np.triu_indices(G.shape[2])
     off = np.where(iu == ju, 0.0, 1.0)
 
@@ -400,12 +391,12 @@ def first_eigenspace_deficiency(state: CentroAffineState,
     E = rep.eigenvectors[:, idx]
 
     n = state.n
-    sel = system.basis.selection
+    nb = system.basis.size
     lin = []
     for kk in range(n):
         xi = np.zeros(n)
         xi[kk] = 1.0
-        lin.append(analyze(adapted_linear(state, xi))[sel])
+        lin.append(analyze(adapted_linear(state, xi))[:nb])
     Lmat = np.array(lin).T
 
     M = system.mass

@@ -334,20 +334,28 @@ class SphereGrid:
     def node_count(self) -> int:
         return len(self.weights)
 
-    def basis_tables(self):
-        """(values, gradients, hessians) of the grid basis on the first half
-        of the nodes: (N/2, nb), (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the
-        derivatives as components in tangent_frames() (see
-        HarmonicBasis.frame_derivs).
+    def basis_tables(self, band: int | None = None):
+        """(values, gradients, hessians) of the basis of degree <= band
+        (default the grid's) on the first half of the nodes: (N/2, nb),
+        (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the derivatives as components
+        in tangent_frames() (see HarmonicBasis.frame_derivs).  The basis is
+        in degree order and its column recurrences do not depend on the band,
+        so these are views of the first nb columns of the cached tables,
+        which are rebuilt at `band` only when they have fewer columns.
 
         The antipode -u of a first-half node u reads the rows of u through
         the basis parity pi, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
-        if self._tables is None:
+        band = self.band_limit if band is None else band
+        if not 0 <= band <= self.band_limit:
+            raise ValueError(f"band {band} must be in 0..{self.band_limit}")
+        nb = int(np.count_nonzero(self.basis.degrees <= band))
+        if self._tables is None or self._tables[0].shape[1] < nb:
             half = self.node_count // 2
-            *tables, _ = self.basis.frame_derivs(self.nodes[:half], order=2)
+            *tables, _ = HarmonicBasis(self.n, band).frame_derivs(
+                self.nodes[:half], order=2)
             self._tables = tuple(tables)
-        return self._tables
+        return tuple(T[:, :nb] for T in self._tables)
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N, n, n-1): tangent_frames() at the

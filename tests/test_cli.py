@@ -168,6 +168,24 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                            "body": {"type": "perturbed_ball",
                                     "coeffs": [[4, 0, 1.0], [2, 3, 0.5]]}},
                  id="perturbed_ball_bad_order"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16}, "band": 20,
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_band_above_L"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16}, "band": -1,
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_band_negative"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16},
+                           "target": {"p": 1.5, "body": {"type": "ball"}}},
+                 id="solve_p_above_1"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16},
+                           "target": {"p": -2.0, "body": {"type": "ball"}}},
+                 id="solve_p_at_minus_n"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16}, "max_iter": -3,
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_max_iter_negative"),
+    pytest.param("solve", {"grid": {"n": 2, "L": 16}, "max_iter": 0,
+                           "target": {"p": 0.0, "body": {"type": "ball"}}},
+                 id="solve_max_iter_zero"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)

@@ -3,7 +3,13 @@
 import numpy as np
 import pytest
 
-from calab.bodies import ball, ellipsoid, evaluate_on_grid, random_even_body
+from calab.bodies import (
+    ball,
+    ellipsoid,
+    evaluate_on_grid,
+    quantities,
+    random_even_body,
+)
 from calab.minkowski import (
     SolveOptions,
     TargetMeasure,
@@ -145,6 +151,20 @@ def test_minimize_converges_past_roundoff_stalls(grid):
         assert res.el_residual < 1e-4
 
 
+def test_minimize_on_half_grid_tables_returns_unit_volume():
+    # the model reads the grid's tables at the solver band on N/2 nodes, at
+    # weights 2 w: the solution has unit volume on the whole grid
+    g = build_grid(2, 62, n_nodes=256)
+    mu = TargetMeasure.from_body(evaluate_on_grid(ellipsoid(np.diag([1.5, 1.0])), g),
+                                 0.5)
+    assert g._tables is None
+    res = minimize(mu, 0.5, options=SolveOptions(band=16))
+    assert res.converged
+    for T in g._tables:
+        assert T.shape[:2] == (g.node_count // 2, 33)
+    assert abs(quantities(evaluate_on_grid(res.body, g)).volume - 1.0) <= 1e-13
+
+
 def test_minimize_rejects_infeasible_init(grid, lebesgue):
     from calab.minkowski import _EvenModel
 
@@ -186,6 +206,12 @@ def test_uniqueness_probe_negative_p_recorded(grid):
                            seed=5, grid=grid)
     assert res["clusters"] >= 1
     assert res["pairwise_sup_distances"].shape == (4, 4)
+    # the probe compares the unit-volume minimizers on the half grid: the
+    # sup distances of their support functions over the whole grid
+    hs = [r.body.support(grid.nodes) for r in res["results"]]
+    for i, j in zip(*np.triu_indices(4, 1)):
+        ref = np.abs(hs[i] - hs[j]).max() / np.mean(hs[i])
+        assert abs(res["pairwise_sup_distances"][i, j] - ref) <= 1e-13
 
 
 def test_probe_determinism(grid):

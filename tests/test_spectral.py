@@ -75,8 +75,8 @@ def _einsum_assembly(state, basis):
     Hessians, from a direct evaluation of the basis (not the grid's tables)."""
     grid = state.grid
     B, G, H = grid.basis.eval_derivs(grid.nodes, order=2)
-    sel = basis.selection
-    B, G, H = B[:, sel], G[:, sel, :], H[:, sel, :, :]
+    nb = basis.size
+    B, G, H = B[:, :nb], G[:, :nb, :], H[:, :nb, :, :]
     rho = state.grid.weights * state.nu_density
     sq = np.sqrt(rho)
     lam, V = np.linalg.eigh(state.ginv)
@@ -212,8 +212,39 @@ def test_hessform_built_only_when_read(monkeypatch):
 
 def test_basis_band_limit_capped_by_grid():
     g = build_grid(2, 8)
-    with pytest.raises(ValueError):
-        GalerkinBasis(g, 16)
+    for band in (16, 9, -1):
+        with pytest.raises(ValueError, match="0..8"):
+            GalerkinBasis(g, band)
+
+
+@pytest.mark.parametrize("n,L,band,even", [(2, 16, 9, True), (2, 16, 9, False),
+                                           (3, 12, 7, True), (3, 12, 7, False)])
+def test_sub_band_system_is_leading_block_of_full_band(n, L, band, even):
+    # the band-b forms read the first nb columns of the same tables, so they
+    # are the leading principal block of the full-band forms
+    if even:
+        body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
+    else:
+        body = _odd_perturbed_ball(n, L)
+    st, full = system_for(body, n, L)
+    sub = assemble(st, GalerkinBasis(st.grid, band))
+    nb = sub.basis.size
+    assert nb == int((st.grid.basis.degrees <= band).sum()) < full.basis.size
+    for name in ("stiffness", "mass", "hessform"):
+        A, ref = getattr(sub, name), getattr(full, name)[:nb, :nb]
+        assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max(), name
+
+
+def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
+    # band 16 on an L=48 grid: tables hold the 289 band-16 columns, not the
+    # grid's 2401, and the value is that of the L=24 grid
+    body = perturbed_ball(3, 0.1)
+    g = build_grid(3, 48)
+    rep = spectrum_of_body(body, g, degree_max=16)
+    half = g.node_count // 2
+    assert sum(T.nbytes for T in g._tables) <= half * 289 * 6 * 8
+    ref = spectrum_of_body(body, build_grid(3, 24), degree_max=16)
+    assert abs(rep.lambda1_even - ref.lambda1_even) <= 1e-10
 
 
 # ---------------------------------------------------------------------------

@@ -272,6 +272,33 @@ def test_tables_memory_at_L24():
     assert sum(T.nbytes for T in g.basis_tables()) <= 676 * 625 * 6 * 8
 
 
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
+def test_band_tables_are_prefix_columns_of_full_tables(n, L):
+    full = build_grid(n, L).basis_tables()
+    g = build_grid(n, L)
+    half = g.node_count // 2
+    if n == 3:   # the rows include a ring nearest the poles
+        z = np.abs(g.nodes[:, 2])
+        assert z[:half].max() == z.max()
+    for band in (0, 1, 5, L):
+        nb = int((g.basis.degrees <= band).sum())
+        tables = g.basis_tables(band)
+        for T, ref in zip(tables, full):
+            assert T.shape[:2] == (half, nb)
+            assert np.array_equal(T, ref[:, :nb])
+        # a smaller band afterwards is a view of the cached tables
+        assert all(np.shares_memory(S, T) for S, T in
+                   zip(g.basis_tables(band // 2), tables))
+
+
+def test_band_tables_reject_bands_outside_the_grid():
+    g = build_grid(2, 8)
+    for band in (-1, 9):
+        with pytest.raises(ValueError, match="0..8"):
+            g.basis_tables(band)
+    assert g._tables is None
+
+
 def test_grid_with_unequal_antipodal_weights_is_rejected():
     g = build_grid(2, 8)
     w = g.weights.copy()
