@@ -9,13 +9,12 @@ Firey sums and polars compose evaluators exactly, without resampling.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, packed_positions,
-                          tangent_frames)
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, tangent_frames,
+                          to_ambient, unpack_sym)
 
 
 @dataclass(frozen=True)
@@ -73,7 +72,7 @@ class BodyEvaluator:
     def _fd_grad(self, X, step: float = 1e-5) -> np.ndarray:
         pts = _as_points(X, self.n)
 
-        def g(h):
+        def central(h):
             out = np.empty_like(pts)
             for j in range(self.n):
                 e = np.zeros(self.n)
@@ -81,7 +80,7 @@ class BodyEvaluator:
                 out[:, j] = (self.support(pts + e) - self.support(pts - e)) / (2 * h)
             return out
 
-        grad = (4.0 * g(step / 2.0) - g(step)) / 3.0
+        grad = (4.0 * central(step / 2.0) - central(step)) / 3.0
         # enforce the Euler identity <x, grad> = h exactly
         r2 = np.einsum("ij,ij->i", pts, pts)
         rad = np.einsum("ij,ij->i", grad, pts)
@@ -197,12 +196,11 @@ class SpectralBody(BodyEvaluator):
         h = r * f
         if order == 0:
             return (h,)
-        grad = (E @ (c @ G)[:, :, None])[:, :, 0] + f[:, None] * u
+        grad = to_ambient(E, c @ G, 1) + f[:, None] * u
         if order == 1:
             return h, grad
-        q = self.n - 1
-        R = (c @ H)[:, packed_positions(q)] + f[:, None, None] * np.eye(q)
-        return h, grad, E @ R @ E.transpose(0, 2, 1) / r[:, None, None]
+        R = unpack_sym(c @ H) + f[:, None, None] * np.eye(self.n - 1)
+        return h, grad, to_ambient(E, R, 2) / r[:, None, None]
 
 
 class LinearImageBody(BodyEvaluator):
@@ -628,8 +626,8 @@ def polar(body: BodyEvaluator, grid: SphereGrid) -> BodyEvaluator:
 class BodyOnGrid:
     """A body sampled on a grid.  The tangential Hessian is held as
     D2h_frame = F^t D^2h F in the grid's tangent frames F
-    (grid.tangent_frames()); the ambient D2h and g are built from it on
-    first read."""
+    (grid.tangent_frames()); the centro-affine metric in those frames is
+    D2h_frame / h."""
 
     body: BodyEvaluator
     grid: SphereGrid
@@ -647,18 +645,6 @@ class BodyOnGrid:
     @property
     def n(self) -> int:
         return self.grid.n
-
-    @cached_property
-    def D2h(self) -> np.ndarray:
-        """Tangential Hessian of h as ambient matrices F R F^t, (N, n, n)."""
-        F = self.grid.tangent_frames()
-        D2h = F @ self.D2h_frame @ F.transpose(0, 2, 1)
-        return 0.5 * (D2h + D2h.transpose(0, 2, 1))
-
-    @cached_property
-    def g(self) -> np.ndarray:
-        """Centro-affine metric D2h / h, ambient matrices."""
-        return self.D2h / self.h[:, None, None]
 
 
 def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,

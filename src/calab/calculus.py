@@ -6,6 +6,11 @@ Hessian, the induced Laplacian), the duality map, and the constant-Ricci
 check.  The primal connection is never assembled; everything routes through
 the conjugate side and the metric, which keeps third derivatives of h out of
 the numerics.
+
+Every tensor is held and contracted as components in the grid frames
+E = grid.tangent_frames(): (N, n-1) vectors and (N, n-1, n-1) matrices, where
+D^2h is R = D2h_frame and g = R/h.  Only the public ambient output
+conjugate_hessian expands them to ambient n x n matrices (sphere.to_ambient).
 """
 
 from __future__ import annotations
@@ -18,7 +23,6 @@ from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
 from calab.sphere import (
     TAIL_WARNING,
     ScalarField,
-    TangentField,
     TangentTensorField,
     analyze,
     gradient_from_coeffs,
@@ -26,7 +30,7 @@ from calab.sphere import (
     quad_values,
     spectral_tail,
     tangent_frames,
-    tangential_gradient,
+    to_ambient,
     _angles_from_points,
 )
 
@@ -36,8 +40,8 @@ class CentroAffineState:
     bg: BodyOnGrid
     nu_density: np.ndarray        # h * det D^2 h (primal volume density)
     nu_star_density: np.ndarray   # h^{-n} (dual volume density)
-    log_h_gradient: TangentField
-    ginv: np.ndarray              # (N, n, n) tangential inverse metric
+    grad_log_h: np.ndarray        # (N, n-1) grad log h in the frames, E^t x / h
+    ginv: np.ndarray              # (N, n-1, n-1) inverse metric h R^{-1}
 
     @property
     def grid(self):
@@ -52,20 +56,15 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
     if not bg.valid:
         raise ValueError("state requires a strongly convex body on the grid")
     n = bg.grid.n
-    nu = bg.h * bg.sk_density
-    nu_star = bg.h ** (-float(n))
-    # grad of log h = tangential part of the boundary point over h
-    glh = (bg.x - bg.h[:, None] * bg.grid.nodes) / bg.h[:, None]
-    # g^{-1} = h D2h^+ = h E R^{-1} E^t, R = D2h_frame in the grid frames E
-    E = bg.grid.tangent_frames()
-    ginv = bg.h[:, None, None] * (E @ np.linalg.inv(bg.D2h_frame)
-                                  @ E.transpose(0, 2, 1))
+    h = bg.h
+    # grad log h = tangential part of the boundary point x over h
+    Ex = np.einsum("ikq,ik->iq", bg.grid.tangent_frames(), bg.x)
     return CentroAffineState(
         bg=bg,
-        nu_density=nu,
-        nu_star_density=nu_star,
-        log_h_gradient=TangentField(bg.grid, glh),
-        ginv=ginv,
+        nu_density=h * bg.sk_density,
+        nu_star_density=h ** (-float(n)),
+        grad_log_h=Ex / h[:, None],
+        ginv=h[:, None, None] * np.linalg.inv(bg.D2h_frame),
     )
 
 
@@ -75,44 +74,50 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
 
 def _conjugate_hessian_arrays(state: CentroAffineState, grad: np.ndarray,
                               hess: np.ndarray) -> np.ndarray:
-    glh = state.log_h_gradient.vectors
-    cross = glh[:, :, None] * grad[:, None, :]
+    """Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h), from the
+    frame gradient and Hessian of f."""
+    cross = state.grad_log_h[:, :, None] * grad[:, None, :]
     return hess + cross + cross.transpose(0, 2, 1)
 
 
-def conjugate_hessian(state: CentroAffineState, f: ScalarField) -> TangentTensorField:
-    """Hessian of f for the conjugate connection:
-    Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h)."""
+def _conjugate_derivs(state: CentroAffineState, f: ScalarField):
+    """(c, grad f, Hess* f): the coefficients of f, and its gradient and
+    conjugate Hessian in the frames, from one analysis of f."""
     c = analyze(f)
-    tens = _conjugate_hessian_arrays(state, gradient_from_coeffs(f.grid, c),
-                                     hessian_from_coeffs(f.grid, c))
-    return TangentTensorField(state.grid, tens,
+    grad = gradient_from_coeffs(f.grid, c)
+    return c, grad, _conjugate_hessian_arrays(state, grad,
+                                              hessian_from_coeffs(f.grid, c))
+
+
+def conjugate_hessian(state: CentroAffineState, f: ScalarField) -> TangentTensorField:
+    """Hessian of f for the conjugate connection, as ambient matrices:
+    Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h)."""
+    c, _, Hs = _conjugate_derivs(state, f)
+    grid = state.grid
+    return TangentTensorField(grid, to_ambient(grid.tangent_frames(), Hs, 2),
                               tail_warning=spectral_tail(f, c) > TAIL_WARNING)
 
 
-def _hbm_arrays(state: CentroAffineState, grad: np.ndarray,
-                hess: np.ndarray) -> np.ndarray:
-    Hs = _conjugate_hessian_arrays(state, grad, hess)
+def _hbm_arrays(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
+    """tr(g^{-1} Hess* f) per node, from the frame conjugate Hessian."""
     return np.einsum("ikl,ilk->i", state.ginv, Hs)
 
 
 def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
     """The Hilbert-Brunn-Minkowski operator: trace of Hess* f in the metric,
     from one analysis of f."""
-    c = analyze(f)
-    return ScalarField.from_values(state.grid, _hbm_arrays(
-        state, gradient_from_coeffs(f.grid, c), hessian_from_coeffs(f.grid, c)))
+    _, _, Hs = _conjugate_derivs(state, f)
+    return ScalarField.from_values(state.grid, _hbm_arrays(state, Hs))
 
 
-def grad_norm_sq(state: CentroAffineState, f: ScalarField) -> np.ndarray:
-    """|grad_g f|^2 = g^{ij} f_i f_j per node."""
-    df = tangential_gradient(f).vectors
-    return np.einsum("ik,ikl,il->i", df, state.ginv, df)
+def grad_norm_sq(state: CentroAffineState, grad: np.ndarray) -> np.ndarray:
+    """|grad_g f|^2 = g^{ij} f_i f_j per node, from the frame gradient of f."""
+    return np.einsum("ik,ikl,il->i", grad, state.ginv, grad)
 
 
-def hess_norm_sq(state: CentroAffineState, f: ScalarField) -> np.ndarray:
-    """||Hess* f||_g^2 = tr(g^{-1} Hess* g^{-1} Hess*) per node."""
-    Hs = conjugate_hessian(state, f).tensors
+def hess_norm_sq(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
+    """||Hess* f||_g^2 = tr(g^{-1} Hess* g^{-1} Hess*) per node, from the
+    frame conjugate Hessian of f."""
     M = np.einsum("ikl,ilm->ikm", state.ginv, Hs)
     return np.einsum("ikl,ilk->i", M, M)
 
@@ -124,26 +129,22 @@ def adapted_linear(state: CentroAffineState, xi: np.ndarray) -> ScalarField:
 
 
 def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
-    """Values, tangential gradient, and covariant Hessian of <theta,xi>/h in
+    """Values, frame gradient, and frame covariant Hessian of <theta,xi>/h in
     closed form (the field is analytic but not band-limited, so spectral
-    differentiation would inject representation error into identity checks)."""
-    xi = np.asarray(xi, dtype=float)
-    bg = state.bg
-    E = state.grid.tangent_frames()
-    h = bg.h
-    u = state.grid.nodes @ xi
-    f = u / h
-    # components in the frames E, where D2h is D2h_frame
-    Exi = xi @ E
-    Ex = np.einsum("ikq,ik->iq", E, bg.x)
-    grad = Exi / h[:, None] - (f / h)[:, None] * Ex
-    cross = Exi[:, :, None] * Ex[:, None, :]
-    hess = (
-        -(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
-        - (u / h**2)[:, None, None] * bg.D2h_frame
-        + 2.0 * (u / h**3)[:, None, None] * (Ex[:, :, None] * Ex[:, None, :])
-    )
-    return f, (E @ grad[:, :, None])[:, :, 0], E @ hess @ E.transpose(0, 2, 1)
+    differentiation would inject representation error into identity checks).
+
+    With f = <theta, xi>/h, e = E^t xi / h and l = grad log h:
+    grad f = e - f l and Hess f = -(e (x) l + l (x) e) - f R/h + 2 f l (x) l."""
+    h = state.bg.h
+    f = (state.grid.nodes @ np.asarray(xi, dtype=float)) / h
+    e = (np.asarray(xi, dtype=float) @ state.grid.tangent_frames()) / h[:, None]
+    glh = state.grad_log_h
+    cross = e[:, :, None] * glh[:, None, :]
+    fr = f[:, None, None]
+    hess = (-(cross + cross.transpose(0, 2, 1))
+            - fr * state.bg.D2h_frame / h[:, None, None]
+            + 2.0 * fr * (glh[:, :, None] * glh[:, None, :]))
+    return f, e - f[:, None] * glh, hess
 
 
 # ----------------------------------------------------------------------
@@ -261,11 +262,14 @@ def ricci_star_check(state: CentroAffineState) -> dict:
                         - G0[:, j, p, i] * G0[:, i, k, p]
                     )
 
-    # coordinate components of g at the nodes
-    J = tangent_frames(grid.nodes[keep])     # (e_theta, sin theta e_phi)
+    # coordinate components of g = E (R/h) E^t at the nodes: J E (R/h) (J E)^t
+    # with J the coordinate vectors (e_theta, sin theta e_phi) of the node's
+    # own frame; E is the grid frame, at an antipode its partner's
+    J = tangent_frames(grid.nodes[keep])
     J[:, :, 1] *= np.sin(th)[:, None]
-    gmat = state.bg.g[keep]
-    gcoord = np.einsum("ika,ikl,ilb->iab", J, gmat, J)
+    JE = np.einsum("ika,ikr->iar", J, grid.tangent_frames()[keep])
+    gframe = state.bg.D2h_frame[keep] / state.bg.h[keep, None, None]
+    gcoord = JE @ gframe @ JE.transpose(0, 2, 1)
     dev = np.linalg.norm(ric - (state.n - 2) * gcoord, axis=(1, 2))
     scale = np.linalg.norm(gcoord, axis=(1, 2))
     rel = dev / scale
@@ -341,12 +345,12 @@ def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> 
     g(grad f, grad(Lf)) + (n-2)|grad f|^2 + ||Hess* f||^2 against nu vanishes.
     Returns the residual relative to the largest term."""
     w = state.grid.weights * state.nu_density
-    Lf = hbm_apply(state, f)
-    df = tangential_gradient(f).vectors
-    dLf = tangential_gradient(Lf).vectors
+    _, df, Hs = _conjugate_derivs(state, f)
+    Lf = ScalarField.from_values(state.grid, _hbm_arrays(state, Hs))
+    dLf = gradient_from_coeffs(state.grid, analyze(Lf))
     t1 = float(w @ np.einsum("ik,ikl,il->i", df, state.ginv, dLf))
-    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, f)))
-    t3 = float(w @ hess_norm_sq(state, f))
+    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
+    t3 = float(w @ hess_norm_sq(state, Hs))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0
@@ -377,18 +381,15 @@ def state_diagnostics(state: CentroAffineState) -> list[dict]:
     i = int(np.argmax(err))
     out.append({"name": "measure_conjugacy", "max_error": float(err[i]), "node": i})
 
+    g = state.bg.D2h_frame / state.bg.h[:, None, None]
     errs = []
     for k in range(n):
         xi = np.zeros(n)
         xi[k] = 1.0
         fv, grad, hess = adapted_linear_derivs(state, xi)
         Hs = _conjugate_hessian_arrays(state, grad, hess)
-        target = -fv[:, None, None] * state.bg.g
-        e = np.linalg.norm(Hs - target, axis=(1, 2))
-        errs.append(e)
-    e = np.max(errs, axis=0) / np.maximum(
-        np.linalg.norm(state.bg.g, axis=(1, 2)), 1e-300
-    )
+        errs.append(np.linalg.norm(Hs + fv[:, None, None] * g, axis=(1, 2)))
+    e = np.max(errs, axis=0) / np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
     i = int(np.argmax(e))
     out.append({"name": "adapted_linear_hessian", "max_error": float(e[i]), "node": i})
     return out

@@ -163,8 +163,9 @@ def _body(raw, where, top):
 
 
 def _density_csv(path, where, top):
-    """Density values from a CSV with columns ``node,value``, placed by node;
-    the node indices must be exactly 0..N-1 of the grid, in any order."""
+    """The target measure of a CSV with columns ``node,value``, placed by
+    node; the node indices must be exactly 0..N-1 of the grid, in any order,
+    and the values a valid density (positive and even)."""
     count = top["grid"].node_count
     try:
         with open(_read(str, path, where, top), newline="") as fh:
@@ -177,7 +178,10 @@ def _density_csv(path, where, top):
         raise ConfigError(f"{where} nodes must be exactly 0..{count - 1}")
     density = np.empty(count)
     density[nodes] = values
-    return density
+    try:
+        return TargetMeasure.from_density(top["grid"], density)
+    except ValueError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
 
 
 # ----------------------------------------------------------------------
@@ -246,14 +250,23 @@ def _cmd_pinch(v, threads):
 
 
 def _spectrum_ranges(v):
-    """degree_max within 0..L of the grid, k within 1..the basis size."""
-    L = v["grid"].band_limit
+    """degree_max within 0..L of the grid, k within 1..the dimension of the
+    subspace: the basis size, or its even columns but the constant."""
+    basis = v["grid"].basis
+    L = basis.L
     if v["degree_max"] is not None and not 0 <= v["degree_max"] <= L:
         raise ConfigError(f"degree_max must be in 0..{L}, the grid's L")
     band = L if v["degree_max"] is None else v["degree_max"]
-    size = int((v["grid"].basis.degrees <= band).sum())
+    cols = basis.degrees <= band
+    if v["subspace"] == "even-nonconstant":
+        size = int((cols & (basis.parity > 0)).sum()) - 1
+    else:
+        size = int(cols.sum())
+    if size < 1:
+        raise ConfigError(f"subspace {v['subspace']} is empty at degree_max {band}")
     if not 1 <= v["k"] <= size:
-        raise ConfigError(f"k must be in 1..{size}, the basis size")
+        raise ConfigError(f"k must be in 1..{size}, the dimension of subspace "
+                          f"{v['subspace']}")
 
 
 def _isomorphic_alpha(v):
@@ -312,7 +325,7 @@ def _cmd_solve(v, threads):
     if target["body"] is not None:
         mu = TargetMeasure.from_body(evaluate_on_grid(target["body"], grid), p)
     else:
-        mu = TargetMeasure.from_density(grid, target["density_csv"])
+        mu = target["density_csv"]
     res = minimize(mu, p, options=SolveOptions(band=v["band"],
                                                max_iter=v["max_iter"]))
     checks = [_check("converged", float(res.converged), 1.0, 0.0, res.converged),

@@ -66,6 +66,24 @@ def predicted_params(n: int, alpha: float, beta: float, D: float) -> IsoParams:
     )
 
 
+def _sandwich(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
+              certificate: tuple[float, float] | None) -> tuple[float, float]:
+    """(r_in, D = R_out/r_in) of the certificate (r_in, R_out), read off the
+    support values on the grid when not given, after checking that alpha and
+    beta are positive, the support is positive and 0 < r_in <= R_out."""
+    if alpha <= 0 or beta <= 0:
+        raise ValueError("alpha and beta must be positive")
+    h = bodyK.support(grid.nodes)
+    if not np.all(np.isfinite(h)) or np.any(h <= 0):
+        raise ValueError("sandwich certificate absent: support not positive")
+    if certificate is None:
+        certificate = (float(h.min()), float(h.max()))
+    r_in, R_out = certificate
+    if r_in <= 0 or R_out < r_in:
+        raise ValueError("invalid sandwich certificate")
+    return r_in, R_out / r_in
+
+
 def construct(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
               gauge: str = "auto",
               certificate: tuple[float, float] | None = None,
@@ -81,17 +99,7 @@ def construct(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
     goes through the polar of the support function, 'auto' prefers closed
     form when the family has one.
     """
-    if alpha <= 0 or beta <= 0:
-        raise ValueError("alpha and beta must be positive")
-    h = bodyK.support(grid.nodes)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        raise ValueError("sandwich certificate absent: support not positive")
-    if certificate is None:
-        certificate = (float(h.min()), float(h.max()))
-    r_in, R_out = certificate
-    if r_in <= 0 or R_out < r_in:
-        raise ValueError("invalid sandwich certificate")
-    D = R_out / r_in
+    r_in, D = _sandwich(bodyK, grid, alpha, beta, certificate)
     scaled = linear_image(bodyK, np.eye(grid.n) / r_in)
 
     if gauge == "numeric":
@@ -151,12 +159,9 @@ def direct_route_support(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float,
 
     Ellipsoids are fully closed-form (the rounded gauge is again a quadratic
     gauge, so no polar solve at all); other gauge families go through a
-    hand-written rounded-gauge evaluator and a single polar solve."""
-    h = bodyK.support(grid.nodes)
-    if certificate is None:
-        certificate = (float(h.min()), float(h.max()))
-    r_in, R_out = certificate
-    D = R_out / r_in
+    hand-written rounded-gauge evaluator and a single polar solve.  Inputs
+    are checked as in construct."""
+    r_in, D = _sandwich(bodyK, grid, alpha, beta, certificate)
     c = alpha / D
     if isinstance(bodyK, EllipsoidBody):
         A = bodyK.A / r_in

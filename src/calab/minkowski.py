@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
-from calab.sphere import HarmonicBasis, ScalarField, SphereGrid, packed_positions
+from calab.sphere import HarmonicBasis, ScalarField, SphereGrid, unpack_sym
 
 
 @dataclass(frozen=True)
@@ -140,7 +140,6 @@ class _EvenModel:
         self.B = B[:, self.even]
         # packed Hessian rows (node, component) against the coefficients
         self._hess = H[:, self.even].transpose(0, 2, 1).reshape(-1, self.B.shape[1])
-        self._unpack = packed_positions(grid.n - 1)
 
     def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
         c = np.zeros(self.basis.size)
@@ -154,7 +153,7 @@ class _EvenModel:
         h = self.B @ c
         if np.any(h <= 0):
             return h, None, -np.inf
-        R = (self._hess @ c).reshape(len(h), -1)[:, self._unpack]
+        R = unpack_sym((self._hess @ c).reshape(len(h), -1))
         diag = np.arange(self.grid.n - 1)
         R[:, diag, diag] += h[:, None]
         det = np.linalg.det(R)

@@ -17,7 +17,7 @@ from scipy.optimize import minimize as scipy_minimize
 from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
 from calab.calculus import build_state
 from calab.spectral import GalerkinBasis, assemble, solve_spectrum
-from calab.sphere import SphereGrid, packed_positions
+from calab.sphere import SphereGrid, unpack_sym
 
 
 @dataclass(frozen=True)
@@ -81,7 +81,7 @@ def measure_pinching(bg: BodyOnGrid) -> PinchingReport:
 
 def _sym_from_vec(z: np.ndarray, n: int) -> np.ndarray:
     """Traceless symmetric matrix from its upper triangle, row by row."""
-    S = np.asarray(z, dtype=float)[packed_positions(n)]
+    S = unpack_sym(np.asarray(z, dtype=float))
     return S - np.trace(S) / n * np.eye(n)
 
 

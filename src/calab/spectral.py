@@ -18,10 +18,11 @@ import scipy.linalg
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
 from calab.calculus import (
     CentroAffineState,
+    _conjugate_derivs,
+    _hbm_arrays,
     adapted_linear,
     build_state,
     grad_norm_sq,
-    hbm_apply,
     hess_norm_sq,
 )
 from calab.sphere import ScalarField, SphereGrid, analyze
@@ -64,7 +65,7 @@ class _Rows:
 
     sq: np.ndarray      # sqrt of the row weight w nu (2 w nu for an even body)
     K: np.ndarray       # (N/2, n-1, n-1), sqrt(h) C^{-1}: K^t K = g^{-1} in E
-    p: np.ndarray       # (N/2, n-1), K E^t grad log h (negated at the antipodes)
+    p: np.ndarray       # (N/2, n-1), K grad log h (negated at the antipodes)
     antipodal: bool
 
 
@@ -142,9 +143,7 @@ def _row_group(state: CentroAffineState, index, scale: float = 1.0,
     rho = (grid.weights * state.nu_density)[index]
     C = np.linalg.cholesky(bg.D2h_frame[index])
     K = np.sqrt(bg.h[index])[:, None, None] * np.linalg.inv(C)
-    glh = np.einsum("ikq,ik->iq", grid.tangent_frames()[index],
-                    state.log_h_gradient.vectors[index])
-    p = np.einsum("iqr,ir->iq", K, glh)
+    p = np.einsum("iqr,ir->iq", K, state.grad_log_h[index])
     return _Rows(sq=np.sqrt(scale * rho), K=K, p=-p if antipodal else p,
                  antipodal=antipodal)
 
@@ -162,7 +161,7 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
       mass       sum_i rho_i a_i b_i,
       Hessian    sum_i rho_i <K Hess*_a K^t, K Hess*_b K^t>,
     where K Hess*_a K^t = K H_a K^t + p (x) t_a + t_a (x) p with
-    t_a = K G_a and p = K E^t grad log h.
+    t_a = K G_a and p = K grad log h, grad log h in E.
 
     The tables cover the first half of the grid.  For an even body every row
     of a basis function of parity pi at -u is pi times its row at u, so the
@@ -334,10 +333,10 @@ def bochner_residual(state: CentroAffineState, f: ScalarField) -> float:
     """Relative residual of the integrated identity
     int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu."""
     w = state.grid.weights * state.nu_density
-    lf = hbm_apply(state, f).values
-    t1 = float(w @ lf**2)
-    t2 = float(w @ hess_norm_sq(state, f))
-    t3 = float((state.n - 2) * (w @ grad_norm_sq(state, f)))
+    _, df, Hs = _conjugate_derivs(state, f)
+    t1 = float(w @ _hbm_arrays(state, Hs) ** 2)
+    t2 = float(w @ hess_norm_sq(state, Hs))
+    t3 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0

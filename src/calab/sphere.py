@@ -5,6 +5,12 @@ harmonics on Gauss-Legendre x uniform-longitude product grids).  All grids are
 antipodally symmetric so that even/odd splitting is exact.  Differentiation is
 spectral; a finite-difference fallback on the homogeneous extension is kept as
 an independent oracle (see fd_gradient_on_sphere / fd_hessian_on_sphere).
+
+Derivatives are components in one tangent frame per point (tangent_frames):
+the grid's derivative fields are (N, n-1) vectors and (N, n-1, n-1) matrices
+in grid.tangent_frames().  They become ambient n-vectors and n x n matrices
+only in to_ambient, which only the public ambient outputs call
+(HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian).
 """
 
 from __future__ import annotations
@@ -139,9 +145,9 @@ class HarmonicBasis:
         vals, grads, hess, frames = self.frame_derivs(points, order)
         if grads is None:
             return vals, None, None
-        grads = _ambient_gradients(grads, frames)
+        grads = to_ambient(frames, grads, 1)
         if hess is not None:
-            hess = _ambient_hessians(hess, frames)
+            hess = to_ambient(frames, unpack_sym(hess), 2)
         return vals, grads, hess
 
     def frame_derivs(self, points: np.ndarray, order: int = 2):
@@ -247,38 +253,22 @@ def packed_positions(q: int) -> np.ndarray:
     return pos
 
 
-def _packed_outer(Et: np.ndarray) -> np.ndarray:
-    """Symmetric outer products of the frame vectors, (P, q(q+1)/2, n, n) for
-    frame rows Et (P, q, n): e_r e_r^t for r1 = r2 = r and
-    e_r1 e_r2^t + e_r2 e_r1^t for r1 < r2, in np.triu_indices(q) order."""
-    q = Et.shape[1]
-    outs = []
-    for r1 in range(q):
-        for r2 in range(r1, q):
-            o = Et[:, r1, :, None] * Et[:, r2, None, :]
-            outs.append(o if r1 == r2 else o + o.transpose(0, 2, 1))
-    return np.stack(outs, axis=1)
+def unpack_sym(packed: np.ndarray) -> np.ndarray:
+    """Symmetric matrices (..., q, q) from their packed upper triangles
+    (..., q(q+1)/2) in np.triu_indices(q) order."""
+    q = int(np.sqrt(2 * packed.shape[-1]))
+    return packed[..., packed_positions(q)]
 
 
-def _ambient_gradients(grads: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Ambient tangent vectors (P, m, n) from frame components (P, m, q) in
-    the frames E (P, n, q)."""
-    Et = E.transpose(0, 2, 1)
-    if Et.shape[1] == 1:    # circle: one tangent direction
-        return grads * Et
-    return grads @ Et
-
-
-def _ambient_hessians(hess: np.ndarray, E: np.ndarray) -> np.ndarray:
-    """Ambient symmetric matrices (P, m, n, n) from packed frame components
-    (P, m, q(q+1)/2) in the frames E (P, n, q)."""
-    Et = E.transpose(0, 2, 1)
-    P, q, n = Et.shape
-    if q == 1:              # circle: the one component times tau tau^t
-        tau = Et[:, 0]
-        return hess[..., None] * (tau[:, None, :, None] * tau[:, None, None, :])
-    amb = hess @ _packed_outer(Et).reshape(P, -1, n * n)
-    return amb.reshape(hess.shape[:-1] + (n, n))
+def to_ambient(E: np.ndarray, comps: np.ndarray, rank: int) -> np.ndarray:
+    """Ambient form of components in the frames E (P, n, q): tangent vectors
+    E v from comps (P, ..., q) at rank 1, symmetric matrices E M E^t from
+    comps (P, ..., q, q) at rank 2.  The one place where frame components
+    become ambient coordinates; only the public ambient outputs call it."""
+    E = E.reshape(E.shape[:1] + (1,) * (comps.ndim - rank - 1) + E.shape[1:])
+    if rank == 1:
+        return (E @ comps[..., None])[..., 0]
+    return E @ comps @ np.swapaxes(E, -1, -2)
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:
@@ -540,25 +530,25 @@ def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
 
 
 def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Tangential gradients (N, n) of the field with these coefficients."""
+    """Tangential gradients (N, n-1) of the field with these coefficients, as
+    components in grid.tangent_frames()."""
     _, G, _ = grid.basis_tables()
-    comps = _antipodal_columns(grid, coeffs, -1.0).T @ G    # (N/2, 2, n-1)
-    E = grid.tangent_frames()[:grid.node_count // 2]
-    return _unfold(grid, _ambient_gradients(comps, E))
+    return _unfold(grid, _antipodal_columns(grid, coeffs, -1.0).T @ G)
 
 
 def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Covariant Hessians (N, n, n) of the field with these coefficients."""
+    """Covariant Hessians (N, n-1, n-1) of the field with these coefficients,
+    as matrices in grid.tangent_frames()."""
     _, _, H = grid.basis_tables()
-    comps = _antipodal_columns(grid, coeffs).T @ H
-    E = grid.tangent_frames()[:grid.node_count // 2]
-    return _unfold(grid, _ambient_hessians(comps, E))
+    return _unfold(grid, unpack_sym(_antipodal_columns(grid, coeffs).T @ H))
 
 
 def tangential_gradient(field: ScalarField) -> TangentField:
     """Gradient of the 0-homogeneous extension at the nodes (tangential)."""
     c = analyze(field)
-    return TangentField(field.grid, gradient_from_coeffs(field.grid, c),
+    grid = field.grid
+    return TangentField(grid, to_ambient(grid.tangent_frames(),
+                                         gradient_from_coeffs(grid, c), 1),
                         tail_warning=spectral_tail(field, c) > TAIL_WARNING)
 
 
@@ -566,7 +556,9 @@ def tangential_hessian(field: ScalarField) -> TangentTensorField:
     """Covariant Hessian on the sphere (= tangential part of the ambient
     Hessian of the 0-homogeneous extension), as ambient matrices."""
     c = analyze(field)
-    return TangentTensorField(field.grid, hessian_from_coeffs(field.grid, c),
+    grid = field.grid
+    return TangentTensorField(grid, to_ambient(grid.tangent_frames(),
+                                               hessian_from_coeffs(grid, c), 2),
                               tail_warning=spectral_tail(field, c) > TAIL_WARNING)
 
 
@@ -580,8 +572,8 @@ def parity_split(field: ScalarField):
 
 def laplace_beltrami(field: ScalarField) -> ScalarField:
     """Round-sphere Laplacian (trace of the covariant Hessian)."""
-    H = tangential_hessian(field)
-    return ScalarField.from_values(field.grid, np.trace(H.tensors, axis1=1, axis2=2))
+    H = hessian_from_coeffs(field.grid, analyze(field))
+    return ScalarField.from_values(field.grid, np.trace(H, axis1=1, axis2=2))
 
 
 # ----------------------------------------------------------------------

@@ -30,18 +30,33 @@ from calab.calculus import (
     state_diagnostics,
     _sphere_symbols,
 )
+from calab.spectral import bochner_residual
 from calab.sphere import (
     ScalarField,
     build_grid,
+    gradient_from_coeffs,
+    hessian_from_coeffs,
     synthesize,
     tangential_gradient,
     tangential_hessian,
+    to_ambient,
 )
 
 
 def state_for(body, n, L):
     g = build_grid(n, L)
     return build_state(evaluate_on_grid(body, g))
+
+
+def ambient(st, A):
+    """Ambient matrices E A E^t of frame matrices A in the grid frames E."""
+    E = st.grid.tangent_frames()
+    return E @ A @ E.transpose(0, 2, 1)
+
+
+def ambient_metric(st):
+    """The ambient centro-affine metric E (D2h_frame / h) E^t."""
+    return ambient(st, st.bg.D2h_frame / st.bg.h[:, None, None])
 
 
 # ---------------------------------------------------------------------------
@@ -64,8 +79,8 @@ def test_measure_conjugacy_invariant():
                     (ellipsoid(np.diag([2.0, 1.0, 0.6])), 3),
                     (perturbed_ball(3, 0.1), 3)]:
         st = state_for(body, n, 12)
-        detg = np.array([np.prod(e) for e in
-                         np.linalg.eigvalsh(st.bg.g)[:, 1:]])  # drop kernel 0
+        eig = np.linalg.eigvalsh(ambient_metric(st))[:, 1:]  # drop kernel 0
+        detg = np.array([np.prod(e) for e in eig])
         rel = np.abs(st.nu_density * st.nu_star_density - detg) / detg
         assert rel.max() < 1e-8
 
@@ -80,11 +95,21 @@ def test_state_requires_valid_body():
 @pytest.mark.parametrize("n", [2, 3])
 def test_inverse_metric_is_tangential_inverse(n):
     # ginv, built from the frame matrices D2h_frame, inverts the ambient g
-    # on the tangent space: ginv g = I - u u^t
+    # on the tangent space once both are expanded: ginv g = I - u u^t
     g = build_grid(n, 8)
     st = build_state(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), g))
     proj = np.eye(n)[None] - g.nodes[:, :, None] * g.nodes[:, None, :]
-    assert np.abs(st.ginv @ st.bg.g - proj).max() < 1e-12
+    assert np.abs(ambient(st, st.ginv) @ ambient_metric(st) - proj).max() < 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_inverse_metric_in_frames(n):
+    # the state holds g^{-1} = h R^{-1} as frame matrices: ginv R = h I
+    g = build_grid(n, 8)
+    st = build_state(evaluate_on_grid(perturbed_ball(n, 0.1), g))
+    assert st.ginv.shape == (g.node_count, n - 1, n - 1)
+    hI = st.bg.h[:, None, None] * np.eye(n - 1)
+    assert np.abs(st.ginv @ st.bg.D2h_frame - hI).max() < 1e-12
 
 
 # ---------------------------------------------------------------------------
@@ -122,9 +147,10 @@ def test_adapted_linear_hessian_identity(body, n, L):
         xi = np.zeros(n)
         xi[k] = 1.0
         fv, grad, hess = adapted_linear_derivs(st, xi)
-        Hs = _conjugate_hessian_arrays(st, grad, hess)
-        target = -fv[:, None, None] * st.bg.g
-        scale = np.linalg.norm(st.bg.g, axis=(1, 2)).max()
+        Hs = ambient(st, _conjugate_hessian_arrays(st, grad, hess))
+        gmat = ambient_metric(st)
+        target = -fv[:, None, None] * gmat
+        scale = np.linalg.norm(gmat, axis=(1, 2)).max()
         assert np.abs(Hs - target).max() < 1e-8 * scale
 
 
@@ -149,35 +175,40 @@ def test_adapted_linear_functions_are_first_eigenfunctions(body, n, L):
     rng = np.random.default_rng(1)
     xi = rng.normal(size=n)
     fv, grad, hess = adapted_linear_derivs(st, xi)
-    lf = _hbm_arrays(st, grad, hess)
+    lf = _hbm_arrays(st, _conjugate_hessian_arrays(st, grad, hess))
     # -L f = (n-1) f
     scale = np.abs(fv).max()
     assert np.abs(lf + (n - 1) * fv).max() < 1e-8 * scale
 
 
 def test_hbm_apply_analyzes_once_and_matches_separate_derivatives(monkeypatch):
-    # one analysis feeds both derivatives; the result keeps the bits of the
-    # composition of tangential_gradient and tangential_hessian
+    # one analysis of f feeds its frame gradient and conjugate Hessian in
+    # hbm_apply, conjugate_hessian and bochner_residual, and one more (of Lf)
+    # grad Lf in integrated_divergence_residual; the results keep the bits of
+    # the composition of gradient_from_coeffs and hessian_from_coeffs
     from calab import calculus, sphere
 
     st = state_for(random_even_body(3, seed=2), 3, 12)
     rng = np.random.default_rng(5)
     f = synthesize(st.grid, rng.normal(size=st.grid.basis.size)
                    * np.exp(-0.4 * st.grid.basis.degrees))
-    composed = _hbm_arrays(st, tangential_gradient(f).vectors,
-                           tangential_hessian(f).tensors)
-    grad, hess = tangential_gradient(f), tangential_hessian(f)
-    conj = _conjugate_hessian_arrays(st, grad.vectors, hess.tensors)
+    c = sphere.analyze(f)
+    conj = _conjugate_hessian_arrays(st, gradient_from_coeffs(st.grid, c),
+                                     hessian_from_coeffs(st.grid, c))
 
     calls = []
     monkeypatch.setattr(calculus, "analyze",
                         lambda field: calls.append(1) or sphere.analyze(field))
-    assert np.array_equal(hbm_apply(st, f).values, composed)
+    assert np.array_equal(hbm_apply(st, f).values, _hbm_arrays(st, conj))
     assert calls == [1]
     H = conjugate_hessian(st, f)
     assert calls == [1, 1]
-    assert np.array_equal(H.tensors, conj)
-    assert H.tail_warning == (grad.tail_warning or hess.tail_warning)
+    assert np.array_equal(H.tensors, to_ambient(st.grid.tangent_frames(), conj, 2))
+    assert H.tail_warning == tangential_hessian(f).tail_warning
+    bochner_residual(st, f)
+    assert len(calls) == 3
+    integrated_divergence_residual(st, f)
+    assert len(calls) == 5
 
 
 def test_constant_field_has_exactly_zero_derivatives():
@@ -281,7 +312,7 @@ def test_conjugacy_of_connections_fd_oracle():
         dW = (Wf(curve(eps)) - Wf(curve(-eps))) / (2 * eps)
         proj = np.eye(n)[None] - pts[:, :, None] * pts[:, None, :]
         sphW = np.einsum("ikl,il->ik", proj, dW)
-        glh = st.log_h_gradient.vectors[keep]
+        glh = np.einsum("ikq,iq->ik", frames, st.grad_log_h[keep])
         W0, V0 = Wf(pts), Vf(pts)
         ulogh = np.einsum("ik,ik->i", u, glh)
         Wlogh = np.einsum("ik,ik->i", W0, glh)
@@ -299,7 +330,7 @@ def test_conjugacy_of_connections_fd_oracle():
         xb = bg.x[keep]
         rhs_vec = DuF + guv[:, None] * xb
         tang = np.einsum("ikl,il->ik", proj, rhs_vec)
-        D2 = bg.D2h[keep]
+        D2 = frames @ bg.D2h_frame[keep] @ frames.transpose(0, 2, 1)
         covV = np.einsum("ikl,il->ik", np.linalg.pinv(D2, hermitian=True), tang)
 
         G0 = gmat(pts)

@@ -159,6 +159,9 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                  id="spectrum_k_above_degree_max_basis"),
     pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "degree_max": 12},
                  id="spectrum_degree_max_above_L"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "degree_max": 2, "k": 3,
+                              "subspace": "even-nonconstant"},
+                 id="spectrum_k_above_even_nonconstant_dimension"),
     pytest.param("isomorphic", {**_ISO, "alpha": -0.5}, id="iso_alpha_nonpositive"),
     pytest.param("isomorphic", {**_ISO, "beta": 0.0}, id="iso_beta_nonpositive"),
     pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
@@ -325,13 +328,21 @@ def test_solve_density_csv_placed_by_node(tmp_path):
     assert sols[0] == sols[1]
 
 
-@pytest.mark.parametrize("case", ["missing_file", "duplicate_node"])
+@pytest.mark.parametrize("case", ["missing_file", "duplicate_node", "nonpositive",
+                                  "odd"])
 def test_solve_bad_density_csv_exits_2(tmp_path, case):
+    # the node list and the density itself (positive, even) are checked
+    # before anything is written
     grid = {"n": 2, "L": 24}
     csv_path = tmp_path / "density.csv"
-    if case == "duplicate_node":
+    if case != "missing_file":
         rows = _ellipse_density_rows(grid, 0.5)
-        rows[1] = (0, rows[1][1])
+        if case == "duplicate_node":
+            rows[1] = (0, rows[1][1])
+        elif case == "nonpositive":
+            rows[7] = (7, "0.0")
+        else:   # one value whose antipode differs
+            rows[7] = (7, repr(1.5 * float(rows[7][1])))
         csv_path.write_text("node,value\n"
                             + "".join(f"{i},{v}\n" for i, v in rows))
     cfg = write_config(tmp_path, "c.json", {
@@ -341,6 +352,19 @@ def test_solve_bad_density_csv_exits_2(tmp_path, case):
     out = tmp_path / "out"
     assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("degree_max", [0, 1])
+def test_spectrum_empty_even_nonconstant_subspace_exits_2(tmp_path, capsys,
+                                                          degree_max):
+    # no even non-constant function has degree <= 1
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": {"n": 3, "L": 8}, "degree_max": degree_max, "k": 1,
+        "subspace": "even-nonconstant"})
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "subspace even-nonconstant is empty" in capsys.readouterr().err
 
 
 def test_spectrum_without_lambda1_fails_check(tmp_path):

@@ -11,6 +11,7 @@ from calab.bodies import (
 )
 from calab.isomorphic import (
     construct,
+    direct_route_support,
     geometric_distance,
     isometric_gamma,
     p_gamma_D,
@@ -100,6 +101,23 @@ def test_construct_requires_positive_support():
     bad = Bad(1.0, 2)
     with pytest.raises(ValueError):
         construct(bad, g, 1.0, 1.0)
+
+
+@pytest.mark.parametrize("route", [construct, direct_route_support])
+@pytest.mark.parametrize("alpha,beta,certificate", [
+    pytest.param(0.0, 0.3, None, id="alpha_zero"),
+    pytest.param(-0.5, 0.3, None, id="alpha_negative"),
+    pytest.param(0.5, 0.0, None, id="beta_zero"),
+    pytest.param(0.5, -0.3, None, id="beta_negative"),
+    pytest.param(0.5, 0.3, (1.5, 1.0), id="R_out_below_r_in"),
+    pytest.param(0.5, 0.3, (0.0, 1.0), id="r_in_zero"),
+])
+def test_both_routes_reject_bad_inputs(route, alpha, beta, certificate):
+    # the construction and the direct gauge formula check their inputs alike
+    g = build_grid(3, 8)
+    with pytest.raises(ValueError):
+        route(ellipsoid(np.diag([1.5, 1.0, 0.8])), g, alpha, beta,
+              certificate=certificate)
 
 
 def test_construct_output_valid_and_verified():

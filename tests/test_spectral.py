@@ -79,12 +79,13 @@ def _einsum_assembly(state, basis):
     B, G, H = B[:, :nb], G[:, :nb, :], H[:, :nb, :, :]
     rho = state.grid.weights * state.nu_density
     sq = np.sqrt(rho)
-    lam, V = np.linalg.eigh(state.ginv)
+    E = grid.tangent_frames()
+    lam, V = np.linalg.eigh(E @ state.ginv @ E.transpose(0, 2, 1))
     F = V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
     T = np.einsum("ikq,iak->iaq", F, G) * sq[:, None, None]
     S = np.einsum("iaq,ibq->ab", T, T)
     M = (B * rho[:, None]).T @ B
-    glh = state.log_h_gradient.vectors
+    glh = np.einsum("ikq,iq->ik", E, state.grad_log_h)
     cross = glh[:, None, :, None] * G[:, :, None, :]
     Hs = H + cross + cross.transpose(0, 1, 3, 2)
     D = np.einsum("ikq,iakl,ilr->iaqr", F, Hs, F) * sq[:, None, None, None]

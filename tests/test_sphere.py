@@ -18,8 +18,11 @@ from calab.sphere import (
     synthesize,
     fd_gradient_on_sphere,
     fd_hessian_on_sphere,
+    gradient_from_coeffs,
+    hessian_from_coeffs,
     packed_positions,
     tangent_frames,
+    unpack_sym,
     SURFACE_MEASURE,
 )
 
@@ -37,6 +40,9 @@ def test_packed_positions_unpack_the_upper_triangle(q):
     S = packed[packed_positions(q)]
     assert np.array_equal(S, S.T)
     assert np.array_equal(S[np.triu_indices(q)], packed)
+    # unpack_sym reads q off the packed length, over leading axes too
+    assert np.array_equal(unpack_sym(np.stack([packed, 2 * packed])),
+                          np.stack([S, 2 * S]))
 
 
 def test_build_grid_n2_node_count_and_weights():
@@ -215,6 +221,27 @@ def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
     ring = np.abs(g.nodes[:, -1]) == np.abs(g.nodes[:, -1]).max()  # pole rings
     for got, ref in zip(_full_ambient_tables(g), direct):
         assert got.shape == ref.shape
+        err = np.abs(got - ref)
+        assert err.max() <= 1e-13 * np.abs(ref).max()
+        assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
+
+
+@pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
+def test_frame_fields_expand_to_eval_derivs(n, L, n_nodes):
+    # the derivative fields are components in the grid frames E, read from
+    # the half-grid tables; expanded with E they match the direct ambient
+    # evaluation at every node, the antipodes and the pole rings included
+    g = build_grid(n, L, n_nodes=n_nodes)
+    rng = np.random.default_rng(n + L)
+    c = rng.normal(size=g.basis.size) * np.exp(-0.2 * g.basis.degrees)
+    grad, hess = gradient_from_coeffs(g, c), hessian_from_coeffs(g, c)
+    assert grad.shape == (g.node_count, n - 1)
+    assert hess.shape == (g.node_count, n - 1, n - 1)
+    E = g.tangent_frames()
+    _, G, H = g.basis.eval_derivs(g.nodes, order=2)
+    ring = np.abs(g.nodes[:, -1]) == np.abs(g.nodes[:, -1]).max()
+    for got, ref in [(np.einsum("ikr,ir->ik", E, grad), G.transpose(0, 2, 1) @ c),
+                     (E @ hess @ E.transpose(0, 2, 1), np.einsum("iakl,a->ikl", H, c))]:
         err = np.abs(got - ref)
         assert err.max() <= 1e-13 * np.abs(ref).max()
         assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
