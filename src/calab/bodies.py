@@ -11,10 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.spatial import cKDTree
 
-from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, tangent_frames,
-                          to_ambient, unpack_sym)
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_eigvalsh,
+                          tangent_frames, to_ambient, unpack_sym)
 
 
 @dataclass(frozen=True)
@@ -322,11 +321,13 @@ class PolarBody(BodyEvaluator):
 
     Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
     (the Gauss map), so each point starts at the reference node whose unit
-    normal is closest to u, found in a k-d tree over the normals; the normals
-    come from one first-order base jet at construction.  Guarded Newton on
-    the sphere then runs on the points not yet certified.  A point is
-    certified when the tangential gradient of psi is at most 1e-13 psi and
-    F^T Hess(psi) F is negative-definite (F the tangent frame at theta).  The certificate proves the maximizer global: on
+    normal is closest to u.  For unit vectors the closest is the one of
+    largest dot product, taken in row blocks of _SEED_BLOCK points against
+    the normals, which come from one first-order base jet at construction.
+    Guarded Newton on the sphere then runs on the points not yet certified.
+    A point is certified when the tangential gradient of psi is at most
+    1e-13 psi and F^T Hess(psi) F is negative-definite (F the tangent frame
+    at theta).  The certificate proves the maximizer global: on
     the slice <u, theta> = 1, psi = 1/h and h is convex, so a strict local
     maximum of psi is its unique global one.  The loop stops when every point
     is certified or after _NEWTON_CAP steps.  Points left uncertified (bases
@@ -353,13 +354,26 @@ class PolarBody(BodyEvaluator):
     # rounds by up to ~1e-15) are judged by the gradient instead
     _ACCEPT = 1.0 - 4e-16
     _UNRESOLVED = 1e-14
+    _SEED_BLOCK = 128
 
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
         super().__init__(base.n, even=base.even, label=f"polar({base.label})")
         self.base = base
         self._ref_nodes = grid.nodes
         self._ref_h, dh = base.jet(grid.nodes, 1)
-        self._normal_tree = cKDTree(dh / np.linalg.norm(dh, axis=1, keepdims=True))
+        self._normals_t = np.ascontiguousarray(
+            (dh / np.linalg.norm(dh, axis=1, keepdims=True)).T)
+
+    def _seed_index(self, U):
+        """Index of the reference normal closest to each unit U: the argmax
+        of the dot products, one block of rows at a time into one buffer."""
+        idx = np.empty(len(U), dtype=np.intp)
+        buf = np.empty((min(self._SEED_BLOCK, len(U)), self._normals_t.shape[1]))
+        for i in range(0, len(U), self._SEED_BLOCK):
+            block = U[i:i + self._SEED_BLOCK]
+            dots = np.matmul(block, self._normals_t, out=buf[:len(block)])
+            dots.argmax(axis=1, out=idx[i:i + len(block)])
+        return idx
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -389,7 +403,7 @@ class PolarBody(BodyEvaluator):
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
         Newton from the Gauss-map seed, the fallback for the uncertified."""
-        seed = self._ref_nodes[self._normal_tree.query(U)[1]]
+        seed = self._ref_nodes[self._seed_index(U)]
         best, certified = self._newton(U, seed)
         idx = np.flatnonzero(~certified)
         if idx.size:
@@ -435,7 +449,7 @@ class PolarBody(BodyEvaluator):
             frames, Hf = self._psi_hess(Ua, ta, h, dh, Hh)
             gf = (self._psi_grad(Ua, ta, h, dh)[:, None, :] @ frames)[:, 0]
             gnorm = np.linalg.norm(gf, axis=1)
-            lam = np.linalg.eigvalsh(Hf)[:, -1]
+            lam = frame_eigvalsh(Hf)[:, -1]
             done = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
             certified[act[done]] = True
             if done.all() or it == self._NEWTON_CAP:
@@ -662,7 +676,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
     R = 0.5 * (R + R.transpose(0, 2, 1))
     sk = np.linalg.det(R)
     vk = h * sk / grid.n
-    eig = np.linalg.eigvalsh(R)
+    eig = frame_eigvalsh(R)
     mn, mx = float(eig.min()), float(eig.max())
     return BodyOnGrid(
         body=body, grid=grid, h=h, x=x, D2h_frame=R,

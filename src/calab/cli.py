@@ -4,10 +4,12 @@ Usage:  calab <command> --config <path> --out <dir> [--seed N] [--threads N]
 
 Each command is one entry of ``COMMAND_TABLE``: its handler and the kind and
 default of each config key.  ``validate`` reads the whole config against it
-before anything is written, builds the grid and the bodies and reads density
-files; it is the only place a ConfigError is raised.  The handlers only
-compute.  Reports are JSON (byte-deterministic for a fixed config and seed);
-tabular results go to CSV, wall-clock timing to a separate timing file.
+before anything is written, builds the grid and the bodies, evaluates on the
+grid the bodies that must be strongly convex there (the body of spectrum
+and bochner, solve's target) and reads density files; it is the only place a ConfigError is
+raised.  The handlers only compute.  Reports are JSON (byte-deterministic
+for a fixed config and seed); tabular results go to CSV, wall-clock timing
+to a separate timing file.
 Exit status: 0 all checks pass, 1 numerical failure (report still written),
 2 configuration error (nothing written).
 """
@@ -35,7 +37,7 @@ from calab.isomorphic import construct, isometric_gamma, p_gamma_D, verify
 from calab.minkowski import SolveOptions, TargetMeasure, minimize
 from calab.pinching import measure_pinching, optimize_image
 from calab.spectral import (GalerkinBasis, assemble, bochner_residual,
-                            hessian_gap_even, solve_spectrum, spectrum_of_body)
+                            hessian_gap_even, solve_spectrum)
 from calab.sphere import build_grid, synthesize
 
 
@@ -162,6 +164,20 @@ def _body(raw, where, top):
     return body
 
 
+def _strong_body(raw, where, top):
+    """The body of a descriptor evaluated on the grid (a BodyOnGrid, which
+    the handler reuses); it must be strongly convex there."""
+    body = _body(raw, where, top)
+    try:
+        bg = evaluate_on_grid(body, top["grid"])
+    except ValueError as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
+    if not bg.valid:
+        raise ConfigError(f"{where} is not strongly convex on the grid (least "
+                          f"eigenvalue of D^2h {bg.min_eig_D2h:.3g})")
+    return bg
+
+
 def _density_csv(path, where, top):
     """The target measure of a CSV with columns ``node,value``, placed by
     node; the node indices must be exactly 0..N-1 of the grid, in any order,
@@ -202,9 +218,11 @@ def _check(name, value, expected, tolerance, passed) -> dict:
 
 
 def _cmd_spectrum(v, threads):
-    n, tol = v["grid"].n, v["lambda1_tol"]
-    rep = spectrum_of_body(v["body"], v["grid"], degree_max=v["degree_max"],
-                           k=v["k"], subspace=v["subspace"])
+    grid, tol = v["grid"], v["lambda1_tol"]
+    n = grid.n
+    band = grid.band_limit if v["degree_max"] is None else v["degree_max"]
+    system = assemble(build_state(v["body"]), GalerkinBasis(grid, band))
+    rep = solve_spectrum(system, k=v["k"], subspace=v["subspace"])
     eigs, resid = rep.eigenvalues, rep.residuals
     checks = [
         _check("lambda1", rep.lambda1, n - 1, tol,
@@ -220,7 +238,7 @@ def _cmd_spectrum(v, threads):
 
 def _cmd_bochner(v, threads):
     grid, tol = v["grid"], v["tolerance"]
-    st = build_state(evaluate_on_grid(v["body"], grid))
+    st = build_state(v["body"])
     rng = np.random.default_rng(v["seed"])
     worst = 0.0
     for _ in range(v["n_fields"]):
@@ -323,7 +341,7 @@ def _cmd_solve(v, threads):
     grid, target = v["grid"], v["target"]
     p = target["p"]
     if target["body"] is not None:
-        mu = TargetMeasure.from_body(evaluate_on_grid(target["body"], grid), p)
+        mu = TargetMeasure.from_body(target["body"], p)
     else:
         mu = target["density_csv"]
     res = minimize(mu, p, options=SolveOptions(band=v["band"],
@@ -412,14 +430,14 @@ _GRID = (_grid, REQUIRED)
 
 COMMAND_TABLE = {
     "spectrum": Command(_cmd_spectrum, {
-        "grid": _GRID, "body": (_body, {"type": "ball"}), "k": (int, 10),
+        "grid": _GRID, "body": (_strong_body, {"type": "ball"}), "k": (int, 10),
         "lambda1_tol": (float, lambda v: 1e-3 if v["grid"].n == 3 else 1e-6),
         "degree_max": (int, None),
         "subspace": (("all", "even-nonconstant"), "all"),
     }, _spectrum_ranges),
     "bochner": Command(_cmd_bochner, {
         "grid": _GRID,
-        "body": (_body, lambda v: {"type": "random", "seed": v["seed"]}),
+        "body": (_strong_body, lambda v: {"type": "random", "seed": v["seed"]}),
         "n_fields": (int, 20),
         "field_band": (int, lambda v: max(v["grid"].band_limit // 3, 4)),
         "tolerance": (float, lambda v: 1e-6 if v["grid"].n == 2 else 1e-3),
@@ -440,7 +458,7 @@ COMMAND_TABLE = {
     }, _isomorphic_alpha),
     "solve": Command(_cmd_solve, {
         "grid": _GRID,
-        "target": ({"p": (float, REQUIRED), "body": (_body, None),
+        "target": ({"p": (float, REQUIRED), "body": (_strong_body, None),
                     "density_csv": (_density_csv, None)}, REQUIRED),
         "band": (int, 16), "max_iter": (int, 4000),
     }, _solve_target),
@@ -461,8 +479,9 @@ def validate(command: str, cfg, seed: int) -> dict:
 
     Every key is read against the command's table entry (a config may also
     name its own command), defaults are filled in, the grid and bodies are
-    built and density files read.  Every configuration error is raised here,
-    so nothing has been written when one is."""
+    built (and evaluated where they must be strongly convex) and density
+    files read.  Every configuration error is raised here, so nothing has
+    been written when one is."""
     entry = COMMAND_TABLE[command]
     values = {"seed": seed}
     _object({"command": ((command,), None), **entry.keys}, cfg, "", values, values)

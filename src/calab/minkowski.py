@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
-from calab.sphere import HarmonicBasis, ScalarField, SphereGrid, unpack_sym
+from calab.sphere import (HarmonicBasis, ScalarField, SphereGrid, frame_eigvalsh,
+                          unpack_sym)
 
 
 @dataclass(frozen=True)
@@ -157,7 +158,7 @@ class _EvenModel:
         diag = np.arange(self.grid.n - 1)
         R[:, diag, diag] += h[:, None]
         det = np.linalg.det(R)
-        return h, det, float(np.linalg.eigvalsh(R).min())
+        return h, det, float(frame_eigvalsh(R).min())
 
 
 def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det):

@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, asdict
 
 import numpy as np
-from scipy.optimize import minimize as scipy_minimize
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
 from calab.calculus import build_state
@@ -90,6 +89,65 @@ def _spd_exp(S: np.ndarray) -> np.ndarray:
     return (V * np.exp(w)[None, :]) @ V.T
 
 
+def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
+    """Minimize f from x0 by the Nelder-Mead simplex method (Nelder & Mead,
+    Comput. J. 7, 1965); returns (x, iterations).
+
+    The initial simplex steps each coordinate of x0 by 5% (0.00025 from
+    zero), with reflection, expansion, contraction and shrink coefficients
+    1, 2, 1/2, 1/2.  It stops when the simplex spans at most xatol in every
+    coordinate and its values differ from the best by at most fatol, or at
+    maxiter iterations.  The arithmetic is that of scipy.optimize's
+    non-adaptive, unbounded Nelder-Mead, step for step, so the two agree to
+    the bit."""
+    rho, chi, psi, sigma = 1, 2, 0.5, 0.5
+    x0 = np.asarray(x0, dtype=float).ravel()
+    N = len(x0)
+    sim = np.empty((N + 1, N))
+    sim[0] = x0
+    for k in range(N):
+        y = x0.copy()
+        y[k] = (1 + 0.05) * y[k] if y[k] != 0 else 0.00025
+        sim[k + 1] = y
+    fsim = np.array([f(x) for x in sim], dtype=float)
+    # scipy orders the first simplex twice; np.argsort need not be stable,
+    # so with tied values the second pass can reorder them
+    order = np.argsort(fsim)
+    sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+    nit = 1
+    while True:
+        order = np.argsort(fsim)
+        sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
+        if nit >= maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                              and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
+            return sim[0], nit
+        xbar = np.add.reduce(sim[:-1], 0) / N
+        xr = (1 + rho) * xbar - rho * sim[-1]
+        fxr = f(xr)
+        if fxr < fsim[0]:
+            xe = (1 + rho * chi) * xbar - rho * chi * sim[-1]
+            fxe = f(xe)
+            sim[-1], fsim[-1] = (xe, fxe) if fxe < fxr else (xr, fxr)
+        elif fxr < fsim[-2]:
+            sim[-1], fsim[-1] = xr, fxr
+        else:
+            if fxr < fsim[-1]:  # outside contraction
+                xc = (1 + psi * rho) * xbar - psi * rho * sim[-1]
+                fxc = f(xc)
+                accept = fxc <= fxr
+            else:  # inside contraction
+                xc = (1 - psi) * xbar + psi * sim[-1]
+                fxc = f(xc)
+                accept = fxc < fsim[-1]
+            if accept:
+                sim[-1], fsim[-1] = xc, fxc
+            else:  # shrink towards the best vertex
+                for j in range(1, N + 1):
+                    sim[j] = sim[0] + sigma * (sim[j] - sim[0])
+                    fsim[j] = f(sim[j])
+        nit += 1
+
+
 def john_position(body: BodyEvaluator, grid: SphereGrid,
                   iters: int = 200) -> dict:
     """Approximate John position: minimize the sandwich ratio R_out/r_in of
@@ -107,11 +165,8 @@ def john_position(body: BodyEvaluator, grid: SphereGrid,
             return 1e6
         return float(h.max() / h.min())
 
-    res = scipy_minimize(
-        objective, np.zeros(dim), method="Nelder-Mead",
-        options={"maxiter": iters, "xatol": 1e-7, "fatol": 1e-10},
-    )
-    T = _spd_exp(_sym_from_vec(res.x, n))
+    z, _ = _nelder_mead(objective, np.zeros(dim), iters, xatol=1e-7, fatol=1e-10)
+    T = _spd_exp(_sym_from_vec(z, n))
     h = linear_image(body, T).support(grid.nodes)
     return {
         "T": T,
@@ -119,6 +174,23 @@ def john_position(body: BodyEvaluator, grid: SphereGrid,
         "R_out": float(h.max()),
         "ratio": float(h.max() / h.min()),
     }
+
+
+def _p_strong_objective(body: BodyEvaluator, grid: SphereGrid):
+    """optimize_image's objective: p_strong of T(K) at T = exp(z) for the
+    traceless log-chart coordinates z, and 1e6 - min eig D^2h (a penalty
+    that still points towards strong convexity) where T(K) is not strongly
+    convex on the grid."""
+    def objective(z):
+        T = _spd_exp(_sym_from_vec(z, body.n))
+        try:
+            bg = evaluate_on_grid(linear_image(body, T), grid)
+        except ValueError:
+            return 1e6
+        if not bg.valid:
+            return 1e6 - bg.min_eig_D2h
+        return measure_pinching(bg).p_strong
+    return objective
 
 
 def optimize_image(body: BodyEvaluator, grid: SphereGrid,
@@ -129,25 +201,11 @@ def optimize_image(body: BodyEvaluator, grid: SphereGrid,
     Deterministic: starts from the identity; returns the best image found
     (no global guarantee)."""
     n = body.n
-    dim = n * (n + 1) // 2
-
-    def objective(z):
-        T = _spd_exp(_sym_from_vec(z, n))
-        try:
-            bg = evaluate_on_grid(linear_image(body, T), grid)
-        except ValueError:
-            return 1e6
-        if not bg.valid:
-            return 1e6 - bg.min_eig_D2h
-        return measure_pinching(bg).p_strong
-
-    res = scipy_minimize(
-        objective, np.zeros(dim), method="Nelder-Mead",
-        options={"maxiter": iters, "xatol": 1e-6, "fatol": 1e-9},
-    )
-    best_T = _spd_exp(_sym_from_vec(res.x, n))
+    z, nit = _nelder_mead(_p_strong_objective(body, grid), np.zeros(n * (n + 1) // 2),
+                          iters, xatol=1e-6, fatol=1e-9)
+    best_T = _spd_exp(_sym_from_vec(z, n))
     report = measure_pinching(evaluate_on_grid(linear_image(body, best_T), grid))
-    return {"T": best_T, "report": report, "iterations": int(res.nit)}
+    return {"T": best_T, "report": report, "iterations": nit}
 
 
 def spectral_consistency(body: BodyEvaluator, grid: SphereGrid,

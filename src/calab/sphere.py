@@ -20,7 +20,6 @@ import json
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import roots_legendre
 
 SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
@@ -59,6 +58,33 @@ def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
             P[l, :l] -= a * b * P[l - 2, :l]
         P[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * st * P[l - 1, l - 1]
     return P
+
+
+def _gauss_legendre(m: int):
+    """Gauss-Legendre rule with m nodes on [-1, 1]: nodes ascending, and
+    weights that sum to 2 and are exactly equal at x and -x.
+
+    Golub-Welsch (Math. Comp. 23, 1969): the nodes are the eigenvalues of
+    the Jacobi matrix of the Legendre recurrence, polished by one Newton step
+    on P_m; the weights are 2 / ((1 - x^2) P_m'(x)^2).  Exact to rounding
+    for polynomials of degree <= 2m - 1."""
+    k = np.arange(1.0, m)
+    off = k / np.sqrt(4.0 * k * k - 1.0)
+    x = np.linalg.eigvalsh(np.diag(off, 1) + np.diag(off, -1))
+
+    def legendre_and_derivative(x):
+        p0, p1 = np.ones_like(x), x
+        for j in range(2, m + 1):
+            p0, p1 = p1, ((2 * j - 1) * x * p1 - (j - 1) * p0) / j
+        return p1, m * (p0 - x * p1) / (1.0 - x * x)
+
+    p, dp = legendre_and_derivative(x)
+    x = x - p / dp
+    dp = legendre_and_derivative(x)[1]
+    w = 2.0 / ((1.0 - x * x) * dp * dp)
+    x = 0.5 * (x - x[::-1])
+    w = 0.5 * (w + w[::-1])
+    return x, w * (2.0 / w.sum())
 
 
 def _ladder(P: np.ndarray):
@@ -271,6 +297,27 @@ def to_ambient(E: np.ndarray, comps: np.ndarray, rank: int) -> np.ndarray:
     return E @ comps @ np.swapaxes(E, -1, -2)
 
 
+def frame_eigvalsh(R: np.ndarray) -> np.ndarray:
+    """Ascending eigenvalues (..., q) of symmetric frame matrices (..., q, q),
+    read from the lower triangle as np.linalg.eigvalsh does.
+
+    Closed form for q <= 2.  At q = 2 the eigenvalue of larger modulus is
+    m + sign(m) hypot((a - c)/2, b) with m = (a + c)/2, and the other is
+    (ac - b^2) divided by it, so neither cancels: both agree with eigvalsh to
+    ~1e-16 of the larger modulus, for indefinite, negative-definite and
+    near-singular matrices alike.  np.linalg.eigvalsh for q >= 3."""
+    q = R.shape[-1]
+    if q == 1:
+        return R[..., 0].copy()
+    if q > 2:
+        return np.linalg.eigvalsh(R)
+    a, b, c = R[..., 0, 0], R[..., 1, 0], R[..., 1, 1]
+    m = 0.5 * (a + c)
+    big = m + np.copysign(np.hypot(0.5 * (a - c), b), m)
+    small = np.divide(a * c - b * b, big, out=np.zeros_like(big), where=big != 0)
+    return np.stack([np.minimum(big, small), np.maximum(big, small)], axis=-1)
+
+
 def tangent_frames(points: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frames E (P, n, n-1) at unit points, the frames of
     HarmonicBasis.frame_derivs: the counterclockwise tangent (-y, x) at n=2,
@@ -398,7 +445,7 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
         raise ValueError("n_nodes override is only supported for n=2")
     n_th = L + 2
     n_ph = 2 * L + 4
-    u, wu = roots_legendre(n_th)  # ascending in u = cos(theta)
+    u, wu = _gauss_legendre(n_th)  # ascending in u = cos(theta)
     phi = 2.0 * np.pi * np.arange(n_ph) / n_ph
     wphi = 2.0 * np.pi / n_ph
     st = np.sqrt(1.0 - u**2)

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.spatial import cKDTree
 
 from calab.bodies import (
     LqNormBody,
@@ -276,6 +277,25 @@ def test_polar_maximizer_never_below_fallback(name, L):
     h = P._maximize(U)[1]
     h_fallback = P._newton(U, P._projected_gradient(U))[0][1]
     assert np.all(h >= h_fallback * (1.0 - 1e-14))
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "random"])
+def test_polar_seed_is_the_nearest_normal(name):
+    # cKDTree stays installed as the oracle: the blocked dot-product argmax
+    # picks its node, except at near-ties (dot products within 4 ulps)
+    body = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
+            "random": lambda: random_even_body(3, 7000)}[name]()
+    g = build_grid(3, 24)
+    P = polar(body, g)
+    normals = P._normals_t.T
+    U = np.vstack([unit_vectors(np.random.default_rng(16), 3000, 3), g.nodes])
+    got = P._seed_index(U)
+    ref = cKDTree(normals).query(U)[1]
+    d_got = np.einsum("ij,ij->i", U, normals[got])
+    d_ref = np.einsum("ij,ij->i", U, normals[ref])
+    differ = got != ref
+    assert np.all(np.abs(d_got - d_ref)[differ] <= 4 * np.spacing(d_ref[differ]))
+    assert differ.mean() < 0.01
 
 
 def test_polar_hessian_nan_only_where_base_hessian_degenerates():

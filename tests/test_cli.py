@@ -210,6 +210,34 @@ def test_out_naming_a_file_exits_2(tmp_path):
     assert sorted(p.name for p in tmp_path.iterdir()) == ["c.json", "existing.txt"]
 
 
+_NOT_STRONGLY_CONVEX = {"type": "perturbed_ball", "eps": 1.5}
+
+
+@pytest.mark.parametrize("command,payload", [
+    pytest.param("spectrum", {"body": _NOT_STRONGLY_CONVEX}, id="spectrum_body"),
+    pytest.param("bochner", {"body": _NOT_STRONGLY_CONVEX}, id="bochner_body"),
+    pytest.param("solve", {"target": {"p": 0.5, "body": _NOT_STRONGLY_CONVEX}},
+                 id="solve_target_body"),
+])
+def test_body_not_strongly_convex_exits_2(tmp_path, capsys, command, payload):
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16}, **payload})
+    out = tmp_path / "out"
+    assert run_cli([command, "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "not strongly convex on the grid" in capsys.readouterr().err
+
+
+def test_isomorphic_smooths_a_body_not_strongly_convex(tmp_path):
+    # smoothing such a body is what isomorphic is for: it is not a config error
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16},
+                                            "body": _NOT_STRONGLY_CONVEX,
+                                            "alpha": 0.5, "beta": 1.0})
+    out = tmp_path / "out"
+    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) in (0, 1)
+    report = json.loads((out / "report.json").read_text())
+    assert "error" not in report and report["checks"]
+
+
 def test_numerical_failure_exit_1_report_written(tmp_path):
     # a wildly non-convex body: grid evaluation raises, report still lands
     cfg = write_config(tmp_path, "c.json", {

@@ -1,7 +1,13 @@
 """Tests for curvature-pinching extraction and the p-threshold formulas."""
 
+import json
+from pathlib import Path
+
 import numpy as np
 import pytest
+from scipy.optimize import minimize, rosen
+
+from calab import cli
 
 from calab.bodies import (
     ball,
@@ -12,6 +18,8 @@ from calab.bodies import (
     random_even_body,
 )
 from calab.pinching import (
+    _nelder_mead,
+    _p_strong_objective,
     john_position,
     measure_pinching,
     optimize_image,
@@ -106,6 +114,45 @@ def test_orthogonal_image_of_ball_matches_ball():
 # ---------------------------------------------------------------------------
 # optimization over images
 # ---------------------------------------------------------------------------
+
+
+def _counted(f):
+    calls = []
+
+    def g(x):
+        calls.append(1)
+        return f(x)
+    return g, calls
+
+
+def _assert_matches_scipy_nelder_mead(f, x0, maxiter, xatol, fatol):
+    # scipy stays installed as the oracle: same point, iterations and
+    # evaluations, to the bit
+    ours, ours_calls = _counted(f)
+    x, nit = _nelder_mead(ours, x0, maxiter, xatol=xatol, fatol=fatol)
+    ref_f, ref_calls = _counted(f)
+    ref = minimize(ref_f, x0, method="Nelder-Mead",
+                   options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
+    assert np.array_equal(x, ref.x)
+    assert nit == ref.nit
+    assert len(ours_calls) == len(ref_calls) == ref.nfev
+
+
+@pytest.mark.parametrize("x0,maxiter", [
+    ([-1.2, 1.0], 400),                          # converges (117 iterations)
+    ([-1.2, 1.0, 0.5, -0.3, 0.8, 1.1], 2000),    # converges (796 iterations)
+    ([-1.2, 1.0, 0.5, -0.3, 0.8, 1.1], 150),     # stops at maxiter
+])
+def test_nelder_mead_matches_scipy_on_rosenbrock(x0, maxiter):
+    _assert_matches_scipy_nelder_mead(rosen, np.array(x0), maxiter, 1e-8, 1e-10)
+
+
+def test_nelder_mead_matches_scipy_on_the_pinch_config():
+    path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
+    v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
+    objective = _p_strong_objective(v["body"], v["grid"])
+    _assert_matches_scipy_nelder_mead(objective, np.zeros(6), v["optimize"]["iters"],
+                                      1e-6, 1e-9)
 
 
 def test_optimize_image_ball_stays_identity():

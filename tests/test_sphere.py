@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
-from scipy.special import sph_harm_y
+from numpy.polynomial.legendre import legvander
+from scipy.special import roots_legendre, sph_harm_y
 
 from calab.sphere import (
+    _gauss_legendre,
     HarmonicBasis,
     ScalarField,
     SphereGrid,
@@ -18,6 +20,7 @@ from calab.sphere import (
     synthesize,
     fd_gradient_on_sphere,
     fd_hessian_on_sphere,
+    frame_eigvalsh,
     gradient_from_coeffs,
     hessian_from_coeffs,
     packed_positions,
@@ -54,6 +57,21 @@ def test_build_grid_n2_node_count_and_weights():
 def test_build_grid_n3_weights_sum():
     g = build_grid(3, 16)
     assert abs(g.weights.sum() - 4.0 * np.pi) < 1e-10
+
+
+def test_gauss_legendre_matches_scipy_and_is_exact():
+    # scipy is the oracle for every rule a grid up to L = 96 uses (m = L + 2);
+    # node errors are in ulps of 1, the scale of the interval (scipy's nodes
+    # near 0 are the less accurate ones, up to ~10 ulps of the node itself)
+    for m in range(2, 99):
+        x, w = _gauss_legendre(m)
+        xr, wr = roots_legendre(m)
+        assert np.abs(x - xr).max() <= 2 * np.spacing(1.0), m
+        assert (np.abs(w - wr) / wr).max() <= 1e-10, m
+        assert np.array_equal(x, -x[::-1]) and np.array_equal(w, w[::-1]), m
+        moments = legvander(x, 2 * m - 1).T @ w  # int P_k dx = 2 delta_k0
+        moments[0] -= 2.0
+        assert np.abs(moments).max() <= 2e-15, m
 
 
 def test_build_grid_rejects_unsupported_dimension():
@@ -332,6 +350,33 @@ def test_grid_with_unequal_antipodal_weights_is_rejected():
     w[0] *= 1.0 + 1e-15
     with pytest.raises(ValueError, match="equal weights"):
         SphereGrid(2, 8, g.nodes, w, g.antipodal_index, g.pole_mask)
+
+
+def _random_symmetric(rng, count, q, lam):
+    Q = np.linalg.qr(rng.normal(size=(count, q, q)))[0]
+    R = Q @ (lam[:, :, None] * np.swapaxes(Q, 1, 2))
+    return 0.5 * (R + np.swapaxes(R, 1, 2))
+
+
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_frame_eigvalsh_matches_eigvalsh(q):
+    # indefinite, negative-definite, near-singular and nearly double
+    # spectra over eleven decades of scale
+    rng = np.random.default_rng(3)
+    count = 4000
+    lam = rng.normal(size=(count, q)) * 10.0 ** rng.uniform(-8, 3, size=(count, 1))
+    quarter = count // 4
+    lam[:quarter, 0] = lam[:quarter, -1] * 10.0 ** rng.uniform(-16, -6, size=quarter)
+    lam[quarter:2 * quarter] = -np.abs(lam[quarter:2 * quarter])
+    lam[2 * quarter:3 * quarter, 0] = lam[2 * quarter:3 * quarter, -1] * (
+        1.0 + 10.0 ** rng.uniform(-16, -3, size=quarter))
+    R = _random_symmetric(rng, count, q, lam)
+    R = np.concatenate([R, np.zeros((1, q, q)), -np.eye(q)[None]])
+    got, ref = frame_eigvalsh(R), np.linalg.eigvalsh(R)
+    assert got.shape == ref.shape
+    assert np.all(np.diff(got, axis=-1) >= 0)
+    scale = np.maximum(np.abs(ref).max(axis=-1, keepdims=True), 1e-300)
+    assert (np.abs(got - ref) / scale).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
