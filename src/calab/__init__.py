@@ -20,7 +20,6 @@ from calab.sphere import (
 from calab.bodies import (
     BodyEvaluator,
     BodyOnGrid,
-    Tolerances,
     ball,
     ellipsoid,
     perturbed_ball,

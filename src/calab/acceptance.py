@@ -31,7 +31,6 @@ from calab.isomorphic import (
     verify,
 )
 from calab.minkowski import (
-    SolveOptions,
     TargetMeasure,
     minimize,
     minkowski_inequality_gap,

@@ -8,7 +8,7 @@ Firey sums and polars compose evaluators exactly, without resampling.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -16,13 +16,9 @@ from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_eigvalsh,
                           tangent_frames, to_ambient, unpack_sym)
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    eig_tol: float = 1e-12
-
-    def __post_init__(self):
-        if self.eig_tol <= 0:
-            raise ValueError("tolerances must be positive")
+# a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
+# tangential eigenvalue of D^2 h over the nodes exceeds this
+VALID_MIN_EIG = 1e-12
 
 
 def _as_points(X, n):
@@ -190,11 +186,12 @@ class SpectralBody(BodyEvaluator):
         # contract the frame components with the coefficients, then expand
         # once: grad h = E (c G) + f u, Hess h = E (c H + f I) E^t / r
         c = self.coeffs
-        B, G, H, E = self.basis.frame_derivs(u, order=order)
+        B, G, H = self.basis.frame_derivs(u, order=order)
         f = B @ c
         h = r * f
         if order == 0:
             return (h,)
+        E = tangent_frames(u)
         grad = to_ambient(E, c @ G, 1) + f[:, None] * u
         if order == 1:
             return h, grad
@@ -653,16 +650,14 @@ class BodyOnGrid:
     eig_D2h: np.ndarray      # per-node tangential eigenvalues, (N, n-1)
     min_eig_D2h: float
     max_eig_D2h: float
-    valid: bool
-    tol: Tolerances = field(default_factory=Tolerances)
+    valid: bool              # min_eig_D2h > VALID_MIN_EIG
 
     @property
     def n(self) -> int:
         return self.grid.n
 
 
-def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
-                     tol: Tolerances = Tolerances()) -> BodyOnGrid:
+def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
     """Sample a body on a grid and populate the derived geometric state."""
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
@@ -681,7 +676,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
     return BodyOnGrid(
         body=body, grid=grid, h=h, x=x, D2h_frame=R,
         sk_density=sk, vk_density=vk, eig_D2h=eig,
-        min_eig_D2h=mn, max_eig_D2h=mx, valid=bool(mn > tol.eig_tol), tol=tol,
+        min_eig_D2h=mn, max_eig_D2h=mx, valid=bool(mn > VALID_MIN_EIG),
     )
 
 
@@ -692,27 +687,24 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid,
 @dataclass(frozen=True)
 class Quantities:
     volume: float
-    sp_total: float
     omega_n: float
     r_in: float
     R_out: float
     polar_volume: float
 
 
-def quantities(bg: BodyOnGrid, p: float = 1.0) -> Quantities:
-    """Volume, total L^p surface area, centro-affine surface area, and the
+def quantities(bg: BodyOnGrid) -> Quantities:
+    """Volume, centro-affine surface area, polar volume, and the
     origin-symmetric sandwich radii r_in <= h <= R_out."""
     if not bg.valid:
         raise ValueError("body is not strongly convex on the grid")
     w = bg.grid.weights
     n = bg.grid.n
     volume = float(w @ bg.vk_density)
-    sp_total = float(w @ (bg.h ** (1.0 - p) * bg.sk_density))
     omega = float(w @ np.sqrt(bg.sk_density / bg.h ** (n - 1))) / n
     polar_volume = float(w @ bg.h ** (-n)) / n
     return Quantities(
         volume=volume,
-        sp_total=sp_total,
         omega_n=omega,
         r_in=float(bg.h.min()),
         R_out=float(bg.h.max()),

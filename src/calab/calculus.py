@@ -153,6 +153,16 @@ def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
 
 _SPHERE_COORD_EPS = 1e-4
 
+# the (theta, phi) chart degenerates at the poles (cot theta, 1/sin^2 theta in
+# the round-sphere symbols): the coordinate checks leave out the nodes with
+# |cos theta| above this
+_CHART_COS_CUTOFF = 0.999
+
+
+def _chart_nodes(grid) -> np.ndarray:
+    """Indices of the nodes inside the (theta, phi) chart's cutoff."""
+    return np.flatnonzero(np.abs(grid.nodes[:, 2]) <= _CHART_COS_CUTOFF)
+
 
 def _coord_partials_log_h(body: BodyEvaluator, theta, phi):
     """Coordinate partials (d_theta log h, d_phi log h) at given angles."""
@@ -205,14 +215,16 @@ def conjugate_christoffels(state: CentroAffineState) -> np.ndarray:
     """Conjugate-connection symbols in (theta, phi) coordinates at the nodes.
 
     n=3 only; the n=2 analogue is the scalar -2 d_t(log h) and carries no
-    curvature content.  Raises when every node is pole-masked.
+    curvature content.  Nodes with |cos theta| > _CHART_COS_CUTOFF, where the
+    chart degenerates, read NaN; raises when that leaves no node.
     """
     if state.n != 3:
         raise ValueError("coordinate Christoffel symbols are built for n=3")
     grid = state.grid
-    keep = ~grid.pole_mask
-    if not keep.any():
-        raise ValueError("all nodes are pole-masked")
+    keep = _chart_nodes(grid)
+    if not keep.size:
+        raise ValueError("every node lies beyond the (theta, phi) chart's "
+                         "pole cutoff")
     theta, phi = _angles_from_points(grid.nodes, 3)
     out = np.full((grid.node_count, 2, 2, 2), np.nan)
     out[keep] = _conjugate_symbols_at(state.bg.body, theta[keep], phi[keep])
@@ -225,12 +237,13 @@ def ricci_star_check(state: CentroAffineState) -> dict:
     The Ricci tensor is assembled from the conjugate symbols and their
     coordinate derivatives (central differences of the symbol field).
     Constant for every body; n=2 manifolds carry no Ricci (deviation 0).
+    Read at the nodes inside the (theta, phi) chart's pole cutoff.
     """
     if state.n == 2:
         return {"max_relative_deviation": 0.0, "node": -1}
     grid = state.grid
     body = state.bg.body
-    keep = np.flatnonzero(~grid.pole_mask)
+    keep = _chart_nodes(grid)
     theta, phi = _angles_from_points(grid.nodes, 3)
     th, ph = theta[keep], phi[keep]
     eps = _SPHERE_COORD_EPS
@@ -281,24 +294,16 @@ def ricci_star_check(state: CentroAffineState) -> dict:
 # duality
 
 
-@dataclass(frozen=True)
-class DualityMap:
-    grid: object
-    directions: np.ndarray  # per node, the image direction x/|x| on S^{n-1}
-
-
-def duality_map(bg: BodyOnGrid) -> DualityMap:
-    d = bg.x / np.linalg.norm(bg.x, axis=1, keepdims=True)
-    return DualityMap(bg.grid, d)
+def duality_map(bg: BodyOnGrid) -> np.ndarray:
+    """Per node, the image direction x/|x| on S^{n-1} of the boundary point."""
+    return bg.x / np.linalg.norm(bg.x, axis=1, keepdims=True)
 
 
 def duality_roundtrip_error(bg: BodyOnGrid, polar_body: BodyEvaluator) -> float:
     """Applying the map for K then for the polar returns the start direction."""
-    d = duality_map(bg).directions
-    back = polar_body.support_grad(d)
+    back = polar_body.support_grad(duality_map(bg))
     back /= np.linalg.norm(back, axis=1, keepdims=True)
-    keep = ~bg.grid.pole_mask
-    return float(np.abs(back[keep] - bg.grid.nodes[keep]).max())
+    return float(np.abs(back - bg.grid.nodes).max())
 
 
 def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
@@ -311,7 +316,6 @@ def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
     if bgK.grid is not bgKpolar.grid:
         raise ValueError("both bodies must live on the same grid")
     grid = bgK.grid
-    keep = ~grid.pole_mask
     polar_body = bgKpolar.body
 
     xs = bgK.x
@@ -328,7 +332,7 @@ def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
     gP_f = dM.transpose(0, 2, 1) @ Hp @ dM / hp[:, None, None]
     num = np.linalg.norm(gP_f - gK_f, axis=(1, 2))
     den = np.linalg.norm(gK_f, axis=(1, 2))
-    pull_err = float((num / den)[keep].max())
+    pull_err = float((num / den).max())
 
     qK = quantities(bgK)
     qP = quantities(bgKpolar)

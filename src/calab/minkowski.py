@@ -9,13 +9,12 @@ backtracking line search with an eigenvalue floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
-from calab.sphere import (HarmonicBasis, ScalarField, SphereGrid, frame_eigvalsh,
-                          unpack_sym)
+from calab.sphere import HarmonicBasis, SphereGrid, frame_eigvalsh, unpack_sym
 
 
 @dataclass(frozen=True)
@@ -51,9 +50,6 @@ class TargetMeasure:
 class SolveOptions:
     band: int = 16
     max_iter: int = 4000
-    gtol: float = 1e-9
-    eig_floor_factor: float = 1e-6
-    step0: float = 0.5
 
 
 @dataclass(frozen=True)
@@ -122,6 +118,10 @@ _UNRESOLVED = 1e-14
 # stops, a guard: while 1e-4 t slope is below an ulp of F but -t slope is
 # still above _UNRESOLVED |F|, Armijo accepts F_c == F.
 _NO_DECREASE_STEPS = 50
+
+_GRAD_TOL = 1e-9    # converged: max |preconditioned gradient| <= this max(|F|, 1)
+_EIG_FLOOR = 1e-6   # feasible step: min eig D^2 h > this mean(h)
+_FIRST_STEP = 0.5   # the first line search's trial step
 
 
 class _EvenModel:
@@ -224,7 +224,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 
     F, grad = _value_and_grad(model, f, p, h, det)
     history = [F]
-    step = opts.step0
+    step = _FIRST_STEP
     iterations = 0
     flat = 0   # accepted steps in a row without a strict decrease
     converged = False
@@ -233,7 +233,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         d = -precond * grad
         slope = float(grad @ d)
         gnorm = float(np.abs(d).max())
-        if gnorm <= opts.gtol * max(abs(F), 1.0):
+        if gnorm <= _GRAD_TOL * max(abs(F), 1.0):
             converged = True
             message = "gradient tolerance reached"
             break
@@ -242,7 +242,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         for _ in range(40):
             cand = c + t * d
             hc, detc, mnc = model.geometry(cand)
-            if detc is not None and mnc > opts.eig_floor_factor * np.mean(hc):
+            if detc is not None and mnc > _EIG_FLOOR * np.mean(hc):
                 Fc, gradc = _value_and_grad(model, f, p, hc, detc)
                 if -t * slope <= _UNRESOLVED * abs(F):
                     accepted = float(np.abs(precond * gradc).max()) < gnorm

@@ -22,7 +22,7 @@ from calab.sphere import SphereGrid, unpack_sym
 @dataclass(frozen=True)
 class PinchingReport:
     n: int
-    r_curv: float     # min eigenvalue of D^2 h over unmasked nodes
+    r_curv: float     # min eigenvalue of D^2 h over the nodes
     R_curv: float     # max eigenvalue of D^2 h
     A: float          # min eigenvalue of h D^2 h
     B: float          # max eigenvalue of h D^2 h
@@ -55,12 +55,11 @@ def threshold_strong(A: float, B: float, R: float, n: int) -> float:
 
 
 def measure_pinching(bg: BodyOnGrid) -> PinchingReport:
-    """Extract pinching constants from a grid evaluation."""
+    """Extract pinching constants from a grid evaluation, over every node."""
     if not bg.valid:
         raise ValueError("pinching requires a strongly convex body on the grid")
-    keep = ~bg.grid.pole_mask
-    eig = bg.eig_D2h[keep]
-    heig = bg.h[keep, None] * eig
+    eig = bg.eig_D2h
+    heig = bg.h[:, None] * eig
     n = bg.grid.n
     r_curv, R_curv = float(eig.min()), float(eig.max())
     A, B = float(heig.min()), float(heig.max())

@@ -267,8 +267,8 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     nb = system.basis.size
     if k is None:
         k = nb
-    if k > nb:
-        raise ValueError("k exceeds basis size")
+    if not 1 <= k <= nb:
+        raise ValueError(f"k must be in 1..{nb}, the basis size")
     even = _even_columns(system)
 
     lambda1_even = None
@@ -367,6 +367,9 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
     dropping its column leaves the quotient's range unchanged.  The Hessian
     form is built on those columns only, not read from `hessform`."""
     cols = _even_columns(system)[1:]
+    if not len(cols):
+        raise ValueError("the even non-constant subspace is empty at degree_max "
+                         f"{system.basis.degree_max}")
     ix = np.ix_(cols, cols)
     hess = _hessian_form(system, (cols,))[ix]
     try:
@@ -383,7 +386,6 @@ def first_eigenspace_deficiency(state: CentroAffineState,
     """How far the computed lambda_1 eigenvectors are from the span of the
     adapted linear functions <theta, xi>/h (subspace angle)."""
     rep = solve_spectrum(system, subspace="all")
-    ztol = _zero_tol(rep.eigenvalues)
     lam1 = rep.lambda1
     tol = max(1e-6, 1e-3 * lam1)
     idx = np.flatnonzero(np.abs(rep.eigenvalues - lam1) <= tol)

@@ -23,10 +23,6 @@ import numpy as np
 
 SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
-# nodes with |cos(colatitude)| above this are flagged (coordinate-frame
-# singularity for n=3 spherical frames; the geometry itself is fine there)
-POLE_COS_CUTOFF = 0.999
-
 # spectral tail fraction above which derivative fields carry tail_warning
 TAIL_WARNING = 1e-8
 
@@ -168,25 +164,26 @@ class HarmonicBasis:
         symmetric matrices annihilating the radial direction.  They are the
         frame components of frame_derivs mapped to ambient coordinates.
         """
-        vals, grads, hess, frames = self.frame_derivs(points, order)
+        vals, grads, hess = self.frame_derivs(points, order)
         if grads is None:
             return vals, None, None
+        frames = tangent_frames(points)
         grads = to_ambient(frames, grads, 1)
         if hess is not None:
             hess = to_ambient(frames, unpack_sym(hess), 2)
         return vals, grads, hess
 
     def frame_derivs(self, points: np.ndarray, order: int = 2):
-        """Basis values and tangential derivatives as components in a
-        per-point orthonormal tangent frame E (columns e_1..e_{n-1}).
+        """Basis values and tangential derivatives as components in the
+        per-point orthonormal tangent frames E = tangent_frames(points)
+        (columns e_1..e_{n-1}).
 
         Returns (values (P, nb), grads (P, nb, n-1), hessians
-        (P, nb, n(n-1)/2), E (P, n, n-1)).  grads holds <grad, e_r>; hessians
-        holds the covariant-Hessian components e_r1^t Hess e_r2 for r1 <= r2,
-        which is (tt, tp, pp) at n=3 with e_t, e_p the colatitude and
-        longitude directions and the single tt component at n=2 with e_t the
-        counterclockwise tangent; E is tangent_frames(points).  Derivatives
-        above `order`, and E at order 0, are None.
+        (P, nb, n(n-1)/2)).  grads holds <grad, e_r>; hessians holds the
+        covariant-Hessian components e_r1^t Hess e_r2 for r1 <= r2, which is
+        (tt, tp, pp) at n=3 with e_t, e_p the colatitude and longitude
+        directions and the single tt component at n=2 with e_t the
+        counterclockwise tangent.  Derivatives above `order` are None.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.n == 2:
@@ -208,14 +205,13 @@ class HarmonicBasis:
 
         vals = columns(1.0 / np.sqrt(2.0 * np.pi), inv_sqrtpi * c, inv_sqrtpi * s)
         if order == 0:
-            return vals, None, None, None
-        frames = tangent_frames(pts)
+            return vals, None, None
         grads = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))[:, :, None]
         if order == 1:
-            return vals, grads, None, frames
+            return vals, grads, None
         kk = -(k * k) * inv_sqrtpi
         hess = columns(0.0, kk * c, kk * s)[:, :, None]
-        return vals, grads, hess, frames
+        return vals, grads, hess
 
     def _eval_sphere(self, pts, order):
         """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
@@ -248,15 +244,14 @@ class HarmonicBasis:
 
         vals = columns(P) * lon
         if order == 0:
-            return vals, None, None, None
+            return vals, None, None
         lon_m = np.concatenate([-s, c], axis=1)[:, col]
         dP = _dtheta(P)
-        frames = tangent_frames(pts)
         # components d_theta Y and d_phi Y / sin theta in the frame
         grads = np.stack([columns(dP) * lon, columns(_over_sin(P)) * lon_m],
                          axis=-1)
         if order == 1:
-            return vals, grads, None, frames
+            return vals, grads, None
 
         # covariant Hessian components (tt, tp, pp): tp is
         # d_theta(d_phi Y / sin theta) and pp follows from Delta Y = -l(l+1) Y
@@ -264,7 +259,7 @@ class HarmonicBasis:
         hess[..., 0] = columns(_dtheta(dP)) * lon
         hess[..., 1] = columns(_over_sin(dP)) * lon_m
         hess[..., 2] = -(l * (l + 1)) * vals - hess[..., 0]
-        return vals, grads, hess, frames
+        return vals, grads, hess
 
 
 @functools.cache
@@ -348,7 +343,7 @@ class SphereGrid:
     pair, and antipodal nodes carry equal weights; basis tables, transforms
     and parity-blocked assembly rely on both."""
 
-    def __init__(self, n, band_limit, nodes, weights, antipodal_index, pole_mask):
+    def __init__(self, n, band_limit, nodes, weights, antipodal_index):
         half = len(weights) // 2
         if not (antipodal_index[:half] >= half).all():
             raise ValueError("the first half of the nodes must hold one node of "
@@ -360,9 +355,8 @@ class SphereGrid:
         self.nodes = nodes
         self.weights = weights
         self.antipodal_index = antipodal_index
-        self.pole_mask = pole_mask
         self.basis = HarmonicBasis(n, band_limit)
-        for arr in (self.nodes, self.weights, self.antipodal_index, self.pole_mask):
+        for arr in (self.nodes, self.weights, self.antipodal_index):
             arr.setflags(write=False)
         self._tables = None
         self._frames = None
@@ -389,9 +383,8 @@ class SphereGrid:
         nb = int(np.count_nonzero(self.basis.degrees <= band))
         if self._tables is None or self._tables[0].shape[1] < nb:
             half = self.node_count // 2
-            *tables, _ = HarmonicBasis(self.n, band).frame_derivs(
+            self._tables = HarmonicBasis(self.n, band).frame_derivs(
                 self.nodes[:half], order=2)
-            self._tables = tuple(tables)
         return tuple(T[:, :nb] for T in self._tables)
 
     def tangent_frames(self) -> np.ndarray:
@@ -438,8 +431,7 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
         nodes = np.stack([np.cos(t), np.sin(t)], axis=-1)
         weights = np.full(N, 2.0 * np.pi / N)
         anti = (np.arange(N) + N // 2) % N
-        mask = np.zeros(N, dtype=bool)
-        return SphereGrid(2, L, nodes, weights, anti, mask)
+        return SphereGrid(2, L, nodes, weights, anti)
 
     if n_nodes is not None:
         raise ValueError("n_nodes override is only supported for n=2")
@@ -458,36 +450,24 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     k = np.repeat(np.arange(n_th), n_ph)
     j = np.tile(np.arange(n_ph), n_th)
     anti = (n_th - 1 - k) * n_ph + (j + n_ph // 2) % n_ph
-    mask = np.abs(z) > POLE_COS_CUTOFF
-    return SphereGrid(3, L, nodes, weights, anti, mask)
+    return SphereGrid(3, L, nodes, weights, anti)
 
 
 # ----------------------------------------------------------------------
 # fields
 
 
-def _detect_parity(grid: SphereGrid, values: np.ndarray) -> str:
-    va = values[grid.antipodal_index]
-    scale = max(np.abs(values).max(), 1.0)
-    if np.abs(values - va).max() <= 1e-12 * scale:
-        return "even"
-    if np.abs(values + va).max() <= 1e-12 * scale:
-        return "odd"
-    return "mixed"
-
-
 @dataclass(frozen=True)
 class ScalarField:
     grid: SphereGrid
     values: np.ndarray
-    parity: str
 
     @classmethod
     def from_values(cls, grid: SphereGrid, values) -> "ScalarField":
         v = np.asarray(values, dtype=float)
         if v.shape != (grid.node_count,):
             raise ValueError("value array does not match grid")
-        return cls(grid, v, _detect_parity(grid, v))
+        return cls(grid, v)
 
     @classmethod
     def from_function(cls, grid: SphereGrid, fn) -> "ScalarField":
@@ -612,8 +592,8 @@ def tangential_hessian(field: ScalarField) -> TangentTensorField:
 def parity_split(field: ScalarField):
     """Exact even/odd decomposition via antipodal node pairing."""
     va = field.values[field.grid.antipodal_index]
-    even = ScalarField(field.grid, 0.5 * (field.values + va), "even")
-    odd = ScalarField(field.grid, 0.5 * (field.values - va), "odd")
+    even = ScalarField(field.grid, 0.5 * (field.values + va))
+    odd = ScalarField(field.grid, 0.5 * (field.values - va))
     return even, odd
 
 

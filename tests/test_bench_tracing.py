@@ -1,0 +1,46 @@
+"""The benchmark's tracer still finds every calab name it wraps.
+
+``bench/tracing.py`` replaces calab functions and methods by name when it is
+installed, and fails there when one of them has been removed or renamed.
+Installing it monkeypatches calab for the whole process, so the check runs in
+a fresh interpreter: install, one traced spectrum, and every per-layer metric
+that BENCHMARK.json declares is present in ``layer_metrics``, apart from the
+two that ``bench/run.py`` computes itself.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+COMPUTED_BY_RUN = {"cli.sweep_scaling_eff", "trace.overhead_frac"}
+
+_PROBE = """
+import json
+import tracing
+from calab.bodies import ball
+from calab.spectral import spectrum_of_body
+from calab.sphere import build_grid
+tracer = tracing.Tracer()
+tracing.install(tracer)
+spectrum_of_body(ball(1.0, 2), build_grid(2, 8), k=3)
+print(json.dumps(tracing.layer_metrics(tracer.spans)))
+"""
+
+
+def test_tracing_installs_and_reports_every_declared_layer():
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "bench"), os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    metrics = json.loads(out)
+    declared = {m["name"] for m in
+                json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
+    assert COMPUTED_BY_RUN <= declared
+    assert declared - COMPUTED_BY_RUN <= metrics.keys()
+    # the spectrum's calls went through the wrapped names
+    assert metrics["spectral.assemble_calls"] == 1
+    assert metrics["spectral.solve_calls"] == 1
+    assert metrics["bodies.evaluate_on_grid_calls"] == 1

@@ -8,7 +8,6 @@ from scipy.spatial import cKDTree
 from calab.bodies import (
     LqNormBody,
     SpectralBody,
-    Tolerances,
     ball,
     ellipsoid,
     perturbed_ball,
@@ -554,11 +553,6 @@ def test_lq_gauge_body_sandwich():
     h = K.support(g.nodes)
     assert h.min() >= 1.0 - 1e-12          # B subset K
     assert h.max() <= 3.0**0.25 + 1e-12    # K subset n^(1/4) B
-
-
-def test_tolerances_validation():
-    with pytest.raises(ValueError):
-        Tolerances(eig_tol=-1.0)
 
 
 def test_body_json_and_csv_export(tmp_path):

@@ -490,3 +490,28 @@ def test_console_entry_point(tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     assert "checks passed" in proc.stdout
+
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def _config_command(stem: str) -> str:
+    """The command a shipped config's file name names: spectrum_ball_n3 ->
+    spectrum, verify_all -> verify-all."""
+    (command,) = [c for c in cli.COMMAND_TABLE
+                  if stem == c.replace("-", "_")
+                  or stem.startswith(c.replace("-", "_") + "_")]
+    return command
+
+
+@pytest.mark.parametrize("config", sorted(p.name for p in CONFIGS.glob("*.json")))
+def test_shipped_config_runs_and_reproduces(tmp_path, config):
+    command = _config_command(Path(config).stem)
+    outs = []
+    for run in ("a", "b"):
+        out = tmp_path / run
+        assert run_cli([command, "--config", CONFIGS / config, "--out", out]) == 0
+        outs.append({p.name: p.read_bytes() for p in out.iterdir()
+                     if p.name != "timing.txt"})
+    assert "report.json" in outs[0]
+    assert outs[0] == outs[1]

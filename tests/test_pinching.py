@@ -90,6 +90,19 @@ def test_pinching_ordering_invariants():
         assert rep.R_out <= rep.R_curv + 1e-8
 
 
+def test_pinching_reads_every_node_pole_rings_included():
+    # diag(2, 1, 0.7) has its largest radius of curvature, 2^2/0.7, at the
+    # poles; at L=64 the outermost Gauss-Legendre rings have |cos theta| > 0.999
+    g = build_grid(3, 64)
+    bg = evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 0.7])), g)
+    assert np.abs(g.nodes[:, 2]).max() > 0.999
+    rep = measure_pinching(bg)
+    assert rep.R_curv == bg.eig_D2h.max() and rep.r_curv == bg.eig_D2h.min()
+    heig = bg.h[:, None] * bg.eig_D2h
+    assert rep.A == heig.min() and rep.B == heig.max()
+    assert 0.0 < 4.0 / 0.7 - rep.R_curv < 5e-3
+
+
 def test_pinching_requires_valid_body():
     g = build_grid(2, 16)
     bg = evaluate_on_grid(perturbed_ball(2, 1.5), g)

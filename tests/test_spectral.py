@@ -420,3 +420,21 @@ def test_invariance_diagonal_stretch():
     res2 = invariance_check(perturbed_ball(2, 0.1), np.diag([2.0, 1.0]), g2,
                             count=10)
     assert res2["max_gap"] < 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("degree_max", [0, 1])
+def test_hessian_gap_on_an_empty_even_subspace_raises(n, degree_max):
+    # below degree 2 the only even function is the constant
+    g = build_grid(n, 8)
+    st = build_state(evaluate_on_grid(perturbed_ball(n, 0.1), g))
+    sys_ = assemble(st, GalerkinBasis(g, degree_max))
+    with pytest.raises(ValueError, match="even non-constant subspace is empty"):
+        hessian_gap_even(sys_)
+
+
+@pytest.mark.parametrize("subspace", ["all", "even-nonconstant"])
+def test_solve_spectrum_rejects_k_below_one(subspace):
+    _, sys_ = system_for(perturbed_ball(3, 0.1), 3, 8)
+    with pytest.raises(ValueError, match="k must be in 1.."):
+        solve_spectrum(sys_, k=0, subspace=subspace)

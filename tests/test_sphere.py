@@ -160,15 +160,10 @@ def test_parity_split_reconstructs_and_classifies():
     assert np.allclose(even.values + odd.values, f.values, atol=1e-14)
     assert np.allclose(even.values, lin**2, atol=1e-14)
     assert np.allclose(odd.values, lin, atol=1e-14)
-    assert even.parity == "even" and odd.parity == "odd"
-
-
-def test_parity_detection():
-    g = build_grid(2, 8)
-    const = ScalarField.from_values(g, np.full(g.node_count, 2.5))
-    assert const.parity == "even"
-    lin = ScalarField.from_function(g, lambda x: x[:, 0])
-    assert lin.parity == "odd"
+    # even and odd under the antipodal map, read through the node pairing
+    anti = g.antipodal_index
+    assert np.array_equal(even.values[anti], even.values)
+    assert np.array_equal(odd.values[anti], -odd.values)
 
 
 # n=2 at the default node count and the 256-node override, n=3 at three bands
@@ -195,7 +190,7 @@ def test_grid_without_half_structure_is_rejected():
     anti = np.argsort(order)[g.antipodal_index[order]]
     assert np.abs(nodes[anti] + nodes).max() < 1e-12
     with pytest.raises(ValueError, match="antipodal pair"):
-        SphereGrid(2, 8, nodes, g.weights[order], anti, g.pole_mask[order])
+        SphereGrid(2, 8, nodes, g.weights[order], anti)
 
 
 def _full_ambient_tables(g):
@@ -293,7 +288,7 @@ def test_grid_frames_are_the_table_frames(n, L, n_nodes):
     E = g.tangent_frames()
     assert E.shape == (g.node_count, n, n - 1)
     assert np.array_equal(E[g.antipodal_index[:half]], E[:half])
-    assert np.array_equal(E[:half], g.basis.frame_derivs(g.nodes[:half], order=1)[3])
+    assert np.array_equal(E[:half], tangent_frames(g.nodes[:half]))
     assert g._tables is None
 
 
@@ -349,7 +344,7 @@ def test_grid_with_unequal_antipodal_weights_is_rejected():
     w = g.weights.copy()
     w[0] *= 1.0 + 1e-15
     with pytest.raises(ValueError, match="equal weights"):
-        SphereGrid(2, 8, g.nodes, w, g.antipodal_index, g.pole_mask)
+        SphereGrid(2, 8, g.nodes, w, g.antipodal_index)
 
 
 def _random_symmetric(rng, count, q, lam):
@@ -449,14 +444,13 @@ def test_gradient_hessian_match_fd_oracle(n):
     def fn(x):
         return g.basis.eval(x) @ c
 
-    keep = ~g.pole_mask
     grad = tangential_gradient(f).vectors
     grad_fd = fd_gradient_on_sphere(fn, g.nodes)
-    assert np.abs(grad - grad_fd)[keep].max() < 1e-6
+    assert np.abs(grad - grad_fd).max() < 1e-6
 
     hess = tangential_hessian(f).tensors
     hess_fd = fd_hessian_on_sphere(fn, g.nodes)
-    assert np.abs(hess - hess_fd)[keep].max() < 1e-6
+    assert np.abs(hess - hess_fd).max() < 1e-6
 
 
 def test_derivative_fields_are_tangential():
