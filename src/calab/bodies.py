@@ -589,11 +589,16 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
 
 
 def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
-    """The unit l_q ball (gauge ||.||_q); its support function is the dual norm.
+    """The unit l_q ball (gauge ||.||_q) for q >= 2; its support function is
+    the dual norm.
 
     Not strongly convex as given (curvature degenerates on the axes); used as
     a rough input for the smoothing construction, which only needs its gauge.
+    The gauge has a closed-form evaluator (LqNormBody) for even q >= 4; for
+    other q, gauge_body() is None and the construction takes the numeric polar.
     """
+    if q < 2:
+        raise ValueError(f"q must be >= 2, got {q}")
 
     class _LqBall(BodyEvaluator):
         def __init__(self):
@@ -611,7 +616,7 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
             return h, self._fd_grad(pts), self._fd_hess(pts)
 
         def gauge_body(self):
-            return LqNormBody(q, n)
+            return LqNormBody(q, n) if q >= 4 and q % 2 == 0 else None
 
     return _LqBall()
 
@@ -710,22 +715,3 @@ def quantities(bg: BodyOnGrid) -> Quantities:
         R_out=float(bg.h.max()),
         polar_volume=polar_volume,
     )
-
-
-def body_to_json(body: BodyEvaluator) -> dict:
-    return {"label": body.label, "dimension": body.n, "even": body.even}
-
-
-def body_on_grid_to_csv(bg: BodyOnGrid, path) -> None:
-    cols = ["index"] + ["x", "y", "z"][: bg.grid.n] + [
-        "h", "sk_density", "vk_density", "min_eig", "valid",
-    ]
-    mn = bg.eig_D2h.min(axis=1)
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, (pnt, hv, sk, vk, m) in enumerate(
-            zip(bg.grid.nodes, bg.h, bg.sk_density, bg.vk_density, mn)
-        ):
-            coords = ",".join(repr(float(c)) for c in pnt)
-            fh.write(f"{i},{coords},{float(hv)!r},{float(sk)!r},{float(vk)!r},"
-                     f"{float(m)!r},{int(m > 0)}\n")

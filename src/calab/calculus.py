@@ -1,36 +1,32 @@
 """Centro-affine differential structures on the sphere parametrization.
 
 Carries the metric g = D^2h/h, the primal/dual volume densities h det(D^2h)
-and h^{-n}, the conjugate-connection calculus (Christoffel symbols, conjugate
-Hessian, the induced Laplacian), the duality map, and the constant-Ricci
-check.  The primal connection is never assembled; everything routes through
-the conjugate side and the metric, which keeps third derivatives of h out of
-the numerics.
+and h^{-n}, the conjugate-connection calculus (conjugate Hessian, the induced
+Hilbert-Brunn-Minkowski operator, the pointwise norms of the Bochner
+identity) and the constant-Ricci check on the conjugate Christoffel symbols.
+The primal connection is never assembled; everything routes through the
+conjugate side and the metric, which keeps third derivatives of h out of the
+numerics.
 
 Every tensor is held and contracted as components in the grid frames
 E = grid.tangent_frames(): (N, n-1) vectors and (N, n-1, n-1) matrices, where
-D^2h is R = D2h_frame and g = R/h.  Only the public ambient output
-conjugate_hessian expands them to ambient n x n matrices (sphere.to_ambient).
+D^2h is R = D2h_frame and g = R/h.  Nothing here returns ambient n x n
+matrices; sphere.to_ambient maps frame components out where a caller needs
+them.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 import numpy as np
 
-from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
+from calab.bodies import BodyEvaluator, BodyOnGrid
 from calab.sphere import (
-    TAIL_WARNING,
     ScalarField,
-    TangentTensorField,
     analyze,
     gradient_from_coeffs,
     hessian_from_coeffs,
-    quad_values,
-    spectral_tail,
     tangent_frames,
-    to_ambient,
     _angles_from_points,
 )
 
@@ -89,15 +85,6 @@ def _conjugate_derivs(state: CentroAffineState, f: ScalarField):
                                               hessian_from_coeffs(f.grid, c))
 
 
-def conjugate_hessian(state: CentroAffineState, f: ScalarField) -> TangentTensorField:
-    """Hessian of f for the conjugate connection, as ambient matrices:
-    Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h)."""
-    c, _, Hs = _conjugate_derivs(state, f)
-    grid = state.grid
-    return TangentTensorField(grid, to_ambient(grid.tangent_frames(), Hs, 2),
-                              tail_warning=spectral_tail(f, c) > TAIL_WARNING)
-
-
 def _hbm_arrays(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
     """tr(g^{-1} Hess* f) per node, from the frame conjugate Hessian."""
     return np.einsum("ikl,ilk->i", state.ginv, Hs)
@@ -120,31 +107,6 @@ def hess_norm_sq(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
     frame conjugate Hessian of f."""
     M = np.einsum("ikl,ilm->ikm", state.ginv, Hs)
     return np.einsum("ikl,ilk->i", M, M)
-
-
-def adapted_linear(state: CentroAffineState, xi: np.ndarray) -> ScalarField:
-    """The first-eigenfunction family <theta, xi>/h."""
-    vals = (state.grid.nodes @ np.asarray(xi, dtype=float)) / state.bg.h
-    return ScalarField.from_values(state.grid, vals)
-
-
-def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
-    """Values, frame gradient, and frame covariant Hessian of <theta,xi>/h in
-    closed form (the field is analytic but not band-limited, so spectral
-    differentiation would inject representation error into identity checks).
-
-    With f = <theta, xi>/h, e = E^t xi / h and l = grad log h:
-    grad f = e - f l and Hess f = -(e (x) l + l (x) e) - f R/h + 2 f l (x) l."""
-    h = state.bg.h
-    f = (state.grid.nodes @ np.asarray(xi, dtype=float)) / h
-    e = (np.asarray(xi, dtype=float) @ state.grid.tangent_frames()) / h[:, None]
-    glh = state.grad_log_h
-    cross = e[:, :, None] * glh[:, None, :]
-    fr = f[:, None, None]
-    hess = (-(cross + cross.transpose(0, 2, 1))
-            - fr * state.bg.D2h_frame / h[:, None, None]
-            + 2.0 * fr * (glh[:, :, None] * glh[:, None, :]))
-    return f, e - f[:, None] * glh, hess
 
 
 # ----------------------------------------------------------------------
@@ -211,26 +173,6 @@ def _conjugate_symbols_at(body: BodyEvaluator, theta, phi):
     return _sphere_symbols(theta) + _body_symbols_at(body, theta, phi)
 
 
-def conjugate_christoffels(state: CentroAffineState) -> np.ndarray:
-    """Conjugate-connection symbols in (theta, phi) coordinates at the nodes.
-
-    n=3 only; the n=2 analogue is the scalar -2 d_t(log h) and carries no
-    curvature content.  Nodes with |cos theta| > _CHART_COS_CUTOFF, where the
-    chart degenerates, read NaN; raises when that leaves no node.
-    """
-    if state.n != 3:
-        raise ValueError("coordinate Christoffel symbols are built for n=3")
-    grid = state.grid
-    keep = _chart_nodes(grid)
-    if not keep.size:
-        raise ValueError("every node lies beyond the (theta, phi) chart's "
-                         "pole cutoff")
-    theta, phi = _angles_from_points(grid.nodes, 3)
-    out = np.full((grid.node_count, 2, 2, 2), np.nan)
-    out[keep] = _conjugate_symbols_at(state.bg.body, theta[keep], phi[keep])
-    return out
-
-
 def ricci_star_check(state: CentroAffineState) -> dict:
     """Max relative deviation of the conjugate Ricci tensor from (n-2) g.
 
@@ -288,112 +230,3 @@ def ricci_star_check(state: CentroAffineState) -> dict:
     rel = dev / scale
     worst = int(np.argmax(rel))
     return {"max_relative_deviation": float(rel[worst]), "node": int(keep[worst])}
-
-
-# ----------------------------------------------------------------------
-# duality
-
-
-def duality_map(bg: BodyOnGrid) -> np.ndarray:
-    """Per node, the image direction x/|x| on S^{n-1} of the boundary point."""
-    return bg.x / np.linalg.norm(bg.x, axis=1, keepdims=True)
-
-
-def duality_roundtrip_error(bg: BodyOnGrid, polar_body: BodyEvaluator) -> float:
-    """Applying the map for K then for the polar returns the start direction."""
-    back = polar_body.support_grad(duality_map(bg))
-    back /= np.linalg.norm(back, axis=1, keepdims=True)
-    return float(np.abs(back - bg.grid.nodes).max())
-
-
-def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
-    """Pull the polar metric back through the duality map and compare with
-    g_K; compare the centro-affine surface-area masses.
-
-    The polar metric is evaluated exactly through its evaluator at the mapped
-    directions (band-limited/exact evaluation, not nearest-node lookup).
-    """
-    if bgK.grid is not bgKpolar.grid:
-        raise ValueError("both bodies must live on the same grid")
-    grid = bgK.grid
-    polar_body = bgKpolar.body
-
-    xs = bgK.x
-    r = np.linalg.norm(xs, axis=1)
-    dirs = xs / r[:, None]
-
-    hp, _, Hp = polar_body.jet(dirs, 2)
-    R = bgK.D2h_frame
-    # differential of the map theta -> x/|x| on the frame vectors E: the
-    # part of D2h E = E R tangent at x/|x|, over |x|; its radial part is
-    # dropped by Hp, which annihilates x/|x|
-    dM = grid.tangent_frames() @ R / r[:, None, None]
-    gK_f = R / bgK.h[:, None, None]
-    gP_f = dM.transpose(0, 2, 1) @ Hp @ dM / hp[:, None, None]
-    num = np.linalg.norm(gP_f - gK_f, axis=(1, 2))
-    den = np.linalg.norm(gK_f, axis=(1, 2))
-    pull_err = float((num / den).max())
-
-    qK = quantities(bgK)
-    qP = quantities(bgKpolar)
-    omega_gap = abs(qK.omega_n - qP.omega_n) / qK.omega_n
-    return {"metric_pullback_error": pull_err, "omega_mass_gap": float(omega_gap)}
-
-
-# ----------------------------------------------------------------------
-# integral identities
-
-
-def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> float:
-    """Divergence-theorem consistency for the field grad_g f: the integral of
-    g(grad f, grad(Lf)) + (n-2)|grad f|^2 + ||Hess* f||^2 against nu vanishes.
-    Returns the residual relative to the largest term."""
-    w = state.grid.weights * state.nu_density
-    _, df, Hs = _conjugate_derivs(state, f)
-    Lf = ScalarField.from_values(state.grid, _hbm_arrays(state, Hs))
-    dLf = gradient_from_coeffs(state.grid, analyze(Lf))
-    t1 = float(w @ np.einsum("ik,ikl,il->i", df, state.ginv, dLf))
-    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
-    t3 = float(w @ hess_norm_sq(state, Hs))
-    scale = max(abs(t1), abs(t2), abs(t3))
-    if scale == 0.0:
-        return 0.0
-    return abs(t1 + t2 + t3) / scale
-
-
-def pushforward_invariance_error(bgK: BodyOnGrid, bgTK: BodyOnGrid,
-                                 T: np.ndarray, test_fn) -> float:
-    """Unimodular invariance of the primal volume measure: integrating a test
-    function against nu_{T(K)} equals integrating its pullback through
-    theta -> T^{-t} theta / |T^{-t} theta| against nu_K."""
-    Tinv_t = np.linalg.inv(np.asarray(T, dtype=float)).T
-    grid = bgK.grid
-    lhs = quad_values(grid, test_fn(grid.nodes) * bgTK.h * bgTK.sk_density)
-    mapped = grid.nodes @ Tinv_t.T
-    mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
-    rhs = quad_values(grid, test_fn(mapped) * bgK.h * bgK.sk_density)
-    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
-
-
-def state_diagnostics(state: CentroAffineState) -> list[dict]:
-    """Machine-readable invariant report: {name, max error, node of max}."""
-    n = state.n
-    out = []
-    detg = state.nu_density * state.nu_star_density
-    detg_direct = state.bg.sk_density / state.bg.h ** (n - 1)
-    err = np.abs(detg - detg_direct) / np.abs(detg_direct)
-    i = int(np.argmax(err))
-    out.append({"name": "measure_conjugacy", "max_error": float(err[i]), "node": i})
-
-    g = state.bg.D2h_frame / state.bg.h[:, None, None]
-    errs = []
-    for k in range(n):
-        xi = np.zeros(n)
-        xi[k] = 1.0
-        fv, grad, hess = adapted_linear_derivs(state, xi)
-        Hs = _conjugate_hessian_arrays(state, grad, hess)
-        errs.append(np.linalg.norm(Hs + fv[:, None, None] * g, axis=(1, 2)))
-    e = np.max(errs, axis=0) / np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
-    i = int(np.argmax(e))
-    out.append({"name": "adapted_linear_hessian", "max_error": float(e[i]), "node": i})
-    return out

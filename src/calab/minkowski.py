@@ -1,10 +1,12 @@
 """Variational solver for the discrete even L^p-Minkowski problem.
 
-Minimizes the scale-invariant functional whose critical points solve
-h^{1-p} det(D^2 h) = c f for a prescribed positive even density f.  The
-variable is the even-harmonic coefficient vector of the support function, so
-evenness and smoothness are built in; strong convexity is maintained by a
-backtracking line search with an eigenvalue floor.
+Minimizes the scale-invariant functional (1/p) int h^p dmu / V^{p/n} for
+p != 0, and exp(int log h dmu~) / V^{1/n} at p = 0 (mu~ the normalized
+measure), whose critical points solve h^{1-p} det(D^2 h) = c f for a
+prescribed positive even density f.  The variable is the even-harmonic
+coefficient vector of the support function, so evenness and smoothness are
+built in; strong convexity is maintained by a backtracking line search with
+an eigenvalue floor.
 """
 
 from __future__ import annotations
@@ -27,6 +29,8 @@ class TargetMeasure:
         f = np.asarray(density, dtype=float)
         if f.shape != (grid.node_count,):
             raise ValueError("density does not match the grid")
+        if not np.all(np.isfinite(f)):
+            raise ValueError("density must be finite")
         if np.any(f <= 0):
             raise ValueError("density must be strictly positive")
         anti = f[grid.antipodal_index]
@@ -82,27 +86,6 @@ class SolveResult:
             "coefficients": [float(c) for c in self.coeffs],
             "message": self.message,
         }
-
-
-# ----------------------------------------------------------------------
-# the functional
-
-
-def functional(bg: BodyOnGrid, mu: TargetMeasure, p: float) -> float:
-    """Scale-invariant target: (1/p) int h^p dmu / V^{p/n} for p != 0 and
-    exp(int log h dmu~)/V^{1/n} at p = 0 (mu~ the normalized measure)."""
-    if not (-bg.grid.n < p < 1):
-        raise ValueError("p must lie in (-n, 1)")
-    if bg.grid is not mu.grid:
-        raise ValueError("body and measure must share a grid")
-    w = bg.grid.weights
-    n = bg.grid.n
-    V = float(w @ bg.vk_density)
-    if p == 0:
-        avg = float(w @ (mu.density * np.log(bg.h))) / mu.mass
-        return float(np.exp(avg) / V ** (1.0 / n))
-    E = float(w @ (mu.density * bg.h**p)) / p
-    return E / V ** (p / n)
 
 
 # ----------------------------------------------------------------------

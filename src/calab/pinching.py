@@ -14,8 +14,6 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
-from calab.calculus import build_state
-from calab.spectral import GalerkinBasis, assemble, solve_spectrum
 from calab.sphere import SphereGrid, unpack_sym
 
 
@@ -147,34 +145,6 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
         nit += 1
 
 
-def john_position(body: BodyEvaluator, grid: SphereGrid,
-                  iters: int = 200) -> dict:
-    """Approximate John position: minimize the sandwich ratio R_out/r_in of
-    T(K) over unit-determinant symmetric positive-definite T (Nelder-Mead).
-
-    The exact John ellipsoid is out of scope; any certified sandwich
-    (r_in, R_out) serves downstream consumers equally well."""
-    n = body.n
-    dim = n * (n + 1) // 2
-
-    def objective(z):
-        T = _spd_exp(_sym_from_vec(z, n))
-        h = linear_image(body, T).support(grid.nodes)
-        if not np.all(np.isfinite(h)) or np.any(h <= 0):
-            return 1e6
-        return float(h.max() / h.min())
-
-    z, _ = _nelder_mead(objective, np.zeros(dim), iters, xatol=1e-7, fatol=1e-10)
-    T = _spd_exp(_sym_from_vec(z, n))
-    h = linear_image(body, T).support(grid.nodes)
-    return {
-        "T": T,
-        "r_in": float(h.min()),
-        "R_out": float(h.max()),
-        "ratio": float(h.max() / h.min()),
-    }
-
-
 def _p_strong_objective(body: BodyEvaluator, grid: SphereGrid):
     """optimize_image's objective: p_strong of T(K) at T = exp(z) for the
     traceless log-chart coordinates z, and 1e6 - min eig D^2h (a penalty
@@ -205,27 +175,3 @@ def optimize_image(body: BodyEvaluator, grid: SphereGrid,
     best_T = _spd_exp(_sym_from_vec(z, n))
     report = measure_pinching(evaluate_on_grid(linear_image(body, best_T), grid))
     return {"T": best_T, "report": report, "iterations": nit}
-
-
-def spectral_consistency(body: BodyEvaluator, grid: SphereGrid,
-                         degree_max: int | None = None,
-                         pinch_report: PinchingReport | None = None) -> dict:
-    """Check lambda_1_even >= n - p_strong - tol with tol = 1e-3 n.
-
-    pinch_report defaults to the pinching of the body itself; pass the report
-    of an optimized image to test the sharper per-image bound."""
-    n = body.n
-    bg = evaluate_on_grid(body, grid)
-    if pinch_report is None:
-        pinch_report = measure_pinching(bg)
-    state = build_state(bg)
-    Lb = grid.band_limit if degree_max is None else degree_max
-    system = assemble(state, GalerkinBasis(grid, Lb))
-    rep = solve_spectrum(system, k=2, subspace="even-nonconstant")
-    lam = rep.lambda1_even
-    tol = 1e-3 * n
-    return {
-        "p_strong": pinch_report.p_strong,
-        "lambda1_even": lam,
-        "satisfied": bool(lam >= n - pinch_report.p_strong - tol),
-    }

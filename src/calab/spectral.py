@@ -10,7 +10,6 @@ generalized eigenproblem is dense symmetric definite, solved per block.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -20,12 +19,11 @@ from calab.calculus import (
     CentroAffineState,
     _conjugate_derivs,
     _hbm_arrays,
-    adapted_linear,
     build_state,
     grad_norm_sq,
     hess_norm_sq,
 )
-from calab.sphere import ScalarField, SphereGrid, analyze
+from calab.sphere import ScalarField, SphereGrid
 
 
 @dataclass(frozen=True)
@@ -71,7 +69,8 @@ class _Rows:
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Stiffness, mass and (built when first read) Hessian-form matrices.
+    """Stiffness and mass matrices, and the row groups that the Hessian form
+    (_hessian_form) is built from on the blocks a caller asks for.
 
     Entries outside the diagonal blocks are zero: for an even body the blocks
     are the even and the odd basis columns, otherwise one block holds every
@@ -82,11 +81,6 @@ class GalerkinSystem:
     stiffness: np.ndarray   # Dirichlet form of the operator against nu
     mass: np.ndarray        # L^2(nu) Gram matrix
     _rows: tuple[_Rows, ...] = field(repr=False)
-
-    @cached_property
-    def hessform(self) -> np.ndarray:
-        """Conjugate-Hessian form against nu."""
-        return _hessian_form(self, self.blocks)
 
 
 @dataclass(frozen=True)
@@ -149,8 +143,8 @@ def _row_group(state: CentroAffineState, index, scale: float = 1.0,
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
-    """Stiffness and mass matrices of the operator; the Hessian form is
-    assembled the first time `hessform` is read.
+    """Stiffness and mass matrices of the operator; _hessian_form builds the
+    Hessian form from the same rows.
 
     Each form is a Gram product X^t X over (node, frame component) rows.
     The tables hold the derivatives as components G_a, H_a in the grid's
@@ -343,29 +337,11 @@ def bochner_residual(state: CentroAffineState, f: ScalarField) -> float:
     return abs(t1 - t2 - t3) / scale
 
 
-def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
-                              subspace: str = "even-nonconstant") -> float:
-    """Operator-level identity on the eigen-solve subspace: for eigenvectors v,
-    v^t (S M^{-1} S) v - v^t H v matches (n-2) v^t S v up to quadrature error."""
-    n = system.basis.grid.n
-    rep = solve_spectrum(system, k=min(k, system.basis.size - 1),
-                         subspace=subspace)
-    V = rep.eigenvectors
-    S, M, H = system.stiffness, system.mass, system.hessform
-    SV = S @ V
-    quad1 = np.einsum("ak,ak->k", SV, np.linalg.solve(M, SV))
-    quad2 = np.einsum("ak,ak->k", V, H @ V)
-    quad3 = np.einsum("ak,ak->k", V, SV)
-    resid = np.abs(quad1 - quad2 - (n - 2) * quad3)
-    scale = np.maximum(np.abs(quad1), 1e-300)
-    return float((resid / scale).max())
-
-
 def hessian_gap_even(system: GalerkinSystem) -> float:
     """Minimum of the Hessian-form Rayleigh quotient over even non-constant
     functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
     dropping its column leaves the quotient's range unchanged.  The Hessian
-    form is built on those columns only, not read from `hessform`."""
+    form is built on those columns only."""
     cols = _even_columns(system)[1:]
     if not len(cols):
         raise ValueError("the even non-constant subspace is empty at degree_max "
@@ -379,37 +355,6 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
         raise ValueError("stiffness is singular on the even non-constant "
                          "subspace") from None
     return float(eigs[0])
-
-
-def first_eigenspace_deficiency(state: CentroAffineState,
-                                system: GalerkinSystem) -> float:
-    """How far the computed lambda_1 eigenvectors are from the span of the
-    adapted linear functions <theta, xi>/h (subspace angle)."""
-    rep = solve_spectrum(system, subspace="all")
-    lam1 = rep.lambda1
-    tol = max(1e-6, 1e-3 * lam1)
-    idx = np.flatnonzero(np.abs(rep.eigenvalues - lam1) <= tol)
-    E = rep.eigenvectors[:, idx]
-
-    n = state.n
-    nb = system.basis.size
-    lin = []
-    for kk in range(n):
-        xi = np.zeros(n)
-        xi[kk] = 1.0
-        lin.append(analyze(adapted_linear(state, xi))[:nb])
-    Lmat = np.array(lin).T
-
-    M = system.mass
-    # M-orthonormalize both subspaces, then compare by principal angles
-    def morth(A):
-        G = A.T @ M @ A
-        w, V = np.linalg.eigh(G)
-        return A @ V / np.sqrt(np.maximum(w, 1e-300))[None, :]
-
-    Eo, Lo = morth(E), morth(Lmat)
-    sv = np.linalg.svd(Eo.T @ M @ Lo, compute_uv=False)
-    return float(abs(1.0 - sv.min()))
 
 
 def invariance_check(bodyK: BodyEvaluator, T: np.ndarray, grid: SphereGrid,

@@ -3,8 +3,8 @@
 Supports n = 2 (Fourier modes on the circle) and n = 3 (real spherical
 harmonics on Gauss-Legendre x uniform-longitude product grids).  All grids are
 antipodally symmetric so that even/odd splitting is exact.  Differentiation is
-spectral; a finite-difference fallback on the homogeneous extension is kept as
-an independent oracle (see fd_gradient_on_sphere / fd_hessian_on_sphere).
+spectral; the tests check it against finite differences of the homogeneous
+extension (tests/oracles.py).
 
 Derivatives are components in one tangent frame per point (tangent_frames):
 the grid's derivative fields are (N, n-1) vectors and (N, n-1, n-1) matrices
@@ -12,16 +12,12 @@ in grid.tangent_frames().  They become ambient n-vectors and n x n matrices
 only in to_ambient, which only the public ambient outputs call
 (HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian).
 """
-
 from __future__ import annotations
 
 import functools
-import json
 from dataclasses import dataclass
 
 import numpy as np
-
-SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 
 # spectral tail fraction above which derivative fields carry tail_warning
 TAIL_WARNING = 1e-8
@@ -400,16 +396,6 @@ class SphereGrid:
             self._frames = frames
         return self._frames
 
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "dimension": self.n,
-                "band_limit": int(self.band_limit),
-                "node_count": int(self.node_count),
-            },
-            sort_keys=True,
-        )
-
 
 def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     """Construct a quadrature grid on S^{n-1}.
@@ -469,10 +455,6 @@ class ScalarField:
             raise ValueError("value array does not match grid")
         return cls(grid, v)
 
-    @classmethod
-    def from_function(cls, grid: SphereGrid, fn) -> "ScalarField":
-        return cls.from_values(grid, fn(grid.nodes))
-
 
 @dataclass(frozen=True)
 class TangentField:
@@ -490,11 +472,6 @@ class TangentTensorField:
 
 # ----------------------------------------------------------------------
 # operations
-
-
-def quadrature(field: ScalarField) -> float:
-    """Integral of the field against the round surface measure."""
-    return float(field.grid.weights @ field.values)
 
 
 def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
@@ -587,103 +564,3 @@ def tangential_hessian(field: ScalarField) -> TangentTensorField:
     return TangentTensorField(grid, to_ambient(grid.tangent_frames(),
                                                hessian_from_coeffs(grid, c), 2),
                               tail_warning=spectral_tail(field, c) > TAIL_WARNING)
-
-
-def parity_split(field: ScalarField):
-    """Exact even/odd decomposition via antipodal node pairing."""
-    va = field.values[field.grid.antipodal_index]
-    even = ScalarField(field.grid, 0.5 * (field.values + va))
-    odd = ScalarField(field.grid, 0.5 * (field.values - va))
-    return even, odd
-
-
-def laplace_beltrami(field: ScalarField) -> ScalarField:
-    """Round-sphere Laplacian (trace of the covariant Hessian)."""
-    H = hessian_from_coeffs(field.grid, analyze(field))
-    return ScalarField.from_values(field.grid, np.trace(H, axis1=1, axis2=2))
-
-
-# ----------------------------------------------------------------------
-# finite-difference oracle on the homogeneous extension
-
-
-def fd_gradient_on_sphere(fn, points, step: float = 1e-5) -> np.ndarray:
-    """Richardson-extrapolated central differences of fn's 0-homogeneous
-    extension, projected tangentially.  fn maps (P, n) arrays to (P,) values."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    P, n = pts.shape
-
-    def hom(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return fn(x / r)
-
-    def grad(h):
-        g = np.empty((P, n))
-        for j in range(n):
-            e = np.zeros(n)
-            e[j] = h
-            g[:, j] = (hom(pts + e) - hom(pts - e)) / (2.0 * h)
-        return g
-
-    g = (4.0 * grad(step / 2.0) - grad(step)) / 3.0
-    # project out any radial leakage
-    rad = np.einsum("ij,ij->i", g, pts)
-    return g - rad[:, None] * pts
-
-
-def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
-    """5-point-stencil ambient Hessian of the 0-homogeneous extension,
-    restricted to the tangent space.  Oracle only; O(step^4) accurate."""
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    P, n = pts.shape
-
-    def hom(x):
-        r = np.linalg.norm(x, axis=-1, keepdims=True)
-        return fn(x / r)
-
-    f0 = hom(pts)
-    H = np.empty((P, n, n))
-    for i in range(n):
-        ei = np.zeros(n)
-        ei[i] = step
-        for j in range(i, n):
-            ej = np.zeros(n)
-            ej[j] = step
-            if i == j:
-                val = (
-                    -hom(pts + 2 * ei)
-                    + 16.0 * hom(pts + ei)
-                    - 30.0 * f0
-                    + 16.0 * hom(pts - ei)
-                    - hom(pts - 2 * ei)
-                ) / (12.0 * step**2)
-            else:
-
-                def cross(h):
-                    a = h * ei / step
-                    b = h * ej / step
-                    return (
-                        hom(pts + a + b)
-                        - hom(pts + a - b)
-                        - hom(pts - a + b)
-                        + hom(pts - a - b)
-                    ) / (4.0 * h**2)
-
-                val = (4.0 * cross(step / 2.0) - cross(step)) / 3.0
-            H[:, i, j] = val
-            H[:, j, i] = val
-    proj = np.eye(n)[None, :, :] - pts[:, :, None] * pts[:, None, :]
-    return proj @ H @ proj
-
-
-# ----------------------------------------------------------------------
-# export
-
-
-def field_to_csv(field: ScalarField, path) -> None:
-    cols = ["index"] + ["x", "y", "z"][: field.grid.n] + ["value"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i, (p, v) in enumerate(zip(field.grid.nodes, field.values)):
-            coords = ",".join(repr(float(c)) for c in p)
-            fh.write(f"{i},{coords},{float(v)!r}\n")

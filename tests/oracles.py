@@ -1,0 +1,353 @@
+"""Independent checks and identity residuals that the tests compare the
+library against.
+
+None of these feeds a command: they are finite-difference oracles on the
+sphere, closed-form derivatives of the adapted linear functions, coordinate
+Christoffel symbols, the duality map and its polarity isometry, integral
+identities of the conjugate calculus, the operator-level Bochner identity and
+the L^p-Minkowski functional that the solver minimizes.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from calab import calculus, spectral
+from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
+from calab.calculus import (
+    CentroAffineState,
+    _chart_nodes,
+    _conjugate_derivs,
+    _conjugate_hessian_arrays,
+    _conjugate_symbols_at,
+    _hbm_arrays,
+    grad_norm_sq,
+    hess_norm_sq,
+)
+from calab.minkowski import TargetMeasure
+from calab.spectral import GalerkinSystem, _even_columns, solve_spectrum
+from calab.sphere import (
+    ScalarField,
+    _angles_from_points,
+    analyze,
+    gradient_from_coeffs,
+    hessian_from_coeffs,
+    quad_values,
+)
+
+# |S^{n-1}|, the total round surface measure
+SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+
+# ----------------------------------------------------------------------
+# sphere
+
+
+def laplace_beltrami(field: ScalarField) -> ScalarField:
+    """Round-sphere Laplacian (trace of the covariant Hessian)."""
+    H = hessian_from_coeffs(field.grid, analyze(field))
+    return ScalarField.from_values(field.grid, np.trace(H, axis1=1, axis2=2))
+
+
+def fd_gradient_on_sphere(fn, points, step: float = 1e-5) -> np.ndarray:
+    """Richardson-extrapolated central differences of fn's 0-homogeneous
+    extension, projected tangentially.  fn maps (P, n) arrays to (P,) values."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    P, n = pts.shape
+
+    def hom(x):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return fn(x / r)
+
+    def grad(h):
+        g = np.empty((P, n))
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            g[:, j] = (hom(pts + e) - hom(pts - e)) / (2.0 * h)
+        return g
+
+    g = (4.0 * grad(step / 2.0) - grad(step)) / 3.0
+    # project out any radial leakage
+    rad = np.einsum("ij,ij->i", g, pts)
+    return g - rad[:, None] * pts
+
+
+def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
+    """5-point-stencil ambient Hessian of the 0-homogeneous extension,
+    restricted to the tangent space.  Oracle only; O(step^4) accurate."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    P, n = pts.shape
+
+    def hom(x):
+        r = np.linalg.norm(x, axis=-1, keepdims=True)
+        return fn(x / r)
+
+    f0 = hom(pts)
+    H = np.empty((P, n, n))
+    for i in range(n):
+        ei = np.zeros(n)
+        ei[i] = step
+        for j in range(i, n):
+            ej = np.zeros(n)
+            ej[j] = step
+            if i == j:
+                val = (
+                    -hom(pts + 2 * ei)
+                    + 16.0 * hom(pts + ei)
+                    - 30.0 * f0
+                    + 16.0 * hom(pts - ei)
+                    - hom(pts - 2 * ei)
+                ) / (12.0 * step**2)
+            else:
+
+                def cross(h):
+                    a = h * ei / step
+                    b = h * ej / step
+                    return (
+                        hom(pts + a + b)
+                        - hom(pts + a - b)
+                        - hom(pts - a + b)
+                        + hom(pts - a - b)
+                    ) / (4.0 * h**2)
+
+                val = (4.0 * cross(step / 2.0) - cross(step)) / 3.0
+            H[:, i, j] = val
+            H[:, j, i] = val
+    proj = np.eye(n)[None, :, :] - pts[:, :, None] * pts[:, None, :]
+    return proj @ H @ proj
+
+
+# ----------------------------------------------------------------------
+# centro-affine calculus
+
+
+def adapted_linear(state: CentroAffineState, xi: np.ndarray) -> ScalarField:
+    """The first-eigenfunction family <theta, xi>/h."""
+    vals = (state.grid.nodes @ np.asarray(xi, dtype=float)) / state.bg.h
+    return ScalarField.from_values(state.grid, vals)
+
+
+def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
+    """Values, frame gradient, and frame covariant Hessian of <theta,xi>/h in
+    closed form (the field is analytic but not band-limited, so spectral
+    differentiation would inject representation error into identity checks).
+
+    With f = <theta, xi>/h, e = E^t xi / h and l = grad log h:
+    grad f = e - f l and Hess f = -(e (x) l + l (x) e) - f R/h + 2 f l (x) l."""
+    h = state.bg.h
+    f = (state.grid.nodes @ np.asarray(xi, dtype=float)) / h
+    e = (np.asarray(xi, dtype=float) @ state.grid.tangent_frames()) / h[:, None]
+    glh = state.grad_log_h
+    cross = e[:, :, None] * glh[:, None, :]
+    fr = f[:, None, None]
+    hess = (-(cross + cross.transpose(0, 2, 1))
+            - fr * state.bg.D2h_frame / h[:, None, None]
+            + 2.0 * fr * (glh[:, :, None] * glh[:, None, :]))
+    return f, e - f[:, None] * glh, hess
+
+
+def conjugate_christoffels(state: CentroAffineState) -> np.ndarray:
+    """Conjugate-connection symbols in (theta, phi) coordinates at the nodes.
+
+    n=3 only; the n=2 analogue is the scalar -2 d_t(log h) and carries no
+    curvature content.  Nodes with |cos theta| > _CHART_COS_CUTOFF, where the
+    chart degenerates, read NaN; raises when that leaves no node.
+    """
+    if state.n != 3:
+        raise ValueError("coordinate Christoffel symbols are built for n=3")
+    grid = state.grid
+    keep = _chart_nodes(grid)
+    if not keep.size:
+        raise ValueError("every node lies beyond the (theta, phi) chart's "
+                         "pole cutoff")
+    theta, phi = _angles_from_points(grid.nodes, 3)
+    out = np.full((grid.node_count, 2, 2, 2), np.nan)
+    out[keep] = _conjugate_symbols_at(state.bg.body, theta[keep], phi[keep])
+    return out
+
+
+def duality_map(bg: BodyOnGrid) -> np.ndarray:
+    """Per node, the image direction x/|x| on S^{n-1} of the boundary point."""
+    return bg.x / np.linalg.norm(bg.x, axis=1, keepdims=True)
+
+
+def duality_roundtrip_error(bg: BodyOnGrid, polar_body: BodyEvaluator) -> float:
+    """Applying the map for K then for the polar returns the start direction."""
+    back = polar_body.support_grad(duality_map(bg))
+    back /= np.linalg.norm(back, axis=1, keepdims=True)
+    return float(np.abs(back - bg.grid.nodes).max())
+
+
+def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
+    """Pull the polar metric back through the duality map and compare with
+    g_K; compare the centro-affine surface-area masses.
+
+    The polar metric is evaluated exactly through its evaluator at the mapped
+    directions (band-limited/exact evaluation, not nearest-node lookup).
+    """
+    if bgK.grid is not bgKpolar.grid:
+        raise ValueError("both bodies must live on the same grid")
+    grid = bgK.grid
+    polar_body = bgKpolar.body
+
+    xs = bgK.x
+    r = np.linalg.norm(xs, axis=1)
+    dirs = xs / r[:, None]
+
+    hp, _, Hp = polar_body.jet(dirs, 2)
+    R = bgK.D2h_frame
+    # differential of the map theta -> x/|x| on the frame vectors E: the
+    # part of D2h E = E R tangent at x/|x|, over |x|; its radial part is
+    # dropped by Hp, which annihilates x/|x|
+    dM = grid.tangent_frames() @ R / r[:, None, None]
+    gK_f = R / bgK.h[:, None, None]
+    gP_f = dM.transpose(0, 2, 1) @ Hp @ dM / hp[:, None, None]
+    num = np.linalg.norm(gP_f - gK_f, axis=(1, 2))
+    den = np.linalg.norm(gK_f, axis=(1, 2))
+    pull_err = float((num / den).max())
+
+    qK = quantities(bgK)
+    qP = quantities(bgKpolar)
+    omega_gap = abs(qK.omega_n - qP.omega_n) / qK.omega_n
+    return {"metric_pullback_error": pull_err, "omega_mass_gap": float(omega_gap)}
+
+
+def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> float:
+    """Divergence-theorem consistency for the field grad_g f: the integral of
+    g(grad f, grad(Lf)) + (n-2)|grad f|^2 + ||Hess* f||^2 against nu vanishes.
+    Returns the residual relative to the largest term."""
+    w = state.grid.weights * state.nu_density
+    _, df, Hs = _conjugate_derivs(state, f)
+    Lf = ScalarField.from_values(state.grid, _hbm_arrays(state, Hs))
+    # calculus.analyze, the analysis _conjugate_derivs runs too
+    dLf = gradient_from_coeffs(state.grid, calculus.analyze(Lf))
+    t1 = float(w @ np.einsum("ik,ikl,il->i", df, state.ginv, dLf))
+    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
+    t3 = float(w @ hess_norm_sq(state, Hs))
+    scale = max(abs(t1), abs(t2), abs(t3))
+    if scale == 0.0:
+        return 0.0
+    return abs(t1 + t2 + t3) / scale
+
+
+def pushforward_invariance_error(bgK: BodyOnGrid, bgTK: BodyOnGrid,
+                                 T: np.ndarray, test_fn) -> float:
+    """Unimodular invariance of the primal volume measure: integrating a test
+    function against nu_{T(K)} equals integrating its pullback through
+    theta -> T^{-t} theta / |T^{-t} theta| against nu_K."""
+    Tinv_t = np.linalg.inv(np.asarray(T, dtype=float)).T
+    grid = bgK.grid
+    lhs = quad_values(grid, test_fn(grid.nodes) * bgTK.h * bgTK.sk_density)
+    mapped = grid.nodes @ Tinv_t.T
+    mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
+    rhs = quad_values(grid, test_fn(mapped) * bgK.h * bgK.sk_density)
+    return abs(lhs - rhs) / max(abs(lhs), 1e-300)
+
+
+def state_diagnostics(state: CentroAffineState) -> list[dict]:
+    """Machine-readable invariant report: {name, max error, node of max}."""
+    n = state.n
+    out = []
+    detg = state.nu_density * state.nu_star_density
+    detg_direct = state.bg.sk_density / state.bg.h ** (n - 1)
+    err = np.abs(detg - detg_direct) / np.abs(detg_direct)
+    i = int(np.argmax(err))
+    out.append({"name": "measure_conjugacy", "max_error": float(err[i]), "node": i})
+
+    g = state.bg.D2h_frame / state.bg.h[:, None, None]
+    errs = []
+    for k in range(n):
+        xi = np.zeros(n)
+        xi[k] = 1.0
+        fv, grad, hess = adapted_linear_derivs(state, xi)
+        Hs = _conjugate_hessian_arrays(state, grad, hess)
+        errs.append(np.linalg.norm(Hs + fv[:, None, None] * g, axis=(1, 2)))
+    e = np.max(errs, axis=0) / np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
+    i = int(np.argmax(e))
+    out.append({"name": "adapted_linear_hessian", "max_error": float(e[i]), "node": i})
+    return out
+
+
+# ----------------------------------------------------------------------
+# spectrum
+
+
+def hessform(system: GalerkinSystem) -> np.ndarray:
+    """Conjugate-Hessian form against nu on the system's diagonal blocks
+    (spectral._hessian_form, read through the module so that a test can
+    count its builds)."""
+    return spectral._hessian_form(system, system.blocks)
+
+
+def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
+                              subspace: str = "even-nonconstant") -> float:
+    """Operator-level identity on the eigen-solve subspace: for eigenvectors v,
+    v^t (S M^{-1} S) v - v^t H v matches (n-2) v^t S v up to quadrature error."""
+    if subspace == "even-nonconstant" and len(_even_columns(system)) < 2:
+        raise ValueError("the even non-constant subspace is empty at degree_max "
+                         f"{system.basis.degree_max}")
+    n = system.basis.grid.n
+    rep = solve_spectrum(system, k=min(k, system.basis.size - 1),
+                         subspace=subspace)
+    V = rep.eigenvectors
+    S, M, H = system.stiffness, system.mass, hessform(system)
+    SV = S @ V
+    quad1 = np.einsum("ak,ak->k", SV, np.linalg.solve(M, SV))
+    quad2 = np.einsum("ak,ak->k", V, H @ V)
+    quad3 = np.einsum("ak,ak->k", V, SV)
+    resid = np.abs(quad1 - quad2 - (n - 2) * quad3)
+    scale = np.maximum(np.abs(quad1), 1e-300)
+    return float((resid / scale).max())
+
+
+def first_eigenspace_deficiency(state: CentroAffineState,
+                                system: GalerkinSystem) -> float:
+    """How far the computed lambda_1 eigenvectors are from the span of the
+    adapted linear functions <theta, xi>/h (subspace angle)."""
+    rep = solve_spectrum(system, subspace="all")
+    lam1 = rep.lambda1
+    tol = max(1e-6, 1e-3 * lam1)
+    idx = np.flatnonzero(np.abs(rep.eigenvalues - lam1) <= tol)
+    E = rep.eigenvectors[:, idx]
+
+    n = state.n
+    nb = system.basis.size
+    lin = []
+    for kk in range(n):
+        xi = np.zeros(n)
+        xi[kk] = 1.0
+        lin.append(analyze(adapted_linear(state, xi))[:nb])
+    Lmat = np.array(lin).T
+
+    M = system.mass
+    # M-orthonormalize both subspaces, then compare by principal angles
+    def morth(A):
+        G = A.T @ M @ A
+        w, V = np.linalg.eigh(G)
+        return A @ V / np.sqrt(np.maximum(w, 1e-300))[None, :]
+
+    Eo, Lo = morth(E), morth(Lmat)
+    sv = np.linalg.svd(Eo.T @ M @ Lo, compute_uv=False)
+    return float(abs(1.0 - sv.min()))
+
+
+# ----------------------------------------------------------------------
+# L^p-Minkowski
+
+
+def functional(bg: BodyOnGrid, mu: TargetMeasure, p: float) -> float:
+    """Scale-invariant target: (1/p) int h^p dmu / V^{p/n} for p != 0 and
+    exp(int log h dmu~)/V^{1/n} at p = 0 (mu~ the normalized measure)."""
+    if not (-bg.grid.n < p < 1):
+        raise ValueError("p must lie in (-n, 1)")
+    if bg.grid is not mu.grid:
+        raise ValueError("body and measure must share a grid")
+    w = bg.grid.weights
+    n = bg.grid.n
+    V = float(w @ bg.vk_density)
+    if p == 0:
+        avg = float(w @ (mu.density * np.log(bg.h))) / mu.mass
+        return float(np.exp(avg) / V ** (1.0 / n))
+    E = float(w @ (mu.density * bg.h**p)) / p
+    return E / V ** (p / n)

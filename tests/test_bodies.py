@@ -553,18 +553,3 @@ def test_lq_gauge_body_sandwich():
     h = K.support(g.nodes)
     assert h.min() >= 1.0 - 1e-12          # B subset K
     assert h.max() <= 3.0**0.25 + 1e-12    # K subset n^(1/4) B
-
-
-def test_body_json_and_csv_export(tmp_path):
-    from calab.bodies import body_on_grid_to_csv, body_to_json
-
-    g = build_grid(2, 8)
-    body = ellipsoid(np.diag([2.0, 1.0]))
-    meta = body_to_json(body)
-    assert meta == {"label": "ellipsoid", "dimension": 2, "even": True}
-    bg = evaluate_on_grid(body, g)
-    path = tmp_path / "bg.csv"
-    body_on_grid_to_csv(bg, path)
-    lines = path.read_text().strip().split("\n")
-    assert len(lines) == g.node_count + 1
-    assert lines[0].startswith("index,x,y,h")

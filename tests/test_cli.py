@@ -357,10 +357,10 @@ def test_solve_density_csv_placed_by_node(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing_file", "duplicate_node", "nonpositive",
-                                  "odd"])
+                                  "odd", "nan_value", "inf_value"])
 def test_solve_bad_density_csv_exits_2(tmp_path, case):
-    # the node list and the density itself (positive, even) are checked
-    # before anything is written
+    # the node list and the density itself (finite, positive, even) are
+    # checked before anything is written
     grid = {"n": 2, "L": 24}
     csv_path = tmp_path / "density.csv"
     if case != "missing_file":
@@ -369,6 +369,11 @@ def test_solve_bad_density_csv_exits_2(tmp_path, case):
             rows[1] = (0, rows[1][1])
         elif case == "nonpositive":
             rows[7] = (7, "0.0")
+        elif case in ("nan_value", "inf_value"):
+            # at node 7 and its antipode, so the density stays even
+            value = "nan" if case == "nan_value" else "inf"
+            anti = int(build_grid(grid["n"], grid["L"]).antipodal_index[7])
+            rows[7], rows[anti] = (7, value), (anti, value)
         else:   # one value whose antipode differs
             rows[7] = (7, repr(1.5 * float(rows[7][1])))
         csv_path.write_text("node,value\n"
@@ -380,6 +385,28 @@ def test_solve_bad_density_csv_exits_2(tmp_path, case):
     out = tmp_path / "out"
     assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
     assert not out.exists()
+
+
+@pytest.mark.parametrize("q", [0, 1, -4])
+def test_lq_body_with_q_below_2_exits_2(tmp_path, capsys, q):
+    # the support function of the l_q ball is the dual norm, with exponent
+    # q / (q - 1): it needs q > 1, so q >= 2 for the integer q
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 3, "L": 8},
+                                            "body": {"type": "lq", "q": q}})
+    out = tmp_path / "out"
+    assert run_cli(["pinch", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "q must be >= 2" in capsys.readouterr().err
+
+
+def test_isomorphic_lq_body_without_closed_form_gauge(tmp_path):
+    # odd q has no closed-form gauge: 'auto' takes the numeric polar
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 3, "L": 8},
+                                            "body": {"type": "lq", "q": 3},
+                                            "alpha": 0.5, "beta": 1.0})
+    out = tmp_path / "out"
+    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["pass"]
 
 
 @pytest.mark.parametrize("degree_max", [0, 1])

@@ -13,12 +13,13 @@ from calab.bodies import (
 from calab.minkowski import (
     SolveOptions,
     TargetMeasure,
-    functional,
     minimize,
     minkowski_inequality_gap,
     uniqueness_probe,
 )
 from calab.sphere import build_grid
+
+from oracles import functional
 
 
 @pytest.fixture(scope="module")
@@ -42,6 +43,12 @@ def test_target_measure_validation(grid):
     odd = 1.0 + 0.5 * grid.nodes[:, 0]
     with pytest.raises(ValueError):
         TargetMeasure.from_density(grid, odd)
+    # NaN fails every comparison, so only an explicit finiteness check
+    # rejects it; here at a node and its antipode, so the density is even
+    nan = np.ones(grid.node_count)
+    nan[[3, grid.antipodal_index[3]]] = np.nan
+    with pytest.raises(ValueError, match="finite"):
+        TargetMeasure.from_density(grid, nan)
 
 
 def test_target_measure_from_body(grid):
@@ -122,6 +129,19 @@ def test_minimize_round_trip_ellipse(grid):
     scale = np.mean(h) / np.mean(hE)
     assert np.abs(h / (hE * scale) - 1.0).max() < 1e-3
     assert res.el_residual < 1e-4
+
+
+@pytest.mark.parametrize("target,p", [
+    (lambda: ellipsoid(np.diag([1.5, 1.0])), 0.5),
+    (lambda: ellipsoid(np.diag([1.5, 1.0])), 0.0),
+    (lambda: random_even_body(2, seed=5001), 0.0),
+], ids=["ellipse_p0.5", "ellipse_p0", "random5001_p0"])
+def test_minimize_reports_the_functional_it_minimizes(grid, target, p):
+    # the solver's value is the functional of its own body on the grid
+    mu = TargetMeasure.from_body(evaluate_on_grid(target(), grid), p)
+    res = minimize(mu, p)
+    ref = functional(evaluate_on_grid(res.body, grid), mu, p)
+    assert abs(res.value - ref) <= 1e-12 * abs(ref)
 
 
 def test_minimize_monotone_and_feasible(grid):

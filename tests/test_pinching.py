@@ -20,13 +20,12 @@ from calab.bodies import (
 from calab.pinching import (
     _nelder_mead,
     _p_strong_objective,
-    john_position,
     measure_pinching,
     optimize_image,
-    spectral_consistency,
     threshold_main,
     threshold_strong,
 )
+from calab.spectral import spectrum_of_body
 from calab.sphere import build_grid
 
 
@@ -184,20 +183,6 @@ def test_optimize_image_ellipse_recovers_ball():
     assert abs(rep.p_strong - 2.5) < 5e-3
 
 
-def test_john_position_ellipse_becomes_round():
-    g = build_grid(2, 16)
-    res = john_position(ellipsoid(np.diag([2.0, 1.0])), g, iters=250)
-    assert res["ratio"] < 1.001
-    assert abs(np.linalg.det(res["T"]) - 1.0) < 1e-10
-
-
-def test_john_position_ball_stays_put():
-    g = build_grid(2, 16)
-    res = john_position(ball(1.3, 2), g, iters=60)
-    assert abs(res["ratio"] - 1.0) < 1e-9
-    assert abs(res["r_in"] - 1.3) < 1e-9
-
-
 def test_optimize_image_improves_perturbed_ball():
     g = build_grid(2, 16)
     body = perturbed_ball(2, 0.05)
@@ -211,12 +196,19 @@ def test_optimize_image_improves_perturbed_ball():
 # ---------------------------------------------------------------------------
 
 
+def lambda1_even(body, g):
+    return spectrum_of_body(body, g, k=2,
+                            subspace="even-nonconstant").lambda1_even
+
+
 def test_spectral_consistency_ball():
     g = build_grid(3, 12)
-    res = spectral_consistency(ball(1.0, 3), g)
-    assert abs(res["lambda1_even"] - 6.0) < 1e-6
-    assert abs(res["p_strong"] - 2.0) < 1e-9
-    assert res["satisfied"]
+    body = ball(1.0, 3)
+    lam = lambda1_even(body, g)
+    p_strong = measure_pinching(evaluate_on_grid(body, g)).p_strong
+    assert abs(lam - 6.0) < 1e-6
+    assert abs(p_strong - 2.0) < 1e-9
+    assert lam >= 3 - p_strong - 3e-3
 
 
 def test_spectral_consistency_random_bodies():
@@ -224,7 +216,8 @@ def test_spectral_consistency_random_bodies():
     for seed in range(4):
         body = random_even_body(2, seed=seed)
         g = build_grid(2, 16)
-        assert spectral_consistency(body, g)["satisfied"]
+        p_strong = measure_pinching(evaluate_on_grid(body, g)).p_strong
+        assert lambda1_even(body, g) >= 2 - p_strong - 2e-3
 
 
 def test_spectral_consistency_under_images():
@@ -239,5 +232,4 @@ def test_spectral_consistency_under_images():
         T = (V * np.exp(w)[None, :]) @ V.T
         img = linear_image(body, T)
         pin = measure_pinching(evaluate_on_grid(img, g))
-        res = spectral_consistency(body, g, pinch_report=pin)
-        assert res["lambda1_even"] >= 2.0 - pin.p_strong - 1e-2
+        assert lambda1_even(body, g) >= 2.0 - pin.p_strong - 1e-2

@@ -19,14 +19,14 @@ from calab.spectral import (
     GalerkinBasis,
     assemble,
     bochner_residual,
-    discrete_bochner_residual,
-    first_eigenspace_deficiency,
     hessian_gap_even,
     invariance_check,
     solve_spectrum,
     spectrum_of_body,
 )
 from calab.sphere import ScalarField, build_grid, synthesize
+
+from oracles import discrete_bochner_residual, first_eigenspace_deficiency, hessform
 
 
 def system_for(body, n, L):
@@ -58,12 +58,12 @@ def test_constant_gives_zero_stiffness_row():
     st, sys_ = system_for(perturbed_ball(3, 0.1), 3, 12)
     const_row = np.flatnonzero(sys_.basis.degrees == 0)[0]
     assert np.abs(sys_.stiffness[const_row]).max() < 1e-9
-    assert np.abs(sys_.hessform[const_row]).max() < 1e-8
+    assert np.abs(hessform(sys_)[const_row]).max() < 1e-8
 
 
 def test_matrices_symmetric_and_definite():
     st, sys_ = system_for(random_even_body(2, seed=3), 2, 16)
-    for A in (sys_.stiffness, sys_.mass, sys_.hessform):
+    for A in (sys_.stiffness, sys_.mass, hessform(sys_)):
         assert np.abs(A - A.T).max() < 1e-10 * max(np.abs(A).max(), 1.0)
     assert np.linalg.eigvalsh(sys_.mass).min() > 0
     assert np.linalg.eigvalsh(sys_.stiffness).min() > -1e-8
@@ -115,7 +115,7 @@ def _odd_perturbed_ball(n, L):
 def test_assembly_matches_einsum_oracle():
     st, sys_ = system_for(_rotated_ellipsoid(), 3, 16)
     assert len(sys_.blocks) == 2
-    for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform),
+    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)),
                       _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -130,7 +130,7 @@ def test_non_even_body_assembles_as_one_block(n, L):
     # the even-odd coupling of an odd perturbation is present and assembled
     odd = sys_.basis.parities < 0
     assert np.abs(refs[0][np.ix_(~odd, odd)]).max() > 1e-4
-    for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform), refs):
+    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)), refs):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -144,7 +144,7 @@ def test_packed_forms_match_ambient_reference(n, L, even):
         body = _odd_perturbed_ball(n, L)
     st, sys_ = system_for(body, n, L)
     assert body.even == even and len(sys_.blocks) == (2 if even else 1)
-    for A, ref in zip((sys_.stiffness, sys_.mass, sys_.hessform),
+    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)),
                       _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
@@ -155,7 +155,7 @@ def test_hessian_gap_matches_full_hessform(n, L):
     _, sys_ = system_for(body, n, L)
     cols = np.flatnonzero(sys_.basis.parities > 0)[1:]
     ix = np.ix_(cols, cols)
-    ref = scipy.linalg.eigh(sys_.hessform[ix], sys_.stiffness[ix],
+    ref = scipy.linalg.eigh(hessform(sys_)[ix], sys_.stiffness[ix],
                             eigvals_only=True)[0]
     assert abs(hessian_gap_even(sys_) - ref) <= 1e-12 * abs(ref)
 
@@ -205,9 +205,8 @@ def test_hessform_built_only_when_read(monkeypatch):
     # the gap forms its Gram product on the even non-constant columns only
     hessian_gap_even(sys_)
     even = int((sys_.basis.parities > 0).sum())
-    assert calls == [[even - 1]] and "hessform" not in vars(sys_)
+    assert calls == [[even - 1]]
     discrete_bochner_residual(sys_, k=4)
-    sys_.hessform
     assert calls == [[even - 1], [len(c) for c in sys_.blocks]]
 
 
@@ -231,8 +230,10 @@ def test_sub_band_system_is_leading_block_of_full_band(n, L, band, even):
     sub = assemble(st, GalerkinBasis(st.grid, band))
     nb = sub.basis.size
     assert nb == int((st.grid.basis.degrees <= band).sum()) < full.basis.size
-    for name in ("stiffness", "mass", "hessform"):
-        A, ref = getattr(sub, name), getattr(full, name)[:nb, :nb]
+    for name, A, ref in (("stiffness", sub.stiffness, full.stiffness),
+                         ("mass", sub.mass, full.mass),
+                         ("hessform", hessform(sub), hessform(full))):
+        ref = ref[:nb, :nb]
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
@@ -345,6 +346,16 @@ def test_bochner_residual_random_fields(n, L, tol):
             c = rng.normal(size=g.basis.size) * (g.basis.degrees <= L // 3)
             f = synthesize(g, c)
             assert bochner_residual(st, f) < tol
+
+
+@pytest.mark.parametrize("degree_max", [0, 1])
+def test_discrete_bochner_rejects_empty_even_subspace(degree_max):
+    # no even non-constant function has degree <= 1
+    g = build_grid(3, 8)
+    st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
+    sys_ = assemble(st, GalerkinBasis(g, degree_max))
+    with pytest.raises(ValueError, match="even non-constant subspace is empty"):
+        discrete_bochner_residual(sys_, k=6)
 
 
 @pytest.mark.parametrize("n,L,tol", [(2, 20, 1e-6), (3, 14, 1e-3)])

@@ -11,22 +11,24 @@ from calab.sphere import (
     ScalarField,
     SphereGrid,
     build_grid,
-    quadrature,
     tangential_gradient,
     tangential_hessian,
-    parity_split,
-    laplace_beltrami,
     analyze,
     synthesize,
-    fd_gradient_on_sphere,
-    fd_hessian_on_sphere,
     frame_eigvalsh,
     gradient_from_coeffs,
     hessian_from_coeffs,
     packed_positions,
+    quad_values,
     tangent_frames,
     unpack_sym,
+)
+
+from oracles import (
     SURFACE_MEASURE,
+    fd_gradient_on_sphere,
+    fd_hessian_on_sphere,
+    laplace_beltrami,
 )
 
 
@@ -109,24 +111,21 @@ def test_n2_node_count_override():
 
 def test_quadrature_constant_circle():
     g = build_grid(2, 8)
-    f = ScalarField.from_values(g, np.ones(g.node_count))
-    assert abs(quadrature(f) - 2.0 * np.pi) < 1e-12
+    assert abs(quad_values(g, np.ones(g.node_count)) - 2.0 * np.pi) < 1e-12
 
 
 def test_quadrature_linear_sphere_vanishes():
     g = build_grid(3, 8)
     e = np.array([0.3, -0.5, 0.81])
     e /= np.linalg.norm(e)
-    f = ScalarField.from_function(g, lambda x: x @ e)
-    assert abs(quadrature(f)) < 1e-12
+    assert abs(quad_values(g, g.nodes @ e)) < 1e-12
 
 
 def test_quadrature_second_moment_sphere():
     # closed form: int <theta,e>^2 dm = 4 pi / 3; cross-checked by Monte Carlo
     g = build_grid(3, 8)
     e = np.array([0.6, 0.0, 0.8])
-    f = ScalarField.from_function(g, lambda x: (x @ e) ** 2)
-    val = quadrature(f)
+    val = quad_values(g, (g.nodes @ e) ** 2)
     assert abs(val - 4.0 * np.pi / 3.0) < 1e-12
 
     rng = np.random.default_rng(7)
@@ -142,28 +141,8 @@ def test_quadrature_odd_field_is_zero():
         g = build_grid(n, 8)
         rng = np.random.default_rng(n)
         v = rng.normal(size=g.node_count)
-        _, odd = parity_split(ScalarField.from_values(g, v))
-        assert abs(quadrature(odd)) < 1e-12
-
-
-# ---------------------------------------------------------------------------
-# parity
-# ---------------------------------------------------------------------------
-
-
-def test_parity_split_reconstructs_and_classifies():
-    g = build_grid(3, 8)
-    e = np.array([0.0, 1.0, 0.0])
-    lin = g.nodes @ e
-    f = ScalarField.from_values(g, lin + lin**2)
-    even, odd = parity_split(f)
-    assert np.allclose(even.values + odd.values, f.values, atol=1e-14)
-    assert np.allclose(even.values, lin**2, atol=1e-14)
-    assert np.allclose(odd.values, lin, atol=1e-14)
-    # even and odd under the antipodal map, read through the node pairing
-    anti = g.antipodal_index
-    assert np.array_equal(even.values[anti], even.values)
-    assert np.array_equal(odd.values[anti], -odd.values)
+        odd = 0.5 * (v - v[g.antipodal_index])
+        assert abs(quad_values(g, odd)) < 1e-12
 
 
 # n=2 at the default node count and the 256-node override, n=3 at three bands
@@ -414,7 +393,7 @@ def test_gradient_of_constant_vanishes():
 def test_gradient_of_linear_field():
     g = build_grid(3, 8)
     e = np.array([0.0, 0.0, 1.0])
-    f = ScalarField.from_function(g, lambda x: x @ e)
+    f = ScalarField.from_values(g, g.nodes @ e)
     grad = tangential_gradient(f).vectors
     # grad of <theta,e> is the tangential projection of e
     proj = e[None, :] - (g.nodes @ e)[:, None] * g.nodes
@@ -425,7 +404,7 @@ def test_hessian_of_linear_field_is_degree_one_identity():
     # degree-1 harmonic: covariant Hessian = -f * P_tangent
     g = build_grid(3, 8)
     e = np.array([1.0, 0.0, 0.0])
-    f = ScalarField.from_function(g, lambda x: x @ e)
+    f = ScalarField.from_values(g, g.nodes @ e)
     H = tangential_hessian(f).tensors
     P = np.eye(3)[None] - g.nodes[:, :, None] * g.nodes[:, None, :]
     expected = -(g.nodes @ e)[:, None, None] * P
@@ -596,25 +575,3 @@ def test_tail_warning_for_rough_field():
     t = np.arctan2(g.nodes[:, 1], g.nodes[:, 0])
     f = ScalarField.from_values(g, np.sign(np.sin(17.0 * t)) + np.cos(t))
     assert tangential_gradient(f).tail_warning
-
-
-def test_grid_json_roundtrip():
-    import json
-
-    g = build_grid(3, 8)
-    d = json.loads(g.to_json())
-    assert d == {"dimension": 3, "band_limit": 8, "node_count": g.node_count}
-
-
-def test_field_csv_export(tmp_path):
-    from calab.sphere import field_to_csv
-
-    g = build_grid(2, 8)
-    f = ScalarField.from_function(g, lambda x: x[:, 0] ** 2)
-    path = tmp_path / "field.csv"
-    field_to_csv(f, path)
-    lines = path.read_text().strip().split("\n")
-    assert lines[0] == "index,x,y,value"
-    assert len(lines) == g.node_count + 1
-    idx, x, y, v = lines[1].split(",")
-    assert abs(float(v) - float(x) ** 2) < 1e-15
