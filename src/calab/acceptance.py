@@ -285,8 +285,8 @@ def criterion_smoothing_construction(seed: int = 0) -> list[Check]:
     for label, body, cert in cases:
         for alpha, beta in ((1.0, 1.0), (0.5, 0.3)):
             kt, params = construct(body, g, alpha, beta, certificate=cert)
-            h = kt.support(g.nodes)
-            res = verify(evaluate_on_grid(kt, g), params, slack=0.02)
+            bg = evaluate_on_grid(kt, g)
+            res = verify(bg, params, slack=0.02)
             for c in res["checks"]:
                 out.append(Check(
                     f"{label}/a{alpha}b{beta}/{c['name']}",
@@ -295,14 +295,14 @@ def criterion_smoothing_construction(seed: int = 0) -> list[Check]:
             # dual route: direct gauge formula vs the polar-of-Firey-sum chain
             h_direct = direct_route_support(body, g, alpha, beta,
                                             certificate=cert)
-            dual = float(np.abs(h - h_direct).max())
+            dual = float(np.abs(bg.h - h_direct).max())
             out.append(_le(f"{label}/a{alpha}b{beta}/dual_route", dual, 1e-6))
             if label == "ellipsoid":
                 # fully numeric gauge (polar of the support function): the
                 # 1e-6 agreement holds on analytic families
                 kt2, _ = construct(body, g, alpha, beta, gauge="numeric",
                                    certificate=cert)
-                dual2 = float(np.abs(h - kt2.support(g.nodes)).max())
+                dual2 = float(np.abs(bg.h - kt2.support(g.nodes)).max())
                 out.append(_le(f"{label}/a{alpha}b{beta}/numeric_gauge",
                                dual2, 1e-6))
     return out
@@ -343,7 +343,7 @@ def _perturbed_start(g, seed):
     rng = np.random.default_rng(seed + 5)
     c = model.ball_coeffs()
     pert = rng.normal(size=model.basis.size) * np.exp(-model.basis.degrees)
-    pert[~model.even] = 0.0
+    pert[~model.even_mask] = 0.0
     return c + 0.05 * pert
 
 

@@ -4,6 +4,11 @@ A body is an evaluator for the jet (h, grad h, Hess h) of its 1-homogeneous
 support function in ambient coordinates (closed-form where the family allows
 it, finite differences otherwise).  Grid sampling is a view: linear images,
 Firey sums and polars compose evaluators exactly, without resampling.
+
+Every body is origin-symmetric by construction, h(-x) = h(x): each family
+is, SpectralBody rejects odd-degree coefficients, and linear images, Firey
+sums and polars of symmetric bodies are symmetric.  The Galerkin assembly
+relies on it.
 """
 
 from __future__ import annotations
@@ -39,9 +44,8 @@ class BodyEvaluator:
     serve families without closed-form derivatives and the tests' oracles.
     """
 
-    def __init__(self, n: int, even: bool = True, label: str = ""):
+    def __init__(self, n: int, label: str = ""):
         self.n = n
-        self.even = even
         self.label = label
 
     # -- interface ------------------------------------------------------
@@ -115,7 +119,7 @@ class BallBody(BodyEvaluator):
     def __init__(self, r: float, n: int):
         if r <= 0:
             raise ValueError("radius must be positive")
-        super().__init__(n, even=True, label=f"ball({r})")
+        super().__init__(n, label=f"ball({r})")
         self.r = float(r)
 
     def jet(self, X, order=2):
@@ -146,7 +150,7 @@ class EllipsoidBody(BodyEvaluator):
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0:
             raise ValueError("A must be positive-definite")
-        super().__init__(A.shape[0], even=True, label="ellipsoid")
+        super().__init__(A.shape[0], label="ellipsoid")
         self.A = A
         self._A2 = A @ A
 
@@ -167,15 +171,18 @@ class EllipsoidBody(BodyEvaluator):
 
 
 class SpectralBody(BodyEvaluator):
-    """h restricted to the sphere is a band-limited harmonic expansion."""
+    """h restricted to the sphere is a band-limited harmonic expansion of
+    even degrees (odd-degree coefficients raise ValueError)."""
 
     def __init__(self, n: int, coeffs: np.ndarray, basis: HarmonicBasis,
                  label: str = "spectral"):
         coeffs = np.asarray(coeffs, dtype=float)
         if len(coeffs) != basis.size:
             raise ValueError("coefficient length does not match basis")
-        even = bool(np.all(coeffs[basis.parity < 0] == 0.0))
-        super().__init__(n, even=even, label=label)
+        if np.any(coeffs[basis.parity < 0] != 0.0):
+            raise ValueError("odd-degree coefficients must be zero: the body "
+                             "must be origin-symmetric")
+        super().__init__(n, label=label)
         self.basis = basis
         self.coeffs = coeffs
 
@@ -208,7 +215,7 @@ class LinearImageBody(BodyEvaluator):
             raise ValueError("shape mismatch")
         if abs(np.linalg.det(T)) < 1e-14:
             raise ValueError("singular linear map")
-        super().__init__(base.n, even=base.even, label=f"{base.label}@T")
+        super().__init__(base.n, label=f"{base.label}@T")
         self.base = base
         self.T = T
         # vec(T H T^t) = kron(T, T) vec(H) for row-major vec; the kron as
@@ -255,7 +262,7 @@ class FireySumBody(BodyEvaluator):
             raise ValueError("weights must be nonnegative")
         if p == 0 and abs(a + b - 1.0) > 1e-12:
             raise ValueError("p=0 requires a + b = 1")
-        super().__init__(K.n, even=K.even and L.even, label=f"firey(p={p})")
+        super().__init__(K.n, label=f"firey(p={p})")
         self.a, self.b, self.p = float(a), float(b), float(p)
         self.K, self.L = K, L
 
@@ -293,7 +300,7 @@ class LqNormBody(BodyEvaluator):
     def __init__(self, q: int, n: int):
         if q < 4 or q % 2 != 0:
             raise ValueError("q must be an even integer >= 4")
-        super().__init__(n, even=True, label=f"l{q}-norm")
+        super().__init__(n, label=f"l{q}-norm")
         self.q = q
 
     def jet(self, X, order=2):
@@ -354,7 +361,7 @@ class PolarBody(BodyEvaluator):
     _SEED_BLOCK = 128
 
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
-        super().__init__(base.n, even=base.even, label=f"polar({base.label})")
+        super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
         self._ref_nodes = grid.nodes
         self._ref_h, dh = base.jet(grid.nodes, 1)
@@ -561,7 +568,7 @@ def perturbed_ball(n: int, eps: float, coeffs=None) -> BodyEvaluator:
     band = max(degs) if degs else 2
     basis = HarmonicBasis(n, band)
     c = eps * _coeff_vector(n, coeffs, basis)
-    c[0] += 1.0 / basis.eval(np.eye(n)[:1])[0, 0]  # constant term = 1
+    c[0] += 1.0 / basis.constant_value  # constant term = 1
     return SpectralBody(n, c, basis, label=f"perturbed_ball(eps={eps})")
 
 
@@ -577,7 +584,7 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
         amp = rng.normal(size=int(even_pert.sum()))
         decay = np.exp(-0.5 * basis.degrees[even_pert])
         c[even_pert] = strength * amp * decay / np.sqrt(even_pert.sum())
-        c[0] = 1.0 / basis.eval(np.eye(n)[:1])[0, 0]
+        c[0] = 1.0 / basis.constant_value
         body = SpectralBody(n, c, basis, label=f"random(seed={seed},try={trial})")
         try:
             bg = evaluate_on_grid(body, check_grid)
@@ -602,7 +609,7 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
 
     class _LqBall(BodyEvaluator):
         def __init__(self):
-            super().__init__(n, even=True, label=f"l{q}-ball")
+            super().__init__(n, label=f"l{q}-ball")
             qd = q / (q - 1)
             self._qd = qd
 

@@ -289,7 +289,12 @@ def _spectrum_ranges(v):
 
 def _isomorphic_alpha(v):
     """alpha from the distance budget gamma = (1+beta) sqrt(1+alpha^2), or
-    the explicit alpha and beta; both must be positive."""
+    the explicit alpha and beta; both must be positive.  A certificate
+    (r_in, R_out) must have 0 < r_in <= R_out."""
+    cert = v["certificate"]
+    if cert is not None and not 0 < cert[0] <= cert[1]:
+        raise ConfigError("certificate [r_in, R_out] needs 0 < r_in <= R_out, "
+                          f"got {cert}")
     if v["gamma"] is None:
         if v["alpha"] is None or v["beta"] is None:
             raise ConfigError("isomorphic needs 'gamma', or 'alpha' and 'beta'")
@@ -322,6 +327,15 @@ def _cmd_isomorphic(v, threads):
     return checks, payload, {
         "iso_params.json": params.to_dict(),
         "iso_verification.csv": (["check", "measured", "bound", "pass"], rows)}
+
+
+def _bochner_ranges(v):
+    """At least one field, of band 1..L: a constant field has zero residual."""
+    L = v["grid"].band_limit
+    if v["n_fields"] < 1:
+        raise ConfigError("n_fields must be at least 1")
+    if not 1 <= v["field_band"] <= L:
+        raise ConfigError(f"field_band must be in 1..{L}, the grid's L")
 
 
 def _solve_target(v):
@@ -441,7 +455,7 @@ COMMAND_TABLE = {
         "n_fields": (int, 20),
         "field_band": (int, lambda v: max(v["grid"].band_limit // 3, 4)),
         "tolerance": (float, lambda v: 1e-6 if v["grid"].n == 2 else 1e-3),
-    }),
+    }, _bochner_ranges),
     "pinch": Command(_cmd_pinch, {
         "grid": _GRID, "body": (_body, REQUIRED),
         "optimize": ({"iters": (int, 200)}, None),
@@ -454,7 +468,7 @@ COMMAND_TABLE = {
         "beta": (float, lambda v: None if v["gamma"] is None else 1.0 + math.sqrt(2.0)),
         "certificate": ([float, float], None),
         "slack": (float, 0.02), "C": (float, 1.0),
-        "gauge": (("auto", "closed", "numeric"), "auto"),
+        "gauge": (("auto", "numeric"), "auto"),
     }, _isomorphic_alpha),
     "solve": Command(_cmd_solve, {
         "grid": _GRID,

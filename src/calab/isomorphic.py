@@ -94,22 +94,18 @@ def construct(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
     caller knows the exact constants (analytic families) they should pass
     them, otherwise they are read off the support values on the grid.  The
     input is rescaled by r_in so that B subset K subset D B with
-    D = R_out/r_in.  The gauge of K enters through the polar operation;
-    gauge='closed' insists on a closed-form gauge evaluator, 'numeric' always
-    goes through the polar of the support function, 'auto' prefers closed
-    form when the family has one.
+    D = R_out/r_in.  The gauge of K enters through the polar operation:
+    gauge='numeric' always goes through the polar of the support function,
+    'auto' takes the family's closed-form gauge evaluator when it has one.
     """
+    if gauge not in ("auto", "numeric"):
+        raise ValueError(f"gauge must be 'auto' or 'numeric', got {gauge!r}")
     r_in, D = _sandwich(bodyK, grid, alpha, beta, certificate)
     scaled = linear_image(bodyK, np.eye(grid.n) / r_in)
 
-    if gauge == "numeric":
+    gauge_body = scaled.gauge_body() if gauge == "auto" else None
+    if gauge_body is None:
         gauge_body = polar(scaled, grid)
-    else:
-        gauge_body = scaled.gauge_body()
-        if gauge_body is None:
-            if gauge == "closed":
-                raise ValueError("no closed-form gauge for this body")
-            gauge_body = polar(scaled, grid)
 
     rounded_gauge = firey_sum(1.0, gauge_body, 1.0, ball(alpha / D, grid.n), 2.0)
     hL = polar(rounded_gauge, grid)
@@ -126,8 +122,7 @@ class _RoundedGaugeBody(BodyEvaluator):
     formula' side of the dual-route consistency check."""
 
     def __init__(self, gauge_body: BodyEvaluator, c: float):
-        super().__init__(gauge_body.n, even=gauge_body.even,
-                         label=f"rounded({gauge_body.label})")
+        super().__init__(gauge_body.n, label=f"rounded({gauge_body.label})")
         self.gb = gauge_body
         self.c = float(c)
 

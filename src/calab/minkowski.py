@@ -109,7 +109,7 @@ _FIRST_STEP = 0.5   # the first line search's trial step
 
 class _EvenModel:
     """Geometry of h = sum c_a phi_a over the even basis functions, whose
-    coefficients c are the variable (`even` masks them in the full basis).
+    coefficients c are the variable (`even_mask` marks them in the full basis).
 
     An even h and its frame Hessian read the same at u and -u, so the model
     reads the grid's tables on the first half of the nodes at weights 2 w:
@@ -119,15 +119,16 @@ class _EvenModel:
         B, _, H = grid.basis_tables(band)
         self.grid = grid
         self.basis = HarmonicBasis(grid.n, band)
-        self.even = self.basis.parity > 0
+        self.even_mask = self.basis.parity > 0
         self.weights = 2.0 * grid.weights[:len(B)]
-        self.B = B[:, self.even]
+        self.B = B[:, self.even_mask]
         # packed Hessian rows (node, component) against the coefficients
-        self._hess = H[:, self.even].transpose(0, 2, 1).reshape(-1, self.B.shape[1])
+        self._hess = (H[:, self.even_mask].transpose(0, 2, 1)
+                      .reshape(-1, self.B.shape[1]))
 
     def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
         c = np.zeros(self.basis.size)
-        c[0] = radius / float(self.B[0, 0])  # constant basis fn is 1/sqrt(|S|)
+        c[0] = radius / self.basis.constant_value
         return c
 
     def geometry(self, c: np.ndarray):
@@ -186,7 +187,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     init = model.ball_coeffs() if init is None else np.asarray(init, dtype=float)
     if len(init) != model.basis.size:
         raise ValueError("initial coefficients do not match the solver basis")
-    c = init[model.even]
+    c = init[model.even_mask]
     f = mu.density[:len(model.weights)]
 
     h, det, mn = model.geometry(c)
@@ -202,7 +203,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     c, h, det, s = renorm(c, h, det)
     total_scale *= s
 
-    degs = model.basis.degrees[model.even].astype(float)
+    degs = model.basis.degrees[model.even_mask].astype(float)
     precond = 1.0 / (1.0 + degs * (degs + n - 2))
 
     F, grad = _value_and_grad(model, f, p, h, det)
@@ -255,7 +256,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     el = float(np.abs(X / (cfit * f) - 1.0).max())
 
     full = np.zeros(model.basis.size)
-    full[model.even] = c
+    full[model.even_mask] = c
     return SolveResult(
         coeffs=full, band=opts.band, n=n, value=F, el_residual=el,
         iterations=iterations, converged=converged,
@@ -284,19 +285,19 @@ def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
     for _ in range(n_starts):
         c = model.ball_coeffs()
         pert = rng.normal(size=model.basis.size) * np.exp(-0.7 * model.basis.degrees)
-        pert[~model.even] = 0.0
+        pert[~model.even_mask] = 0.0
         pert[0] = 0.0
         scale = 0.3
         for _ in range(20):
             cand = c + scale * pert
-            _, det, mn = model.geometry(cand[model.even])
+            _, det, mn = model.geometry(cand[model.even_mask])
             if det is not None and mn > 1e-4:
                 c = cand
                 break
             scale *= 0.5
         results.append(minimize(mu, p, init=c, options=opts))
 
-    hs = [model.B @ r.coeffs[model.even] for r in results]
+    hs = [model.B @ r.coeffs[model.even_mask] for r in results]
     k = len(hs)
     dist = np.zeros((k, k))
     for i in range(k):

@@ -2,9 +2,10 @@
 
 The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
-density h det(D^2 h).  For an even body the forms split into an even and an
-odd diagonal block, each summed over one node of every antipodal pair; the
-generalized eigenproblem is dense symmetric definite, solved per block.
+density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
+an even and an odd diagonal block, each summed over one node of every
+antipodal pair; the generalized eigenproblem is dense symmetric definite,
+solved per block.
 """
 
 from __future__ import annotations
@@ -53,34 +54,28 @@ class GalerkinBasis:
 
 @dataclass(frozen=True)
 class _Rows:
-    """One group of node rows the forms sum over, each row read against the
-    basis tables of its first-half node u: the first half of the grid itself
-    (at double weight for an even body), or, for a body that is not even,
-    the antipodes -u.  At the antipodes the tables read pi B, -pi G, pi H, so
-    the group's Gram products are taken without the signs and flipped by
-    pi_a pi_b afterwards; p is stored negated there, since its term pairs
-    with G."""
+    """The node rows the forms sum over: the first half of the grid, each
+    node standing for its antipodal pair at double weight."""
 
-    sq: np.ndarray      # sqrt of the row weight w nu (2 w nu for an even body)
+    sq: np.ndarray      # sqrt of the row weight 2 w nu
     K: np.ndarray       # (N/2, n-1, n-1), sqrt(h) C^{-1}: K^t K = g^{-1} in E
-    p: np.ndarray       # (N/2, n-1), K grad log h (negated at the antipodes)
-    antipodal: bool
+    p: np.ndarray       # (N/2, n-1), K grad log h
 
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Stiffness and mass matrices, and the row groups that the Hessian form
+    """Stiffness and mass matrices, and the rows that the Hessian form
     (_hessian_form) is built from on the blocks a caller asks for.
 
-    Entries outside the diagonal blocks are zero: for an even body the blocks
-    are the even and the odd basis columns, otherwise one block holds every
-    column."""
+    Entries outside the diagonal blocks are zero.  The blocks are the even
+    basis columns, then the odd ones when there are any; the first even
+    column is the constant (degree 0)."""
 
     basis: GalerkinBasis
     blocks: tuple[np.ndarray, ...]   # basis positions of each diagonal block
     stiffness: np.ndarray   # Dirichlet form of the operator against nu
     mass: np.ndarray        # L^2(nu) Gram matrix
-    _rows: tuple[_Rows, ...] = field(repr=False)
+    _rows: _Rows = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -110,36 +105,27 @@ class SpectrumReport:
 # assembly
 
 
-def _gram(blocks, groups, parities: np.ndarray, rows_of) -> np.ndarray:
-    """Sum over the row groups of X^t X, X = rows_of(group) of shape
-    (N/2, ..., nb): one Gram product per diagonal block, zero outside the
-    blocks, and flipped by pi_a pi_b for an antipodal group."""
-    Xs = [rows_of(group) for group in groups]
-    nb = len(parities)
+def _gram(blocks, X: np.ndarray) -> np.ndarray:
+    """X^t X for the rows X of shape (N/2, ..., nb): one Gram product per
+    diagonal block, zero outside the blocks."""
+    nb = X.shape[-1]
+    X = X.reshape(-1, nb)
     A = np.zeros((nb, nb))
     for cols in blocks:
-        block = None
-        for group, X in zip(groups, Xs):
-            Xc = np.take(X.reshape(-1, nb), cols, axis=1)
-            gram = Xc.T @ Xc
-            if group.antipodal:
-                gram *= np.multiply.outer(parities[cols], parities[cols])
-            block = gram if block is None else block + gram
-        A[np.ix_(cols, cols)] = block
+        Xc = np.take(X, cols, axis=1)
+        A[np.ix_(cols, cols)] = Xc.T @ Xc
     return A
 
 
-def _row_group(state: CentroAffineState, index, scale: float = 1.0,
-               antipodal: bool = False) -> _Rows:
-    """The rows at the nodes `index`, one per first-half node, at weight
-    scale * w * nu."""
+def _rows(state: CentroAffineState) -> _Rows:
+    """The rows at the first N/2 nodes, at weight 2 w nu."""
     grid, bg = state.grid, state.bg
-    rho = (grid.weights * state.nu_density)[index]
-    C = np.linalg.cholesky(bg.D2h_frame[index])
-    K = np.sqrt(bg.h[index])[:, None, None] * np.linalg.inv(C)
-    p = np.einsum("iqr,ir->iq", K, state.grad_log_h[index])
-    return _Rows(sq=np.sqrt(scale * rho), K=K, p=-p if antipodal else p,
-                 antipodal=antipodal)
+    first = slice(0, grid.node_count // 2)
+    rho = (grid.weights * state.nu_density)[first]
+    C = np.linalg.cholesky(bg.D2h_frame[first])
+    K = np.sqrt(bg.h[first])[:, None, None] * np.linalg.inv(C)
+    p = np.einsum("iqr,ir->iq", K, state.grad_log_h[first])
+    return _Rows(sq=np.sqrt(2.0 * rho), K=K, p=p)
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
@@ -157,30 +143,21 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     where K Hess*_a K^t = K H_a K^t + p (x) t_a + t_a (x) p with
     t_a = K G_a and p = K grad log h, grad log h in E.
 
-    The tables cover the first half of the grid.  For an even body every row
-    of a basis function of parity pi at -u is pi times its row at u, so the
-    even-odd blocks vanish and each diagonal block is twice its sum over the
-    first half.  Other bodies add the antipodes as a second row group.
+    The tables cover the first half of the grid.  Bodies are origin-symmetric,
+    so every row of a basis function of parity pi at -u is pi times its row
+    at u: the even-odd blocks vanish and each diagonal block is twice its sum
+    over the first half.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
-    grid = state.grid
-    first = slice(0, grid.node_count // 2)
-    if state.bg.body.even:
-        groups = (_row_group(state, first, scale=2.0),)
-        blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
-                                   np.flatnonzero(basis.parities < 0)) if len(c))
-    else:
-        groups = (_row_group(state, first),
-                  _row_group(state, grid.antipodal_index[first], antipodal=True))
-        blocks = (np.arange(basis.size),)
-    B, G, _ = grid.basis_tables(basis.degree_max)
-    par = basis.parities.astype(float)
-    S = _gram(blocks, groups, par, lambda r: (r.K * r.sq[:, None, None])
-              @ G.transpose(0, 2, 1))
-    M = _gram(blocks, groups, par, lambda r: B * r.sq[:, None])
+    rows = _rows(state)
+    blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
+                               np.flatnonzero(basis.parities < 0)) if len(c))
+    B, G, _ = state.grid.basis_tables(basis.degree_max)
+    S = _gram(blocks, (rows.K * rows.sq[:, None, None]) @ G.transpose(0, 2, 1))
+    M = _gram(blocks, B * rows.sq[:, None])
     return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M,
-                          _rows=groups)
+                          _rows=rows)
 
 
 def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
@@ -189,23 +166,19 @@ def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
     Gram product is the full Frobenius inner product) of the conjugate
     Hessians, as one product against the packed components r1 <= r2 of H
     and the components r of G."""
-    basis = system.basis
+    basis, rows = system.basis, system._rows
     _, G, H = basis.grid.basis_tables(basis.degree_max)
     iu, ju = np.triu_indices(G.shape[2])
     off = np.where(iu == ju, 0.0, 1.0)
-
-    def rows_of(r):
-        K, p = r.K, r.p
-        # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
-        # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)
-        WH = (K[:, iu][:, :, iu] * K[:, ju][:, :, ju]
-              + off * K[:, iu][:, :, ju] * K[:, ju][:, :, iu])
-        WG = p[:, iu, None] * K[:, ju, :] + K[:, iu, :] * p[:, ju, None]
-        w = (r.sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
-        return ((w * WH) @ H.transpose(0, 2, 1)
-                + (w * WG) @ G.transpose(0, 2, 1))
-
-    return _gram(blocks, system._rows, basis.parities.astype(float), rows_of)
+    K, p = rows.K, rows.p
+    # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
+    # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)
+    WH = (K[:, iu][:, :, iu] * K[:, ju][:, :, ju]
+          + off * K[:, iu][:, :, ju] * K[:, ju][:, :, iu])
+    WG = p[:, iu, None] * K[:, ju, :] + K[:, iu, :] * p[:, ju, None]
+    w = (rows.sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
+    return _gram(blocks, (w * WH) @ H.transpose(0, 2, 1)
+                 + (w * WG) @ G.transpose(0, 2, 1))
 
 
 # ----------------------------------------------------------------------
@@ -243,11 +216,6 @@ def _block_eigh(system: GalerkinSystem, cols: np.ndarray, first: int, last: int)
     return eigs, vecs
 
 
-def _even_columns(system: GalerkinSystem) -> np.ndarray:
-    """Even basis columns; the first is the constant (degree 0)."""
-    return np.flatnonzero(system.basis.parities > 0)
-
-
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
                    subspace: str = "all") -> SpectrumReport:
     """k smallest generalized eigenpairs of (stiffness, mass).
@@ -263,21 +231,21 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
         k = nb
     if not 1 <= k <= nb:
         raise ValueError(f"k must be in 1..{nb}, the basis size")
-    even = _even_columns(system)
+    even = system.blocks[0]
 
     lambda1_even = None
     if subspace == "all":
         eigs, vecs = [], []
         for cols in system.blocks:
             e, v = _block_eigh(system, cols, 0, min(k, len(cols)) - 1)
-            if len(e) > 1 and np.array_equal(cols, even):
-                lambda1_even = float(e[1])
             eigs.append(e)
             vecs.append(v)
+        if len(eigs[0]) > 1:
+            lambda1_even = float(eigs[0][1])
         eigs, vecs = np.concatenate(eigs), np.concatenate(vecs, axis=1)
         order = np.argsort(eigs, kind="stable")[:k]
         eigs, vecs = eigs[order], vecs[:, order]
-        if lambda1_even is None and len(even) > 1:   # no even block, or k = 1
+        if lambda1_even is None and len(even) > 1:   # k = 1
             lambda1_even = float(_block_eigh(system, even, 1, 1)[0][0])
     elif subspace == "even-nonconstant":
         count = min(k, len(even) - 1)
@@ -342,7 +310,7 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
     functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
     dropping its column leaves the quotient's range unchanged.  The Hessian
     form is built on those columns only."""
-    cols = _even_columns(system)[1:]
+    cols = system.blocks[0][1:]
     if not len(cols):
         raise ValueError("the even non-constant subspace is empty at degree_max "
                          f"{system.basis.degree_max}")

@@ -129,6 +129,9 @@ class HarmonicBasis:
             raise ValueError("band limit must be nonnegative")
         self.n = n
         self.L = L
+        # value of the constant basis function, 1/sqrt(|S^{n-1}|)
+        self.constant_value = (1.0 / np.sqrt(2.0 * np.pi) if n == 2
+                               else 0.5 / np.sqrt(np.pi))
         if n == 2:
             degs = [0] + [k for k in range(1, L + 1) for _ in (0, 1)]
             self.degrees = np.array(degs, dtype=int)
@@ -147,10 +150,6 @@ class HarmonicBasis:
         self.size = len(self.degrees)
 
     # ------------------------------------------------------------------
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        """Values of all basis functions at the given unit vectors, (P, size)."""
-        return self.eval_derivs(points, order=0)[0]
-
     def eval_derivs(self, points: np.ndarray, order: int = 2):
         """Basis values and tangential derivatives at unit vectors.
 
@@ -199,7 +198,7 @@ class HarmonicBasis:
             pairs = np.stack([cos_part, sin_part], axis=2).reshape(P, -1)
             return np.concatenate([np.full((P, 1), const), pairs], axis=1)
 
-        vals = columns(1.0 / np.sqrt(2.0 * np.pi), inv_sqrtpi * c, inv_sqrtpi * s)
+        vals = columns(self.constant_value, inv_sqrtpi * c, inv_sqrtpi * s)
         if order == 0:
             return vals, None, None
         grads = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))[:, :, None]
@@ -513,7 +512,7 @@ def analyze(field: ScalarField) -> np.ndarray:
     w = grid.weights[:half]
     sums = B.T @ np.stack([w * (f1 + f2), w * (f1 - f2)], axis=1)
     c = np.where(grid.basis.parity > 0, sums[:, 0], sums[:, 1])
-    c[0] += v0 / B[0, 0]    # column 0 is the constant 1/sqrt(|S^{n-1}|)
+    c[0] += v0 / grid.basis.constant_value
     return c
 
 

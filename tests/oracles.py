@@ -25,7 +25,7 @@ from calab.calculus import (
     hess_norm_sq,
 )
 from calab.minkowski import TargetMeasure
-from calab.spectral import GalerkinSystem, _even_columns, solve_spectrum
+from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
     ScalarField,
     _angles_from_points,
@@ -284,7 +284,7 @@ def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
                               subspace: str = "even-nonconstant") -> float:
     """Operator-level identity on the eigen-solve subspace: for eigenvectors v,
     v^t (S M^{-1} S) v - v^t H v matches (n-2) v^t S v up to quadrature error."""
-    if subspace == "even-nonconstant" and len(_even_columns(system)) < 2:
+    if subspace == "even-nonconstant" and len(system.blocks[0]) < 2:
         raise ValueError("the even non-constant subspace is empty at degree_max "
                          f"{system.basis.degree_max}")
     n = system.basis.grid.n

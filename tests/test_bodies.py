@@ -19,7 +19,7 @@ from calab.bodies import (
     firey_sum,
     quantities,
 )
-from calab.isomorphic import _RoundedGaugeBody
+from calab.isomorphic import _RoundedGaugeBody, construct
 from calab.sphere import HarmonicBasis, build_grid
 
 
@@ -81,6 +81,16 @@ def test_perturbed_ball_rejects_bad_circle_order(coeffs):
         perturbed_ball(2, 0.1, coeffs)
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_body_rejects_odd_coefficient(n):
+    basis = HarmonicBasis(n, 4)
+    c = np.zeros(basis.size)
+    c[0] = 3.0
+    c[np.flatnonzero(basis.degrees == 3)[0]] = 0.02
+    with pytest.raises(ValueError, match="origin-symmetric"):
+        SpectralBody(n, c, basis)
+
+
 def test_random_even_body_budget_exhaustion():
     with pytest.raises(RuntimeError):
         random_even_body(2, seed=0, budget=1, strength=500.0)
@@ -137,7 +147,7 @@ def test_frame_hessian_matches_ambient(n, name):
 
         # the model reads the even columns on the first half of the grid
         model = _EvenModel(g, body.basis.L)
-        h, det, mn = model.geometry(body.coeffs[model.even])
+        h, det, mn = model.geometry(body.coeffs[model.even_mask])
         half = g.node_count // 2
         assert np.abs(h - bg.h[:half]).max() <= 1e-13 * bg.h.max()
         assert np.abs(det - bg.sk_density[:half]).max() <= 1e-13 * np.abs(det).max()
@@ -154,6 +164,7 @@ def test_spectral_jet_matches_ambient_tables(n):
     rng = np.random.default_rng(n + 20)
     c = 0.05 * rng.normal(size=basis.size) * np.exp(-0.2 * basis.degrees)
     c[0] = 3.0
+    c[basis.parity < 0] = 0.0   # a spectral body is origin-symmetric
     body = SpectralBody(n, c, basis)
     X = np.concatenate([rng.normal(size=(60, n)), 2.5 * np.eye(n), -0.4 * np.eye(n)])
     r = np.linalg.norm(X, axis=1)
@@ -553,3 +564,57 @@ def test_lq_gauge_body_sandwich():
     h = K.support(g.nodes)
     assert h.min() >= 1.0 - 1e-12          # B subset K
     assert h.max() <= 3.0**0.25 + 1e-12    # K subset n^(1/4) B
+
+
+# ---------------------------------------------------------------------------
+# origin symmetry, the contract the Galerkin assembly sums over
+# ---------------------------------------------------------------------------
+
+# Closed-form bodies and polars of smooth bases agree at antipodal nodes to
+# ~3e-15 relative.  The finite-difference l_q bodies, and the numeric-gauge
+# smoothing built on one, agree only to ~1e-7: antipodal nodes are negatives
+# of each other to about 1 ulp, and the difference quotients amplify that
+# by about 1/step^2.
+_SYMMETRY_TOL = {"closed": 1e-13, "fd": 1e-6}
+
+
+def _symmetric_bodies(n, g):
+    """Every body type the CLI builds, and the compositions its commands
+    build, with the tolerance class of each."""
+    rng = np.random.default_rng(n + 30)
+    A = rng.normal(size=(n, n))
+    pb = perturbed_ball(n, 0.1)
+    E = ellipsoid(np.diag([1.5, 1.0, 0.8][:n]))
+    return {
+        "ball": (ball(1.0, n), "closed"),
+        "ellipsoid_diag": (E, "closed"),
+        "ellipsoid_matrix": (ellipsoid(A @ A.T + n * np.eye(n)), "closed"),
+        "perturbed_ball": (pb, "closed"),
+        "random": (random_even_body(n, seed=1), "closed"),
+        "lq4": (lq_gauge_body(4, n), "fd"),
+        "lq3": (lq_gauge_body(3, n), "fd"),
+        "polar": (polar(pb, g), "closed"),
+        "linear_image": (linear_image(pb, np.eye(n) + 0.3 * A), "closed"),
+        "firey": (firey_sum(1.0, E, 0.8, pb, 2.0), "closed"),
+        "smoothed_ellipsoid": (construct(E, g, 0.5, 0.3)[0], "closed"),
+        "smoothed_lq4": (construct(lq_gauge_body(4, n), g, 0.5, 0.3)[0],
+                         "closed"),
+        "smoothed_lq3": (construct(lq_gauge_body(3, n), g, 0.5, 0.3)[0], "fd"),
+    }
+
+
+@pytest.mark.parametrize("n,L,nodes", [(2, 62, 256), (3, 16, None)])
+def test_bodies_are_origin_symmetric_on_grid(n, L, nodes):
+    # h(-u) = h(u), D2h_frame(-u) = D2h_frame(u) (antipodal nodes share a
+    # frame) and x(-u) = -x(u), relative to the largest entry of each
+    g = build_grid(n, L, n_nodes=nodes)
+    half = g.node_count // 2
+    first, anti = np.arange(half), g.antipodal_index[:half]
+    for name, (body, kind) in _symmetric_bodies(n, g).items():
+        bg = evaluate_on_grid(body, g)
+        tol = _SYMMETRY_TOL[kind]
+        for label, a, b in (("h", bg.h[anti], bg.h[first]),
+                            ("x", bg.x[anti], -bg.x[first]),
+                            ("D2h", bg.D2h_frame[anti], bg.D2h_frame[first])):
+            err = np.abs(a - b).max() / np.abs(b).max()
+            assert err <= tol, (name, label, err)

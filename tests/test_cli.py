@@ -134,6 +134,22 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
     pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "family": [1]},
                  id="sweep_family_not_object"),
     pytest.param("isomorphic", {**_ISO, "gauge": "foo"}, id="iso_gauge"),
+    pytest.param("isomorphic", {**_ISO, "gauge": "closed"}, id="iso_gauge_closed"),
+    pytest.param("isomorphic", {**_ISO, "certificate": [2.0, 1.0]},
+                 id="iso_certificate_reversed"),
+    pytest.param("isomorphic", {**_ISO, "certificate": [-1.0, 1.0]},
+                 id="iso_certificate_nonpositive"),
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                                "gamma": 5.0, "certificate": [1.0, 0.5]},
+                 id="iso_gamma_certificate_reversed"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "n_fields": 0},
+                 id="bochner_no_fields"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "field_band": -1},
+                 id="bochner_field_band_negative"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "field_band": 0},
+                 id="bochner_field_band_constant"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "field_band": 9},
+                 id="bochner_field_band_above_L"),
     pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "subspace": "foo"},
                  id="spectrum_subspace"),
     pytest.param("verify-all", {"criteria": ["nope"]}, id="verify_all_criteria"),

@@ -80,15 +80,23 @@ def test_construct_ball_closed_form():
 
 
 def test_construct_dual_route_agreement():
-    # closed-form gauge vs polar-of-Firey-sum numeric gauge
+    # closed-form gauge (auto, for an ellipsoid) vs polar-of-Firey-sum
+    # numeric gauge
     g = build_grid(2, 24)
     A = np.array([[1.6, 0.3], [0.3, 1.0]])
     for a, b in [(1.0, 1.0), (0.5, 0.3)]:
-        kt1, _ = construct(ellipsoid(A), g, a, b, gauge="closed")
+        kt1, _ = construct(ellipsoid(A), g, a, b, gauge="auto")
         kt2, _ = construct(ellipsoid(A), g, a, b, gauge="numeric")
         h1 = kt1.support(g.nodes)
         h2 = kt2.support(g.nodes)
         assert np.abs(h1 - h2).max() < 1e-6
+
+
+@pytest.mark.parametrize("gauge", ["closed", "foo"])
+def test_construct_rejects_unknown_gauge(gauge):
+    with pytest.raises(ValueError, match="gauge"):
+        construct(ellipsoid(np.diag([2.0, 1.0])), build_grid(2, 8), 0.5, 0.3,
+                  gauge=gauge)
 
 
 def test_construct_requires_positive_support():

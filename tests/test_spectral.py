@@ -7,7 +7,6 @@ import scipy.linalg
 from calab import spectral
 
 from calab.bodies import (
-    SpectralBody,
     ball,
     ellipsoid,
     evaluate_on_grid,
@@ -103,15 +102,6 @@ def _rotated_ellipsoid():
     return ellipsoid(R @ np.diag([1.6, 1.0, 0.7]) @ R.T)
 
 
-def _odd_perturbed_ball(n, L):
-    # a small odd (degree-3) coefficient: a convex body that is not even
-    basis = build_grid(n, L).basis
-    c = np.zeros(basis.size)
-    c[0] = np.sqrt(2.0 * np.pi) if n == 2 else 2.0 * np.sqrt(np.pi)
-    c[np.flatnonzero(basis.degrees == 3)[0]] = 0.02
-    return SpectralBody(n, c, basis)
-
-
 def test_assembly_matches_einsum_oracle():
     st, sys_ = system_for(_rotated_ellipsoid(), 3, 16)
     assert len(sys_.blocks) == 2
@@ -121,29 +111,11 @@ def test_assembly_matches_einsum_oracle():
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
-def test_non_even_body_assembles_as_one_block(n, L):
-    body = _odd_perturbed_ball(n, L)
-    assert not body.even
-    st, sys_ = system_for(body, n, L)
-    assert len(sys_.blocks) == 1 and len(sys_.blocks[0]) == sys_.basis.size
-    refs = _einsum_assembly(st, sys_.basis)
-    # the even-odd coupling of an odd perturbation is present and assembled
-    odd = sys_.basis.parities < 0
-    assert np.abs(refs[0][np.ix_(~odd, odd)]).max() > 1e-4
-    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)), refs):
-        assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
-
-
-@pytest.mark.parametrize("n,L,even", [(2, 16, True), (2, 16, False),
-                                      (3, 12, True), (3, 12, False)])
-def test_packed_forms_match_ambient_reference(n, L, even):
+def test_packed_forms_match_ambient_reference(n, L):
     # half-grid frame-packed tables against full-grid ambient ones
-    if even:
-        body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
-    else:
-        body = _odd_perturbed_ball(n, L)
+    body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
     st, sys_ = system_for(body, n, L)
-    assert body.even == even and len(sys_.blocks) == (2 if even else 1)
+    assert len(sys_.blocks) == 2
     for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)),
                       _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
@@ -172,11 +144,10 @@ def _dense_spectrum(sys_, k):
     return eigs, even[:k]
 
 
-@pytest.mark.parametrize("case", ["rotated_ellipsoid", "random_n2", "odd_n2"])
+@pytest.mark.parametrize("case", ["rotated_ellipsoid", "random_n2"])
 def test_blocked_solve_matches_dense_eigh(case):
     body, n, L = {"rotated_ellipsoid": (_rotated_ellipsoid(), 3, 16),
-                  "random_n2": (random_even_body(2, seed=3), 2, 16),
-                  "odd_n2": (_odd_perturbed_ball(2, 16), 2, 16)}[case]
+                  "random_n2": (random_even_body(2, seed=3), 2, 16)}[case]
     _, sys_ = system_for(body, n, L)
     k = 12
     ref, ref_even = _dense_spectrum(sys_, k)
@@ -217,15 +188,11 @@ def test_basis_band_limit_capped_by_grid():
             GalerkinBasis(g, band)
 
 
-@pytest.mark.parametrize("n,L,band,even", [(2, 16, 9, True), (2, 16, 9, False),
-                                           (3, 12, 7, True), (3, 12, 7, False)])
-def test_sub_band_system_is_leading_block_of_full_band(n, L, band, even):
+@pytest.mark.parametrize("n,L,band", [(2, 16, 9), (3, 12, 7)])
+def test_sub_band_system_is_leading_block_of_full_band(n, L, band):
     # the band-b forms read the first nb columns of the same tables, so they
     # are the leading principal block of the full-band forms
-    if even:
-        body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
-    else:
-        body = _odd_perturbed_ball(n, L)
+    body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
     st, full = system_for(body, n, L)
     sub = assemble(st, GalerkinBasis(st.grid, band))
     nb = sub.basis.size
