@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_eigvalsh,
-                          tangent_frames, to_ambient, unpack_sym)
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
+                          frame_eigvalsh, tangent_frames, to_ambient, unpack_sym)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -681,7 +681,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
     F = grid.tangent_frames()
     R = F.transpose(0, 2, 1) @ H @ F
     R = 0.5 * (R + R.transpose(0, 2, 1))
-    sk = np.linalg.det(R)
+    sk = frame_det(R)
     vk = h * sk / grid.n
     eig = frame_eigvalsh(R)
     mn, mx = float(eig.min()), float(eig.max())

@@ -16,7 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
-from calab.sphere import HarmonicBasis, SphereGrid, frame_eigvalsh, unpack_sym
+from calab.sphere import (HarmonicBasis, SphereGrid, frame_det, frame_eigvalsh,
+                          unpack_sym)
 
 
 @dataclass(frozen=True)
@@ -141,7 +142,7 @@ class _EvenModel:
         R = unpack_sym((self._hess @ c).reshape(len(h), -1))
         diag = np.arange(self.grid.n - 1)
         R[:, diag, diag] += h[:, None]
-        det = np.linalg.det(R)
+        det = frame_det(R)
         return h, det, float(frame_eigvalsh(R).min())
 
 

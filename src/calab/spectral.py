@@ -5,7 +5,7 @@ mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over one node of every
 antipodal pair; the generalized eigenproblem is dense symmetric definite,
-solved per block.
+solved per block by a Cholesky reduction to a standard one (numpy only).
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
 from calab.calculus import (
@@ -205,15 +204,42 @@ def _zero_tol(eigs: np.ndarray) -> float:
     return 1e-6 * scale
 
 
+def _lower_inverse(L: np.ndarray) -> np.ndarray:
+    """Inverse of a lower-triangular L by 2x2 block recursion on GEMMs:
+    [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]].
+    np.linalg.inv would take a general LU of the whole matrix."""
+    n = len(L)
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    Ai, Di = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = Ai
+    out[h:, h:] = Di
+    out[h:, :h] = -Di @ (L[h:, :h] @ Ai)
+    return out
+
+
+def _reduce_pencil(A: np.ndarray, B: np.ndarray):
+    """L^{-1} and C = L^{-1} A L^{-t} for B = L L^t: the Cholesky reduction
+    of the symmetric-definite pencil (A, B) that LAPACK's sygv drivers use
+    (Golub & Van Loan, Matrix Computations, 8.7).  C has the pencil's
+    eigenvalues, and an eigenvector y of C maps back to v = L^{-t} y, with
+    v^t B v = I.  A B that is not positive definite raises
+    np.linalg.LinAlgError from the Cholesky step."""
+    Li = _lower_inverse(np.linalg.cholesky(B))
+    return Li, Li @ A @ Li.T
+
+
 def _block_eigh(system: GalerkinSystem, cols: np.ndarray, first: int, last: int):
     """Eigenpairs first..last (ascending) of (stiffness, mass) restricted to
     the columns cols, eigenvectors in full basis coordinates."""
     ix = np.ix_(cols, cols)
-    eigs, v = scipy.linalg.eigh(system.stiffness[ix], system.mass[ix],
-                                subset_by_index=[first, last])
-    vecs = np.zeros((system.basis.size, len(eigs)))
-    vecs[cols] = v
-    return eigs, vecs
+    Li, C = _reduce_pencil(system.stiffness[ix], system.mass[ix])
+    eigs, y = np.linalg.eigh(C)
+    vecs = np.zeros((system.basis.size, last + 1 - first))
+    vecs[cols] = Li.T @ y[:, first:last + 1]
+    return eigs[first:last + 1], vecs
 
 
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
@@ -317,12 +343,11 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
     ix = np.ix_(cols, cols)
     hess = _hessian_form(system, (cols,))[ix]
     try:
-        eigs = scipy.linalg.eigh(hess, system.stiffness[ix],
-                                 eigvals_only=True, subset_by_index=[0, 0])
+        _, C = _reduce_pencil(hess, system.stiffness[ix])
     except np.linalg.LinAlgError:
         raise ValueError("stiffness is singular on the even non-constant "
                          "subspace") from None
-    return float(eigs[0])
+    return float(np.linalg.eigvalsh(C)[0])
 
 
 def invariance_check(bodyK: BodyEvaluator, T: np.ndarray, grid: SphereGrid,

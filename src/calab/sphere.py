@@ -224,8 +224,9 @@ class HarmonicBasis:
         z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
 
         def columns(table):
-            """(l, m, distinct z) table -> (points, basis) colatitude factors."""
-            return table[l, m].T[inv] * scale
+            """(l, m, distinct z) table -> (points, basis) colatitude factors,
+            made C-contiguous per distinct z before the row gather."""
+            return np.ascontiguousarray((table[l, m] * scale[:, None]).T)[inv]
 
         # band L+1 feeds the ladder that yields m P_l^m / sin theta
         P = _legendre(z_u, st[first], L + (order > 0))
@@ -306,6 +307,19 @@ def frame_eigvalsh(R: np.ndarray) -> np.ndarray:
     big = m + np.copysign(np.hypot(0.5 * (a - c), b), m)
     small = np.divide(a * c - b * b, big, out=np.zeros_like(big), where=big != 0)
     return np.stack([np.minimum(big, small), np.maximum(big, small)], axis=-1)
+
+
+def frame_det(R: np.ndarray) -> np.ndarray:
+    """Determinants (...) of symmetric frame matrices (..., q, q), read from
+    the lower triangle as frame_eigvalsh does: closed form ac - b^2 for
+    q <= 2, np.linalg.det for q >= 3."""
+    q = R.shape[-1]
+    if q == 1:
+        return R[..., 0, 0].copy()
+    if q > 2:
+        return np.linalg.det(R)
+    a, b, c = R[..., 0, 0], R[..., 1, 0], R[..., 1, 1]
+    return a * c - b * b
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:

@@ -1,9 +1,10 @@
-"""calab loads on numpy and scipy.linalg alone.
+"""calab loads and runs on numpy alone.
 
-scipy.special, scipy.spatial and scipy.optimize cost about half of
-``import calab``; the library replaces them with its own Gauss-Legendre rule,
-Nelder-Mead and polar seed search, and the tests use them only as oracles.
-A fresh interpreter shows that neither the import nor a run brings them in.
+The library has its own Gauss-Legendre rule, Nelder-Mead, polar seed search
+and Cholesky reduction of the symmetric-definite Galerkin pencils, so no
+scipy module is needed at run time; the tests use scipy only as an oracle.
+A fresh interpreter shows that neither the import nor a pinch, polar,
+spectrum or Hessian-gap run brings any scipy module in.
 """
 
 import json
@@ -13,28 +14,36 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-HEAVY = ("scipy.special", "scipy.spatial", "scipy.optimize")
 
 _PROBE = f"""
 import json, sys
-heavy = {HEAVY!r}
+def scipy_modules():
+    return sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 seen = {{}}
 import calab, calab.cli
-seen["import"] = [m for m in heavy if m in sys.modules]
-from calab import bodies, cli, pinching
+seen["import"] = scipy_modules()
+from calab import bodies, cli, pinching, spectral
+from calab.calculus import build_state
+from calab.sphere import build_grid
 cfg = json.load(open({str(ROOT / "configs" / "pinch_ellipsoid.json")!r}))
 v = cli.validate("pinch", cfg, seed=0)
 pinching.optimize_image(v["body"], v["grid"], iters=v["optimize"]["iters"])
-seen["optimize_image"] = [m for m in heavy if m in sys.modules]
+seen["optimize_image"] = scipy_modules()
 bodies.evaluate_on_grid(bodies.polar(v["body"], v["grid"]), v["grid"])
-seen["polar"] = [m for m in heavy if m in sys.modules]
+seen["polar"] = scipy_modules()
+g = build_grid(3, 8)
+system = spectral.assemble(build_state(bodies.evaluate_on_grid(
+    bodies.perturbed_ball(3, 0.1), g)), spectral.GalerkinBasis(g, 8))
+spectral.solve_spectrum(system, k=4)
+spectral.hessian_gap_even(system)
+seen["spectrum"] = scipy_modules()
 print(json.dumps(seen))
 """
 
 
-def test_calab_loads_and_runs_without_heavy_scipy_subpackages():
+def test_calab_loads_and_runs_without_scipy():
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     out = subprocess.run([sys.executable, "-c", _PROBE], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     seen = json.loads(out)
-    assert seen == {"import": [], "optimize_image": [], "polar": []}
+    assert seen == {"import": [], "optimize_image": [], "polar": [], "spectrum": []}

@@ -1,5 +1,7 @@
 """Tests for the Galerkin spectrum of the Hilbert-Brunn-Minkowski operator."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -409,6 +411,34 @@ def test_hessian_gap_on_an_empty_even_subspace_raises(n, degree_max):
     sys_ = assemble(st, GalerkinBasis(g, degree_max))
     with pytest.raises(ValueError, match="even non-constant subspace is empty"):
         hessian_gap_even(sys_)
+
+
+def _with_negative_diagonal(A, col):
+    """A copy of A that is indefinite: one diagonal entry negated."""
+    A = A.copy()
+    A[col, col] = -A[col, col]
+    return A
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_non_definite_pencils_raise(n):
+    _, sys_ = system_for(perturbed_ball(n, 0.1), n, 8)
+    col = sys_.blocks[0][1]   # the first even non-constant column
+    bad_stiffness = replace(sys_, stiffness=_with_negative_diagonal(sys_.stiffness, col))
+    with pytest.raises(ValueError, match="stiffness is singular on the even non-constant"):
+        hessian_gap_even(bad_stiffness)
+    bad_mass = replace(sys_, mass=_with_negative_diagonal(sys_.mass, col))
+    for subspace in ("all", "even-nonconstant"):
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_spectrum(bad_mass, k=4, subspace=subspace)
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
+def test_eigenvectors_are_mass_orthonormal(n, L):
+    _, sys_ = system_for(perturbed_ball(n, 0.1), n, L)
+    for subspace in ("all", "even-nonconstant"):
+        V = solve_spectrum(sys_, k=8, subspace=subspace).eigenvectors
+        assert np.abs(V.T @ sys_.mass @ V - np.eye(V.shape[1])).max() < 1e-12
 
 
 @pytest.mark.parametrize("subspace", ["all", "even-nonconstant"])
