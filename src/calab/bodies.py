@@ -213,7 +213,9 @@ class LinearImageBody(BodyEvaluator):
         T = np.asarray(T, dtype=float)
         if T.shape != (base.n, base.n):
             raise ValueError("shape mismatch")
-        if abs(np.linalg.det(T)) < 1e-14:
+        # |det T| against Hadamard's bound, the product of the column norms:
+        # a scale-invariant test, unlike |det T| alone
+        if abs(np.linalg.det(T)) <= 1e-14 * np.prod(np.linalg.norm(T, axis=0)):
             raise ValueError("singular linear map")
         super().__init__(base.n, label=f"{base.label}@T")
         self.base = base

@@ -3,10 +3,10 @@
 Carries the metric g = D^2h/h, the primal/dual volume densities h det(D^2h)
 and h^{-n}, the conjugate-connection calculus (conjugate Hessian, the induced
 Hilbert-Brunn-Minkowski operator, the pointwise norms of the Bochner
-identity) and the constant-Ricci check on the conjugate Christoffel symbols.
-The primal connection is never assembled; everything routes through the
-conjugate side and the metric, which keeps third derivatives of h out of the
-numerics.
+identity) and the constant-Ricci check on the curvature of the conjugate
+connection.  The primal connection is never assembled; everything routes
+through the conjugate side and the metric, which keeps third derivatives of h
+out of the numerics.
 
 Every tensor is held and contracted as components in the grid frames
 E = grid.tangent_frames(): (N, n-1) vectors and (N, n-1, n-1) matrices, where
@@ -20,14 +20,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.bodies import BodyEvaluator, BodyOnGrid
+from calab.bodies import BodyOnGrid
 from calab.sphere import (
     ScalarField,
     analyze,
     gradient_from_coeffs,
     hessian_from_coeffs,
-    tangent_frames,
-    _angles_from_points,
 )
 
 
@@ -110,123 +108,57 @@ def hess_norm_sq(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
 
 
 # ----------------------------------------------------------------------
-# conjugate Christoffel symbols and the Ricci check
+# the Ricci check
+
+# arc length of the great-circle steps that difference d log h
+_RICCI_FD_STEP = 1e-4
 
 
-_SPHERE_COORD_EPS = 1e-4
-
-# the (theta, phi) chart degenerates at the poles (cot theta, 1/sin^2 theta in
-# the round-sphere symbols): the coordinate checks leave out the nodes with
-# |cos theta| above this
-_CHART_COS_CUTOFF = 0.999
-
-
-def _chart_nodes(grid) -> np.ndarray:
-    """Indices of the nodes inside the (theta, phi) chart's cutoff."""
-    return np.flatnonzero(np.abs(grid.nodes[:, 2]) <= _CHART_COS_CUTOFF)
-
-
-def _coord_partials_log_h(body: BodyEvaluator, theta, phi):
-    """Coordinate partials (d_theta log h, d_phi log h) at given angles."""
-    st, ct = np.sin(theta), np.cos(theta)
-    pts = np.stack([st * np.cos(phi), st * np.sin(phi), ct], axis=-1)
-    h, xb = body.jet(pts, 1)
-    glh = (xb - h[:, None] * pts) / h[:, None]
-    comps = np.einsum("ik,ikq->iq", glh, tangent_frames(pts))   # (e_theta, e_phi)
-    return comps[:, 0], comps[:, 1] * st
+def _hess_log_h_fd(state: CentroAffineState) -> np.ndarray:
+    """Psi_ab = (grad0_a d log h)(e_b), (N, m, m), the round Hessian of log h
+    in the grid frames: central differences of v = x/h - c, the ambient
+    grad log h, along the great circles c = cos eps u +- sin eps e_a, read
+    on e_b.  One first-order jet of the body at all 2m N points."""
+    u, E = state.grid.nodes, state.grid.tangent_frames()
+    eps = _RICCI_FD_STEP
+    steps = np.sin(eps) * E.transpose(2, 0, 1)                  # (m, N, n)
+    c = np.concatenate([np.cos(eps) * u + steps, np.cos(eps) * u - steps])
+    c = c.reshape(-1, u.shape[1])
+    h, x = state.bg.body.jet(c, 1)
+    v = (x / h[:, None] - c).reshape(2, *steps.shape)
+    return np.einsum("aik,ikb->iab", v[0] - v[1], E) / (2.0 * eps)
 
 
-def _sphere_symbols(theta):
-    """Round-sphere Christoffels in (theta, phi) coordinates, (P, 2, 2, 2)."""
-    P = len(theta)
-    G = np.zeros((P, 2, 2, 2))  # indices [i, j, k] for Gamma^k_{ij}
-    st, ct = np.sin(theta), np.cos(theta)
-    G[:, 1, 1, 0] = -st * ct          # Gamma^theta_{phi phi}
-    G[:, 0, 1, 1] = ct / st           # Gamma^phi_{theta phi}
-    G[:, 1, 0, 1] = ct / st
-    return G
+def _conjugate_ricci(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """Ric*_bc = R*^a_abc, (N, m, m), of grad* = grad0 + A on the round unit
+    sphere in orthonormal frames, from p = d log h and psi = grad0 d log h.
 
-
-def _sphere_symbols_dtheta(theta):
-    """Analytic theta-derivatives of the round-sphere symbols."""
-    P = len(theta)
-    dG = np.zeros((P, 2, 2, 2))
-    st = np.sin(theta)
-    dG[:, 1, 1, 0] = -np.cos(2.0 * theta)
-    dG[:, 0, 1, 1] = -1.0 / st**2
-    dG[:, 1, 0, 1] = -1.0 / st**2
-    return dG
-
-
-def _body_symbols_at(body: BodyEvaluator, theta, phi):
-    """Body-dependent part of the conjugate symbols (smooth, no cot terms)."""
-    lt, lp = _coord_partials_log_h(body, theta, phi)
-    dlog = np.stack([lt, lp], axis=-1)  # (P, 2)
-    out = np.zeros((len(theta), 2, 2, 2))
-    for k in range(2):
-        out[:, k, :, k] -= dlog
-        out[:, :, k, k] -= dlog
-    return out
-
-
-def _conjugate_symbols_at(body: BodyEvaluator, theta, phi):
-    return _sphere_symbols(theta) + _body_symbols_at(body, theta, phi)
+    A^d_bc = -(delta^d_b p_c + delta^d_c p_b), and the curvature of
+    grad0 + A (Nomizu & Sasaki, Affine Differential Geometry, ch. I) is
+    R*^d_abc = T^d_abc - T^d_bac with
+        T^d_abc = delta^d_a delta_bc + (grad0_a A)^d_bc + A^d_ae A^e_bc,
+    the first term that of the round sphere."""
+    eye = np.eye(p.shape[1])
+    A = -(np.einsum("db,ic->idbc", eye, p) + np.einsum("dc,ib->idbc", eye, p))
+    # dA[i, a, d, b, c] = (grad0_a A)^d_bc
+    dA = -(np.einsum("db,iac->iadbc", eye, psi)
+           + np.einsum("dc,iab->iadbc", eye, psi))
+    T = (np.einsum("da,bc->dabc", eye, eye) + np.einsum("iadbc->idabc", dA)
+         + np.einsum("idae,iebc->idabc", A, A, optimize=True))
+    return np.einsum("iaabc->ibc", T - T.transpose(0, 1, 3, 2, 4))
 
 
 def ricci_star_check(state: CentroAffineState) -> dict:
     """Max relative deviation of the conjugate Ricci tensor from (n-2) g.
 
-    The Ricci tensor is assembled from the conjugate symbols and their
-    coordinate derivatives (central differences of the symbol field).
-    Constant for every body; n=2 manifolds carry no Ricci (deviation 0).
-    Read at the nodes inside the (theta, phi) chart's pole cutoff.
+    Ric* comes from the conjugate connection in the grid frames at every
+    node (_conjugate_ricci), with the round Hessian of log h differenced
+    along great circles.  Constant for every body; at n=2 both sides vanish
+    identically.
     """
-    if state.n == 2:
-        return {"max_relative_deviation": 0.0, "node": -1}
-    grid = state.grid
-    body = state.bg.body
-    keep = _chart_nodes(grid)
-    theta, phi = _angles_from_points(grid.nodes, 3)
-    th, ph = theta[keep], phi[keep]
-    eps = _SPHERE_COORD_EPS
-
-    G0 = _conjugate_symbols_at(body, th, ph)
-    # sphere part differentiated analytically (FD on cot terms loses digits
-    # near the poles); the smooth body part is centrally differenced
-    dG = np.empty(G0.shape + (2,))
-    dG[..., 0] = _sphere_symbols_dtheta(th) + (
-        _body_symbols_at(body, th + eps, ph)
-        - _body_symbols_at(body, th - eps, ph)
-    ) / (2 * eps)
-    dG[..., 1] = (
-        _body_symbols_at(body, th, ph + eps)
-        - _body_symbols_at(body, th, ph - eps)
-    ) / (2 * eps)
-
-    # Ric_{jk} = d_i G^i_{jk} - d_j G^i_{ik} + G^i_{ip} G^p_{jk}
-    #                                        - G^i_{jp} G^p_{ik}
-    P = len(keep)
-    ric = np.zeros((P, 2, 2))
-    for j in range(2):
-        for k in range(2):
-            for i in range(2):
-                ric[:, j, k] += dG[:, j, k, i, i] - dG[:, i, k, i, j]
-                for p in range(2):
-                    ric[:, j, k] += (
-                        G0[:, i, p, i] * G0[:, j, k, p]
-                        - G0[:, j, p, i] * G0[:, i, k, p]
-                    )
-
-    # coordinate components of g = E (R/h) E^t at the nodes: J E (R/h) (J E)^t
-    # with J the coordinate vectors (e_theta, sin theta e_phi) of the node's
-    # own frame; E is the grid frame, at an antipode its partner's
-    J = tangent_frames(grid.nodes[keep])
-    J[:, :, 1] *= np.sin(th)[:, None]
-    JE = np.einsum("ika,ikr->iar", J, grid.tangent_frames()[keep])
-    gframe = state.bg.D2h_frame[keep] / state.bg.h[keep, None, None]
-    gcoord = JE @ gframe @ JE.transpose(0, 2, 1)
-    dev = np.linalg.norm(ric - (state.n - 2) * gcoord, axis=(1, 2))
-    scale = np.linalg.norm(gcoord, axis=(1, 2))
-    rel = dev / scale
+    g = state.bg.D2h_frame / state.bg.h[:, None, None]
+    ric = _conjugate_ricci(state.grad_log_h, _hess_log_h_fd(state))
+    rel = (np.linalg.norm(ric - (state.n - 2) * g, axis=(1, 2))
+           / np.linalg.norm(g, axis=(1, 2)))
     worst = int(np.argmax(rel))
-    return {"max_relative_deviation": float(rel[worst]), "node": int(keep[worst])}
+    return {"max_relative_deviation": float(rel[worst]), "node": worst}

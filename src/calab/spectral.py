@@ -232,14 +232,15 @@ def _reduce_pencil(A: np.ndarray, B: np.ndarray):
 
 
 def _block_eigh(system: GalerkinSystem, cols: np.ndarray, first: int, last: int):
-    """Eigenpairs first..last (ascending) of (stiffness, mass) restricted to
-    the columns cols, eigenvectors in full basis coordinates."""
+    """Every eigenvalue (ascending) of (stiffness, mass) restricted to the
+    columns cols, and the eigenvectors first..last in full basis
+    coordinates."""
     ix = np.ix_(cols, cols)
     Li, C = _reduce_pencil(system.stiffness[ix], system.mass[ix])
     eigs, y = np.linalg.eigh(C)
     vecs = np.zeros((system.basis.size, last + 1 - first))
     vecs[cols] = Li.T @ y[:, first:last + 1]
-    return eigs[first:last + 1], vecs
+    return eigs, vecs
 
 
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
@@ -263,21 +264,21 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     if subspace == "all":
         eigs, vecs = [], []
         for cols in system.blocks:
-            e, v = _block_eigh(system, cols, 0, min(k, len(cols)) - 1)
-            eigs.append(e)
+            count = min(k, len(cols))
+            e, v = _block_eigh(system, cols, 0, count - 1)
+            if cols is even and len(e) > 1:
+                lambda1_even = float(e[1])
+            eigs.append(e[:count])
             vecs.append(v)
-        if len(eigs[0]) > 1:
-            lambda1_even = float(eigs[0][1])
         eigs, vecs = np.concatenate(eigs), np.concatenate(vecs, axis=1)
         order = np.argsort(eigs, kind="stable")[:k]
         eigs, vecs = eigs[order], vecs[:, order]
-        if lambda1_even is None and len(even) > 1:   # k = 1
-            lambda1_even = float(_block_eigh(system, even, 1, 1)[0][0])
     elif subspace == "even-nonconstant":
         count = min(k, len(even) - 1)
         eigs, vecs = np.zeros(0), np.zeros((nb, 0))
         if count > 0:
-            eigs, vecs = _block_eigh(system, even, 1, count)
+            e, vecs = _block_eigh(system, even, 1, count)
+            eigs = e[1:count + 1]
             lambda1_even = float(eigs[0])
     else:
         raise ValueError(f"unknown subspace {subspace!r}")

@@ -23,15 +23,6 @@ import numpy as np
 TAIL_WARNING = 1e-8
 
 
-def _angles_from_points(points: np.ndarray, n: int):
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    if n == 2:
-        return (np.arctan2(pts[:, 1], pts[:, 0]),)
-    theta = np.arccos(np.clip(pts[:, 2], -1.0, 1.0))
-    phi = np.arctan2(pts[:, 1], pts[:, 0])
-    return theta, phi
-
-
 def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
     """N P_l^m(cos theta) = Y_l^m(theta, 0), Condon-Shortley phase included,
     for 0 <= m <= l <= L as an (L+1, L+1, T) table that is zero for m > l.
@@ -187,7 +178,7 @@ class HarmonicBasis:
 
     # ------------------------------------------------------------------
     def _eval_circle(self, pts, order):
-        (t,) = _angles_from_points(pts, 2)
+        t = np.arctan2(pts[:, 1], pts[:, 0])
         P = len(t)
         k = np.arange(1, self.L + 1)
         c, s = np.cos(k * t[:, None]), np.sin(k * t[:, None])

@@ -2,10 +2,10 @@
 library against.
 
 None of these feeds a command: they are finite-difference oracles on the
-sphere, closed-form derivatives of the adapted linear functions, coordinate
-Christoffel symbols, the duality map and its polarity isometry, integral
-identities of the conjugate calculus, the operator-level Bochner identity and
-the L^p-Minkowski functional that the solver minimizes.
+sphere, closed-form derivatives of the adapted linear functions, the
+duality map and its polarity isometry, integral identities of the conjugate
+calculus, the operator-level Bochner identity and the L^p-Minkowski
+functional that the solver minimizes.
 """
 
 from __future__ import annotations
@@ -16,10 +16,8 @@ from calab import calculus, spectral
 from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
 from calab.calculus import (
     CentroAffineState,
-    _chart_nodes,
     _conjugate_derivs,
     _conjugate_hessian_arrays,
-    _conjugate_symbols_at,
     _hbm_arrays,
     grad_norm_sq,
     hess_norm_sq,
@@ -28,7 +26,6 @@ from calab.minkowski import TargetMeasure
 from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
     ScalarField,
-    _angles_from_points,
     analyze,
     gradient_from_coeffs,
     hessian_from_coeffs,
@@ -145,26 +142,6 @@ def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
             - fr * state.bg.D2h_frame / h[:, None, None]
             + 2.0 * fr * (glh[:, :, None] * glh[:, None, :]))
     return f, e - f[:, None] * glh, hess
-
-
-def conjugate_christoffels(state: CentroAffineState) -> np.ndarray:
-    """Conjugate-connection symbols in (theta, phi) coordinates at the nodes.
-
-    n=3 only; the n=2 analogue is the scalar -2 d_t(log h) and carries no
-    curvature content.  Nodes with |cos theta| > _CHART_COS_CUTOFF, where the
-    chart degenerates, read NaN; raises when that leaves no node.
-    """
-    if state.n != 3:
-        raise ValueError("coordinate Christoffel symbols are built for n=3")
-    grid = state.grid
-    keep = _chart_nodes(grid)
-    if not keep.size:
-        raise ValueError("every node lies beyond the (theta, phi) chart's "
-                         "pole cutoff")
-    theta, phi = _angles_from_points(grid.nodes, 3)
-    out = np.full((grid.node_count, 2, 2, 2), np.nan)
-    out[keep] = _conjugate_symbols_at(state.bg.body, theta[keep], phi[keep])
-    return out
 
 
 def duality_map(bg: BodyOnGrid) -> np.ndarray:

@@ -3,9 +3,9 @@
 ``bench/tracing.py`` replaces calab functions and methods by name when it is
 installed, and fails there when one of them has been removed or renamed.
 Installing it monkeypatches calab for the whole process, so the check runs in
-a fresh interpreter: install, one traced spectrum, and every per-layer metric
-that BENCHMARK.json declares is present in ``layer_metrics``, apart from the
-two that ``bench/run.py`` computes itself.
+a fresh interpreter: install, one traced spectrum and one Ricci check, and
+every per-layer metric that BENCHMARK.json declares is present in
+``layer_metrics``, apart from the two that ``bench/run.py`` computes itself.
 """
 
 import json
@@ -19,13 +19,17 @@ COMPUTED_BY_RUN = {"cli.sweep_scaling_eff", "trace.overhead_frac"}
 
 _PROBE = """
 import json
+import numpy as np
 import tracing
-from calab.bodies import ball
+from calab import calculus
+from calab.bodies import ball, ellipsoid, evaluate_on_grid
 from calab.spectral import spectrum_of_body
 from calab.sphere import build_grid
 tracer = tracing.Tracer()
 tracing.install(tracer)
 spectrum_of_body(ball(1.0, 2), build_grid(2, 8), k=3)
+calculus.ricci_star_check(calculus.build_state(
+    evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), build_grid(3, 8))))
 print(json.dumps(tracing.layer_metrics(tracer.spans)))
 """
 
@@ -44,3 +48,5 @@ def test_tracing_installs_and_reports_every_declared_layer():
     assert metrics["spectral.assemble_calls"] == 1
     assert metrics["spectral.solve_calls"] == 1
     assert metrics["bodies.evaluate_on_grid_calls"] == 1
+    # so did the Ricci check that acceptance and the benchmark call by name
+    assert metrics["calculus.ricci_check_s"] > 0

@@ -381,6 +381,18 @@ def test_linear_image_rejects_singular():
         linear_image(ball(1.0, 2), np.array([[1.0, 0.0], [2.0, 0.0]]))
 
 
+@pytest.mark.parametrize("s", [1e-5, 1e5])
+def test_linear_image_singularity_test_is_scale_invariant(s):
+    # s I is as far from singular as I, however small or large |det| = s^3
+    u = unit_vectors(np.random.default_rng(1), 10, 3)
+    h = linear_image(ball(1.0, 3), s * np.eye(3)).support(u)
+    assert np.abs(h - s).max() <= 1e-15 * s
+    with pytest.raises(ValueError):
+        linear_image(ball(1.0, 3), s * np.array([[1.0, 2.0, 0.0],
+                                                 [0.5, 1.0, 0.0],
+                                                 [0.0, 0.0, 1.0]]))
+
+
 def test_firey_sum_of_balls():
     rng = np.random.default_rng(6)
     u = unit_vectors(rng, 30, 3)

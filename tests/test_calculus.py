@@ -1,5 +1,7 @@
 """Tests for the centro-affine metric, conjugate calculus, Ricci and duality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -7,20 +9,21 @@ from calab.bodies import (
     ball,
     ellipsoid,
     evaluate_on_grid,
+    firey_sum,
     linear_image,
     perturbed_ball,
     polar,
     random_even_body,
 )
 from calab.calculus import (
-    _chart_nodes,
     _conjugate_derivs,
     _conjugate_hessian_arrays,
+    _conjugate_ricci,
     _hbm_arrays,
+    _hess_log_h_fd,
     build_state,
     hbm_apply,
     ricci_star_check,
-    _sphere_symbols,
 )
 from calab.spectral import bochner_residual
 from calab.sphere import (
@@ -36,7 +39,6 @@ from calab.sphere import (
 
 from oracles import (
     adapted_linear_derivs,
-    conjugate_christoffels,
     duality_isometry_check,
     duality_map,
     duality_roundtrip_error,
@@ -234,34 +236,8 @@ def test_ball_hbm_is_laplace_beltrami():
 
 
 # ---------------------------------------------------------------------------
-# Christoffel symbols and curvature
+# conjugate Ricci curvature
 # ---------------------------------------------------------------------------
-
-
-def test_ball_conjugate_symbols_are_sphere_symbols():
-    g = build_grid(3, 8)
-    st = build_state(evaluate_on_grid(ball(1.0, 3), g))
-    G = conjugate_christoffels(st)
-    keep = _chart_nodes(g)
-    from calab.sphere import _angles_from_points
-
-    theta, _ = _angles_from_points(g.nodes, 3)
-    G0 = _sphere_symbols(theta[keep])
-    assert np.abs(G[keep] - G0).max() < 1e-12
-
-
-def test_conjugate_symbols_are_torsion_free():
-    st = state_for(perturbed_ball(3, 0.1), 3, 12)
-    G = conjugate_christoffels(st)
-    keep = np.isfinite(G).all(axis=(1, 2, 3))
-    assert keep.any()
-    assert np.abs(G[keep] - G[keep].transpose(0, 2, 1, 3)).max() < 1e-12
-
-
-def test_conjugate_symbols_require_n3():
-    st = state_for(ellipsoid(np.diag([2.0, 1.0])), 2, 16)
-    with pytest.raises(ValueError):
-        conjugate_christoffels(st)
 
 
 def test_conjugacy_of_connections_fd_oracle():
@@ -352,6 +328,57 @@ def test_ricci_constancy():
 
     st2 = state_for(ellipsoid(np.diag([2.0, 1.0])), 2, 16)
     assert ricci_star_check(st2)["max_relative_deviation"] == 0.0
+
+
+@pytest.mark.parametrize("make_body, L", [
+    (lambda: ball(1.0, 3), 24),
+    (lambda: ellipsoid(np.diag([2.0, 1.0, 1.0])), 24),
+    (lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])), 64),
+    (lambda: perturbed_ball(3, 0.1), 16),
+    (lambda: random_even_body(3, seed=4), 16),
+    (lambda: linear_image(perturbed_ball(3, 0.1),
+                          [[1.2, 0.3, 0.0], [0.0, 0.9, 0.2], [0.1, 0.0, 1.1]]), 16),
+    (lambda: firey_sum(1.0, ellipsoid(np.diag([2.0, 1.0, 0.7])),
+                       0.5, ball(1.0, 3), 2.0), 16),
+    (lambda: polar(perturbed_ball(3, 0.1), build_grid(3, 16)), 16),
+], ids=["ball", "diag211", "diag2107", "perturbed", "random", "linear_image",
+        "firey", "polar"])
+def test_ricci_star_is_constant_on_every_body(make_body, L):
+    st = state_for(make_body(), 3, L)
+    assert ricci_star_check(st)["max_relative_deviation"] <= 1e-7
+
+
+def test_ricci_check_sees_a_wrong_connection():
+    # the check must not pass vacuously: a 5% error in d log h shows
+    st = state_for(ellipsoid(np.diag([2.0, 1.0, 0.7])), 3, 16)
+    wrong = dataclasses.replace(st, grad_log_h=1.05 * st.grad_log_h)
+    assert ricci_star_check(wrong)["max_relative_deviation"] >= 1e-3
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("kind", ["ellipsoid", "perturbed"])
+def test_hess_log_h_fd_is_closed_form(n, kind):
+    # Hess0 log h = D^2h / h - I - d log h (x) d log h
+    if kind == "ellipsoid":
+        body = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
+    else:
+        body = perturbed_ball(n, 0.1)
+    st = state_for(body, n, 16)
+    p, h = st.grad_log_h, st.bg.h
+    ref = (st.bg.D2h_frame / h[:, None, None] - np.eye(n - 1)
+           - p[:, :, None] * p[:, None, :])
+    assert np.abs(_hess_log_h_fd(st) - ref).max() <= 1e-6 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_conjugate_ricci_contraction_closed_form(m):
+    # the contraction of the connection's curvature is
+    # (m-1)(I + p p^t) + m Psi - Psi^t, for any p and Psi
+    rng = np.random.default_rng(m)
+    p, psi = rng.normal(size=(7, m)), rng.normal(size=(7, m, m))
+    ref = ((m - 1) * (np.eye(m) + p[:, :, None] * p[:, None, :])
+           + m * psi - psi.transpose(0, 2, 1))
+    assert np.abs(_conjugate_ricci(p, psi) - ref).max() <= 1e-13
 
 
 # ---------------------------------------------------------------------------

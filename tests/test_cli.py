@@ -466,6 +466,20 @@ def test_isomorphic_command(tmp_path):
     assert (out / "iso_verification.csv").exists()
 
 
+def test_isomorphic_large_body(tmp_path):
+    # construct rescales by 1/r_in: a large body must not read as a
+    # singular linear map
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": {"n": 3, "L": 8},
+        "body": {"type": "ball", "r": 50000.0},
+        "alpha": 0.5,
+        "beta": 0.3,
+    })
+    out = tmp_path / "out"
+    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) == 0
+    assert json.loads((out / "report.json").read_text())["pass"]
+
+
 def test_isomorphic_gamma_target(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "grid": {"n": 2, "L": 20},

@@ -157,13 +157,27 @@ def test_blocked_solve_matches_dense_eigh(case):
     scale = np.maximum(np.abs(ref), 1.0)
     assert np.abs(rep.eigenvalues - ref).max() <= 1e-12 * scale.max()
     assert abs(rep.lambda1_even - ref_even[0]) <= 1e-12 * ref_even[0]
-    # with k = 1 no block solve reaches the even block's second eigenvalue
+    # with k = 1 the even block keeps one pair, but lambda1_even still reads
+    # its second eigenvalue
     assert abs(solve_spectrum(sys_, k=1).lambda1_even - ref_even[0]) <= 1e-12 * ref_even[0]
     assert rep.residuals.max() < 1e-10
     even = solve_spectrum(sys_, k=k, subspace="even-nonconstant")
     assert np.abs(even.eigenvalues - ref_even).max() <= 1e-12 * ref_even.max()
     # eigenvectors of the even subspace are mass-orthogonal to the constant
     assert np.abs(sys_.mass[0] @ even.eigenvectors).max() < 1e-10
+
+
+def test_one_eigensolve_per_block(monkeypatch):
+    _, sys_ = system_for(_rotated_ellipsoid(), 3, 8)
+    full = solve_spectrum(sys_)
+    calls = []
+    block_eigh = spectral._block_eigh
+    monkeypatch.setattr(spectral, "_block_eigh",
+                        lambda *a: calls.append(a) or block_eigh(*a))
+    rep = solve_spectrum(sys_, k=1)
+    assert len(calls) == len(sys_.blocks)
+    assert rep.lambda1_even == full.lambda1_even
+    assert rep.eigenvalues[0] == full.eigenvalues[0]
 
 
 def test_hessform_built_only_when_read(monkeypatch):
