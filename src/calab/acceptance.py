@@ -292,17 +292,18 @@ def criterion_smoothing_construction(seed: int = 0) -> list[Check]:
                     f"{label}/a{alpha}b{beta}/{c['name']}",
                     c["measured"], c["bound"], 0.02, c["pass"],
                 ))
-            # dual route: direct gauge formula vs the polar-of-Firey-sum chain
+            # dual route: direct gauge formula (even at every node) vs the
+            # polar-of-Firey-sum chain
             h_direct = direct_route_support(body, g, alpha, beta,
                                             certificate=cert)
-            dual = float(np.abs(bg.h - h_direct).max())
+            dual = float(np.abs(bg.h - g.pair_rows(h_direct)).max())
             out.append(_le(f"{label}/a{alpha}b{beta}/dual_route", dual, 1e-6))
             if label == "ellipsoid":
                 # fully numeric gauge (polar of the support function): the
                 # 1e-6 agreement holds on analytic families
                 kt2, _ = construct(body, g, alpha, beta, gauge="numeric",
                                    certificate=cert)
-                dual2 = float(np.abs(bg.h - kt2.support(g.nodes)).max())
+                dual2 = float(np.abs(bg.h - kt2.support(g.pair_nodes)).max())
                 out.append(_le(f"{label}/a{alpha}b{beta}/numeric_gauge",
                                dual2, 1e-6))
     return out

@@ -7,8 +7,8 @@ Firey sums and polars compose evaluators exactly, without resampling.
 
 Every body is origin-symmetric by construction, h(-x) = h(x): each family
 is, SpectralBody rejects odd-degree coefficients, and linear images, Firey
-sums and polars of symmetric bodies are symmetric.  The Galerkin assembly
-relies on it.
+sums and polars of symmetric bodies are symmetric, so evaluate_on_grid samples
+one node of each antipodal pair.
 """
 
 from __future__ import annotations
@@ -327,9 +327,10 @@ class PolarBody(BodyEvaluator):
 
     Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
     (the Gauss map), so each point starts at the reference node whose unit
-    normal is closest to u.  For unit vectors the closest is the one of
-    largest dot product, taken in row blocks of _SEED_BLOCK points against
-    the normals, which come from one first-order base jet at construction.
+    normal is closest to u: among the normals +-nu of the grid's pair nodes
+    +-theta (the base is even), the nu of largest |<u, nu>|, signed by
+    <u, nu>, taken in row blocks of _SEED_BLOCK points against the normals,
+    which come from one first-order base jet at construction.
     Guarded Newton on the sphere then runs on the points not yet certified.
     A point is certified when the tangential gradient of psi is at most
     1e-13 psi and F^T Hess(psi) F is negative-definite (F the tangent frame
@@ -338,7 +339,7 @@ class PolarBody(BodyEvaluator):
     maximum of psi is its unique global one.  The loop stops when every point
     is certified or after _NEWTON_CAP steps.  Points left uncertified (bases
     whose support function is not C^2, finite-difference bases) are solved
-    again from the reference node of best score, with _PG_STEPS
+    again from the reference point +-node of best score, with _PG_STEPS
     projected-gradient ascent steps before the Newton loop, and keep
     whichever psi is larger.
 
@@ -365,21 +366,21 @@ class PolarBody(BodyEvaluator):
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
         super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
-        self._ref_nodes = grid.nodes
-        self._ref_h, dh = base.jet(grid.nodes, 1)
+        self._ref_nodes = grid.pair_nodes
+        self._ref_h, dh = base.jet(grid.pair_nodes, 1)
         self._normals_t = np.ascontiguousarray(
             (dh / np.linalg.norm(dh, axis=1, keepdims=True)).T)
 
     def _seed_index(self, U):
-        """Index of the reference normal closest to each unit U: the argmax
-        of the dot products, one block of rows at a time into one buffer."""
+        """(index, sign) of the normal nu with sign * nu closest to each unit
+        U: the argmax of |<U, nu>|, one block of rows at a time in a buffer."""
         idx = np.empty(len(U), dtype=np.intp)
         buf = np.empty((min(self._SEED_BLOCK, len(U)), self._normals_t.shape[1]))
         for i in range(0, len(U), self._SEED_BLOCK):
             block = U[i:i + self._SEED_BLOCK]
             dots = np.matmul(block, self._normals_t, out=buf[:len(block)])
-            dots.argmax(axis=1, out=idx[i:i + len(block)])
-        return idx
+            np.abs(dots, out=dots).argmax(axis=1, out=idx[i:i + len(block)])
+        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._normals_t[:, idx]))
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -409,8 +410,8 @@ class PolarBody(BodyEvaluator):
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
         Newton from the Gauss-map seed, the fallback for the uncertified."""
-        seed = self._ref_nodes[self._seed_index(U)]
-        best, certified = self._newton(U, seed)
+        idx, sign = self._seed_index(U)
+        best, certified = self._newton(U, sign[:, None] * self._ref_nodes[idx])
         idx = np.flatnonzero(~certified)
         if idx.size:
             alt, _ = self._newton(U[idx], self._projected_gradient(U[idx]))
@@ -420,10 +421,13 @@ class PolarBody(BodyEvaluator):
         return best
 
     def _projected_gradient(self, U):
-        """Best reference node by psi, then _PG_STEPS projected-gradient
-        ascent steps (one first-order base jet each)."""
+        """Best reference point +-node by psi (psi(-theta) = -psi(theta)),
+        then _PG_STEPS projected-gradient ascent steps (one first-order base
+        jet each)."""
         scores = (U @ self._ref_nodes.T) / self._ref_h[None, :]
-        th = self._ref_nodes[np.argmax(scores, axis=1)]
+        best = np.abs(scores).argmax(axis=1)
+        sign = np.copysign(1.0, scores[np.arange(len(U)), best])
+        th = sign[:, None] * self._ref_nodes[best]
         val = self._psi(U, th)
         step = np.full(len(U), 0.2)
         for _ in range(self._PG_STEPS):
@@ -649,21 +653,20 @@ def polar(body: BodyEvaluator, grid: SphereGrid) -> BodyEvaluator:
 
 @dataclass(frozen=True)
 class BodyOnGrid:
-    """A body sampled on a grid.  The tangential Hessian is held as
+    """A body sampled at the grid's pair nodes (the antipode -u reads h(u),
+    -x(u) and D2h_frame(u)).  The tangential Hessian is held as
     D2h_frame = F^t D^2h F in the grid's tangent frames F
-    (grid.tangent_frames()); the centro-affine metric in those frames is
-    D2h_frame / h."""
+    (grid.tangent_frames()); the metric in those frames is D2h_frame / h."""
 
     body: BodyEvaluator
     grid: SphereGrid
-    h: np.ndarray            # support values per node
-    x: np.ndarray            # boundary points (ambient gradient of h)
-    D2h_frame: np.ndarray    # tangential Hessian in the frames, (N, n-1, n-1)
+    h: np.ndarray            # support values, (N/2,)
+    x: np.ndarray            # boundary points (ambient gradient of h), (N/2, n)
+    D2h_frame: np.ndarray    # tangential Hessian in the frames, (N/2, n-1, n-1)
     sk_density: np.ndarray   # det of D2h on the tangent space
     vk_density: np.ndarray   # cone-volume density h * sk / n
-    eig_D2h: np.ndarray      # per-node tangential eigenvalues, (N, n-1)
+    eig_D2h: np.ndarray      # per-node tangential eigenvalues, (N/2, n-1)
     min_eig_D2h: float
-    max_eig_D2h: float
     valid: bool              # min_eig_D2h > VALID_MIN_EIG
 
     @property
@@ -672,10 +675,10 @@ class BodyOnGrid:
 
 
 def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
-    """Sample a body on a grid and populate the derived geometric state."""
+    """Sample a body at the grid's pair nodes and derive its geometry."""
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
-    h, x, H = body.jet(grid.nodes, 2)
+    h, x, H = body.jet(grid.pair_nodes, 2)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("support function must be positive and finite on the grid")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
@@ -686,11 +689,11 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
     sk = frame_det(R)
     vk = h * sk / grid.n
     eig = frame_eigvalsh(R)
-    mn, mx = float(eig.min()), float(eig.max())
+    mn = float(eig.min())
     return BodyOnGrid(
         body=body, grid=grid, h=h, x=x, D2h_frame=R,
         sk_density=sk, vk_density=vk, eig_D2h=eig,
-        min_eig_D2h=mn, max_eig_D2h=mx, valid=bool(mn > VALID_MIN_EIG),
+        min_eig_D2h=mn, valid=bool(mn > VALID_MIN_EIG),
     )
 
 
@@ -712,7 +715,7 @@ def quantities(bg: BodyOnGrid) -> Quantities:
     origin-symmetric sandwich radii r_in <= h <= R_out."""
     if not bg.valid:
         raise ValueError("body is not strongly convex on the grid")
-    w = bg.grid.weights
+    w = bg.grid.pair_weights
     n = bg.grid.n
     volume = float(w @ bg.vk_density)
     omega = float(w @ np.sqrt(bg.sk_density / bg.h ** (n - 1))) / n

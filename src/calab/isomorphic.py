@@ -69,11 +69,11 @@ def predicted_params(n: int, alpha: float, beta: float, D: float) -> IsoParams:
 def _sandwich(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
               certificate: tuple[float, float] | None) -> tuple[float, float]:
     """(r_in, D = R_out/r_in) of the certificate (r_in, R_out), read off the
-    support values on the grid when not given, after checking that alpha and
-    beta are positive, the support is positive and 0 < r_in <= R_out."""
+    support values at the pair nodes when not given, after checking that
+    alpha and beta are positive, the support is positive and 0 < r_in <= R_out."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
-    h = bodyK.support(grid.nodes)
+    h = bodyK.support(grid.pair_nodes)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("sandwich certificate absent: support not positive")
     if certificate is None:
@@ -232,7 +232,7 @@ def isometric_gamma(n: int, D: float, C: float = 1.0) -> float:
 
 def geometric_distance(bodyA: BodyEvaluator, bodyB: BodyEvaluator,
                        grid: SphereGrid) -> float:
-    """d_G(A, B) = (max h_A/h_B) * (max h_B/h_A) sampled on the grid."""
-    ha = bodyA.support(grid.nodes)
-    hb = bodyB.support(grid.nodes)
+    """d_G(A, B) = (max h_A/h_B) * (max h_B/h_A) sampled at the pair nodes."""
+    ha = bodyA.support(grid.pair_nodes)
+    hb = bodyB.support(grid.pair_nodes)
     return float((ha / hb).max() * (hb / ha).max())

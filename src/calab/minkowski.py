@@ -23,10 +23,11 @@ from calab.sphere import (HarmonicBasis, SphereGrid, frame_det, frame_eigvalsh,
 @dataclass(frozen=True)
 class TargetMeasure:
     grid: SphereGrid
-    density: np.ndarray
+    density: np.ndarray   # (N/2,) at the pair nodes
 
     @classmethod
     def from_density(cls, grid: SphereGrid, density) -> "TargetMeasure":
+        """From a density at every grid node: finite, positive and even."""
         f = np.asarray(density, dtype=float)
         if f.shape != (grid.node_count,):
             raise ValueError("density does not match the grid")
@@ -34,21 +35,14 @@ class TargetMeasure:
             raise ValueError("density must be finite")
         if np.any(f <= 0):
             raise ValueError("density must be strictly positive")
-        anti = f[grid.antipodal_index]
-        if np.abs(f - anti).max() > 1e-12 * f.max():
-            raise ValueError("density must be even (antipodally symmetric)")
-        return cls(grid, f)
+        return cls(grid, grid.pair_rows(f))
 
     @classmethod
     def from_body(cls, bg: BodyOnGrid, p: float) -> "TargetMeasure":
         """The L^p surface-area density h^{1-p} det D^2 h of a valid body."""
         if not bg.valid:
             raise ValueError("target body must be strongly convex")
-        return cls.from_density(bg.grid, bg.h ** (1.0 - p) * bg.sk_density)
-
-    @property
-    def mass(self) -> float:
-        return float(self.grid.weights @ self.density)
+        return cls(bg.grid, bg.h ** (1.0 - p) * bg.sk_density)
 
 
 @dataclass
@@ -112,8 +106,7 @@ class _EvenModel:
     """Geometry of h = sum c_a phi_a over the even basis functions, whose
     coefficients c are the variable (`even_mask` marks them in the full basis).
 
-    An even h and its frame Hessian read the same at u and -u, so the model
-    reads the grid's tables on the first half of the nodes at weights 2 w:
+    The model reads the grid's tables at the pair nodes, at the pair weights:
     D^2 h at a node is the frame matrix R = sum c_a Hess phi_a + h I."""
 
     def __init__(self, grid: SphereGrid, band: int):
@@ -121,7 +114,7 @@ class _EvenModel:
         self.grid = grid
         self.basis = HarmonicBasis(grid.n, band)
         self.even_mask = self.basis.parity > 0
-        self.weights = 2.0 * grid.weights[:len(B)]
+        self.weights = grid.pair_weights
         self.B = B[:, self.even_mask]
         # packed Hessian rows (node, component) against the coefficients
         self._hess = (H[:, self.even_mask].transpose(0, 2, 1)
@@ -189,7 +182,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     if len(init) != model.basis.size:
         raise ValueError("initial coefficients do not match the solver basis")
     c = init[model.even_mask]
-    f = mu.density[:len(model.weights)]
+    f = mu.density
 
     h, det, mn = model.geometry(c)
     if det is None or mn <= 0:
@@ -252,8 +245,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 
     # Euler-Lagrange certificate: h^{1-p} det D2h proportional to the density
     X = h ** (1.0 - p) * det
-    wts = model.weights
-    cfit = float((wts * X) @ f) / float((wts * f) @ f)
+    cfit = float((model.weights * X) @ f) / float((model.weights * f) @ f)
     el = float(np.abs(X / (cfit * f) - 1.0).max())
 
     full = np.zeros(model.basis.size)
@@ -338,7 +330,7 @@ def minkowski_inequality_gap(bgK: BodyOnGrid, bgL: BodyOnGrid, p: float) -> floa
     nonnegative when the inequality holds."""
     if bgK.grid is not bgL.grid:
         raise ValueError("bodies must share a grid")
-    w = bgK.grid.weights
+    w = bgK.grid.pair_weights
     n = bgK.grid.n
     VK = float(w @ bgK.vk_density)
     VL = float(w @ bgL.vk_density)

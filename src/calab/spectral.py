@@ -3,9 +3,9 @@
 The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
-an even and an odd diagonal block, each summed over one node of every
-antipodal pair; the generalized eigenproblem is dense symmetric definite,
-solved per block by a Cholesky reduction to a standard one (numpy only).
+an even and an odd diagonal block, each summed over the state's rows at the
+pair nodes; the generalized eigenproblem is dense symmetric definite, solved
+per block by a Cholesky reduction to a standard one (numpy only).
 """
 
 from __future__ import annotations
@@ -53,8 +53,8 @@ class GalerkinBasis:
 
 @dataclass(frozen=True)
 class _Rows:
-    """The node rows the forms sum over: the first half of the grid, each
-    node standing for its antipodal pair at double weight."""
+    """The node rows the forms sum over: the pair nodes, each standing for
+    its antipodal pair at the pair weight."""
 
     sq: np.ndarray      # sqrt of the row weight 2 w nu
     K: np.ndarray       # (N/2, n-1, n-1), sqrt(h) C^{-1}: K^t K = g^{-1} in E
@@ -117,14 +117,11 @@ def _gram(blocks, X: np.ndarray) -> np.ndarray:
 
 
 def _rows(state: CentroAffineState) -> _Rows:
-    """The rows at the first N/2 nodes, at weight 2 w nu."""
-    grid, bg = state.grid, state.bg
-    first = slice(0, grid.node_count // 2)
-    rho = (grid.weights * state.nu_density)[first]
-    C = np.linalg.cholesky(bg.D2h_frame[first])
-    K = np.sqrt(bg.h[first])[:, None, None] * np.linalg.inv(C)
-    p = np.einsum("iqr,ir->iq", K, state.grad_log_h[first])
-    return _Rows(sq=np.sqrt(2.0 * rho), K=K, p=p)
+    """The state's rows at the pair nodes, at weight 2 w nu."""
+    C = np.linalg.cholesky(state.bg.D2h_frame)
+    K = np.sqrt(state.bg.h)[:, None, None] * np.linalg.inv(C)
+    p = np.einsum("iqr,ir->iq", K, state.grad_log_h)
+    return _Rows(sq=np.sqrt(state.grid.pair_weights * state.nu_density), K=K, p=p)
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
@@ -142,10 +139,10 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     where K Hess*_a K^t = K H_a K^t + p (x) t_a + t_a (x) p with
     t_a = K G_a and p = K grad log h, grad log h in E.
 
-    The tables cover the first half of the grid.  Bodies are origin-symmetric,
-    so every row of a basis function of parity pi at -u is pi times its row
-    at u: the even-odd blocks vanish and each diagonal block is twice its sum
-    over the first half.
+    The tables and the state cover the pair nodes.  Bodies are
+    origin-symmetric, so every row of a basis function of parity pi at -u is
+    pi times its row at u: the even-odd blocks vanish and each diagonal block
+    is its sum over the pair nodes at the pair weights 2 w.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
@@ -320,12 +317,13 @@ def spectrum_of_body(body: BodyEvaluator, grid: SphereGrid,
 
 def bochner_residual(state: CentroAffineState, f: ScalarField) -> float:
     """Relative residual of the integrated identity
-    int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu."""
-    w = state.grid.weights * state.nu_density
+    int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu,
+    both halves of the pair (f, f o A) at the node weight w."""
+    w = 0.5 * state.grid.pair_weights * state.nu_density
     _, df, Hs = _conjugate_derivs(state, f)
-    t1 = float(w @ _hbm_arrays(state, Hs) ** 2)
-    t2 = float(w @ hess_norm_sq(state, Hs))
-    t3 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
+    t1 = float(w @ (_hbm_arrays(state, Hs) ** 2).sum(axis=1))
+    t2 = float(w @ hess_norm_sq(state, Hs).sum(axis=1))
+    t3 = float((state.n - 2) * (w @ grad_norm_sq(state, df).sum(axis=1)))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0

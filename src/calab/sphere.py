@@ -6,11 +6,12 @@ antipodally symmetric so that even/odd splitting is exact.  Differentiation is
 spectral; the tests check it against finite differences of the homogeneous
 extension (tests/oracles.py).
 
-Derivatives are components in one tangent frame per point (tangent_frames):
-the grid's derivative fields are (N, n-1) vectors and (N, n-1, n-1) matrices
-in grid.tangent_frames().  They become ambient n-vectors and n x n matrices
-only in to_ambient, which only the public ambient outputs call
-(HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian).
+Every even quantity lives on the pair nodes, one node of each antipodal pair.
+With A(u) = -u, a full-grid field f is read there as the pair (f, f o A) with
+coefficients c and pi c (pi the basis parities): (N/2, 2, n-1) gradients and
+(N/2, 2, n-1, n-1) Hessians, components in grid.tangent_frames().  Ambient
+n-vectors and n x n matrices come only from to_ambient, in the public ambient
+outputs (HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian).
 """
 from __future__ import annotations
 
@@ -339,9 +340,10 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 class SphereGrid:
     """Antipodally symmetric quadrature grid with attached spectral basis.
 
-    The first half of the nodes holds exactly one node of each antipodal
-    pair, and antipodal nodes carry equal weights; basis tables, transforms
-    and parity-blocked assembly rely on both."""
+    The first half of the nodes, the pair nodes, holds exactly one node of
+    each antipodal pair, and antipodal nodes carry equal weights.  The pair
+    view (pair_nodes, pair_weights = 2 w, tangent_frames()) holds the rows
+    of every even quantity."""
 
     def __init__(self, n, band_limit, nodes, weights, antipodal_index):
         half = len(weights) // 2
@@ -356,8 +358,11 @@ class SphereGrid:
         self.weights = weights
         self.antipodal_index = antipodal_index
         self.basis = HarmonicBasis(n, band_limit)
-        for arr in (self.nodes, self.weights, self.antipodal_index):
+        self.pair_weights = 2.0 * weights[:half]
+        for arr in (self.nodes, self.weights, self.antipodal_index,
+                    self.pair_weights):
             arr.setflags(write=False)
+        self.pair_nodes = self.nodes[:half]
         self._tables = None
         self._frames = None
 
@@ -367,38 +372,40 @@ class SphereGrid:
 
     def basis_tables(self, band: int | None = None):
         """(values, gradients, hessians) of the basis of degree <= band
-        (default the grid's) on the first half of the nodes: (N/2, nb),
+        (default the grid's) at the pair nodes: (N/2, nb),
         (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the derivatives as components
         in tangent_frames() (see HarmonicBasis.frame_derivs).  The basis is
         in degree order and its column recurrences do not depend on the band,
         so these are views of the first nb columns of the cached tables,
         which are rebuilt at `band` only when they have fewer columns.
 
-        The antipode -u of a first-half node u reads the rows of u through
-        the basis parity pi, in the same frame: B(-u) = pi B(u),
+        At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
         band = self.band_limit if band is None else band
         if not 0 <= band <= self.band_limit:
             raise ValueError(f"band {band} must be in 0..{self.band_limit}")
         nb = int(np.count_nonzero(self.basis.degrees <= band))
         if self._tables is None or self._tables[0].shape[1] < nb:
-            half = self.node_count // 2
             self._tables = HarmonicBasis(self.n, band).frame_derivs(
-                self.nodes[:half], order=2)
+                self.pair_nodes, order=2)
         return tuple(T[:, :nb] for T in self._tables)
 
     def tangent_frames(self) -> np.ndarray:
-        """Orthonormal tangent frames E (N, n, n-1): tangent_frames() at the
-        first half of the nodes, and at each antipode its partner's frame,
-        as the basis tables read it.  Cached, read-only."""
+        """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the
+        frames of the basis tables.  Cached, read-only."""
         if self._frames is None:
-            half = self.node_count // 2
-            frames = np.empty((self.node_count, self.n, self.n - 1))
-            frames[:half] = tangent_frames(self.nodes[:half])
-            frames[self.antipodal_index[:half]] = frames[:half]
-            frames.setflags(write=False)
-            self._frames = frames
+            self._frames = tangent_frames(self.pair_nodes)
+            self._frames.setflags(write=False)
         return self._frames
+
+    def pair_rows(self, values) -> np.ndarray:
+        """The pair-node rows of a full-grid array that is even to 1e-12 of
+        its largest entry (ValueError otherwise)."""
+        v, half = np.asarray(values, dtype=float), len(self.pair_weights)
+        anti = v[self.antipodal_index[:half]]
+        if np.abs(v[:half] - anti).max() > 1e-12 * np.abs(v).max():
+            raise ValueError("values must be even (antipodally symmetric)")
+        return v[:half]
 
 
 def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
@@ -482,17 +489,15 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
     return float(grid.weights @ np.asarray(values))
 
 
-def _antipodal_columns(grid: SphereGrid, coeffs: np.ndarray,
-                       sign: float = 1.0) -> np.ndarray:
-    """(nb, 2): the coefficients as read by the tables at the first half of
-    the grid, and sign * pi * coeffs as read at the antipodes."""
+def _antipodal_columns(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
+    """(nb, 2): the coefficients c of f and pi c of f o A."""
     c = np.asarray(coeffs, dtype=float)
-    return np.stack([c, sign * grid.basis.parity * c], axis=1)
+    return np.stack([c, grid.basis.parity * c], axis=1)
 
 
 def _unfold(grid: SphereGrid, pairs: np.ndarray) -> np.ndarray:
-    """Full-grid array from (N/2, 2, ...) rows: [:, 0] at the first half of
-    the nodes, [:, 1] at their antipodes."""
+    """Full-grid array from (N/2, 2, ...) rows: [:, 0] at the pair nodes,
+    [:, 1] at their antipodes."""
     half = grid.node_count // 2
     out = np.empty((grid.node_count,) + pairs.shape[2:])
     out[:half] = pairs[:, 0]
@@ -510,11 +515,10 @@ def analyze(field: ScalarField) -> np.ndarray:
     over each antipodal pair and odd ones its difference, on the half grid."""
     grid = field.grid
     B, _, _ = grid.basis_tables()
-    half = grid.node_count // 2
-    v0 = field.values[0]
+    v0, half = field.values[0], len(grid.pair_weights)
     f1 = field.values[:half] - v0
     f2 = field.values[grid.antipodal_index[:half]] - v0
-    w = grid.weights[:half]
+    w = 0.5 * grid.pair_weights
     sums = B.T @ np.stack([w * (f1 + f2), w * (f1 - f2)], axis=1)
     c = np.where(grid.basis.parity > 0, sums[:, 0], sums[:, 1])
     c[0] += v0 / grid.basis.constant_value
@@ -538,25 +542,25 @@ def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
 
 
 def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Tangential gradients (N, n-1) of the field with these coefficients, as
-    components in grid.tangent_frames()."""
+    """Frame gradients (N/2, 2, n-1) of f and f o A at the pair nodes, f
+    with these coefficients.  grad f(-u) = -grad(f o A)(u)."""
     _, G, _ = grid.basis_tables()
-    return _unfold(grid, _antipodal_columns(grid, coeffs, -1.0).T @ G)
+    return _antipodal_columns(grid, coeffs).T @ G
 
 
 def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """Covariant Hessians (N, n-1, n-1) of the field with these coefficients,
-    as matrices in grid.tangent_frames()."""
+    """Frame covariant Hessians (N/2, 2, n-1, n-1) of f and f o A at the pair
+    nodes.  Hess f(-u) = Hess(f o A)(u)."""
     _, _, H = grid.basis_tables()
-    return _unfold(grid, unpack_sym(_antipodal_columns(grid, coeffs).T @ H))
+    return unpack_sym(_antipodal_columns(grid, coeffs).T @ H)
 
 
 def tangential_gradient(field: ScalarField) -> TangentField:
     """Gradient of the 0-homogeneous extension at the nodes (tangential)."""
     c = analyze(field)
     grid = field.grid
-    return TangentField(grid, to_ambient(grid.tangent_frames(),
-                                         gradient_from_coeffs(grid, c), 1),
+    grad = to_ambient(grid.tangent_frames(), gradient_from_coeffs(grid, c), 1)
+    return TangentField(grid, _unfold(grid, grad * [[1.0], [-1.0]]),
                         tail_warning=spectral_tail(field, c) > TAIL_WARNING)
 
 
@@ -565,6 +569,6 @@ def tangential_hessian(field: ScalarField) -> TangentTensorField:
     Hessian of the 0-homogeneous extension), as ambient matrices."""
     c = analyze(field)
     grid = field.grid
-    return TangentTensorField(grid, to_ambient(grid.tangent_frames(),
-                                               hessian_from_coeffs(grid, c), 2),
+    hess = to_ambient(grid.tangent_frames(), hessian_from_coeffs(grid, c), 2)
+    return TangentTensorField(grid, _unfold(grid, hess),
                               tail_warning=spectral_tail(field, c) > TAIL_WARNING)

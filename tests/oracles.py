@@ -6,6 +6,10 @@ sphere, closed-form derivatives of the adapted linear functions, the
 duality map and its polarity isometry, integral identities of the conjugate
 calculus, the operator-level Bochner identity and the L^p-Minkowski
 functional that the solver minimizes.
+
+Bodies, states and target measures hold one row per antipodal pair, at the
+grid's pair nodes; `unfold` spreads such rows over every node where an
+oracle works on the whole grid.
 """
 
 from __future__ import annotations
@@ -26,10 +30,11 @@ from calab.minkowski import TargetMeasure
 from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
     ScalarField,
+    SphereGrid,
+    _unfold,
     analyze,
     gradient_from_coeffs,
     hessian_from_coeffs,
-    quad_values,
 )
 
 # |S^{n-1}|, the total round surface measure
@@ -40,10 +45,41 @@ SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
 # sphere
 
 
+def unfold(grid: SphereGrid, rows: np.ndarray, parity: int = 1) -> np.ndarray:
+    """Full-grid array (N, ...) of a quantity of parity +-1 under u -> -u
+    (h and D^2h even, the boundary point x odd) from its rows at the pair
+    nodes (N/2, ...)."""
+    rows = np.asarray(rows, dtype=float)
+    return _unfold(grid, np.stack([rows, parity * rows], axis=1))
+
+
 def laplace_beltrami(field: ScalarField) -> ScalarField:
     """Round-sphere Laplacian (trace of the covariant Hessian)."""
     H = hessian_from_coeffs(field.grid, analyze(field))
-    return ScalarField.from_values(field.grid, np.trace(H, axis1=1, axis2=2))
+    return ScalarField.from_values(
+        field.grid, _unfold(field.grid, np.trace(H, axis1=-2, axis2=-1)))
+
+
+def fd_hbm_terms(body: BodyEvaluator, fn, points):
+    """(L f, |grad f|_g^2, ||Hess* f||_g^2, nu) of the body's metric at unit
+    points, from the finite-difference gradient and Hessian of fn and the
+    body's ambient jet: g = D^2h/h on the tangent space, with
+    g^+ = (g + u u^t)^{-1} - u u^t its inverse there,
+    Hess* f = Hess f + l (x) df + df (x) l with l = x/h - u the ambient
+    grad log h, and nu = h det D^2h."""
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    h, x, D2h = body.jet(pts, 2)
+    uu = pts[:, :, None] * pts[:, None, :]
+    nu = h * np.linalg.det(D2h + uu)
+    ginv = np.linalg.inv(D2h / h[:, None, None] + uu) - uu
+    df = fd_gradient_on_sphere(fn, pts)
+    l = x / h[:, None] - pts
+    cross = l[:, :, None] * df[:, None, :]
+    Hs = fd_hessian_on_sphere(fn, pts) + cross + cross.transpose(0, 2, 1)
+    M = ginv @ Hs
+    return (np.trace(M, axis1=1, axis2=2),
+            np.einsum("ik,ikl,il->i", df, ginv, df),
+            np.einsum("ikl,ilk->i", M, M), nu)
 
 
 def fd_gradient_on_sphere(fn, points, step: float = 1e-5) -> np.ndarray:
@@ -120,20 +156,22 @@ def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
 
 
 def adapted_linear(state: CentroAffineState, xi: np.ndarray) -> ScalarField:
-    """The first-eigenfunction family <theta, xi>/h."""
-    vals = (state.grid.nodes @ np.asarray(xi, dtype=float)) / state.bg.h
-    return ScalarField.from_values(state.grid, vals)
+    """The first-eigenfunction family <theta, xi>/h, at every node."""
+    grid = state.grid
+    vals = (grid.nodes @ np.asarray(xi, dtype=float)) / unfold(grid, state.bg.h)
+    return ScalarField.from_values(grid, vals)
 
 
 def adapted_linear_derivs(state: CentroAffineState, xi: np.ndarray):
     """Values, frame gradient, and frame covariant Hessian of <theta,xi>/h in
-    closed form (the field is analytic but not band-limited, so spectral
-    differentiation would inject representation error into identity checks).
+    closed form at the pair nodes (the field is analytic but not
+    band-limited, so spectral differentiation would inject representation
+    error into identity checks).
 
     With f = <theta, xi>/h, e = E^t xi / h and l = grad log h:
     grad f = e - f l and Hess f = -(e (x) l + l (x) e) - f R/h + 2 f l (x) l."""
     h = state.bg.h
-    f = (state.grid.nodes @ np.asarray(xi, dtype=float)) / h
+    f = (state.grid.pair_nodes @ np.asarray(xi, dtype=float)) / h
     e = (np.asarray(xi, dtype=float) @ state.grid.tangent_frames()) / h[:, None]
     glh = state.grad_log_h
     cross = e[:, :, None] * glh[:, None, :]
@@ -153,7 +191,7 @@ def duality_roundtrip_error(bg: BodyOnGrid, polar_body: BodyEvaluator) -> float:
     """Applying the map for K then for the polar returns the start direction."""
     back = polar_body.support_grad(duality_map(bg))
     back /= np.linalg.norm(back, axis=1, keepdims=True)
-    return float(np.abs(back - bg.grid.nodes).max())
+    return float(np.abs(back - bg.grid.pair_nodes).max())
 
 
 def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
@@ -193,15 +231,17 @@ def duality_isometry_check(bgK: BodyOnGrid, bgKpolar: BodyOnGrid) -> dict:
 def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> float:
     """Divergence-theorem consistency for the field grad_g f: the integral of
     g(grad f, grad(Lf)) + (n-2)|grad f|^2 + ||Hess* f||^2 against nu vanishes.
-    Returns the residual relative to the largest term."""
-    w = state.grid.weights * state.nu_density
+    Returns the residual relative to the largest term.  The terms are rows
+    of the pair (f, f o A) at the pair nodes, both at the node weight w."""
+    grid = state.grid
+    w = 0.5 * grid.pair_weights * state.nu_density
     _, df, Hs = _conjugate_derivs(state, f)
-    Lf = ScalarField.from_values(state.grid, _hbm_arrays(state, Hs))
+    Lf = ScalarField.from_values(grid, _unfold(grid, _hbm_arrays(state, Hs)))
     # calculus.analyze, the analysis _conjugate_derivs runs too
-    dLf = gradient_from_coeffs(state.grid, calculus.analyze(Lf))
-    t1 = float(w @ np.einsum("ik,ikl,il->i", df, state.ginv, dLf))
-    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df)))
-    t3 = float(w @ hess_norm_sq(state, Hs))
+    dLf = gradient_from_coeffs(grid, calculus.analyze(Lf))
+    t1 = float(w @ np.einsum("ijk,ikl,ijl->i", df, state.ginv, dLf))
+    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df).sum(axis=1)))
+    t3 = float(w @ hess_norm_sq(state, Hs).sum(axis=1))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0
@@ -212,13 +252,18 @@ def pushforward_invariance_error(bgK: BodyOnGrid, bgTK: BodyOnGrid,
                                  T: np.ndarray, test_fn) -> float:
     """Unimodular invariance of the primal volume measure: integrating a test
     function against nu_{T(K)} equals integrating its pullback through
-    theta -> T^{-t} theta / |T^{-t} theta| against nu_K."""
+    theta -> T^{-t} theta / |T^{-t} theta| against nu_K.  The densities are
+    even and the test function need not be: the integrals read it at both
+    nodes of each pair."""
     Tinv_t = np.linalg.inv(np.asarray(T, dtype=float)).T
     grid = bgK.grid
-    lhs = quad_values(grid, test_fn(grid.nodes) * bgTK.h * bgTK.sk_density)
-    mapped = grid.nodes @ Tinv_t.T
+    u = grid.pair_nodes
+    lhs = 0.5 * grid.pair_weights @ ((test_fn(u) + test_fn(-u))
+                                      * bgTK.h * bgTK.sk_density)
+    mapped = u @ Tinv_t.T
     mapped /= np.linalg.norm(mapped, axis=1, keepdims=True)
-    rhs = quad_values(grid, test_fn(mapped) * bgK.h * bgK.sk_density)
+    rhs = 0.5 * grid.pair_weights @ ((test_fn(mapped) + test_fn(-mapped))
+                                      * bgK.h * bgK.sk_density)
     return abs(lhs - rhs) / max(abs(lhs), 1e-300)
 
 
@@ -226,7 +271,8 @@ def state_diagnostics(state: CentroAffineState) -> list[dict]:
     """Machine-readable invariant report: {name, max error, node of max}."""
     n = state.n
     out = []
-    detg = state.nu_density * state.nu_star_density
+    # nu* = h^{-n}, the dual volume density
+    detg = state.nu_density * state.bg.h ** (-float(n))
     detg_direct = state.bg.sk_density / state.bg.h ** (n - 1)
     err = np.abs(detg - detg_direct) / np.abs(detg_direct)
     i = int(np.argmax(err))
@@ -320,11 +366,11 @@ def functional(bg: BodyOnGrid, mu: TargetMeasure, p: float) -> float:
         raise ValueError("p must lie in (-n, 1)")
     if bg.grid is not mu.grid:
         raise ValueError("body and measure must share a grid")
-    w = bg.grid.weights
+    w = bg.grid.pair_weights
     n = bg.grid.n
     V = float(w @ bg.vk_density)
     if p == 0:
-        avg = float(w @ (mu.density * np.log(bg.h))) / mu.mass
+        avg = float(w @ (mu.density * np.log(bg.h))) / float(w @ mu.density)
         return float(np.exp(avg) / V ** (1.0 / n))
     E = float(w @ (mu.density * bg.h**p)) / p
     return E / V ** (p / n)

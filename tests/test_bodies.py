@@ -112,7 +112,8 @@ def test_ball_on_grid_closed_forms():
     for n in (2, 3):
         g = build_grid(n, 8)
         bg = evaluate_on_grid(ball(r, n), g)
-        proj = np.eye(n)[None] - g.nodes[:, :, None] * g.nodes[:, None, :]
+        u = g.pair_nodes
+        proj = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
         D2h = _ambient_D2h(bg)
         assert np.abs(D2h - r * proj).max() < 1e-12
         assert np.abs(D2h / bg.h[:, None, None] - proj).max() < 1e-12
@@ -134,10 +135,10 @@ def test_frame_hessian_matches_ambient(n, name):
     body = {"ellipsoid": E, "perturbed": pb, "polar": polar(E, g),
             "firey": firey_sum(0.4, E, 0.6, pb, 0.0)}[name]
     bg = evaluate_on_grid(body, g)
-    assert bg.D2h_frame.shape == (g.node_count, n - 1, n - 1)
+    assert bg.D2h_frame.shape == (g.node_count // 2, n - 1, n - 1)
     F = g.tangent_frames()
     D2h = _ambient_D2h(bg)
-    pad = g.nodes[:, :, None] * g.nodes[:, None, :]
+    pad = g.pair_nodes[:, :, None] * g.pair_nodes[:, None, :]
     sk = np.linalg.det(D2h + pad)
     eig = np.linalg.eigvalsh(F.transpose(0, 2, 1) @ D2h @ F)
     assert np.abs(bg.sk_density - sk).max() <= 1e-13 * np.abs(sk).max()
@@ -145,13 +146,12 @@ def test_frame_hessian_matches_ambient(n, name):
     if isinstance(body, SpectralBody):
         from calab.minkowski import _EvenModel
 
-        # the model reads the even columns on the first half of the grid
+        # the model reads the even columns at the pair nodes, as the body does
         model = _EvenModel(g, body.basis.L)
         h, det, mn = model.geometry(body.coeffs[model.even_mask])
-        half = g.node_count // 2
-        assert np.abs(h - bg.h[:half]).max() <= 1e-13 * bg.h.max()
-        assert np.abs(det - bg.sk_density[:half]).max() <= 1e-13 * np.abs(det).max()
-        assert abs(mn - bg.eig_D2h[:half].min()) <= 1e-13 * bg.max_eig_D2h
+        assert np.abs(h - bg.h).max() <= 1e-13 * bg.h.max()
+        assert np.abs(det - bg.sk_density).max() <= 1e-13 * np.abs(det).max()
+        assert abs(mn - bg.eig_D2h.min()) <= 1e-13 * bg.eig_D2h.max()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -186,7 +186,7 @@ def test_euler_identity_on_grid():
     g = build_grid(3, 12)
     for body in [ellipsoid(np.diag([2.0, 1.0, 0.5])), perturbed_ball(3, 0.15)]:
         bg = evaluate_on_grid(body, g)
-        err = np.abs(np.einsum("ij,ij->i", g.nodes, bg.x) - bg.h) / bg.h
+        err = np.abs(np.einsum("ij,ij->i", g.pair_nodes, bg.x) - bg.h) / bg.h
         assert err.max() < 1e-10
 
 
@@ -291,15 +291,17 @@ def test_polar_maximizer_never_below_fallback(name, L):
 
 @pytest.mark.parametrize("name", ["ellipsoid", "random"])
 def test_polar_seed_is_the_nearest_normal(name):
-    # cKDTree stays installed as the oracle: the blocked dot-product argmax
-    # picks its node, except at near-ties (dot products within 4 ulps)
+    # cKDTree stays installed as the oracle: the blocked |dot-product| argmax
+    # over the pair-node normals nu, with the sign of the dot product, picks
+    # its point of +-nu, except at near-ties (dot products within 4 ulps)
     body = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
             "random": lambda: random_even_body(3, 7000)}[name]()
     g = build_grid(3, 24)
     P = polar(body, g)
-    normals = P._normals_t.T
+    normals = np.concatenate([P._normals_t.T, -P._normals_t.T])
     U = np.vstack([unit_vectors(np.random.default_rng(16), 3000, 3), g.nodes])
-    got = P._seed_index(U)
+    idx, sign = P._seed_index(U)
+    got = np.where(sign > 0, idx, idx + len(P._ref_nodes))
     ref = cKDTree(normals).query(U)[1]
     d_got = np.einsum("ij,ij->i", U, normals[got])
     d_ref = np.einsum("ij,ij->i", U, normals[ref])
@@ -617,16 +619,19 @@ def _symmetric_bodies(n, g):
 
 @pytest.mark.parametrize("n,L,nodes", [(2, 62, 256), (3, 16, None)])
 def test_bodies_are_origin_symmetric_on_grid(n, L, nodes):
-    # h(-u) = h(u), D2h_frame(-u) = D2h_frame(u) (antipodal nodes share a
-    # frame) and x(-u) = -x(u), relative to the largest entry of each
+    # h(-u) = h(u), D2h_frame(-u) = D2h_frame(u) (in the pair node's frame)
+    # and x(-u) = -x(u), relative to the largest entry of each: the jets at
+    # the antipodal nodes against the rows evaluate_on_grid keeps
     g = build_grid(n, L, n_nodes=nodes)
     half = g.node_count // 2
-    first, anti = np.arange(half), g.antipodal_index[:half]
+    anti = g.antipodal_index[:half]
+    F = g.tangent_frames()
     for name, (body, kind) in _symmetric_bodies(n, g).items():
         bg = evaluate_on_grid(body, g)
+        h, x, H = body.jet(g.nodes[anti], 2)
         tol = _SYMMETRY_TOL[kind]
-        for label, a, b in (("h", bg.h[anti], bg.h[first]),
-                            ("x", bg.x[anti], -bg.x[first]),
-                            ("D2h", bg.D2h_frame[anti], bg.D2h_frame[first])):
+        for label, a, b in (("h", h, bg.h),
+                            ("x", x, -bg.x),
+                            ("D2h", F.transpose(0, 2, 1) @ H @ F, bg.D2h_frame)):
             err = np.abs(a - b).max() / np.abs(b).max()
             assert err <= tol, (name, label, err)

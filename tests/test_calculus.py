@@ -28,6 +28,7 @@ from calab.calculus import (
 from calab.spectral import bochner_residual
 from calab.sphere import (
     ScalarField,
+    _unfold,
     build_grid,
     gradient_from_coeffs,
     hessian_from_coeffs,
@@ -39,6 +40,7 @@ from calab.sphere import (
 
 from oracles import (
     adapted_linear_derivs,
+    fd_hbm_terms,
     duality_isometry_check,
     duality_map,
     duality_roundtrip_error,
@@ -70,13 +72,14 @@ def ambient_metric(st):
 
 
 def test_ball_state_densities():
+    # nu* = h^{-n}, the dual volume density
     st = state_for(ball(1.0, 3), 3, 8)
     assert np.abs(st.nu_density - 1.0).max() < 1e-10
-    assert np.abs(st.nu_star_density - 1.0).max() < 1e-10
+    assert np.abs(st.bg.h ** -3.0 - 1.0).max() < 1e-10
     r = 1.3
     st = state_for(ball(r, 3), 3, 8)
     assert np.abs(st.nu_density - r**3).max() < 1e-9
-    assert np.abs(st.nu_star_density - r**-3).max() < 1e-10
+    assert np.abs(st.bg.h ** -3.0 - r**-3).max() < 1e-10
 
 
 def test_measure_conjugacy_invariant():
@@ -86,7 +89,7 @@ def test_measure_conjugacy_invariant():
         st = state_for(body, n, 12)
         eig = np.linalg.eigvalsh(ambient_metric(st))[:, 1:]  # drop kernel 0
         detg = np.array([np.prod(e) for e in eig])
-        rel = np.abs(st.nu_density * st.nu_star_density - detg) / detg
+        rel = np.abs(st.nu_density * st.bg.h ** -float(n) - detg) / detg
         assert rel.max() < 1e-8
 
 
@@ -103,7 +106,8 @@ def test_inverse_metric_is_tangential_inverse(n):
     # on the tangent space once both are expanded: ginv g = I - u u^t
     g = build_grid(n, 8)
     st = build_state(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), g))
-    proj = np.eye(n)[None] - g.nodes[:, :, None] * g.nodes[:, None, :]
+    u = g.pair_nodes
+    proj = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
     assert np.abs(ambient(st, st.ginv) @ ambient_metric(st) - proj).max() < 1e-12
 
 
@@ -112,7 +116,7 @@ def test_inverse_metric_in_frames(n):
     # the state holds g^{-1} = h R^{-1} as frame matrices: ginv R = h I
     g = build_grid(n, 8)
     st = build_state(evaluate_on_grid(perturbed_ball(n, 0.1), g))
-    assert st.ginv.shape == (g.node_count, n - 1, n - 1)
+    assert st.ginv.shape == (g.node_count // 2, n - 1, n - 1)
     hI = st.bg.h[:, None, None] * np.eye(n - 1)
     assert np.abs(st.ginv @ st.bg.D2h_frame - hI).max() < 1e-12
 
@@ -128,7 +132,7 @@ def test_conjugate_hessian_on_ball_is_spherical_hessian():
     rng = np.random.default_rng(0)
     c = rng.normal(size=g.basis.size) * np.exp(-0.6 * g.basis.degrees)
     f = synthesize(g, c)
-    Hs = to_ambient(g.tangent_frames(), _conjugate_derivs(st, f)[2], 2)
+    Hs = _unfold(g, to_ambient(g.tangent_frames(), _conjugate_derivs(st, f)[2], 2))
     H = tangential_hessian(f).tensors
     assert np.abs(Hs - H).max() < 1e-10
 
@@ -205,12 +209,35 @@ def test_hbm_apply_analyzes_once_and_matches_separate_derivatives(monkeypatch):
     calls = []
     monkeypatch.setattr(calculus, "analyze",
                         lambda field: calls.append(1) or sphere.analyze(field))
-    assert np.array_equal(hbm_apply(st, f).values, _hbm_arrays(st, conj))
+    assert np.array_equal(hbm_apply(st, f).values,
+                          _unfold(st.grid, _hbm_arrays(st, conj)))
     assert calls == [1]
     bochner_residual(st, f)
     assert len(calls) == 2
     integrated_divergence_residual(st, f)
     assert len(calls) == 4
+
+
+@pytest.mark.parametrize("n,L", [(2, 24), (3, 12)])
+def test_hbm_and_bochner_on_odd_fields_match_fd_oracle(n, L):
+    # a field with odd degrees enters calculus as the pair (f, f o A) at the
+    # pair nodes, where the state is read for both halves: hbm_apply at both
+    # nodes of each pair, and bochner_residual's sum over both halves, match
+    # the finite-difference oracle evaluated at every node of the grid
+    g = build_grid(n, L)
+    body = perturbed_ball(n, 0.1) if n == 2 else ellipsoid(np.diag([1.6, 1.0, 0.7]))
+    st = build_state(evaluate_on_grid(body, g))
+    rng = np.random.default_rng(n + 40)
+    c = rng.normal(size=g.basis.size) * (g.basis.degrees <= 5)
+    assert np.abs(c[g.basis.parity < 0]).max() > 0.1
+    f = synthesize(g, c)
+    Lf, gsq, hsq, nu = fd_hbm_terms(body, lambda x: g.basis.frame_derivs(x, 0)[0] @ c,
+                                    g.nodes)
+    assert np.abs(hbm_apply(st, f).values - Lf).max() <= 1e-7 * np.abs(Lf).max()
+    w = g.weights * nu
+    t1, t2, t3 = w @ Lf**2, w @ hsq, (n - 2) * (w @ gsq)
+    fd_residual = abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))
+    assert abs(bochner_residual(st, f) - fd_residual) <= 1e-9
 
 
 def test_constant_field_has_exactly_zero_derivatives():
@@ -240,6 +267,20 @@ def test_ball_hbm_is_laplace_beltrami():
 # ---------------------------------------------------------------------------
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_body_jets_run_on_the_pair_nodes_only(n):
+    # a spy on body.jet: evaluate_on_grid asks for the N/2 pair nodes, and
+    # the Ricci check for the 2(n-1) great-circle steps at each of them
+    g = build_grid(n, 16)
+    body = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
+    jet, asked = body.jet, []
+    body.jet = lambda X, order=2: asked.append(len(X)) or jet(X, order)
+    st = build_state(evaluate_on_grid(body, g))
+    assert asked == [g.node_count // 2]
+    ricci_star_check(st)
+    assert asked == [g.node_count // 2, 2 * (n - 1) * (g.node_count // 2)]
+
+
 def test_conjugacy_of_connections_fd_oracle():
     """d_u g(V,W) = g(grad_u V, W) + g(V, grad*_u W) with the primal action
     reconstructed from the Gauss structure equation (finite differences)."""
@@ -267,8 +308,8 @@ def test_conjugacy_of_connections_fd_oracle():
         D2 = np.einsum("iab,ibc,icd->iad", proj, H, proj)
         return D2 / h[:, None, None]
 
-    keep = np.arange(g.node_count)[::7]
-    pts = g.nodes[keep]
+    keep = np.arange(g.node_count // 2)[::7]
+    pts = g.pair_nodes[keep]
     frames = g.tangent_frames()[keep]
     eps = 1e-5
     worst = 0.0

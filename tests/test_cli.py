@@ -14,6 +14,8 @@ from calab.bodies import ellipsoid, evaluate_on_grid
 from calab.minkowski import TargetMeasure
 from calab.sphere import build_grid
 
+from oracles import unfold
+
 
 def write_config(tmp_path, name, payload):
     p = tmp_path / name
@@ -345,10 +347,12 @@ def test_solve_command(tmp_path):
 
 
 def _ellipse_density_rows(grid_cfg, p):
+    # the measure holds the even density at the pair nodes; the CSV lists
+    # every node
     g = build_grid(grid_cfg["n"], grid_cfg["L"])
     mu = TargetMeasure.from_body(
         evaluate_on_grid(ellipsoid(np.diag([1.5, 1.0])), g), p)
-    return [(i, repr(float(v))) for i, v in enumerate(mu.density)]
+    return [(i, repr(float(v))) for i, v in enumerate(unfold(g, mu.density))]
 
 
 def test_solve_density_csv_placed_by_node(tmp_path):

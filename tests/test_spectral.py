@@ -27,7 +27,8 @@ from calab.spectral import (
 )
 from calab.sphere import ScalarField, build_grid, synthesize
 
-from oracles import discrete_bochner_residual, first_eigenspace_deficiency, hessform
+from oracles import (discrete_bochner_residual, first_eigenspace_deficiency,
+                     hessform, unfold)
 
 
 def system_for(body, n, L):
@@ -73,20 +74,22 @@ def test_matrices_symmetric_and_definite():
 def _einsum_assembly(state, basis):
     """Reference oracle: the per-node einsum contraction of the three forms
     over every node, with the full (n, n) metric factor and ambient conjugate
-    Hessians, from a direct evaluation of the basis (not the grid's tables)."""
+    Hessians, from a direct evaluation of the basis (not the grid's tables).
+    The state's pair-node rows are unfolded to every node: nu and the
+    ambient inverse metric are even, the ambient grad log h is odd."""
     grid = state.grid
     B, G, H = grid.basis.eval_derivs(grid.nodes, order=2)
     nb = basis.size
     B, G, H = B[:, :nb], G[:, :nb, :], H[:, :nb, :, :]
-    rho = state.grid.weights * state.nu_density
+    rho = state.grid.weights * unfold(grid, state.nu_density)
     sq = np.sqrt(rho)
     E = grid.tangent_frames()
-    lam, V = np.linalg.eigh(E @ state.ginv @ E.transpose(0, 2, 1))
+    lam, V = np.linalg.eigh(unfold(grid, E @ state.ginv @ E.transpose(0, 2, 1)))
     F = V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
     T = np.einsum("ikq,iak->iaq", F, G) * sq[:, None, None]
     S = np.einsum("iaq,ibq->ab", T, T)
     M = (B * rho[:, None]).T @ B
-    glh = np.einsum("ikq,iq->ik", E, state.grad_log_h)
+    glh = unfold(grid, np.einsum("ikq,iq->ik", E, state.grad_log_h), -1)
     cross = glh[:, None, :, None] * G[:, :, None, :]
     Hs = H + cross + cross.transpose(0, 1, 3, 2)
     D = np.einsum("ikq,iakl,ilr->iaqr", F, Hs, F) * sq[:, None, None, None]

@@ -9,6 +9,7 @@ from scipy.special import roots_legendre, sph_harm_y
 
 from calab.sphere import (
     _gauss_legendre,
+    _unfold,
     HarmonicBasis,
     ScalarField,
     SphereGrid,
@@ -223,20 +224,25 @@ def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
 
 @pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
 def test_frame_fields_expand_to_eval_derivs(n, L, n_nodes):
-    # the derivative fields are components in the grid frames E, read from
-    # the half-grid tables; expanded with E they match the direct ambient
-    # evaluation at every node, the antipodes and the pole rings included
+    # the derivative fields of f and f o A, A(u) = -u, are components in the
+    # grid frames E at the pair nodes, read from the half-grid tables;
+    # expanded with E (and grad f(-u) = -grad(f o A)(u)) they match the
+    # direct ambient evaluation at every node, the antipodes and the pole
+    # rings included
     g = build_grid(n, L, n_nodes=n_nodes)
     rng = np.random.default_rng(n + L)
     c = rng.normal(size=g.basis.size) * np.exp(-0.2 * g.basis.degrees)
     grad, hess = gradient_from_coeffs(g, c), hessian_from_coeffs(g, c)
-    assert grad.shape == (g.node_count, n - 1)
-    assert hess.shape == (g.node_count, n - 1, n - 1)
-    E = g.tangent_frames()
+    assert grad.shape == (g.node_count // 2, 2, n - 1)
+    assert hess.shape == (g.node_count // 2, 2, n - 1, n - 1)
+    E = g.tangent_frames()[:, None]
     _, G, H = g.basis.eval_derivs(g.nodes, order=2)
     ring = np.abs(g.nodes[:, -1]) == np.abs(g.nodes[:, -1]).max()
-    for got, ref in [(np.einsum("ikr,ir->ik", E, grad), G.transpose(0, 2, 1) @ c),
-                     (E @ hess @ E.transpose(0, 2, 1), np.einsum("iakl,a->ikl", H, c))]:
+    sign = np.array([1.0, -1.0])[None, :, None]
+    for got, ref in [(_unfold(g, sign * np.einsum("ijkr,ijr->ijk", E, grad)),
+                      G.transpose(0, 2, 1) @ c),
+                     (_unfold(g, E @ hess @ np.swapaxes(E, -1, -2)),
+                      np.einsum("iakl,a->ikl", H, c))]:
         err = np.abs(got - ref)
         assert err.max() <= 1e-13 * np.abs(ref).max()
         assert err[ring].max() <= 1e-13 * np.abs(ref[ring]).max()
@@ -263,14 +269,13 @@ def test_tangent_frames_reject_other_dimensions():
 
 @pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES)
 def test_grid_frames_are_the_table_frames(n, L, n_nodes):
-    # the first half holds the evaluator's frames, bit for bit, and each
-    # antipode its partner's frame; the basis tables are not built for them
+    # one frame per pair node, the evaluator's frames bit for bit; the basis
+    # tables are not built for them
     g = build_grid(n, L, n_nodes=n_nodes)
     half = g.node_count // 2
     E = g.tangent_frames()
-    assert E.shape == (g.node_count, n, n - 1)
-    assert np.array_equal(E[g.antipodal_index[:half]], E[:half])
-    assert np.array_equal(E[:half], tangent_frames(g.nodes[:half]))
+    assert E.shape == (half, n, n - 1)
+    assert np.array_equal(E, tangent_frames(g.nodes[:half]))
     assert g._tables is None
 
 
