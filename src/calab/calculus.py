@@ -1,19 +1,20 @@
 """Centro-affine differential structures on the sphere parametrization.
 
 Carries the metric g = D^2h/h, the primal/dual volume densities h det(D^2h)
-and h^{-n}, the conjugate-connection calculus (conjugate Hessian, the induced
-Hilbert-Brunn-Minkowski operator, the pointwise norms of the Bochner
-identity) and the constant-Ricci check on the curvature of the conjugate
-connection.  The primal connection is never assembled; everything routes
-through the conjugate side and the metric, which keeps third derivatives of h
-out of the numerics.
+and h^{-n}, the conjugate Hessian in the metric's orthonormal coframe (whose
+diagonal sum is the Hilbert-Brunn-Minkowski operator and whose square sum is
+the Hessian norm of the Bochner identity) and the constant-Ricci check on
+the curvature of the conjugate connection.  The primal connection is never
+assembled; everything routes through the conjugate side and the metric,
+which keeps third derivatives of h out of the numerics.
 
 The state lives at the pair nodes, as components in the grid frames
 E = grid.tangent_frames(): (N/2, n-1) vectors and (N/2, n-1, n-1) matrices,
-where D^2h is R = D2h_frame and g = R/h.  A full-grid field f enters as the
-pair (f, f o A), A(u) = -u, an axis of length 2 after the node axis; as
-h o A = h both halves use the same state rows.  Nothing here returns ambient
-n x n matrices; sphere.to_ambient maps frame components out where needed.
+where D^2h is R = D2h_frame and g = R/h.  Its row roots K = sqrt(h) C^{-1},
+with R = C C^t the Cholesky factor, and p = K grad log h are computed once,
+here, and every quadratic form (the Galerkin forms, the Bochner identity)
+reads them: K^t K = g^{-1} in E.  Nothing here returns ambient n x n
+matrices; sphere.to_ambient maps frame components out where needed.
 """
 from __future__ import annotations
 
@@ -24,10 +25,10 @@ import numpy as np
 from calab.bodies import BodyOnGrid
 from calab.sphere import (
     ScalarField,
+    _antipodal_columns,
     _unfold,
     analyze,
-    gradient_from_coeffs,
-    hessian_from_coeffs,
+    packed_positions,
 )
 
 
@@ -36,7 +37,8 @@ class CentroAffineState:
     bg: BodyOnGrid
     nu_density: np.ndarray        # (N/2,) h * det D^2 h (primal volume density)
     grad_log_h: np.ndarray        # (N/2, n-1) grad log h in the frames, E^t x / h
-    ginv: np.ndarray              # (N/2, n-1, n-1) inverse metric h R^{-1}
+    K: np.ndarray                 # (N/2, n-1, n-1) sqrt(h) C^{-1}: K^t K = g^{-1}
+    p: np.ndarray                 # (N/2, n-1) K grad log h
 
     @property
     def grid(self):
@@ -46,18 +48,28 @@ class CentroAffineState:
     def n(self):
         return self.bg.grid.n
 
+    @property
+    def sqrt_weights(self) -> np.ndarray:
+        """(N/2,) square roots of the row weights 2 w nu, the pair weights
+        against the primal volume density."""
+        return np.sqrt(self.grid.pair_weights * self.nu_density)
+
 
 def build_state(bg: BodyOnGrid) -> CentroAffineState:
+    """The state of a strongly convex body, and the one place where
+    D2h_frame is factored."""
     if not bg.valid:
         raise ValueError("state requires a strongly convex body on the grid")
     h = bg.h
     # grad log h = tangential part of the boundary point x over h
-    Ex = np.einsum("ikq,ik->iq", bg.grid.tangent_frames(), bg.x)
+    grad_log_h = np.einsum("ikq,ik->iq", bg.grid.tangent_frames(), bg.x) / h[:, None]
+    K = np.sqrt(h)[:, None, None] * np.linalg.inv(np.linalg.cholesky(bg.D2h_frame))
     return CentroAffineState(
         bg=bg,
         nu_density=h * bg.sk_density,
-        grad_log_h=Ex / h[:, None],
-        ginv=h[:, None, None] * np.linalg.inv(bg.D2h_frame),
+        grad_log_h=grad_log_h,
+        K=K,
+        p=np.einsum("iqr,ir->iq", K, grad_log_h),
     )
 
 
@@ -65,46 +77,42 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
 # conjugate Hessian and the induced (Hilbert-Brunn-Minkowski) Laplacian
 
 
-def _conjugate_hessian_arrays(state: CentroAffineState, grad: np.ndarray,
-                              hess: np.ndarray) -> np.ndarray:
-    """Hess* f = Hess_sphere f + d(log h) (x) df + df (x) d(log h), from the
-    frame gradient and Hessian of f, or of the pair (f, f o A)."""
-    cross = np.einsum("ik,i...l->i...kl", state.grad_log_h, grad)
-    return hess + cross + np.swapaxes(cross, -1, -2)
+def conjugate_hessian_packed(state: CentroAffineState, grad: np.ndarray,
+                             hess: np.ndarray, scale=1.0) -> np.ndarray:
+    """K Hess* f K^t, the conjugate Hessian in the metric's orthonormal
+    coframe (K^t K = g^{-1}), as its packed components q1 <= q2 with the
+    off-diagonal ones weighted sqrt 2: their sum of squares is
+    ||Hess* f||_g^2 and their diagonal sum is L f = tr(g^{-1} Hess* f).
 
-
-def _conjugate_derivs(state: CentroAffineState, f: ScalarField):
-    """(c, grad, Hess*): the coefficients of f, and the frame gradients and
-    conjugate Hessians of the pair (f, f o A), from one analysis of f."""
-    c = analyze(f)
-    grad = gradient_from_coeffs(f.grid, c)
-    return c, grad, _conjugate_hessian_arrays(state, grad,
-                                              hessian_from_coeffs(f.grid, c))
-
-
-def _hbm_arrays(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
-    """tr(g^{-1} Hess* f) per row, from the frame conjugate Hessian."""
-    return np.einsum("ikl,i...lk->i...", state.ginv, Hs)
+    grad (N/2, k, n-1) and hess (N/2, k, n(n-1)/2) are the frame gradients
+    and packed covariant Hessians of k functions at the pair nodes, laid out
+    as the basis tables are; the result is (N/2, n(n-1)/2, k), each node's
+    rows times scale (a scalar, or one per node).  With t = K grad f,
+    Hess* f = Hess f + d log h (x) df + df (x) d log h becomes
+    K Hess* f K^t = K Hess f K^t + p (x) t + t (x) p."""
+    K, p = state.K, state.p
+    iu, ju = np.triu_indices(K.shape[-1])
+    off = np.where(iu == ju, 0.0, 1.0)
+    # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
+    # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)
+    WH = (K[:, iu][:, :, iu] * K[:, ju][:, :, ju]
+          + off * K[:, iu][:, :, ju] * K[:, ju][:, :, iu])
+    WG = p[:, iu, None] * K[:, ju, :] + K[:, iu, :] * p[:, ju, None]
+    w = (np.asarray(scale)[..., None]
+         * np.where(iu == ju, 1.0, np.sqrt(2.0)))[..., None]
+    return (w * WH) @ np.swapaxes(hess, -1, -2) + (w * WG) @ np.swapaxes(grad, -1, -2)
 
 
 def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
-    """The Hilbert-Brunn-Minkowski operator: trace of Hess* f in the metric,
-    from one analysis of f, at every node of the grid."""
-    _, _, Hs = _conjugate_derivs(state, f)
-    return ScalarField.from_values(state.grid,
-                                   _unfold(state.grid, _hbm_arrays(state, Hs)))
-
-
-def grad_norm_sq(state: CentroAffineState, grad: np.ndarray) -> np.ndarray:
-    """|grad_g f|^2 = g^{ij} f_i f_j per row, from the frame gradient of f."""
-    return np.einsum("i...k,ikl,i...l->i...", grad, state.ginv, grad)
-
-
-def hess_norm_sq(state: CentroAffineState, Hs: np.ndarray) -> np.ndarray:
-    """||Hess* f||_g^2 = tr(g^{-1} Hess* g^{-1} Hess*) per row, from the
-    frame conjugate Hessian of f."""
-    M = np.einsum("ikl,i...lm->i...km", state.ginv, Hs)
-    return np.einsum("...kl,...lk->...", M, M)
+    """The Hilbert-Brunn-Minkowski operator, the diagonal sum of
+    conjugate_hessian_packed, from one analysis of f, at every node of the
+    grid."""
+    grid = state.grid
+    _, G, H = grid.basis_tables()
+    pair = _antipodal_columns(grid, analyze(f)).T
+    Q = conjugate_hessian_packed(state, pair @ G, pair @ H)
+    Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
+    return ScalarField.from_values(grid, _unfold(grid, Lf))
 
 
 # ----------------------------------------------------------------------

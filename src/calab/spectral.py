@@ -5,7 +5,8 @@ mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
 pair nodes; the generalized eigenproblem is dense symmetric definite, solved
-per block by a Cholesky reduction to a standard one (numpy only).
+per block by a Cholesky reduction to a standard one (numpy only).  The
+integrated Bochner identity of a field is checked on the same rows.
 """
 
 from __future__ import annotations
@@ -15,15 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
-from calab.calculus import (
-    CentroAffineState,
-    _conjugate_derivs,
-    _hbm_arrays,
-    build_state,
-    grad_norm_sq,
-    hess_norm_sq,
-)
-from calab.sphere import ScalarField, SphereGrid
+from calab.calculus import CentroAffineState, build_state, conjugate_hessian_packed
+from calab.sphere import SphereGrid, packed_positions
 
 
 @dataclass(frozen=True)
@@ -52,19 +46,9 @@ class GalerkinBasis:
 
 
 @dataclass(frozen=True)
-class _Rows:
-    """The node rows the forms sum over: the pair nodes, each standing for
-    its antipodal pair at the pair weight."""
-
-    sq: np.ndarray      # sqrt of the row weight 2 w nu
-    K: np.ndarray       # (N/2, n-1, n-1), sqrt(h) C^{-1}: K^t K = g^{-1} in E
-    p: np.ndarray       # (N/2, n-1), K grad log h
-
-
-@dataclass(frozen=True)
 class GalerkinSystem:
-    """Stiffness and mass matrices, and the rows that the Hessian form
-    (_hessian_form) is built from on the blocks a caller asks for.
+    """Stiffness and mass matrices, and the state whose rows the Hessian
+    form (_hessian_form) is built from on the blocks a caller asks for.
 
     Entries outside the diagonal blocks are zero.  The blocks are the even
     basis columns, then the odd ones when there are any; the first even
@@ -74,7 +58,7 @@ class GalerkinSystem:
     blocks: tuple[np.ndarray, ...]   # basis positions of each diagonal block
     stiffness: np.ndarray   # Dirichlet form of the operator against nu
     mass: np.ndarray        # L^2(nu) Gram matrix
-    _rows: _Rows = field(repr=False)
+    state: CentroAffineState = field(repr=False)
 
 
 @dataclass(frozen=True)
@@ -116,23 +100,15 @@ def _gram(blocks, X: np.ndarray) -> np.ndarray:
     return A
 
 
-def _rows(state: CentroAffineState) -> _Rows:
-    """The state's rows at the pair nodes, at weight 2 w nu."""
-    C = np.linalg.cholesky(state.bg.D2h_frame)
-    K = np.sqrt(state.bg.h)[:, None, None] * np.linalg.inv(C)
-    p = np.einsum("iqr,ir->iq", K, state.grad_log_h)
-    return _Rows(sq=np.sqrt(state.grid.pair_weights * state.nu_density), K=K, p=p)
-
-
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     """Stiffness and mass matrices of the operator; _hessian_form builds the
     Hessian form from the same rows.
 
     Each form is a Gram product X^t X over (node, frame component) rows.
     The tables hold the derivatives as components G_a, H_a in the grid's
-    frames E, where D^2 h is R = D2h_frame; with the Cholesky factor
-    R = C C^t and K = sqrt(h) C^{-1}, K^t K = h R^{-1} is g^{-1} in E.
-    Against the density rho = w h det(D^2 h):
+    frames E, and the state's row roots K, with K^t K = g^{-1} in E, and
+    p = K grad log h map them to the rows.  Against the density
+    rho = w h det(D^2 h):
       stiffness  sum_i rho_i <K G_a, K G_b>,
       mass       sum_i rho_i a_i b_i,
       Hessian    sum_i rho_i <K Hess*_a K^t, K Hess*_b K^t>,
@@ -146,35 +122,24 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
-    rows = _rows(state)
+    sq = state.sqrt_weights
     blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
                                np.flatnonzero(basis.parities < 0)) if len(c))
     B, G, _ = state.grid.basis_tables(basis.degree_max)
-    S = _gram(blocks, (rows.K * rows.sq[:, None, None]) @ G.transpose(0, 2, 1))
-    M = _gram(blocks, B * rows.sq[:, None])
+    S = _gram(blocks, (state.K * sq[:, None, None]) @ G.transpose(0, 2, 1))
+    M = _gram(blocks, B * sq[:, None])
     return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M,
-                          _rows=rows)
+                          state=state)
 
 
 def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
-    """Hessian-form Gram product over the given diagonal blocks: the packed
-    frame components q1 <= q2 (off-diagonal ones weighted sqrt 2, so the
-    Gram product is the full Frobenius inner product) of the conjugate
-    Hessians, as one product against the packed components r1 <= r2 of H
-    and the components r of G."""
-    basis, rows = system.basis, system._rows
+    """Hessian-form Gram product over the given diagonal blocks: the rows
+    are the packed components of the basis functions' conjugate Hessians
+    (calculus.conjugate_hessian_packed, whose sqrt 2 weights make the Gram
+    product the full Frobenius inner product) at weight 2 w nu."""
+    basis, state = system.basis, system.state
     _, G, H = basis.grid.basis_tables(basis.degree_max)
-    iu, ju = np.triu_indices(G.shape[2])
-    off = np.where(iu == ju, 0.0, 1.0)
-    K, p = rows.K, rows.p
-    # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
-    # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)
-    WH = (K[:, iu][:, :, iu] * K[:, ju][:, :, ju]
-          + off * K[:, iu][:, :, ju] * K[:, ju][:, :, iu])
-    WG = p[:, iu, None] * K[:, ju, :] + K[:, iu, :] * p[:, ju, None]
-    w = (rows.sq[:, None] * np.where(iu == ju, 1.0, np.sqrt(2.0)))[:, :, None]
-    return _gram(blocks, (w * WH) @ H.transpose(0, 2, 1)
-                 + (w * WG) @ G.transpose(0, 2, 1))
+    return _gram(blocks, conjugate_hessian_packed(state, G, H, state.sqrt_weights))
 
 
 # ----------------------------------------------------------------------
@@ -315,15 +280,34 @@ def spectrum_of_body(body: BodyEvaluator, grid: SphereGrid,
 # identities and gaps
 
 
-def bochner_residual(state: CentroAffineState, f: ScalarField) -> float:
+def bochner_residual(state: CentroAffineState, coeffs) -> float:
     """Relative residual of the integrated identity
-    int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu,
-    both halves of the pair (f, f o A) at the node weight w."""
-    w = 0.5 * state.grid.pair_weights * state.nu_density
-    _, df, Hs = _conjugate_derivs(state, f)
-    t1 = float(w @ (_hbm_arrays(state, Hs) ** 2).sum(axis=1))
-    t2 = float(w @ hess_norm_sq(state, Hs).sum(axis=1))
-    t3 = float((state.n - 2) * (w @ grad_norm_sq(state, df).sum(axis=1)))
+    int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu
+    for f with the grid-basis coefficients coeffs, whose count is the basis
+    size of one band b; the band-b tables are read.
+
+    The rows are those of the Galerkin forms: K grad f and
+    conjugate_hessian_packed, whose diagonal sum is Lf.  Each term is a
+    quadratic form Q, and the body is origin-symmetric, so
+    Q(f) = Q(f_even) + Q(f_odd): the cross terms are odd and vanish against
+    the even measure.  Both parts are summed over the pair nodes at the row
+    weights 2 w nu."""
+    grid, c = state.grid, np.asarray(coeffs, dtype=float)
+    degrees, nb = grid.basis.degrees, c.size
+    if (c.ndim != 1 or not 1 <= nb <= grid.basis.size
+            or (nb < grid.basis.size and degrees[nb] == degrees[nb - 1])):
+        raise ValueError(f"{c.shape} coefficients: their count must be the "
+                         f"basis size of one band 0..{grid.band_limit}")
+    _, G, H = grid.basis_tables(int(degrees[nb - 1]))
+    even = grid.basis.parity[:nb] > 0
+    parts = np.stack([np.where(even, c, 0.0), np.where(even, 0.0, c)])
+    sq = state.sqrt_weights
+    grad = parts @ G
+    Q = conjugate_hessian_packed(state, grad, parts @ H, sq)
+    Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
+    Kgrad = sq[:, None, None] * (grad @ np.swapaxes(state.K, -1, -2))
+    t1, t2 = float(np.sum(Lf**2)), float(np.sum(Q**2))
+    t3 = (state.n - 2) * float(np.sum(Kgrad**2))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0

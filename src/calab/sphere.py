@@ -10,8 +10,9 @@ Every even quantity lives on the pair nodes, one node of each antipodal pair.
 With A(u) = -u, a full-grid field f is read there as the pair (f, f o A) with
 coefficients c and pi c (pi the basis parities): (N/2, 2, n-1) gradients and
 (N/2, 2, n-1, n-1) Hessians, components in grid.tangent_frames().  Ambient
-n-vectors and n x n matrices come only from to_ambient, in the public ambient
-outputs (HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian).
+n-vectors and n x n matrices come only from to_ambient, in the ambient outputs
+(HarmonicBasis.eval_derivs, tangential_gradient, tangential_hessian), which no
+command reads: they are kept for the benchmark tracer, which wraps them.
 """
 from __future__ import annotations
 

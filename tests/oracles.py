@@ -16,25 +16,21 @@ from __future__ import annotations
 
 import numpy as np
 
-from calab import calculus, spectral
+from calab import spectral
 from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
-from calab.calculus import (
-    CentroAffineState,
-    _conjugate_derivs,
-    _conjugate_hessian_arrays,
-    _hbm_arrays,
-    grad_norm_sq,
-    hess_norm_sq,
-)
+from calab.calculus import CentroAffineState, conjugate_hessian_packed
 from calab.minkowski import TargetMeasure
 from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
     ScalarField,
     SphereGrid,
+    _antipodal_columns,
     _unfold,
     analyze,
     gradient_from_coeffs,
     hessian_from_coeffs,
+    packed_positions,
+    unpack_sym,
 )
 
 # |S^{n-1}|, the total round surface measure
@@ -155,6 +151,20 @@ def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
 # centro-affine calculus
 
 
+def conjugate_hessian_frames(state: CentroAffineState, grad: np.ndarray,
+                             hess: np.ndarray):
+    """Hess* f as frame matrices (N/2, k, m, m), and L f (N/2, k), of k
+    functions from their frame gradients (N/2, k, m) and frame Hessians
+    (N/2, k, m, m): calculus.conjugate_hessian_packed's components
+    unweighted, unpacked to K Hess* f K^t and mapped back through K^{-1}."""
+    iu, ju = np.triu_indices(grad.shape[-1])
+    Q = conjugate_hessian_packed(state, grad, hess[..., iu, ju])
+    KHK = unpack_sym(np.swapaxes(Q, 1, 2) / np.where(iu == ju, 1.0, np.sqrt(2.0)))
+    Kinv = np.linalg.inv(state.K)[:, None]
+    return (Kinv @ KHK @ np.swapaxes(Kinv, -1, -2),
+            np.trace(KHK, axis1=-2, axis2=-1))
+
+
 def adapted_linear(state: CentroAffineState, xi: np.ndarray) -> ScalarField:
     """The first-eigenfunction family <theta, xi>/h, at every node."""
     grid = state.grid
@@ -235,13 +245,18 @@ def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> 
     of the pair (f, f o A) at the pair nodes, both at the node weight w."""
     grid = state.grid
     w = 0.5 * grid.pair_weights * state.nu_density
-    _, df, Hs = _conjugate_derivs(state, f)
-    Lf = ScalarField.from_values(grid, _unfold(grid, _hbm_arrays(state, Hs)))
-    # calculus.analyze, the analysis _conjugate_derivs runs too
-    dLf = gradient_from_coeffs(grid, calculus.analyze(Lf))
-    t1 = float(w @ np.einsum("ijk,ikl,ijl->i", df, state.ginv, dLf))
-    t2 = float((state.n - 2) * (w @ grad_norm_sq(state, df).sum(axis=1)))
-    t3 = float(w @ hess_norm_sq(state, Hs).sum(axis=1))
+    c = analyze(f)
+    df = gradient_from_coeffs(grid, c)
+    Q = conjugate_hessian_packed(state, df, _antipodal_columns(grid, c).T
+                                 @ grid.basis_tables()[2])
+    Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
+    dLf = gradient_from_coeffs(grid, analyze(
+        ScalarField.from_values(grid, _unfold(grid, Lf))))
+    # g(a, b) = <K a, K b>, K^t K = g^{-1}
+    Kt = np.swapaxes(state.K, -1, -2)
+    t1 = float(w @ np.einsum("ijk,ijk->i", df @ Kt, dLf @ Kt))
+    t2 = float((state.n - 2) * (w @ np.einsum("ijk,ijk->i", df @ Kt, df @ Kt)))
+    t3 = float(w @ np.einsum("iqj,iqj->i", Q, Q))
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0
@@ -284,7 +299,7 @@ def state_diagnostics(state: CentroAffineState) -> list[dict]:
         xi = np.zeros(n)
         xi[k] = 1.0
         fv, grad, hess = adapted_linear_derivs(state, xi)
-        Hs = _conjugate_hessian_arrays(state, grad, hess)
+        Hs = conjugate_hessian_frames(state, grad[:, None], hess[:, None])[0][:, 0]
         errs.append(np.linalg.norm(Hs + fv[:, None, None] * g, axis=(1, 2)))
     e = np.max(errs, axis=0) / np.maximum(np.linalg.norm(g, axis=(1, 2)), 1e-300)
     i = int(np.argmax(e))

@@ -16,22 +16,23 @@ from calab.bodies import (
     random_even_body,
 )
 from calab.calculus import (
-    _conjugate_derivs,
-    _conjugate_hessian_arrays,
     _conjugate_ricci,
-    _hbm_arrays,
     _hess_log_h_fd,
     build_state,
+    conjugate_hessian_packed,
     hbm_apply,
     ricci_star_check,
 )
 from calab.spectral import bochner_residual
 from calab.sphere import (
     ScalarField,
+    _antipodal_columns,
     _unfold,
+    analyze,
     build_grid,
     gradient_from_coeffs,
     hessian_from_coeffs,
+    packed_positions,
     synthesize,
     tangential_gradient,
     tangential_hessian,
@@ -40,6 +41,7 @@ from calab.sphere import (
 
 from oracles import (
     adapted_linear_derivs,
+    conjugate_hessian_frames,
     fd_hbm_terms,
     duality_isometry_check,
     duality_map,
@@ -59,6 +61,13 @@ def ambient(st, A):
     """Ambient matrices E A E^t of frame matrices A in the grid frames E."""
     E = st.grid.tangent_frames()
     return E @ A @ E.transpose(0, 2, 1)
+
+
+def conjugate_derivs(st, c):
+    """Hess* f as frame matrices (N/2, 2, m, m), and L f (N/2, 2), of the
+    pair (f, f o A), f with the grid-basis coefficients c."""
+    return conjugate_hessian_frames(st, gradient_from_coeffs(st.grid, c),
+                                    hessian_from_coeffs(st.grid, c))
 
 
 def ambient_metric(st):
@@ -102,23 +111,28 @@ def test_state_requires_valid_body():
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_inverse_metric_is_tangential_inverse(n):
-    # ginv, built from the frame matrices D2h_frame, inverts the ambient g
-    # on the tangent space once both are expanded: ginv g = I - u u^t
+    # K^t K, built from the frame matrices D2h_frame, inverts the ambient g
+    # on the tangent space once both are expanded: K^t K g = I - u u^t
     g = build_grid(n, 8)
     st = build_state(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), g))
     u = g.pair_nodes
     proj = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
-    assert np.abs(ambient(st, st.ginv) @ ambient_metric(st) - proj).max() < 1e-12
+    ginv = st.K.transpose(0, 2, 1) @ st.K
+    assert np.abs(ambient(st, ginv) @ ambient_metric(st) - proj).max() < 1e-12
 
 
 @pytest.mark.parametrize("n", [2, 3])
 def test_inverse_metric_in_frames(n):
-    # the state holds g^{-1} = h R^{-1} as frame matrices: ginv R = h I
+    # the state's row roots hold g^{-1} = h R^{-1} as K^t K, with K lower
+    # triangular (sqrt(h) times the inverse Cholesky factor), and
+    # p = K grad log h
     g = build_grid(n, 8)
     st = build_state(evaluate_on_grid(perturbed_ball(n, 0.1), g))
-    assert st.ginv.shape == (g.node_count // 2, n - 1, n - 1)
+    assert st.K.shape == (g.node_count // 2, n - 1, n - 1)
+    assert not np.triu(st.K, 1).any()
     hI = st.bg.h[:, None, None] * np.eye(n - 1)
-    assert np.abs(st.ginv @ st.bg.D2h_frame - hI).max() < 1e-12
+    assert np.abs(st.K.transpose(0, 2, 1) @ st.K @ st.bg.D2h_frame - hI).max() < 1e-12
+    assert np.abs(st.p - np.einsum("iqr,ir->iq", st.K, st.grad_log_h)).max() == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -132,7 +146,7 @@ def test_conjugate_hessian_on_ball_is_spherical_hessian():
     rng = np.random.default_rng(0)
     c = rng.normal(size=g.basis.size) * np.exp(-0.6 * g.basis.degrees)
     f = synthesize(g, c)
-    Hs = _unfold(g, to_ambient(g.tangent_frames(), _conjugate_derivs(st, f)[2], 2))
+    Hs = _unfold(g, to_ambient(g.tangent_frames(), conjugate_derivs(st, analyze(f))[0], 2))
     H = tangential_hessian(f).tensors
     assert np.abs(Hs - H).max() < 1e-10
 
@@ -140,7 +154,7 @@ def test_conjugate_hessian_on_ball_is_spherical_hessian():
 def test_conjugate_hessian_of_constant_is_zero():
     st = state_for(ellipsoid(np.diag([2.0, 1.0])), 2, 16)
     f = ScalarField.from_values(st.grid, np.full(st.grid.node_count, 4.2))
-    Hs = to_ambient(st.grid.tangent_frames(), _conjugate_derivs(st, f)[2], 2)
+    Hs = to_ambient(st.grid.tangent_frames(), conjugate_derivs(st, analyze(f))[0], 2)
     assert np.abs(Hs).max() < 1e-10
 
 
@@ -157,7 +171,7 @@ def test_adapted_linear_hessian_identity(body, n, L):
         xi = np.zeros(n)
         xi[k] = 1.0
         fv, grad, hess = adapted_linear_derivs(st, xi)
-        Hs = ambient(st, _conjugate_hessian_arrays(st, grad, hess))
+        Hs = ambient(st, conjugate_hessian_frames(st, grad[:, None], hess[:, None])[0][:, 0])
         gmat = ambient_metric(st)
         target = -fv[:, None, None] * gmat
         scale = np.linalg.norm(gmat, axis=(1, 2)).max()
@@ -185,37 +199,35 @@ def test_adapted_linear_functions_are_first_eigenfunctions(body, n, L):
     rng = np.random.default_rng(1)
     xi = rng.normal(size=n)
     fv, grad, hess = adapted_linear_derivs(st, xi)
-    lf = _hbm_arrays(st, _conjugate_hessian_arrays(st, grad, hess))
+    lf = conjugate_hessian_frames(st, grad[:, None], hess[:, None])[1][:, 0]
     # -L f = (n-1) f
     scale = np.abs(fv).max()
     assert np.abs(lf + (n - 1) * fv).max() < 1e-8 * scale
 
 
 def test_hbm_apply_analyzes_once_and_matches_separate_derivatives(monkeypatch):
-    # one analysis of f feeds its frame gradient and conjugate Hessian in
-    # hbm_apply and bochner_residual, and one more (of Lf) grad Lf in
-    # integrated_divergence_residual; the results keep the bits of the
-    # composition of gradient_from_coeffs and hessian_from_coeffs
+    # one analysis of f feeds hbm_apply, whose result keeps the bits of the
+    # diagonal sum of conjugate_hessian_packed on the composition of the
+    # tables with the pair's coefficients; bochner_residual reads the
+    # coefficients and analyzes nothing
     from calab import calculus, sphere
 
     st = state_for(random_even_body(3, seed=2), 3, 12)
     rng = np.random.default_rng(5)
-    f = synthesize(st.grid, rng.normal(size=st.grid.basis.size)
-                   * np.exp(-0.4 * st.grid.basis.degrees))
-    c = sphere.analyze(f)
-    conj = _conjugate_hessian_arrays(st, gradient_from_coeffs(st.grid, c),
-                                     hessian_from_coeffs(st.grid, c))
+    c = rng.normal(size=st.grid.basis.size) * np.exp(-0.4 * st.grid.basis.degrees)
+    f = synthesize(st.grid, c)
+    _, G, H = st.grid.basis_tables()
+    pair = _antipodal_columns(st.grid, sphere.analyze(f)).T
+    Q = conjugate_hessian_packed(st, pair @ G, pair @ H)
+    lf = Q[:, packed_positions(2).diagonal()].sum(axis=1)
 
     calls = []
     monkeypatch.setattr(calculus, "analyze",
                         lambda field: calls.append(1) or sphere.analyze(field))
-    assert np.array_equal(hbm_apply(st, f).values,
-                          _unfold(st.grid, _hbm_arrays(st, conj)))
+    assert np.array_equal(hbm_apply(st, f).values, _unfold(st.grid, lf))
     assert calls == [1]
-    bochner_residual(st, f)
-    assert len(calls) == 2
-    integrated_divergence_residual(st, f)
-    assert len(calls) == 4
+    bochner_residual(st, c)
+    assert calls == [1]
 
 
 @pytest.mark.parametrize("n,L", [(2, 24), (3, 12)])
@@ -237,7 +249,10 @@ def test_hbm_and_bochner_on_odd_fields_match_fd_oracle(n, L):
     w = g.weights * nu
     t1, t2, t3 = w @ Lf**2, w @ hsq, (n - 2) * (w @ gsq)
     fd_residual = abs(t1 - t2 - t3) / max(abs(t1), abs(t2), abs(t3))
-    assert abs(bochner_residual(st, f) - fd_residual) <= 1e-9
+    # the band-5 prefix of c and c itself are the same field
+    nb = int((g.basis.degrees <= 5).sum())
+    for coeffs in (c, c[:nb]):
+        assert abs(bochner_residual(st, coeffs) - fd_residual) <= 1e-9
 
 
 def test_constant_field_has_exactly_zero_derivatives():

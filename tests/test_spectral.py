@@ -15,7 +15,7 @@ from calab.bodies import (
     perturbed_ball,
     random_even_body,
 )
-from calab.calculus import build_state
+from calab.calculus import build_state, conjugate_hessian_packed
 from calab.spectral import (
     GalerkinBasis,
     assemble,
@@ -25,7 +25,7 @@ from calab.spectral import (
     solve_spectrum,
     spectrum_of_body,
 )
-from calab.sphere import ScalarField, build_grid, synthesize
+from calab.sphere import build_grid
 
 from oracles import (discrete_bochner_residual, first_eigenspace_deficiency,
                      hessform, unfold)
@@ -84,7 +84,8 @@ def _einsum_assembly(state, basis):
     rho = state.grid.weights * unfold(grid, state.nu_density)
     sq = np.sqrt(rho)
     E = grid.tangent_frames()
-    lam, V = np.linalg.eigh(unfold(grid, E @ state.ginv @ E.transpose(0, 2, 1)))
+    ginv = state.bg.h[:, None, None] * np.linalg.inv(state.bg.D2h_frame)
+    lam, V = np.linalg.eigh(unfold(grid, E @ ginv @ E.transpose(0, 2, 1)))
     F = V * np.sqrt(np.clip(lam, 0.0, None))[:, None, :]
     T = np.einsum("ikq,iak->iaq", F, G) * sq[:, None, None]
     S = np.einsum("iaq,ibq->ab", T, T)
@@ -235,6 +236,21 @@ def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
     assert abs(rep.lambda1_even - ref.lambda1_even) <= 1e-10
 
 
+def test_sub_band_bochner_on_fine_grid_builds_only_its_tables():
+    # a band-8 field on an L=24 grid: the residual reads the 81 band-8
+    # columns of the tables, not the grid's 625, and equals the residual of
+    # the same field given with the grid's full band of coefficients
+    g = build_grid(3, 24)
+    st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
+    nb = GalerkinBasis(g, 8).size
+    c = np.random.default_rng(3).normal(size=nb)
+    res = bochner_residual(st, c)
+    assert sum(T.nbytes for T in g._tables) <= (g.node_count // 2) * nb * 6 * 8
+    full = np.zeros(g.basis.size)
+    full[:nb] = c
+    assert abs(bochner_residual(st, full) - res) <= 1e-15
+
+
 # ---------------------------------------------------------------------------
 # spectra (paper closed forms)
 # ---------------------------------------------------------------------------
@@ -317,8 +333,10 @@ def test_first_eigenspace_spanned_by_adapted_linear():
 def test_bochner_residual_constant_is_zero():
     g = build_grid(2, 16)
     st = build_state(evaluate_on_grid(ball(1.0, 2), g))
-    f = ScalarField.from_values(g, np.full(g.node_count, 2.0))
-    assert bochner_residual(st, f) == 0.0
+    c = np.zeros(g.basis.size)
+    c[0] = 2.0 / g.basis.constant_value
+    assert bochner_residual(st, c) == 0.0
+    assert bochner_residual(st, c[:1]) == 0.0
 
 
 @pytest.mark.parametrize("n,L,tol", [(2, 24, 1e-6), (3, 16, 1e-3)])
@@ -330,8 +348,45 @@ def test_bochner_residual_random_fields(n, L, tol):
         st = build_state(evaluate_on_grid(body, g))
         for _ in range(4):
             c = rng.normal(size=g.basis.size) * (g.basis.degrees <= L // 3)
-            f = synthesize(g, c)
-            assert bochner_residual(st, f) < tol
+            assert bochner_residual(st, c) < tol
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_bochner_residual_rejects_a_count_that_is_no_band_size(n):
+    # the counts of bands 0..L are 1, 3, 5, ... at n=2 and 1, 4, 9, ... at
+    # n=3; any other count, or more than the grid's basis (band 9's count
+    # included), is an error
+    g = build_grid(n, 8)
+    st = build_state(evaluate_on_grid(perturbed_ball(n, 0.1), g))
+    size = g.basis.size
+    bad = [0, 2, size - 1, size + 1, {2: 19, 3: 100}[n]]
+    for count in bad:
+        with pytest.raises(ValueError, match="basis size of one band 0..8"):
+            bochner_residual(st, np.ones(count))
+    with pytest.raises(ValueError, match="basis size of one band"):
+        bochner_residual(st, np.ones((1, 3)))
+    for band in range(9):
+        bochner_residual(st, np.ones(GalerkinBasis(g, band).size))
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
+def test_per_field_rows_match_the_assembled_forms(n, L):
+    # for one field c of one parity, the weighted sums of |K G c|^2 and of
+    # the squared packed conjugate Hessians are c^t S c and c^t H c
+    body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
+    st, sys_ = system_for(body, n, L)
+    _, G, Hp = st.grid.basis_tables()
+    sq, Kt = st.sqrt_weights, st.K.transpose(0, 2, 1)
+    Hform = hessform(sys_)
+    rng = np.random.default_rng(n)
+    for parity in (1, -1):
+        c = rng.normal(size=sys_.basis.size) * (sys_.basis.parities == parity)
+        grad = (c @ G)[:, None]
+        stiff = np.sum((sq[:, None, None] * (grad @ Kt)) ** 2)
+        hess = np.sum(conjugate_hessian_packed(st, grad, (c @ Hp)[:, None], sq) ** 2)
+        for got, A in ((stiff, sys_.stiffness), (hess, Hform)):
+            ref = c @ A @ c
+            assert abs(got - ref) <= 1e-12 * abs(ref)
 
 
 @pytest.mark.parametrize("degree_max", [0, 1])
