@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
-                          frame_eigvalsh, tangent_frames, to_ambient, unpack_sym)
+from calab.sphere import (HarmonicBasis, SphereGrid, antipodal_fold, build_grid,
+                          frame_det, frame_eigvalsh, frame_solve, tangent_frames,
+                          to_ambient, unpack_sym)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -325,23 +326,30 @@ class LqNormBody(BodyEvaluator):
 class PolarBody(BodyEvaluator):
     """Numeric polar: h_{K deg}(u) = max over unit theta of psi = <u, theta>/h(theta).
 
+    The base is origin-symmetric, so h_{K deg} is too: jet() folds the query
+    rows that are equal up to sign onto their first occurrence
+    (sphere.antipodal_fold), solves on those alone and unfolds, h and D^2 h
+    even and grad h odd.  A point whose norm is zero or not finite raises
+    ValueError.
+
     Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
     (the Gauss map), so each point starts at the reference node whose unit
     normal is closest to u: among the normals +-nu of the grid's pair nodes
     +-theta (the base is even), the nu of largest |<u, nu>|, signed by
-    <u, nu>, taken in row blocks of _SEED_BLOCK points against the normals,
-    which come from one first-order base jet at construction.
-    Guarded Newton on the sphere then runs on the points not yet certified.
-    A point is certified when the tangential gradient of psi is at most
-    1e-13 psi and F^T Hess(psi) F is negative-definite (F the tangent frame
-    at theta).  The certificate proves the maximizer global: on
-    the slice <u, theta> = 1, psi = 1/h and h is convex, so a strict local
-    maximum of psi is its unique global one.  The loop stops when every point
-    is certified or after _NEWTON_CAP steps.  Points left uncertified (bases
-    whose support function is not C^2, finite-difference bases) are solved
-    again from the reference point +-node of best score, with _PG_STEPS
-    projected-gradient ascent steps before the Newton loop, and keep
-    whichever psi is larger.
+    <u, nu>, taken in row blocks of _SEED_BLOCK points against the normals.
+    They come from one second-order base jet at the pair nodes, taken at
+    construction, which also gives Newton's first iteration the base jet at
+    each seed.  Guarded Newton on the sphere then runs on the points not yet
+    certified, in the tangent frames F at theta (sphere.frame_solve for the
+    step).  A point is certified when the tangential gradient of psi is at
+    most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The certificate
+    proves the maximizer global: on the slice <u, theta> = 1, psi = 1/h and
+    h is convex, so a strict local maximum of psi is its unique global one.
+    The loop stops when every point is certified or after _NEWTON_CAP steps.
+    Points left uncertified (bases whose support function is not C^2,
+    finite-difference bases) are solved again from the reference point
+    +-node of best score, with _PG_STEPS projected-gradient ascent steps
+    before the Newton loop, and keep whichever psi is larger.
 
     The gradient of the result is envelope-exact (= maximizer point
     theta/h(theta) on the boundary of the polar).  The Hessian is closed-form
@@ -367,7 +375,8 @@ class PolarBody(BodyEvaluator):
         super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
         self._ref_nodes = grid.pair_nodes
-        self._ref_h, dh = base.jet(grid.pair_nodes, 1)
+        self._ref_jet = base.jet(grid.pair_nodes, 2)
+        self._ref_h, dh, _ = self._ref_jet
         self._normals_t = np.ascontiguousarray(
             (dh / np.linalg.norm(dh, axis=1, keepdims=True)).T)
 
@@ -394,24 +403,34 @@ class PolarBody(BodyEvaluator):
         return g
 
     @staticmethod
-    def _psi_hess(U, TH, h, dh, Hh):
-        """Ambient Hessian of the 0-homogeneous psi at TH, projected on the
-        tangent frames F: returns (F, F^T Hess(psi) F)."""
-        ut = np.einsum("ij,ij->i", U, TH)
-        cross = _outer(U, dh)
-        Hpsi = (
-            -(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
-            - Hh * (ut / h**2)[:, None, None]
-            + 2.0 * (ut / h**3)[:, None, None] * _outer(dh, dh)
-        )
-        frames = tangent_frames(TH)
-        return frames, frames.transpose(0, 2, 1) @ Hpsi @ frames
+    def _frame_terms(U, TH, h, dh, Hh):
+        """(F, F^T grad psi, F^T Hess(psi) F) at TH, F = tangent_frames(TH).
+
+        With a = F^T u, b = F^T grad h and t = <u, theta> (F^T theta = 0):
+        F^T grad psi = a/h - (t/h^2) b and
+        F^T Hess(psi) F = -(a b^T + b a^T)/h^2 - (t/h^2) F^T D^2h F
+        + 2 (t/h^3) b b^T."""
+        F = tangent_frames(TH)
+        Ft = F.transpose(0, 2, 1)
+        ab = Ft @ np.stack([U, dh], axis=-1)
+        a, b = ab[..., 0], ab[..., 1]
+        t = np.einsum("ij,ij->i", U, TH)
+        grad = a / h[:, None] - (t / h**2)[:, None] * b
+        cross = _outer(a, b)
+        A = (-(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
+             - (t / h**2)[:, None, None] * (Ft @ Hh @ F)
+             + 2.0 * (t / h**3)[:, None, None] * _outer(b, b))
+        return F, grad, A
 
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
         Newton from the Gauss-map seed, the fallback for the uncertified."""
         idx, sign = self._seed_index(U)
-        best, certified = self._newton(U, sign[:, None] * self._ref_nodes[idx])
+        h, dh, Hh = self._ref_jet
+        # the base is even: its jet at -node is (h, -grad h, Hess h) at node
+        seed_jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
+        best, certified = self._newton(U, sign[:, None] * self._ref_nodes[idx],
+                                       seed_jet)
         idx = np.flatnonzero(~certified)
         if idx.size:
             alt, _ = self._newton(U[idx], self._projected_gradient(U[idx]))
@@ -441,23 +460,24 @@ class PolarBody(BodyEvaluator):
             step = np.where(ok, step * 1.5, step * 0.4)
         return th
 
-    def _newton(self, U, th):
+    def _newton(self, U, th, jet=None):
         """Guarded Newton ascent from th on the points not yet certified.
 
-        Each step costs one second-order base jet, at the candidate.  Returns
-        ((theta, psi, h, grad h, Hess h), certified), the base jet being the
-        one at the returned theta, so jet() reuses it."""
+        jet is the second-order base jet at th when the caller holds it
+        (taken here otherwise).  Each step costs one second-order base jet,
+        at the candidate.  Returns ((theta, psi, h, grad h, Hess h),
+        certified), the base jet being the one at the returned theta, so
+        jet() reuses it."""
         N, n = U.shape
         th = th.copy()
-        h, dh, Hh = self.base.jet(th, 2)
+        h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
         out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh)
         certified = np.zeros(N, dtype=bool)
         radius = np.full(N, 0.2)
         act = np.arange(N)
         for it in range(self._NEWTON_CAP + 1):
             Ua, (ta, psi, h, dh, Hh) = U[act], (a[act] for a in out)
-            frames, Hf = self._psi_hess(Ua, ta, h, dh, Hh)
-            gf = (self._psi_grad(Ua, ta, h, dh)[:, None, :] @ frames)[:, 0]
+            frames, gf, Hf = self._frame_terms(Ua, ta, h, dh, Hh)
             gnorm = np.linalg.norm(gf, axis=1)
             lam = frame_eigvalsh(Hf)[:, -1]
             done = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
@@ -471,7 +491,7 @@ class PolarBody(BodyEvaluator):
             # radius that shrinks on each rejected step
             shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
             Hf -= shift[:, None, None] * np.eye(n - 1)[None]
-            s = -np.linalg.solve(Hf, gf[:, :, None])[:, :, 0]
+            s = -frame_solve(Hf, gf[:, :, None])[:, :, 0]
             norm = np.linalg.norm(s, axis=1)
             s *= (np.minimum(norm, radius[act]) / np.maximum(norm, 1e-300))[:, None]
             cand = ta + (frames @ s[:, :, None])[:, :, 0]
@@ -492,6 +512,18 @@ class PolarBody(BodyEvaluator):
     def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
+        bad = np.flatnonzero(~(np.isfinite(r) & (r > 0)))
+        if bad.size:
+            raise ValueError(f"polar support needs points of nonzero finite "
+                             f"norm: row {bad[0]} is {pts[bad[0]]}")
+        first, inverse, sign = antipodal_fold(pts)
+        j = self._folded_jet(pts[first], r[first], order)
+        # unfold: h and D^2 h are even, grad h is odd
+        return tuple(sign[:, None] * a[inverse] if k == 1 else a[inverse]
+                     for k, a in enumerate(j))
+
+    def _folded_jet(self, pts, r, order):
+        """The jet at points no two of which are equal up to sign."""
         U = pts / r[:, None]
         th, val, hb, dh, Hh = self._maximize(U)
         h = r * val
@@ -501,16 +533,17 @@ class PolarBody(BodyEvaluator):
         if order == 1:
             return h, grad
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
-        # the frame's derivative drops out, and M U = grad_theta psi = 0
-        frames, A = self._psi_hess(U, th, hb, dh, Hh)
-        M = (np.eye(self.n)[None] / hb[:, None, None]
-             - _outer(dh, th) / hb[:, None, None] ** 2)
-        FtM = frames.transpose(0, 2, 1) @ M
+        # the frame's derivative drops out, and M U = grad_theta psi = 0;
+        # F^T M = (F^T - b theta^T / h) / h with b = F^T grad h
+        frames, _, A = self._frame_terms(U, th, hb, dh, Hh)
+        Ft = frames.transpose(0, 2, 1)
+        b = Ft @ dh[:, :, None]
+        FtM = (Ft - b * th[:, None, :] / hb[:, None, None]) / hb[:, None, None]
         # a base Hessian exactly degenerate at the maximizer makes A singular:
         # those points get a NaN Hessian, which evaluate_on_grid reports
-        ok = np.linalg.det(A) != 0.0
+        ok = frame_det(A) != 0.0
         sol = np.full_like(FtM, np.nan)
-        sol[ok] = np.linalg.solve(A[ok], FtM[ok])
+        sol[ok] = frame_solve(A[ok], FtM[ok])
         H = -FtM.transpose(0, 2, 1) @ sol
         return h, grad, _symmetric_tangential(H, U) / r[:, None, None]
 

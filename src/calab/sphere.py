@@ -315,6 +315,60 @@ def frame_det(R: np.ndarray) -> np.ndarray:
     return a * c - b * b
 
 
+def frame_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Solutions X (..., q, k) of A X = B for symmetric frame matrices
+    A (..., q, q) and right-hand sides B (..., q, k).
+
+    Closed form for q <= 2, reading A from the lower triangle as frame_det
+    does: at q = 2, Gaussian elimination with the larger of |a|, |b| in the
+    first column as pivot, which keeps the residual at rounding relative to
+    |A| |X| for near-singular and indefinite matrices alike.
+    np.linalg.solve for q >= 3.  A singular A gives inf or NaN rows (q <= 2)
+    or raises (q >= 3); callers screen it with frame_det."""
+    q = A.shape[-1]
+    if q > 2:
+        return np.linalg.solve(A, B)
+    if q == 1:
+        return B / A[..., :1, :1]
+    a, b, c = (v[..., None] for v in (A[..., 0, 0], A[..., 1, 0], A[..., 1, 1]))
+    y1, y2 = B[..., 0, :], B[..., 1, :]
+    # pivot row (p, r) with y_p, the other row (s, t) with y_s: eliminate s
+    swap = np.abs(b) > np.abs(a)
+    p, r, s, t = (np.where(swap, b, a), np.where(swap, c, b),
+                  np.where(swap, a, b), np.where(swap, b, c))
+    yp, ys = np.where(swap, y2, y1), np.where(swap, y1, y2)
+    l = s / p
+    x2 = (ys - l * yp) / (t - l * r)
+    x1 = (yp - r * x2) / p
+    return np.stack([x1, x2], axis=-2)
+
+
+def antipodal_fold(X: np.ndarray):
+    """Rows of X equal up to sign, folded onto the first occurrence of each.
+
+    Returns (first, inverse, sign): the indices of the representative rows,
+    in ascending order, and for every row i the position of its
+    representative in `first` and the sign with
+    X[i] == sign[i] * X[first[inverse[i]]] (compared as by ==, so 0.0 and
+    -0.0 match).  One stable lexsort of the rows made canonical by the sign
+    of their first nonzero entry; X must be finite, and zero rows fold with
+    each other."""
+    X = np.asarray(X)
+    lead = (X != 0).argmax(axis=1)
+    sign = np.copysign(1.0, X[np.arange(len(X)), lead])
+    C = X * sign[:, None]
+    order = np.lexsort(C.T[::-1])
+    Cs = C[order]
+    new = np.ones(len(X), dtype=bool)
+    new[1:] = (Cs[1:] != Cs[:-1]).any(axis=1)
+    # the sort is stable, so a group's first sorted row is its first occurrence
+    heads = order[new]
+    first = np.sort(heads)
+    inverse = np.empty(len(X), dtype=np.intp)
+    inverse[order] = np.searchsorted(first, heads)[np.cumsum(new) - 1]
+    return first, inverse, sign * sign[first][inverse]
+
+
 def tangent_frames(points: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frames E (P, n, n-1) at unit points, the frames of
     HarmonicBasis.frame_derivs: the counterclockwise tangent (-y, x) at n=2,
@@ -342,7 +396,8 @@ class SphereGrid:
     """Antipodally symmetric quadrature grid with attached spectral basis.
 
     The first half of the nodes, the pair nodes, holds exactly one node of
-    each antipodal pair, and antipodal nodes carry equal weights.  The pair
+    each antipodal pair, and antipodal nodes carry equal weights; build_grid
+    makes each antipode the exact negation of its node.  The pair
     view (pair_nodes, pair_weights = 2 w, tangent_frames()) holds the rows
     of every even quantity."""
 
@@ -415,6 +470,11 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     n=2: uniform angular grid with N = max(4L+4, 64) nodes (n_nodes overrides
     the count, for callers that pin a specific resolution).
     n=3: Gauss-Legendre colatitudes (L+2) x uniform longitudes (2L+4).
+
+    Antipodes are exact negations, nodes[antipodal_index] == -nodes bit for
+    bit: the second half of the angles at n=2, and of the longitudes at n=3,
+    take the negated cos and sin of the first half, and the Gauss-Legendre
+    colatitudes are exactly symmetric.
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported dimension n={n}")
@@ -425,8 +485,9 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
         N = n_nodes if n_nodes is not None else max(4 * L + 4, 64)
         if N % 2 != 0 or N < 4 * L + 4:
             raise ValueError("node count must be even and >= 4L+4")
-        t = 2.0 * np.pi * np.arange(N) / N
-        nodes = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        t = 2.0 * np.pi * np.arange(N // 2) / N
+        half = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        nodes = np.concatenate([half, -half])
         weights = np.full(N, 2.0 * np.pi / N)
         anti = (np.arange(N) + N // 2) % N
         return SphereGrid(2, L, nodes, weights, anti)
@@ -436,12 +497,14 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     n_th = L + 2
     n_ph = 2 * L + 4
     u, wu = _gauss_legendre(n_th)  # ascending in u = cos(theta)
-    phi = 2.0 * np.pi * np.arange(n_ph) / n_ph
+    phi = 2.0 * np.pi * np.arange(n_ph // 2) / n_ph
+    cp = np.concatenate([np.cos(phi), -np.cos(phi)])
+    sp = np.concatenate([np.sin(phi), -np.sin(phi)])
     wphi = 2.0 * np.pi / n_ph
     st = np.sqrt(1.0 - u**2)
     # node index = k * n_ph + j
-    x = (st[:, None] * np.cos(phi)[None, :]).ravel()
-    y = (st[:, None] * np.sin(phi)[None, :]).ravel()
+    x = (st[:, None] * cp[None, :]).ravel()
+    y = (st[:, None] * sp[None, :]).ravel()
     z = np.repeat(u, n_ph)
     nodes = np.stack([x, y, z], axis=-1)
     weights = np.repeat(wu * wphi, n_ph)

@@ -17,9 +17,11 @@ from calab.sphere import (
     tangential_gradient,
     tangential_hessian,
     analyze,
+    antipodal_fold,
     synthesize,
     frame_det,
     frame_eigvalsh,
+    frame_solve,
     gradient_from_coeffs,
     hessian_from_coeffs,
     packed_positions,
@@ -162,6 +164,52 @@ def test_first_half_holds_one_node_per_antipodal_pair(n, L, n_nodes):
     assert (g.antipodal_index[:half] >= half).all()
     assert np.array_equal(np.sort(g.antipodal_index[:half]),
                           np.arange(half, g.node_count))
+
+
+@pytest.mark.parametrize("n,L,n_nodes", [(2, 16, None), (2, 62, 256), (3, 8, None),
+                                         (3, 16, None), (3, 24, None)])
+def test_antipodes_are_exact_negations(n, L, n_nodes):
+    # bit for bit, on the same nodes and weights as cos and sin of the full
+    # angle lists give (those differ from exact negation by up to ~1e-15)
+    g = build_grid(n, L, n_nodes=n_nodes)
+    assert np.array_equal(g.nodes[g.antipodal_index], -g.nodes)
+    if n == 2:
+        N = g.node_count
+        t = 2.0 * np.pi * np.arange(N) / N
+        nodes = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        weights = np.full(N, 2.0 * np.pi / N)
+    else:
+        u, wu = _gauss_legendre(L + 2)
+        phi = 2.0 * np.pi * np.arange(2 * L + 4) / (2 * L + 4)
+        st = np.sqrt(1.0 - u**2)
+        nodes = np.stack([np.outer(st, np.cos(phi)).ravel(),
+                          np.outer(st, np.sin(phi)).ravel(),
+                          np.repeat(u, len(phi))], axis=-1)
+        weights = np.repeat(wu * (2.0 * np.pi / len(phi)), len(phi))
+    assert np.array_equal(g.weights, weights)
+    assert np.abs(g.nodes - nodes).max() <= 2e-15
+
+
+def test_antipodal_fold_keeps_first_occurrences():
+    rng = np.random.default_rng(5)
+    base = rng.normal(size=(40, 3))
+    base[:5, 0] = 0.0          # leading zeros: the sign is read further on
+    base[5, :2] = 0.0
+    pick = rng.integers(0, len(base), size=200)
+    X = rng.choice([-1.0, 1.0], size=(200, 1)) * base[pick]
+    first, inverse, sign = antipodal_fold(X)
+    assert np.array_equal(X, sign[:, None] * X[first][inverse])
+    assert np.all(np.diff(first) > 0)
+    # each representative is the first row equal to it up to sign
+    for k, i in enumerate(first):
+        same = np.flatnonzero((X == X[i]).all(axis=1) | (X == -X[i]).all(axis=1))
+        assert same[0] == i and np.all(inverse[same] == k)
+    assert len(first) == len(np.unique(pick))
+    # rows with no partner fold onto themselves, in order
+    U = rng.normal(size=(30, 2))
+    first, inverse, sign = antipodal_fold(U)
+    assert np.array_equal(first, np.arange(30)) and np.array_equal(inverse, first)
+    assert np.all(sign == 1.0)
 
 
 def test_grid_without_half_structure_is_rejected():
@@ -387,6 +435,39 @@ def test_frame_det_matches_exact_det(q, tol):
     assert got.shape == ref.shape
     scale = np.maximum(np.abs(R).max(axis=(-2, -1)) ** q, 1e-300)
     assert (np.abs(got - ref) / scale).max() <= tol
+
+
+def _relative_residual(A, X, B):
+    return (np.linalg.norm(B - A @ X, axis=(-2, -1))
+            / (np.linalg.norm(A, axis=(-2, -1)) * np.linalg.norm(X, axis=(-2, -1))))
+
+
+@pytest.mark.parametrize("k", [1, 4])
+@pytest.mark.parametrize("kind", ["spd", "indefinite", "near_singular", "mixed"])
+@pytest.mark.parametrize("q", [1, 2, 3])
+def test_frame_solve_matches_linalg_solve(q, kind, k):
+    # k = 1 is the Newton step's right-hand side, k = 4 the implicit
+    # Hessian's (q, n) one; judged by the residual relative to |A| |X|, the
+    # measure of a backward-stable solve (Cramer's rule reaches ~2e-13 at
+    # q = 2 on near-singular matrices, this elimination ~2e-16)
+    rng = np.random.default_rng(17)
+    if kind == "mixed":
+        A = _frame_matrices(q)
+        A = A[frame_det(A) != 0.0]
+    else:
+        count = 2000
+        lam = rng.uniform(0.1, 10.0, size=(count, q))
+        if kind == "indefinite":
+            lam[:, ::2] *= -1.0
+        if kind == "near_singular":
+            lam[:, 0] = rng.choice([-1e-12, 1e-12], size=count) * lam[:, -1]
+        A = _random_symmetric(rng, count, q, lam)
+    B = rng.normal(size=(len(A), q, k))
+    X = frame_solve(A, B)
+    ref = np.linalg.solve(A, B)
+    assert X.shape == ref.shape
+    assert _relative_residual(A, X, B).max() <= 1e-15
+    assert _relative_residual(A, ref, B).max() <= 1e-15
 
 
 # ---------------------------------------------------------------------------
