@@ -192,9 +192,11 @@ class SpectralBody(BodyEvaluator):
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
         # contract the frame components with the coefficients, then expand
-        # once: grad h = E (c G) + f u, Hess h = E (c H + f I) E^t / r
-        c = self.coeffs
-        B, G, H = self.basis.frame_derivs(u, order=order)
+        # once: grad h = E (c G) + f u, Hess h = E (c H + f I) E^t / r; the
+        # odd coefficients are zero, so only the even columns are evaluated
+        even = self.basis.parity_columns[0]
+        c = self.coeffs[even]
+        B, G, H = self.basis.frame_derivs(u, order=order, columns=even)
         f = B @ c
         h = r * f
         if order == 0:

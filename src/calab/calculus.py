@@ -25,7 +25,7 @@ import numpy as np
 from calab.bodies import BodyOnGrid
 from calab.sphere import (
     ScalarField,
-    _antipodal_columns,
+    _antipodal_rows,
     _unfold,
     analyze,
     packed_positions,
@@ -108,9 +108,9 @@ def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
     conjugate_hessian_packed, from one analysis of f, at every node of the
     grid."""
     grid = state.grid
-    _, G, H = grid.basis_tables()
-    pair = _antipodal_columns(grid, analyze(f)).T
-    Q = conjugate_hessian_packed(state, pair @ G, pair @ H)
+    c = analyze(f)
+    Q = conjugate_hessian_packed(state, _antipodal_rows(grid, c, 1),
+                                 _antipodal_rows(grid, c, 2))
     Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
     return ScalarField.from_values(grid, _unfold(grid, Lf))
 

@@ -106,19 +106,20 @@ class _EvenModel:
     """Geometry of h = sum c_a phi_a over the even basis functions, whose
     coefficients c are the variable (`even_mask` marks them in the full basis).
 
-    The model reads the grid's tables at the pair nodes, at the pair weights:
-    D^2 h at a node is the frame matrix R = sum c_a Hess phi_a + h I."""
+    The model reads the grid's even table at the pair nodes, at the pair
+    weights: D^2 h at a node is the frame matrix R = sum c_a Hess phi_a + h I."""
 
     def __init__(self, grid: SphereGrid, band: int):
-        B, _, H = grid.basis_tables(band)
+        (B, _, H), _ = grid.basis_tables(band)
         self.grid = grid
         self.basis = HarmonicBasis(grid.n, band)
         self.even_mask = self.basis.parity > 0
         self.weights = grid.pair_weights
-        self.B = B[:, self.even_mask]
-        # packed Hessian rows (node, component) against the coefficients
-        self._hess = (H[:, self.even_mask].transpose(0, 2, 1)
-                      .reshape(-1, self.B.shape[1]))
+        # column-major: one contiguous column per even basis function
+        self.B = np.asfortranarray(B)
+        # packed Hessian rows (node, component) against the coefficients,
+        # column-major too
+        self._hess = np.asfortranarray(H.transpose(0, 2, 1).reshape(-1, H.shape[1]))
 
     def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
         c = np.zeros(self.basis.size)

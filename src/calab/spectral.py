@@ -4,9 +4,10 @@ The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
-pair nodes; the generalized eigenproblem is dense symmetric definite, solved
-per block by a Cholesky reduction to a standard one (numpy only).  The
-integrated Bochner identity of a field is checked on the same rows.
+pair nodes, from the grid's table of its parity (SphereGrid.basis_tables).
+The generalized eigenproblem is dense symmetric definite, solved per block
+by a Cholesky reduction to a standard one (numpy only).  The integrated
+Bochner identity of a field is checked on the same rows.
 """
 
 from __future__ import annotations
@@ -17,7 +18,7 @@ import numpy as np
 
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
 from calab.calculus import CentroAffineState, build_state, conjugate_hessian_packed
-from calab.sphere import SphereGrid, packed_positions
+from calab.sphere import SphereGrid, _parity_rows, packed_positions
 
 
 @dataclass(frozen=True)
@@ -40,24 +41,23 @@ class GalerkinBasis:
     def degrees(self) -> np.ndarray:
         return self.grid.basis.degrees[:self.size]
 
-    @property
-    def parities(self) -> np.ndarray:
-        return self.grid.basis.parity[:self.size]
-
 
 @dataclass(frozen=True)
 class GalerkinSystem:
-    """Stiffness and mass matrices, and the state whose rows the Hessian
-    form (_hessian_form) is built from on the blocks a caller asks for.
+    """The diagonal blocks of the stiffness and mass matrices, and the state
+    whose rows the Hessian form (_hessian_form) is built from on the block
+    a caller asks for.
 
-    Entries outside the diagonal blocks are zero.  The blocks are the even
-    basis columns, then the odd ones when there are any; the first even
-    column is the constant (degree 0)."""
+    The forms are block-diagonal by parity, and only the blocks are held:
+    the even basis columns, then the odd ones when there are any, each in
+    degree order (blocks[i] lists their basis positions); the first even
+    column is the constant (degree 0).  Block i reads the grid's parity-i
+    table."""
 
     basis: GalerkinBasis
-    blocks: tuple[np.ndarray, ...]   # basis positions of each diagonal block
-    stiffness: np.ndarray   # Dirichlet form of the operator against nu
-    mass: np.ndarray        # L^2(nu) Gram matrix
+    blocks: tuple[np.ndarray, ...]      # basis positions of each diagonal block
+    stiffness: tuple[np.ndarray, ...]   # per block: Dirichlet form against nu
+    mass: tuple[np.ndarray, ...]        # per block: L^2(nu) Gram matrix
     state: CentroAffineState = field(repr=False)
 
 
@@ -88,20 +88,14 @@ class SpectrumReport:
 # assembly
 
 
-def _gram(blocks, X: np.ndarray) -> np.ndarray:
-    """X^t X for the rows X of shape (N/2, ..., nb): one Gram product per
-    diagonal block, zero outside the blocks."""
-    nb = X.shape[-1]
-    X = X.reshape(-1, nb)
-    A = np.zeros((nb, nb))
-    for cols in blocks:
-        Xc = np.take(X, cols, axis=1)
-        A[np.ix_(cols, cols)] = Xc.T @ Xc
-    return A
+def _gram(X: np.ndarray) -> np.ndarray:
+    """X^t X for the rows X of shape (N/2, ..., k)."""
+    X = X.reshape(-1, X.shape[-1])
+    return X.T @ X
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
-    """Stiffness and mass matrices of the operator; _hessian_form builds the
+    """Stiffness and mass blocks of the operator; _hessian_form builds the
     Hessian form from the same rows.
 
     Each form is a Gram product X^t X over (node, frame component) rows.
@@ -118,28 +112,33 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     The tables and the state cover the pair nodes.  Bodies are
     origin-symmetric, so every row of a basis function of parity pi at -u is
     pi times its row at u: the even-odd blocks vanish and each diagonal block
-    is its sum over the pair nodes at the pair weights 2 w.
+    is its sum over the pair nodes at the pair weights 2 w, one Gram product
+    over its parity's table.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
     sq = state.sqrt_weights
-    blocks = tuple(c for c in (np.flatnonzero(basis.parities > 0),
-                               np.flatnonzero(basis.parities < 0)) if len(c))
-    B, G, _ = state.grid.basis_tables(basis.degree_max)
-    S = _gram(blocks, (state.K * sq[:, None, None]) @ G.transpose(0, 2, 1))
-    M = _gram(blocks, B * sq[:, None])
-    return GalerkinSystem(basis=basis, blocks=blocks, stiffness=S, mass=M,
-                          state=state)
+    Ksq = state.K * sq[:, None, None]
+    blocks, S, M = [], [], []
+    for (B, G, _), cols in zip(state.grid.basis_tables(basis.degree_max),
+                               state.grid.basis.parity_columns):
+        if B.shape[1]:
+            blocks.append(cols[:B.shape[1]])
+            S.append(_gram(Ksq @ G.transpose(0, 2, 1)))
+            M.append(_gram(B * sq[:, None]))
+    return GalerkinSystem(basis=basis, blocks=tuple(blocks), stiffness=tuple(S),
+                          mass=tuple(M), state=state)
 
 
-def _hessian_form(system: GalerkinSystem, blocks) -> np.ndarray:
-    """Hessian-form Gram product over the given diagonal blocks: the rows
-    are the packed components of the basis functions' conjugate Hessians
-    (calculus.conjugate_hessian_packed, whose sqrt 2 weights make the Gram
-    product the full Frobenius inner product) at weight 2 w nu."""
-    basis, state = system.basis, system.state
-    _, G, H = basis.grid.basis_tables(basis.degree_max)
-    return _gram(blocks, conjugate_hessian_packed(state, G, H, state.sqrt_weights))
+def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndarray:
+    """Hessian-form Gram product on the block's columns from `first` on:
+    the rows are the packed components of the basis functions' conjugate
+    Hessians (calculus.conjugate_hessian_packed, whose sqrt 2 weights make
+    the Gram product the full Frobenius inner product) at weight 2 w nu."""
+    state = system.state
+    _, G, H = state.grid.basis_tables(system.basis.degree_max)[block]
+    return _gram(conjugate_hessian_packed(state, G[:, first:], H[:, first:],
+                                          state.sqrt_weights))
 
 
 # ----------------------------------------------------------------------
@@ -193,16 +192,20 @@ def _reduce_pencil(A: np.ndarray, B: np.ndarray):
     return Li, Li @ A @ Li.T
 
 
-def _block_eigh(system: GalerkinSystem, cols: np.ndarray, first: int, last: int):
-    """Every eigenvalue (ascending) of (stiffness, mass) restricted to the
-    columns cols, and the eigenvectors first..last in full basis
-    coordinates."""
-    ix = np.ix_(cols, cols)
-    Li, C = _reduce_pencil(system.stiffness[ix], system.mass[ix])
+def _block_eigh(system: GalerkinSystem, block: int, first: int, last: int):
+    """Every eigenvalue (ascending) of the block's pencil (stiffness, mass),
+    and the eigenvectors first..last in full basis coordinates with their
+    relative residuals |S v - lambda M v| / |M v| on the block."""
+    S, M = system.stiffness[block], system.mass[block]
+    Li, C = _reduce_pencil(S, M)
     eigs, y = np.linalg.eigh(C)
-    vecs = np.zeros((system.basis.size, last + 1 - first))
-    vecs[cols] = Li.T @ y[:, first:last + 1]
-    return eigs, vecs
+    v = Li.T @ y[:, first:last + 1]
+    Mv = M @ v
+    resid = np.linalg.norm(S @ v - Mv * eigs[first:last + 1], axis=0)
+    resid /= np.maximum(np.linalg.norm(Mv, axis=0), 1e-300)
+    vecs = np.zeros((system.basis.size, v.shape[1]))
+    vecs[system.blocks[block]] = v
+    return eigs, vecs, resid
 
 
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
@@ -220,34 +223,30 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
         k = nb
     if not 1 <= k <= nb:
         raise ValueError(f"k must be in 1..{nb}, the basis size")
-    even = system.blocks[0]
 
     lambda1_even = None
     if subspace == "all":
-        eigs, vecs = [], []
-        for cols in system.blocks:
+        eigs, vecs, resid = [], [], []
+        for block, cols in enumerate(system.blocks):
             count = min(k, len(cols))
-            e, v = _block_eigh(system, cols, 0, count - 1)
-            if cols is even and len(e) > 1:
+            e, v, r = _block_eigh(system, block, 0, count - 1)
+            if block == 0 and len(e) > 1:
                 lambda1_even = float(e[1])
             eigs.append(e[:count])
             vecs.append(v)
+            resid.append(r)
         eigs, vecs = np.concatenate(eigs), np.concatenate(vecs, axis=1)
         order = np.argsort(eigs, kind="stable")[:k]
-        eigs, vecs = eigs[order], vecs[:, order]
+        eigs, vecs, resid = eigs[order], vecs[:, order], np.concatenate(resid)[order]
     elif subspace == "even-nonconstant":
-        count = min(k, len(even) - 1)
-        eigs, vecs = np.zeros(0), np.zeros((nb, 0))
+        count = min(k, len(system.blocks[0]) - 1)
+        eigs, vecs, resid = np.zeros(0), np.zeros((nb, 0)), np.zeros(0)
         if count > 0:
-            e, vecs = _block_eigh(system, even, 1, count)
+            e, vecs, resid = _block_eigh(system, 0, 1, count)
             eigs = e[1:count + 1]
             lambda1_even = float(eigs[0])
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
-
-    S, M = system.stiffness, system.mass
-    resid = np.linalg.norm(S @ vecs - M @ vecs * eigs[None, :], axis=0)
-    resid /= np.maximum(np.linalg.norm(M @ vecs, axis=0), 1e-300)
 
     ztol = _zero_tol(eigs)
     nonzero = eigs[eigs > ztol]
@@ -290,20 +289,17 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
     conjugate_hessian_packed, whose diagonal sum is Lf.  Each term is a
     quadratic form Q, and the body is origin-symmetric, so
     Q(f) = Q(f_even) + Q(f_odd): the cross terms are odd and vanish against
-    the even measure.  Both parts are summed over the pair nodes at the row
-    weights 2 w nu."""
+    the even measure.  Each part is contracted with its parity's table and
+    summed over the pair nodes at the row weights 2 w nu."""
     grid, c = state.grid, np.asarray(coeffs, dtype=float)
     degrees, nb = grid.basis.degrees, c.size
     if (c.ndim != 1 or not 1 <= nb <= grid.basis.size
             or (nb < grid.basis.size and degrees[nb] == degrees[nb - 1])):
         raise ValueError(f"{c.shape} coefficients: their count must be the "
                          f"basis size of one band 0..{grid.band_limit}")
-    _, G, H = grid.basis_tables(int(degrees[nb - 1]))
-    even = grid.basis.parity[:nb] > 0
-    parts = np.stack([np.where(even, c, 0.0), np.where(even, 0.0, c)])
     sq = state.sqrt_weights
-    grad = parts @ G
-    Q = conjugate_hessian_packed(state, grad, parts @ H, sq)
+    grad = _parity_rows(grid, c, 1)
+    Q = conjugate_hessian_packed(state, grad, _parity_rows(grid, c, 2), sq)
     Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
     Kgrad = sq[:, None, None] * (grad @ np.swapaxes(state.K, -1, -2))
     t1, t2 = float(np.sum(Lf**2)), float(np.sum(Q**2))
@@ -319,14 +315,12 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
     functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
     dropping its column leaves the quotient's range unchanged.  The Hessian
     form is built on those columns only."""
-    cols = system.blocks[0][1:]
-    if not len(cols):
+    stiffness = system.stiffness[0][1:, 1:]
+    if not len(stiffness):
         raise ValueError("the even non-constant subspace is empty at degree_max "
                          f"{system.basis.degree_max}")
-    ix = np.ix_(cols, cols)
-    hess = _hessian_form(system, (cols,))[ix]
     try:
-        _, C = _reduce_pencil(hess, system.stiffness[ix])
+        _, C = _reduce_pencil(_hessian_form(system, 0, first=1), stiffness)
     except np.linalg.LinAlgError:
         raise ValueError("stiffness is singular on the even non-constant "
                          "subspace") from None

@@ -125,22 +125,36 @@ class HarmonicBasis:
         # value of the constant basis function, 1/sqrt(|S^{n-1}|)
         self.constant_value = (1.0 / np.sqrt(2.0 * np.pi) if n == 2
                                else 0.5 / np.sqrt(np.pi))
+        # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
         if n == 2:
-            degs = [0] + [k for k in range(1, L + 1) for _ in (0, 1)]
-            self.degrees = np.array(degs, dtype=int)
+            modes = [(0, 0, 0)] + [(k, k, kind) for k in range(1, L + 1)
+                                   for kind in (0, 1)]
         else:
-            degs, modes = [], []
+            modes = []
             for l in range(L + 1):
-                degs.append(l)
                 modes.append((l, 0, 0))
                 for m in range(1, l + 1):
-                    degs.extend([l, l])
                     modes.append((l, m, 0))  # cos-type: sqrt(2) Re Y_l^m
                     modes.append((l, m, 1))  # sin-type: sqrt(2) Im Y_l^m
-            self.degrees = np.array(degs, dtype=int)
-            self._modes = modes
-        self.parity = np.where(self.degrees % 2 == 0, 1, -1)
-        self.size = len(self.degrees)
+        l, m, kind = np.ascontiguousarray(np.array(modes, dtype=int).T)
+        self.degrees = l
+        self.parity = np.where(l % 2 == 0, 1, -1)
+        self.size = len(l)
+        # basis positions of the even and of the odd functions
+        self.parity_columns = (np.flatnonzero(self.parity > 0),
+                               np.flatnonzero(self.parity < 0))
+        # per column: normalization, and position of its longitude factor in
+        # [1, cos kt, sin kt] (n=2) or [cos m phi, sin m phi] (n=3)
+        if n == 2:
+            self._scale = np.where(l == 0, self.constant_value, 1.0 / np.sqrt(np.pi))
+            self._col = l + kind * L
+        else:
+            self._scale = np.where(m == 0, 1.0, np.sqrt(2.0))
+            self._col = m + kind * (L + 1)
+        self._m = m
+        for arr in (self.degrees, self.parity, *self.parity_columns,
+                    self._scale, self._col, self._m):
+            arr.setflags(write=False)
 
     # ------------------------------------------------------------------
     def eval_derivs(self, points: np.ndarray, order: int = 2):
@@ -161,7 +175,7 @@ class HarmonicBasis:
             hess = to_ambient(frames, unpack_sym(hess), 2)
         return vals, grads, hess
 
-    def frame_derivs(self, points: np.ndarray, order: int = 2):
+    def frame_derivs(self, points: np.ndarray, order: int = 2, columns=None):
         """Basis values and tangential derivatives as components in the
         per-point orthonormal tangent frames E = tangent_frames(points)
         (columns e_1..e_{n-1}).
@@ -172,36 +186,34 @@ class HarmonicBasis:
         (tt, tp, pp) at n=3 with e_t, e_p the colatitude and longitude
         directions and the single tt component at n=2 with e_t the
         counterclockwise tangent.  Derivatives above `order` are None.
+        `columns` (basis positions, default all) selects and orders the nb
+        axis; each column keeps its bits.
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        sel = slice(None) if columns is None else np.asarray(columns)
         if self.n == 2:
-            return self._eval_circle(pts, order)
-        return self._eval_sphere(pts, order)
+            return self._eval_circle(pts, order, sel)
+        return self._eval_sphere(pts, order, sel)
 
     # ------------------------------------------------------------------
-    def _eval_circle(self, pts, order):
+    def _eval_circle(self, pts, order, sel):
+        """constant_value, then cos(k t) and sin(k t) over sqrt(pi)."""
         t = np.arctan2(pts[:, 1], pts[:, 0])
-        P = len(t)
         k = np.arange(1, self.L + 1)
         c, s = np.cos(k * t[:, None]), np.sin(k * t[:, None])
-        inv_sqrtpi = 1.0 / np.sqrt(np.pi)
-
-        def columns(const, cos_part, sin_part):
-            # basis order: constant, then cos(k t), sin(k t) for k = 1..L
-            pairs = np.stack([cos_part, sin_part], axis=2).reshape(P, -1)
-            return np.concatenate([np.full((P, 1), const), pairs], axis=1)
-
-        vals = columns(self.constant_value, inv_sqrtpi * c, inv_sqrtpi * s)
+        f, scale, col = self.degrees[sel], self._scale[sel], self._col[sel]
+        lon = np.take(np.concatenate([np.ones((len(t), 1)), c, s], axis=1), col, axis=1)
+        vals = scale * lon
         if order == 0:
             return vals, None, None
-        grads = columns(0.0, inv_sqrtpi * (-k * s), inv_sqrtpi * (k * c))[:, :, None]
+        dlon = np.take(np.concatenate([np.zeros((len(t), 1)), -s, c], axis=1), col, axis=1)
+        grads = (scale * (f * dlon))[:, :, None]
         if order == 1:
             return vals, grads, None
-        kk = -(k * k) * inv_sqrtpi
-        hess = columns(0.0, kk * c, kk * s)[:, :, None]
+        hess = ((-(f * f) * scale) * lon)[:, :, None]
         return vals, grads, hess
 
-    def _eval_sphere(self, pts, order):
+    def _eval_sphere(self, pts, order, sel):
         """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
 
         cos theta = z and sin theta = |(x, y)| come straight from the point and
@@ -210,8 +222,7 @@ class HarmonicBasis:
         (L+2 of them on a product grid) and scattered back to the points.
         """
         L = self.L
-        l, m, kind = np.array(self._modes).T
-        scale = np.where(m == 0, 1.0, np.sqrt(2.0))
+        l, m, scale, col = self.degrees[sel], self._m[sel], self._scale[sel], self._col[sel]
         x, y, z = pts.T
         st = np.hypot(x, y)
         z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
@@ -228,7 +239,6 @@ class HarmonicBasis:
         phi = np.arctan2(y, x)
         mphi = np.multiply.outer(phi, np.arange(L + 1))
         c, s = np.cos(mphi), np.sin(mphi)
-        col = m + kind * (L + 1)
         lon = np.concatenate([c, s], axis=1)[:, col]
 
         vals = columns(P) * lon
@@ -419,7 +429,8 @@ class SphereGrid:
                     self.pair_weights):
             arr.setflags(write=False)
         self.pair_nodes = self.nodes[:half]
-        self._tables = None
+        self._tables = None       # (B, G, H), even columns first
+        self._even_count = 0
         self._frames = None
 
     @property
@@ -427,24 +438,35 @@ class SphereGrid:
         return len(self.weights)
 
     def basis_tables(self, band: int | None = None):
-        """(values, gradients, hessians) of the basis of degree <= band
-        (default the grid's) at the pair nodes: (N/2, nb),
-        (N/2, nb, n-1) and (N/2, nb, n(n-1)/2), the derivatives as components
-        in tangent_frames() (see HarmonicBasis.frame_derivs).  The basis is
-        in degree order and its column recurrences do not depend on the band,
-        so these are views of the first nb columns of the cached tables,
-        which are rebuilt at `band` only when they have fewer columns.
+        """(even, odd): (values, gradients, hessians) of the even and of the
+        odd basis functions of degree <= band (default the grid's) at the
+        pair nodes, in degree order: (N/2, nb), (N/2, nb, n-1) and
+        (N/2, nb, n(n-1)/2), the derivatives as components in
+        tangent_frames() (see HarmonicBasis.frame_derivs).
+
+        Read-only views of one cached set of tables, even columns first,
+        built in one frame_derivs pass.  The column recurrences do not depend
+        on the band, so a band-b view is a column prefix of any larger
+        band's; the cache is rebuilt at `band` only when it is smaller.
 
         At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
         band = self.band_limit if band is None else band
         if not 0 <= band <= self.band_limit:
             raise ValueError(f"band {band} must be in 0..{self.band_limit}")
-        nb = int(np.count_nonzero(self.basis.degrees <= band))
-        if self._tables is None or self._tables[0].shape[1] < nb:
-            self._tables = HarmonicBasis(self.n, band).frame_derivs(
-                self.pair_nodes, order=2)
-        return tuple(T[:, :nb] for T in self._tables)
+        low = self.basis.degrees <= band
+        n_even = int(np.count_nonzero(low & (self.basis.parity > 0)))
+        n_odd = int(np.count_nonzero(low)) - n_even
+        if self._tables is None or self._tables[0].shape[1] < n_even + n_odd:
+            basis = HarmonicBasis(self.n, band)
+            self._tables = basis.frame_derivs(
+                self.pair_nodes, order=2, columns=np.concatenate(basis.parity_columns))
+            self._even_count = len(basis.parity_columns[0])
+            for T in self._tables:
+                T.setflags(write=False)
+        e = self._even_count
+        return (tuple(T[:, :n_even] for T in self._tables),
+                tuple(T[:, e:e + n_odd] for T in self._tables))
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the
@@ -553,10 +575,21 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
     return float(grid.weights @ np.asarray(values))
 
 
-def _antipodal_columns(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
-    """(nb, 2): the coefficients c of f and pi c of f o A."""
+def _parity_rows(grid: SphereGrid, coeffs: np.ndarray, table: int) -> np.ndarray:
+    """(N/2, 2, ...) rows at the pair nodes of the even and the odd part of
+    f, f with the coefficients of one band b, each part from its band-b
+    table (0 values, 1 gradients, 2 packed Hessians)."""
     c = np.asarray(coeffs, dtype=float)
-    return np.stack([c, grid.basis.parity * c], axis=1)
+    tables = grid.basis_tables(int(grid.basis.degrees[len(c) - 1]))
+    return np.stack([np.moveaxis(T[table], 1, -1) @ c[cols[:T[table].shape[1]]]
+                     for T, cols in zip(tables, grid.basis.parity_columns)], axis=1)
+
+
+def _antipodal_rows(grid: SphereGrid, coeffs: np.ndarray, table: int) -> np.ndarray:
+    """(N/2, 2, ...) rows of f and f o A, whose coefficients are pi c, at the
+    pair nodes (see _parity_rows)."""
+    even, odd = np.moveaxis(_parity_rows(grid, coeffs, table), 1, 0)
+    return np.stack([even + odd, even - odd], axis=1)
 
 
 def _unfold(grid: SphereGrid, pairs: np.ndarray) -> np.ndarray:
@@ -578,21 +611,20 @@ def analyze(field: ScalarField) -> np.ndarray:
     Antipodal weights are equal, so even coefficients integrate the sum of f
     over each antipodal pair and odd ones its difference, on the half grid."""
     grid = field.grid
-    B, _, _ = grid.basis_tables()
     v0, half = field.values[0], len(grid.pair_weights)
     f1 = field.values[:half] - v0
     f2 = field.values[grid.antipodal_index[:half]] - v0
     w = 0.5 * grid.pair_weights
-    sums = B.T @ np.stack([w * (f1 + f2), w * (f1 - f2)], axis=1)
-    c = np.where(grid.basis.parity > 0, sums[:, 0], sums[:, 1])
+    c = np.empty(grid.basis.size)
+    for (B, _, _), cols, f in zip(grid.basis_tables(), grid.basis.parity_columns,
+                                  (w * (f1 + f2), w * (f1 - f2))):
+        c[cols] = B.T @ f
     c[0] += v0 / grid.basis.constant_value
     return c
 
 
 def synthesize(grid: SphereGrid, coeffs: np.ndarray) -> ScalarField:
-    B, _, _ = grid.basis_tables()
-    return ScalarField.from_values(
-        grid, _unfold(grid, B @ _antipodal_columns(grid, coeffs)))
+    return ScalarField.from_values(grid, _unfold(grid, _antipodal_rows(grid, coeffs, 0)))
 
 
 def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
@@ -608,15 +640,13 @@ def spectral_tail(field: ScalarField, coeffs: np.ndarray) -> float:
 def gradient_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Frame gradients (N/2, 2, n-1) of f and f o A at the pair nodes, f
     with these coefficients.  grad f(-u) = -grad(f o A)(u)."""
-    _, G, _ = grid.basis_tables()
-    return _antipodal_columns(grid, coeffs).T @ G
+    return _antipodal_rows(grid, coeffs, 1)
 
 
 def hessian_from_coeffs(grid: SphereGrid, coeffs: np.ndarray) -> np.ndarray:
     """Frame covariant Hessians (N/2, 2, n-1, n-1) of f and f o A at the pair
     nodes.  Hess f(-u) = Hess(f o A)(u)."""
-    _, _, H = grid.basis_tables()
-    return unpack_sym(_antipodal_columns(grid, coeffs).T @ H)
+    return unpack_sym(_antipodal_rows(grid, coeffs, 2))
 
 
 def tangential_gradient(field: ScalarField) -> TangentField:

@@ -22,9 +22,10 @@ from calab.calculus import CentroAffineState, conjugate_hessian_packed
 from calab.minkowski import TargetMeasure
 from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
+    HarmonicBasis,
     ScalarField,
     SphereGrid,
-    _antipodal_columns,
+    _antipodal_rows,
     _unfold,
     analyze,
     gradient_from_coeffs,
@@ -47,6 +48,19 @@ def unfold(grid: SphereGrid, rows: np.ndarray, parity: int = 1) -> np.ndarray:
     nodes (N/2, ...)."""
     rows = np.asarray(rows, dtype=float)
     return _unfold(grid, np.stack([rows, parity * rows], axis=1))
+
+
+def degree_order_tables(grid: SphereGrid, band: int | None = None):
+    """The grid's (B, G, H) at `band` with the columns in degree order, the
+    basis order: the parity views of SphereGrid.basis_tables put back in
+    place (a copy)."""
+    views = grid.basis_tables(band)
+    nb = sum(view[0].shape[1] for view in views)
+    out = [np.empty((len(T), nb) + T.shape[2:]) for T in views[0]]
+    for view, cols in zip(views, grid.basis.parity_columns):
+        for T, part in zip(out, view):
+            T[:, cols[:part.shape[1]]] = part
+    return tuple(out)
 
 
 def laplace_beltrami(field: ScalarField) -> ScalarField:
@@ -247,8 +261,7 @@ def integrated_divergence_residual(state: CentroAffineState, f: ScalarField) -> 
     w = 0.5 * grid.pair_weights * state.nu_density
     c = analyze(f)
     df = gradient_from_coeffs(grid, c)
-    Q = conjugate_hessian_packed(state, df, _antipodal_columns(grid, c).T
-                                 @ grid.basis_tables()[2])
+    Q = conjugate_hessian_packed(state, df, _antipodal_rows(grid, c, 2))
     Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
     dLf = gradient_from_coeffs(grid, analyze(
         ScalarField.from_values(grid, _unfold(grid, Lf))))
@@ -311,11 +324,46 @@ def state_diagnostics(state: CentroAffineState) -> list[dict]:
 # spectrum
 
 
-def hessform(system: GalerkinSystem) -> np.ndarray:
-    """Conjugate-Hessian form against nu on the system's diagonal blocks
-    (spectral._hessian_form, read through the module so that a test can
-    count its builds)."""
-    return spectral._hessian_form(system, system.blocks)
+def hessform(system: GalerkinSystem) -> tuple[np.ndarray, ...]:
+    """Conjugate-Hessian form against nu on each of the system's diagonal
+    blocks (spectral._hessian_form, read through the module so that a test
+    can count its builds)."""
+    return tuple(spectral._hessian_form(system, block)
+                 for block in range(len(system.blocks)))
+
+
+def full_matrix(system: GalerkinSystem, blocks) -> np.ndarray:
+    """The nb x nb matrix in basis order whose diagonal blocks are `blocks`
+    (one per system block, as system.stiffness holds them), zero outside."""
+    nb = system.basis.size
+    A = np.zeros((nb, nb))
+    for cols, block in zip(system.blocks, blocks):
+        A[np.ix_(cols, cols)] = block
+    return A
+
+
+def take_gram_assembly(state: CentroAffineState, degree_max: int):
+    """Reference stiffness and mass (nb x nb, basis order) from degree-order
+    tables, a direct HarmonicBasis(n, degree_max).frame_derivs at the pair
+    nodes: per parity block, the block's columns are copied out of the row
+    matrix with np.take and Gram-multiplied, zero outside the blocks."""
+    grid = state.grid
+    basis = HarmonicBasis(grid.n, degree_max)
+    B, G, _ = basis.frame_derivs(grid.pair_nodes, order=2)
+    blocks = [cols for cols in basis.parity_columns if len(cols)]
+
+    def gram(X):
+        nb = X.shape[-1]
+        X = X.reshape(-1, nb)
+        A = np.zeros((nb, nb))
+        for cols in blocks:
+            Xc = np.take(X, cols, axis=1)
+            A[np.ix_(cols, cols)] = Xc.T @ Xc
+        return A
+
+    sq = state.sqrt_weights
+    return (gram((state.K * sq[:, None, None]) @ G.transpose(0, 2, 1)),
+            gram(B * sq[:, None]))
 
 
 def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
@@ -329,7 +377,8 @@ def discrete_bochner_residual(system: GalerkinSystem, k: int = 10,
     rep = solve_spectrum(system, k=min(k, system.basis.size - 1),
                          subspace=subspace)
     V = rep.eigenvectors
-    S, M, H = system.stiffness, system.mass, hessform(system)
+    S, M, H = (full_matrix(system, blocks) for blocks in
+               (system.stiffness, system.mass, hessform(system)))
     SV = S @ V
     quad1 = np.einsum("ak,ak->k", SV, np.linalg.solve(M, SV))
     quad2 = np.einsum("ak,ak->k", V, H @ V)
@@ -358,7 +407,7 @@ def first_eigenspace_deficiency(state: CentroAffineState,
         lin.append(analyze(adapted_linear(state, xi))[:nb])
     Lmat = np.array(lin).T
 
-    M = system.mass
+    M = full_matrix(system, system.mass)
     # M-orthonormalize both subspaces, then compare by principal angles
     def morth(A):
         G = A.T @ M @ A

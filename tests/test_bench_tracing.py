@@ -3,9 +3,10 @@
 ``bench/tracing.py`` replaces calab functions and methods by name when it is
 installed, and fails there when one of them has been removed or renamed.
 Installing it monkeypatches calab for the whole process, so the check runs in
-a fresh interpreter: install, one traced spectrum and one Ricci check, and
-every per-layer metric that BENCHMARK.json declares is present in
-``layer_metrics``, apart from the two that ``bench/run.py`` computes itself.
+a fresh interpreter: install, one traced spectrum, one Hessian gap on the
+same grid and one Ricci check, and every per-layer metric that
+BENCHMARK.json declares is present in ``layer_metrics``, apart from the two
+that ``bench/run.py`` computes itself.
 """
 
 import json
@@ -21,13 +22,16 @@ _PROBE = """
 import json
 import numpy as np
 import tracing
-from calab import calculus
+from calab import bodies, calculus, spectral
 from calab.bodies import ball, ellipsoid, evaluate_on_grid
 from calab.spectral import spectrum_of_body
 from calab.sphere import build_grid
 tracer = tracing.Tracer()
 tracing.install(tracer)
-spectrum_of_body(ball(1.0, 2), build_grid(2, 8), k=3)
+grid = build_grid(2, 8)
+spectrum_of_body(ball(1.0, 2), grid, k=3)
+state = calculus.build_state(bodies.evaluate_on_grid(ball(1.0, 2), grid))
+spectral.hessian_gap_even(spectral.assemble(state, spectral.GalerkinBasis(grid, 8)))
 calculus.ricci_star_check(calculus.build_state(
     evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), build_grid(3, 8))))
 print(json.dumps(tracing.layer_metrics(tracer.spans)))
@@ -44,9 +48,13 @@ def test_tracing_installs_and_reports_every_declared_layer():
                 json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]}
     assert COMPUTED_BY_RUN <= declared
     assert declared - COMPUTED_BY_RUN <= metrics.keys()
-    # the spectrum's calls went through the wrapped names
-    assert metrics["spectral.assemble_calls"] == 1
+    # the spectrum's and the gap's calls went through the wrapped names
+    assert metrics["spectral.assemble_calls"] == 2
     assert metrics["spectral.solve_calls"] == 1
-    assert metrics["bodies.evaluate_on_grid_calls"] == 1
+    assert metrics["bodies.evaluate_on_grid_calls"] == 2
+    assert metrics["spectral.hessian_gap_s"] > 0
+    # the grid's tables were built once, and both systems read them
+    assert metrics["sphere.basis_tables_calls"] == 1
+    assert metrics["sphere.basis_tables_mb"] > 0
     # so did the Ricci check that acceptance and the benchmark call by name
     assert metrics["calculus.ricci_check_s"] > 0

@@ -26,7 +26,7 @@ from calab.calculus import (
 from calab.spectral import bochner_residual
 from calab.sphere import (
     ScalarField,
-    _antipodal_columns,
+    _antipodal_rows,
     _unfold,
     analyze,
     build_grid,
@@ -216,9 +216,9 @@ def test_hbm_apply_analyzes_once_and_matches_separate_derivatives(monkeypatch):
     rng = np.random.default_rng(5)
     c = rng.normal(size=st.grid.basis.size) * np.exp(-0.4 * st.grid.basis.degrees)
     f = synthesize(st.grid, c)
-    _, G, H = st.grid.basis_tables()
-    pair = _antipodal_columns(st.grid, sphere.analyze(f)).T
-    Q = conjugate_hessian_packed(st, pair @ G, pair @ H)
+    a = sphere.analyze(f)
+    Q = conjugate_hessian_packed(st, _antipodal_rows(st.grid, a, 1),
+                                 _antipodal_rows(st.grid, a, 2))
     lf = Q[:, packed_positions(2).diagonal()].sum(axis=1)
 
     calls = []
@@ -265,8 +265,9 @@ def test_constant_field_has_exactly_zero_derivatives():
 def test_ball_hbm_is_laplace_beltrami():
     g = build_grid(3, 12)
     st = build_state(evaluate_on_grid(ball(1.0, 3), g))
-    B, _, _ = g.basis_tables()
-    idx = int(np.flatnonzero(g.basis.degrees == 2)[0])
+    (B, _, _), _ = g.basis_tables()
+    # the first degree-2 column of the even table
+    idx = int(np.flatnonzero(g.basis.degrees[g.basis.parity_columns[0]] == 2)[0])
     # the tables cover the first half; an even function repeats at the antipodes
     values = np.empty(g.node_count)
     values[:g.node_count // 2] = B[:, idx]

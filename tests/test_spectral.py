@@ -27,8 +27,9 @@ from calab.spectral import (
 )
 from calab.sphere import build_grid
 
-from oracles import (discrete_bochner_residual, first_eigenspace_deficiency,
-                     hessform, unfold)
+from oracles import (degree_order_tables, discrete_bochner_residual,
+                     first_eigenspace_deficiency, full_matrix, hessform,
+                     take_gram_assembly, unfold)
 
 
 def system_for(body, n, L):
@@ -36,6 +37,18 @@ def system_for(body, n, L):
     st = build_state(evaluate_on_grid(body, g))
     basis = GalerkinBasis(g, L)
     return st, assemble(st, basis)
+
+
+def parities(system):
+    """The parity of each basis function of the system, in basis order."""
+    return system.basis.grid.basis.parity[:system.basis.size]
+
+
+def forms(system):
+    """Stiffness, mass and Hessian form as nb x nb matrices in basis order,
+    zero outside the diagonal blocks."""
+    return tuple(full_matrix(system, blocks) for blocks in
+                 (system.stiffness, system.mass, hessform(system)))
 
 
 # ---------------------------------------------------------------------------
@@ -52,23 +65,26 @@ def test_ball_assembly_closed_form():
     sys_ = assemble(st, basis)
     degs = basis.degrees
     expected = np.diag([l * (l + 1) for l in degs]).astype(float)
-    assert np.abs(sys_.stiffness - expected).max() < 1e-8
-    assert np.abs(sys_.mass - np.eye(basis.size)).max() < 1e-10
+    S, M, _ = forms(sys_)
+    assert np.abs(S - expected).max() < 1e-8
+    assert np.abs(M - np.eye(basis.size)).max() < 1e-10
 
 
 def test_constant_gives_zero_stiffness_row():
     st, sys_ = system_for(perturbed_ball(3, 0.1), 3, 12)
     const_row = np.flatnonzero(sys_.basis.degrees == 0)[0]
-    assert np.abs(sys_.stiffness[const_row]).max() < 1e-9
-    assert np.abs(hessform(sys_)[const_row]).max() < 1e-8
+    S, _, H = forms(sys_)
+    assert np.abs(S[const_row]).max() < 1e-9
+    assert np.abs(H[const_row]).max() < 1e-8
 
 
 def test_matrices_symmetric_and_definite():
     st, sys_ = system_for(random_even_body(2, seed=3), 2, 16)
-    for A in (sys_.stiffness, sys_.mass, hessform(sys_)):
+    S, M, H = forms(sys_)
+    for A in (S, M, H):
         assert np.abs(A - A.T).max() < 1e-10 * max(np.abs(A).max(), 1.0)
-    assert np.linalg.eigvalsh(sys_.mass).min() > 0
-    assert np.linalg.eigvalsh(sys_.stiffness).min() > -1e-8
+    assert np.linalg.eigvalsh(M).min() > 0
+    assert np.linalg.eigvalsh(S).min() > -1e-8
 
 
 def _einsum_assembly(state, basis):
@@ -111,8 +127,7 @@ def _rotated_ellipsoid():
 def test_assembly_matches_einsum_oracle():
     st, sys_ = system_for(_rotated_ellipsoid(), 3, 16)
     assert len(sys_.blocks) == 2
-    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)),
-                      _einsum_assembly(st, sys_.basis)):
+    for A, ref in zip(forms(sys_), _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -122,8 +137,7 @@ def test_packed_forms_match_ambient_reference(n, L):
     body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
     st, sys_ = system_for(body, n, L)
     assert len(sys_.blocks) == 2
-    for A, ref in zip((sys_.stiffness, sys_.mass, hessform(sys_)),
-                      _einsum_assembly(st, sys_.basis)):
+    for A, ref in zip(forms(sys_), _einsum_assembly(st, sys_.basis)):
         assert np.abs(A - ref).max() <= 1e-12 * np.abs(ref).max()
 
 
@@ -131,19 +145,19 @@ def test_packed_forms_match_ambient_reference(n, L):
 def test_hessian_gap_matches_full_hessform(n, L):
     body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
     _, sys_ = system_for(body, n, L)
-    cols = np.flatnonzero(sys_.basis.parities > 0)[1:]
+    cols = np.flatnonzero(parities(sys_) > 0)[1:]
     ix = np.ix_(cols, cols)
-    ref = scipy.linalg.eigh(hessform(sys_)[ix], sys_.stiffness[ix],
-                            eigvals_only=True)[0]
+    S, _, H = forms(sys_)
+    ref = scipy.linalg.eigh(H[ix], S[ix], eigvals_only=True)[0]
     assert abs(hessian_gap_even(sys_) - ref) <= 1e-12 * abs(ref)
 
 
 def _dense_spectrum(sys_, k):
     """Reference: one dense generalized eigensolve of the full matrices, and
     the even spectrum with the constant deflated mass-orthogonally."""
-    S, M = sys_.stiffness, sys_.mass
+    S, M, _ = forms(sys_)
     eigs = scipy.linalg.eigh(S, M, eigvals_only=True)[:k]
-    cols = np.flatnonzero(sys_.basis.parities > 0)
+    cols = np.flatnonzero(parities(sys_) > 0)
     Z = scipy.linalg.null_space(M[cols, cols[0]][None, :])
     ix = np.ix_(cols, cols)
     even = scipy.linalg.eigh(Z.T @ S[ix] @ Z, Z.T @ M[ix] @ Z, eigvals_only=True)
@@ -168,7 +182,7 @@ def test_blocked_solve_matches_dense_eigh(case):
     even = solve_spectrum(sys_, k=k, subspace="even-nonconstant")
     assert np.abs(even.eigenvalues - ref_even).max() <= 1e-12 * ref_even.max()
     # eigenvectors of the even subspace are mass-orthogonal to the constant
-    assert np.abs(sys_.mass[0] @ even.eigenvectors).max() < 1e-10
+    assert np.abs(forms(sys_)[1][0] @ even.eigenvectors).max() < 1e-10
 
 
 def test_one_eigensolve_per_block(monkeypatch):
@@ -187,18 +201,53 @@ def test_one_eigensolve_per_block(monkeypatch):
 def test_hessform_built_only_when_read(monkeypatch):
     calls = []
     build = spectral._hessian_form
-    monkeypatch.setattr(spectral, "_hessian_form", lambda system, blocks:
-                        calls.append([len(c) for c in blocks]) or build(system, blocks))
+    monkeypatch.setattr(spectral, "_hessian_form", lambda system, block, first=0:
+                        calls.append(len(system.blocks[block]) - first)
+                        or build(system, block, first))
     _, sys_ = system_for(perturbed_ball(3, 0.1), 3, 8)
     solve_spectrum(sys_, k=4)
     solve_spectrum(sys_, k=4, subspace="even-nonconstant")
     assert calls == []
     # the gap forms its Gram product on the even non-constant columns only
     hessian_gap_even(sys_)
-    even = int((sys_.basis.parities > 0).sum())
-    assert calls == [[even - 1]]
+    even = int((parities(sys_) > 0).sum())
+    assert calls == [even - 1]
     discrete_bochner_residual(sys_, k=4)
-    assert calls == [[even - 1], [len(c) for c in sys_.blocks]]
+    assert calls == [even - 1] + [len(c) for c in sys_.blocks]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_hessian_gap_builds_conjugate_hessians_of_even_nonconstant_columns(
+        n, monkeypatch):
+    # the conjugate Hessian is formed for the even non-constant columns
+    # only, read from the even table without its constant column
+    calls = []
+    packed = spectral.conjugate_hessian_packed
+    monkeypatch.setattr(spectral, "conjugate_hessian_packed",
+                        lambda state, grad, hess, scale=1.0:
+                        calls.append((grad.shape[1], hess.shape[1]))
+                        or packed(state, grad, hess, scale))
+    _, sys_ = system_for(perturbed_ball(n, 0.1), n, 8)
+    even = int((parities(sys_) > 0).sum())
+    assert len(sys_.blocks) == 2 and even < sys_.basis.size
+    hessian_gap_even(sys_)
+    assert calls == [(even - 1, even - 1)]
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 12), (3, 24)])
+def test_blocks_equal_take_gram_reference_bit_for_bit(n, L):
+    # each block's stiffness and mass, one Gram product over its parity's
+    # table, equal the block of the np.take Gram assembly on degree-order
+    # tables from a direct evaluation, bit for bit
+    body = random_even_body(2, seed=3) if n == 2 else perturbed_ball(3, 0.1)
+    st, sys_ = system_for(body, n, L)
+    ref_S, ref_M = take_gram_assembly(st, sys_.basis.degree_max)
+    assert len(sys_.blocks) == 2
+    for cols, S, M in zip(sys_.blocks, sys_.stiffness, sys_.mass):
+        ix = np.ix_(cols, cols)
+        assert S.shape == M.shape == (len(cols), len(cols))
+        assert np.array_equal(S, ref_S[ix])
+        assert np.array_equal(M, ref_M[ix])
 
 
 def test_basis_band_limit_capped_by_grid():
@@ -217,9 +266,8 @@ def test_sub_band_system_is_leading_block_of_full_band(n, L, band):
     sub = assemble(st, GalerkinBasis(st.grid, band))
     nb = sub.basis.size
     assert nb == int((st.grid.basis.degrees <= band).sum()) < full.basis.size
-    for name, A, ref in (("stiffness", sub.stiffness, full.stiffness),
-                         ("mass", sub.mass, full.mass),
-                         ("hessform", hessform(sub), hessform(full))):
+    for name, A, ref in zip(("stiffness", "mass", "hessform"), forms(sub),
+                            forms(full)):
         ref = ref[:nb, :nb]
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
@@ -375,16 +423,16 @@ def test_per_field_rows_match_the_assembled_forms(n, L):
     # the squared packed conjugate Hessians are c^t S c and c^t H c
     body = random_even_body(2, seed=3) if n == 2 else _rotated_ellipsoid()
     st, sys_ = system_for(body, n, L)
-    _, G, Hp = st.grid.basis_tables()
+    _, G, Hp = degree_order_tables(st.grid)
     sq, Kt = st.sqrt_weights, st.K.transpose(0, 2, 1)
-    Hform = hessform(sys_)
+    S, _, Hform = forms(sys_)
     rng = np.random.default_rng(n)
     for parity in (1, -1):
-        c = rng.normal(size=sys_.basis.size) * (sys_.basis.parities == parity)
+        c = rng.normal(size=sys_.basis.size) * (parities(sys_) == parity)
         grad = (c @ G)[:, None]
         stiff = np.sum((sq[:, None, None] * (grad @ Kt)) ** 2)
         hess = np.sum(conjugate_hessian_packed(st, grad, (c @ Hp)[:, None], sq) ** 2)
-        for got, A in ((stiff, sys_.stiffness), (hess, Hform)):
+        for got, A in ((stiff, S), (hess, Hform)):
             ref = c @ A @ c
             assert abs(got - ref) <= 1e-12 * abs(ref)
 
@@ -495,11 +543,12 @@ def _with_negative_diagonal(A, col):
 @pytest.mark.parametrize("n", [2, 3])
 def test_non_definite_pencils_raise(n):
     _, sys_ = system_for(perturbed_ball(n, 0.1), n, 8)
-    col = sys_.blocks[0][1]   # the first even non-constant column
-    bad_stiffness = replace(sys_, stiffness=_with_negative_diagonal(sys_.stiffness, col))
+    col = 1   # the first even non-constant column of the even block
+    S, M = sys_.stiffness, sys_.mass
+    bad_stiffness = replace(sys_, stiffness=(_with_negative_diagonal(S[0], col),) + S[1:])
     with pytest.raises(ValueError, match="stiffness is singular on the even non-constant"):
         hessian_gap_even(bad_stiffness)
-    bad_mass = replace(sys_, mass=_with_negative_diagonal(sys_.mass, col))
+    bad_mass = replace(sys_, mass=(_with_negative_diagonal(M[0], col),) + M[1:])
     for subspace in ("all", "even-nonconstant"):
         with pytest.raises(np.linalg.LinAlgError):
             solve_spectrum(bad_mass, k=4, subspace=subspace)
@@ -510,7 +559,8 @@ def test_eigenvectors_are_mass_orthonormal(n, L):
     _, sys_ = system_for(perturbed_ball(n, 0.1), n, L)
     for subspace in ("all", "even-nonconstant"):
         V = solve_spectrum(sys_, k=8, subspace=subspace).eigenvectors
-        assert np.abs(V.T @ sys_.mass @ V - np.eye(V.shape[1])).max() < 1e-12
+        M = full_matrix(sys_, sys_.mass)
+        assert np.abs(V.T @ M @ V - np.eye(V.shape[1])).max() < 1e-12
 
 
 @pytest.mark.parametrize("subspace", ["all", "even-nonconstant"])

@@ -32,6 +32,7 @@ from calab.sphere import (
 
 from oracles import (
     SURFACE_MEASURE,
+    degree_order_tables,
     fd_gradient_on_sphere,
     fd_hessian_on_sphere,
     laplace_beltrami,
@@ -228,7 +229,7 @@ def _full_ambient_tables(g):
     """The grid's half-grid tables mapped to ambient coordinates through
     their frames and unfolded to every node by the basis parity pi:
     B(-u) = pi B(u), G(-u) = -pi G(u), H(-u) = pi H(u)."""
-    B, G, H = g.basis_tables()
+    B, G, H = degree_order_tables(g)
     E = g.tangent_frames()[:g.node_count // 2]
     q = g.n - 1
     iu, ju = np.triu_indices(q)
@@ -254,7 +255,7 @@ def test_unfolded_tables_match_direct_evaluation(n, L, n_nodes):
     # the grid evaluates its first half only, derivatives packed in a frame
     g = build_grid(n, L, n_nodes=n_nodes)
     half, nb = g.node_count // 2, g.basis.size
-    B, G, H = g.basis_tables()
+    B, G, H = degree_order_tables(g)
     assert B.shape == (half, nb)
     assert G.shape == (half, nb, n - 1)
     assert H.shape == (half, nb, n * (n - 1) // 2)
@@ -344,11 +345,14 @@ def test_geometry_does_not_build_basis_tables(n):
 def test_tables_memory_at_L24():
     # half grid (676 nodes) x 625 functions x (1 + 2 + 3) components
     g = build_grid(3, 24)
-    assert sum(T.nbytes for T in g.basis_tables()) <= 676 * 625 * 6 * 8
+    g.basis_tables()
+    assert sum(T.nbytes for T in g._tables) <= 676 * 625 * 6 * 8
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
 def test_band_tables_are_prefix_columns_of_full_tables(n, L):
+    # per parity, the band-b view is a column prefix of the full band's
+    # view, and a view of the one cached set of tables
     full = build_grid(n, L).basis_tables()
     g = build_grid(n, L)
     half = g.node_count // 2
@@ -356,14 +360,69 @@ def test_band_tables_are_prefix_columns_of_full_tables(n, L):
         z = np.abs(g.nodes[:, 2])
         assert z[:half].max() == z.max()
     for band in (0, 1, 5, L):
-        nb = int((g.basis.degrees <= band).sum())
-        tables = g.basis_tables(band)
-        for T, ref in zip(tables, full):
-            assert T.shape[:2] == (half, nb)
-            assert np.array_equal(T, ref[:, :nb])
+        views = g.basis_tables(band)
+        for view, whole, cols in zip(views, full, g.basis.parity_columns):
+            nb = int((g.basis.degrees[cols] <= band).sum())
+            for T, ref in zip(view, whole):
+                assert T.shape[:2] == (half, nb)
+                assert np.array_equal(T, ref[:, :nb])
         # a smaller band afterwards is a view of the cached tables
-        assert all(np.shares_memory(S, T) for S, T in
-                   zip(g.basis_tables(band // 2), tables))
+        assert all(np.shares_memory(S, T) for small, view in
+                   zip(g.basis_tables(band // 2), views)
+                   for S, T in zip(small, view) if S.size)
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 4), (3, 12)])
+def test_parity_tables_are_the_direct_evaluation_columns(n, L):
+    # each parity view equals the matching columns of a direct evaluation of
+    # the band's basis bit for bit, and is a read-only view of the one
+    # cached set of tables, built once at the grid's band
+    g = build_grid(n, L)
+    half = g.node_count // 2
+    g.basis_tables()
+    cached = g._tables
+    assert [T.shape[1] for T in cached] == [g.basis.size] * 3
+    for band in sorted({L, min(5, L), 2, 1, 0}, reverse=True):
+        basis = HarmonicBasis(n, band)
+        direct = basis.frame_derivs(g.pair_nodes, order=2)
+        views = g.basis_tables(band)
+        assert g._tables is cached
+        for view, cols in zip(views, basis.parity_columns):
+            for T, C, ref in zip(view, cached, direct):
+                assert T.shape[:2] == (half, len(cols))
+                assert np.array_equal(T, ref[:, cols])
+                assert np.array_equal(np.signbit(T), np.signbit(ref[:, cols]))
+                assert not T.flags.writeable
+                assert T.size == 0 or np.shares_memory(T, C)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_column_selection_keeps_each_column(n):
+    # frame_derivs on a column selection returns the selected columns of the
+    # full evaluation, bit for bit, at random points and at every order
+    basis = HarmonicBasis(n, 8)
+    pts = np.random.default_rng(n).normal(size=(40, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    cols = np.concatenate(basis.parity_columns[::-1])
+    for order in (0, 1, 2):
+        full = basis.frame_derivs(pts, order)
+        part = basis.frame_derivs(pts, order, columns=cols)
+        for T, ref in zip(part[:order + 1], full):
+            assert np.array_equal(T, ref[:, cols])
+            assert T.flags.c_contiguous
+
+
+def test_band_tables_rebuild_only_for_a_larger_band():
+    g = build_grid(3, 12)
+    small = g.basis_tables(4)
+    cached = g._tables
+    assert cached[0].shape[1] == 25
+    g.basis_tables(2)
+    assert g._tables is cached
+    (B, _, _), (Bo, _, _) = g.basis_tables(8)
+    assert g._tables is not cached and g._tables[0].shape[1] == 81
+    assert np.array_equal(B[:, :15], small[0][0])
+    assert np.array_equal(Bo[:, :10], small[1][0])
 
 
 def test_band_tables_reject_bands_outside_the_grid():
