@@ -299,28 +299,30 @@ class FireySumBody(BodyEvaluator):
 
 
 class LqNormBody(BodyEvaluator):
-    """h(x) = ||x||_q for even integer q >= 4 (support function of the
-    unit l_{q'} ball); closed-form derivatives, smooth away from the origin."""
+    """h(x) = ||x||_q for real q >= 2 (support function of the unit l_{q'}
+    ball); closed-form derivatives through powers of |x|, smooth away from
+    the origin."""
 
-    def __init__(self, q: int, n: int):
-        if q < 4 or q % 2 != 0:
-            raise ValueError("q must be an even integer >= 4")
+    def __init__(self, q: float, n: int):
+        if not q >= 2:
+            raise ValueError(f"q must be >= 2, got {q}")
         super().__init__(n, label=f"l{q}-norm")
         self.q = q
 
     def jet(self, X, order=2):
         pts = _as_points(X, self.n)
         q = self.q
-        h = (pts**q).sum(axis=1) ** (1.0 / q)
+        a = np.abs(pts)
+        h = (a**q).sum(axis=1) ** (1.0 / q)
         if order == 0:
             return (h,)
-        w = pts ** (q - 1)
+        w = np.copysign(a ** (q - 1), pts)
         grad = w / h[:, None] ** (q - 1)
         if order == 1:
             return h, grad
         hess = np.zeros((len(pts), self.n, self.n))
         idx = np.arange(self.n)
-        hess[:, idx, idx] = (q - 1) * pts ** (q - 2) / h[:, None] ** (q - 1)
+        hess[:, idx, idx] = (q - 1) * a ** (q - 2) / h[:, None] ** (q - 1)
         hess -= (q - 1) * _outer(w, w) / h[:, None, None] ** (2 * q - 1)
         return h, grad, hess
 
@@ -334,23 +336,21 @@ class PolarBody(BodyEvaluator):
     even and grad h odd.  A point whose norm is zero or not finite raises
     ValueError.
 
-    Seed: for a smooth base the maximizer solves u = grad h/|grad h| at theta
-    (the Gauss map), so each point starts at the reference node whose unit
-    normal is closest to u: among the normals +-nu of the grid's pair nodes
-    +-theta (the base is even), the nu of largest |<u, nu>|, signed by
-    <u, nu>, taken in row blocks of _SEED_BLOCK points against the normals.
-    They come from one second-order base jet at the pair nodes, taken at
-    construction, which also gives Newton's first iteration the base jet at
-    each seed.  Guarded Newton on the sphere then runs on the points not yet
-    certified, in the tangent frames F at theta (sphere.frame_solve for the
-    step).  A point is certified when the tangential gradient of psi is at
-    most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The certificate
-    proves the maximizer global: on the slice <u, theta> = 1, psi = 1/h and
-    h is convex, so a strict local maximum of psi is its unique global one.
-    The loop stops when every point is certified or after _NEWTON_CAP steps.
-    Points left uncertified (bases whose support function is not C^2,
-    finite-difference bases) are solved again from the reference point
-    +-node of best score, with _PG_STEPS projected-gradient ascent steps
+    Seed: psi(theta) = <u, v> for the vertex v = theta/h(theta) of the
+    discrete polar polytope, so each point starts at the pair node +-theta
+    (the base is even) of largest |<u, v>|, signed by <u, v>, taken in row
+    blocks of _SEED_BLOCK points.  One second-order base jet at the pair
+    nodes, taken at construction, gives the vertices and Newton's first base
+    jet at each seed.  Guarded Newton on the sphere then runs on the points
+    not yet certified, in the tangent frames F at theta (sphere.frame_solve
+    for the step).  A point is certified when the tangential gradient of psi
+    is at most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The
+    certificate proves the maximizer global only when the base h is convex:
+    on the slice <u, theta> = 1, psi = 1/h, so a strict local maximum of psi
+    is then its unique global one.  The loop stops when every point is
+    certified or after _NEWTON_CAP steps.  Points left uncertified (bases
+    whose support function is not C^2, finite-difference bases) are solved
+    again from the same seed with _PG_STEPS projected-gradient ascent steps
     before the Newton loop, and keep whichever psi is larger.
 
     The gradient of the result is envelope-exact (= maximizer point
@@ -378,20 +378,19 @@ class PolarBody(BodyEvaluator):
         self.base = base
         self._ref_nodes = grid.pair_nodes
         self._ref_jet = base.jet(grid.pair_nodes, 2)
-        self._ref_h, dh, _ = self._ref_jet
-        self._normals_t = np.ascontiguousarray(
-            (dh / np.linalg.norm(dh, axis=1, keepdims=True)).T)
+        self._vertices_t = np.ascontiguousarray(
+            (grid.pair_nodes / self._ref_jet[0][:, None]).T)
 
     def _seed_index(self, U):
-        """(index, sign) of the normal nu with sign * nu closest to each unit
-        U: the argmax of |<U, nu>|, one block of rows at a time in a buffer."""
+        """(index, sign) of the vertex v of largest psi = sign * <U, v> for
+        each unit U: the argmax of |<U, v>|, one block of rows at a time."""
         idx = np.empty(len(U), dtype=np.intp)
-        buf = np.empty((min(self._SEED_BLOCK, len(U)), self._normals_t.shape[1]))
+        buf = np.empty((min(self._SEED_BLOCK, len(U)), self._vertices_t.shape[1]))
         for i in range(0, len(U), self._SEED_BLOCK):
             block = U[i:i + self._SEED_BLOCK]
-            dots = np.matmul(block, self._normals_t, out=buf[:len(block)])
+            dots = np.matmul(block, self._vertices_t, out=buf[:len(block)])
             np.abs(dots, out=dots).argmax(axis=1, out=idx[i:i + len(block)])
-        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._normals_t[:, idx]))
+        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._vertices_t[:, idx]))
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -425,30 +424,26 @@ class PolarBody(BodyEvaluator):
         return F, grad, A
 
     def _maximize(self, U):
-        """(theta, psi, h, grad h, Hess h) at the maximizer for each unit U:
-        Newton from the Gauss-map seed, the fallback for the uncertified."""
+        """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
+        unit U: Newton from the polytope seed, then the fallback from the same
+        seed for the uncertified."""
         idx, sign = self._seed_index(U)
         h, dh, Hh = self._ref_jet
+        seed = sign[:, None] * self._ref_nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
-        seed_jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
-        best, certified = self._newton(U, sign[:, None] * self._ref_nodes[idx],
-                                       seed_jet)
+        best, certified = self._newton(U, seed,
+                                       (h[idx], sign[:, None] * dh[idx], Hh[idx]))
         idx = np.flatnonzero(~certified)
         if idx.size:
-            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx]))
+            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
             better = alt[1] > best[1][idx]
             for a, b in zip(best, alt):
                 a[idx[better]] = b[better]
         return best
 
-    def _projected_gradient(self, U):
-        """Best reference point +-node by psi (psi(-theta) = -psi(theta)),
-        then _PG_STEPS projected-gradient ascent steps (one first-order base
-        jet each)."""
-        scores = (U @ self._ref_nodes.T) / self._ref_h[None, :]
-        best = np.abs(scores).argmax(axis=1)
-        sign = np.copysign(1.0, scores[np.arange(len(U)), best])
-        th = sign[:, None] * self._ref_nodes[best]
+    def _projected_gradient(self, U, th):
+        """_PG_STEPS projected-gradient ascent steps from th (one first-order
+        base jet each)."""
         val = self._psi(U, th)
         step = np.full(len(U), 0.2)
         for _ in range(self._PG_STEPS):
@@ -457,8 +452,8 @@ class PolarBody(BodyEvaluator):
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             cval = self._psi(U, cand)
             ok = cval >= val
-            th[ok] = cand[ok]
-            val[ok] = cval[ok]
+            th = np.where(ok[:, None], cand, th)
+            val = np.where(ok, cval, val)
             step = np.where(ok, step * 1.5, step * 0.4)
         return th
 
@@ -467,19 +462,22 @@ class PolarBody(BodyEvaluator):
 
         jet is the second-order base jet at th when the caller holds it
         (taken here otherwise).  Each step costs one second-order base jet,
-        at the candidate.  Returns ((theta, psi, h, grad h, Hess h),
-        certified), the base jet being the one at the returned theta, so
-        jet() reuses it."""
+        at the candidate.  Returns ((theta, psi, h, grad h, Hess h, F, A),
+        certified), the base jet and the frame terms (F, A = F^T Hess(psi) F)
+        being the ones at the returned theta, so jet() reuses them."""
         N, n = U.shape
         th = th.copy()
         h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
         out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh)
+        # the loop ends only after forming the frame terms at each theta
+        terms = (np.empty((N, n, n - 1)), np.empty((N, n - 1, n - 1)))
         certified = np.zeros(N, dtype=bool)
         radius = np.full(N, 0.2)
         act = np.arange(N)
         for it in range(self._NEWTON_CAP + 1):
             Ua, (ta, psi, h, dh, Hh) = U[act], (a[act] for a in out)
             frames, gf, Hf = self._frame_terms(Ua, ta, h, dh, Hh)
+            terms[0][act], terms[1][act] = frames, Hf
             gnorm = np.linalg.norm(gf, axis=1)
             lam = frame_eigvalsh(Hf)[:, -1]
             done = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
@@ -508,7 +506,7 @@ class PolarBody(BodyEvaluator):
             for a, b in zip(out, (cand, pc) + jc):
                 a[act[ok]] = b[ok]
             radius[act[~ok]] = 0.25 * np.minimum(radius[act[~ok]], norm[~ok])
-        return out, certified
+        return out + terms, certified
 
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
@@ -527,7 +525,7 @@ class PolarBody(BodyEvaluator):
     def _folded_jet(self, pts, r, order):
         """The jet at points no two of which are equal up to sign."""
         U = pts / r[:, None]
-        th, val, hb, dh, Hh = self._maximize(U)
+        th, val, hb, dh, _, frames, A = self._maximize(U)
         h = r * val
         if order == 0:
             return (h,)
@@ -537,7 +535,6 @@ class PolarBody(BodyEvaluator):
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
         # the frame's derivative drops out, and M U = grad_theta psi = 0;
         # F^T M = (F^T - b theta^T / h) / h with b = F^T grad h
-        frames, _, A = self._frame_terms(U, th, hb, dh, Hh)
         Ft = frames.transpose(0, 2, 1)
         b = Ft @ dh[:, :, None]
         FtM = (Ft - b * th[:, None, :] / hb[:, None, None]) / hb[:, None, None]
@@ -641,9 +638,8 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
     the dual norm.
 
     Not strongly convex as given (curvature degenerates on the axes); used as
-    a rough input for the smoothing construction, which only needs its gauge.
-    The gauge has a closed-form evaluator (LqNormBody) for even q >= 4; for
-    other q, gauge_body() is None and the construction takes the numeric polar.
+    a rough input for the smoothing construction, which only needs its gauge,
+    the closed-form LqNormBody.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -664,7 +660,7 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
             return h, self._fd_grad(pts), self._fd_hess(pts)
 
         def gauge_body(self):
-            return LqNormBody(q, n) if q >= 4 and q % 2 == 0 else None
+            return LqNormBody(q, n)
 
     return _LqBall()
 

@@ -313,7 +313,7 @@ def _isomorphic_alpha(v):
 
 def _cmd_isomorphic(v, threads):
     grid = v["grid"]
-    kt, params = construct(v["body"], grid, v["alpha"], v["beta"],
+    kt, params = construct(v["body"].body, grid, v["alpha"], v["beta"],
                            gauge=v["gauge"], certificate=v["certificate"])
     res = verify(evaluate_on_grid(kt, grid), params, slack=v["slack"])
     checks = [_check(f"bound/{c['name']}", c["measured"], c["bound"],
@@ -462,7 +462,7 @@ COMMAND_TABLE = {
         "optimize": ({"iters": (int, 200)}, None),
     }),
     "isomorphic": Command(_cmd_isomorphic, {
-        "grid": _GRID, "body": (_body, REQUIRED),
+        "grid": _GRID, "body": (_strong_body, REQUIRED),
         "gamma": (float, None), "alpha": (float, None),
         # with a gamma target, beta defaults to the constant-order choice
         # 1 + sqrt(2) of the isomorphic regime

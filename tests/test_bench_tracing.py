@@ -4,9 +4,9 @@
 installed, and fails there when one of them has been removed or renamed.
 Installing it monkeypatches calab for the whole process, so the check runs in
 a fresh interpreter: install, one traced spectrum, one Hessian gap on the
-same grid and one Ricci check, and every per-layer metric that
-BENCHMARK.json declares is present in ``layer_metrics``, apart from the two
-that ``bench/run.py`` computes itself.
+same grid, one Ricci check and one polar support of an l_q ball, and every
+per-layer metric that BENCHMARK.json declares is present in
+``layer_metrics``, apart from the two that ``bench/run.py`` computes itself.
 """
 
 import json
@@ -34,6 +34,7 @@ state = calculus.build_state(bodies.evaluate_on_grid(ball(1.0, 2), grid))
 spectral.hessian_gap_even(spectral.assemble(state, spectral.GalerkinBasis(grid, 8)))
 calculus.ricci_star_check(calculus.build_state(
     evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), build_grid(3, 8))))
+bodies.polar(bodies.lq_gauge_body(4, 2), grid).support(grid.pair_nodes)
 print(json.dumps(tracing.layer_metrics(tracer.spans)))
 """
 
@@ -58,3 +59,5 @@ def test_tracing_installs_and_reports_every_declared_layer():
     assert metrics["sphere.basis_tables_mb"] > 0
     # so did the Ricci check that acceptance and the benchmark call by name
     assert metrics["calculus.ricci_check_s"] > 0
+    # the per-call l_q ball class and the polar's methods are instrumented
+    assert metrics["bodies.support_calls"] > 0

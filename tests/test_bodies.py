@@ -3,7 +3,6 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.spatial import cKDTree
 
 from calab.bodies import (
     BodyEvaluator,
@@ -269,13 +268,20 @@ def test_polar_of_l4_norm_is_l43_norm():
     assert np.abs(gp - grad).max() < 1e-12 * np.abs(grad).max()
 
 
+def _seed(P, U):
+    """The polytope seed +-node of each unit U."""
+    idx, sign = P._seed_index(U)
+    return sign[:, None] * P._ref_nodes[idx]
+
+
 @pytest.mark.parametrize("L", [8, 24])
 @pytest.mark.parametrize("name", ["ellipsoid", "perturbed", "random", "l4_norm",
                                   "l4_ball"])
 def test_polar_maximizer_never_below_fallback(name, L):
-    # the Gauss-map seed with the certificate and the fallback must never
-    # find a lower h than the fallback path (score seed, projected-gradient
-    # steps, Newton) run on every point; measured h/h_fallback - 1 >= -8.9e-16
+    # the polytope seed with the certificate and the fallback must never
+    # find a lower h than the fallback path (projected-gradient steps from
+    # the same seed, Newton) run on every point; measured
+    # h/h_fallback - 1 >= -8.9e-16
     body = {
         "ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
         "perturbed": lambda: perturbed_ball(3, 0.12),
@@ -287,29 +293,49 @@ def test_polar_maximizer_never_below_fallback(name, L):
     P = polar(body, g)
     U = np.vstack([unit_vectors(np.random.default_rng(15), 200, 3), g.nodes])
     h = P._maximize(U)[1]
-    h_fallback = P._newton(U, P._projected_gradient(U))[0][1]
+    h_fallback = P._newton(U, P._projected_gradient(U, _seed(P, U)))[0][1]
     assert np.all(h >= h_fallback * (1.0 - 1e-14))
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "random"])
-def test_polar_seed_is_the_nearest_normal(name):
-    # cKDTree stays installed as the oracle: the blocked |dot-product| argmax
-    # over the pair-node normals nu, with the sign of the dot product, picks
-    # its point of +-nu, except at near-ties (dot products within 4 ulps)
+def test_polar_seed_is_the_best_polytope_vertex(name):
+    # brute force over the vertices +-theta/h(theta) of the pair nodes: the
+    # blocked |dot-product| argmax picks the vertex of largest
+    # psi = <u, theta/h(theta)>, except at near-ties (within 4 ulps)
     body = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
             "random": lambda: random_even_body(3, 7000)}[name]()
     g = build_grid(3, 24)
     P = polar(body, g)
-    normals = np.concatenate([P._normals_t.T, -P._normals_t.T])
+    V = g.pair_nodes / body.support(g.pair_nodes)[:, None]
     U = np.vstack([unit_vectors(np.random.default_rng(16), 3000, 3), g.nodes])
+    psi = U @ np.concatenate([V, -V]).T
     idx, sign = P._seed_index(U)
-    got = np.where(sign > 0, idx, idx + len(P._ref_nodes))
-    ref = cKDTree(normals).query(U)[1]
-    d_got = np.einsum("ij,ij->i", U, normals[got])
-    d_ref = np.einsum("ij,ij->i", U, normals[ref])
-    differ = got != ref
-    assert np.all(np.abs(d_got - d_ref)[differ] <= 4 * np.spacing(d_ref[differ]))
+    got = psi[np.arange(len(U)), np.where(sign > 0, idx, idx + len(V))]
+    best = psi.max(axis=1)
+    differ = got != best
+    assert np.all(best - got <= 4 * np.spacing(best))
     assert differ.mean() < 0.01
+
+
+def test_polar_of_a_non_convex_base_finds_the_global_maximum():
+    # perturbed_ball(2, 1.5) is not convex (D^2 h < 0 at 38% of the L=16 pair
+    # nodes), so psi has local maxima that are not global and the
+    # certificate proves only a local one; the polytope seed starts each
+    # point in the global maximum's basin.  Oracle: a 400k-point brute force
+    # over the circle, refined 1000-fold around its argmax
+    g = build_grid(2, 16)
+    base = perturbed_ball(2, 1.5)
+    h = polar(base, g).support(g.pair_nodes)
+
+    def vertices(t):
+        TH = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return TH / base.support(TH)[:, None]
+
+    t = np.linspace(0.0, 2 * np.pi, 400_000, endpoint=False)
+    V, step = vertices(t), t[1]
+    ref = np.array([(vertices(t[(V @ u).argmax()] + np.linspace(-step, step, 2001))
+                     @ u).max() for u in g.pair_nodes])
+    assert np.all(np.abs(h - ref) <= 1e-9 * ref)
 
 
 def test_polar_hessian_nan_only_where_base_hessian_degenerates():
@@ -397,7 +423,7 @@ class _CountingBody(BodyEvaluator):
 
 def test_polar_base_jets():
     # construction takes one second-order base jet at the N/2 pair nodes;
-    # the Gauss-seeded Newton reads the seed's jet from it and takes one
+    # the polytope-seeded Newton reads the seed's jet from it and takes one
     # base jet per step (one fewer than its frame evaluations, the last of
     # which certifies), and a Newton run from any other point, such as the
     # projected-gradient fallback's, takes its own jet there
@@ -414,15 +440,37 @@ def test_polar_base_jets():
     P._maximize(U)
     assert frame_calls[0] == len(U) and len(frame_calls) >= 2
     assert [o for o, _ in body.calls] == [2] * (len(frame_calls) - 1)
-    th = P._projected_gradient(U)
+    th = P._projected_gradient(U, _seed(P, U))
     body.calls.clear()
     P._newton(U, th)
     assert body.calls[0][0] == 2 and np.array_equal(body.calls[0][1], th)
 
 
+@pytest.mark.parametrize("name", ["ellipsoid", "l4_ball"])
+def test_polar_hessian_reuses_newton_frame_terms(name):
+    # the implicit-function Hessian reads the frames and A that Newton (or
+    # the fallback's Newton) formed at the returned theta: jet() makes no
+    # _frame_terms call of its own, and the kept terms are bit for bit
+    # those formed again there
+    body = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
+            "l4_ball": lambda: lq_gauge_body(4, 3)}[name]()
+    P = polar(body, build_grid(3, 8))
+    U = unit_vectors(np.random.default_rng(25), 50, 3)
+    calls = []
+    terms = P._frame_terms
+    P._frame_terms = lambda *a: calls.append(len(a[0])) or terms(*a)
+    th, _, h, dh, Hh, F, A = P._maximize(U)
+    count = len(calls)
+    P.jet(U, 2)
+    assert len(calls) == 2 * count
+    F2, _, A2 = terms(U, th, h, dh, Hh)
+    assert np.array_equal(F, F2) and np.array_equal(A, A2)
+
+
 def test_polar_fallback_takes_its_own_jets():
     # the finite-difference l4 ball is never certified: the fallback's
-    # projected-gradient steps take first-order jets of their own
+    # projected-gradient steps from the seed take first-order jets of their
+    # own
     g = build_grid(3, 8)
     body = _CountingBody(lq_gauge_body(4, 3))
     P = polar(body, g)
@@ -561,6 +609,8 @@ def _jet_families():
         "firey_p2": firey_sum(1.0, E, 0.8, pb, 2.0),
         "firey_p0": firey_sum(0.4, E, 0.6, pb, 0.0),
         "lq_norm": LqNormBody(4, n),
+        "lq3_norm": LqNormBody(3, n),
+        "lq2.5_norm": LqNormBody(2.5, n),
         "rounded_gauge": _RoundedGaugeBody(LqNormBody(4, n), 0.5),
     }
     numeric = {
@@ -691,10 +741,7 @@ def test_lq_gauge_body_sandwich():
 
 # Closed-form bodies and polars of smooth bases agree at antipodal nodes to
 # ~1e-15 relative.  The grid's antipodes are exact negations, so the
-# finite-difference l_q bodies agree exactly; the numeric-gauge smoothing
-# built on l_3 agrees only to ~1e-7 at n=3: its polar's Newton steps at
-# theta and -theta run in different tangent frames, and the difference
-# quotients amplify that roundoff by about 1/step^2.
+# finite-difference l_q bodies agree exactly.
 _SYMMETRY_TOL = {"closed": 1e-13, "fd": 1e-6}
 
 
@@ -719,7 +766,8 @@ def _symmetric_bodies(n, g):
         "smoothed_ellipsoid": (construct(E, g, 0.5, 0.3)[0], "closed"),
         "smoothed_lq4": (construct(lq_gauge_body(4, n), g, 0.5, 0.3)[0],
                          "closed"),
-        "smoothed_lq3": (construct(lq_gauge_body(3, n), g, 0.5, 0.3)[0], "fd"),
+        "smoothed_lq3": (construct(lq_gauge_body(3, n), g, 0.5, 0.3)[0],
+                         "closed"),
     }
 
 

@@ -236,6 +236,8 @@ _NOT_STRONGLY_CONVEX = {"type": "perturbed_ball", "eps": 1.5}
     pytest.param("bochner", {"body": _NOT_STRONGLY_CONVEX}, id="bochner_body"),
     pytest.param("solve", {"target": {"p": 0.5, "body": _NOT_STRONGLY_CONVEX}},
                  id="solve_target_body"),
+    pytest.param("isomorphic", {"body": _NOT_STRONGLY_CONVEX, "alpha": 0.5,
+                                "beta": 1.0}, id="isomorphic_body"),
 ])
 def test_body_not_strongly_convex_exits_2(tmp_path, capsys, command, payload):
     cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16}, **payload})
@@ -243,17 +245,6 @@ def test_body_not_strongly_convex_exits_2(tmp_path, capsys, command, payload):
     assert run_cli([command, "--config", cfg, "--out", out]) == 2
     assert not out.exists()
     assert "not strongly convex on the grid" in capsys.readouterr().err
-
-
-def test_isomorphic_smooths_a_body_not_strongly_convex(tmp_path):
-    # smoothing such a body is what isomorphic is for: it is not a config error
-    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16},
-                                            "body": _NOT_STRONGLY_CONVEX,
-                                            "alpha": 0.5, "beta": 1.0})
-    out = tmp_path / "out"
-    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) in (0, 1)
-    report = json.loads((out / "report.json").read_text())
-    assert "error" not in report and report["checks"]
 
 
 def test_numerical_failure_exit_1_report_written(tmp_path):
@@ -420,7 +411,8 @@ def test_lq_body_with_q_below_2_exits_2(tmp_path, capsys, q):
 
 
 def test_isomorphic_lq_body_without_closed_form_gauge(tmp_path):
-    # odd q has no closed-form gauge: 'auto' takes the numeric polar
+    # odd q: 'auto' takes the closed-form gauge LqNormBody(3), as for every
+    # q >= 2
     cfg = write_config(tmp_path, "c.json", {"grid": {"n": 3, "L": 8},
                                             "body": {"type": "lq", "q": 3},
                                             "alpha": 0.5, "beta": 1.0})

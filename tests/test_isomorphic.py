@@ -92,6 +92,17 @@ def test_construct_dual_route_agreement():
         assert np.abs(h1 - h2).max() < 1e-6
 
 
+def test_direct_route_of_odd_lq_ball():
+    # every l_q ball has the closed-form gauge LqNormBody, odd q included:
+    # the direct gauge formula agrees with the polar-of-Firey-sum chain
+    g = build_grid(3, 16)
+    body = lq_gauge_body(3, 3)
+    cert = (1.0, 3.0 ** (1.0 / 6.0))
+    kt, _ = construct(body, g, 0.5, 0.3, certificate=cert)
+    h_direct = direct_route_support(body, g, 0.5, 0.3, certificate=cert)
+    assert np.abs(kt.support(g.nodes) - h_direct).max() < 1e-6
+
+
 @pytest.mark.parametrize("gauge", ["closed", "foo"])
 def test_construct_rejects_unknown_gauge(gauge):
     with pytest.raises(ValueError, match="gauge"):
