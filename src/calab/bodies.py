@@ -191,21 +191,19 @@ class SpectralBody(BodyEvaluator):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
-        # contract the frame components with the coefficients, then expand
-        # once: grad h = E (c G) + f u, Hess h = E (c H + f I) E^t / r; the
-        # odd coefficients are zero, so only the even columns are evaluated
+        # expand the frame components, then map once to ambient coordinates:
+        # grad h = E g + f u, Hess h = E (H + f I) E^t / r; the odd
+        # coefficients are zero, so only the even columns are expanded
         even = self.basis.parity_columns[0]
-        c = self.coeffs[even]
-        B, G, H = self.basis.frame_derivs(u, order=order, columns=even)
-        f = B @ c
+        f, g, H = self.basis.expand(u, self.coeffs[even], order, even)
         h = r * f
         if order == 0:
             return (h,)
         E = tangent_frames(u)
-        grad = to_ambient(E, c @ G, 1) + f[:, None] * u
+        grad = to_ambient(E, g, 1) + f[:, None] * u
         if order == 1:
             return h, grad
-        R = unpack_sym(c @ H) + f[:, None, None] * np.eye(self.n - 1)
+        R = unpack_sym(H) + f[:, None, None] * np.eye(self.n - 1)
         return h, grad, to_ambient(E, R, 2) / r[:, None, None]
 
 

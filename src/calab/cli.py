@@ -22,7 +22,6 @@ import json
 import math
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -411,6 +410,9 @@ def _sweep_one(idx, body, grid):
 def _cmd_sweep(v, threads):
     jobs = (range(len(v["bodies"])), v["bodies"], [v["grid"]] * len(v["bodies"]))
     if threads > 1:
+        # imported here: concurrent.futures pulls in logging at start-up
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=threads) as pool:
             rows = list(pool.map(_sweep_one, *jobs))
     else:

@@ -5,8 +5,10 @@ p != 0, and exp(int log h dmu~) / V^{1/n} at p = 0 (mu~ the normalized
 measure), whose critical points solve h^{1-p} det(D^2 h) = c f for a
 prescribed positive even density f.  The variable is the even-harmonic
 coefficient vector of the support function, so evenness and smoothness are
-built in; strong convexity is maintained by a backtracking line search with
-an eigenvalue floor.
+built in.  Steps are Levenberg-damped Newton steps on the exact Hessian, whose
+volume part d^2 V[f, g] = int f tr(cof(D^2 h) D^2 g) is the
+Hilbert-Brunn-Minkowski form; strong convexity is maintained by a
+backtracking line search with an eigenvalue floor.
 """
 
 from __future__ import annotations
@@ -99,7 +101,7 @@ _NO_DECREASE_STEPS = 50
 
 _GRAD_TOL = 1e-9    # converged: max |preconditioned gradient| <= this max(|F|, 1)
 _EIG_FLOOR = 1e-6   # feasible step: min eig D^2 h > this mean(h)
-_FIRST_STEP = 0.5   # the first line search's trial step
+_DAMPING = 1.0      # the first Newton step's Levenberg damping
 
 
 class _EvenModel:
@@ -107,7 +109,8 @@ class _EvenModel:
     coefficients c are the variable (`even_mask` marks them in the full basis).
 
     The model reads the grid's even table at the pair nodes, at the pair
-    weights: D^2 h at a node is the frame matrix R = sum c_a Hess phi_a + h I."""
+    weights: D^2 h at a node is the frame matrix R = sum c_a R(phi_a),
+    R(phi) = Hess phi + phi I."""
 
     def __init__(self, grid: SphereGrid, band: int):
         (B, _, H), _ = grid.basis_tables(band)
@@ -117,14 +120,21 @@ class _EvenModel:
         self.weights = grid.pair_weights
         # column-major: one contiguous column per even basis function
         self.B = np.asfortranarray(B)
-        # packed Hessian rows (node, component) against the coefficients,
-        # column-major too
-        self._hess = np.asfortranarray(H.transpose(0, 2, 1).reshape(-1, H.shape[1]))
+        # packed R(phi) rows (node, component) against the coefficients,
+        # column-major too, and their (node, component, function) view
+        r, s = np.triu_indices(grid.n - 1)
+        R_phi = H.transpose(0, 2, 1) + (r == s)[:, None] * B[:, None, :]
+        self._R_rows = np.asfortranarray(R_phi.reshape(-1, H.shape[1]))
+        self._R_phi = self._R_rows.reshape(R_phi.shape)
 
     def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
         c = np.zeros(self.basis.size)
         c[0] = radius / self.basis.constant_value
         return c
+
+    def frames(self, c: np.ndarray) -> np.ndarray:
+        """The frame matrices R of D^2 h at the model's nodes."""
+        return unpack_sym((self._R_rows @ c).reshape(len(self.weights), -1))
 
     def geometry(self, c: np.ndarray):
         """h, det D2h and the minimum tangential eigenvalue of D2h at the
@@ -133,16 +143,31 @@ class _EvenModel:
         h = self.B @ c
         if np.any(h <= 0):
             return h, None, -np.inf
-        R = unpack_sym((self._hess @ c).reshape(len(h), -1))
-        diag = np.arange(self.grid.n - 1)
-        R[:, diag, diag] += h[:, None]
-        det = frame_det(R)
-        return h, det, float(frame_eigvalsh(R).min())
+        R = self.frames(c)
+        return h, frame_det(R), float(frame_eigvalsh(R).min())
+
+    def gram(self, weights: np.ndarray) -> np.ndarray:
+        """sum w weights phi_a phi_b over the model's nodes."""
+        return self.B.T @ ((self.weights * weights)[:, None] * self.B)
+
+    def volume_hessian(self, c: np.ndarray) -> np.ndarray:
+        """d^2 V_ab = sum w phi_a tr(cof(R) R(phi_b)), symmetrized: the
+        derivative of the first variation B^t (w det R)."""
+        if self.grid.n == 2:
+            M = self._R_phi[:, 0]   # cof R = 1
+        else:
+            # tr(cof(R) S) = R11 S00 - 2 R01 S01 + R00 S11 for packed S
+            R = self.frames(c)
+            cof = np.stack([R[:, 1, 1], -2.0 * R[:, 0, 1], R[:, 0, 0]], axis=-1)
+            M = (cof[:, None, :] @ self._R_phi)[:, 0]
+        A = self.B.T @ (self.weights[:, None] * M)
+        return 0.5 * (A + A.T)
 
 
-def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det):
-    """Functional value and gradient w.r.t. even coefficients at V = 1, for
-    the target density f on the model's nodes."""
+def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det, c=None):
+    """Functional value and gradient w.r.t. even coefficients, for the target
+    density f on the model's nodes; given the coefficients c of h, also the
+    Hessian (the chain rule through V^{-p/n}, through exp/log at p = 0)."""
     w = model.weights
     n = model.grid.n
     V = float(w @ (h * det)) / n
@@ -152,26 +177,43 @@ def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det):
         avg = float(w @ (f * np.log(h))) / mass
         F = np.exp(avg) / V ** (1.0 / n)
         dE = model.B.T @ (w * f / h) / mass
-        grad = F * (dE - dV / (n * V))
-    else:
-        E = float(w @ (f * h**p)) / p
-        dE = model.B.T @ (w * f * h ** (p - 1.0))
-        F = E / V ** (p / n)
-        grad = dE / V ** (p / n) - (p / n) * E * V ** (-p / n - 1.0) * dV
-    return F, grad
+        g = dE - dV / (n * V)   # gradient of log F
+        grad = F * g
+        if c is None:
+            return F, grad
+        hess_log = (-model.gram(f / h**2) / mass - model.volume_hessian(c) / (n * V)
+                    + np.outer(dV, dV) / (n * V * V))
+        return F, grad, F * (hess_log + np.outer(g, g))
+    a = p / n
+    E = float(w @ (f * h**p)) / p
+    dE = model.B.T @ (w * f * h ** (p - 1.0))
+    F = E / V**a
+    grad = dE / V**a - a * E * V ** (-a - 1.0) * dV
+    if c is None:
+        return F, grad
+    cross = np.outer(dE, dV)
+    hess = ((p - 1.0) * model.gram(f * h ** (p - 2.0)) / V**a
+            - a * V ** (-a - 1.0) * (cross + cross.T + E * model.volume_hessian(c))
+            + a * (a + 1.0) * E * V ** (-a - 2.0) * np.outer(dV, dV))
+    return F, grad, hess
 
 
 def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
              options: SolveOptions | None = None) -> SolveResult:
-    """Descend the functional over even-coefficient support functions.
+    """Minimize the functional over even-coefficient support functions by
+    Levenberg-Newton steps.
 
     The iteration renormalizes to unit volume (the functional is
-    0-homogeneous), takes preconditioned steepest-descent steps with Armijo
-    backtracking, and rejects steps that leave the strongly convex cone
-    (minimum eigenvalue of D^2 h below the floor).  Steps too short for F to
-    resolve their decrease are judged by the gradient (_UNRESOLVED).  It
-    stops unconverged after _NO_DECREASE_STEPS accepted steps in a row that
-    leave the functional unchanged at roundoff."""
+    0-homogeneous) and solves (Hess F + mu P) d = -grad F, P = diag(1 +
+    l(l+n-2)) the ball's shifted Laplacian: large mu gives the preconditioned
+    gradient step -grad F / (mu P).  mu falls tenfold after a full step and
+    rises tenfold when d is not a descent direction or the line search
+    backtracks.  The line search starts at t = 1, tests Armijo and rejects
+    steps that leave the strongly convex cone (minimum eigenvalue of D^2 h
+    below the floor).  Steps too short for F to resolve their decrease are
+    judged by the preconditioned gradient (_UNRESOLVED), which also stops the
+    iteration (_GRAD_TOL).  It stops unconverged after _NO_DECREASE_STEPS
+    accepted steps in a row that leave the functional unchanged at roundoff."""
     opts = options or SolveOptions()
     grid = mu.grid
     n = grid.n
@@ -199,32 +241,35 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     total_scale *= s
 
     degs = model.basis.degrees[model.even_mask].astype(float)
-    precond = 1.0 / (1.0 + degs * (degs + n - 2))
+    metric = 1.0 + degs * (degs + n - 2)
 
-    F, grad = _value_and_grad(model, f, p, h, det)
+    F, grad, hess = _value_and_grad(model, f, p, h, det, c)
     history = [F]
-    step = _FIRST_STEP
+    damping = _DAMPING
     iterations = 0
     flat = 0   # accepted steps in a row without a strict decrease
     converged = False
     message = "max iterations reached"
     for iterations in range(1, opts.max_iter + 1):
-        d = -precond * grad
-        slope = float(grad @ d)
-        gnorm = float(np.abs(d).max())
+        gnorm = float(np.abs(grad / metric).max())
         if gnorm <= _GRAD_TOL * max(abs(F), 1.0):
             converged = True
             message = "gradient tolerance reached"
             break
+        d = np.linalg.solve(hess + np.diag(damping * metric), -grad)
+        while grad @ d >= 0:   # not a descent direction
+            damping *= 10.0
+            d = np.linalg.solve(hess + np.diag(damping * metric), -grad)
+        slope = float(grad @ d)
         accepted = False
-        t = step
+        t = 1.0
         for _ in range(40):
             cand = c + t * d
             hc, detc, mnc = model.geometry(cand)
             if detc is not None and mnc > _EIG_FLOOR * np.mean(hc):
                 Fc, gradc = _value_and_grad(model, f, p, hc, detc)
                 if -t * slope <= _UNRESOLVED * abs(F):
-                    accepted = float(np.abs(precond * gradc).max()) < gnorm
+                    accepted = float(np.abs(gradc / metric).max()) < gnorm
                 else:
                     accepted = Fc <= F + 1e-4 * t * slope
                 if accepted:
@@ -233,13 +278,13 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         if not accepted:
             message = "line search stalled"
             break
+        damping = damping / 10.0 if t == 1.0 else damping * 10.0
         flat = 0 if Fc < F else flat + 1
         c, h, det = cand, hc, detc
         c, h, det, s = renorm(c, h, det)
         total_scale *= s
-        F, grad = _value_and_grad(model, f, p, h, det)
+        F, grad, hess = _value_and_grad(model, f, p, h, det, c)
         history.append(F)
-        step = min(t * 1.5, 4.0)
         if flat >= _NO_DECREASE_STEPS:
             message = "no decrease at roundoff"
             break

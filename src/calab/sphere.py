@@ -105,6 +105,42 @@ def _over_sin(P: np.ndarray) -> np.ndarray:
     return -0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (a * up + b * down)
 
 
+@functools.cache
+def _basis_columns(n: int, L: int):
+    """The per-column data of HarmonicBasis(n, L), built once per (n, L) and
+    shared by its instances: the constant function's value, each column's
+    degree and parity, the even and odd positions, scale, col and m (all
+    read-only), and the dict of expand's per-selection data at n=2."""
+    # value of the constant basis function, 1/sqrt(|S^{n-1}|)
+    constant_value = 1.0 / np.sqrt(2.0 * np.pi) if n == 2 else 0.5 / np.sqrt(np.pi)
+    # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
+    if n == 2:
+        modes = [(0, 0, 0)] + [(k, k, kind) for k in range(1, L + 1)
+                               for kind in (0, 1)]
+    else:
+        modes = []
+        for l in range(L + 1):
+            modes.append((l, 0, 0))
+            for m in range(1, l + 1):
+                modes.append((l, m, 0))  # cos-type: sqrt(2) Re Y_l^m
+                modes.append((l, m, 1))  # sin-type: sqrt(2) Im Y_l^m
+    l, m, kind = np.ascontiguousarray(np.array(modes, dtype=int).T)
+    parity = np.where(l % 2 == 0, 1, -1)
+    # basis positions of the even and of the odd functions
+    parity_columns = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    # per column: normalization, and position of its longitude factor in
+    # [1, cos kt, sin kt] (n=2) or [cos m phi, sin m phi] (n=3)
+    if n == 2:
+        scale = np.where(l == 0, constant_value, 1.0 / np.sqrt(np.pi))
+        col = l + kind * L
+    else:
+        scale = np.where(m == 0, 1.0, np.sqrt(2.0))
+        col = m + kind * (L + 1)
+    for arr in (l, parity, *parity_columns, scale, col, m):
+        arr.setflags(write=False)
+    return constant_value, l, parity, parity_columns, scale, col, m, {}
+
+
 class HarmonicBasis:
     """Real orthonormal basis of degree <= L on S^{n-1}.
 
@@ -122,39 +158,9 @@ class HarmonicBasis:
             raise ValueError("band limit must be nonnegative")
         self.n = n
         self.L = L
-        # value of the constant basis function, 1/sqrt(|S^{n-1}|)
-        self.constant_value = (1.0 / np.sqrt(2.0 * np.pi) if n == 2
-                               else 0.5 / np.sqrt(np.pi))
-        # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
-        if n == 2:
-            modes = [(0, 0, 0)] + [(k, k, kind) for k in range(1, L + 1)
-                                   for kind in (0, 1)]
-        else:
-            modes = []
-            for l in range(L + 1):
-                modes.append((l, 0, 0))
-                for m in range(1, l + 1):
-                    modes.append((l, m, 0))  # cos-type: sqrt(2) Re Y_l^m
-                    modes.append((l, m, 1))  # sin-type: sqrt(2) Im Y_l^m
-        l, m, kind = np.ascontiguousarray(np.array(modes, dtype=int).T)
-        self.degrees = l
-        self.parity = np.where(l % 2 == 0, 1, -1)
-        self.size = len(l)
-        # basis positions of the even and of the odd functions
-        self.parity_columns = (np.flatnonzero(self.parity > 0),
-                               np.flatnonzero(self.parity < 0))
-        # per column: normalization, and position of its longitude factor in
-        # [1, cos kt, sin kt] (n=2) or [cos m phi, sin m phi] (n=3)
-        if n == 2:
-            self._scale = np.where(l == 0, self.constant_value, 1.0 / np.sqrt(np.pi))
-            self._col = l + kind * L
-        else:
-            self._scale = np.where(m == 0, 1.0, np.sqrt(2.0))
-            self._col = m + kind * (L + 1)
-        self._m = m
-        for arr in (self.degrees, self.parity, *self.parity_columns,
-                    self._scale, self._col, self._m):
-            arr.setflags(write=False)
+        (self.constant_value, self.degrees, self.parity, self.parity_columns,
+         self._scale, self._col, self._m, self._circle_plans) = _basis_columns(n, L)
+        self.size = len(self.degrees)
 
     # ------------------------------------------------------------------
     def eval_derivs(self, points: np.ndarray, order: int = 2):
@@ -194,6 +200,53 @@ class HarmonicBasis:
         if self.n == 2:
             return self._eval_circle(pts, order, sel)
         return self._eval_sphere(pts, order, sel)
+
+    def expand(self, points: np.ndarray, coeffs: np.ndarray, order: int = 2,
+               columns=None):
+        """The expansion sum_j coeffs_j phi_j over the `columns` (default all)
+        and its frame derivatives: coeffs contracted with frame_derivs(points,
+        order, columns), shapes (P,), (P, n-1) and (P, n(n-1)/2), None above
+        `order`.
+
+        At n=2 no per-point table of the basis is formed: cos kt and sin kt
+        are taken once per selected degree k and multiplied by the
+        coefficients on those columns, their t-derivative and their second
+        t-derivative, one product for every order.  At n=3 it contracts the
+        frame_derivs tables."""
+        c = np.asarray(coeffs, dtype=float)
+        if self.n == 3:
+            B, G, H = self.frame_derivs(points, order, columns)
+            return (B @ c, None if G is None else c @ G,
+                    None if H is None else c @ H)
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        sel = slice(None) if columns is None else np.asarray(columns)
+        key = None if columns is None else (sel.dtype.str, sel.tobytes())
+        if key not in self._circle_plans:
+            self._circle_plans[key] = self._circle_plan(sel)
+        ks, slot, scale, gather, mult = self._circle_plans[key]
+        v = np.bincount(slot, weights=scale * c, minlength=2 * len(ks))
+        t = np.arctan2(pts[:, 1], pts[:, 0])
+        kt = np.multiply.outer(t, ks)
+        out = np.concatenate([np.cos(kt), np.sin(kt)], axis=1) @ (v[gather] * mult)
+        return (out[:, 0], out[:, 1:2] if order > 0 else None,
+                out[:, 2:] if order > 1 else None)
+
+    def _circle_plan(self, sel):
+        """The selected degrees ks, each coefficient's column of
+        [cos ks t, sin ks t] and scale, and the map from the coefficients v on
+        those columns to (v, d/dt v, d^2/dt^2 v): v[gather] * mult."""
+        deg = self.degrees[sel]
+        present = np.zeros(self.L + 1, dtype=bool)
+        present[deg] = True
+        ks = np.flatnonzero(present)
+        K = len(ks)
+        slot = np.searchsorted(ks, deg) + K * (self._col[sel] > self.L)
+        col = np.arange(2 * K)
+        k = ks[col % K]
+        # d/dt takes k v_sin to the cosines and -k v_cos to the sines
+        gather = np.stack([col, (col + K) % (2 * K), col], axis=1)
+        mult = np.stack([np.ones(2 * K), np.where(col < K, k, -k), -(k * k)], axis=1)
+        return ks, slot, self._scale[sel], gather, mult
 
     # ------------------------------------------------------------------
     def _eval_circle(self, pts, order, sel):

@@ -47,3 +47,14 @@ def test_calab_loads_and_runs_without_scipy():
                          capture_output=True, text=True, check=True).stdout
     seen = json.loads(out)
     assert seen == {"import": [], "optimize_image": [], "polar": [], "spectrum": []}
+
+
+def test_cli_import_leaves_the_thread_pool_out():
+    # concurrent.futures (and the logging it imports) loads only when
+    # `sweep --threads N` opens a pool with N > 1
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import json, sys, calab.cli; print(json.dumps(sorted("
+             "m for m in ('logging', 'concurrent.futures') if m in sys.modules)))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == []

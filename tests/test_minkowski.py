@@ -159,16 +159,89 @@ def test_minimize_monotone_and_feasible(grid):
 
 
 def test_minimize_converges_past_roundoff_stalls(grid):
-    # at p=0 these targets' descents reach steps whose decrease F cannot
-    # resolve: Armijo stalled the line search (5006) or accepted steps that
-    # left F unchanged (5223); judged by the gradient there, both converge
-    for seed in (5006, 5223):
+    # steps whose decrease F cannot resolve: the steepest descent that
+    # preceded Newton stalled its line search (5006) or accepted steps that
+    # left F unchanged (5223) at p=0; Newton's last step on 5097 and 5292 at
+    # p=0.5 is judged by the gradient (_UNRESOLVED).  All converge
+    for seed, p in ((5006, 0.0), (5223, 0.0), (5097, 0.5), (5292, 0.5)):
         body = random_even_body(2, seed=seed)
-        mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), 0.0)
-        res = minimize(mu, 0.0)
+        mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), p)
+        res = minimize(mu, p)
         assert res.converged, (seed, res.message)
         assert res.iterations < 200
         assert res.el_residual < 1e-4
+
+
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_newton_converges_in_few_iterations(grid, p):
+    # second-order convergence on the scan targets: each takes at most 6
+    # iterations at band 16, as do all 800 targets s = 5000..5399
+    for seed in range(5000, 5010):
+        body = random_even_body(2, seed=seed)
+        mu = TargetMeasure.from_body(evaluate_on_grid(body, grid), p)
+        res = minimize(mu, p)
+        assert res.converged, (seed, res.message)
+        assert res.iterations <= 20, (seed, res.iterations)
+        assert res.el_residual < 1e-4
+
+
+def _hessian_case(n, p):
+    """A solver model, a target density and feasible even coefficients off
+    the minimizer and off unit volume."""
+    from calab.minkowski import _EvenModel
+
+    if n == 2:
+        g, band, K = build_grid(2, 62, n_nodes=256), 16, random_even_body(2, seed=3)
+    else:
+        g, band, K = build_grid(3, 12), 6, ellipsoid(np.diag([1.3, 1.0, 0.9]))
+    model = _EvenModel(g, band)
+    f = TargetMeasure.from_body(evaluate_on_grid(K, g), p).density
+    rng = np.random.default_rng(n)
+    c = 1.2 * model.ball_coeffs()[model.even_mask]
+    degs = model.basis.degrees[model.even_mask]
+    c[1:] += 0.1 * np.exp(-degs[1:]) * rng.normal(size=len(c) - 1)
+    return model, f, c
+
+
+def _central_differences(fn, c, eps):
+    cols = []
+    for j in range(len(c)):
+        e = np.zeros_like(c)
+        e[j] = eps
+        cols.append((fn(c + e) - fn(c - e)) / (2 * eps))
+    return np.stack(cols, axis=1)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("p", [0.0, 0.5])
+def test_newton_hessian_matches_gradient_differences(n, p):
+    # the exact Hessian of F (and its volume part d^2V) against central
+    # differences of _value_and_grad's gradient (and of dV = B^t (w det))
+    from calab.minkowski import _value_and_grad
+
+    model, f, c = _hessian_case(n, p)
+
+    def grad(c):
+        h, det, _ = model.geometry(c)
+        return _value_and_grad(model, f, p, h, det)[1]
+
+    def volume_grad(c):
+        _, det, _ = model.geometry(c)
+        return model.B.T @ (model.weights * det)
+
+    h, det, mn = model.geometry(c)
+    assert mn > 0
+    V = float(model.weights @ (h * det)) / n
+    assert abs(V - 1.0) > 0.1
+    F, g, hess = _value_and_grad(model, f, p, h, det, c)
+    assert np.array_equal(g, grad(c))
+    d2V = model.volume_hessian(c)
+    assert np.array_equal(d2V, d2V.T)
+    for analytic, fn in [(hess, grad), (d2V, volume_grad)]:
+        scale = np.abs(analytic).max()
+        fd = _central_differences(fn, c, 1e-5)
+        assert np.abs(analytic - fd).max() <= 1e-6 * scale
+        assert np.abs(analytic - analytic.T).max() <= 1e-14 * scale
 
 
 def test_minimize_on_half_grid_tables_returns_unit_volume():

@@ -412,6 +412,39 @@ def test_column_selection_keeps_each_column(n):
             assert T.flags.c_contiguous
 
 
+@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8)])
+def test_expand_is_the_contracted_tables(n, L):
+    # expand(points, c, order, columns) is c contracted with
+    # frame_derivs(points, order, columns): at n=2 (no per-point tables) to
+    # 1e-14 of each output's max |value| (measured <= 4.6e-16), at n=3 bit
+    # for bit; on a column subset that mixes parities, at random points and
+    # at the grid nodes, with the derivatives above `order` None
+    basis = HarmonicBasis(n, L)
+    rng = np.random.default_rng(L)
+    pts = rng.normal(size=(40, n))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.concatenate([pts, build_grid(n, L).nodes])
+    even, odd = basis.parity_columns
+    cols = np.concatenate([even[::2], odd[1::3]])[::-1]
+    c = rng.normal(size=len(cols))
+    for order in (0, 1, 2):
+        out = basis.expand(pts, c, order, cols)
+        B, G, H = basis.frame_derivs(pts, order, cols)
+        ref = (B @ c, None if G is None else c @ G, None if H is None else c @ H)
+        for k in range(3):
+            if k > order:
+                assert out[k] is None and ref[k] is None
+            elif n == 3:
+                assert np.array_equal(out[k], ref[k])
+            else:
+                assert out[k].shape == ref[k].shape
+                assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
+    # columns=None expands the whole basis
+    c = rng.normal(size=basis.size)
+    ref = basis.frame_derivs(pts, 2)[0] @ c
+    assert np.abs(basis.expand(pts, c, 0)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
 def test_band_tables_rebuild_only_for_a_larger_band():
     g = build_grid(3, 12)
     small = g.basis_tables(4)
