@@ -73,8 +73,11 @@ def _gauss_legendre(m: int):
 
 
 def _ladder(P: np.ndarray):
-    """(l, m) grids and the m-neighbours P^{m+1}, P^{m-1} of an (l, m, T)
-    table; P^{-1} = -P^1, and columns past the table are zero."""
+    """(d_theta P, m P / sin theta) of an (l, m, T) Legendre table from its
+    m-neighbours P^{m+1}, P^{m-1} (P^{-1} = -P^1, zero past the table):
+    2 d_theta P_l^m = a P_l^{m+1} - b P_l^{m-1} and, for bands 0..rows-2,
+    m P_l^m / sin theta = -(1/2) sqrt((2l+1)/(2l+3)) (c P_{l+1}^{m+1} + d P_{l+1}^{m-1}).
+    Linear: on d_theta P they give d_theta of each."""
     l = np.arange(P.shape[0])[:, None, None]
     m = np.arange(P.shape[1])[None, :, None]
     up = np.zeros_like(P)
@@ -82,27 +85,13 @@ def _ladder(P: np.ndarray):
     down = np.empty_like(P)
     down[:, 1:] = P[:, :-1]
     down[:, 0] = -P[:, 1]
-    return l, m, up, down
-
-
-def _dtheta(P: np.ndarray) -> np.ndarray:
-    """theta-derivative of a Legendre table:
-    2 d_theta P_l^m = sqrt((l-m)(l+m+1)) P_l^{m+1} - sqrt((l+m)(l-m+1)) P_l^{m-1}."""
-    l, m, up, down = _ladder(P)
     a = np.sqrt(np.maximum((l - m) * (l + m + 1), 0))
     b = np.sqrt(np.maximum((l + m) * (l - m + 1), 0))
-    return 0.5 * (a * up - b * down)
-
-
-def _over_sin(P: np.ndarray) -> np.ndarray:
-    """m P_l^m / sin theta for bands 0..rows-2, from band l+1 of the table:
-    -(1/2) sqrt((2l+1)/(2l+3)) [sqrt((l+m+1)(l+m+2)) P_{l+1}^{m+1}
-                                + sqrt((l-m+1)(l-m+2)) P_{l+1}^{m-1}].
-    Linear in the table, so it maps d_theta P to d_theta(m P / sin theta)."""
-    l, m, up, down = _ladder(P[1:])
-    a = np.sqrt((l + m + 1) * (l + m + 2))
-    b = np.sqrt((l - m + 1) * (l - m + 2))
-    return -0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (a * up + b * down)
+    l = l[:-1]
+    c = np.sqrt((l + m + 1) * (l + m + 2))
+    d = np.sqrt((l - m + 1) * (l - m + 2))
+    return (0.5 * (a * up - b * down),
+            -0.5 * np.sqrt((2 * l + 1) / (2 * l + 3)) * (c * up[1:] + d * down[1:]))
 
 
 @functools.cache
@@ -199,7 +188,10 @@ class HarmonicBasis:
         sel = slice(None) if columns is None else np.asarray(columns)
         if self.n == 2:
             return self._eval_circle(pts, order, sel)
-        return self._eval_sphere(pts, order, sel)
+        x, y, z = pts.T
+        z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
+        return self._eval_sphere(z_u, np.hypot(x[first], y[first]),
+                                 np.arctan2(y, x), order, sel, inv)
 
     def expand(self, points: np.ndarray, coeffs: np.ndarray, order: int = 2,
                columns=None):
@@ -266,52 +258,39 @@ class HarmonicBasis:
         hess = ((-(f * f) * scale) * lon)[:, :, None]
         return vals, grads, hess
 
-    def _eval_sphere(self, pts, order, sel):
-        """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi}.
-
-        cos theta = z and sin theta = |(x, y)| come straight from the point and
-        no expression divides by sin theta, so the derivatives stay exact at
-        the poles.  The colatitude factors are evaluated once per distinct z
-        (L+2 of them on a product grid) and scattered back to the points.
-        """
-        L = self.L
+    def _eval_sphere(self, ct, st, phi, order, sel, ring=None):
+        """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi},
+        colatitude factors once per (ct, st), longitude factors once per phi.
+        Row i is phi_i times ring[i]'s factor; without `ring`, every ring
+        times every phi, ring-major.  Nothing divides by sin theta."""
         l, m, scale, col = self.degrees[sel], self._m[sel], self._scale[sel], self._col[sel]
-        x, y, z = pts.T
-        st = np.hypot(x, y)
-        z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
-
-        def columns(table):
-            """(l, m, distinct z) table -> (points, basis) colatitude factors,
-            made C-contiguous per distinct z before the row gather."""
-            return np.ascontiguousarray((table[l, m] * scale[:, None]).T)[inv]
-
         # band L+1 feeds the ladder that yields m P_l^m / sin theta
-        P = _legendre(z_u, st[first], L + (order > 0))
-
-        # longitude factors: cos/sin m phi, formed once per m, and (1/m) d/dphi
-        phi = np.arctan2(y, x)
-        mphi = np.multiply.outer(phi, np.arange(L + 1))
+        P = _legendre(ct, st, self.L + (order > 0))
+        mphi = np.multiply.outer(phi, np.arange(self.L + 1))
         c, s = np.cos(mphi), np.sin(mphi)
         lon = np.concatenate([c, s], axis=1)[:, col]
+        rows = (len(phi),) if ring is not None else (len(ct), len(phi))
 
-        vals = columns(P) * lon
-        if order == 0:
-            return vals, None, None
-        lon_m = np.concatenate([-s, c], axis=1)[:, col]
-        dP = _dtheta(P)
-        # components d_theta Y and d_phi Y / sin theta in the frame
-        grads = np.stack([columns(dP) * lon, columns(_over_sin(P)) * lon_m],
-                         axis=-1)
-        if order == 1:
-            return vals, grads, None
+        def put(out, table, lon):
+            f = np.ascontiguousarray((table[l, m] * scale[:, None]).T)
+            np.multiply(f[:, None] if ring is None else f[ring], lon, out=out)
 
-        # covariant Hessian components (tt, tp, pp): tp is
-        # d_theta(d_phi Y / sin theta) and pp follows from Delta Y = -l(l+1) Y
-        hess = np.empty(vals.shape + (3,))
-        hess[..., 0] = columns(_dtheta(dP)) * lon
-        hess[..., 1] = columns(_over_sin(dP)) * lon_m
-        hess[..., 2] = -(l * (l + 1)) * vals - hess[..., 0]
-        return vals, grads, hess
+        out = [np.empty(rows + (len(l),) + k) for k in ((), (2,), (3,))[:order + 1]]
+        put(out[0], P, lon)
+        if order > 0:
+            lon_m = np.concatenate([-s, c], axis=1)[:, col]
+        for T in out[1:]:
+            # d_theta and d_phi / sin theta of Y (gradient), then of d_theta Y
+            # (Hessian tt, tp)
+            P, Ps = _ladder(P)
+            put(T[..., 0], P, lon)
+            put(T[..., 1], Ps, lon_m)
+        if order > 1:
+            # pp from Delta Y = -l(l+1) Y
+            np.multiply(-(l * (l + 1)), out[0], out=out[2][..., 2])
+            out[2][..., 2] -= out[2][..., 0]
+        out = [T.reshape((-1,) + T.shape[len(rows):]) for T in out]
+        return tuple(out + [None] * (2 - order))
 
 
 @functools.cache
@@ -464,7 +443,8 @@ class SphereGrid:
     view (pair_nodes, pair_weights = 2 w, tangent_frames()) holds the rows
     of every even quantity."""
 
-    def __init__(self, n, band_limit, nodes, weights, antipodal_index):
+    def __init__(self, n, band_limit, nodes, weights, antipodal_index,
+                 product_factors=None):
         half = len(weights) // 2
         if not (antipodal_index[:half] >= half).all():
             raise ValueError("the first half of the nodes must hold one node of "
@@ -478,8 +458,11 @@ class SphereGrid:
         self.antipodal_index = antipodal_index
         self.basis = HarmonicBasis(n, band_limit)
         self.pair_weights = 2.0 * weights[:half]
+        # ((cos, sin) theta of the rings, (cos, sin) phi of the longitudes) if
+        # the pair nodes are their ring-major product, else None
+        self.product_factors = product_factors
         for arr in (self.nodes, self.weights, self.antipodal_index,
-                    self.pair_weights):
+                    self.pair_weights, *sum(product_factors or (), ())):
             arr.setflags(write=False)
         self.pair_nodes = self.nodes[:half]
         self._tables = None       # (B, G, H), even columns first
@@ -497,8 +480,9 @@ class SphereGrid:
         (N/2, nb, n(n-1)/2), the derivatives as components in
         tangent_frames() (see HarmonicBasis.frame_derivs).
 
-        Read-only views of one cached set of tables, even columns first,
-        built in one frame_derivs pass.  The column recurrences do not depend
+        Read-only views of one cached set of tables, even columns first:
+        colatitude x longitude outer products on a product grid, else
+        frame_derivs at the pair nodes.  The column recurrences do not depend
         on the band, so a band-b view is a column prefix of any larger
         band's; the cache is rebuilt at `band` only when it is smaller.
 
@@ -512,8 +496,12 @@ class SphereGrid:
         n_odd = int(np.count_nonzero(low)) - n_even
         if self._tables is None or self._tables[0].shape[1] < n_even + n_odd:
             basis = HarmonicBasis(self.n, band)
-            self._tables = basis.frame_derivs(
-                self.pair_nodes, order=2, columns=np.concatenate(basis.parity_columns))
+            cols = np.concatenate(basis.parity_columns)
+            if self.product_factors is None:
+                self._tables = basis.frame_derivs(self.pair_nodes, 2, cols)
+            else:
+                (ct, st), (cp, sp) = self.product_factors
+                self._tables = basis._eval_sphere(ct, st, np.arctan2(sp, cp), 2, cols)
             self._even_count = len(basis.parity_columns[0])
             for T in self._tables:
                 T.setflags(write=False)
@@ -544,7 +532,8 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
 
     n=2: uniform angular grid with N = max(4L+4, 64) nodes (n_nodes overrides
     the count, for callers that pin a specific resolution).
-    n=3: Gauss-Legendre colatitudes (L+2) x uniform longitudes (2L+4).
+    n=3: Gauss-Legendre colatitudes (L+2) x uniform longitudes (2L+4), kept
+    as the grid's product_factors.
 
     Antipodes are exact negations, nodes[antipodal_index] == -nodes bit for
     bit: the second half of the angles at n=2, and of the longitudes at n=3,
@@ -586,7 +575,9 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     k = np.repeat(np.arange(n_th), n_ph)
     j = np.tile(np.arange(n_ph), n_th)
     anti = (n_th - 1 - k) * n_ph + (j + n_ph // 2) % n_ph
-    return SphereGrid(3, L, nodes, weights, anti)
+    # the pair nodes: the first n_th/2 rings times every longitude
+    return SphereGrid(3, L, nodes, weights, anti,
+                      ((u[:n_th // 2], st[:n_th // 2]), (cp, sp)))
 
 
 # ----------------------------------------------------------------------

@@ -344,12 +344,15 @@ def full_matrix(system: GalerkinSystem, blocks) -> np.ndarray:
 
 def take_gram_assembly(state: CentroAffineState, degree_max: int):
     """Reference stiffness and mass (nb x nb, basis order) from degree-order
-    tables, a direct HarmonicBasis(n, degree_max).frame_derivs at the pair
-    nodes: per parity block, the block's columns are copied out of the row
-    matrix with np.take and Gram-multiplied, zero outside the blocks."""
+    tables: at n=2 a direct HarmonicBasis(n, degree_max).frame_derivs at the
+    pair nodes, at n=3 the product-grid tables (degree_order_tables), which
+    are no pointwise evaluation.  Per parity block, the block's columns are
+    copied out of the row matrix with np.take and Gram-multiplied, zero
+    outside the blocks."""
     grid = state.grid
     basis = HarmonicBasis(grid.n, degree_max)
-    B, G, _ = basis.frame_derivs(grid.pair_nodes, order=2)
+    B, G, _ = (degree_order_tables(grid, degree_max) if grid.n == 3
+               else basis.frame_derivs(grid.pair_nodes, order=2))
     blocks = [cols for cols in basis.parity_columns if len(cols)]
 
     def gram(X):

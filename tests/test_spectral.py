@@ -238,7 +238,8 @@ def test_hessian_gap_builds_conjugate_hessians_of_even_nonconstant_columns(
 def test_blocks_equal_take_gram_reference_bit_for_bit(n, L):
     # each block's stiffness and mass, one Gram product over its parity's
     # table, equal the block of the np.take Gram assembly on degree-order
-    # tables from a direct evaluation, bit for bit
+    # tables (a direct evaluation at n=2, the product-grid tables at n=3),
+    # bit for bit
     body = random_even_body(2, seed=3) if n == 2 else perturbed_ball(3, 0.1)
     st, sys_ = system_for(body, n, L)
     ref_S, ref_M = take_gram_assembly(st, sys_.basis.degree_max)
