@@ -164,10 +164,11 @@ class _EvenModel:
         return 0.5 * (A + A.T)
 
 
-def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det, c=None):
+def _objective(model: _EvenModel, f: np.ndarray, p: float, h, det):
     """Functional value and gradient w.r.t. even coefficients, for the target
-    density f on the model's nodes; given the coefficients c of h, also the
-    Hessian (the chain rule through V^{-p/n}, through exp/log at p = 0)."""
+    density f on the model's nodes, and a function of the coefficients c of
+    h that forms the Hessian (the chain rule through V^{-p/n}, through
+    exp/log at p = 0) from the same terms."""
     w = model.weights
     n = model.grid.n
     V = float(w @ (h * det)) / n
@@ -178,24 +179,28 @@ def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det, c=None):
         F = np.exp(avg) / V ** (1.0 / n)
         dE = model.B.T @ (w * f / h) / mass
         g = dE - dV / (n * V)   # gradient of log F
-        grad = F * g
-        if c is None:
-            return F, grad
-        hess_log = (-model.gram(f / h**2) / mass - model.volume_hessian(c) / (n * V)
-                    + np.outer(dV, dV) / (n * V * V))
-        return F, grad, F * (hess_log + np.outer(g, g))
+
+        def hessian(c):
+            hess_log = (-model.gram(f / h**2) / mass - model.volume_hessian(c) / (n * V)
+                        + np.outer(dV, dV) / (n * V * V))
+            return F * (hess_log + np.outer(g, g))
+        return F, F * g, hessian
     a = p / n
     E = float(w @ (f * h**p)) / p
     dE = model.B.T @ (w * f * h ** (p - 1.0))
-    F = E / V**a
-    grad = dE / V**a - a * E * V ** (-a - 1.0) * dV
-    if c is None:
-        return F, grad
-    cross = np.outer(dE, dV)
-    hess = ((p - 1.0) * model.gram(f * h ** (p - 2.0)) / V**a
-            - a * V ** (-a - 1.0) * (cross + cross.T + E * model.volume_hessian(c))
-            + a * (a + 1.0) * E * V ** (-a - 2.0) * np.outer(dV, dV))
-    return F, grad, hess
+
+    def hessian(c):
+        cross = np.outer(dE, dV)
+        return ((p - 1.0) * model.gram(f * h ** (p - 2.0)) / V**a
+                - a * V ** (-a - 1.0) * (cross + cross.T + E * model.volume_hessian(c))
+                + a * (a + 1.0) * E * V ** (-a - 2.0) * np.outer(dV, dV))
+    return E / V**a, dE / V**a - a * E * V ** (-a - 1.0) * dV, hessian
+
+
+def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det, c=None):
+    """_objective's value and gradient, and given c its Hessian."""
+    F, grad, hessian = _objective(model, f, p, h, det)
+    return (F, grad) if c is None else (F, grad, hessian(c))
 
 
 def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
@@ -243,7 +248,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     degs = model.basis.degrees[model.even_mask].astype(float)
     metric = 1.0 + degs * (degs + n - 2)
 
-    F, grad, hess = _value_and_grad(model, f, p, h, det, c)
+    F, grad, hessian = _objective(model, f, p, h, det)
     history = [F]
     damping = _DAMPING
     iterations = 0
@@ -256,6 +261,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
             converged = True
             message = "gradient tolerance reached"
             break
+        hess = hessian(c)
         d = np.linalg.solve(hess + np.diag(damping * metric), -grad)
         while grad @ d >= 0:   # not a descent direction
             damping *= 10.0
@@ -283,7 +289,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         c, h, det = cand, hc, detc
         c, h, det, s = renorm(c, h, det)
         total_scale *= s
-        F, grad, hess = _value_and_grad(model, f, p, h, det, c)
+        F, grad, hessian = _objective(model, f, p, h, det)
         history.append(F)
         if flat >= _NO_DECREASE_STEPS:
             message = "no decrease at roundoff"

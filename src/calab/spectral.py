@@ -4,8 +4,8 @@ The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
-pair nodes, from the grid's table of its parity (SphereGrid.basis_tables).
-The generalized eigenproblem is dense symmetric definite, solved per block
+pair nodes, chunk by chunk of its parity's rows (_table_chunks).  The
+generalized eigenproblem is dense symmetric definite, solved per block
 by a Cholesky reduction to a standard one (numpy only).  The integrated
 Bochner identity of a field is checked on the same rows.
 """
@@ -17,8 +17,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
-from calab.calculus import CentroAffineState, build_state, conjugate_hessian_packed
-from calab.sphere import SphereGrid, _parity_rows, packed_positions
+from calab.calculus import (CentroAffineState, build_state, conjugate_hessian_rows,
+                             conjugate_hessian_weights)
+from calab.sphere import HarmonicBasis, SphereGrid, _parity_rows, packed_positions
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,7 @@ class GalerkinSystem:
     the even basis columns, then the odd ones when there are any, each in
     degree order (blocks[i] lists their basis positions); the first even
     column is the constant (degree 0).  Block i reads the grid's parity-i
-    table."""
+    rows."""
 
     basis: GalerkinBasis
     blocks: tuple[np.ndarray, ...]      # basis positions of each diagonal block
@@ -88,10 +89,54 @@ class SpectrumReport:
 # assembly
 
 
-def _gram(X: np.ndarray) -> np.ndarray:
-    """X^t X for the rows X of shape (N/2, ..., k)."""
-    X = X.reshape(-1, X.shape[-1])
-    return X.T @ X
+# most pair rows in a chunk of whole rings of a product grid (one ring at
+# least); chunks of 256 rows peak 4 MB higher on spectral_n3, no faster
+CHUNK_ROWS = 128
+
+
+def _table_chunks(grid: SphereGrid, band: int, parts, blocks, first: int = 0):
+    """Yield (rows, views): a slice of the pair rows, in order, and per block
+    in `blocks` the (values, gradients, Hessians) of basis_tables(band)[block]
+    there from column `first` on, None for the parts not listed.  On a
+    product grid, chunks of whole rings from grid.ring_rows into reused
+    buffers and no table; else one chunk."""
+    if grid.product_factors is None:
+        tables = grid.basis_tables(band)
+        yield slice(None), [tuple(T[:, first:] if i in parts else None
+                                  for i, T in enumerate(tables[b])) for b in blocks]
+        return
+    basis = HarmonicBasis(grid.n, band)
+    n_ring, n_lon = (len(f[0]) for f in grid.product_factors)
+    per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
+    bufs = [[np.empty((per * n_lon, len(basis.parity_columns[b]) - first) + k)
+             if i in parts else None for i, k in enumerate(((), (2,), (3,)))] for b in blocks]
+    for k0 in range(0, n_ring, per):
+        rows = slice(k0 * n_lon, min(k0 + per, n_ring) * n_lon)
+        views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
+                 for buf in bufs]
+        for b, out in zip(blocks, views):
+            grid.ring_rows(basis, b, first, slice(k0, k0 + per), out)
+        yield rows, views
+
+
+def _reuse(buf, shape):
+    """`shape` in buf's leading rows (chunks never grow), new if buf is None."""
+    return np.empty(shape) if buf is None else buf[:shape[0]]
+
+
+def _gram_sums(chunks):
+    """X^t X per position, summed in order over the tuples of row chunks X
+    (rows, ..., k) yielded, later products through one buffer each."""
+    sums = work = None
+    for Xs in chunks:
+        Xs = [X.reshape(-1, X.shape[-1]) for X in Xs]
+        if sums is None:
+            sums = [X.T @ X for X in Xs]
+            continue
+        work = work or [np.empty_like(A) for A in sums]
+        for A, X, W in zip(sums, Xs, work):
+            A += np.matmul(X.T, X, out=W)
+    return sums
 
 
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
@@ -112,33 +157,47 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     The tables and the state cover the pair nodes.  Bodies are
     origin-symmetric, so every row of a basis function of parity pi at -u is
     pi times its row at u: the even-odd blocks vanish and each diagonal block
-    is its sum over the pair nodes at the pair weights 2 w, one Gram product
-    over its parity's table.
+    is its sum over the pair nodes at the pair weights 2 w: Gram products
+    of its parity's rows summed over _table_chunks.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
-    sq = state.sqrt_weights
+    grid, sq, nb = state.grid, state.sqrt_weights, basis.size
     Ksq = state.K * sq[:, None, None]
-    blocks, S, M = [], [], []
-    for (B, G, _), cols in zip(state.grid.basis_tables(basis.degree_max),
-                               state.grid.basis.parity_columns):
-        if B.shape[1]:
-            blocks.append(cols[:B.shape[1]])
-            S.append(_gram(Ksq @ G.transpose(0, 2, 1)))
-            M.append(_gram(B * sq[:, None]))
-    return GalerkinSystem(basis=basis, blocks=tuple(blocks), stiffness=tuple(S),
-                          mass=tuple(M), state=state)
+    blocks = [cols[cols < nb] for cols in grid.basis.parity_columns if cols[0] < nb]
+
+    def rows(block):
+        # one block at a time: its two sums stay in cache across the chunks
+        X = Y = None
+        for r, ((B, G, _),) in _table_chunks(grid, basis.degree_max, (0, 1), (block,)):
+            X = np.matmul(Ksq[r], G.transpose(0, 2, 1),
+                          out=_reuse(X, (len(G), grid.n - 1, G.shape[1])))
+            Y = np.multiply(B, sq[r, None], out=_reuse(Y, B.shape))
+            yield X, Y
+
+    S, M = zip(*(_gram_sums(rows(block)) for block in range(len(blocks))))
+    return GalerkinSystem(basis=basis, blocks=tuple(blocks), stiffness=S, mass=M,
+                          state=state)
 
 
 def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndarray:
-    """Hessian-form Gram product on the block's columns from `first` on:
-    the rows are the packed components of the basis functions' conjugate
-    Hessians (calculus.conjugate_hessian_packed, whose sqrt 2 weights make
-    the Gram product the full Frobenius inner product) at weight 2 w nu."""
+    """Hessian-form Gram product on the block's columns from `first` on,
+    summed over _table_chunks: the rows are the packed components of the
+    basis functions' conjugate Hessians (calculus.conjugate_hessian_rows,
+    whose sqrt 2 weights make the Gram product the full Frobenius inner
+    product) at weight 2 w nu."""
     state = system.state
-    _, G, H = state.grid.basis_tables(system.basis.degree_max)[block]
-    return _gram(conjugate_hessian_packed(state, G[:, first:], H[:, first:],
-                                          state.sqrt_weights))
+    weights = conjugate_hessian_weights(state, state.sqrt_weights)
+
+    def rows():
+        Q = work = None
+        for r, ((_, G, H),) in _table_chunks(state.grid, system.basis.degree_max, (1, 2),
+                                             (block,), first):
+            shape = (len(G), H.shape[-1], G.shape[1])
+            Q, work = _reuse(Q, shape), _reuse(work, shape)
+            yield (conjugate_hessian_rows([W[r] for W in weights], G, H, (Q, work)),)
+
+    return _gram_sums(rows())[0]
 
 
 # ----------------------------------------------------------------------
@@ -283,14 +342,14 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
     """Relative residual of the integrated identity
     int (Lf)^2 dnu = int ||Hess* f||^2 dnu + (n-2) int |grad f|^2 dnu
     for f with the grid-basis coefficients coeffs, whose count is the basis
-    size of one band b; the band-b tables are read.
+    size of one band b; the band-b rows are read.
 
     The rows are those of the Galerkin forms: K grad f and
-    conjugate_hessian_packed, whose diagonal sum is Lf.  Each term is a
+    conjugate_hessian_rows, whose diagonal sum is Lf.  Each term is a
     quadratic form Q, and the body is origin-symmetric, so
     Q(f) = Q(f_even) + Q(f_odd): the cross terms are odd and vanish against
-    the even measure.  Each part is contracted with its parity's table and
-    summed over the pair nodes at the row weights 2 w nu."""
+    the even measure.  Each part is contracted with its parity's rows and
+    summed over the pair nodes at the row weights 2 w nu (_table_chunks)."""
     grid, c = state.grid, np.asarray(coeffs, dtype=float)
     degrees, nb = grid.basis.degrees, c.size
     if (c.ndim != 1 or not 1 <= nb <= grid.basis.size
@@ -298,12 +357,19 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
         raise ValueError(f"{c.shape} coefficients: their count must be the "
                          f"basis size of one band 0..{grid.band_limit}")
     sq = state.sqrt_weights
-    grad = _parity_rows(grid, c, 1)
-    Q = conjugate_hessian_packed(state, grad, _parity_rows(grid, c, 2), sq)
-    Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
-    Kgrad = sq[:, None, None] * (grad @ np.swapaxes(state.K, -1, -2))
-    t1, t2 = float(np.sum(Lf**2)), float(np.sum(Q**2))
-    t3 = (state.n - 2) * float(np.sum(Kgrad**2))
+    weights = conjugate_hessian_weights(state, sq)
+    diagonal = packed_positions(state.n - 1).diagonal()
+    t1 = t2 = t3 = 0.0
+    for r, views in _table_chunks(grid, int(degrees[nb - 1]), (1, 2), (0, 1)):
+        grad = _parity_rows(grid, c, 1, views)
+        Q = conjugate_hessian_rows([W[r] for W in weights], grad,
+                                   _parity_rows(grid, c, 2, views))
+        Lf = Q[:, diagonal].sum(axis=1)
+        Kgrad = sq[r, None, None] * (grad @ np.swapaxes(state.K[r], -1, -2))
+        t1 += float(np.sum(Lf**2))
+        t2 += float(np.sum(Q**2))
+        t3 += float(np.sum(Kgrad**2))
+    t3 *= state.n - 2
     scale = max(abs(t1), abs(t2), abs(t3))
     if scale == 0.0:
         return 0.0

@@ -190,8 +190,12 @@ class HarmonicBasis:
             return self._eval_circle(pts, order, sel)
         x, y, z = pts.T
         z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
-        return self._eval_sphere(z_u, np.hypot(x[first], y[first]),
-                                 np.arctan2(y, x), order, sel, inv)
+        rings, lons = self._sphere_factors(z_u, np.hypot(x[first], y[first]),
+                                           np.arctan2(y, x), order, sel)
+        out = [np.empty((len(pts), rings[0].shape[1]) + k)
+               for k in ((), (2,), (3,))[:order + 1]] + [None] * (2 - order)
+        _combine([f[inv] for f in rings], lons, self.degrees[sel], out)
+        return tuple(out)
 
     def expand(self, points: np.ndarray, coeffs: np.ndarray, order: int = 2,
                columns=None):
@@ -258,39 +262,42 @@ class HarmonicBasis:
         hess = ((-(f * f) * scale) * lon)[:, :, None]
         return vals, grads, hess
 
-    def _eval_sphere(self, ct, st, phi, order, sel, ring=None):
-        """Separable evaluation: Y = N P_lm(cos theta) x {1, cos m phi, sin m phi},
-        colatitude factors once per (ct, st), longitude factors once per phi.
-        Row i is phi_i times ring[i]'s factor; without `ring`, every ring
-        times every phi, ring-major.  Nothing divides by sin theta."""
+    def _sphere_factors(self, ct, st, phi, order, sel):
+        """Separable factors of the columns sel up to `order`: per (ct, st),
+        N P_lm, then d_theta and m/sin theta of it, then d_theta of those two;
+        per phi, {1, cos m phi, sin m phi} and its phi-derivative over m."""
         l, m, scale, col = self.degrees[sel], self._m[sel], self._scale[sel], self._col[sel]
         # band L+1 feeds the ladder that yields m P_l^m / sin theta
         P = _legendre(ct, st, self.L + (order > 0))
         mphi = np.multiply.outer(phi, np.arange(self.L + 1))
         c, s = np.cos(mphi), np.sin(mphi)
-        lon = np.concatenate([c, s], axis=1)[:, col]
-        rows = (len(phi),) if ring is not None else (len(ct), len(phi))
-
-        def put(out, table, lon):
-            f = np.ascontiguousarray((table[l, m] * scale[:, None]).T)
-            np.multiply(f[:, None] if ring is None else f[ring], lon, out=out)
-
-        out = [np.empty(rows + (len(l),) + k) for k in ((), (2,), (3,))[:order + 1]]
-        put(out[0], P, lon)
+        lons = [np.concatenate([c, s], axis=1)[:, col]]
         if order > 0:
-            lon_m = np.concatenate([-s, c], axis=1)[:, col]
-        for T in out[1:]:
-            # d_theta and d_phi / sin theta of Y (gradient), then of d_theta Y
-            # (Hessian tt, tp)
+            lons.append(np.concatenate([-s, c], axis=1)[:, col])
+        tables = [P]
+        for _ in range(order):
             P, Ps = _ladder(P)
-            put(T[..., 0], P, lon)
-            put(T[..., 1], Ps, lon_m)
-        if order > 1:
-            # pp from Delta Y = -l(l+1) Y
-            np.multiply(-(l * (l + 1)), out[0], out=out[2][..., 2])
-            out[2][..., 2] -= out[2][..., 0]
-        out = [T.reshape((-1,) + T.shape[len(rows):]) for T in out]
-        return tuple(out + [None] * (2 - order))
+            tables += [P, Ps]
+        return [np.ascontiguousarray((T[l, m] * scale[:, None]).T) for T in tables], lons
+
+
+def _combine(rings, lons, degrees, out):
+    """The n=3 basis rows into out = (values, gradients, Hessians), skipping
+    None: ring factors (_sphere_factors) times longitude factors, and pp
+    from Delta Y = -l(l+1) Y.  Nothing divides by sin theta."""
+    B, G, H = out
+    if B is not None:
+        np.multiply(rings[0], lons[0], out=B)
+    for T, r in ((G, 1), (H, 3)):
+        if T is not None:
+            np.multiply(rings[r], lons[0], out=T[..., 0])
+            np.multiply(rings[r + 1], lons[1], out=T[..., 1])
+    if H is not None:
+        pp = H[..., 2]
+        if B is None:
+            B = np.multiply(rings[0], lons[0], out=pp)
+        np.multiply(-(degrees * (degrees + 1)), B, out=pp)
+        pp -= H[..., 0]
 
 
 @functools.cache
@@ -467,6 +474,7 @@ class SphereGrid:
         self.pair_nodes = self.nodes[:half]
         self._tables = None       # (B, G, H), even columns first
         self._even_count = 0
+        self._factors = None      # see ring_rows
         self._frames = None
 
     @property
@@ -481,33 +489,52 @@ class SphereGrid:
         tangent_frames() (see HarmonicBasis.frame_derivs).
 
         Read-only views of one cached set of tables, even columns first:
-        colatitude x longitude outer products on a product grid, else
-        frame_derivs at the pair nodes.  The column recurrences do not depend
-        on the band, so a band-b view is a column prefix of any larger
-        band's; the cache is rebuilt at `band` only when it is smaller.
+        ring_rows of all rings on a product grid, else frame_derivs at the
+        pair nodes.  The column recurrences do not depend on the band, so a
+        band-b view is a column prefix of any larger band's; the cache is
+        rebuilt at `band` only when it is smaller.
 
         At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
         band = self.band_limit if band is None else band
         if not 0 <= band <= self.band_limit:
             raise ValueError(f"band {band} must be in 0..{self.band_limit}")
-        low = self.basis.degrees <= band
-        n_even = int(np.count_nonzero(low & (self.basis.parity > 0)))
-        n_odd = int(np.count_nonzero(low)) - n_even
-        if self._tables is None or self._tables[0].shape[1] < n_even + n_odd:
-            basis = HarmonicBasis(self.n, band)
+        basis = HarmonicBasis(self.n, band)
+        n_even = len(basis.parity_columns[0])
+        if self._tables is None or self._tables[0].shape[1] < basis.size:
             cols = np.concatenate(basis.parity_columns)
             if self.product_factors is None:
                 self._tables = basis.frame_derivs(self.pair_nodes, 2, cols)
             else:
-                (ct, st), (cp, sp) = self.product_factors
-                self._tables = basis._eval_sphere(ct, st, np.arctan2(sp, cp), 2, cols)
-            self._even_count = len(basis.parity_columns[0])
+                self._tables = tuple(np.empty((len(self.pair_weights), len(cols)) + k)
+                                     for k in ((), (2,), (3,)))
+                self.ring_rows(basis, None, 0, slice(None), self._tables)
+            self._even_count = n_even
             for T in self._tables:
                 T.setflags(write=False)
         e = self._even_count
         return (tuple(T[:, :n_even] for T in self._tables),
-                tuple(T[:, e:e + n_odd] for T in self._tables))
+                tuple(T[:, e:e + basis.size - n_even] for T in self._tables))
+
+    def ring_rows(self, basis: HarmonicBasis, block, first: int, rings: slice, out):
+        """Write the rows of basis_tables(basis.L)[block] from column `first`
+        (both blocks, even first, if block is None) on the product grid's
+        `rings` into out = (values, gradients, Hessians), skipping None, bit
+        for bit: from the factors (HarmonicBasis._sphere_factors) of the even,
+        then the odd columns, cached at the largest band asked."""
+        if self._factors is None or len(self._factors[2]) < basis.size:
+            cols = np.concatenate(basis.parity_columns)
+            (ct, st), (cp, sp) = self.product_factors
+            self._factors = (*basis._sphere_factors(ct, st, np.arctan2(sp, cp), 2, cols),
+                             basis.degrees[cols], len(basis.parity_columns[0]))
+        F, lons, degrees, e = self._factors
+        counts = [len(c) for c in basis.parity_columns]
+        s = (np.r_[:counts[0], e:e + counts[1]] if block is None
+             else slice(block * e + first, block * e + counts[block]))
+        n_lon = len(lons[0])
+        _combine([f[rings, None, s] for f in F], [f[:, s] for f in lons], degrees[s],
+                 [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
+                  for T in out])
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the
@@ -619,14 +646,15 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
     return float(grid.weights @ np.asarray(values))
 
 
-def _parity_rows(grid: SphereGrid, coeffs: np.ndarray, table: int) -> np.ndarray:
+def _parity_rows(grid: SphereGrid, coeffs: np.ndarray, table: int, views=None) -> np.ndarray:
     """(N/2, 2, ...) rows at the pair nodes of the even and the odd part of
     f, f with the coefficients of one band b, each part from its band-b
-    table (0 values, 1 gradients, 2 packed Hessians)."""
+    table (0 values, 1 gradients, 2 packed Hessians), or from the rows of
+    those tables in `views`."""
     c = np.asarray(coeffs, dtype=float)
-    tables = grid.basis_tables(int(grid.basis.degrees[len(c) - 1]))
+    views = views or grid.basis_tables(int(grid.basis.degrees[len(c) - 1]))
     return np.stack([np.moveaxis(T[table], 1, -1) @ c[cols[:T[table].shape[1]]]
-                     for T, cols in zip(tables, grid.basis.parity_columns)], axis=1)
+                     for T, cols in zip(views, grid.basis.parity_columns)], axis=1)
 
 
 def _antipodal_rows(grid: SphereGrid, coeffs: np.ndarray, table: int) -> np.ndarray:

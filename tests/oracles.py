@@ -347,21 +347,24 @@ def take_gram_assembly(state: CentroAffineState, degree_max: int):
     tables: at n=2 a direct HarmonicBasis(n, degree_max).frame_derivs at the
     pair nodes, at n=3 the product-grid tables (degree_order_tables), which
     are no pointwise evaluation.  Per parity block, the block's columns are
-    copied out of the row matrix with np.take and Gram-multiplied, zero
-    outside the blocks."""
+    copied out of the row matrix with np.take and Gram-multiplied, chunk by
+    chunk of spectral._table_chunks rows, the products summed in order;
+    zero outside the blocks."""
     grid = state.grid
     basis = HarmonicBasis(grid.n, degree_max)
     B, G, _ = (degree_order_tables(grid, degree_max) if grid.n == 3
                else basis.frame_derivs(grid.pair_nodes, order=2))
     blocks = [cols for cols in basis.parity_columns if len(cols)]
+    chunks = [rows for rows, _ in spectral._table_chunks(grid, degree_max, (), ())]
 
     def gram(X):
         nb = X.shape[-1]
-        X = X.reshape(-1, nb)
         A = np.zeros((nb, nb))
-        for cols in blocks:
-            Xc = np.take(X, cols, axis=1)
-            A[np.ix_(cols, cols)] = Xc.T @ Xc
+        for rows in chunks:
+            Xr = X[rows].reshape(-1, nb)
+            for cols in blocks:
+                Xc = np.take(Xr, cols, axis=1)
+                A[np.ix_(cols, cols)] += Xc.T @ Xc
         return A
 
     sq = state.sqrt_weights

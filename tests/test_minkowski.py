@@ -185,6 +185,24 @@ def test_newton_converges_in_few_iterations(grid, p):
         assert res.el_residual < 1e-4
 
 
+def test_hessian_is_formed_once_per_newton_step(grid, monkeypatch):
+    # the Hessian (one volume_hessian each) is formed for each Newton step
+    # taken, and not at the final iterate, where the gradient tolerance
+    # stops the iteration
+    from calab.minkowski import _EvenModel
+
+    calls = []
+    volume_hessian = _EvenModel.volume_hessian
+    monkeypatch.setattr(_EvenModel, "volume_hessian",
+                        lambda self, c: calls.append(1) or volume_hessian(self, c))
+    for seed, p in ((5003, 0.5), (5000, 0.0)):
+        calls.clear()
+        mu = TargetMeasure.from_body(evaluate_on_grid(random_even_body(2, seed=seed), grid), p)
+        res = minimize(mu, p)
+        assert res.converged and res.message == "gradient tolerance reached"
+        assert len(calls) == len(res.history) - 1 == res.iterations - 1 > 0
+
+
 def _hessian_case(n, p):
     """A solver model, a target density and feasible even coefficients off
     the minimizer and off unit volume."""

@@ -1,5 +1,6 @@
 """Tests for the Galerkin spectrum of the Hilbert-Brunn-Minkowski operator."""
 
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +26,7 @@ from calab.spectral import (
     solve_spectrum,
     spectrum_of_body,
 )
-from calab.sphere import build_grid
+from calab.sphere import SphereGrid, build_grid
 
 from oracles import (degree_order_tables, discrete_bochner_residual,
                      first_eigenspace_deficiency, full_matrix, hessform,
@@ -220,26 +221,28 @@ def test_hessform_built_only_when_read(monkeypatch):
 def test_hessian_gap_builds_conjugate_hessians_of_even_nonconstant_columns(
         n, monkeypatch):
     # the conjugate Hessian is formed for the even non-constant columns
-    # only, read from the even table without its constant column
+    # only, read from the even rows without the constant column, and over
+    # all N/2 pair rows in total
     calls = []
-    packed = spectral.conjugate_hessian_packed
-    monkeypatch.setattr(spectral, "conjugate_hessian_packed",
-                        lambda state, grad, hess, scale=1.0:
-                        calls.append((grad.shape[1], hess.shape[1]))
-                        or packed(state, grad, hess, scale))
+    rows = spectral.conjugate_hessian_rows
+    monkeypatch.setattr(spectral, "conjugate_hessian_rows",
+                        lambda weights, grad, hess, out=None:
+                        calls.append((grad.shape[1], hess.shape[1], len(grad)))
+                        or rows(weights, grad, hess, out))
     _, sys_ = system_for(perturbed_ball(n, 0.1), n, 8)
     even = int((parities(sys_) > 0).sum())
     assert len(sys_.blocks) == 2 and even < sys_.basis.size
     hessian_gap_even(sys_)
-    assert calls == [(even - 1, even - 1)]
+    assert {call[:2] for call in calls} == {(even - 1, even - 1)}
+    assert sum(call[2] for call in calls) == sys_.basis.grid.node_count // 2
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 12), (3, 24)])
 def test_blocks_equal_take_gram_reference_bit_for_bit(n, L):
-    # each block's stiffness and mass, one Gram product over its parity's
-    # table, equal the block of the np.take Gram assembly on degree-order
-    # tables (a direct evaluation at n=2, the product-grid tables at n=3),
-    # bit for bit
+    # each block's stiffness and mass, Gram products of its parity's rows
+    # summed over the grid's row chunks, equal the block of the np.take Gram
+    # assembly on degree-order tables (a direct evaluation at n=2, the
+    # product-grid tables at n=3) over the same chunks, bit for bit
     body = random_even_body(2, seed=3) if n == 2 else perturbed_ball(3, 0.1)
     st, sys_ = system_for(body, n, L)
     ref_S, ref_M = take_gram_assembly(st, sys_.basis.degree_max)
@@ -273,31 +276,152 @@ def test_sub_band_system_is_leading_block_of_full_band(n, L, band):
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
+def factor_bytes_bound(g, nb):
+    """Bytes of the separable factors of nb columns on a product grid: five
+    per ring and two per longitude."""
+    (ct, _), (cp, _) = g.product_factors
+    return (5 * len(ct) + 2 * len(cp)) * nb * 8
+
+
 def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
-    # band 16 on an L=48 grid: tables hold the 289 band-16 columns, not the
-    # grid's 2401, and the value is that of the L=24 grid
+    # band 16 on an L=48 grid: no basis table is built, the cached factors
+    # hold the 289 band-16 columns, not the grid's 2401, and the value is
+    # that of the L=24 grid
     body = perturbed_ball(3, 0.1)
     g = build_grid(3, 48)
     rep = spectrum_of_body(body, g, degree_max=16)
-    half = g.node_count // 2
-    assert sum(T.nbytes for T in g._tables) <= half * 289 * 6 * 8
+    assert g._tables is None
+    assert sum(T.nbytes for T in g._factors[0] + g._factors[1]) <= factor_bytes_bound(g, 289)
     ref = spectrum_of_body(body, build_grid(3, 24), degree_max=16)
     assert abs(rep.lambda1_even - ref.lambda1_even) <= 1e-10
 
 
 def test_sub_band_bochner_on_fine_grid_builds_only_its_tables():
-    # a band-8 field on an L=24 grid: the residual reads the 81 band-8
-    # columns of the tables, not the grid's 625, and equals the residual of
-    # the same field given with the grid's full band of coefficients
+    # a band-8 field on an L=24 grid: the residual builds no basis table,
+    # reads the factors of the 81 band-8 columns, not the grid's 625, and
+    # equals the residual of the same field given with the grid's full band
+    # of coefficients
     g = build_grid(3, 24)
     st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
     nb = GalerkinBasis(g, 8).size
     c = np.random.default_rng(3).normal(size=nb)
     res = bochner_residual(st, c)
-    assert sum(T.nbytes for T in g._tables) <= (g.node_count // 2) * nb * 6 * 8
+    assert g._tables is None
+    assert sum(T.nbytes for T in g._factors[0] + g._factors[1]) <= factor_bytes_bound(g, nb)
     full = np.zeros(g.basis.size)
     full[:nb] = c
     assert abs(bochner_residual(st, full) - res) <= 1e-15
+
+
+# ---------------------------------------------------------------------------
+# streamed forms: ring chunks of the product grid
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("L", [12, 24, 48])
+def test_chunk_rows_are_the_table_rows_bit_for_bit(L):
+    # every chunk of whole rings holds the rows of the grid's tables at its
+    # rows, both parities, values, gradients and Hessians, from any first
+    # column, bit for bit and sign bits included; the parts not asked are
+    # None, the chunks tile the pair rows in order, and no table is built
+    g = build_grid(3, L)
+    half = g.node_count // 2
+    for band in (L // 2, L):
+        tables = build_grid(3, L).basis_tables(band)
+        for block, first, parts in ((0, 0, (0, 1, 2)), (1, 0, (0, 1, 2)),
+                                    (0, 1, (1, 2)), (1, 2, (0,))):
+            stop = 0
+            for rows, (views,) in spectral._table_chunks(g, band, parts, (block,), first):
+                assert rows.start == stop
+                assert rows.stop - rows.start <= max(spectral.CHUNK_ROWS, 2 * L + 4)
+                stop = rows.stop
+                for part, (T, ref) in enumerate(zip(views, tables[block])):
+                    if part not in parts:
+                        assert T is None
+                        continue
+                    ref = ref[rows, first:]
+                    assert np.array_equal(T, ref)
+                    assert np.array_equal(np.signbit(T), np.signbit(ref))
+            assert stop == half
+        del tables
+    assert g._tables is None
+
+
+def _single_gram_forms(st, degree_max, first):
+    """Per block: stiffness, mass and the Hessian form from column `first`,
+    each one Gram product over all rows of the grid's tables."""
+    sq = st.sqrt_weights
+    out = []
+    for B, G, H in st.grid.basis_tables(degree_max):
+        X = [(st.K * sq[:, None, None]) @ G.transpose(0, 2, 1), B * sq[:, None],
+             conjugate_hessian_packed(st, G[:, first:], H[:, first:], sq)]
+        out.append([Y.reshape(-1, Y.shape[-1]).T @ Y.reshape(-1, Y.shape[-1]) for Y in X])
+    return out
+
+
+@pytest.mark.parametrize("L,band", [(24, 24), (48, 24)])
+def test_streamed_forms_match_one_gram_product(L, band):
+    # with several chunks, the streamed stiffness, mass and Hessian forms
+    # (both blocks, from columns 0 and 1) agree with one Gram product over
+    # all rows of the tables to 1e-14 of each block's largest entry
+    g = build_grid(3, L)
+    st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
+    sys_ = assemble(st, GalerkinBasis(g, band))
+    assert g._tables is None
+    assert g.node_count // 2 > 2 * spectral.CHUNK_ROWS
+    for first in (0, 1):
+        streamed = [(S, M, spectral._hessian_form(sys_, block, first))
+                    for block, (S, M) in enumerate(zip(sys_.stiffness, sys_.mass))]
+        for got, ref in zip(streamed, _single_gram_forms(st, band, first)):
+            for A, R in zip(got, ref):
+                assert np.abs(A - R).max() <= 1e-14 * np.abs(R).max()
+
+
+def _hand_built(g):
+    """g with its pair rows permuted by hand, the antipodes kept: a grid
+    without product factors."""
+    half = g.node_count // 2
+    order = np.concatenate([np.random.default_rng(5).permutation(half),
+                            np.arange(half, g.node_count)])
+    anti = np.argsort(order)[g.antipodal_index[order]]
+    return SphereGrid(g.n, g.band_limit, g.nodes[order], g.weights[order], anti)
+
+
+@pytest.mark.parametrize("grid", [lambda: build_grid(2, 16),
+                                  lambda: build_grid(2, 62, n_nodes=256),
+                                  lambda: _hand_built(build_grid(3, 12))],
+                         ids=["n2-L16", "n2-L62-256", "n3-hand-built"])
+def test_one_chunk_grids_keep_the_single_gram_bit_for_bit(grid):
+    # a grid without product factors is one chunk: its stiffness, mass and
+    # Hessian forms are the single Gram products, bit for bit
+    g = grid()
+    assert g.product_factors is None
+    st = build_state(evaluate_on_grid(perturbed_ball(g.n, 0.1), g))
+    sys_ = assemble(st, GalerkinBasis(g, g.band_limit))
+    for first in (0, 1):
+        for block, ref in enumerate(_single_gram_forms(st, g.band_limit, first)):
+            got = (sys_.stiffness[block], sys_.mass[block],
+                   spectral._hessian_form(sys_, block, first))
+            for A, R in zip(got, ref):
+                assert np.array_equal(A, R)
+
+
+def test_streamed_spectrum_memory_on_a_fine_grid():
+    # assembly, eigensolve and Hessian gap at band 16 on an L=48 grid work
+    # in chunks of rings: no basis table, and a traced peak far below the
+    # 54 MB of the tables' path
+    g = build_grid(3, 48)
+    st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
+    tracemalloc.start()
+    try:
+        sys_ = assemble(st, GalerkinBasis(g, 16))
+        solve_spectrum(sys_)
+        hessian_gap_even(sys_)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert g._tables is None
+    assert peak <= 8e6
 
 
 # ---------------------------------------------------------------------------
