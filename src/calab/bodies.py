@@ -13,6 +13,7 @@ one node of each antipodal pair.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -112,6 +113,15 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
+def _turn(X):
+    """(-y, x) for each row (x, y): the counterclockwise tangent at n=2, bit
+    for bit sphere.tangent_frames' column."""
+    return X[:, ::-1] * _TURN
+
+
+_TURN = np.array([-1.0, 1.0])
+
+
 # ----------------------------------------------------------------------
 # concrete families
 
@@ -188,17 +198,28 @@ class SpectralBody(BodyEvaluator):
         self.coeffs = coeffs
 
     def jet(self, X, order=2):
+        """(h, grad h, Hess h) up to `order` from one expand() of the even
+        columns: grad h = E g + f u and Hess h = E (H + f I) E^t / r in the
+        frames E = tangent_frames(u), written with scalars at n=2 (E the
+        single tangent e), bit for bit the frame products."""
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
-        # expand the frame components, then map once to ambient coordinates:
-        # grad h = E g + f u, Hess h = E (H + f I) E^t / r; the odd
-        # coefficients are zero, so only the even columns are expanded
+        # the odd coefficients are zero, so only the even columns are expanded
         even = self.basis.parity_columns[0]
         f, g, H = self.basis.expand(u, self.coeffs[even], order, even)
         h = r * f
         if order == 0:
             return (h,)
+        if self.n == 2:
+            # the frame is the single tangent e: the same products as scalars,
+            # + 0.0 turning -0.0 into +0.0 as the frame products' sums do
+            e = _turn(u)
+            grad = (e * g + 0.0) + f[:, None] * u
+            if order == 1:
+                return h, grad
+            R = e * (H + f[:, None]) + 0.0
+            return h, grad, (_outer(R, e) + 0.0) / r[:, None, None]
         E = tangent_frames(u)
         grad = to_ambient(E, g, 1) + f[:, None] * u
         if order == 1:
@@ -340,9 +361,12 @@ class PolarBody(BodyEvaluator):
     blocks of _SEED_BLOCK points.  One second-order base jet at the pair
     nodes, taken at construction, gives the vertices and Newton's first base
     jet at each seed.  Guarded Newton on the sphere then runs on the points
-    not yet certified, in the tangent frames F at theta (sphere.frame_solve
-    for the step).  A point is certified when the tangential gradient of psi
-    is at most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The
+    not yet certified, in the tangent frames F at theta: _newton with frame
+    matrices (sphere.frame_solve for the step) at n=3, and at n=2, where F
+    is the single tangent e = (-theta_y, theta_x), _newton_planar, the same
+    algorithm on (N,) arrays (1x1 frame bookkeeping cost as much as the
+    arithmetic there).  A point is certified when the tangential gradient
+    of psi is at most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The
     certificate proves the maximizer global only when the base h is convex:
     on the slice <u, theta> = 1, psi = 1/h, so a strict local maximum of psi
     is then its unique global one.  The loop stops when every point is
@@ -424,16 +448,17 @@ class PolarBody(BodyEvaluator):
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
         unit U: Newton from the polytope seed, then the fallback from the same
-        seed for the uncertified."""
+        seed for the uncertified; the scalar kernel at n=2, the frame kernel
+        otherwise."""
+        newton = self._newton_planar if U.shape[1] == 2 else self._newton
         idx, sign = self._seed_index(U)
         h, dh, Hh = self._ref_jet
         seed = sign[:, None] * self._ref_nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
-        best, certified = self._newton(U, seed,
-                                       (h[idx], sign[:, None] * dh[idx], Hh[idx]))
+        best, certified = newton(U, seed, (h[idx], sign[:, None] * dh[idx], Hh[idx]))
         idx = np.flatnonzero(~certified)
         if idx.size:
-            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
+            alt, _ = newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
             better = alt[1] > best[1][idx]
             for a, b in zip(best, alt):
                 a[idx[better]] = b[better]
@@ -505,6 +530,52 @@ class PolarBody(BodyEvaluator):
                 a[act[ok]] = b[ok]
             radius[act[~ok]] = 0.25 * np.minimum(radius[act[~ok]], norm[~ok])
         return out + terms, certified
+
+    @staticmethod
+    def _planar_terms(U, TH, h, dh, Hh):
+        """(psi', psi'') at TH along e = (-theta_y, theta_x), n=2: the frame
+        terms of _frame_terms as scalars.  With a = <e, u>, b = <e, grad h>,
+        c = e^t D^2h e and t = <u, theta>, psi' = a/h - (t/h^2) b and
+        psi'' = -2ab/h^2 - (t/h^2) c + 2 (t/h^3) b^2."""
+        e = _turn(TH)
+        a, b = np.einsum("ij,ij->i", e, U), np.einsum("ij,ij->i", e, dh)
+        t = np.einsum("ij,ij->i", U, TH) / h**2
+        c = np.einsum("ij,ijk,ik->i", e, Hh, e)
+        return a / h - t * b, -2.0 * a * b / h**2 - t * c + 2.0 * (t / h) * b * b
+
+    def _newton_planar(self, U, th, jet=None):
+        """_newton at n=2 on (N,) arrays: the frame is the single tangent
+        e = (-theta_y, theta_x), its terms are _planar_terms, and the
+        candidate's pair serves both its acceptance test and its next step.
+        Returns what _newton returns, F = e as (N, 2, 1), A as (N, 1, 1)."""
+        th = th.copy()
+        h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
+        out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh,
+               *self._planar_terms(U, th, h, dh, Hh))
+        psi, g, A = out[1], out[5], out[6]
+        radius = np.full(len(U), 0.2)
+        for it in range(self._NEWTON_CAP + 1):
+            # a certified point takes no more steps, so it stays certified
+            certified = (np.abs(g) <= self._GRAD_TOL * psi) & (A < 0)
+            act = np.flatnonzero(~certified)
+            if not act.size or it == self._NEWTON_CAP:
+                break
+            ta, pa, ga, Aa, ra = th[act], psi[act], g[act], A[act], radius[act]
+            s = -ga / (Aa - (np.maximum(Aa + 1e-9, 0.0) + 1e-12))
+            norm = np.abs(s)
+            s *= np.minimum(norm, ra) / np.maximum(norm, 1e-300)
+            cand = ta + s[:, None] * _turn(ta)
+            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
+            Ua, jc = U[act], self.base.jet(cand, 2)
+            pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
+            gc, Ac = self._planar_terms(Ua, cand, *jc)
+            ok = np.where(ga * s <= self._UNRESOLVED * pa, np.abs(gc) < np.abs(ga),
+                          pc >= pa * self._ACCEPT)
+            keep = act[ok]
+            for a, b in zip(out, (cand, pc, *jc, gc, Ac)):
+                a[keep] = b[ok]
+            radius[act] = np.where(ok, ra, 0.25 * np.minimum(ra, norm))
+        return out[:5] + (_turn(th)[:, :, None], out[6][:, None, None]), certified
 
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
@@ -608,12 +679,19 @@ def perturbed_ball(n: int, eps: float, coeffs=None) -> BodyEvaluator:
     return SpectralBody(n, c, basis, label=f"perturbed_ball(eps={eps})")
 
 
+@functools.cache
+def _check_grid(n: int, L: int) -> SphereGrid:
+    """random_even_body's rejection grid, built once per (n, L) and handed to
+    no other caller."""
+    return build_grid(n, L)
+
+
 def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
                      strength: float = 0.3) -> BodyEvaluator:
     """Random valid origin-symmetric body; rejection-samples until D^2 h > 0."""
     rng = np.random.default_rng(seed)
     basis = HarmonicBasis(n, band)
-    check_grid = build_grid(n, max(2 * band, 8))
+    check_grid = _check_grid(n, max(2 * band, 8))
     even_pert = (basis.parity > 0) & (basis.degrees > 0)
     for trial in range(budget):
         c = np.zeros(basis.size)

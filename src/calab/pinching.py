@@ -145,13 +145,31 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
         nit += 1
 
 
-def _p_strong_objective(body: BodyEvaluator, grid: SphereGrid):
-    """optimize_image's objective: p_strong of T(K) at T = exp(z) for the
-    traceless log-chart coordinates z, and 1e6 - min eig D^2h (a penalty
+def _isotropic_centre(body: BodyEvaluator, grid: SphereGrid) -> np.ndarray:
+    """optimize_image's chart centre z0: the upper triangle of the traceless
+    part of -1/2 log Q, Q = sum_j w_j v_j x_j x_j^t over the pair nodes
+    (x = grad h, v the cone-volume density), so exp(z0) takes K to about its
+    isotropic position (an ellipsoid to a ball); zero, the identity, when K is
+    not strongly convex on the grid."""
+    n = body.n
+    try:
+        bg = evaluate_on_grid(body, grid)
+    except ValueError:
+        return np.zeros(n * (n + 1) // 2)
+    if not bg.valid:
+        return np.zeros(n * (n + 1) // 2)
+    w, V = np.linalg.eigh((bg.x.T * (grid.pair_weights * bg.vk_density)) @ bg.x)
+    S = (V * (-0.5 * np.log(w))[None, :]) @ V.T
+    return (S - np.trace(S) / n * np.eye(n))[np.triu_indices(n)]
+
+
+def _p_strong_objective(body: BodyEvaluator, grid: SphereGrid, centre: np.ndarray):
+    """optimize_image's objective: p_strong of T(K) at T = exp(centre + z) for
+    the traceless log-chart coordinates z, and 1e6 - min eig D^2h (a penalty
     that still points towards strong convexity) where T(K) is not strongly
     convex on the grid."""
     def objective(z):
-        T = _spd_exp(_sym_from_vec(z, body.n))
+        T = _spd_exp(_sym_from_vec(centre + z, body.n))
         try:
             bg = evaluate_on_grid(linear_image(body, T), grid)
         except ValueError:
@@ -167,11 +185,13 @@ def optimize_image(body: BodyEvaluator, grid: SphereGrid,
     """Minimize p_strong(T(K)) over unit-determinant symmetric
     positive-definite T (Nelder-Mead on the traceless log-chart).
 
-    Deterministic: starts from the identity; returns the best image found
-    (no global guarantee)."""
+    Deterministic: starts from K's isotropic position (_isotropic_centre),
+    the identity for a body not strongly convex on the grid; returns the best
+    image found (no global guarantee)."""
     n = body.n
-    z, nit = _nelder_mead(_p_strong_objective(body, grid), np.zeros(n * (n + 1) // 2),
-                          iters, xatol=1e-6, fatol=1e-9)
-    best_T = _spd_exp(_sym_from_vec(z, n))
+    centre = _isotropic_centre(body, grid)
+    z, nit = _nelder_mead(_p_strong_objective(body, grid, centre),
+                          np.zeros(n * (n + 1) // 2), iters, xatol=1e-6, fatol=1e-9)
+    best_T = _spd_exp(_sym_from_vec(centre + z, n))
     report = measure_pinching(evaluate_on_grid(linear_image(body, best_T), grid))
     return {"T": best_T, "report": report, "iterations": nit}

@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from calab.bodies import (
     BodyEvaluator,
     LqNormBody,
+    PolarBody,
     SpectralBody,
     ball,
     ellipsoid,
@@ -20,7 +21,8 @@ from calab.bodies import (
     quantities,
 )
 from calab.isomorphic import _RoundedGaugeBody, construct
-from calab.sphere import HarmonicBasis, build_grid
+from calab.sphere import (HarmonicBasis, build_grid, tangent_frames, to_ambient,
+                          unpack_sym)
 
 
 def unit_vectors(rng, count, n):
@@ -478,6 +480,114 @@ def test_polar_fallback_takes_its_own_jets():
     P.jet(unit_vectors(np.random.default_rng(24), 20, 3), 0)
     orders = [o for o, _ in body.calls]
     assert orders.count(1) == P._PG_STEPS
+
+
+def _planar_bases(g):
+    """The n=2 bases of the kernel-agreement tests, by name."""
+    bases = {f"random{s}": lambda s=s: random_even_body(2, s, band=8, strength=0.3)
+             for s in (0, 1, 2, 17, 42)}
+    bases.update({
+        "diag(2,1)": lambda: ellipsoid(np.diag([2.0, 1.0])),
+        "diag(6,1)": lambda: ellipsoid(np.diag([6.0, 1.0])),
+        "non_convex": lambda: perturbed_ball(2, 1.5),
+        "polar_smoothed_l43": lambda: polar(
+            firey_sum(0.01, ball(1.0, 2), 1.0, LqNormBody(4, 2), 1.0), g),
+        "l4_ball": lambda: lq_gauge_body(4, 2),
+    })
+    return bases
+
+
+@pytest.mark.parametrize("name", list(_planar_bases(None)))
+def test_planar_newton_matches_frame_kernel(name):
+    # at n=2 the scalar kernel is the frame kernel's algorithm on (N,)
+    # arrays: from the same seeds it takes the same steps (identical base-jet
+    # rows), leaves the same points uncertified for the fallback, and the
+    # polar jets agree (measured <= 1.5e-15 relative on C^2 bases).  The
+    # finite-difference l4 ball's derivatives carry their own noise, so only
+    # h and the uncertified set are compared there
+    g = build_grid(2, 16)
+    base = _CountingBody(_planar_bases(g)[name]())
+    U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(26), 40, 2)])
+    P = polar(base, g)
+    idx, sign = P._seed_index(U)
+    h, dh, Hh = P._ref_jet
+    jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
+    rows, uncertified = [], []
+    for kernel in (P._newton_planar, P._newton):
+        base.calls.clear()
+        _, certified = kernel(U, _seed(P, U), tuple(a.copy() for a in jet))
+        rows.append([len(X) for _, X in base.calls])
+        uncertified.append(np.flatnonzero(~certified))
+    assert np.array_equal(uncertified[0], uncertified[1])
+    frame = polar(base, g)
+    frame._newton_planar = frame._newton
+    got, ref = P.jet(U, 2), frame.jet(U, 2)
+    smooth = name != "l4_ball"
+    for a, b in list(zip(got, ref))[:3 if smooth else 1]:
+        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
+    if smooth:
+        assert rows[0] == rows[1]
+
+
+def test_polar_kernel_is_picked_by_dimension(monkeypatch):
+    # n=3 runs the frame kernel only, n=2 the scalar kernel only, fallback
+    # pass included (the l4 balls are never certified)
+    calls = []
+    for kernel in ("_newton", "_newton_planar"):
+        run = getattr(PolarBody, kernel)
+        monkeypatch.setattr(PolarBody, kernel, lambda self, *a, k=kernel, run=run:
+                            calls.append(k) or run(self, *a))
+    for n in (2, 3):
+        g = build_grid(n, 8)
+        for body in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), lq_gauge_body(4, n)):
+            calls.clear()
+            polar(body, g).jet(unit_vectors(np.random.default_rng(27), 20, n), 2)
+            expect = "_newton" if n == 3 else "_newton_planar"
+            assert calls == [expect] * (1 if body.label == "ellipsoid" else 2)
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+def test_planar_spectral_jet_is_the_frame_formula_bit_for_bit(seed):
+    # the n=2 branch of SpectralBody.jet writes E g + f u and
+    # E (H + f I) E^t / r with the single tangent e as scalar products: bit
+    # for bit the frame -> ambient formula, sign bits included, at every order
+    body = random_even_body(2, seed, band=8, strength=0.3)
+    rng = np.random.default_rng(28)
+    X = np.vstack([rng.normal(size=(60, 2)) * rng.uniform(0.1, 5.0, size=(60, 1)),
+                   build_grid(2, 16).nodes])
+    r = np.linalg.norm(X, axis=1)
+    u = X / r[:, None]
+    even = body.basis.parity_columns[0]
+    for order in (0, 1, 2):
+        f, g, H = body.basis.expand(u, body.coeffs[even], order, even)
+        ref = [r * f]
+        E = tangent_frames(u)
+        if order > 0:
+            ref.append(to_ambient(E, g, 1) + f[:, None] * u)
+        if order > 1:
+            ref.append(to_ambient(E, unpack_sym(H) + f[:, None, None] * np.eye(1), 2)
+                       / r[:, None, None])
+        got = body.jet(X, order)
+        assert len(got) == len(ref)
+        for a, b in zip(got, ref):
+            assert a.shape == b.shape
+            assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+def test_random_even_body_builds_its_check_grid_once(monkeypatch):
+    # the rejection grid is built once per (n, L), not per draw, and the
+    # draws are those made on a fresh grid
+    from calab import bodies
+    bodies._check_grid.cache_clear()
+    built = []
+    build = bodies.build_grid
+    monkeypatch.setattr(bodies, "build_grid", lambda *a: built.append(a) or build(*a))
+    first = [random_even_body(2, s, band=5).coeffs for s in range(6)]
+    assert built == [(2, 10)]
+    bodies._check_grid.cache_clear()
+    again = [random_even_body(2, s, band=5).coeffs for s in range(6)]
+    assert built == [(2, 10), (2, 10)]
+    assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
 def test_bipolar_roundtrip():

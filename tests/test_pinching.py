@@ -18,6 +18,7 @@ from calab.bodies import (
     random_even_body,
 )
 from calab.pinching import (
+    _isotropic_centre,
     _nelder_mead,
     _p_strong_objective,
     measure_pinching,
@@ -162,9 +163,31 @@ def test_nelder_mead_matches_scipy_on_rosenbrock(x0, maxiter):
 def test_nelder_mead_matches_scipy_on_the_pinch_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
     v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
-    objective = _p_strong_objective(v["body"], v["grid"])
+    objective = _p_strong_objective(v["body"], v["grid"],
+                                    _isotropic_centre(v["body"], v["grid"]))
     _assert_matches_scipy_nelder_mead(objective, np.zeros(6), v["optimize"]["iters"],
                                       1e-6, 1e-9)
+
+
+def test_optimize_image_reaches_the_ball_of_the_pinch_config():
+    # Nelder-Mead starts at the isotropic position, where the ellipsoid is a
+    # ball (p_strong 2 at n=3), and stops by its tolerances before the cap;
+    # from the identity it stopped at the cap at 2.2679
+    path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
+    v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
+    iters = v["optimize"]["iters"]
+    res = optimize_image(v["body"], v["grid"], iters=iters)
+    assert res["iterations"] < iters
+    assert abs(res["report"].p_strong - 2.0) < 1e-6
+
+
+def test_optimize_image_reaches_the_ball_of_a_rotated_ellipsoid():
+    rng = np.random.default_rng(3)
+    Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
+    body = ellipsoid(Q @ np.diag([1.5, 1.0, 0.7]) @ Q.T)
+    res = optimize_image(body, build_grid(3, 16), iters=200)
+    assert res["iterations"] < 200
+    assert abs(res["report"].p_strong - 2.0) < 1e-6
 
 
 def test_optimize_image_ball_stays_identity():
