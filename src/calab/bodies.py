@@ -360,14 +360,14 @@ class PolarBody(BodyEvaluator):
     (the base is even) of largest |<u, v>|, signed by <u, v>, taken in row
     blocks of _SEED_BLOCK points.  One second-order base jet at the pair
     nodes, taken at construction, gives the vertices and Newton's first base
-    jet at each seed.  Guarded Newton on the sphere then runs on the points
-    not yet certified, in the tangent frames F at theta: _newton with frame
+    jet at each seed.  Guarded Newton on the sphere (_newton) then runs on
+    the points not yet certified, in the tangent frames F at theta: frame
     matrices (sphere.frame_solve for the step) at n=3, and at n=2, where F
-    is the single tangent e = (-theta_y, theta_x), _newton_planar, the same
-    algorithm on (N,) arrays (1x1 frame bookkeeping cost as much as the
-    arithmetic there).  A point is certified when the tangential gradient
-    of psi is at most 1e-13 psi and F^T Hess(psi) F is negative-definite.  The
-    certificate proves the maximizer global only when the base h is convex:
+    is the single tangent e = (-theta_y, theta_x), the same loop on (N,)
+    scalars (1x1 frame bookkeeping costs more than the arithmetic there).
+    A point is certified when the tangential gradient of psi is at most
+    1e-13 psi and F^T Hess(psi) F is negative-definite.  The certificate
+    proves the maximizer global only when the base h is convex:
     on the slice <u, theta> = 1, psi = 1/h, so a strict local maximum of psi
     is then its unique global one.  The loop stops when every point is
     certified or after _NEWTON_CAP steps.  Points left uncertified (bases
@@ -448,17 +448,15 @@ class PolarBody(BodyEvaluator):
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
         unit U: Newton from the polytope seed, then the fallback from the same
-        seed for the uncertified; the scalar kernel at n=2, the frame kernel
-        otherwise."""
-        newton = self._newton_planar if U.shape[1] == 2 else self._newton
+        seed for the uncertified."""
         idx, sign = self._seed_index(U)
         h, dh, Hh = self._ref_jet
         seed = sign[:, None] * self._ref_nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
-        best, certified = newton(U, seed, (h[idx], sign[:, None] * dh[idx], Hh[idx]))
+        best, certified = self._newton(U, seed, (h[idx], sign[:, None] * dh[idx], Hh[idx]))
         idx = np.flatnonzero(~certified)
         if idx.size:
-            alt, _ = newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
+            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
             better = alt[1] > best[1][idx]
             for a, b in zip(best, alt):
                 a[idx[better]] = b[better]
@@ -480,102 +478,81 @@ class PolarBody(BodyEvaluator):
             step = np.where(ok, step * 1.5, step * 0.4)
         return th
 
-    def _newton(self, U, th, jet=None):
-        """Guarded Newton ascent from th on the points not yet certified.
-
-        jet is the second-order base jet at th when the caller holds it
-        (taken here otherwise).  Each step costs one second-order base jet,
-        at the candidate.  Returns ((theta, psi, h, grad h, Hess h, F, A),
-        certified), the base jet and the frame terms (F, A = F^T Hess(psi) F)
-        being the ones at the returned theta, so jet() reuses them."""
-        N, n = U.shape
-        th = th.copy()
-        h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
-        out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh)
-        # the loop ends only after forming the frame terms at each theta
-        terms = (np.empty((N, n, n - 1)), np.empty((N, n - 1, n - 1)))
-        certified = np.zeros(N, dtype=bool)
-        radius = np.full(N, 0.2)
-        act = np.arange(N)
-        for it in range(self._NEWTON_CAP + 1):
-            Ua, (ta, psi, h, dh, Hh) = U[act], (a[act] for a in out)
-            frames, gf, Hf = self._frame_terms(Ua, ta, h, dh, Hh)
-            terms[0][act], terms[1][act] = frames, Hf
-            gnorm = np.linalg.norm(gf, axis=1)
-            lam = frame_eigvalsh(Hf)[:, -1]
-            done = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
-            certified[act[done]] = True
-            if done.all() or it == self._NEWTON_CAP:
-                break
-            live = ~done
-            act, Ua, ta, psi = act[live], Ua[live], ta[live], psi[live]
-            frames, Hf, gf, gnorm, lam = (a[live] for a in (frames, Hf, gf, gnorm, lam))
-            # Newton step, shifted to stay an ascent step, inside a trust
-            # radius that shrinks on each rejected step
-            shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
-            Hf -= shift[:, None, None] * np.eye(n - 1)[None]
-            s = -frame_solve(Hf, gf[:, :, None])[:, :, 0]
-            norm = np.linalg.norm(s, axis=1)
-            s *= (np.minimum(norm, radius[act]) / np.maximum(norm, 1e-300))[:, None]
-            cand = ta + (frames @ s[:, :, None])[:, :, 0]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            jc = self.base.jet(cand, 2)
-            pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
-            # a step whose first-order gain is below psi's rounding is judged
-            # by the gradient, which still resolves it
-            small = np.einsum("ij,ij->i", gf, s) <= self._UNRESOLVED * psi
-            gc = np.linalg.norm(self._psi_grad(Ua, cand, *jc[:2]), axis=1)
-            ok = np.where(small, gc < gnorm, pc >= psi * self._ACCEPT)
-            for a, b in zip(out, (cand, pc) + jc):
-                a[act[ok]] = b[ok]
-            radius[act[~ok]] = 0.25 * np.minimum(radius[act[~ok]], norm[~ok])
-        return out + terms, certified
-
     @staticmethod
     def _planar_terms(U, TH, h, dh, Hh):
-        """(psi', psi'') at TH along e = (-theta_y, theta_x), n=2: the frame
-        terms of _frame_terms as scalars.  With a = <e, u>, b = <e, grad h>,
-        c = e^t D^2h e and t = <u, theta>, psi' = a/h - (t/h^2) b and
-        psi'' = -2ab/h^2 - (t/h^2) c + 2 (t/h^3) b^2."""
+        """(e, psi', psi'') at TH along e = (-theta_y, theta_x), n=2: the
+        frame terms of _frame_terms as (N,) scalars.  With a = <e, u>,
+        b = <e, grad h>, c = e^t D^2h e and t = <u, theta>,
+        psi' = a/h - (t/h^2) b and psi'' = -2ab/h^2 - (t/h^2) c + 2 (t/h^3) b^2."""
         e = _turn(TH)
         a, b = np.einsum("ij,ij->i", e, U), np.einsum("ij,ij->i", e, dh)
         t = np.einsum("ij,ij->i", U, TH) / h**2
         c = np.einsum("ij,ijk,ik->i", e, Hh, e)
-        return a / h - t * b, -2.0 * a * b / h**2 - t * c + 2.0 * (t / h) * b * b
+        return e, a / h - t * b, -2.0 * a * b / h**2 - t * c + 2.0 * (t / h) * b * b
 
-    def _newton_planar(self, U, th, jet=None):
-        """_newton at n=2 on (N,) arrays: the frame is the single tangent
-        e = (-theta_y, theta_x), its terms are _planar_terms, and the
-        candidate's pair serves both its acceptance test and its next step.
-        Returns what _newton returns, F = e as (N, 2, 1), A as (N, 1, 1)."""
+    def _terms(self, U, TH, h, dh, Hh):
+        """(F, g, A, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
+        A = F^T Hess(psi) F: _planar_terms at n=2 (F = e, g and A scalars),
+        _frame_terms otherwise."""
+        F, g, A = (self._planar_terms if U.shape[1] == 2 else self._frame_terms)(
+            U, TH, h, dh, Hh)
+        if g.ndim == 1:
+            return F, g, A, np.abs(g), A
+        return F, g, A, np.linalg.norm(g, axis=1), frame_eigvalsh(A)[:, -1]
+
+    def _newton(self, U, th, jet=None):
+        """Guarded Newton ascent from th until each point is certified or
+        _NEWTON_CAP steps have been taken.
+
+        jet is the second-order base jet at th when the caller holds it
+        (taken here otherwise).  Each point keeps theta, psi, the base jet and
+        the terms of _terms there; a step costs one second-order base jet and
+        one _terms at the candidate, which serve its acceptance test and, once
+        it is accepted, the next step.  Returns ((theta, psi, h, grad h,
+        Hess h, F, A), certified), F as (N, n, n-1) and A as (N, n-1, n-1)
+        at the returned theta, so jet() reuses them."""
+        N, n = U.shape
         th = th.copy()
         h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
         out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh,
-               *self._planar_terms(U, th, h, dh, Hh))
-        psi, g, A = out[1], out[5], out[6]
-        radius = np.full(len(U), 0.2)
+               *self._terms(U, th, h, dh, Hh))
+        psi, F, g, A, gnorm, lam = out[1], *out[5:]
+        radius = np.full(N, 0.2)
         for it in range(self._NEWTON_CAP + 1):
             # a certified point takes no more steps, so it stays certified
-            certified = (np.abs(g) <= self._GRAD_TOL * psi) & (A < 0)
+            certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
             act = np.flatnonzero(~certified)
             if not act.size or it == self._NEWTON_CAP:
                 break
-            ta, pa, ga, Aa, ra = th[act], psi[act], g[act], A[act], radius[act]
-            s = -ga / (Aa - (np.maximum(Aa + 1e-9, 0.0) + 1e-12))
-            norm = np.abs(s)
-            s *= np.minimum(norm, ra) / np.maximum(norm, 1e-300)
-            cand = ta + s[:, None] * _turn(ta)
+            ta, pa, Fa, ga, Aa, na, ra = (a[act] for a in (th, psi, F, g, A, gnorm, radius))
+            # Newton step, shifted to stay an ascent step, inside a trust
+            # radius that shrinks on each rejected step
+            shift = np.maximum(lam[act] + 1e-9, 0.0) + 1e-12
+            if g.ndim == 1:  # n=2: F is the single tangent e, g and A scalars
+                s = -ga / (Aa - shift)
+                norm = np.abs(s)
+                s *= np.minimum(norm, ra) / np.maximum(norm, 1e-300)
+                gain, cand = ga * s, ta + s[:, None] * Fa
+            else:
+                s = -frame_solve(Aa - shift[:, None, None] * np.eye(n - 1),
+                                 ga[:, :, None])[:, :, 0]
+                norm = np.linalg.norm(s, axis=1)
+                s *= (np.minimum(norm, ra) / np.maximum(norm, 1e-300))[:, None]
+                gain = np.einsum("ij,ij->i", ga, s)
+                cand = ta + (Fa @ s[:, :, None])[:, :, 0]
             cand /= np.linalg.norm(cand, axis=1, keepdims=True)
             Ua, jc = U[act], self.base.jet(cand, 2)
             pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
-            gc, Ac = self._planar_terms(Ua, cand, *jc)
-            ok = np.where(ga * s <= self._UNRESOLVED * pa, np.abs(gc) < np.abs(ga),
+            tc = self._terms(Ua, cand, *jc)
+            # a step whose first-order gain is below psi's rounding is judged
+            # by the gradient, which still resolves it
+            ok = np.where(gain <= self._UNRESOLVED * pa, tc[3] < na,
                           pc >= pa * self._ACCEPT)
             keep = act[ok]
-            for a, b in zip(out, (cand, pc, *jc, gc, Ac)):
+            for a, b in zip(out, (cand, pc, *jc, *tc)):
                 a[keep] = b[ok]
             radius[act] = np.where(ok, ra, 0.25 * np.minimum(ra, norm))
-        return out[:5] + (_turn(th)[:, :, None], out[6][:, None, None]), certified
+        return out[:5] + (F.reshape(N, n, n - 1), A.reshape(N, n - 1, n - 1)), certified
 
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
@@ -636,6 +613,8 @@ def _coeff_vector(n: int, entries, basis: HarmonicBasis) -> np.ndarray:
     """
     c = np.zeros(basis.size)
     for deg, order, val in entries:
+        if deg < 0:
+            raise ValueError(f"harmonic degree must be nonnegative, got {deg}")
         if n == 2:
             if order not in (0, 1) or (deg == 0 and order != 0):
                 raise ValueError("order must be 0 (cos) or 1 (sin), and 0 at degree 0")

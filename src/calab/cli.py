@@ -267,9 +267,18 @@ def _cmd_pinch(v, threads):
                              "pinching.csv": (["label"] + _PINCH_FIELDS, [row])}
 
 
+def _pinch_iters(v):
+    """An image search takes at least one iteration."""
+    if v["optimize"] is not None and v["optimize"]["iters"] < 1:
+        raise ConfigError("optimize.iters must be at least 1")
+
+
 def _spectrum_ranges(v):
     """degree_max within 0..L of the grid, k within 1..the dimension of the
-    subspace: the basis size, or its even columns but the constant."""
+    subspace: the basis size, or its even columns but the constant; a
+    nonnegative lambda1_tol."""
+    if v["lambda1_tol"] < 0:
+        raise ConfigError("lambda1_tol must be nonnegative")
     basis = v["grid"].basis
     L = basis.L
     if v["degree_max"] is not None and not 0 <= v["degree_max"] <= L:
@@ -290,7 +299,10 @@ def _spectrum_ranges(v):
 def _isomorphic_alpha(v):
     """alpha from the distance budget gamma = (1+beta) sqrt(1+alpha^2), or
     the explicit alpha and beta; both must be positive.  A certificate
-    (r_in, R_out) must have 0 < r_in <= R_out."""
+    (r_in, R_out) must have 0 < r_in <= R_out, and the slack must be
+    nonnegative."""
+    if v["slack"] < 0:
+        raise ConfigError("slack must be nonnegative")
     cert = v["certificate"]
     if cert is not None and not 0 < cert[0] <= cert[1]:
         raise ConfigError("certificate [r_in, R_out] needs 0 < r_in <= R_out, "
@@ -330,10 +342,13 @@ def _cmd_isomorphic(v, threads):
 
 
 def _bochner_ranges(v):
-    """At least one field, of band 1..L: a constant field has zero residual."""
+    """At least one field, of band 1..L: a constant field has zero residual;
+    a nonnegative tolerance."""
     L = v["grid"].band_limit
     if v["n_fields"] < 1:
         raise ConfigError("n_fields must be at least 1")
+    if v["tolerance"] < 0:
+        raise ConfigError("tolerance must be nonnegative")
     if not 1 <= v["field_band"] <= L:
         raise ConfigError(f"field_band must be in 1..{L}, the grid's L")
 
@@ -372,7 +387,8 @@ def _cmd_solve(v, threads):
 
 
 def _sweep_bodies(v):
-    """The swept bodies: the 'bodies' list, or the random family's."""
+    """The swept bodies, at least one: the 'bodies' list, or the random
+    family's."""
     fam = v["family"]
     if (v["bodies"] is None) == (fam is None):
         raise ConfigError("sweep needs one of 'bodies' and 'family'")
@@ -383,6 +399,10 @@ def _sweep_bodies(v):
         v["bodies"] = [_body({"type": "random", "seed": s, "band": fam["band"],
                               "strength": fam["strength"]}, f"family seed {s}", v)
                        for s in seeds]
+    if not v["bodies"]:
+        raise ConfigError("sweep names no body: give a non-empty 'bodies' list, "
+                          "or a family with a count of at least 1 or non-empty "
+                          "'seeds'")
 
 
 _SWEEP_HEADER = ["index", "label", "lambda1", "lambda1_even", "hessian_gap",
@@ -462,7 +482,7 @@ COMMAND_TABLE = {
     "pinch": Command(_cmd_pinch, {
         "grid": _GRID, "body": (_body, REQUIRED),
         "optimize": ({"iters": (int, 200)}, None),
-    }),
+    }, _pinch_iters),
     "isomorphic": Command(_cmd_isomorphic, {
         "grid": _GRID, "body": (_strong_body, REQUIRED),
         "gamma": (float, None), "alpha": (float, None),

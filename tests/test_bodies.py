@@ -84,6 +84,14 @@ def test_perturbed_ball_rejects_bad_circle_order(coeffs):
 
 
 @pytest.mark.parametrize("n", [2, 3])
+def test_perturbed_ball_rejects_negative_degree(n):
+    # degree -2 is even and below the band, so only the degree check stops it
+    # from landing on a wrong coefficient
+    with pytest.raises(ValueError, match="degree must be nonnegative, got -2"):
+        perturbed_ball(n, 0.1, [(2, 0, 1.0), (-2, 0, 5.0)])
+
+
+@pytest.mark.parametrize("n", [2, 3])
 def test_spectral_body_rejects_odd_coefficient(n):
     basis = HarmonicBasis(n, 4)
     c = np.zeros(basis.size)
@@ -257,17 +265,17 @@ def test_polar_jet_matches_inverse_ellipsoid_tight(n):
 def test_polar_of_l4_norm_is_l43_norm():
     # polar(||.||_4) has support ||.||_{4/3}; away from the axes, where the
     # base's curvature vanishes, h and its gradient are exact to roundoff
-    # (measured <= 5.2e-14 relative)
-    n = 3
+    # (measured <= 5.2e-14 relative), at n=2 and n=3
     rng = np.random.default_rng(14)
-    u = unit_vectors(rng, 400, n)
-    u = u[(np.abs(u) >= 0.2).all(axis=1)][:60]
     p = 4.0 / 3.0
-    h = (np.abs(u) ** p).sum(axis=1) ** (1.0 / p)
-    grad = np.sign(u) * (np.abs(u) / h[:, None]) ** (p - 1.0)
-    hp, gp = polar(LqNormBody(4, n), build_grid(n, 8)).jet(u, 1)
-    assert np.abs(hp - h).max() < 1e-12 * h.max()
-    assert np.abs(gp - grad).max() < 1e-12 * np.abs(grad).max()
+    for n, L in ((2, 16), (3, 8)):
+        u = unit_vectors(rng, 400, n)
+        u = u[(np.abs(u) >= 0.2).all(axis=1)][:60]
+        h = (np.abs(u) ** p).sum(axis=1) ** (1.0 / p)
+        grad = np.sign(u) * (np.abs(u) / h[:, None]) ** (p - 1.0)
+        hp, gp = polar(LqNormBody(4, n), build_grid(n, L)).jet(u, 1)
+        assert np.abs(hp - h).max() < 1e-12 * h.max()
+        assert np.abs(gp - grad).max() < 1e-12 * np.abs(grad).max()
 
 
 def _seed(P, U):
@@ -276,24 +284,40 @@ def _seed(P, U):
     return sign[:, None] * P._ref_nodes[idx]
 
 
+def _planar_bases(g):
+    """The n=2 bases of the polar maximizer tests, by name."""
+    bases = {f"random{s}": lambda s=s: random_even_body(2, s, band=8, strength=0.3)
+             for s in (0, 1, 2, 17, 42)}
+    bases.update({
+        "diag(2,1)": lambda: ellipsoid(np.diag([2.0, 1.0])),
+        "diag(6,1)": lambda: ellipsoid(np.diag([6.0, 1.0])),
+        "non_convex": lambda: perturbed_ball(2, 1.5),
+        "polar_smoothed_l43": lambda: polar(
+            firey_sum(0.01, ball(1.0, 2), 1.0, LqNormBody(4, 2), 1.0), g),
+        "l4_ball": lambda: lq_gauge_body(4, 2),
+    })
+    return bases
+
+
 @pytest.mark.parametrize("L", [8, 24])
 @pytest.mark.parametrize("name", ["ellipsoid", "perturbed", "random", "l4_norm",
-                                  "l4_ball"])
+                                  "l4_ball", *(f"n2_{k}" for k in _planar_bases(None))])
 def test_polar_maximizer_never_below_fallback(name, L):
     # the polytope seed with the certificate and the fallback must never
     # find a lower h than the fallback path (projected-gradient steps from
     # the same seed, Newton) run on every point; measured
-    # h/h_fallback - 1 >= -8.9e-16
-    body = {
+    # h/h_fallback - 1 >= -8.9e-16.  The n2_ names are the planar bases
+    n = 2 if name.startswith("n2_") else 3
+    g = build_grid(n, L)
+    body = _planar_bases(g)[name[3:]]() if n == 2 else {
         "ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
         "perturbed": lambda: perturbed_ball(3, 0.12),
         "random": lambda: random_even_body(3, 7000),
         "l4_norm": lambda: LqNormBody(4, 3),
         "l4_ball": lambda: lq_gauge_body(4, 3),
     }[name]()
-    g = build_grid(3, L)
     P = polar(body, g)
-    U = np.vstack([unit_vectors(np.random.default_rng(15), 200, 3), g.nodes])
+    U = np.vstack([unit_vectors(np.random.default_rng(15), 200, n), g.nodes])
     h = P._maximize(U)[1]
     h_fallback = P._newton(U, P._projected_gradient(U, _seed(P, U)))[0][1]
     assert np.all(h >= h_fallback * (1.0 - 1e-14))
@@ -425,27 +449,47 @@ class _CountingBody(BodyEvaluator):
 
 def test_polar_base_jets():
     # construction takes one second-order base jet at the N/2 pair nodes;
-    # the polytope-seeded Newton reads the seed's jet from it and takes one
-    # base jet per step (one fewer than its frame evaluations, the last of
-    # which certifies), and a Newton run from any other point, such as the
-    # projected-gradient fallback's, takes its own jet there
+    # the polytope-seeded Newton reads the seed's jet from it, and each step
+    # forms the frame terms once, at the candidate whose base jet it took:
+    # the frame-term rows are the seeds and then the rows of Newton's
+    # second-order base jets, in order, rejected steps (which the l4 norm
+    # takes) forming none at the unchanged theta.  A Newton run from any other
+    # point, such as the projected-gradient fallback's, takes its own jet there
     g = build_grid(3, 16)
-    body = _CountingBody(ellipsoid(np.diag([2.0, 1.0, 0.7])))
-    P = polar(body, g)
-    assert [(o, len(X)) for o, X in body.calls] == [(2, g.node_count // 2)]
-    assert np.array_equal(body.calls[0][1], g.pair_nodes)
     U = unit_vectors(np.random.default_rng(23), 300, 3)
-    body.calls.clear()
-    frame_calls = []
-    terms = P._frame_terms
-    P._frame_terms = lambda *a: frame_calls.append(len(a[0])) or terms(*a)
-    P._maximize(U)
-    assert frame_calls[0] == len(U) and len(frame_calls) >= 2
-    assert [o for o, _ in body.calls] == [2] * (len(frame_calls) - 1)
-    th = P._projected_gradient(U, _seed(P, U))
-    body.calls.clear()
-    P._newton(U, th)
-    assert body.calls[0][0] == 2 and np.array_equal(body.calls[0][1], th)
+    for base in (ellipsoid(np.diag([2.0, 1.0, 0.7])), LqNormBody(4, 3)):
+        body = _CountingBody(base)
+        P = polar(body, g)
+        assert [(o, len(X)) for o, X in body.calls] == [(2, g.node_count // 2)]
+        assert np.array_equal(body.calls[0][1], g.pair_nodes)
+        body.calls.clear()
+        frame_rows = []
+        terms = P._frame_terms
+        P._frame_terms = lambda *a: frame_rows.append(a[1].copy()) or terms(*a)
+        P._maximize(U)
+        jets = [X for o, X in body.calls if o == 2]
+        assert len(frame_rows) == len(jets) + 1 and len(jets) >= 1
+        assert np.array_equal(np.vstack(frame_rows), np.vstack([_seed(P, U), *jets]))
+        th = P._projected_gradient(U, _seed(P, U))
+        body.calls.clear()
+        P._newton(U, th)
+        assert body.calls[0][0] == 2 and np.array_equal(body.calls[0][1], th)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_newton_takes_no_separate_gradient(n):
+    # Newton's acceptance test reads the candidate's gradient from the terms
+    # it forms there, so _psi_grad serves the projected-gradient steps only
+    g = build_grid(n, 8)
+    P = polar(ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), g)
+    calls = []
+    grad = P._psi_grad
+    P._psi_grad = lambda *a: calls.append(len(a[0])) or grad(*a)
+    U = unit_vectors(np.random.default_rng(29), 50, n)
+    P._newton(U, _seed(P, U))
+    assert calls == []
+    P._projected_gradient(U, _seed(P, U))
+    assert calls == [len(U)] * P._PG_STEPS
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "l4_ball"])
@@ -482,45 +526,30 @@ def test_polar_fallback_takes_its_own_jets():
     assert orders.count(1) == P._PG_STEPS
 
 
-def _planar_bases(g):
-    """The n=2 bases of the kernel-agreement tests, by name."""
-    bases = {f"random{s}": lambda s=s: random_even_body(2, s, band=8, strength=0.3)
-             for s in (0, 1, 2, 17, 42)}
-    bases.update({
-        "diag(2,1)": lambda: ellipsoid(np.diag([2.0, 1.0])),
-        "diag(6,1)": lambda: ellipsoid(np.diag([6.0, 1.0])),
-        "non_convex": lambda: perturbed_ball(2, 1.5),
-        "polar_smoothed_l43": lambda: polar(
-            firey_sum(0.01, ball(1.0, 2), 1.0, LqNormBody(4, 2), 1.0), g),
-        "l4_ball": lambda: lq_gauge_body(4, 2),
-    })
-    return bases
-
-
 @pytest.mark.parametrize("name", list(_planar_bases(None)))
 def test_planar_newton_matches_frame_kernel(name):
-    # at n=2 the scalar kernel is the frame kernel's algorithm on (N,)
-    # arrays: from the same seeds it takes the same steps (identical base-jet
-    # rows), leaves the same points uncertified for the fallback, and the
-    # polar jets agree (measured <= 1.5e-15 relative on C^2 bases).  The
-    # finite-difference l4 ball's derivatives carry their own noise, so only
-    # h and the uncertified set are compared there
+    # at n=2 Newton runs on the (N,) scalars of _planar_terms; fed the 1x1
+    # frame matrices of _frame_terms instead, the same loop is the frame
+    # algorithm of n=3.  From the same seeds both take the same steps
+    # (identical base-jet rows), leave the same points uncertified for the
+    # fallback, and the polar jets agree (measured <= 1.8e-15 relative on C^2
+    # bases).  The finite-difference l4 ball's derivatives carry their own
+    # noise, so only h and the uncertified set are compared there
     g = build_grid(2, 16)
     base = _CountingBody(_planar_bases(g)[name]())
     U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(26), 40, 2)])
-    P = polar(base, g)
+    P, frame = polar(base, g), polar(base, g)
+    frame._planar_terms = frame._frame_terms
     idx, sign = P._seed_index(U)
     h, dh, Hh = P._ref_jet
     jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
     rows, uncertified = [], []
-    for kernel in (P._newton_planar, P._newton):
+    for body in (P, frame):
         base.calls.clear()
-        _, certified = kernel(U, _seed(P, U), tuple(a.copy() for a in jet))
+        _, certified = body._newton(U, _seed(P, U), tuple(a.copy() for a in jet))
         rows.append([len(X) for _, X in base.calls])
         uncertified.append(np.flatnonzero(~certified))
     assert np.array_equal(uncertified[0], uncertified[1])
-    frame = polar(base, g)
-    frame._newton_planar = frame._newton
     got, ref = P.jet(U, 2), frame.jet(U, 2)
     smooth = name != "l4_ball"
     for a, b in list(zip(got, ref))[:3 if smooth else 1]:
@@ -529,21 +558,19 @@ def test_planar_newton_matches_frame_kernel(name):
         assert rows[0] == rows[1]
 
 
-def test_polar_kernel_is_picked_by_dimension(monkeypatch):
-    # n=3 runs the frame kernel only, n=2 the scalar kernel only, fallback
-    # pass included (the l4 balls are never certified)
+def test_polar_runs_one_newton_loop_at_every_dimension(monkeypatch):
+    # n=2 and n=3 both run PolarBody._newton, once from the seeds and once
+    # more for the fallback pass (the l4 balls are never certified)
     calls = []
-    for kernel in ("_newton", "_newton_planar"):
-        run = getattr(PolarBody, kernel)
-        monkeypatch.setattr(PolarBody, kernel, lambda self, *a, k=kernel, run=run:
-                            calls.append(k) or run(self, *a))
+    run = PolarBody._newton
+    monkeypatch.setattr(PolarBody, "_newton",
+                        lambda self, *a: calls.append(a[0].shape[1]) or run(self, *a))
     for n in (2, 3):
         g = build_grid(n, 8)
         for body in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), lq_gauge_body(4, n)):
             calls.clear()
             polar(body, g).jet(unit_vectors(np.random.default_rng(27), 20, n), 2)
-            expect = "_newton" if n == 3 else "_newton_planar"
-            assert calls == [expect] * (1 if body.label == "ellipsoid" else 2)
+            assert calls == [n] * (1 if body.label == "ellipsoid" else 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])

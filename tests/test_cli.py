@@ -207,6 +207,26 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
     pytest.param("solve", {"grid": {"n": 2, "L": 16}, "max_iter": 0,
                            "target": {"p": 0.0, "body": {"type": "ball"}}},
                  id="solve_max_iter_zero"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8},
+                           "body": {"type": "perturbed_ball",
+                                    "coeffs": [[2, 0, 1.0], [-2, 0, 5.0]]}},
+                 id="perturbed_ball_negative_degree"),
+    pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "lambda1_tol": -1e-6},
+                 id="spectrum_lambda1_tol_negative"),
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "tolerance": -1e-6},
+                 id="bochner_tolerance_negative"),
+    pytest.param("isomorphic", {**_ISO, "slack": -0.01}, id="iso_slack_negative"),
+    pytest.param("pinch", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                           "optimize": {"iters": 0}},
+                 id="pinch_optimize_iters_zero"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random"}},
+                 id="sweep_family_count_zero"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8},
+                           "family": {"type": "random", "count": 3, "seeds": []}},
+                 id="sweep_family_seeds_empty"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "bodies": []},
+                 id="sweep_bodies_empty"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
@@ -298,15 +318,16 @@ def test_sweep_rows_and_determinism(tmp_path):
     assert c3 == c4
 
 
-def test_sweep_empty_range(tmp_path):
+def test_sweep_empty_range(tmp_path, capsys):
+    # a family that names no body is a config error: exit 2, nothing written
     cfg = write_config(tmp_path, "c.json", {
         "grid": {"n": 2, "L": 8},
         "family": {"type": "random", "seeds": []},
     })
     out = tmp_path / "out"
-    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 0
-    text = (out / "sweep.csv").read_text().strip().split("\n")
-    assert len(text) == 1  # header only
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "names no body" in capsys.readouterr().err
 
 
 def test_sweep_threads_match_serial(tmp_path):
