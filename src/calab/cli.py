@@ -33,7 +33,7 @@ from calab.bodies import (ball, ellipsoid, evaluate_on_grid, lq_gauge_body,
                           perturbed_ball, polar, quantities, random_even_body)
 from calab.calculus import build_state
 from calab.isomorphic import construct, isometric_gamma, p_gamma_D, verify
-from calab.minkowski import SolveOptions, TargetMeasure, minimize
+from calab.minkowski import TargetMeasure, minimize
 from calab.pinching import measure_pinching, optimize_image
 from calab.spectral import (GalerkinBasis, assemble, bochner_residual,
                             hessian_gap_even, solve_spectrum)
@@ -373,8 +373,7 @@ def _cmd_solve(v, threads):
         mu = TargetMeasure.from_body(target["body"], p)
     else:
         mu = target["density_csv"]
-    res = minimize(mu, p, options=SolveOptions(band=v["band"],
-                                               max_iter=v["max_iter"]))
+    res = minimize(mu, p, band=v["band"], max_iter=v["max_iter"])
     checks = [_check("converged", float(res.converged), 1.0, 0.0, res.converged),
               _check("el_residual", res.el_residual, 0.0, 1e-4,
                      res.el_residual <= 1e-4)]

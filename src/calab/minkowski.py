@@ -47,12 +47,6 @@ class TargetMeasure:
         return cls(bg.grid, bg.h ** (1.0 - p) * bg.sk_density)
 
 
-@dataclass
-class SolveOptions:
-    band: int = 16
-    max_iter: int = 4000
-
-
 @dataclass(frozen=True)
 class SolveResult:
     coeffs: np.ndarray          # full-basis coefficients of h (odd entries 0)
@@ -102,6 +96,7 @@ _NO_DECREASE_STEPS = 50
 _GRAD_TOL = 1e-9    # converged: max |preconditioned gradient| <= this max(|F|, 1)
 _EIG_FLOOR = 1e-6   # feasible step: min eig D^2 h > this mean(h)
 _DAMPING = 1.0      # the first Newton step's Levenberg damping
+_BAND = 16          # the solver's default harmonic band, uniqueness_probe's band
 
 
 class _EvenModel:
@@ -127,9 +122,10 @@ class _EvenModel:
         self._R_rows = np.asfortranarray(R_phi.reshape(-1, H.shape[1]))
         self._R_phi = self._R_rows.reshape(R_phi.shape)
 
-    def ball_coeffs(self, radius: float = 1.0) -> np.ndarray:
+    def ball_coeffs(self) -> np.ndarray:
+        """The unit ball's coefficients in the full basis."""
         c = np.zeros(self.basis.size)
-        c[0] = radius / self.basis.constant_value
+        c[0] = 1.0 / self.basis.constant_value
         return c
 
     def frames(self, c: np.ndarray) -> np.ndarray:
@@ -164,11 +160,11 @@ class _EvenModel:
         return 0.5 * (A + A.T)
 
 
-def _objective(model: _EvenModel, f: np.ndarray, p: float, h, det):
-    """Functional value and gradient w.r.t. even coefficients, for the target
-    density f on the model's nodes, and a function of the coefficients c of
-    h that forms the Hessian (the chain rule through V^{-p/n}, through
-    exp/log at p = 0) from the same terms."""
+def _objective(model: _EvenModel, f: np.ndarray, p: float, c, h, det):
+    """Functional value and gradient w.r.t. even coefficients at the even
+    coefficients c of h, for the target density f on the model's nodes, and
+    a function that forms the Hessian there (the chain rule through
+    V^{-p/n}, through exp/log at p = 0) from the same terms."""
     w = model.weights
     n = model.grid.n
     V = float(w @ (h * det)) / n
@@ -180,7 +176,7 @@ def _objective(model: _EvenModel, f: np.ndarray, p: float, h, det):
         dE = model.B.T @ (w * f / h) / mass
         g = dE - dV / (n * V)   # gradient of log F
 
-        def hessian(c):
+        def hessian():
             hess_log = (-model.gram(f / h**2) / mass - model.volume_hessian(c) / (n * V)
                         + np.outer(dV, dV) / (n * V * V))
             return F * (hess_log + np.outer(g, g))
@@ -189,7 +185,7 @@ def _objective(model: _EvenModel, f: np.ndarray, p: float, h, det):
     E = float(w @ (f * h**p)) / p
     dE = model.B.T @ (w * f * h ** (p - 1.0))
 
-    def hessian(c):
+    def hessian():
         cross = np.outer(dE, dV)
         return ((p - 1.0) * model.gram(f * h ** (p - 2.0)) / V**a
                 - a * V ** (-a - 1.0) * (cross + cross.T + E * model.volume_hessian(c))
@@ -197,34 +193,30 @@ def _objective(model: _EvenModel, f: np.ndarray, p: float, h, det):
     return E / V**a, dE / V**a - a * E * V ** (-a - 1.0) * dV, hessian
 
 
-def _value_and_grad(model: _EvenModel, f: np.ndarray, p: float, h, det, c=None):
-    """_objective's value and gradient, and given c its Hessian."""
-    F, grad, hessian = _objective(model, f, p, h, det)
-    return (F, grad) if c is None else (F, grad, hessian(c))
-
-
 def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
-             options: SolveOptions | None = None) -> SolveResult:
+             band: int = _BAND, max_iter: int = 4000) -> SolveResult:
     """Minimize the functional over even-coefficient support functions by
     Levenberg-Newton steps.
 
-    The iteration renormalizes to unit volume (the functional is
-    0-homogeneous) and solves (Hess F + mu P) d = -grad F, P = diag(1 +
-    l(l+n-2)) the ball's shifted Laplacian: large mu gives the preconditioned
-    gradient step -grad F / (mu P).  mu falls tenfold after a full step and
-    rises tenfold when d is not a descent direction or the line search
-    backtracks.  The line search starts at t = 1, tests Armijo and rejects
-    steps that leave the strongly convex cone (minimum eigenvalue of D^2 h
-    below the floor).  Steps too short for F to resolve their decrease are
-    judged by the preconditioned gradient (_UNRESOLVED), which also stops the
-    iteration (_GRAD_TOL).  It stops unconverged after _NO_DECREASE_STEPS
-    accepted steps in a row that leave the functional unchanged at roundoff."""
-    opts = options or SolveOptions()
+    The iteration works at unit volume (the functional is 0-homogeneous) and
+    solves (Hess F + mu P) d = -grad F, P = diag(1 + l(l+n-2)) the ball's
+    shifted Laplacian: large mu gives the preconditioned gradient step
+    -grad F / (mu P).  mu falls tenfold after a full step and rises tenfold
+    when d is not a descent direction or the line search backtracks.  The
+    line search starts at t = 1, rejects steps that leave the strongly
+    convex cone (minimum eigenvalue of D^2 h below the floor), rescales each
+    feasible candidate to unit volume and evaluates F there once, and tests
+    Armijo; an accepted step keeps that evaluation.  Steps too short for F
+    to resolve their decrease are judged by the preconditioned gradient
+    (_UNRESOLVED), which also stops the iteration (_GRAD_TOL).  It stops
+    after _NO_DECREASE_STEPS accepted steps in a row that leave the
+    functional unchanged at roundoff.  Whatever the stop, convergence is
+    judged on the returned iterate."""
     grid = mu.grid
     n = grid.n
     if not (-n < p < 1):
         raise ValueError("p must lie in (-n, 1)")
-    model = _EvenModel(grid, opts.band)
+    model = _EvenModel(grid, band)
 
     init = model.ball_coeffs() if init is None else np.asarray(init, dtype=float)
     if len(init) != model.basis.size:
@@ -241,27 +233,22 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
         s = V ** (-1.0 / n)
         return c * s, h * s, det * s ** (n - 1), s
 
-    total_scale = 1.0
-    c, h, det, s = renorm(c, h, det)
-    total_scale *= s
+    c, h, det, total_scale = renorm(c, h, det)
 
     degs = model.basis.degrees[model.even_mask].astype(float)
     metric = 1.0 + degs * (degs + n - 2)
 
-    F, grad, hessian = _objective(model, f, p, h, det)
+    F, grad, hessian = _objective(model, f, p, c, h, det)
+    gnorm = float(np.abs(grad / metric).max())
     history = [F]
     damping = _DAMPING
     iterations = 0
     flat = 0   # accepted steps in a row without a strict decrease
-    converged = False
     message = "max iterations reached"
-    for iterations in range(1, opts.max_iter + 1):
-        gnorm = float(np.abs(grad / metric).max())
+    for iterations in range(1, max_iter + 1):
         if gnorm <= _GRAD_TOL * max(abs(F), 1.0):
-            converged = True
-            message = "gradient tolerance reached"
             break
-        hess = hessian(c)
+        hess = hessian()
         d = np.linalg.solve(hess + np.diag(damping * metric), -grad)
         while grad @ d >= 0:   # not a descent direction
             damping *= 10.0
@@ -273,9 +260,11 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
             cand = c + t * d
             hc, detc, mnc = model.geometry(cand)
             if detc is not None and mnc > _EIG_FLOOR * np.mean(hc):
-                Fc, gradc = _value_and_grad(model, f, p, hc, detc)
+                cand, hc, detc, s = renorm(cand, hc, detc)
+                Fc, gradc, hessianc = _objective(model, f, p, cand, hc, detc)
+                gnormc = float(np.abs(gradc / metric).max())
                 if -t * slope <= _UNRESOLVED * abs(F):
-                    accepted = float(np.abs(gradc / metric).max()) < gnorm
+                    accepted = gnormc < gnorm
                 else:
                     accepted = Fc <= F + 1e-4 * t * slope
                 if accepted:
@@ -286,14 +275,15 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
             break
         damping = damping / 10.0 if t == 1.0 else damping * 10.0
         flat = 0 if Fc < F else flat + 1
-        c, h, det = cand, hc, detc
-        c, h, det, s = renorm(c, h, det)
+        c, h, det, F, grad, hessian, gnorm = cand, hc, detc, Fc, gradc, hessianc, gnormc
         total_scale *= s
-        F, grad, hessian = _objective(model, f, p, h, det)
         history.append(F)
         if flat >= _NO_DECREASE_STEPS:
             message = "no decrease at roundoff"
             break
+    converged = gnorm <= _GRAD_TOL * max(abs(F), 1.0)
+    if converged:
+        message = "gradient tolerance reached"
 
     # Euler-Lagrange certificate: h^{1-p} det D2h proportional to the density
     X = h ** (1.0 - p) * det
@@ -303,7 +293,7 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
     full = np.zeros(model.basis.size)
     full[model.even_mask] = c
     return SolveResult(
-        coeffs=full, band=opts.band, n=n, value=F, el_residual=el,
+        coeffs=full, band=band, n=n, value=F, el_residual=el,
         iterations=iterations, converged=converged,
         normalization=total_scale, history=tuple(history), message=message,
     )
@@ -314,16 +304,17 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 
 
 def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
-                     grid: SphereGrid,
-                     options: SolveOptions | None = None) -> dict:
+                     grid: SphereGrid) -> dict:
     """Minimize from several random feasible starts with mu = S_p K and
-    cluster the minimizers, which minimize returns at unit volume.
+    cluster the minimizers, which minimize returns at unit volume, by single
+    linkage at sup distance 1e-2.
 
     One cluster is evidence of (not proof of) a unique minimizer."""
-    opts = options or SolveOptions()
+    if n_starts < 1:
+        raise ValueError("n_starts must be at least 1")
     bg = evaluate_on_grid(bodyK, grid)
     mu = TargetMeasure.from_body(bg, p)
-    model = _EvenModel(grid, opts.band)
+    model = _EvenModel(grid, _BAND)
     rng = np.random.default_rng(seed)
 
     results = []
@@ -340,33 +331,21 @@ def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
                 c = cand
                 break
             scale *= 0.5
-        results.append(minimize(mu, p, init=c, options=opts))
+        results.append(minimize(mu, p, init=c))
 
-    hs = [model.B @ r.coeffs[model.even_mask] for r in results]
-    k = len(hs)
-    dist = np.zeros((k, k))
-    for i in range(k):
-        for j in range(i + 1, k):
-            d = np.abs(hs[i] - hs[j]).max() / np.mean(hs[i])
-            dist[i, j] = dist[j, i] = d
-
-    # single-linkage clustering at threshold 1e-2
-    labels = -np.ones(k, dtype=int)
-    cluster = 0
-    for i in range(k):
-        if labels[i] >= 0:
-            continue
-        stack = [i]
-        labels[i] = cluster
-        while stack:
-            a = stack.pop()
-            for b in range(k):
-                if labels[b] < 0 and dist[a, b] <= 1e-2:
-                    labels[b] = cluster
-                    stack.append(b)
-        cluster += 1
+    hs = np.array([model.B @ r.coeffs[model.even_mask] for r in results])
+    # sup |h_i - h_j| / mean h_i for i < j, mirrored
+    upper = np.triu(np.abs(hs[:, None] - hs).max(axis=2) / hs.mean(axis=1)[:, None], 1)
+    dist = upper + upper.T
+    # the clusters are the connected components of dist <= 1e-2 (the
+    # adjacency squared to its transitive closure), numbered in the order
+    # of their smallest members
+    reach = dist <= 1e-2
+    for _ in range(len(results).bit_length()):
+        reach = reach @ reach
+    firsts, labels = np.unique(reach.argmax(axis=1), return_inverse=True)
     return {
-        "clusters": int(cluster),
+        "clusters": len(firsts),
         "labels": [int(v) for v in labels],
         "pairwise_sup_distances": dist,
         "results": results,

@@ -11,7 +11,6 @@ from calab.bodies import (
     random_even_body,
 )
 from calab.minkowski import (
-    SolveOptions,
     TargetMeasure,
     minimize,
     minkowski_inequality_gap,
@@ -148,7 +147,7 @@ def test_minimize_monotone_and_feasible(grid):
     body = random_even_body(2, seed=1)
     bg = evaluate_on_grid(body, grid)
     mu = TargetMeasure.from_body(bg, 0.0)
-    res = minimize(mu, 0.0, options=SolveOptions(max_iter=200))
+    res = minimize(mu, 0.0, max_iter=200)
     assert res.converged
     # the functional decreases monotonically along accepted iterations
     hist = np.array(res.history)
@@ -203,6 +202,44 @@ def test_hessian_is_formed_once_per_newton_step(grid, monkeypatch):
         assert len(calls) == len(res.history) - 1 == res.iterations - 1 > 0
 
 
+def test_objective_is_evaluated_once_per_accepted_step(grid, monkeypatch):
+    # the line search evaluates F at each feasible candidate after its
+    # unit-volume rescale, and an accepted step keeps that evaluation: one
+    # call at the start and one per step on targets where nothing backtracks
+    import calab.minkowski as minkowski
+
+    calls = []
+    objective = minkowski._objective
+    monkeypatch.setattr(minkowski, "_objective",
+                        lambda *a: calls.append(1) or objective(*a))
+    for p in (0.0, 0.5):
+        for seed in range(5000, 5010):
+            calls.clear()
+            mu = TargetMeasure.from_body(
+                evaluate_on_grid(random_even_body(2, seed=seed), grid), p)
+            res = minimize(mu, p)
+            assert res.converged, (seed, p, res.message)
+            assert len(calls) == len(res.history), (seed, p)
+
+
+def test_minimize_judges_convergence_on_the_returned_iterate(grid):
+    # random 5000 at p = 0 converges in 6 iterations, the last only testing
+    # the gradient; stopped by max_iter after the 5th step, the run returns
+    # the same iterate and reports it converged
+    mu = TargetMeasure.from_body(
+        evaluate_on_grid(random_even_body(2, seed=5000), grid), 0.0)
+    full = minimize(mu, 0.0)
+    assert full.converged and full.iterations == 6
+    cut = minimize(mu, 0.0, max_iter=5)
+    assert np.array_equal(cut.coeffs, full.coeffs)
+    assert cut.history == full.history
+    assert cut.converged and cut.message == "gradient tolerance reached"
+    assert cut.iterations == 5
+    # one step short, the gradient rule fails and max_iter is the reason
+    short = minimize(mu, 0.0, max_iter=4)
+    assert not short.converged and short.message == "max iterations reached"
+
+
 def _hessian_case(n, p):
     """A solver model, a target density and feasible even coefficients off
     the minimizer and off unit volume."""
@@ -234,14 +271,14 @@ def _central_differences(fn, c, eps):
 @pytest.mark.parametrize("p", [0.0, 0.5])
 def test_newton_hessian_matches_gradient_differences(n, p):
     # the exact Hessian of F (and its volume part d^2V) against central
-    # differences of _value_and_grad's gradient (and of dV = B^t (w det))
-    from calab.minkowski import _value_and_grad
+    # differences of _objective's gradient (and of dV = B^t (w det))
+    from calab.minkowski import _objective
 
     model, f, c = _hessian_case(n, p)
 
     def grad(c):
         h, det, _ = model.geometry(c)
-        return _value_and_grad(model, f, p, h, det)[1]
+        return _objective(model, f, p, c, h, det)[1]
 
     def volume_grad(c):
         _, det, _ = model.geometry(c)
@@ -251,7 +288,8 @@ def test_newton_hessian_matches_gradient_differences(n, p):
     assert mn > 0
     V = float(model.weights @ (h * det)) / n
     assert abs(V - 1.0) > 0.1
-    F, g, hess = _value_and_grad(model, f, p, h, det, c)
+    F, g, hessian = _objective(model, f, p, c, h, det)
+    hess = hessian()
     assert np.array_equal(g, grad(c))
     d2V = model.volume_hessian(c)
     assert np.array_equal(d2V, d2V.T)
@@ -269,7 +307,7 @@ def test_minimize_on_half_grid_tables_returns_unit_volume():
     mu = TargetMeasure.from_body(evaluate_on_grid(ellipsoid(np.diag([1.5, 1.0])), g),
                                  0.5)
     assert g._tables is None
-    res = minimize(mu, 0.5, options=SolveOptions(band=16))
+    res = minimize(mu, 0.5, band=16)
     assert res.converged
     for T in g._tables:
         assert T.shape[:2] == (g.node_count // 2, 33)
@@ -322,6 +360,36 @@ def test_uniqueness_probe_negative_p_recorded(grid):
     for i, j in zip(*np.triu_indices(4, 1)):
         ref = np.abs(hs[i] - hs[j]).max() / np.mean(hs[i])
         assert abs(res["pairwise_sup_distances"][i, j] - ref) <= 1e-13
+
+
+def test_uniqueness_probe_single_linkage_is_transitive(grid, monkeypatch):
+    # prescribed minimizers: balls scaled by 1, 1.008, 1.016 (a chain whose
+    # neighbours lie under 1e-2 apart while its ends do not) and 1.5
+    import calab.minkowski as minkowski
+
+    model = minkowski._EvenModel(grid, 16)
+    radii = iter([1.0, 1.008, 1.016, 1.5])
+    monkeypatch.setattr(
+        minkowski, "minimize",
+        lambda mu, p, **kw: minkowski.SolveResult(
+            coeffs=next(radii) * model.ball_coeffs(), band=16, n=2, value=0.0,
+            el_residual=0.0, iterations=0, converged=True, normalization=1.0))
+    res = uniqueness_probe(ball(1.0, 2), 0.5, n_starts=4, seed=0, grid=grid)
+    assert res["clusters"] == 2
+    assert res["labels"] == [0, 0, 0, 1]
+    dist = res["pairwise_sup_distances"]
+    hs = [r.body.support(grid.nodes) for r in res["results"]]
+    for i, j in zip(*np.triu_indices(4, 1)):
+        ref = np.abs(hs[i] - hs[j]).max() / np.mean(hs[i])
+        assert abs(dist[i, j] - ref) <= 1e-13
+        assert dist[j, i] == dist[i, j]
+    assert dist[0, 1] <= 1e-2 and dist[1, 2] <= 1e-2 and dist[0, 2] > 1e-2
+    assert np.all(np.diag(dist) == 0.0)
+
+
+def test_uniqueness_probe_needs_a_start(grid):
+    with pytest.raises(ValueError, match="n_starts"):
+        uniqueness_probe(ball(1.0, 2), 0.5, n_starts=0, seed=0, grid=grid)
 
 
 def test_probe_determinism(grid):
