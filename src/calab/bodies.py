@@ -122,6 +122,24 @@ def _turn(X):
 _TURN = np.array([-1.0, 1.0])
 
 
+def _osculating_adjugate(h, dh, Hh):
+    """adj Q for Q = grad h grad h^t + h D^2h = Hess(h^2)/2 at each row, NaN
+    where Q is not positive-definite by Sylvester's minors (n = 2, 3).
+    sqrt(x^t Q x) is the ellipsoid that matches h, grad h and D^2h there, so
+    adj Q u points to its polar's maximizer at u."""
+    Q = _outer(dh, dh) + h[:, None, None] * Hh
+    a, b, d = Q[:, 0, 0], Q[:, 1, 0], Q[:, 1, 1]
+    if Q.shape[1] == 2:
+        adj = np.stack([np.stack([d, -b], axis=1), np.stack([-b, a], axis=1)], axis=1)
+    else:
+        # the rows of adj Q are the cross products of Q's columns
+        c0, c1, c2 = Q[:, :, 0], Q[:, :, 1], Q[:, :, 2]
+        adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=1)
+    pd = (a > 0) & (a * d - b * b > 0) & (np.einsum("ij,ij->i", Q[:, :, 0], adj[:, 0]) > 0)
+    adj[~pd] = np.nan
+    return adj
+
+
 # ----------------------------------------------------------------------
 # concrete families
 
@@ -359,12 +377,19 @@ class PolarBody(BodyEvaluator):
     discrete polar polytope, so each point starts at the pair node +-theta
     (the base is even) of largest |<u, v>|, signed by <u, v>, taken in row
     blocks of _SEED_BLOCK points.  One second-order base jet at the pair
-    nodes, taken at construction, gives the vertices and Newton's first base
-    jet at each seed.  Guarded Newton on the sphere (_newton) then runs on
-    the points not yet certified, in the tangent frames F at theta: frame
-    matrices (sphere.frame_solve for the step) at n=3, and at n=2, where F
-    is the single tangent e = (-theta_y, theta_x), the same loop on (N,)
-    scalars (1x1 frame bookkeeping costs more than the arithmetic there).
+    nodes, taken at construction (a base not positive and finite there
+    raises ValueError), gives the vertices and Q = grad h grad h^t + h D^2h:
+    sqrt(x^t Q x) is the ellipsoid with the node's h, grad h and D^2h, and
+    its polar's maximizer Q^-1 u / |Q^-1 u| is the start, exact where h^2 is
+    a quadratic form (ellipsoids, their linear images, their p=2 Firey sums
+    with a ball, polars of these).  Its base jet replaces Newton's first
+    step; a point keeps the node and its jet where Q is not positive-definite
+    or psi is lower at the start.  Guarded Newton on the sphere (_newton)
+    then runs on the points not yet certified, in the tangent frames F at
+    theta: frame matrices (sphere.frame_solve for the step) at n=3, and at
+    n=2, where F is the single tangent e = (-theta_y, theta_x), the same
+    loop on (N,) scalars (1x1 frame bookkeeping costs more than the
+    arithmetic there).
     A point is certified when the tangential gradient of psi is at most
     1e-13 psi and F^T Hess(psi) F is negative-definite.  The certificate
     proves the maximizer global only when the base h is convex:
@@ -372,7 +397,7 @@ class PolarBody(BodyEvaluator):
     is then its unique global one.  The loop stops when every point is
     certified or after _NEWTON_CAP steps.  Points left uncertified (bases
     whose support function is not C^2, finite-difference bases) are solved
-    again from the same seed with _PG_STEPS projected-gradient ascent steps
+    again from the polytope seed with _PG_STEPS projected-gradient ascent steps
     before the Newton loop, and keep whichever psi is larger.
 
     The gradient of the result is envelope-exact (= maximizer point
@@ -400,8 +425,14 @@ class PolarBody(BodyEvaluator):
         self.base = base
         self._ref_nodes = grid.pair_nodes
         self._ref_jet = base.jet(grid.pair_nodes, 2)
-        self._vertices_t = np.ascontiguousarray(
-            (grid.pair_nodes / self._ref_jet[0][:, None]).T)
+        h = self._ref_jet[0]
+        bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
+        if bad.size:
+            raise ValueError(f"support function must be positive and finite on the "
+                             f"grid: pair node {bad[0]} {grid.pair_nodes[bad[0]]} "
+                             f"reads {h[bad[0]]}")
+        self._vertices_t = np.ascontiguousarray((grid.pair_nodes / h[:, None]).T)
+        self._ref_adj = _osculating_adjugate(*self._ref_jet)
 
     def _seed_index(self, U):
         """(index, sign) of the vertex v of largest psi = sign * <U, v> for
@@ -447,13 +478,29 @@ class PolarBody(BodyEvaluator):
 
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
-        unit U: Newton from the polytope seed, then the fallback from the same
-        seed for the uncertified."""
+        unit U: Newton from the osculating start (from the polytope seed where
+        that start does not apply or is worse), then the fallback from the
+        polytope seed for the uncertified."""
         idx, sign = self._seed_index(U)
         h, dh, Hh = self._ref_jet
         seed = sign[:, None] * self._ref_nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
-        best, certified = self._newton(U, seed, (h[idx], sign[:, None] * dh[idx], Hh[idx]))
+        jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
+        # the maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid;
+        # _ref_adj is NaN where Q is not positive-definite
+        v = np.einsum("ijk,ik->ij", self._ref_adj[idx], U)
+        v /= np.linalg.norm(v, axis=1, keepdims=True)
+        osc = np.flatnonzero(np.isfinite(v).all(axis=1))
+        start = seed.copy()
+        if osc.size:
+            # the start is taken where psi there is at least psi at the node
+            jo = self.base.jet(v[osc], 2)
+            up = (np.einsum("ij,ij->i", U[osc], v[osc]) / jo[0]
+                  >= np.einsum("ij,ij->i", U[osc], seed[osc]) / jet[0][osc])
+            start[osc[up]] = v[osc[up]]
+            for a, b in zip(jet, jo):
+                a[osc[up]] = b[up]
+        best, certified = self._newton(U, start, jet)
         idx = np.flatnonzero(~certified)
         if idx.size:
             alt, _ = self._newton(U[idx], self._projected_gradient(U[idx], seed[idx]))

@@ -1,5 +1,7 @@
 """Tests for support-function evaluators and Brunn-Minkowski quantities."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -448,15 +450,19 @@ class _CountingBody(BodyEvaluator):
 
 
 def test_polar_base_jets():
-    # construction takes one second-order base jet at the N/2 pair nodes;
-    # the polytope-seeded Newton reads the seed's jet from it, and each step
-    # forms the frame terms once, at the candidate whose base jet it took:
-    # the frame-term rows are the seeds and then the rows of Newton's
-    # second-order base jets, in order, rejected steps (which the l4 norm
-    # takes) forming none at the unchanged theta.  A Newton run from any other
-    # point, such as the projected-gradient fallback's, takes its own jet there
+    # construction takes one second-order base jet at the N/2 pair nodes.
+    # _maximize takes one at the osculating starts (the seeds whose Q is
+    # positive-definite), then Newton one per step at the candidate, and each
+    # step forms the frame terms once, at the candidate whose base jet it
+    # took: the frame-term rows are the starts (an osculating start or the
+    # polytope seed, whose jet construction took) and then the rows of
+    # Newton's base jets, in order, rejected steps (which the l4 norm takes)
+    # forming none at the unchanged theta.  On an ellipsoid the start is the
+    # maximizer, so that first jet is the only one.  A Newton run from any
+    # other point, such as the projected-gradient fallback's, takes its own
+    # jet there
     g = build_grid(3, 16)
-    U = unit_vectors(np.random.default_rng(23), 300, 3)
+    U = np.vstack([unit_vectors(np.random.default_rng(23), 300, 3), g.pair_nodes])
     for base in (ellipsoid(np.diag([2.0, 1.0, 0.7])), LqNormBody(4, 3)):
         body = _CountingBody(base)
         P = polar(body, g)
@@ -468,12 +474,158 @@ def test_polar_base_jets():
         P._frame_terms = lambda *a: frame_rows.append(a[1].copy()) or terms(*a)
         P._maximize(U)
         jets = [X for o, X in body.calls if o == 2]
-        assert len(frame_rows) == len(jets) + 1 and len(jets) >= 1
-        assert np.array_equal(np.vstack(frame_rows), np.vstack([_seed(P, U), *jets]))
+        assert len(frame_rows) == len(jets)
+        assert all(np.array_equal(a, b) for a, b in zip(frame_rows[1:], jets[1:]))
+        seed, start = _seed(P, U), frame_rows[0]
+        at_seed = (start == seed).all(axis=1)
+        osc = np.isfinite(P._ref_adj[P._seed_index(U)[0]]).all(axis=(1, 2))
+        assert np.array_equal(jets[0][~at_seed[osc]], start[osc & ~at_seed])
+        assert len(jets[0]) == osc.sum() and not (~osc & ~at_seed).any()
+        if base.label == "ellipsoid":
+            assert len(jets) == 1 and not at_seed.any()
+        else:  # axis nodes (Q singular) and a lower psi keep the seed
+            assert 0 < osc.sum() < len(U) and 0 < at_seed[osc].sum()
         th = P._projected_gradient(U, _seed(P, U))
         body.calls.clear()
         P._newton(U, th)
         assert body.calls[0][0] == 2 and np.array_equal(body.calls[0][1], th)
+
+
+@pytest.fixture
+def maximize_jets(monkeypatch):
+    """(label, second-order base jets taken) of each PolarBody._maximize
+    call, nested polars included."""
+    seen = []
+    run = PolarBody._maximize
+
+    def spy(self, U):
+        jets, base_jet = [], self.base.jet
+        self.base.jet = lambda X, order=2: jets.append(order) or base_jet(X, order)
+        try:
+            return run(self, U)
+        finally:
+            del self.base.jet
+            seen.append((self.label, jets.count(2)))
+
+    monkeypatch.setattr(PolarBody, "_maximize", spy)
+    return seen
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "image", "firey2", "bipolar"])
+def test_polar_of_a_quadratic_gauge_takes_one_base_jet(name, maximize_jets):
+    # where h^2 is a quadratic form, Q = Hess(h^2)/2 is the same at every
+    # node and the osculating start is the maximizer to rounding, so each
+    # point certifies after the one base jet at the starts: ellipsoids, their
+    # images under a non-symmetric T, the p=2 Firey sum with a ball, and
+    # polar(polar(E)) (both levels)
+    g = build_grid(3, 16)
+    E = ellipsoid(np.diag([2.0, 1.0, 0.7]))
+    T = np.array([[1.0, 0.3, 0.0], [0.2, 1.0, 0.1], [0.0, -0.4, 1.2]])
+    base = {"ellipsoid": lambda: E, "image": lambda: linear_image(E, T),
+            "firey2": lambda: firey_sum(1.0, E, 1.0, ball(1.0, 3), 2.0),
+            "bipolar": lambda: polar(E, g)}[name]()
+    maximize_jets.clear()
+    polar(base, g).jet(np.vstack([unit_vectors(np.random.default_rng(30), 100, 3),
+                                  g.nodes]), 2)
+    assert len(maximize_jets) == (3 if name == "bipolar" else 1)
+    assert all(count == 1 for _, count in maximize_jets)
+
+
+def test_numeric_gauge_smoothing_takes_one_base_jet_per_level(maximize_jets):
+    # construct(E, gauge="numeric") nests polar(E') inside the polar of the
+    # rounded gauge firey(polar(E'), ball, 2): both are quadratic gauges
+    g = build_grid(3, 16)
+    kt, _ = construct(ellipsoid(np.diag([2.0, 1.0, 1.0])), g, 1.0, 1.0, gauge="numeric")
+    kt.support(g.nodes)
+    assert {label for label, _ in maximize_jets} == {"polar(ellipsoid@T)",
+                                                     "polar(firey(p=2.0))"}
+    assert all(count == 1 for _, count in maximize_jets)
+
+
+@pytest.mark.parametrize("name,most", [("perturbed", 4), ("random", 4),
+                                       ("n2_random0", 4), ("n2_random42", 4),
+                                       ("smoothed_l4", 4)])
+def test_polar_osculating_start_takes_no_more_base_jets(name, most, maximize_jets):
+    # where h^2 is not quadratic the start is second order, like Newton's
+    # first step from the node: no _maximize takes more base jets than the
+    # node-seeded Newton did (`most`, measured on that seeding)
+    n, L = (2, 16) if name.startswith("n2_") else (3, 24 if name == "smoothed_l4" else 16)
+    g = build_grid(n, L)
+    if name == "smoothed_l4":
+        construct(lq_gauge_body(4, 3), g, 1.0, 1.0)[0].support(g.nodes)
+    else:
+        base = {"perturbed": lambda: perturbed_ball(3, 0.1),
+                "random": lambda: random_even_body(3, 7007),
+                "n2_random0": lambda: random_even_body(2, 0),
+                "n2_random42": lambda: random_even_body(2, 42)}[name]()
+        polar(base, g).jet(g.pair_nodes, 2)
+    assert maximize_jets and max(count for _, count in maximize_jets) <= most
+
+
+def test_polar_start_is_never_below_the_seed(monkeypatch):
+    # psi at the start Newton runs from is at least psi at the polytope seed,
+    # on convex and non-convex bases alike; the start moves off the node
+    # wherever Q is positive-definite and psi there is not lower
+    starts = []
+    run = PolarBody._newton
+    monkeypatch.setattr(PolarBody, "_newton",
+                        lambda self, U, th, jet=None: starts.append(th) or run(self, U, th, jet))
+    for n, base in ((2, perturbed_ball(2, 1.5)), (2, random_even_body(2, 1)),
+                    (3, random_even_body(3, 7000)), (3, LqNormBody(4, 3))):
+        g = build_grid(n, 16)
+        P = polar(base, g)
+        U = np.vstack([unit_vectors(np.random.default_rng(31), 200, n), g.pair_nodes])
+        starts.clear()
+        P._maximize(U)
+        moved = (starts[0] != _seed(P, U)).any(axis=1)
+        assert np.all(P._psi(U, starts[0]) >= P._psi(U, _seed(P, U)))
+        assert moved.any()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_osculating_adjugate(n):
+    # Q adj Q = det(Q) I for Q = grad h grad h^t + h D^2h where Q is
+    # positive-definite, and adj Q is NaN where it is not: at the l4 norm's
+    # nodes in a coordinate plane D^2h loses rank and Q with it (Sylvester's
+    # minors may read such a Q as definite by a rounding error, and keep it)
+    from calab.bodies import _osculating_adjugate
+    g = build_grid(n, 16)
+    for base in (random_even_body(n, 3), LqNormBody(4, n)):
+        h, dh, Hh = base.jet(g.pair_nodes, 2)
+        Q = dh[:, :, None] * dh[:, None, :] + h[:, None, None] * Hh
+        adj = _osculating_adjugate(h, dh, Hh)
+        ok = np.isfinite(adj).all(axis=(1, 2))
+        lam = np.linalg.eigvalsh(Q)
+        assert ok[lam[:, 0] > 1e-12 * lam[:, -1]].all()
+        assert not ok[lam[:, 0] < -1e-12 * lam[:, -1]].any()
+        assert ok.all() == (base.label != "l4-norm")
+        res = Q[ok] @ adj[ok] - np.linalg.det(Q[ok])[:, None, None] * np.eye(n)
+        assert np.abs(res).max() < 1e-14 * np.abs(Q).max() * np.abs(adj[ok]).max()
+
+
+def test_polar_of_l4_norm_osculating_start_is_harmless():
+    # the l4 norm's D^2h vanishes at its axis nodes, where the start keeps
+    # the node; elsewhere the start is second order.  No warning is raised
+    # (a singular Q takes no solve) and h is ||u||_{4/3} to 1e-9 on the grid,
+    # axis maximizers included (measured 3.7e-10)
+    g = build_grid(3, 24)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        h = polar(LqNormBody(4, 3), g).jet(g.nodes, 1)[0]
+    p = 4.0 / 3.0
+    assert np.abs(h - (np.abs(g.nodes) ** p).sum(axis=1) ** (1.0 / p)).max() < 1e-9
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_rejects_a_base_not_positive_at_the_nodes(n):
+    # a base whose support reaches 0 or below does not hold the origin
+    # inside, its polar is unbounded, and h * D^2h no longer gives the
+    # osculating ellipsoid: construction raises, naming the first bad node
+    g = build_grid(n, 16)
+    base = perturbed_ball(n, 3.0)
+    assert base.support(g.pair_nodes).min() < 0
+    with pytest.raises(ValueError, match="positive and finite on the grid: pair node "):
+        polar(base, g)
 
 
 @pytest.mark.parametrize("n", [2, 3])
