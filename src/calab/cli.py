@@ -557,6 +557,8 @@ def main(argv=None) -> int:
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--threads", type=int, default=1)
     args = parser.parse_args(argv)
+    if args.seed < 0 or args.threads < 1:
+        parser.error("--seed must be >= 0 and --threads >= 1")
 
     t0 = time.perf_counter()
     # read and validate the whole config before touching the output dir

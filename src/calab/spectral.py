@@ -4,7 +4,7 @@ The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
-pair nodes, chunk by chunk of its parity's rows (_table_chunks).  The
+pair nodes, in chunks of whole rings at n=2 and n=3 alike (_table_chunks).  The
 generalized eigenproblem is dense symmetric definite, solved per block
 by a Cholesky reduction to a standard one (numpy only).  The integrated
 Bochner identity of a field is checked on the same rows.
@@ -89,27 +89,22 @@ class SpectrumReport:
 # assembly
 
 
-# most pair rows in a chunk of whole rings of a product grid (one ring at
-# least); chunks of 256 rows peak 4 MB higher on spectral_n3, no faster
+# most pair rows in a chunk of whole rings of the grid (one ring at least);
+# chunks of 256 rows peak 4 MB higher on spectral_n3, no faster
 CHUNK_ROWS = 128
 
 
 def _table_chunks(grid: SphereGrid, band: int, parts, blocks, first: int = 0):
     """Yield (rows, views): a slice of the pair rows, in order, and per block
     in `blocks` the (values, gradients, Hessians) of basis_tables(band)[block]
-    there from column `first` on, None for the parts not listed.  On a
-    product grid, chunks of whole rings from grid.ring_rows into reused
-    buffers and no table; else one chunk."""
-    if grid.product_factors is None:
-        tables = grid.basis_tables(band)
-        yield slice(None), [tuple(T[:, first:] if i in parts else None
-                                  for i, T in enumerate(tables[b])) for b in blocks]
-        return
+    there from column `first` on, None for the parts not listed: chunks of
+    whole rings from grid.ring_rows into reused buffers, and no table."""
     basis = HarmonicBasis(grid.n, band)
     n_ring, n_lon = (len(f[0]) for f in grid.product_factors)
     per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
     bufs = [[np.empty((per * n_lon, len(basis.parity_columns[b]) - first) + k)
-             if i in parts else None for i, k in enumerate(((), (2,), (3,)))] for b in blocks]
+             if i in parts else None for i, k in enumerate(basis.part_shapes)]
+            for b in blocks]
     for k0 in range(0, n_ring, per):
         rows = slice(k0 * n_lon, min(k0 + per, n_ring) * n_lon)
         views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)

@@ -1,7 +1,9 @@
 """Quadrature grids, parity-aware spectral bases, and tangential calculus on S^{n-1}.
 
 Supports n = 2 (Fourier modes on the circle) and n = 3 (real spherical
-harmonics on Gauss-Legendre x uniform-longitude product grids).  All grids are
+harmonics).  Every grid is a product grid, its basis rows ring factors times
+longitude factors: uniform angles, each a ring of one longitude, at n=2, and
+Gauss-Legendre colatitudes x uniform longitudes at n=3.  All grids are
 antipodally symmetric so that even/odd splitting is exact.  Differentiation is
 spectral; the tests check it against finite differences of the homogeneous
 extension (tests/oracles.py).
@@ -150,6 +152,8 @@ class HarmonicBasis:
         (self.constant_value, self.degrees, self.parity, self.parity_columns,
          self._scale, self._col, self._m, self._circle_plans) = _basis_columns(n, L)
         self.size = len(self.degrees)
+        # trailing shapes of the values, frame gradients and packed Hessians
+        self.part_shapes = ((), (n - 1,), (n * (n - 1) // 2,))
 
     # ------------------------------------------------------------------
     def eval_derivs(self, points: np.ndarray, order: int = 2):
@@ -186,14 +190,15 @@ class HarmonicBasis:
         """
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         sel = slice(None) if columns is None else np.asarray(columns)
-        if self.n == 2:
-            return self._eval_circle(pts, order, sel)
-        x, y, z = pts.T
-        z_u, first, inv = np.unique(z, return_index=True, return_inverse=True)
-        rings, lons = self._sphere_factors(z_u, np.hypot(x[first], y[first]),
-                                           np.arctan2(y, x), order, sel)
+        if self.n == 2:   # each point a ring of the one longitude 0
+            inv, ct, st, phi = slice(None), pts[:, 0], pts[:, 1], np.zeros(1)
+        else:
+            x, y, z = pts.T
+            ct, first, inv = np.unique(z, return_index=True, return_inverse=True)
+            st, phi = np.hypot(x[first], y[first]), np.arctan2(y, x)
+        rings, lons = self._factors(ct, st, phi, order, sel)
         out = [np.empty((len(pts), rings[0].shape[1]) + k)
-               for k in ((), (2,), (3,))[:order + 1]] + [None] * (2 - order)
+               for k in self.part_shapes[:order + 1]] + [None] * (2 - order)
         _combine([f[inv] for f in rings], lons, self.degrees[sel], out)
         return tuple(out)
 
@@ -245,28 +250,21 @@ class HarmonicBasis:
         return ks, slot, self._scale[sel], gather, mult
 
     # ------------------------------------------------------------------
-    def _eval_circle(self, pts, order, sel):
-        """constant_value, then cos(k t) and sin(k t) over sqrt(pi)."""
-        t = np.arctan2(pts[:, 1], pts[:, 0])
-        k = np.arange(1, self.L + 1)
-        c, s = np.cos(k * t[:, None]), np.sin(k * t[:, None])
-        f, scale, col = self.degrees[sel], self._scale[sel], self._col[sel]
-        lon = np.take(np.concatenate([np.ones((len(t), 1)), c, s], axis=1), col, axis=1)
-        vals = scale * lon
-        if order == 0:
-            return vals, None, None
-        dlon = np.take(np.concatenate([np.zeros((len(t), 1)), -s, c], axis=1), col, axis=1)
-        grads = (scale * (f * dlon))[:, :, None]
-        if order == 1:
-            return vals, grads, None
-        hess = ((-(f * f) * scale) * lon)[:, :, None]
-        return vals, grads, hess
-
-    def _sphere_factors(self, ct, st, phi, order, sel):
-        """Separable factors of the columns sel up to `order`: per (ct, st),
+    def _factors(self, ct, st, phi, order, sel):
+        """Separable factors of the columns sel up to `order`, per ring
+        (cos, sin) theta = (ct, st) and per longitude phi (see _combine).
+        n=2, each angle theta a ring of the one longitude phi = 0: per ring,
+        {1, cos k theta, sin k theta} and its theta-derivative; per column,
+        the scale and -k^2 times it (both orders always).  n=3: per ring,
         N P_lm, then d_theta and m/sin theta of it, then d_theta of those two;
         per phi, {1, cos m phi, sin m phi} and its phi-derivative over m."""
         l, m, scale, col = self.degrees[sel], self._m[sel], self._scale[sel], self._col[sel]
+        if self.n == 2:
+            kt = np.arange(1, self.L + 1) * np.arctan2(st, ct)[:, None]
+            c, s, one = np.cos(kt), np.sin(kt), np.ones((len(kt), 1))
+            return ([np.concatenate([one, c, s], axis=1)[:, col],
+                     l * np.concatenate([np.zeros_like(one), -s, c], axis=1)[:, col]],
+                    [scale[None], (-(l * l) * scale)[None]])
         # band L+1 feeds the ladder that yields m P_l^m / sin theta
         P = _legendre(ct, st, self.L + (order > 0))
         mphi = np.multiply.outer(phi, np.arange(self.L + 1))
@@ -282,17 +280,21 @@ class HarmonicBasis:
 
 
 def _combine(rings, lons, degrees, out):
-    """The n=3 basis rows into out = (values, gradients, Hessians), skipping
-    None: ring factors (_sphere_factors) times longitude factors, and pp
-    from Delta Y = -l(l+1) Y.  Nothing divides by sin theta."""
+    """The basis rows into out = (values, gradients, Hessians), skipping
+    None: ring factors times longitude factors (HarmonicBasis._factors).
+    n=2: the second longitude factor is -k^2 times the first.  n=3: pp from
+    Delta Y = -l(l+1) Y, and nothing divides by sin theta."""
     B, G, H = out
     if B is not None:
         np.multiply(rings[0], lons[0], out=B)
-    for T, r in ((G, 1), (H, 3)):
-        if T is not None:
-            np.multiply(rings[r], lons[0], out=T[..., 0])
-            np.multiply(rings[r + 1], lons[1], out=T[..., 1])
-    if H is not None:
+    if G is not None:
+        for a in range(G.shape[-1]):
+            np.multiply(rings[1 + a], lons[a], out=G[..., a])
+    if H is not None and H.shape[-1] == 1:
+        np.multiply(rings[0], lons[1], out=H[..., 0])
+    elif H is not None:
+        np.multiply(rings[3], lons[0], out=H[..., 0])
+        np.multiply(rings[4], lons[1], out=H[..., 1])
         pp = H[..., 2]
         if B is None:
             B = np.multiply(rings[0], lons[0], out=pp)
@@ -448,16 +450,20 @@ class SphereGrid:
     each antipodal pair, and antipodal nodes carry equal weights; build_grid
     makes each antipode the exact negation of its node.  The pair
     view (pair_nodes, pair_weights = 2 w, tangent_frames()) holds the rows
-    of every even quantity."""
+    of every even quantity.  The pair nodes are the ring-major product of
+    product_factors: ((cos, sin) theta of the rings, (cos, sin) phi of the
+    longitudes); at n=2 each angle theta is a ring of the one longitude 0."""
 
     def __init__(self, n, band_limit, nodes, weights, antipodal_index,
-                 product_factors=None):
+                 product_factors):
         half = len(weights) // 2
         if not (antipodal_index[:half] >= half).all():
             raise ValueError("the first half of the nodes must hold one node of "
                              "each antipodal pair")
         if not np.array_equal(weights[:half], weights[antipodal_index[:half]]):
             raise ValueError("antipodal nodes must carry equal weights")
+        if len(product_factors[0][0]) * len(product_factors[1][0]) != half:
+            raise ValueError("product factors: rings x longitudes must count the pair nodes")
         self.n = n
         self.band_limit = band_limit
         self.nodes = nodes
@@ -465,11 +471,9 @@ class SphereGrid:
         self.antipodal_index = antipodal_index
         self.basis = HarmonicBasis(n, band_limit)
         self.pair_weights = 2.0 * weights[:half]
-        # ((cos, sin) theta of the rings, (cos, sin) phi of the longitudes) if
-        # the pair nodes are their ring-major product, else None
         self.product_factors = product_factors
         for arr in (self.nodes, self.weights, self.antipodal_index,
-                    self.pair_weights, *sum(product_factors or (), ())):
+                    self.pair_weights, *sum(product_factors, ())):
             arr.setflags(write=False)
         self.pair_nodes = self.nodes[:half]
         self._tables = None       # (B, G, H), even columns first
@@ -489,10 +493,9 @@ class SphereGrid:
         tangent_frames() (see HarmonicBasis.frame_derivs).
 
         Read-only views of one cached set of tables, even columns first:
-        ring_rows of all rings on a product grid, else frame_derivs at the
-        pair nodes.  The column recurrences do not depend on the band, so a
-        band-b view is a column prefix of any larger band's; the cache is
-        rebuilt at `band` only when it is smaller.
+        ring_rows of all rings.  The column recurrences do not depend on the
+        band, so a band-b view is a column prefix of any larger band's; the
+        cache is rebuilt at `band` only when it is smaller.
 
         At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
@@ -502,13 +505,9 @@ class SphereGrid:
         basis = HarmonicBasis(self.n, band)
         n_even = len(basis.parity_columns[0])
         if self._tables is None or self._tables[0].shape[1] < basis.size:
-            cols = np.concatenate(basis.parity_columns)
-            if self.product_factors is None:
-                self._tables = basis.frame_derivs(self.pair_nodes, 2, cols)
-            else:
-                self._tables = tuple(np.empty((len(self.pair_weights), len(cols)) + k)
-                                     for k in ((), (2,), (3,)))
-                self.ring_rows(basis, None, 0, slice(None), self._tables)
+            self._tables = tuple(np.empty((len(self.pair_weights), basis.size) + k)
+                                 for k in basis.part_shapes)
+            self.ring_rows(basis, None, 0, slice(None), self._tables)
             self._even_count = n_even
             for T in self._tables:
                 T.setflags(write=False)
@@ -518,14 +517,14 @@ class SphereGrid:
 
     def ring_rows(self, basis: HarmonicBasis, block, first: int, rings: slice, out):
         """Write the rows of basis_tables(basis.L)[block] from column `first`
-        (both blocks, even first, if block is None) on the product grid's
-        `rings` into out = (values, gradients, Hessians), skipping None, bit
-        for bit: from the factors (HarmonicBasis._sphere_factors) of the even,
-        then the odd columns, cached at the largest band asked."""
+        (both blocks, even first, if block is None) on the grid's `rings`
+        into out = (values, gradients, Hessians), skipping None, bit for bit:
+        from the factors (HarmonicBasis._factors) of the even, then the odd
+        columns, cached at the largest band asked."""
         if self._factors is None or len(self._factors[2]) < basis.size:
             cols = np.concatenate(basis.parity_columns)
             (ct, st), (cp, sp) = self.product_factors
-            self._factors = (*basis._sphere_factors(ct, st, np.arctan2(sp, cp), 2, cols),
+            self._factors = (*basis._factors(ct, st, np.arctan2(sp, cp), 2, cols),
                              basis.degrees[cols], len(basis.parity_columns[0]))
         F, lons, degrees, e = self._factors
         counts = [len(c) for c in basis.parity_columns]
@@ -558,7 +557,8 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     """Construct a quadrature grid on S^{n-1}.
 
     n=2: uniform angular grid with N = max(4L+4, 64) nodes (n_nodes overrides
-    the count, for callers that pin a specific resolution).
+    the count, for callers that pin a specific resolution), each pair-node
+    angle a ring of one longitude in the grid's product_factors.
     n=3: Gauss-Legendre colatitudes (L+2) x uniform longitudes (2L+4), kept
     as the grid's product_factors.
 
@@ -577,11 +577,12 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
         if N % 2 != 0 or N < 4 * L + 4:
             raise ValueError("node count must be even and >= 4L+4")
         t = 2.0 * np.pi * np.arange(N // 2) / N
-        half = np.stack([np.cos(t), np.sin(t)], axis=-1)
+        rings = (np.cos(t), np.sin(t))
+        half = np.stack(rings, axis=-1)
         nodes = np.concatenate([half, -half])
         weights = np.full(N, 2.0 * np.pi / N)
         anti = (np.arange(N) + N // 2) % N
-        return SphereGrid(2, L, nodes, weights, anti)
+        return SphereGrid(2, L, nodes, weights, anti, (rings, (np.ones(1), np.zeros(1))))
 
     if n_nodes is not None:
         raise ValueError("n_nodes override is only supported for n=2")

@@ -4,9 +4,10 @@
 installed, and fails there when one of them has been removed or renamed.
 Installing it monkeypatches calab for the whole process, so the check runs in
 a fresh interpreter: install, one traced spectrum, one Hessian gap on the
-same grid, one Ricci check and one polar support of an l_q ball, and every
-per-layer metric that BENCHMARK.json declares is present in
-``layer_metrics``, apart from the two that ``bench/run.py`` computes itself.
+same grid, two reads of that grid's basis tables, one Ricci check and one
+polar support of an l_q ball, and every per-layer metric that BENCHMARK.json
+declares is present in ``layer_metrics``, apart from the two that
+``bench/run.py`` computes itself.
 """
 
 import json
@@ -32,6 +33,8 @@ grid = build_grid(2, 8)
 spectrum_of_body(ball(1.0, 2), grid, k=3)
 state = calculus.build_state(bodies.evaluate_on_grid(ball(1.0, 2), grid))
 spectral.hessian_gap_even(spectral.assemble(state, spectral.GalerkinBasis(grid, 8)))
+grid.basis_tables()
+grid.basis_tables(4)
 calculus.ricci_star_check(calculus.build_state(
     evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), build_grid(3, 8))))
 bodies.polar(bodies.lq_gauge_body(4, 2), grid).support(grid.pair_nodes)
@@ -54,7 +57,8 @@ def test_tracing_installs_and_reports_every_declared_layer():
     assert metrics["spectral.solve_calls"] == 1
     assert metrics["bodies.evaluate_on_grid_calls"] == 2
     assert metrics["spectral.hessian_gap_s"] > 0
-    # the grid's tables were built once, and both systems read them
+    # the forms stream their rows and build no table; the two table reads
+    # built the grid's tables once
     assert metrics["sphere.basis_tables_calls"] == 1
     assert metrics["sphere.basis_tables_mb"] > 0
     # so did the Ricci check that acceptance and the benchmark call by name

@@ -95,6 +95,28 @@ def test_missing_or_mismatched_body_exits_2(tmp_path, command, payload):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command,payload,flag", [
+    pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}},
+                 ["--seed", -1], id="bochner_seed"),
+    pytest.param("verify-all", {}, ["--seed", -1], id="verify_all_seed"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "bodies": [{"type": "ball"}]},
+                 ["--threads", -4], id="sweep_threads_negative"),
+    pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "bodies": [{"type": "ball"}]},
+                 ["--threads", 0], id="sweep_threads_zero"),
+])
+def test_bad_seed_or_threads_exits_2_before_writing(tmp_path, capsys, command, payload,
+                                                    flag):
+    # a negative --seed or a --threads below 1 is a usage error: exit 2,
+    # naming the flag, before the config is run or --out is created
+    cfg = write_config(tmp_path, "c.json", payload)
+    out = tmp_path / "out"
+    with pytest.raises(SystemExit) as exc:
+        run_cli([command, "--config", cfg, "--out", out, *flag])
+    assert exc.value.code == 2
+    assert flag[0] in capsys.readouterr().err
+    assert not out.exists()
+
+
 _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
         "beta": 1.0}
 

@@ -26,7 +26,7 @@ from calab.spectral import (
     solve_spectrum,
     spectrum_of_body,
 )
-from calab.sphere import SphereGrid, build_grid
+from calab.sphere import build_grid
 
 from oracles import (degree_order_tables, discrete_bochner_residual,
                      first_eigenspace_deficiency, full_matrix, hessform,
@@ -318,23 +318,29 @@ def test_sub_band_bochner_on_fine_grid_builds_only_its_tables():
 # ---------------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("L", [12, 24, 48])
-def test_chunk_rows_are_the_table_rows_bit_for_bit(L):
+@pytest.mark.parametrize("n,L,n_nodes", [(3, 12, None), (3, 24, None), (3, 48, None),
+                                         (2, 16, None), (2, 62, 4096)],
+                         ids=["12", "24", "48", "n2-L16", "n2-L62-4096"])
+def test_chunk_rows_are_the_table_rows_bit_for_bit(n, L, n_nodes):
     # every chunk of whole rings holds the rows of the grid's tables at its
     # rows, both parities, values, gradients and Hessians, from any first
     # column, bit for bit and sign bits included; the parts not asked are
-    # None, the chunks tile the pair rows in order, and no table is built
-    g = build_grid(3, L)
+    # None, the chunks tile the pair rows in order, and no table is built.
+    # The n=2 grids are one chunk (build_grid(2, 16)) and several (4096
+    # nodes), each angle a ring of one longitude
+    g = build_grid(n, L, n_nodes)
     half = g.node_count // 2
+    ring = len(g.product_factors[1][0])
     for band in (L // 2, L):
-        tables = build_grid(3, L).basis_tables(band)
+        tables = build_grid(n, L, n_nodes).basis_tables(band)
         for block, first, parts in ((0, 0, (0, 1, 2)), (1, 0, (0, 1, 2)),
                                     (0, 1, (1, 2)), (1, 2, (0,))):
-            stop = 0
+            stop = chunks = 0
             for rows, (views,) in spectral._table_chunks(g, band, parts, (block,), first):
                 assert rows.start == stop
-                assert rows.stop - rows.start <= max(spectral.CHUNK_ROWS, 2 * L + 4)
+                assert rows.stop - rows.start <= max(spectral.CHUNK_ROWS, ring)
                 stop = rows.stop
+                chunks += 1
                 for part, (T, ref) in enumerate(zip(views, tables[block])):
                     if part not in parts:
                         assert T is None
@@ -343,6 +349,7 @@ def test_chunk_rows_are_the_table_rows_bit_for_bit(L):
                     assert np.array_equal(T, ref)
                     assert np.array_equal(np.signbit(T), np.signbit(ref))
             assert stop == half
+            assert (chunks == 1) == (half <= spectral.CHUNK_ROWS)
         del tables
     assert g._tables is None
 
@@ -377,25 +384,14 @@ def test_streamed_forms_match_one_gram_product(L, band):
                 assert np.abs(A - R).max() <= 1e-14 * np.abs(R).max()
 
 
-def _hand_built(g):
-    """g with its pair rows permuted by hand, the antipodes kept: a grid
-    without product factors."""
-    half = g.node_count // 2
-    order = np.concatenate([np.random.default_rng(5).permutation(half),
-                            np.arange(half, g.node_count)])
-    anti = np.argsort(order)[g.antipodal_index[order]]
-    return SphereGrid(g.n, g.band_limit, g.nodes[order], g.weights[order], anti)
-
-
 @pytest.mark.parametrize("grid", [lambda: build_grid(2, 16),
-                                  lambda: build_grid(2, 62, n_nodes=256),
-                                  lambda: _hand_built(build_grid(3, 12))],
-                         ids=["n2-L16", "n2-L62-256", "n3-hand-built"])
+                                  lambda: build_grid(2, 62, n_nodes=256)],
+                         ids=["n2-L16", "n2-L62-256"])
 def test_one_chunk_grids_keep_the_single_gram_bit_for_bit(grid):
-    # a grid without product factors is one chunk: its stiffness, mass and
-    # Hessian forms are the single Gram products, bit for bit
+    # a grid of at most CHUNK_ROWS pair rows is one chunk: its stiffness,
+    # mass and Hessian forms are the single Gram products, bit for bit
     g = grid()
-    assert g.product_factors is None
+    assert len(list(spectral._table_chunks(g, g.band_limit, (), (0,)))) == 1
     st = build_state(evaluate_on_grid(perturbed_ball(g.n, 0.1), g))
     sys_ = assemble(st, GalerkinBasis(g, g.band_limit))
     for first in (0, 1):
@@ -422,6 +418,21 @@ def test_streamed_spectrum_memory_on_a_fine_grid():
         tracemalloc.stop()
     assert g._tables is None
     assert peak <= 8e6
+
+
+def test_streamed_planar_spectrum_on_a_fine_grid():
+    # the n=2 forms stream through the same chunks of rings: assembly,
+    # eigensolve and Hessian gap at band 62 on 4096 nodes build no basis
+    # table, and lambda1_even is that of the single Gram products to 1e-12
+    g = build_grid(2, 62, n_nodes=4096)
+    st = build_state(evaluate_on_grid(perturbed_ball(2, 0.1), g))
+    sys_ = assemble(st, GalerkinBasis(g, 62))
+    rep = solve_spectrum(sys_)
+    hessian_gap_even(sys_)
+    assert g._tables is None
+    S, M, _ = _single_gram_forms(st, 62, 0)[0]
+    ref = scipy.linalg.eigh(S, M, eigvals_only=True)[1]
+    assert abs(rep.lambda1_even - ref) <= 1e-12 * ref
 
 
 # ---------------------------------------------------------------------------

@@ -222,7 +222,18 @@ def test_grid_without_half_structure_is_rejected():
     anti = np.argsort(order)[g.antipodal_index[order]]
     assert np.abs(nodes[anti] + nodes).max() < 1e-12
     with pytest.raises(ValueError, match="antipodal pair"):
-        SphereGrid(2, 8, nodes, g.weights[order], anti)
+        SphereGrid(2, 8, nodes, g.weights[order], anti, g.product_factors)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_grid_with_mismatched_product_factors_is_rejected(n):
+    # the rings times the longitudes must count the pair nodes
+    g = build_grid(n, 8)
+    rings, (cp, sp) = g.product_factors
+    for factors in ((rings, (cp[:-1], sp[:-1])),
+                    (tuple(f[:-1] for f in rings), (cp, sp))):
+        with pytest.raises(ValueError, match="pair nodes"):
+            SphereGrid(n, 8, g.nodes, g.weights, g.antipodal_index, factors)
 
 
 def _full_ambient_tables(g):
@@ -408,7 +419,6 @@ def test_product_tables_match_pointwise_evaluation(L):
     # rows are compared one ring at a time.  A table built at band b alone is
     # a bit-for-bit column prefix of the full band's.
     g = build_grid(3, L)
-    assert g.product_factors is not None
     full = g.basis_tables()
     cols = np.concatenate(g.basis.parity_columns)
     e = len(g.basis.parity_columns[0])
@@ -429,29 +439,6 @@ def test_product_tables_match_pointwise_evaluation(L):
                 F = F[:, :T.shape[1]]
                 assert np.array_equal(T, F)
                 assert np.array_equal(np.signbit(T), np.signbit(F))
-
-
-def test_hand_built_grid_evaluates_its_tables_pointwise():
-    # an n=3 grid built by hand, its pair rows permuted and the antipodal
-    # structure kept, has no product factors: its tables are the pointwise
-    # frame_derivs at its pair nodes, and build_grid's product tables with
-    # the rows permuted alike, to 1e-13 of each table's largest entry
-    g = build_grid(3, 12)
-    half = g.node_count // 2
-    perm = np.random.default_rng(12).permutation(half)
-    order = np.concatenate([perm, np.arange(half, g.node_count)])
-    anti = np.argsort(order)[g.antipodal_index[order]]
-    hand = SphereGrid(3, 12, g.nodes[order], g.weights[order], anti)
-    assert np.array_equal(hand.nodes[anti], -hand.nodes)
-    assert hand.product_factors is None
-    cols = np.concatenate(hand.basis.parity_columns)
-    e = len(hand.basis.parity_columns[0])
-    direct = hand.basis.frame_derivs(hand.pair_nodes, 2, cols)
-    for view, ref, part in zip(hand.basis_tables(), g.basis_tables(),
-                               (slice(None, e), slice(e, None))):
-        for T, R, D in zip(view, ref, direct):
-            assert np.array_equal(T, D[:, part])
-            assert np.abs(T - R[perm]).max() <= 1e-13 * np.abs(R).max()
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -529,7 +516,7 @@ def test_grid_with_unequal_antipodal_weights_is_rejected():
     w = g.weights.copy()
     w[0] *= 1.0 + 1e-15
     with pytest.raises(ValueError, match="equal weights"):
-        SphereGrid(2, 8, g.nodes, w, g.antipodal_index)
+        SphereGrid(2, 8, g.nodes, w, g.antipodal_index, g.product_factors)
 
 
 def _random_symmetric(rng, count, q, lam):
