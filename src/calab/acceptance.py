@@ -46,7 +46,7 @@ from calab.spectral import (
     solve_spectrum,
     spectrum_of_body,
 )
-from calab.sphere import build_grid
+from calab.sphere import HarmonicBasis, build_grid
 
 
 @dataclass(frozen=True)
@@ -339,14 +339,13 @@ def criterion_solver_round_trips(seed: int = 0) -> list[Check]:
 
 
 def _perturbed_start(g, seed):
-    from calab.minkowski import _EvenModel
-
-    model = _EvenModel(g, 16)
-    rng = np.random.default_rng(seed + 5)
-    c = model.ball_coeffs()
-    pert = rng.normal(size=model.basis.size) * np.exp(-model.basis.degrees)
-    pert[~model.even_mask] = 0.0
-    return c + 0.05 * pert
+    """The unit ball's band-16 coefficients plus a small random even part."""
+    basis = HarmonicBasis(g.n, 16)
+    pert = np.random.default_rng(seed + 5).normal(size=basis.size) * np.exp(-basis.degrees)
+    pert[basis.parity < 0] = 0.0
+    c = 0.05 * pert
+    c[0] += 1.0 / basis.constant_value
+    return c
 
 
 def criterion_minkowski_inequality(seed: int = 0) -> list[Check]:

@@ -40,10 +40,10 @@ class BodyEvaluator:
 
     Subclasses implement jet(), which returns the support function and its
     ambient derivatives up to the order asked in one pass through the layers
-    below; support()/support_grad()/support_hess() read one entry of it.  The
-    finite-difference helpers (Richardson-extrapolated central differences,
-    with the Euler identity and radial annihilation enforced on the results)
-    serve families without closed-form derivatives and the tests' oracles.
+    below; support() reads its first entry.  The finite-difference helpers
+    (Richardson-extrapolated central differences, with the Euler identity and
+    radial annihilation enforced on the results) serve families without
+    closed-form derivatives and the tests' oracles.
     """
 
     def __init__(self, n: int, label: str = ""):
@@ -58,12 +58,6 @@ class BodyEvaluator:
 
     def support(self, X) -> np.ndarray:
         return self.jet(X, 0)[0]
-
-    def support_grad(self, X) -> np.ndarray:
-        return self.jet(X, 1)[1]
-
-    def support_hess(self, X) -> np.ndarray:
-        return self.jet(X, 2)[2]
 
     def gauge_body(self) -> "BodyEvaluator | None":
         """Closed-form evaluator for the Minkowski gauge ||.||_K, if known."""
@@ -94,9 +88,7 @@ class BodyEvaluator:
         for j in range(self.n):
             e = np.zeros(self.n)
             e[j] = step
-            H[:, :, j] = (self.support_grad(pts + e) - self.support_grad(pts - e)) / (
-                2 * step
-            )
+            H[:, :, j] = (self.jet(pts + e, 1)[1] - self.jet(pts - e, 1)[1]) / (2 * step)
         U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
         return _symmetric_tangential(H, U)
 
@@ -735,6 +727,27 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
     raise RuntimeError(f"rejection budget exhausted after {budget} draws")
 
 
+class _LqBall(BodyEvaluator):
+    """The unit l_q ball (lq_gauge_body), derivatives by finite differences."""
+
+    def __init__(self, q: int, n: int):
+        super().__init__(n, label=f"l{q}-ball")
+        self._q = q
+        self._qd = q / (q - 1)
+
+    def jet(self, X, order=2):
+        pts = _as_points(X, self.n)
+        h = (np.abs(pts) ** self._qd).sum(axis=1) ** (1.0 / self._qd)
+        if order == 0:
+            return (h,)
+        if order == 1:
+            return h, self._fd_grad(pts)
+        return h, self._fd_grad(pts), self._fd_hess(pts)
+
+    def gauge_body(self):
+        return LqNormBody(self._q, self.n)
+
+
 def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
     """The unit l_q ball (gauge ||.||_q) for q >= 2; its support function is
     the dual norm.
@@ -745,26 +758,7 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
-
-    class _LqBall(BodyEvaluator):
-        def __init__(self):
-            super().__init__(n, label=f"l{q}-ball")
-            qd = q / (q - 1)
-            self._qd = qd
-
-        def jet(self, X, order=2):
-            pts = _as_points(X, self.n)
-            h = (np.abs(pts) ** self._qd).sum(axis=1) ** (1.0 / self._qd)
-            if order == 0:
-                return (h,)
-            if order == 1:
-                return h, self._fd_grad(pts)
-            return h, self._fd_grad(pts), self._fd_hess(pts)
-
-        def gauge_body(self):
-            return LqNormBody(q, n)
-
-    return _LqBall()
+    return _LqBall(q, n)
 
 
 def linear_image(body: BodyEvaluator, T) -> BodyEvaluator:

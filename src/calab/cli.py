@@ -444,6 +444,13 @@ def _cmd_sweep(v, threads):
             {"sweep.csv": (_SWEEP_HEADER, rows)})
 
 
+def _verify_criteria(v):
+    """No criteria list runs every criterion; a given list names at least one."""
+    if v["criteria"] == []:
+        raise ConfigError("verify-all names no criterion: give a non-empty "
+                          "'criteria' list, or leave it out to run them all")
+
+
 def _cmd_verify_all(v, threads):
     records, ok = acceptance.run_criteria(v["criteria"], seed=v["seed"])
     checks = [_check(f"{rec['criterion']}/{c['name']}", c["value"],
@@ -506,7 +513,7 @@ COMMAND_TABLE = {
     }, _sweep_bodies),
     "verify-all": Command(_cmd_verify_all, {
         "criteria": ([tuple(acceptance.CRITERIA), ...], None),
-    }),
+    }, _verify_criteria),
 }
 
 

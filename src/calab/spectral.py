@@ -4,7 +4,7 @@ The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
-pair nodes, in chunks of whole rings at n=2 and n=3 alike (_table_chunks).  The
+pair nodes, in the grid's chunks of whole rings (SphereGrid.row_chunks).  The
 generalized eigenproblem is dense symmetric definite, solved per block
 by a Cholesky reduction to a standard one (numpy only).  The integrated
 Bochner identity of a field is checked on the same rows.
@@ -19,7 +19,7 @@ import numpy as np
 from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
 from calab.calculus import (CentroAffineState, build_state, conjugate_hessian_rows,
                              conjugate_hessian_weights)
-from calab.sphere import HarmonicBasis, SphereGrid, _parity_rows, packed_positions
+from calab.sphere import SphereGrid, _parity_rows, packed_positions
 
 
 @dataclass(frozen=True)
@@ -89,31 +89,6 @@ class SpectrumReport:
 # assembly
 
 
-# most pair rows in a chunk of whole rings of the grid (one ring at least);
-# chunks of 256 rows peak 4 MB higher on spectral_n3, no faster
-CHUNK_ROWS = 128
-
-
-def _table_chunks(grid: SphereGrid, band: int, parts, blocks, first: int = 0):
-    """Yield (rows, views): a slice of the pair rows, in order, and per block
-    in `blocks` the (values, gradients, Hessians) of basis_tables(band)[block]
-    there from column `first` on, None for the parts not listed: chunks of
-    whole rings from grid.ring_rows into reused buffers, and no table."""
-    basis = HarmonicBasis(grid.n, band)
-    n_ring, n_lon = (len(f[0]) for f in grid.product_factors)
-    per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
-    bufs = [[np.empty((per * n_lon, len(basis.parity_columns[b]) - first) + k)
-             if i in parts else None for i, k in enumerate(basis.part_shapes)]
-            for b in blocks]
-    for k0 in range(0, n_ring, per):
-        rows = slice(k0 * n_lon, min(k0 + per, n_ring) * n_lon)
-        views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
-                 for buf in bufs]
-        for b, out in zip(blocks, views):
-            grid.ring_rows(basis, b, first, slice(k0, k0 + per), out)
-        yield rows, views
-
-
 def _reuse(buf, shape):
     """`shape` in buf's leading rows (chunks never grow), new if buf is None."""
     return np.empty(shape) if buf is None else buf[:shape[0]]
@@ -153,7 +128,7 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     origin-symmetric, so every row of a basis function of parity pi at -u is
     pi times its row at u: the even-odd blocks vanish and each diagonal block
     is its sum over the pair nodes at the pair weights 2 w: Gram products
-    of its parity's rows summed over _table_chunks.
+    of its parity's rows summed over the grid's row_chunks.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
@@ -164,7 +139,7 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     def rows(block):
         # one block at a time: its two sums stay in cache across the chunks
         X = Y = None
-        for r, ((B, G, _),) in _table_chunks(grid, basis.degree_max, (0, 1), (block,)):
+        for r, ((B, G, _),) in grid.row_chunks(basis.degree_max, (0, 1), (block,)):
             X = np.matmul(Ksq[r], G.transpose(0, 2, 1),
                           out=_reuse(X, (len(G), grid.n - 1, G.shape[1])))
             Y = np.multiply(B, sq[r, None], out=_reuse(Y, B.shape))
@@ -177,8 +152,8 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
 
 def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndarray:
     """Hessian-form Gram product on the block's columns from `first` on,
-    summed over _table_chunks: the rows are the packed components of the
-    basis functions' conjugate Hessians (calculus.conjugate_hessian_rows,
+    summed over the grid's row_chunks: the rows are the packed components of
+    the basis functions' conjugate Hessians (calculus.conjugate_hessian_rows,
     whose sqrt 2 weights make the Gram product the full Frobenius inner
     product) at weight 2 w nu."""
     state = system.state
@@ -186,8 +161,8 @@ def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndar
 
     def rows():
         Q = work = None
-        for r, ((_, G, H),) in _table_chunks(state.grid, system.basis.degree_max, (1, 2),
-                                             (block,), first):
+        for r, ((_, G, H),) in state.grid.row_chunks(system.basis.degree_max,
+                                                     (1, 2), (block,), first):
             shape = (len(G), H.shape[-1], G.shape[1])
             Q, work = _reuse(Q, shape), _reuse(work, shape)
             yield (conjugate_hessian_rows([W[r] for W in weights], G, H, (Q, work)),)
@@ -344,7 +319,7 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
     quadratic form Q, and the body is origin-symmetric, so
     Q(f) = Q(f_even) + Q(f_odd): the cross terms are odd and vanish against
     the even measure.  Each part is contracted with its parity's rows and
-    summed over the pair nodes at the row weights 2 w nu (_table_chunks)."""
+    summed over the pair nodes at the row weights 2 w nu, in row_chunks."""
     grid, c = state.grid, np.asarray(coeffs, dtype=float)
     degrees, nb = grid.basis.degrees, c.size
     if (c.ndim != 1 or not 1 <= nb <= grid.basis.size
@@ -355,7 +330,7 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
     weights = conjugate_hessian_weights(state, sq)
     diagonal = packed_positions(state.n - 1).diagonal()
     t1 = t2 = t3 = 0.0
-    for r, views in _table_chunks(grid, int(degrees[nb - 1]), (1, 2), (0, 1)):
+    for r, views in grid.row_chunks(int(degrees[nb - 1]), (1, 2), (0, 1)):
         grad = _parity_rows(grid, c, 1, views)
         Q = conjugate_hessian_rows([W[r] for W in weights], grad,
                                    _parity_rows(grid, c, 2, views))

@@ -443,6 +443,11 @@ def tangent_frames(points: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 # grids
 
+# most pair rows in a chunk of SphereGrid.row_chunks (one ring at least);
+# chunks of 256 rows peak 4 MB higher on spectral_n3, no faster
+CHUNK_ROWS = 128
+
+
 class SphereGrid:
     """Antipodally symmetric quadrature grid with attached spectral basis.
 
@@ -476,8 +481,7 @@ class SphereGrid:
                     self.pair_weights, *sum(product_factors, ())):
             arr.setflags(write=False)
         self.pair_nodes = self.nodes[:half]
-        self._tables = None       # (B, G, H), even columns first
-        self._even_count = 0
+        self._tables = None       # per parity block (B, G, H), see basis_tables
         self._factors = None      # see ring_rows
         self._frames = None
 
@@ -492,10 +496,11 @@ class SphereGrid:
         (N/2, nb, n(n-1)/2), the derivatives as components in
         tangent_frames() (see HarmonicBasis.frame_derivs).
 
-        Read-only views of one cached set of tables, even columns first:
-        ring_rows of all rings.  The column recurrences do not depend on the
-        band, so a band-b view is a column prefix of any larger band's; the
-        cache is rebuilt at `band` only when it is smaller.
+        Read-only views of one cached table set per parity block, each
+        ring_rows of all rings and stored once filled.  The column
+        recurrences do not depend on the band, so a band-b view is a column
+        prefix of any larger band's; a block's tables are rebuilt at `band`
+        only when they hold fewer columns.
 
         At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
@@ -503,37 +508,56 @@ class SphereGrid:
         if not 0 <= band <= self.band_limit:
             raise ValueError(f"band {band} must be in 0..{self.band_limit}")
         basis = HarmonicBasis(self.n, band)
-        n_even = len(basis.parity_columns[0])
-        if self._tables is None or self._tables[0].shape[1] < basis.size:
-            self._tables = tuple(np.empty((len(self.pair_weights), basis.size) + k)
-                                 for k in basis.part_shapes)
-            self.ring_rows(basis, None, 0, slice(None), self._tables)
-            self._even_count = n_even
-            for T in self._tables:
-                T.setflags(write=False)
-        e = self._even_count
-        return (tuple(T[:, :n_even] for T in self._tables),
-                tuple(T[:, e:e + basis.size - n_even] for T in self._tables))
+        tables = list(self._tables or (None, None))
+        for block, cols in enumerate(basis.parity_columns):
+            if tables[block] is None or tables[block][0].shape[1] < len(cols):
+                out = tuple(np.empty((len(self.pair_weights), len(cols)) + k)
+                            for k in basis.part_shapes)
+                self.ring_rows(basis, block, 0, slice(None), out)
+                for T in out:
+                    T.setflags(write=False)
+                tables[block] = out
+                self._tables = tuple(tables)
+        return tuple(tuple(T[:, :len(cols)] for T in view)
+                     for view, cols in zip(self._tables, basis.parity_columns))
 
-    def ring_rows(self, basis: HarmonicBasis, block, first: int, rings: slice, out):
+    def ring_rows(self, basis: HarmonicBasis, block: int, first: int, rings: slice, out):
         """Write the rows of basis_tables(basis.L)[block] from column `first`
-        (both blocks, even first, if block is None) on the grid's `rings`
-        into out = (values, gradients, Hessians), skipping None, bit for bit:
-        from the factors (HarmonicBasis._factors) of the even, then the odd
-        columns, cached at the largest band asked."""
+        on the grid's `rings` into out = (values, gradients, Hessians),
+        skipping None, bit for bit: from the factors (HarmonicBasis._factors)
+        of the even, then the odd columns, cached at the largest band asked."""
         if self._factors is None or len(self._factors[2]) < basis.size:
             cols = np.concatenate(basis.parity_columns)
             (ct, st), (cp, sp) = self.product_factors
             self._factors = (*basis._factors(ct, st, np.arctan2(sp, cp), 2, cols),
                              basis.degrees[cols], len(basis.parity_columns[0]))
         F, lons, degrees, e = self._factors
-        counts = [len(c) for c in basis.parity_columns]
-        s = (np.r_[:counts[0], e:e + counts[1]] if block is None
-             else slice(block * e + first, block * e + counts[block]))
+        s = slice(block * e + first, block * e + len(basis.parity_columns[block]))
         n_lon = len(lons[0])
         _combine([f[rings, None, s] for f in F], [f[:, s] for f in lons], degrees[s],
                  [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
                   for T in out])
+
+    def row_chunks(self, band: int, parts, blocks, first: int = 0):
+        """Yield (rows, views): a slice of the pair rows, in order, and per
+        block in `blocks` the (values, gradients, Hessians) of
+        basis_tables(band)[block] there from column `first` on, None for the
+        parts not listed: chunks of whole rings, at most CHUNK_ROWS rows
+        (one ring at least), that ring_rows writes into buffers reused from
+        chunk to chunk, and no table."""
+        basis = HarmonicBasis(self.n, band)
+        n_ring, n_lon = (len(f[0]) for f in self.product_factors)
+        per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
+        bufs = [[np.empty((per * n_lon, len(basis.parity_columns[b]) - first) + k)
+                 if i in parts else None for i, k in enumerate(basis.part_shapes)]
+                for b in blocks]
+        for k0 in range(0, n_ring, per):
+            rows = slice(k0 * n_lon, min(k0 + per, n_ring) * n_lon)
+            views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
+                     for buf in bufs]
+            for b, out in zip(blocks, views):
+                self.ring_rows(basis, b, first, slice(k0, k0 + per), out)
+            yield rows, views
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the

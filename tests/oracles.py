@@ -213,7 +213,7 @@ def duality_map(bg: BodyOnGrid) -> np.ndarray:
 
 def duality_roundtrip_error(bg: BodyOnGrid, polar_body: BodyEvaluator) -> float:
     """Applying the map for K then for the polar returns the start direction."""
-    back = polar_body.support_grad(duality_map(bg))
+    back = polar_body.jet(duality_map(bg), 1)[1]
     back /= np.linalg.norm(back, axis=1, keepdims=True)
     return float(np.abs(back - bg.grid.pair_nodes).max())
 
@@ -348,14 +348,14 @@ def take_gram_assembly(state: CentroAffineState, degree_max: int):
     pair nodes, at n=3 the product-grid tables (degree_order_tables), which
     are no pointwise evaluation.  Per parity block, the block's columns are
     copied out of the row matrix with np.take and Gram-multiplied, chunk by
-    chunk of spectral._table_chunks rows, the products summed in order;
-    zero outside the blocks."""
+    chunk of the grid's row_chunks, the products summed in order; zero
+    outside the blocks."""
     grid = state.grid
     basis = HarmonicBasis(grid.n, degree_max)
     B, G, _ = (degree_order_tables(grid, degree_max) if grid.n == 3
                else basis.frame_derivs(grid.pair_nodes, order=2))
     blocks = [cols for cols in basis.parity_columns if len(cols)]
-    chunks = [rows for rows, _ in spectral._table_chunks(grid, degree_max, (), ())]
+    chunks = [rows for rows, _ in grid.row_chunks(degree_max, (), ())]
 
     def gram(X):
         nb = X.shape[-1]

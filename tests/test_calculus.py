@@ -319,7 +319,7 @@ def test_conjugacy_of_connections_fd_oracle():
 
     def gmat(p):
         h = body.support(p)
-        H = body.support_hess(p)
+        H = body.jet(p)[2]
         proj = np.eye(n)[None] - p[:, :, None] * p[:, None, :]
         D2 = np.einsum("iab,ibc,icd->iad", proj, H, proj)
         return D2 / h[:, None, None]
@@ -356,7 +356,7 @@ def test_conjugacy_of_connections_fd_oracle():
         # dx(grad_u V) = D_u(dx(V)) + g(u, V) x
         def dxV(t):
             c = curve(t)
-            H = body.support_hess(c)
+            H = body.jet(c)[2]
             return np.einsum("ikl,il->ik", H, Vf(c))
 
         DuF = (dxV(eps) - dxV(-eps)) / (2 * eps)

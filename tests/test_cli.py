@@ -177,6 +177,7 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
     pytest.param("spectrum", {"grid": {"n": 2, "L": 8}, "subspace": "foo"},
                  id="spectrum_subspace"),
     pytest.param("verify-all", {"criteria": ["nope"]}, id="verify_all_criteria"),
+    pytest.param("verify-all", {"criteria": []}, id="verify_all_criteria_empty"),
     pytest.param("sweep", {"grid": {"n": 2, "L": 8},
                            "family": {"type": "random", "count": 1, "band": "x"}},
                  id="sweep_family_band"),
@@ -557,6 +558,12 @@ def test_verify_all_subset(tmp_path):
     rec = json.loads((out / "criteria.json").read_text())
     assert rec["criteria"][0]["criterion"] == "thresholds"
     assert rec["criteria"][0]["passed"]
+
+
+@pytest.mark.parametrize("cfg", [{}, {"criteria": None}], ids=["absent", "null"])
+def test_verify_all_without_a_criteria_list_runs_every_criterion(cfg):
+    # only an empty list is rejected (exit 2); no list selects them all
+    assert cli.validate("verify-all", cfg, 0)["criteria"] is None
 
 
 def test_command_config_mismatch_exits_2(tmp_path):

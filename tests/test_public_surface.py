@@ -31,7 +31,6 @@ ALLOWED = {
 # or gain a reader in src.  The set is pinned so that no other name leans on
 # bench/ naming it.
 TRACER_ONLY = {
-    "BodyEvaluator.support_hess",
     "HarmonicBasis.eval_derivs",
     "hbm_apply",
     "tangential_gradient",

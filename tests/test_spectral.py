@@ -26,7 +26,7 @@ from calab.spectral import (
     solve_spectrum,
     spectrum_of_body,
 )
-from calab.sphere import build_grid
+from calab.sphere import CHUNK_ROWS, build_grid
 
 from oracles import (degree_order_tables, discrete_bochner_residual,
                      first_eigenspace_deficiency, full_matrix, hessform,
@@ -327,7 +327,8 @@ def test_chunk_rows_are_the_table_rows_bit_for_bit(n, L, n_nodes):
     # column, bit for bit and sign bits included; the parts not asked are
     # None, the chunks tile the pair rows in order, and no table is built.
     # The n=2 grids are one chunk (build_grid(2, 16)) and several (4096
-    # nodes), each angle a ring of one longitude
+    # nodes), each angle a ring of one longitude.  The grid owns the row
+    # layout: SphereGrid.row_chunks streams the rows the forms read
     g = build_grid(n, L, n_nodes)
     half = g.node_count // 2
     ring = len(g.product_factors[1][0])
@@ -336,9 +337,9 @@ def test_chunk_rows_are_the_table_rows_bit_for_bit(n, L, n_nodes):
         for block, first, parts in ((0, 0, (0, 1, 2)), (1, 0, (0, 1, 2)),
                                     (0, 1, (1, 2)), (1, 2, (0,))):
             stop = chunks = 0
-            for rows, (views,) in spectral._table_chunks(g, band, parts, (block,), first):
+            for rows, (views,) in g.row_chunks(band, parts, (block,), first):
                 assert rows.start == stop
-                assert rows.stop - rows.start <= max(spectral.CHUNK_ROWS, ring)
+                assert rows.stop - rows.start <= max(CHUNK_ROWS, ring)
                 stop = rows.stop
                 chunks += 1
                 for part, (T, ref) in enumerate(zip(views, tables[block])):
@@ -349,7 +350,7 @@ def test_chunk_rows_are_the_table_rows_bit_for_bit(n, L, n_nodes):
                     assert np.array_equal(T, ref)
                     assert np.array_equal(np.signbit(T), np.signbit(ref))
             assert stop == half
-            assert (chunks == 1) == (half <= spectral.CHUNK_ROWS)
+            assert (chunks == 1) == (half <= CHUNK_ROWS)
         del tables
     assert g._tables is None
 
@@ -375,7 +376,7 @@ def test_streamed_forms_match_one_gram_product(L, band):
     st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
     sys_ = assemble(st, GalerkinBasis(g, band))
     assert g._tables is None
-    assert g.node_count // 2 > 2 * spectral.CHUNK_ROWS
+    assert g.node_count // 2 > 2 * CHUNK_ROWS
     for first in (0, 1):
         streamed = [(S, M, spectral._hessian_form(sys_, block, first))
                     for block, (S, M) in enumerate(zip(sys_.stiffness, sys_.mass))]
@@ -391,7 +392,7 @@ def test_one_chunk_grids_keep_the_single_gram_bit_for_bit(grid):
     # a grid of at most CHUNK_ROWS pair rows is one chunk: its stiffness,
     # mass and Hessian forms are the single Gram products, bit for bit
     g = grid()
-    assert len(list(spectral._table_chunks(g, g.band_limit, (), (0,)))) == 1
+    assert len(list(g.row_chunks(g.band_limit, (), (0,)))) == 1
     st = build_state(evaluate_on_grid(perturbed_ball(g.n, 0.1), g))
     sys_ = assemble(st, GalerkinBasis(g, g.band_limit))
     for first in (0, 1):

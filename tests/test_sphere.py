@@ -354,16 +354,17 @@ def test_geometry_does_not_build_basis_tables(n):
 
 
 def test_tables_memory_at_L24():
-    # half grid (676 nodes) x 625 functions x (1 + 2 + 3) components
+    # half grid (676 nodes) x 625 functions x (1 + 2 + 3) components, over
+    # the two parity blocks' cached tables
     g = build_grid(3, 24)
     g.basis_tables()
-    assert sum(T.nbytes for T in g._tables) <= 676 * 625 * 6 * 8
+    assert sum(T.nbytes for view in g._tables for T in view) <= 676 * 625 * 6 * 8
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 12)])
 def test_band_tables_are_prefix_columns_of_full_tables(n, L):
     # per parity, the band-b view is a column prefix of the full band's
-    # view, and a view of the one cached set of tables
+    # view, and a view of that block's cached tables
     full = build_grid(n, L).basis_tables()
     g = build_grid(n, L)
     half = g.node_count // 2
@@ -386,23 +387,24 @@ def test_band_tables_are_prefix_columns_of_full_tables(n, L):
 @pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 4), (3, 12)])
 def test_parity_tables_are_the_direct_evaluation_columns(n, L):
     # each parity view equals the matching columns of a direct evaluation of
-    # the band's basis bit for bit, and is a read-only view of the one
-    # cached set of tables, built once at the grid's band; at n=3 the
-    # direct evaluation is the product-grid one, a fresh grid's tables
-    # built at the band
+    # the band's basis bit for bit, and is a read-only view of its block's
+    # cached tables, built once at the grid's band; at n=3 the direct
+    # evaluation is the product-grid one, a fresh grid's tables built at
+    # the band
     g = build_grid(n, L)
     half = g.node_count // 2
     g.basis_tables()
     cached = g._tables
-    assert [T.shape[1] for T in cached] == [g.basis.size] * 3
+    assert ([[T.shape[1] for T in view] for view in cached]
+            == [[len(cols)] * 3 for cols in g.basis.parity_columns])
     for band in sorted({L, min(5, L), 2, 1, 0}, reverse=True):
         basis = HarmonicBasis(n, band)
         direct = (basis.frame_derivs(g.pair_nodes, order=2) if n == 2
                   else degree_order_tables(build_grid(n, L), band))
         views = g.basis_tables(band)
         assert g._tables is cached
-        for view, cols in zip(views, basis.parity_columns):
-            for T, C, ref in zip(view, cached, direct):
+        for view, cols, block in zip(views, basis.parity_columns, cached):
+            for T, C, ref in zip(view, block, direct):
                 assert T.shape[:2] == (half, len(cols))
                 assert np.array_equal(T, ref[:, cols])
                 assert np.array_equal(np.signbit(T), np.signbit(ref[:, cols]))
@@ -491,14 +493,19 @@ def test_expand_is_the_contracted_tables(n, L):
 
 
 def test_band_tables_rebuild_only_for_a_larger_band():
+    # each parity block's tables are rebuilt only when the band asks for
+    # more of its columns: band 5 adds odd columns only
     g = build_grid(3, 12)
     small = g.basis_tables(4)
     cached = g._tables
-    assert cached[0].shape[1] == 25
+    assert [view[0].shape[1] for view in cached] == [15, 10]
     g.basis_tables(2)
     assert g._tables is cached
+    g.basis_tables(5)
+    assert g._tables[0] is cached[0] and g._tables[1] is not cached[1]
+    assert [view[0].shape[1] for view in g._tables] == [15, 21]
     (B, _, _), (Bo, _, _) = g.basis_tables(8)
-    assert g._tables is not cached and g._tables[0].shape[1] == 81
+    assert [view[0].shape[1] for view in g._tables] == [45, 36]
     assert np.array_equal(B[:, :15], small[0][0])
     assert np.array_equal(Bo[:, :10], small[1][0])
 
@@ -509,6 +516,24 @@ def test_band_tables_reject_bands_outside_the_grid():
         with pytest.raises(ValueError, match="0..8"):
             g.basis_tables(band)
     assert g._tables is None
+
+
+def test_band_tables_are_stored_only_once_filled(monkeypatch):
+    # a build that fails leaves no unfilled tables in the cache: the next
+    # read builds them again, bit for bit the tables of a fresh grid
+    g = build_grid(3, 8)
+
+    def fail(*args):
+        raise MemoryError
+
+    monkeypatch.setattr(g, "ring_rows", fail)
+    with pytest.raises(MemoryError):
+        g.basis_tables()
+    assert g._tables is None
+    monkeypatch.undo()
+    for view, ref in zip(g.basis_tables(), build_grid(3, 8).basis_tables()):
+        for T, R in zip(view, ref):
+            assert np.array_equal(T, R)
 
 
 def test_grid_with_unequal_antipodal_weights_is_rejected():
