@@ -8,7 +8,9 @@ Firey sums and polars compose evaluators exactly, without resampling.
 Every body is origin-symmetric by construction, h(-x) = h(x): each family
 is, SpectralBody rejects odd-degree coefficients, and linear images, Firey
 sums and polars of symmetric bodies are symmetric, so evaluate_on_grid samples
-one node of each antipodal pair.
+one node of each antipodal pair.  A body that is also invariant under every
+coordinate flip x_i -> -x_i says so in sign_symmetric, from how it was built
+(never from samples); PolarBody folds its queries over that group.
 """
 
 from __future__ import annotations
@@ -18,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.sphere import (HarmonicBasis, SphereGrid, antipodal_fold, build_grid,
-                          frame_det, frame_eigvalsh, frame_solve, tangent_frames,
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
+                          frame_eigvalsh, frame_solve, sign_fold, tangent_frames,
                           to_ambient, unpack_sym)
 
 
@@ -44,7 +46,13 @@ class BodyEvaluator:
     (Richardson-extrapolated central differences, with the Euler identity and
     radial annihilation enforced on the results) serve families without
     closed-form derivatives and the tests' oracles.
+
+    sign_symmetric is True when h(S x) = h(x) for every coordinate flip
+    S = diag(+-1, ..., +-1) by construction; False (the default) claims
+    nothing.
     """
+
+    sign_symmetric = False
 
     def __init__(self, n: int, label: str = ""):
         self.n = n
@@ -105,6 +113,10 @@ def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
 
+def _is_diagonal(M):
+    return not np.any(M - np.diag(np.diag(M)))
+
+
 def _turn(X):
     """(-y, x) for each row (x, y): the counterclockwise tangent at n=2, bit
     for bit sphere.tangent_frames' column."""
@@ -137,6 +149,8 @@ def _osculating_adjugate(h, dh, Hh):
 
 
 class BallBody(BodyEvaluator):
+    sign_symmetric = True
+
     def __init__(self, r: float, n: int):
         if r <= 0:
             raise ValueError("radius must be positive")
@@ -173,6 +187,7 @@ class EllipsoidBody(BodyEvaluator):
             raise ValueError("A must be positive-definite")
         super().__init__(A.shape[0], label="ellipsoid")
         self.A = A
+        self.sign_symmetric = _is_diagonal(A)
         self._A2 = A @ A
 
     def jet(self, X, order=2):
@@ -193,7 +208,9 @@ class EllipsoidBody(BodyEvaluator):
 
 class SpectralBody(BodyEvaluator):
     """h restricted to the sphere is a band-limited harmonic expansion of
-    even degrees (odd-degree coefficients raise ValueError)."""
+    even degrees (odd-degree coefficients raise ValueError).  Sign-symmetric
+    when every nonzero coefficient sits on a flip-invariant column
+    (HarmonicBasis.flip_invariant)."""
 
     def __init__(self, n: int, coeffs: np.ndarray, basis: HarmonicBasis,
                  label: str = "spectral"):
@@ -206,6 +223,7 @@ class SpectralBody(BodyEvaluator):
         super().__init__(n, label=label)
         self.basis = basis
         self.coeffs = coeffs
+        self.sign_symmetric = not np.any(coeffs[~basis.flip_invariant])
 
     def jet(self, X, order=2):
         """(h, grad h, Hess h) up to `order` from one expand() of the even
@@ -239,7 +257,8 @@ class SpectralBody(BodyEvaluator):
 
 
 class LinearImageBody(BodyEvaluator):
-    """T(K) for invertible T; h'(u) = h(T^t u), exact composition."""
+    """T(K) for invertible T; h'(u) = h(T^t u), exact composition.
+    Sign-symmetric when T is diagonal and the base is."""
 
     def __init__(self, base: BodyEvaluator, T: np.ndarray):
         T = np.asarray(T, dtype=float)
@@ -252,6 +271,7 @@ class LinearImageBody(BodyEvaluator):
         super().__init__(base.n, label=f"{base.label}@T")
         self.base = base
         self.T = T
+        self.sign_symmetric = base.sign_symmetric and _is_diagonal(T)
         # vec(T H T^t) = kron(T, T) vec(H) for row-major vec; the kron as
         # one broadcast product (np.kron costs ~10x more per image)
         n2 = base.n**2
@@ -285,7 +305,7 @@ class FireySumBody(BodyEvaluator):
         Hess F = F (Hess log F + w w^t).
 
     For p < 1 the result may fail convexity; validity is reported by
-    evaluate_on_grid, not repaired here.
+    evaluate_on_grid, not repaired here.  Sign-symmetric when both terms are.
     """
 
     def __init__(self, a: float, K: BodyEvaluator, b: float, L: BodyEvaluator,
@@ -299,6 +319,7 @@ class FireySumBody(BodyEvaluator):
         super().__init__(K.n, label=f"firey(p={p})")
         self.a, self.b, self.p = float(a), float(b), float(p)
         self.K, self.L = K, L
+        self.sign_symmetric = K.sign_symmetric and L.sign_symmetric
 
     def jet(self, X, order=2):
         jK, jL = self.K.jet(X, order), self.L.jet(X, order)
@@ -332,6 +353,8 @@ class LqNormBody(BodyEvaluator):
     ball); closed-form derivatives through powers of |x|, smooth away from
     the origin."""
 
+    sign_symmetric = True
+
     def __init__(self, q: float, n: int):
         if not q >= 2:
             raise ValueError(f"q must be >= 2, got {q}")
@@ -359,11 +382,13 @@ class LqNormBody(BodyEvaluator):
 class PolarBody(BodyEvaluator):
     """Numeric polar: h_{K deg}(u) = max over unit theta of psi = <u, theta>/h(theta).
 
-    The base is origin-symmetric, so h_{K deg} is too: jet() folds the query
-    rows that are equal up to sign onto their first occurrence
-    (sphere.antipodal_fold), solves on those alone and unfolds, h and D^2 h
-    even and grad h odd.  A point whose norm is zero or not finite raises
-    ValueError.
+    The polar has its base's symmetries: it is origin-symmetric, and
+    sign-symmetric when the base is.  jet() folds the query rows over that
+    sign group (sphere.sign_fold: +-I, or every coordinate flip), solves at
+    one representative row of each orbit (the first row under +-I, |u| under
+    the flips) and unfolds with the per-row signs D as h[inverse],
+    D grad h[inverse] and D D^2h[inverse] D.  A point whose norm is zero or
+    not finite raises ValueError.
 
     Seed: psi(theta) = <u, v> for the vertex v = theta/h(theta) of the
     discrete polar polytope, so each point starts at the pair node +-theta
@@ -397,7 +422,8 @@ class PolarBody(BodyEvaluator):
     by the implicit-function theorem at the maximizer: with the base jet
     h, grad h at theta, A = F^T Hess(psi) F and
     M = I/h - grad h theta^T / h^2 (the U-derivative of grad_theta psi),
-    Hess h_{K deg}(u) = -M^T F A^{-1} F^T M.  Against the exact inverse
+    Hess h_{K deg}(u) = -M^T F A^{-1} F^T M, at n=2 the scalar form
+    -(M^T e)(e^T M)/A (_planar_hessian).  Against the exact inverse
     ellipsoid, h, its gradient and its Hessian agree to ~1e-13 relative.
     """
 
@@ -415,6 +441,7 @@ class PolarBody(BodyEvaluator):
     def __init__(self, base: BodyEvaluator, grid: SphereGrid):
         super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
+        self.sign_symmetric = base.sign_symmetric
         self._ref_nodes = grid.pair_nodes
         self._ref_jet = base.jet(grid.pair_nodes, 2)
         h = self._ref_jet[0]
@@ -593,6 +620,19 @@ class PolarBody(BodyEvaluator):
             radius[act] = np.where(ok, ra, 0.25 * np.minimum(ra, norm))
         return out[:5] + (F.reshape(N, n, n - 1), A.reshape(N, n - 1, n - 1)), certified
 
+    @staticmethod
+    def _planar_hessian(U, th, h, dh, e, A):
+        """The implicit-function Hessian at n=2 from (N,) scalars and
+        n-vectors: with the tangent e at theta, m = M^t e =
+        (e - <e, grad h> theta / h) / h and A = psi'' there, -m m^t / A
+        projected on the tangent space at U, -p p^t / A with
+        p = m - <U, m> U.  NaN where A == 0."""
+        m = (e - (np.einsum("ij,ij->i", e, dh) / h)[:, None] * th) / h[:, None]
+        m -= np.einsum("ij,ij->i", U, m)[:, None] * U
+        inv = np.full_like(A, np.nan)
+        np.divide(-1.0, A, out=inv, where=A != 0.0)
+        return inv[:, None, None] * _outer(m, m)
+
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
         pts = _as_points(X, self.n)
@@ -601,14 +641,18 @@ class PolarBody(BodyEvaluator):
         if bad.size:
             raise ValueError(f"polar support needs points of nonzero finite "
                              f"norm: row {bad[0]} is {pts[bad[0]]}")
-        first, inverse, sign = antipodal_fold(pts)
-        j = self._folded_jet(pts[first], r[first], order)
-        # unfold: h and D^2 h are even, grad h is odd
-        return tuple(sign[:, None] * a[inverse] if k == 1 else a[inverse]
-                     for k, a in enumerate(j))
+        first, inverse, D = sign_fold(pts, self.sign_symmetric)
+        j = self._folded_jet(D[first] * pts[first], r[first], order)
+        # unfold: h is invariant, grad h and D^2 h transform with the signs
+        out = [j[0][inverse]]
+        if order > 0:
+            out.append(D * j[1][inverse])
+        if order > 1:
+            out.append(D[:, :, None] * j[2][inverse] * D[:, None, :])
+        return tuple(out)
 
     def _folded_jet(self, pts, r, order):
-        """The jet at points no two of which are equal up to sign."""
+        """The jet at points no two of which share an orbit of the fold."""
         U = pts / r[:, None]
         th, val, hb, dh, _, frames, A = self._maximize(U)
         h = r * val
@@ -620,6 +664,9 @@ class PolarBody(BodyEvaluator):
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
         # the frame's derivative drops out, and M U = grad_theta psi = 0;
         # F^T M = (F^T - b theta^T / h) / h with b = F^T grad h
+        if self.n == 2:
+            return h, grad, self._planar_hessian(U, th, hb, dh, frames[:, :, 0],
+                                                 A[:, 0, 0]) / r[:, None, None]
         Ft = frames.transpose(0, 2, 1)
         b = Ft @ dh[:, :, None]
         FtM = (Ft - b * th[:, None, :] / hb[:, None, None]) / hb[:, None, None]
@@ -729,6 +776,8 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
 
 class _LqBall(BodyEvaluator):
     """The unit l_q ball (lq_gauge_body), derivatives by finite differences."""
+
+    sign_symmetric = True
 
     def __init__(self, q: int, n: int):
         super().__init__(n, label=f"l{q}-ball")

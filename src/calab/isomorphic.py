@@ -119,12 +119,14 @@ class _RoundedGaugeBody(BodyEvaluator):
     """sqrt(gauge(x)^2 + c^2 |x|^2) with hand-written derivatives.
 
     Independent of the Firey-sum composition; used as the 'direct gauge
-    formula' side of the dual-route consistency check."""
+    formula' side of the dual-route consistency check.  Sign-symmetric when
+    its gauge is."""
 
     def __init__(self, gauge_body: BodyEvaluator, c: float):
         super().__init__(gauge_body.n, label=f"rounded({gauge_body.label})")
         self.gb = gauge_body
         self.c = float(c)
+        self.sign_symmetric = gauge_body.sign_symmetric
 
     def jet(self, X, order=2):
         X = np.atleast_2d(np.asarray(X, dtype=float))

@@ -103,12 +103,12 @@ class _EvenModel:
     """Geometry of h = sum c_a phi_a over the even basis functions, whose
     coefficients c are the variable (`even_mask` marks them in the full basis).
 
-    The model reads the grid's even table at the pair nodes, at the pair
-    weights: D^2 h at a node is the frame matrix R = sum c_a R(phi_a),
-    R(phi) = Hess phi + phi I."""
+    The model reads the grid's even table at the pair nodes (the odd block
+    is not built for it), at the pair weights: D^2 h at a node is the frame
+    matrix R = sum c_a R(phi_a), R(phi) = Hess phi + phi I."""
 
     def __init__(self, grid: SphereGrid, band: int):
-        (B, _, H), _ = grid.basis_tables(band)
+        ((B, _, H),) = grid.basis_tables(band, blocks=(0,))
         self.grid = grid
         self.basis = HarmonicBasis(grid.n, band)
         self.even_mask = self.basis.parity > 0

@@ -4,7 +4,9 @@ Supports n = 2 (Fourier modes on the circle) and n = 3 (real spherical
 harmonics).  Every grid is a product grid, its basis rows ring factors times
 longitude factors: uniform angles, each a ring of one longitude, at n=2, and
 Gauss-Legendre colatitudes x uniform longitudes at n=3.  All grids are
-antipodally symmetric so that even/odd splitting is exact.  Differentiation is
+antipodally symmetric so that even/odd splitting is exact, and closed under
+each coordinate flip bit for bit, so that sign_fold finds the orbits of
+either sign group among their nodes.  Differentiation is
 spectral; the tests check it against finite differences of the homogeneous
 extension (tests/oracles.py).
 
@@ -27,23 +29,39 @@ import numpy as np
 TAIL_WARNING = 1e-8
 
 
+@functools.cache
+def _legendre_coefficients(L: int):
+    """Per band l = 1..L, the column recurrence's coefficients of _legendre:
+    a (l, 1), a b (l, 1) for l >= 2 (None at l = 1), and the sectoral
+    factor.  Built once per L, read-only."""
+    out = []
+    for l in range(1, L + 1):
+        m = np.arange(l)[:, None]
+        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+        a.setflags(write=False)
+        ab = None
+        if l >= 2:
+            ab = a * np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+            ab.setflags(write=False)
+        out.append((a, ab, -np.sqrt((2 * l + 1) / (2 * l))))
+    return tuple(out)
+
+
 def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
     """N P_l^m(cos theta) = Y_l^m(theta, 0), Condon-Shortley phase included,
     for 0 <= m <= l <= L as an (L+1, L+1, T) table that is zero for m > l.
 
     Column recurrence in l from the sectoral seed (Holmes & Featherstone,
-    J. Geodesy 76, 2002); it never divides by sin theta.
+    J. Geodesy 76, 2002), its coefficients cached per L
+    (_legendre_coefficients); it never divides by sin theta.
     """
     P = np.zeros((L + 1, L + 1, len(ct)))
     P[0, 0] = 0.5 / np.sqrt(np.pi)
-    for l in range(1, L + 1):
-        m = np.arange(l)[:, None]
-        a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+    for l, (a, ab, sectoral) in enumerate(_legendre_coefficients(L), start=1):
         P[l, :l] = a * ct * P[l - 1, :l]
-        if l >= 2:
-            b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
-            P[l, :l] -= a * b * P[l - 2, :l]
-        P[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * st * P[l - 1, l - 1]
+        if ab is not None:
+            P[l, :l] -= ab * P[l - 2, :l]
+        P[l, l] = sectoral * st * P[l - 1, l - 1]
     return P
 
 
@@ -100,8 +118,9 @@ def _ladder(P: np.ndarray):
 def _basis_columns(n: int, L: int):
     """The per-column data of HarmonicBasis(n, L), built once per (n, L) and
     shared by its instances: the constant function's value, each column's
-    degree and parity, the even and odd positions, scale, col and m (all
-    read-only), and the dict of expand's per-selection data at n=2."""
+    degree and parity, the even and odd positions, the flip-invariant mask,
+    scale, col and m (all read-only), and the dict of expand's per-selection
+    data at n=2."""
     # value of the constant basis function, 1/sqrt(|S^{n-1}|)
     constant_value = 1.0 / np.sqrt(2.0 * np.pi) if n == 2 else 0.5 / np.sqrt(np.pi)
     # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
@@ -119,6 +138,10 @@ def _basis_columns(n: int, L: int):
     parity = np.where(l % 2 == 0, 1, -1)
     # basis positions of the even and of the odd functions
     parity_columns = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
+    # invariant under every coordinate flip: cos m phi P_lm with l and m even
+    # at n=3 (x, y, z flips multiply it by (-1)^m, 1, (-1)^(l+m)), and the
+    # cosines of even degree at n=2
+    flip_invariant = (kind == 0) & (m % 2 == 0) & (l % 2 == 0)
     # per column: normalization, and position of its longitude factor in
     # [1, cos kt, sin kt] (n=2) or [cos m phi, sin m phi] (n=3)
     if n == 2:
@@ -127,9 +150,9 @@ def _basis_columns(n: int, L: int):
     else:
         scale = np.where(m == 0, 1.0, np.sqrt(2.0))
         col = m + kind * (L + 1)
-    for arr in (l, parity, *parity_columns, scale, col, m):
+    for arr in (l, parity, *parity_columns, flip_invariant, scale, col, m):
         arr.setflags(write=False)
-    return constant_value, l, parity, parity_columns, scale, col, m, {}
+    return constant_value, l, parity, parity_columns, flip_invariant, scale, col, m, {}
 
 
 class HarmonicBasis:
@@ -139,7 +162,9 @@ class HarmonicBasis:
     n=3: real spherical harmonics Y_lm for l = 0..L.
 
     Basis functions are orthonormal under the round surface measure; the
-    parity of a function is (-1)^degree under the antipodal map.
+    parity of a function is (-1)^degree under the antipodal map, and
+    flip_invariant marks the functions invariant under every coordinate
+    flip x_i -> -x_i.
     """
 
     def __init__(self, n: int, L: int):
@@ -150,7 +175,8 @@ class HarmonicBasis:
         self.n = n
         self.L = L
         (self.constant_value, self.degrees, self.parity, self.parity_columns,
-         self._scale, self._col, self._m, self._circle_plans) = _basis_columns(n, L)
+         self.flip_invariant, self._scale, self._col, self._m,
+         self._circle_plans) = _basis_columns(n, L)
         self.size = len(self.degrees)
         # trailing shapes of the values, frame gradients and packed Hessians
         self.part_shapes = ((), (n - 1,), (n * (n - 1) // 2,))
@@ -394,30 +420,44 @@ def frame_solve(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.stack([x1, x2], axis=-2)
 
 
-def antipodal_fold(X: np.ndarray):
-    """Rows of X equal up to sign, folded onto the first occurrence of each.
+def sign_fold(X: np.ndarray, flips: bool = False):
+    """Rows of X equal up to a sign group, folded onto one representative
+    row per orbit: the group {I, -I} (flips False) or every coordinate flip
+    diag(+-1, ..., +-1) (flips True).
 
-    Returns (first, inverse, sign): the indices of the representative rows,
-    in ascending order, and for every row i the position of its
-    representative in `first` and the sign with
-    X[i] == sign[i] * X[first[inverse[i]]] (compared as by ==, so 0.0 and
-    -0.0 match).  One stable lexsort of the rows made canonical by the sign
-    of their first nonzero entry; X must be finite, and zero rows fold with
-    each other."""
+    Returns (first, inverse, D): the index of the first row of each orbit,
+    in ascending order; for every row i the position of its orbit in
+    `first`; and per-row coordinate signs D (N, n) with
+    X[i] == D[i] * R[inverse[i]] for the representatives
+    R = D[first] * X[first] (compared as by ==, so 0.0 and -0.0 match).
+    Under +-I the representative is the first row itself (D[first] == 1)
+    and D[i] is the sign of row i against it, the same in every column;
+    under the flips it is |X[first]| and D = sign(X), -0.0 reading -1.
+    A function f invariant under the group, solved at R, unfolds as
+    f[inverse], D grad f[inverse] and D Hess f[inverse] D, with D_i D_j = 1
+    under +-I.  One stable lexsort of the rows made canonical (signed by
+    their first nonzero entry under +-I, |X| under the flips); X must be
+    finite, and zero rows fold with each other."""
     X = np.asarray(X)
-    lead = (X != 0).argmax(axis=1)
-    sign = np.copysign(1.0, X[np.arange(len(X)), lead])
-    C = X * sign[:, None]
+    if flips:
+        C = np.abs(X)
+    else:
+        lead = (X != 0).argmax(axis=1)
+        sign = np.copysign(1.0, X[np.arange(len(X)), lead])
+        C = X * sign[:, None]
     order = np.lexsort(C.T[::-1])
     Cs = C[order]
     new = np.ones(len(X), dtype=bool)
     new[1:] = (Cs[1:] != Cs[:-1]).any(axis=1)
-    # the sort is stable, so a group's first sorted row is its first occurrence
+    # the sort is stable, so an orbit's first sorted row is its first occurrence
     heads = order[new]
     first = np.sort(heads)
     inverse = np.empty(len(X), dtype=np.intp)
     inverse[order] = np.searchsorted(first, heads)[np.cumsum(new) - 1]
-    return first, inverse, sign * sign[first][inverse]
+    if flips:
+        return first, inverse, np.copysign(1.0, X)
+    D = np.broadcast_to((sign * sign[first][inverse])[:, None], X.shape)
+    return first, inverse, D
 
 
 def tangent_frames(points: np.ndarray) -> np.ndarray:
@@ -453,7 +493,8 @@ class SphereGrid:
 
     The first half of the nodes, the pair nodes, holds exactly one node of
     each antipodal pair, and antipodal nodes carry equal weights; build_grid
-    makes each antipode the exact negation of its node.  The pair
+    makes each antipode the exact negation of its node, and each coordinate
+    flip of a node a node.  The pair
     view (pair_nodes, pair_weights = 2 w, tangent_frames()) holds the rows
     of every even quantity.  The pair nodes are the ring-major product of
     product_factors: ((cos, sin) theta of the rings, (cos, sin) phi of the
@@ -489,18 +530,20 @@ class SphereGrid:
     def node_count(self) -> int:
         return len(self.weights)
 
-    def basis_tables(self, band: int | None = None):
-        """(even, odd): (values, gradients, hessians) of the even and of the
-        odd basis functions of degree <= band (default the grid's) at the
-        pair nodes, in degree order: (N/2, nb), (N/2, nb, n-1) and
-        (N/2, nb, n(n-1)/2), the derivatives as components in
-        tangent_frames() (see HarmonicBasis.frame_derivs).
+    def basis_tables(self, band: int | None = None, blocks=(0, 1)):
+        """Per parity block in `blocks` (0 even, 1 odd; default both, as
+        (even, odd)): (values, gradients, hessians) of that block's basis
+        functions of degree <= band (default the grid's) at the pair nodes,
+        in degree order: (N/2, nb), (N/2, nb, n-1) and (N/2, nb, n(n-1)/2),
+        the derivatives as components in tangent_frames() (see
+        HarmonicBasis.frame_derivs).
 
         Read-only views of one cached table set per parity block, each
-        ring_rows of all rings and stored once filled.  The column
-        recurrences do not depend on the band, so a band-b view is a column
-        prefix of any larger band's; a block's tables are rebuilt at `band`
-        only when they hold fewer columns.
+        ring_rows of all rings and stored once filled; only the blocks
+        asked for are built.  The column recurrences do not depend on the
+        band, so a band-b view is a column prefix of any larger band's; a
+        block's tables are rebuilt at `band` only when they hold fewer
+        columns.
 
         At the antipode, in the same frame: B(-u) = pi B(u),
         G(-u) = -pi G(u), H(-u) = pi H(u)."""
@@ -509,7 +552,8 @@ class SphereGrid:
             raise ValueError(f"band {band} must be in 0..{self.band_limit}")
         basis = HarmonicBasis(self.n, band)
         tables = list(self._tables or (None, None))
-        for block, cols in enumerate(basis.parity_columns):
+        for block in blocks:
+            cols = basis.parity_columns[block]
             if tables[block] is None or tables[block][0].shape[1] < len(cols):
                 out = tuple(np.empty((len(self.pair_weights), len(cols)) + k)
                             for k in basis.part_shapes)
@@ -518,8 +562,8 @@ class SphereGrid:
                     T.setflags(write=False)
                 tables[block] = out
                 self._tables = tuple(tables)
-        return tuple(tuple(T[:, :len(cols)] for T in view)
-                     for view, cols in zip(self._tables, basis.parity_columns))
+        return tuple(tuple(T[:, :len(basis.parity_columns[b])] for T in self._tables[b])
+                     for b in blocks)
 
     def ring_rows(self, basis: HarmonicBasis, block: int, first: int, rings: slice, out):
         """Write the rows of basis_tables(basis.L)[block] from column `first`
@@ -577,6 +621,19 @@ class SphereGrid:
         return v[:half]
 
 
+def _half_circle(N: int):
+    """cos and sin of the angles 2 pi j / N, j = 0..N/2-1 (N even): taken on
+    the first quadrant, j <= N/4, with cos(pi/2) exactly 0, and reflected
+    exactly across the y-axis, j -> N/2 - j, for the rest."""
+    q = N // 4
+    t = 2.0 * np.pi * np.arange(q + 1) / N
+    c, s = np.cos(t), np.sin(t)
+    if 4 * q == N:
+        c[q] = 0.0
+    r = N // 2 - np.arange(q + 1, N // 2)
+    return np.concatenate([c, -c[r]]), np.concatenate([s, s[r]])
+
+
 def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     """Construct a quadrature grid on S^{n-1}.
 
@@ -589,7 +646,10 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     Antipodes are exact negations, nodes[antipodal_index] == -nodes bit for
     bit: the second half of the angles at n=2, and of the longitudes at n=3,
     take the negated cos and sin of the first half, and the Gauss-Legendre
-    colatitudes are exactly symmetric.
+    colatitudes are exactly symmetric.  Coordinate flips x_i -> -x_i are
+    exact too: every flip of a node is a node, bit for bit (compared as by
+    ==, so 0.0 and -0.0 match), since the first half of the angles (or
+    longitudes) is the first quadrant reflected exactly (_half_circle).
     """
     if n not in (2, 3):
         raise ValueError(f"unsupported dimension n={n}")
@@ -600,8 +660,7 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
         N = n_nodes if n_nodes is not None else max(4 * L + 4, 64)
         if N % 2 != 0 or N < 4 * L + 4:
             raise ValueError("node count must be even and >= 4L+4")
-        t = 2.0 * np.pi * np.arange(N // 2) / N
-        rings = (np.cos(t), np.sin(t))
+        rings = _half_circle(N)
         half = np.stack(rings, axis=-1)
         nodes = np.concatenate([half, -half])
         weights = np.full(N, 2.0 * np.pi / N)
@@ -613,9 +672,8 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
     n_th = L + 2
     n_ph = 2 * L + 4
     u, wu = _gauss_legendre(n_th)  # ascending in u = cos(theta)
-    phi = 2.0 * np.pi * np.arange(n_ph // 2) / n_ph
-    cp = np.concatenate([np.cos(phi), -np.cos(phi)])
-    sp = np.concatenate([np.sin(phi), -np.sin(phi)])
+    cp, sp = _half_circle(n_ph)
+    cp, sp = np.concatenate([cp, -cp]), np.concatenate([sp, -sp])
     wphi = 2.0 * np.pi / n_ph
     st = np.sqrt(1.0 - u**2)
     # node index = k * n_ph + j

@@ -386,19 +386,25 @@ def test_polar_hessian_nan_only_where_base_hessian_degenerates():
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
 @pytest.mark.parametrize("name", ["ellipsoid", "perturbed", "bipolar"])
 def test_polar_jet_folds_antipodes(n, L, name):
-    # the grid's antipodes are exact negations, so jet(grid.nodes) solves at
-    # the pair nodes only and unfolds: h and D^2 h bitwise even, grad h
-    # bitwise odd, and the pair rows bit for bit those of jet(pair_nodes)
+    # the grid's antipodes and coordinate flips are exact, so jet(grid.nodes)
+    # solves once per orbit of the base's sign group and unfolds: at the N/2
+    # pair nodes for the perturbed ball and its polar (not sign-symmetric),
+    # at the orbits of every coordinate flip (18 at n=2, L=16; 182 at n=3,
+    # L=24) for the diagonal ellipsoid.  h and D^2 h are bitwise even,
+    # grad h bitwise odd, and the pair rows bit for bit those of
+    # jet(pair_nodes)
     g = build_grid(n, L)
     base = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7][:n])),
             "perturbed": lambda: perturbed_ball(n, 0.1),
             "bipolar": lambda: polar(perturbed_ball(n, 0.1), g)}[name]()
+    assert base.sign_symmetric == (name == "ellipsoid")
     P = polar(base, g)
     seen = []
     maximize = P._maximize
     P._maximize = lambda U: seen.append(len(U)) or maximize(U)
     h, x, H = P.jet(g.nodes, 2)
-    assert seen == [g.node_count // 2]
+    orbits = {(2, 16): 18, (3, 24): 182}[(n, L)]
+    assert seen == [orbits if base.sign_symmetric else g.node_count // 2]
     anti = g.antipodal_index
     assert np.array_equal(h[anti], h)
     assert np.array_equal(x[anti], -x)
@@ -410,6 +416,51 @@ def test_polar_jet_folds_antipodes(n, L, name):
     seen.clear()
     P.jet(unit_vectors(np.random.default_rng(21), 57, n), 2)
     assert seen == [57]
+
+
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
+@pytest.mark.parametrize("name", ["ellipsoid", "smoothed_l4", "bipolar_l43"])
+def test_polar_jet_folded_over_flips_matches_the_unfolded_solve(n, L, name):
+    # on a sign-symmetric base the polar solves once per coordinate-flip
+    # orbit, at |u|, and unfolds with the signs of u; solved at every row
+    # (the fold over +-I only) the jets agree to 1e-11 of each output's
+    # largest entry (measured at n=3, L=24: <= 1.5e-12 on the polar of
+    # 0.1B + B_{4/3}, <= 8.6e-16 on the others; bit for bit at n=2), on the
+    # grid and at random points
+    g = build_grid(n, L)
+    base = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7][:n])),
+            "smoothed_l4": lambda: construct(lq_gauge_body(4, n), g, 1.0, 1.0)[0],
+            "bipolar_l43": lambda: polar(
+                firey_sum(0.1, ball(1.0, n), 1.0, LqNormBody(4, n), 1.0), g)}[name]()
+    assert base.sign_symmetric
+    folded, unfolded = polar(base, g), polar(base, g)
+    unfolded.sign_symmetric = False
+    U = np.vstack([g.nodes, unit_vectors(np.random.default_rng(32), 64, n)])
+    for a, b in zip(folded.jet(U, 2), unfolded.jet(U, 2)):
+        assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
+
+
+@pytest.mark.parametrize("name", list(_planar_bases(None)))
+def test_planar_polar_hessian_is_the_frame_form(name):
+    # at n=2 the implicit-function Hessian is -p p^t / A from scalars and
+    # 2-vectors; the frame form -(F^t M)^t A^-1 F^t M, symmetrized and
+    # projected on the tangent space, agrees to 1e-15 of its largest entry
+    # (measured <= 5.6e-16), NaN at the same points
+    from calab.bodies import _symmetric_tangential
+    from calab.sphere import frame_solve
+    g = build_grid(2, 16)
+    P = polar(_planar_bases(g)[name](), g)
+    U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(33), 40, 2)])
+    th, _, h, dh, _, F, A = P._maximize(U)
+    Ft = F.transpose(0, 2, 1)
+    FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / h[:, None, None]) / h[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        frame = _symmetric_tangential(-FtM.transpose(0, 2, 1) @ frame_solve(A, FtM), U)
+    scalar = P._planar_hessian(U, th, h, dh, F[:, :, 0], A[:, 0, 0])
+    ok = np.isfinite(frame).all(axis=(1, 2))
+    assert np.array_equal(ok, np.isfinite(scalar).all(axis=(1, 2)))
+    assert ok.any()
+    assert np.abs(scalar[ok] - frame[ok]).max() <= 1e-15 * np.abs(frame[ok]).max()
 
 
 def test_polar_nan_hessian_reaches_only_its_antipode():
@@ -1058,6 +1109,50 @@ def _symmetric_bodies(n, g):
         "smoothed_lq3": (construct(lq_gauge_body(3, n), g, 0.5, 0.3)[0],
                          "closed"),
     }
+
+
+def _sign_symmetric_bodies(n, g):
+    """A body of each family that states sign symmetry, built to have it."""
+    E = ellipsoid(np.diag([1.5, 1.0, 0.8][:n]))
+    even = {2: [(2, 0, 1.0), (4, 0, 0.3)], 3: [(2, 0, 1.0), (2, 2, 0.5), (4, 4, 0.2)]}[n]
+    return {
+        "ball": ball(1.3, n),
+        "ellipsoid_diag": E,
+        "spectral_cosines": perturbed_ball(n, 0.1, coeffs=even),
+        "lq_norm": LqNormBody(3, n),
+        "lq_ball": lq_gauge_body(4, n),
+        "linear_image_diag": linear_image(E, np.diag([1.0, 0.5, 2.0][:n])),
+        "firey": firey_sum(1.0, E, 0.8, LqNormBody(4, n), 2.0),
+        "polar": polar(E, g),
+        "rounded_gauge": _RoundedGaugeBody(LqNormBody(4, n), 0.5),
+        "smoothed_lq4": construct(lq_gauge_body(4, n), g, 0.5, 0.3)[0],
+    }
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_sign_symmetry_is_stated_by_construction(n):
+    # each family that states sign symmetry has it: h(S_i x) = h(x) for
+    # every coordinate flip S_i, to 1e-14 of max h at 64 random points; and
+    # bodies built without it say False
+    g = build_grid(n, 16)
+    X = 1.7 * unit_vectors(np.random.default_rng(34), 64, n)
+    for name, body in _sign_symmetric_bodies(n, g).items():
+        assert body.sign_symmetric, name
+        h = body.support(X)
+        for i in range(n):
+            S = np.ones(n)
+            S[i] = -1.0
+            assert np.abs(body.support(X * S) - h).max() <= 1e-14 * h.max(), (name, i)
+    rng = np.random.default_rng(n + 35)
+    R = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    E = ellipsoid(np.diag([1.5, 1.0, 0.8][:n]))
+    for body in (random_even_body(n, 3), perturbed_ball(n, 0.1),
+                 ellipsoid(R @ np.diag([1.5, 1.0, 0.8][:n]) @ R.T),
+                 linear_image(E, np.eye(n) + 0.2 * np.eye(n, k=1)),
+                 firey_sum(1.0, E, 1.0, perturbed_ball(n, 0.1), 1.0),
+                 polar(perturbed_ball(n, 0.1), g),
+                 _RoundedGaugeBody(perturbed_ball(n, 0.1), 0.5)):
+        assert not body.sign_symmetric, body.label
 
 
 @pytest.mark.parametrize("n,L,nodes", [(2, 62, 256), (3, 16, None)])

@@ -309,11 +309,30 @@ def test_minimize_on_half_grid_tables_returns_unit_volume():
     assert g._tables is None
     res = minimize(mu, 0.5, band=16)
     assert res.converged
-    # band 16 at n=2: the 17 even and 16 odd columns, one table set each
-    for view, nb in zip(g._tables, (17, 16)):
-        for T in view:
-            assert T.shape[:2] == (g.node_count // 2, nb)
+    # band 16 at n=2: the 17 even columns, one table set, and no odd table
+    for T in g._tables[0]:
+        assert T.shape[:2] == (g.node_count // 2, 17)
+    assert g._tables[1] is None
     assert abs(quantities(evaluate_on_grid(res.body, g)).volume - 1.0) <= 1e-13
+
+
+@pytest.mark.parametrize("n,L,band", [(2, 16, 8), (3, 24, 16)])
+def test_even_model_builds_only_the_even_tables(n, L, band):
+    # a model on a fresh grid fills the even block of the grid's table cache
+    # and leaves the odd block unbuilt; a second model reuses the even block,
+    # and the odd block, asked for later, is bit for bit a fresh grid's
+    from calab.minkowski import _EvenModel
+    g = build_grid(n, L)
+    model = _EvenModel(g, band)
+    assert g._tables[1] is None
+    even = g._tables[0]
+    assert even[0].shape[1] == len(model.basis.parity_columns[0])
+    _EvenModel(g, band)
+    assert g._tables[0] is even and g._tables[1] is None
+    odd = g.basis_tables(band)[1]
+    assert g._tables[0] is even
+    for T, R in zip(odd, build_grid(n, L).basis_tables(band)[1]):
+        assert np.array_equal(T, R)
 
 
 def test_minimize_rejects_infeasible_init(grid, lebesgue):

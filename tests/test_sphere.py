@@ -17,7 +17,6 @@ from calab.sphere import (
     tangential_gradient,
     tangential_hessian,
     analyze,
-    antipodal_fold,
     synthesize,
     frame_det,
     frame_eigvalsh,
@@ -26,6 +25,7 @@ from calab.sphere import (
     hessian_from_coeffs,
     packed_positions,
     quad_values,
+    sign_fold,
     tangent_frames,
     unpack_sym,
 )
@@ -191,15 +191,65 @@ def test_antipodes_are_exact_negations(n, L, n_nodes):
     assert np.abs(g.nodes - nodes).max() <= 2e-15
 
 
+@pytest.mark.parametrize("n,L,n_nodes", HALF_GRID_CASES + [(2, 16, 70)])
+def test_coordinate_flips_of_nodes_are_nodes(n, L, n_nodes):
+    # bit for bit, like the antipodes: the first quadrant of the angles (n=2)
+    # or longitudes (n=3) is reflected exactly, and cos(pi/2) is exactly 0.
+    # The fold over the flips then finds one orbit per first-quadrant angle
+    # (n=2), or per upper ring and first-quadrant longitude (n=3)
+    g = build_grid(n, L, n_nodes=n_nodes)
+    rows = {tuple(x) for x in g.nodes.tolist()}
+    for i in range(n):
+        S = np.ones(n)
+        S[i] = -1.0
+        assert all(tuple(x) in rows for x in (g.nodes * S).tolist())
+    first, inverse, D = sign_fold(g.nodes, flips=True)
+    assert np.array_equal(np.abs(g.nodes), np.abs(g.nodes[first])[inverse])
+    if n == 3:
+        m_th, m_ph = L + 2, 2 * L + 4
+        assert len(first) == (m_th // 2) * (m_ph // 4 + 1)
+    else:
+        N = g.node_count
+        assert len(first) == (N // 4 + 1 if N % 4 == 0 else (N + 2) // 4)
+
+
+def test_legendre_coefficients_are_cached_bit_for_bit():
+    # the cached recurrence coefficients give the table of the recurrence
+    # that forms them on every call, bit for bit
+    from calab.sphere import _legendre, _legendre_coefficients
+
+    def recurrence(ct, st, L):
+        P = np.zeros((L + 1, L + 1, len(ct)))
+        P[0, 0] = 0.5 / np.sqrt(np.pi)
+        for l in range(1, L + 1):
+            m = np.arange(l)[:, None]
+            a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
+            P[l, :l] = a * ct * P[l - 1, :l]
+            if l >= 2:
+                b = np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
+                P[l, :l] -= a * b * P[l - 2, :l]
+            P[l, l] = -np.sqrt((2 * l + 1) / (2 * l)) * st * P[l - 1, l - 1]
+        return P
+
+    ct = np.random.default_rng(7).uniform(-1.0, 1.0, 50)
+    st = np.sqrt(1.0 - ct**2)
+    for L in (0, 1, 2, 10, 25):
+        assert np.array_equal(_legendre(ct, st, L), recurrence(ct, st, L))
+    assert _legendre_coefficients(10) is _legendre_coefficients(10)
+
+
 def test_antipodal_fold_keeps_first_occurrences():
+    # the fold over +-I: the representative is the first row of each pair,
+    # and D is the one sign of each row against it
     rng = np.random.default_rng(5)
     base = rng.normal(size=(40, 3))
     base[:5, 0] = 0.0          # leading zeros: the sign is read further on
     base[5, :2] = 0.0
     pick = rng.integers(0, len(base), size=200)
     X = rng.choice([-1.0, 1.0], size=(200, 1)) * base[pick]
-    first, inverse, sign = antipodal_fold(X)
-    assert np.array_equal(X, sign[:, None] * X[first][inverse])
+    first, inverse, D = sign_fold(X)
+    assert np.array_equal(X, D * X[first][inverse])
+    assert np.all(D[first] == 1.0) and np.all(D == D[:, :1])
     assert np.all(np.diff(first) > 0)
     # each representative is the first row equal to it up to sign
     for k, i in enumerate(first):
@@ -208,9 +258,36 @@ def test_antipodal_fold_keeps_first_occurrences():
     assert len(first) == len(np.unique(pick))
     # rows with no partner fold onto themselves, in order
     U = rng.normal(size=(30, 2))
-    first, inverse, sign = antipodal_fold(U)
+    first, inverse, D = sign_fold(U)
     assert np.array_equal(first, np.arange(30)) and np.array_equal(inverse, first)
-    assert np.all(sign == 1.0)
+    assert np.all(D == 1.0)
+
+
+def test_flip_fold_keeps_first_occurrences_and_solves_at_abs():
+    # the fold over every coordinate flip: one orbit per |x|, represented by
+    # |x| with D = sign(x) (-0.0 reads -1), first occurrences kept in order
+    rng = np.random.default_rng(6)
+    base = rng.normal(size=(40, 3))
+    base[:5, 0] = 0.0          # rows in a coordinate plane: smaller orbits
+    base[5, :2] = 0.0
+    pick = rng.integers(0, len(base), size=300)
+    X = rng.choice([-1.0, 1.0], size=(300, 3)) * base[pick]
+    first, inverse, D = sign_fold(X, flips=True)
+    R = D[first] * X[first]
+    assert np.array_equal(R, np.abs(X[first]))
+    assert not np.signbit(R).any()
+    assert np.array_equal(X, D * R[inverse])
+    assert np.array_equal(D, np.copysign(1.0, X))
+    assert np.all(np.diff(first) > 0)
+    for k, i in enumerate(first):
+        same = np.flatnonzero((np.abs(X) == np.abs(X[i])).all(axis=1))
+        assert same[0] == i and np.all(inverse[same] == k)
+    assert len(first) == len(np.unique(pick))
+    # x and -x share an orbit under both groups, the flips of x only here
+    Y = np.array([[1.0, 2.0, 3.0], [-1.0, -2.0, -3.0], [-1.0, 2.0, 3.0],
+                  [0.0, 2.0, 3.0], [-0.0, 2.0, 3.0], [0.0, -2.0, 3.0]])
+    assert np.array_equal(sign_fold(Y)[1], [0, 0, 1, 2, 2, 3])
+    assert np.array_equal(sign_fold(Y, flips=True)[1], [0, 0, 0, 1, 1, 1])
 
 
 def test_grid_without_half_structure_is_rejected():
