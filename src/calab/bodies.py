@@ -412,7 +412,9 @@ class PolarBody(BodyEvaluator):
     proves the maximizer global only when the base h is convex:
     on the slice <u, theta> = 1, psi = 1/h, so a strict local maximum of psi
     is then its unique global one.  The loop stops when every point is
-    certified or after _NEWTON_CAP steps.  Points left uncertified (bases
+    certified or after _NEWTON_CAP steps.  A point whose base jet is not
+    finite takes no step, and a candidate whose base jet is not finite is a
+    rejected step, so neither makes a NaN step.  Points left uncertified (bases
     whose support function is not C^2, finite-difference bases) are solved
     again from the polytope seed with _PG_STEPS projected-gradient ascent steps
     before the Newton loop, and keep whichever psi is larger.
@@ -584,10 +586,15 @@ class PolarBody(BodyEvaluator):
                *self._terms(U, th, h, dh, Hh))
         psi, F, g, A, gnorm, lam = out[1], *out[5:]
         radius = np.full(N, 0.2)
+        # a point whose base jet is not finite (so psi, |g| or the top
+        # eigenvalue of A is not) takes no step, and a candidate whose base
+        # jet is not finite is a rejected step: such points stay uncertified,
+        # for the fallback
+        live = np.isfinite(psi + gnorm + lam)
         for it in range(self._NEWTON_CAP + 1):
             # a certified point takes no more steps, so it stays certified
             certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
-            act = np.flatnonzero(~certified)
+            act = np.flatnonzero(~certified & live)
             if not act.size or it == self._NEWTON_CAP:
                 break
             ta, pa, Fa, ga, Aa, na, ra = (a[act] for a in (th, psi, F, g, A, gnorm, radius))
@@ -613,7 +620,7 @@ class PolarBody(BodyEvaluator):
             # a step whose first-order gain is below psi's rounding is judged
             # by the gradient, which still resolves it
             ok = np.where(gain <= self._UNRESOLVED * pa, tc[3] < na,
-                          pc >= pa * self._ACCEPT)
+                          pc >= pa * self._ACCEPT) & np.isfinite(pc + tc[3] + tc[4])
             keep = act[ok]
             for a, b in zip(out, (cand, pc, *jc, *tc)):
                 a[keep] = b[ok]

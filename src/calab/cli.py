@@ -252,12 +252,17 @@ _PINCH_FIELDS = ["r_curv", "R_curv", "A", "B", "r_in", "R_out", "p_main", "p_str
 
 
 def _cmd_pinch(v, threads):
-    body, grid = v["body"], v["grid"]
-    rep = best = measure_pinching(evaluate_on_grid(body, grid))
+    body = v["body"]
+    bg = evaluate_on_grid(body, v["grid"])
+    rep = best = measure_pinching(bg)
     payload = {"pinching": rep.to_dict()}
     if v["optimize"] is not None:
-        best = optimize_image(body, grid, iters=v["optimize"]["iters"])["report"]
-        payload["optimized"] = best.to_dict()
+        iters = v["optimize"]["iters"]
+        res = optimize_image(bg, iters=iters)
+        best = res["report"]
+        payload["optimized"] = {
+            **best.to_dict(), "T": res["T"].tolist(), "iterations": res["iterations"],
+            "stopped_by": "tolerance" if res["iterations"] < iters else "iteration cap"}
     checks = [_check("rolling_lower", rep.r_curv, rep.r_in, 1e-8,
                      rep.r_curv <= rep.r_in + 1e-8),
               _check("rolling_upper", rep.R_out, rep.R_curv, 1e-8,

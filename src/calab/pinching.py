@@ -13,8 +13,8 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
-from calab.sphere import SphereGrid, unpack_sym
+from calab.bodies import BodyOnGrid, evaluate_on_grid, linear_image
+from calab.sphere import unpack_sym
 
 
 @dataclass(frozen=True)
@@ -145,53 +145,88 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
         nit += 1
 
 
-def _isotropic_centre(body: BodyEvaluator, grid: SphereGrid) -> np.ndarray:
+def _isotropic_centre(bg: BodyOnGrid) -> np.ndarray:
     """optimize_image's chart centre z0: the upper triangle of the traceless
     part of -1/2 log Q, Q = sum_j w_j v_j x_j x_j^t over the pair nodes
     (x = grad h, v the cone-volume density), so exp(z0) takes K to about its
-    isotropic position (an ellipsoid to a ball); zero, the identity, when K is
-    not strongly convex on the grid."""
-    n = body.n
-    try:
-        bg = evaluate_on_grid(body, grid)
-    except ValueError:
-        return np.zeros(n * (n + 1) // 2)
-    if not bg.valid:
-        return np.zeros(n * (n + 1) // 2)
-    w, V = np.linalg.eigh((bg.x.T * (grid.pair_weights * bg.vk_density)) @ bg.x)
+    isotropic position (an ellipsoid to a ball)."""
+    n = bg.n
+    w, V = np.linalg.eigh((bg.x.T * (bg.grid.pair_weights * bg.vk_density)) @ bg.x)
     S = (V * (-0.5 * np.log(w))[None, :]) @ V.T
     return (S - np.trace(S) / n * np.eye(n))[np.triu_indices(n)]
 
 
-def _p_strong_objective(body: BodyEvaluator, grid: SphereGrid, centre: np.ndarray):
+def _image_samples(bg: BodyOnGrid):
+    """The pinching samples of every image T(K), T = exp(S) for traceless
+    symmetric S, from K's jet on the grid alone: a function of S returning
+    h_TK(u) (N/2,) and the tangent eigenvalues of (h D^2h)_TK(u) (N/2, n-1),
+    ascending, at u = T^-1 v / |T^-1 v| for each pair node v.
+
+    T is symmetric with det T = 1, so h_TK(x) = h_K(T x), h_TK(u) =
+    h_K(v) / |T^-1 v| and (h D^2h)_TK(u) = h_K(v) T D^2h_K(v) T, whose tangent
+    eigenvalues are those of the frame matrix (h D2h_frame)(v) F^t T^2 F
+    (F the node's tangent frame).  Both are linear in the packed upper
+    triangles of T^2 and T^-2, so the per-node coefficient rows are built
+    here once, and each call takes one eigh of S and two matrix-vector
+    products.  The 2x2 eigenvalues are m + sqrt(((a - d)/2)^2 + bc),
+    m = (a + d)/2, and (ad - bc) divided by it, which do not cancel near a
+    ball."""
+    n, q = bg.n, bg.n - 1
+    rows, cols = np.triu_indices(n)
+    v, F = bg.grid.pair_nodes, bg.grid.tangent_frames()
+    # |T^-1 v|^2 = v^t T^-2 v, an off-diagonal entry counted twice
+    norm_rows = v[:, rows] * v[:, cols] * np.where(rows == cols, 1.0, 2.0)
+    # F^t P F for symmetric P, per packed entry of P
+    G = F[:, rows, :, None] * F[:, cols, None, :]
+    G = (G + G.transpose(0, 1, 3, 2)) * np.where(rows == cols, 0.5, 1.0)[:, None, None]
+    hR = bg.h[:, None, None] * bg.D2h_frame
+    entry_rows = np.einsum("ikm,ipml->iklp", hR, G).reshape(-1, len(rows))
+
+    def samples(S):
+        w, V = np.linalg.eigh(S)
+        T2 = (V * np.exp(2.0 * w)[None, :]) @ V.T
+        Tinv2 = (V * np.exp(-2.0 * w)[None, :]) @ V.T
+        h = bg.h / np.sqrt(norm_rows @ Tinv2[rows, cols])
+        M = (entry_rows @ T2[rows, cols]).reshape(-1, q, q)
+        if q == 1:
+            return h, M[:, 0]
+        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
+        # M is similar to a symmetric matrix, so the discriminant is >= 0 but
+        # for rounding where the two eigenvalues nearly meet
+        big = 0.5 * (a + d) + np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + b * c, 0.0))
+        return h, np.stack([(a * d - b * c) / big, big], axis=1)
+    return samples
+
+
+def _p_strong_objective(bg: BodyOnGrid, centre: np.ndarray):
     """optimize_image's objective: p_strong of T(K) at T = exp(centre + z) for
-    the traceless log-chart coordinates z, and 1e6 - min eig D^2h (a penalty
-    that still points towards strong convexity) where T(K) is not strongly
-    convex on the grid."""
+    the traceless log-chart coordinates z, from the samples of _image_samples
+    (T(K) is sampled at u = T^-1 v / |T^-1 v|, not at the grid nodes)."""
+    samples = _image_samples(bg)
+
     def objective(z):
-        T = _spd_exp(_sym_from_vec(centre + z, body.n))
-        try:
-            bg = evaluate_on_grid(linear_image(body, T), grid)
-        except ValueError:
-            return 1e6
-        if not bg.valid:
-            return 1e6 - bg.min_eig_D2h
-        return measure_pinching(bg).p_strong
+        h, eig = samples(_sym_from_vec(centre + z, bg.n))
+        return threshold_strong(float(eig.min()), float(eig.max()), float(h.max()), bg.n)
     return objective
 
 
-def optimize_image(body: BodyEvaluator, grid: SphereGrid,
-                   iters: int = 200) -> dict:
+def optimize_image(bg: BodyOnGrid, iters: int = 200) -> dict:
     """Minimize p_strong(T(K)) over unit-determinant symmetric
-    positive-definite T (Nelder-Mead on the traceless log-chart).
+    positive-definite T (Nelder-Mead on the traceless log-chart), for the body
+    K of bg.
 
-    Deterministic: starts from K's isotropic position (_isotropic_centre),
-    the identity for a body not strongly convex on the grid; returns the best
-    image found (no global guarantee)."""
-    n = body.n
-    centre = _isotropic_centre(body, grid)
-    z, nit = _nelder_mead(_p_strong_objective(body, grid, centre),
+    Strong convexity is invariant under T, so a bg that is not strongly
+    convex raises ValueError.  The search reads K's jet on the grid only
+    (_p_strong_objective); the returned report measures the best image on
+    the grid.  Deterministic: starts from K's isotropic position
+    (_isotropic_centre); returns the best image found (no global
+    guarantee)."""
+    if not bg.valid:
+        raise ValueError("optimize_image requires a strongly convex body on the grid")
+    n = bg.n
+    centre = _isotropic_centre(bg)
+    z, nit = _nelder_mead(_p_strong_objective(bg, centre),
                           np.zeros(n * (n + 1) // 2), iters, xatol=1e-6, fatol=1e-9)
     best_T = _spd_exp(_sym_from_vec(centre + z, n))
-    report = measure_pinching(evaluate_on_grid(linear_image(body, best_T), grid))
+    report = measure_pinching(evaluate_on_grid(linear_image(bg.body, best_T), bg.grid))
     return {"T": best_T, "report": report, "iterations": nit}

@@ -383,6 +383,24 @@ def test_polar_hessian_nan_only_where_base_hessian_degenerates():
         evaluate_on_grid(P, g)
 
 
+def test_polar_of_a_base_with_nan_hessians_takes_no_nan_step():
+    # the inner polar's Hessian is NaN at its axis maximizers, so the outer
+    # polar's base jet is not finite at some starts and candidates: those take
+    # no Newton step (Newton stepped to NaN points, and the inner polar raised
+    # "polar support needs points of nonzero finite norm"); h and grad h stay
+    # finite, and a NaN Hessian left over is evaluate_on_grid's to report
+    g = build_grid(2, 16)
+    K = polar(firey_sum(0.01, ball(1, 2), 1, polar(LqNormBody(4, 2), g), 1), g)
+    h, x, H = K.jet(g.pair_nodes, 2)
+    assert np.all(np.isfinite(h) & (h > 0)) and np.isfinite(x).all()
+    try:
+        bg = evaluate_on_grid(K, g)
+    except ValueError as exc:
+        assert str(exc) == "non-finite derivative on the grid"
+    else:
+        assert np.isfinite(bg.D2h_frame).all()
+
+
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
 @pytest.mark.parametrize("name", ["ellipsoid", "perturbed", "bipolar"])
 def test_polar_jet_folds_antipodes(n, L, name):

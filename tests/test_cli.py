@@ -618,3 +618,24 @@ def test_shipped_config_runs_and_reproduces(tmp_path, config):
                      if p.name != "timing.txt"})
     assert "report.json" in outs[0]
     assert outs[0] == outs[1]
+
+
+@pytest.mark.parametrize("config,iters,stopped_by", [
+    ({"grid": {"n": 3, "L": 16}, "body": {"type": "ellipsoid", "diag": [2.0, 1.0, 1.0]}},
+     200, "tolerance"),
+    ({"grid": {"n": 2, "L": 8}, "body": {"type": "ellipsoid", "diag": [1.5, 1.0]}},
+     3, "iteration cap"),
+])
+def test_pinch_report_explains_its_search(tmp_path, config, iters, stopped_by):
+    # the optimized block carries the image T (symmetric, unit determinant),
+    # the Nelder-Mead iteration count and why the search stopped
+    cfg = write_config(tmp_path, "c.json", {**config, "optimize": {"iters": iters}})
+    out = tmp_path / "out"
+    assert run_cli(["pinch", "--config", cfg, "--out", out]) == 0
+    opt = json.loads((out / "pinching.json").read_text())["optimized"]
+    T = np.array(opt["T"])
+    n = config["grid"]["n"]
+    assert T.shape == (n, n) and np.abs(T - T.T).max() < 1e-15
+    assert abs(np.linalg.det(T) - 1.0) < 1e-12
+    assert opt["stopped_by"] == stopped_by
+    assert (opt["iterations"] < iters) == (stopped_by == "tolerance")

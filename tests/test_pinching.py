@@ -7,19 +7,24 @@ import numpy as np
 import pytest
 from scipy.optimize import minimize, rosen
 
-from calab import cli
+from calab import cli, pinching
 
 from calab.bodies import (
+    PolarBody,
     ball,
     ellipsoid,
     evaluate_on_grid,
     linear_image,
     perturbed_ball,
+    polar,
     random_even_body,
 )
 from calab.pinching import (
+    _image_samples,
     _isotropic_centre,
     _nelder_mead,
+    _spd_exp,
+    _sym_from_vec,
     _p_strong_objective,
     measure_pinching,
     optimize_image,
@@ -27,7 +32,7 @@ from calab.pinching import (
     threshold_strong,
 )
 from calab.spectral import spectrum_of_body
-from calab.sphere import build_grid
+from calab.sphere import build_grid, tangent_frames
 
 
 # ---------------------------------------------------------------------------
@@ -163,8 +168,8 @@ def test_nelder_mead_matches_scipy_on_rosenbrock(x0, maxiter):
 def test_nelder_mead_matches_scipy_on_the_pinch_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
     v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
-    objective = _p_strong_objective(v["body"], v["grid"],
-                                    _isotropic_centre(v["body"], v["grid"]))
+    bg = evaluate_on_grid(v["body"], v["grid"])
+    objective = _p_strong_objective(bg, _isotropic_centre(bg))
     _assert_matches_scipy_nelder_mead(objective, np.zeros(6), v["optimize"]["iters"],
                                       1e-6, 1e-9)
 
@@ -176,7 +181,7 @@ def test_optimize_image_reaches_the_ball_of_the_pinch_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
     v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
     iters = v["optimize"]["iters"]
-    res = optimize_image(v["body"], v["grid"], iters=iters)
+    res = optimize_image(evaluate_on_grid(v["body"], v["grid"]), iters=iters)
     assert res["iterations"] < iters
     assert abs(res["report"].p_strong - 2.0) < 1e-6
 
@@ -185,21 +190,83 @@ def test_optimize_image_reaches_the_ball_of_a_rotated_ellipsoid():
     rng = np.random.default_rng(3)
     Q, _ = np.linalg.qr(rng.normal(size=(3, 3)))
     body = ellipsoid(Q @ np.diag([1.5, 1.0, 0.7]) @ Q.T)
-    res = optimize_image(body, build_grid(3, 16), iters=200)
+    res = optimize_image(evaluate_on_grid(body, build_grid(3, 16)), iters=200)
     assert res["iterations"] < 200
     assert abs(res["report"].p_strong - 2.0) < 1e-6
 
 
+_IMAGE_BODIES = {
+    "ellipsoid": lambda n, g: ellipsoid(np.diag([1.6, 1.0, 0.7][:n])),
+    "perturbed": lambda n, g: perturbed_ball(n, 0.1),
+    "random": lambda n, g: random_even_body(n, 7007),
+    "polar": lambda n, g: polar(perturbed_ball(n, 0.1), g),
+}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(_IMAGE_BODIES))
+def test_image_samples_match_the_image_body(n, name):
+    # the search's samples of T(K) at u = T^-1 v / |T^-1 v|, from K's jet at
+    # the pair nodes v, against linear_image(K, T) evaluated at u: h and the
+    # tangent eigenvalues of h D^2h (measured <= 2.5e-15)
+    g = build_grid(n, 16)
+    body = _IMAGE_BODIES[name](n, g)
+    samples = _image_samples(evaluate_on_grid(body, g))
+    rng = np.random.default_rng(11)
+    for _ in range(5):
+        S = _sym_from_vec(0.3 * rng.normal(size=n * (n + 1) // 2), n)
+        T = _spd_exp(S)
+        u = np.linalg.solve(T, g.pair_nodes.T).T
+        u /= np.linalg.norm(u, axis=1, keepdims=True)
+        h, _, H = linear_image(body, T).jet(u, 2)
+        E = tangent_frames(u)
+        eig = h[:, None] * np.linalg.eigvalsh(E.transpose(0, 2, 1) @ H @ E)
+        h_s, eig_s = samples(S)
+        assert np.abs(h_s - h).max() <= 1e-12
+        assert np.abs(eig_s - eig).max() <= 1e-12
+
+
+def test_optimize_image_rejects_a_body_not_strongly_convex():
+    bg = evaluate_on_grid(perturbed_ball(2, 1.5), build_grid(2, 16))
+    with pytest.raises(ValueError, match="strongly convex"):
+        optimize_image(bg, iters=20)
+
+
+@pytest.mark.parametrize("name", ["ellipsoid", "polar"])
+def test_optimize_image_evaluates_the_grid_once(name, monkeypatch):
+    # the search reads K's jet on the grid; only the final report evaluates
+    # an image, and a polar body is solved once, there
+    g = build_grid(3, 16)
+    body = _IMAGE_BODIES[name](3, g)
+    bg = evaluate_on_grid(body, g)
+    evaluations, polar_jets = [], []
+    real_evaluate, real_jet = pinching.evaluate_on_grid, PolarBody.jet
+
+    def counting_evaluate(*args):
+        evaluations.append(1)
+        return real_evaluate(*args)
+
+    def counting_jet(self, *args):
+        polar_jets.append(1)
+        return real_jet(self, *args)
+    monkeypatch.setattr(pinching, "evaluate_on_grid", counting_evaluate)
+    monkeypatch.setattr(PolarBody, "jet", counting_jet)
+    res = optimize_image(bg, iters=30)
+    assert res["iterations"] > 1
+    assert len(evaluations) == 1
+    assert len(polar_jets) == (name == "polar")
+
+
 def test_optimize_image_ball_stays_identity():
     g = build_grid(2, 16)
-    res = optimize_image(ball(1.0, 2), g, iters=60)
+    res = optimize_image(evaluate_on_grid(ball(1.0, 2), g), iters=60)
     assert np.abs(res["T"] - np.eye(2)).max() < 1e-3
     assert abs(res["report"].p_strong - 2.5) < 1e-6
 
 
 def test_optimize_image_ellipse_recovers_ball():
     g = build_grid(2, 16)
-    res = optimize_image(ellipsoid(np.diag([1.6, 1.0])), g, iters=250)
+    res = optimize_image(evaluate_on_grid(ellipsoid(np.diag([1.6, 1.0])), g), iters=250)
     rep = res["report"]
     # the optimal image is a ball: pinch ratio near 1, p_strong near 5/2
     assert rep.R_curv / rep.r_curv < 1.01
@@ -209,8 +276,9 @@ def test_optimize_image_ellipse_recovers_ball():
 def test_optimize_image_improves_perturbed_ball():
     g = build_grid(2, 16)
     body = perturbed_ball(2, 0.05)
-    base = measure_pinching(evaluate_on_grid(body, g)).p_strong
-    res = optimize_image(body, g, iters=120)
+    bg = evaluate_on_grid(body, g)
+    base = measure_pinching(bg).p_strong
+    res = optimize_image(bg, iters=120)
     assert res["report"].p_strong <= base + 1e-12
 
 
