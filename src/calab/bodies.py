@@ -1,8 +1,9 @@
 """Origin-symmetric strongly convex bodies represented by support functions.
 
 A body is an evaluator for the jet (h, grad h, Hess h) of its 1-homogeneous
-support function in ambient coordinates (closed-form where the family allows
-it, finite differences otherwise).  Grid sampling is a view: linear images,
+support function in ambient coordinates: closed-form, but for polars (a
+maximization) and for D^2h of the l_q norms with 1 < q < 2 (a difference of
+their closed-form gradient).  Grid sampling is a view: linear images,
 Firey sums and polars compose evaluators exactly, without resampling.
 
 Every body is origin-symmetric by construction, h(-x) = h(x): each family
@@ -42,10 +43,7 @@ class BodyEvaluator:
 
     Subclasses implement jet(), which returns the support function and its
     ambient derivatives up to the order asked in one pass through the layers
-    below; support() reads its first entry.  The finite-difference helpers
-    (Richardson-extrapolated central differences, with the Euler identity and
-    radial annihilation enforced on the results) serve families without
-    closed-form derivatives and the tests' oracles.
+    below; support() reads its first entry.
 
     sign_symmetric is True when h(S x) = h(x) for every coordinate flip
     S = diag(+-1, ..., +-1) by construction; False (the default) claims
@@ -58,7 +56,6 @@ class BodyEvaluator:
         self.n = n
         self.label = label
 
-    # -- interface ------------------------------------------------------
     def jet(self, X, order: int = 2) -> tuple:
         """(h,), (h, grad) or (h, grad, hess) at the points X for order 0, 1
         or 2; each entry is bit-identical across orders."""
@@ -70,35 +67,6 @@ class BodyEvaluator:
     def gauge_body(self) -> "BodyEvaluator | None":
         """Closed-form evaluator for the Minkowski gauge ||.||_K, if known."""
         return None
-
-    # -- finite differences ----------------------------------------------
-    def _fd_grad(self, X, step: float = 1e-5) -> np.ndarray:
-        pts = _as_points(X, self.n)
-
-        def central(h):
-            out = np.empty_like(pts)
-            for j in range(self.n):
-                e = np.zeros(self.n)
-                e[j] = h
-                out[:, j] = (self.support(pts + e) - self.support(pts - e)) / (2 * h)
-            return out
-
-        grad = (4.0 * central(step / 2.0) - central(step)) / 3.0
-        # enforce the Euler identity <x, grad> = h exactly
-        r2 = np.einsum("ij,ij->i", pts, pts)
-        rad = np.einsum("ij,ij->i", grad, pts)
-        corr = (self.support(pts) - rad) / r2
-        return grad + corr[:, None] * pts
-
-    def _fd_hess(self, X, step: float = 1e-4) -> np.ndarray:
-        pts = _as_points(X, self.n)
-        H = np.empty((len(pts), self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = step
-            H[:, :, j] = (self.jet(pts + e, 1)[1] - self.jet(pts - e, 1)[1]) / (2 * step)
-        U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        return _symmetric_tangential(H, U)
 
 
 def _symmetric_tangential(H, U):
@@ -152,8 +120,8 @@ class BallBody(BodyEvaluator):
     sign_symmetric = True
 
     def __init__(self, r: float, n: int):
-        if r <= 0:
-            raise ValueError("radius must be positive")
+        if not (np.isfinite(r) and r > 0):
+            raise ValueError(f"radius r must be positive and finite, got {r}")
         super().__init__(n, label=f"ball({r})")
         self.r = float(r)
 
@@ -181,6 +149,8 @@ class EllipsoidBody(BodyEvaluator):
         A = np.asarray(A, dtype=float)
         if A.ndim != 2 or A.shape[0] != A.shape[1]:
             raise ValueError("A must be a square matrix")
+        if not np.isfinite(A).all():
+            raise ValueError("A must be finite")
         if np.abs(A - A.T).max() > 1e-12 * max(np.abs(A).max(), 1.0):
             raise ValueError("A must be symmetric")
         if np.linalg.eigvalsh(A).min() <= 0:
@@ -264,6 +234,8 @@ class LinearImageBody(BodyEvaluator):
         T = np.asarray(T, dtype=float)
         if T.shape != (base.n, base.n):
             raise ValueError("shape mismatch")
+        if not np.isfinite(T).all():
+            raise ValueError("T must be finite")
         # |det T| against Hadamard's bound, the product of the column norms:
         # a scale-invariant test, unlike |det T| alone
         if abs(np.linalg.det(T)) <= 1e-14 * np.prod(np.linalg.norm(T, axis=0)):
@@ -312,6 +284,9 @@ class FireySumBody(BodyEvaluator):
                  p: float):
         if K.n != L.n:
             raise ValueError("dimension mismatch")
+        for name, value in (("a", a), ("b", b), ("p", p)):
+            if not np.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if a < 0 or b < 0:
             raise ValueError("weights must be nonnegative")
         if p == 0 and abs(a + b - 1.0) > 1e-12:
@@ -349,15 +324,19 @@ class FireySumBody(BodyEvaluator):
 
 
 class LqNormBody(BodyEvaluator):
-    """h(x) = ||x||_q for real q >= 2 (support function of the unit l_{q'}
-    ball); closed-form derivatives through powers of |x|, smooth away from
-    the origin."""
+    """h(x) = ||x||_q for real q > 1, the support function of the unit l_{q'}
+    ball, q' = q/(q-1); smooth away from the origin.  h and grad h are
+    closed-form through powers of |x|, and so is D^2h for q >= 2.  For
+    1 < q < 2, D^2h ~ |x_i|^(q-2) is infinite on the coordinate hyperplanes
+    (where flip-exact grids have nodes), so D^2h is a central difference of
+    the closed-form gradient instead, symmetrized and projected on the tangent
+    space."""
 
     sign_symmetric = True
 
     def __init__(self, q: float, n: int):
-        if not q >= 2:
-            raise ValueError(f"q must be >= 2, got {q}")
+        if not q > 1:
+            raise ValueError(f"q must be > 1, got {q}")
         super().__init__(n, label=f"l{q}-norm")
         self.q = q
 
@@ -372,11 +351,23 @@ class LqNormBody(BodyEvaluator):
         grad = w / h[:, None] ** (q - 1)
         if order == 1:
             return h, grad
+        if q < 2:
+            return h, grad, self._gradient_difference(pts)
         hess = np.zeros((len(pts), self.n, self.n))
         idx = np.arange(self.n)
         hess[:, idx, idx] = (q - 1) * a ** (q - 2) / h[:, None] ** (q - 1)
         hess -= (q - 1) * _outer(w, w) / h[:, None, None] ** (2 * q - 1)
         return h, grad, hess
+
+    def _gradient_difference(self, pts):
+        """D^2h as central differences of the closed-form gradient."""
+        step = 1e-4
+        H = np.empty((len(pts), self.n, self.n))
+        for j in range(self.n):
+            e = np.zeros(self.n)
+            e[j] = step
+            H[:, :, j] = (self.jet(pts + e, 1)[1] - self.jet(pts - e, 1)[1]) / (2 * step)
+        return _symmetric_tangential(H, pts / np.linalg.norm(pts, axis=1, keepdims=True))
 
 
 class PolarBody(BodyEvaluator):
@@ -415,7 +406,7 @@ class PolarBody(BodyEvaluator):
     certified or after _NEWTON_CAP steps.  A point whose base jet is not
     finite takes no step, and a candidate whose base jet is not finite is a
     rejected step, so neither makes a NaN step.  Points left uncertified (bases
-    whose support function is not C^2, finite-difference bases) are solved
+    whose support function is not C^2, such as the l_q balls) are solved
     again from the polytope seed with _PG_STEPS projected-gradient ascent steps
     before the Newton loop, and keep whichever psi is larger.
 
@@ -781,24 +772,14 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
     raise RuntimeError(f"rejection budget exhausted after {budget} draws")
 
 
-class _LqBall(BodyEvaluator):
-    """The unit l_q ball (lq_gauge_body), derivatives by finite differences."""
-
-    sign_symmetric = True
+class _LqBall(LqNormBody):
+    """The unit l_q ball (lq_gauge_body): LqNormBody at the dual exponent,
+    with the exact gauge ||.||_q."""
 
     def __init__(self, q: int, n: int):
-        super().__init__(n, label=f"l{q}-ball")
+        super().__init__(q / (q - 1), n)
+        self.label = f"l{q}-ball"
         self._q = q
-        self._qd = q / (q - 1)
-
-    def jet(self, X, order=2):
-        pts = _as_points(X, self.n)
-        h = (np.abs(pts) ** self._qd).sum(axis=1) ** (1.0 / self._qd)
-        if order == 0:
-            return (h,)
-        if order == 1:
-            return h, self._fd_grad(pts)
-        return h, self._fd_grad(pts), self._fd_hess(pts)
 
     def gauge_body(self):
         return LqNormBody(self._q, self.n)
@@ -806,11 +787,12 @@ class _LqBall(BodyEvaluator):
 
 def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
     """The unit l_q ball (gauge ||.||_q) for q >= 2; its support function is
-    the dual norm.
+    the dual norm ||.||_{q/(q-1)}, LqNormBody at that exponent, and its gauge
+    LqNormBody(q) at the caller's q (the dual of the dual exponent need not
+    round back to q).
 
     Not strongly convex as given (curvature degenerates on the axes); used as
-    a rough input for the smoothing construction, which only needs its gauge,
-    the closed-form LqNormBody.
+    a rough input for the smoothing construction, which only needs its gauge.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")

@@ -257,12 +257,11 @@ def _cmd_pinch(v, threads):
     rep = best = measure_pinching(bg)
     payload = {"pinching": rep.to_dict()}
     if v["optimize"] is not None:
-        iters = v["optimize"]["iters"]
-        res = optimize_image(bg, iters=iters)
+        res = optimize_image(bg, iters=v["optimize"]["iters"])
         best = res["report"]
         payload["optimized"] = {
             **best.to_dict(), "T": res["T"].tolist(), "iterations": res["iterations"],
-            "stopped_by": "tolerance" if res["iterations"] < iters else "iteration cap"}
+            "stopped_by": res["stopped_by"]}
     checks = [_check("rolling_lower", rep.r_curv, rep.r_in, 1e-8,
                      rep.r_curv <= rep.r_in + 1e-8),
               _check("rolling_upper", rep.R_out, rep.R_curv, 1e-8,

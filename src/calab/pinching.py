@@ -82,13 +82,19 @@ def _sym_from_vec(z: np.ndarray, n: int) -> np.ndarray:
 
 
 def _spd_exp(S: np.ndarray) -> np.ndarray:
+    """exp(S) for symmetric S, exactly symmetric: the upper triangle of
+    (V e^w) V^t mirrored into the lower."""
     w, V = np.linalg.eigh(S)
-    return (V * np.exp(w)[None, :]) @ V.T
+    T = (V * np.exp(w)[None, :]) @ V.T
+    lower = np.tril_indices(len(T), -1)
+    T[lower] = T.T[lower]
+    return T
 
 
 def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
     """Minimize f from x0 by the Nelder-Mead simplex method (Nelder & Mead,
-    Comput. J. 7, 1965); returns (x, iterations).
+    Comput. J. 7, 1965); returns (x, iterations, converged), converged
+    telling whether the stopping test below held when it returned.
 
     The initial simplex steps each coordinate of x0 by 5% (0.00025 from
     zero), with reflection, expansion, contraction and shrink coefficients
@@ -115,9 +121,10 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
     while True:
         order = np.argsort(fsim)
         sim, fsim = np.take(sim, order, 0), np.take(fsim, order, 0)
-        if nit >= maxiter or (np.max(np.abs(sim[1:] - sim[0])) <= xatol
-                              and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol):
-            return sim[0], nit
+        converged = (np.max(np.abs(sim[1:] - sim[0])) <= xatol
+                     and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol)
+        if converged or nit >= maxiter:
+            return sim[0], nit, bool(converged)
         xbar = np.add.reduce(sim[:-1], 0) / N
         xr = (1 + rho) * xbar - rho * sim[-1]
         fxr = f(xr)
@@ -220,13 +227,17 @@ def optimize_image(bg: BodyOnGrid, iters: int = 200) -> dict:
     (_p_strong_objective); the returned report measures the best image on
     the grid.  Deterministic: starts from K's isotropic position
     (_isotropic_centre); returns the best image found (no global
-    guarantee)."""
+    guarantee).  stopped_by is "tolerance" when Nelder-Mead's stopping test
+    held at its last iteration, the iteration cap included, and "iteration
+    cap" otherwise."""
     if not bg.valid:
         raise ValueError("optimize_image requires a strongly convex body on the grid")
     n = bg.n
     centre = _isotropic_centre(bg)
-    z, nit = _nelder_mead(_p_strong_objective(bg, centre),
-                          np.zeros(n * (n + 1) // 2), iters, xatol=1e-6, fatol=1e-9)
+    z, nit, converged = _nelder_mead(_p_strong_objective(bg, centre),
+                                     np.zeros(n * (n + 1) // 2), iters,
+                                     xatol=1e-6, fatol=1e-9)
     best_T = _spd_exp(_sym_from_vec(centre + z, n))
     report = measure_pinching(evaluate_on_grid(linear_image(bg.body, best_T), bg.grid))
-    return {"T": best_T, "report": report, "iterations": nit}
+    return {"T": best_T, "report": report, "iterations": nit,
+            "stopped_by": "tolerance" if converged else "iteration cap"}

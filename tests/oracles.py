@@ -1,11 +1,11 @@
 """Independent checks and identity residuals that the tests compare the
 library against.
 
-None of these feeds a command: they are finite-difference oracles on the
-sphere, closed-form derivatives of the adapted linear functions, the
-duality map and its polarity isometry, integral identities of the conjugate
-calculus, the operator-level Bochner identity and the L^p-Minkowski
-functional that the solver minimizes.
+None of these feeds a command: they are finite-difference oracles of a
+body's jet and on the sphere, closed-form derivatives of the adapted linear
+functions, the duality map and its polarity isometry, integral identities of
+the conjugate calculus, the operator-level Bochner identity and the
+L^p-Minkowski functional that the solver minimizes.
 
 Bodies, states and target measures hold one row per antipodal pair, at the
 grid's pair nodes; `unfold` spreads such rows over every node where an
@@ -36,6 +36,48 @@ from calab.sphere import (
 
 # |S^{n-1}|, the total round surface measure
 SURFACE_MEASURE = {2: 2.0 * np.pi, 3: 4.0 * np.pi}
+
+
+# ----------------------------------------------------------------------
+# bodies
+
+
+def fd_grad(body: BodyEvaluator, X, step: float = 1e-5) -> np.ndarray:
+    """Richardson-extrapolated central differences of body.support at the
+    points X, with the Euler identity <x, grad h> = h enforced exactly."""
+    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    n = pts.shape[1]
+
+    def central(h):
+        out = np.empty_like(pts)
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            out[:, j] = (body.support(pts + e) - body.support(pts - e)) / (2 * h)
+        return out
+
+    grad = (4.0 * central(step / 2.0) - central(step)) / 3.0
+    r2 = np.einsum("ij,ij->i", pts, pts)
+    rad = np.einsum("ij,ij->i", grad, pts)
+    corr = (body.support(pts) - rad) / r2
+    return grad + corr[:, None] * pts
+
+
+def fd_hess(body: BodyEvaluator, X, step: float = 1e-4) -> np.ndarray:
+    """Central differences of the body's own gradient at the points X,
+    symmetrized and projected on the tangent spaces (the Hessian of a
+    1-homogeneous function annihilates the position)."""
+    pts = np.atleast_2d(np.asarray(X, dtype=float))
+    n = pts.shape[1]
+    H = np.empty((len(pts), n, n))
+    for j in range(n):
+        e = np.zeros(n)
+        e[j] = step
+        H[:, :, j] = (body.jet(pts + e, 1)[1] - body.jet(pts - e, 1)[1]) / (2 * step)
+    H = 0.5 * (H + H.transpose(0, 2, 1))
+    U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+    proj = np.eye(n)[None] - U[:, :, None] * U[:, None, :]
+    return proj @ H @ proj
 
 
 # ----------------------------------------------------------------------

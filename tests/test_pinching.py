@@ -145,15 +145,18 @@ def _counted(f):
 
 def _assert_matches_scipy_nelder_mead(f, x0, maxiter, xatol, fatol):
     # scipy stays installed as the oracle: same point, iterations and
-    # evaluations, to the bit
+    # evaluations, to the bit; and a search that stops before the cap stops
+    # by the tolerance test, as scipy's succeeds
     ours, ours_calls = _counted(f)
-    x, nit = _nelder_mead(ours, x0, maxiter, xatol=xatol, fatol=fatol)
+    x, nit, converged = _nelder_mead(ours, x0, maxiter, xatol=xatol, fatol=fatol)
     ref_f, ref_calls = _counted(f)
     ref = minimize(ref_f, x0, method="Nelder-Mead",
                    options={"maxiter": maxiter, "xatol": xatol, "fatol": fatol})
     assert np.array_equal(x, ref.x)
     assert nit == ref.nit
     assert len(ours_calls) == len(ref_calls) == ref.nfev
+    if nit < maxiter:
+        assert converged and ref.success
 
 
 @pytest.mark.parametrize("x0,maxiter", [
