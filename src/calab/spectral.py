@@ -4,9 +4,12 @@ The operator is discretized in the grid's global harmonic basis; stiffness,
 mass, and conjugate-Hessian forms are assembled against the primal volume
 density h det(D^2 h).  Bodies are origin-symmetric, so the forms split into
 an even and an odd diagonal block, each summed over the state's rows at the
-pair nodes, in the grid's chunks of whole rings (SphereGrid.row_chunks).  The
-generalized eigenproblem is dense symmetric definite, solved per block
-by a Cholesky reduction to a standard one (numpy only).  The integrated
+pair nodes, in the grid's chunks of whole rings (SphereGrid.row_chunks).  A
+body that states sign_symmetric splits further, into one block per parity
+and sign sector, each summed over the flip-orbit representatives alone.
+The generalized eigenproblem is dense symmetric definite, solved per block
+by a Cholesky reduction to a standard one (numpy only), and the blocks'
+spectra are merged.  The integrated
 Bochner identity of a field is checked on the same rows.
 """
 
@@ -49,17 +52,28 @@ class GalerkinSystem:
     whose rows the Hessian form (_hessian_form) is built from on the block
     a caller asks for.
 
-    The forms are block-diagonal by parity, and only the blocks are held:
-    the even basis columns, then the odd ones when there are any, each in
-    degree order (blocks[i] lists their basis positions); the first even
-    column is the constant (degree 0).  Block i reads the grid's parity-i
-    rows."""
+    The forms commute with the body's sign group, and only their diagonal
+    blocks are held (blocks[i] lists their basis positions, in degree
+    order), the even blocks first; the first even column is the constant
+    (degree 0).  A body that states sign_symmetric has one block per
+    (parity, sign sector) that is not empty, HarmonicBasis.blocks(True),
+    read on the grid's flip-orbit rows; any other body one per parity,
+    read on every pair row.  ids[i] is block i's index in
+    HarmonicBasis.blocks(fold), the block that row_chunks streams, and
+    parities[i] its parity (1 or -1)."""
 
     basis: GalerkinBasis
     blocks: tuple[np.ndarray, ...]      # basis positions of each diagonal block
+    parities: tuple[int, ...]           # per block: 1 even, -1 odd
+    ids: tuple[int, ...]                # per block: its row_chunks block
     stiffness: tuple[np.ndarray, ...]   # per block: Dirichlet form against nu
     mass: tuple[np.ndarray, ...]        # per block: L^2(nu) Gram matrix
     state: CentroAffineState = field(repr=False)
+
+    @property
+    def fold(self) -> bool:
+        """The blocks are sign sectors, summed over the flip-orbit rows."""
+        return bool(self.state.bg.body.sign_symmetric)
 
 
 @dataclass(frozen=True)
@@ -109,6 +123,18 @@ def _gram_sums(chunks):
     return sums
 
 
+def _streamed_rows(state: CentroAffineState, fold: bool):
+    """The pair rows that row_chunks(fold=fold) streams, every one or the
+    flip-orbit representatives, and per pair row the square root of its
+    weight 2 w nu, times that of its orbit's size on the representatives."""
+    if not fold:
+        return slice(None), state.sqrt_weights
+    first, sizes = state.grid.flip_orbits()[:2]
+    sq = state.sqrt_weights.copy()
+    sq[first] *= np.sqrt(sizes)
+    return first, sq
+
+
 def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     """Stiffness and mass blocks of the operator; _hessian_form builds the
     Hessian form from the same rows.
@@ -126,28 +152,42 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
 
     The tables and the state cover the pair nodes.  Bodies are
     origin-symmetric, so every row of a basis function of parity pi at -u is
-    pi times its row at u: the even-odd blocks vanish and each diagonal block
-    is its sum over the pair nodes at the pair weights 2 w: Gram products
-    of its parity's rows summed over the grid's row_chunks.
+    pi times its row at u: the even-odd blocks vanish and each parity block
+    is its sum over the pair nodes at the pair weights 2 w.  A body that
+    states sign_symmetric is invariant under every coordinate flip S too,
+    and a basis function of sign sector chi has f(Su) = chi(S) f(u)
+    (HarmonicBasis.sectors): the forms vanish between sectors, and within
+    one the integrand is flip-invariant, so each (parity, sector) block is
+    its sum over the flip-orbit representatives, each weighted by its
+    orbit's size (SphereGrid.flip_orbits): at n=3 a quarter of the rows and
+    an eighth of the columns per block.  Either way one Gram product of
+    the block's rows per chunk of the grid's row_chunks, summed in order;
+    a body of the trivial sector group reads every row, bit for bit the
+    parity blocks.
     """
     if basis.grid is not state.grid:
         raise ValueError("basis and state must share a grid")
-    grid, sq, nb = state.grid, state.sqrt_weights, basis.size
-    Ksq = state.K * sq[:, None, None]
-    blocks = [cols[cols < nb] for cols in grid.basis.parity_columns if cols[0] < nb]
+    grid, nb = state.grid, basis.size
+    fold = bool(state.bg.body.sign_symmetric)
+    at, sq = _streamed_rows(state, fold)
+    Ksq, sq = (state.K * sq[:, None, None])[at], sq[at]
+    ids = [i for i, cols in enumerate(grid.basis.blocks(fold)) if cols[0] < nb]
+    blocks = [cols[cols < nb] for cols in (grid.basis.blocks(fold)[i] for i in ids)]
 
     def rows(block):
         # one block at a time: its two sums stay in cache across the chunks
         X = Y = None
-        for r, ((B, G, _),) in grid.row_chunks(basis.degree_max, (0, 1), (block,)):
+        for r, ((B, G, _),) in grid.row_chunks(basis.degree_max, (0, 1), (block,),
+                                               fold=fold):
             X = np.matmul(Ksq[r], G.transpose(0, 2, 1),
                           out=_reuse(X, (len(G), grid.n - 1, G.shape[1])))
             Y = np.multiply(B, sq[r, None], out=_reuse(Y, B.shape))
             yield X, Y
 
-    S, M = zip(*(_gram_sums(rows(block)) for block in range(len(blocks))))
-    return GalerkinSystem(basis=basis, blocks=tuple(blocks), stiffness=S, mass=M,
-                          state=state)
+    S, M = zip(*(_gram_sums(rows(block)) for block in ids))
+    return GalerkinSystem(basis=basis, blocks=tuple(blocks),
+                          parities=tuple(int(grid.basis.parity[c[0]]) for c in blocks),
+                          ids=tuple(ids), stiffness=S, mass=M, state=state)
 
 
 def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndarray:
@@ -155,14 +195,16 @@ def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndar
     summed over the grid's row_chunks: the rows are the packed components of
     the basis functions' conjugate Hessians (calculus.conjugate_hessian_rows,
     whose sqrt 2 weights make the Gram product the full Frobenius inner
-    product) at weight 2 w nu."""
-    state = system.state
-    weights = conjugate_hessian_weights(state, state.sqrt_weights)
+    product) at weight 2 w nu, on the rows and with the orbit sizes that
+    assemble read."""
+    state, fold = system.state, system.fold
+    at, sq = _streamed_rows(state, fold)
+    weights = [W[at] for W in conjugate_hessian_weights(state, sq)]
 
     def rows():
         Q = work = None
-        for r, ((_, G, H),) in state.grid.row_chunks(system.basis.degree_max,
-                                                     (1, 2), (block,), first):
+        for r, ((_, G, H),) in state.grid.row_chunks(system.basis.degree_max, (1, 2),
+                                                     (system.ids[block],), first, fold):
             shape = (len(G), H.shape[-1], G.shape[1])
             Q, work = _reuse(Q, shape), _reuse(work, shape)
             yield (conjugate_hessian_rows([W[r] for W in weights], G, H, (Q, work)),)
@@ -237,15 +279,43 @@ def _block_eigh(system: GalerkinSystem, block: int, first: int, last: int):
     return eigs, vecs, resid
 
 
+def _even_nonconstant(system: GalerkinSystem):
+    """(block, first) of each even block that holds a non-constant column:
+    block 0 from column 1 on, past the constant, the others whole."""
+    return [(block, int(block == 0)) for block, parity in enumerate(system.parities)
+            if parity > 0 and len(system.blocks[block]) > (block == 0)]
+
+
+def _merged_eigh(system: GalerkinSystem, blocks, k: int):
+    """The k smallest eigenpairs over the given blocks, each a (block,
+    first) pair solved from its eigenpair `first` on (_block_eigh), merged in
+    ascending order (stably, so by block on ties), and every block's
+    eigenvalues."""
+    eigs, vecs, resid, every = [], [], [], []
+    for block, first in blocks:
+        count = min(k, len(system.blocks[block]) - first)
+        e, v, r = _block_eigh(system, block, first, first + count - 1)
+        eigs.append(e[first:first + count])
+        vecs.append(v)
+        resid.append(r)
+        every.append(e)
+    eigs = np.concatenate(eigs)
+    order = np.argsort(eigs, kind="stable")[:k]
+    return (eigs[order], np.concatenate(vecs, axis=1)[:, order],
+            np.concatenate(resid)[order], every)
+
+
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
                    subspace: str = "all") -> SpectrumReport:
     """k smallest generalized eigenpairs of (stiffness, mass).
 
     subspace 'all' solves each diagonal block for its k smallest pairs and
-    merges them; 'even-nonconstant' solves on the even functions and drops
+    merges them; 'even-nonconstant' solves the even blocks alike, and drops
     the constant, whose eigenvalue is an exact 0 (the stiffness annihilates
-    it, and the other eigenvectors are mass-orthogonal to it).  lambda1_even
-    is the even eigenvalue right after that 0.
+    it, and the other eigenvectors are mass-orthogonal to it), from block 0.
+    lambda1_even is the least even eigenvalue after that 0, over every even
+    block: one parity block, or the even sign sectors of a sign_symmetric
+    body, which the merge makes one spectrum.
     """
     nb = system.basis.size
     if k is None:
@@ -253,26 +323,17 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     if not 1 <= k <= nb:
         raise ValueError(f"k must be in 1..{nb}, the basis size")
 
+    even = _even_nonconstant(system)
     lambda1_even = None
     if subspace == "all":
-        eigs, vecs, resid = [], [], []
-        for block, cols in enumerate(system.blocks):
-            count = min(k, len(cols))
-            e, v, r = _block_eigh(system, block, 0, count - 1)
-            if block == 0 and len(e) > 1:
-                lambda1_even = float(e[1])
-            eigs.append(e[:count])
-            vecs.append(v)
-            resid.append(r)
-        eigs, vecs = np.concatenate(eigs), np.concatenate(vecs, axis=1)
-        order = np.argsort(eigs, kind="stable")[:k]
-        eigs, vecs, resid = eigs[order], vecs[:, order], np.concatenate(resid)[order]
+        eigs, vecs, resid, every = _merged_eigh(
+            system, [(block, 0) for block in range(len(system.blocks))], k)
+        if even:
+            lambda1_even = float(min(every[block][first] for block, first in even))
     elif subspace == "even-nonconstant":
-        count = min(k, len(system.blocks[0]) - 1)
         eigs, vecs, resid = np.zeros(0), np.zeros((nb, 0)), np.zeros(0)
-        if count > 0:
-            e, vecs, resid = _block_eigh(system, 0, 1, count)
-            eigs = e[1:count + 1]
+        if even:
+            eigs, vecs, resid, _ = _merged_eigh(system, even, k)
             lambda1_even = float(eigs[0])
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
@@ -349,18 +410,23 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
 def hessian_gap_even(system: GalerkinSystem) -> float:
     """Minimum of the Hessian-form Rayleigh quotient over even non-constant
     functions: min v^t H v / v^t S v.  H and S annihilate the constant, so
-    dropping its column leaves the quotient's range unchanged.  The Hessian
-    form is built on those columns only."""
-    stiffness = system.stiffness[0][1:, 1:]
-    if not len(stiffness):
+    dropping its column leaves the quotient's range unchanged.  H and S are
+    block-diagonal as the system is, so the minimum is taken over the even
+    blocks, block 0 without its constant column, each Hessian form built on
+    those columns only."""
+    gaps = []
+    for block, first in _even_nonconstant(system):
+        try:
+            _, C = _reduce_pencil(_hessian_form(system, block, first),
+                                  system.stiffness[block][first:, first:])
+        except np.linalg.LinAlgError:
+            raise ValueError("stiffness is singular on the even non-constant "
+                             "subspace") from None
+        gaps.append(np.linalg.eigvalsh(C)[0])
+    if not gaps:
         raise ValueError("the even non-constant subspace is empty at degree_max "
                          f"{system.basis.degree_max}")
-    try:
-        _, C = _reduce_pencil(_hessian_form(system, 0, first=1), stiffness)
-    except np.linalg.LinAlgError:
-        raise ValueError("stiffness is singular on the even non-constant "
-                         "subspace") from None
-    return float(np.linalg.eigvalsh(C)[0])
+    return float(min(gaps))
 
 
 def invariance_check(bodyK: BodyEvaluator, T: np.ndarray, grid: SphereGrid,

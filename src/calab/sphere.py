@@ -118,9 +118,10 @@ def _ladder(P: np.ndarray):
 def _basis_columns(n: int, L: int):
     """The per-column data of HarmonicBasis(n, L), built once per (n, L) and
     shared by its instances: the constant function's value, each column's
-    degree and parity, the even and odd positions, the flip-invariant mask,
-    scale, col and m (all read-only), and the dict of expand's per-selection
-    data at n=2."""
+    degree, parity and sign sector, the even and odd positions, the
+    flip-invariant mask, the diagonal blocks of both groups (see
+    HarmonicBasis.blocks), scale, col and m (all read-only), and the dict of
+    expand's per-selection data at n=2."""
     # value of the constant basis function, 1/sqrt(|S^{n-1}|)
     constant_value = 1.0 / np.sqrt(2.0 * np.pi) if n == 2 else 0.5 / np.sqrt(np.pi)
     # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
@@ -138,10 +139,19 @@ def _basis_columns(n: int, L: int):
     parity = np.where(l % 2 == 0, 1, -1)
     # basis positions of the even and of the odd functions
     parity_columns = (np.flatnonzero(parity > 0), np.flatnonzero(parity < 0))
-    # invariant under every coordinate flip: cos m phi P_lm with l and m even
-    # at n=3 (x, y, z flips multiply it by (-1)^m, 1, (-1)^(l+m)), and the
-    # cosines of even degree at n=2
-    flip_invariant = (kind == 0) & (m % 2 == 0) & (l % 2 == 0)
+    # sign sector: bit i set when the flip x_i -> -x_i, i < n-1, negates the
+    # column.  The x flip takes the longitude phi to pi - phi, so cos m phi
+    # to (-1)^m cos m phi and sin m phi to (-1)^(m+1) sin m phi; the y flip
+    # (n=3) takes phi to -phi, negating the sines.  The last flip's sign is
+    # the parity times the others'.
+    sectors = (m + kind) % 2 + (2 * kind if n == 3 else 0)
+    # invariant under every coordinate flip: the even columns of sector 0
+    flip_invariant = (parity > 0) & (sectors == 0)
+    # the diagonal blocks of a form commuting with {I, -I}, then with every
+    # coordinate flip: per parity (even first), each sign sector in order
+    blocks = (parity_columns,
+              tuple(np.flatnonzero((parity == p) & (sectors == s))
+                    for p in (1, -1) for s in range(2 ** (n - 1))))
     # per column: normalization, and position of its longitude factor in
     # [1, cos kt, sin kt] (n=2) or [cos m phi, sin m phi] (n=3)
     if n == 2:
@@ -150,9 +160,11 @@ def _basis_columns(n: int, L: int):
     else:
         scale = np.where(m == 0, 1.0, np.sqrt(2.0))
         col = m + kind * (L + 1)
-    for arr in (l, parity, *parity_columns, flip_invariant, scale, col, m):
+    for arr in (l, parity, sectors, *parity_columns, *blocks[1], flip_invariant,
+                scale, col, m):
         arr.setflags(write=False)
-    return constant_value, l, parity, parity_columns, flip_invariant, scale, col, m, {}
+    return (constant_value, l, parity, sectors, parity_columns, flip_invariant,
+            blocks, scale, col, m, {})
 
 
 class HarmonicBasis:
@@ -162,9 +174,14 @@ class HarmonicBasis:
     n=3: real spherical harmonics Y_lm for l = 0..L.
 
     Basis functions are orthonormal under the round surface measure; the
-    parity of a function is (-1)^degree under the antipodal map, and
-    flip_invariant marks the functions invariant under every coordinate
-    flip x_i -> -x_i.
+    parity of a function is (-1)^degree under the antipodal map.  Each
+    function is even or odd under every coordinate flip x_i -> -x_i too:
+    sectors labels it with its signs under the first n-1 flips (bit i set
+    when flipping x_i negates it), which with the parity fix the last one.
+    At n=3, N P_lm cos m phi has signs ((-1)^m, +) under the x and y flips
+    and N P_lm sin m phi ((-1)^(m+1), -); at n=2 cos kt and sin kt follow
+    the same rule with m = k.  flip_invariant marks the functions invariant
+    under every flip: the even ones of sector 0.
     """
 
     def __init__(self, n: int, L: int):
@@ -174,12 +191,23 @@ class HarmonicBasis:
             raise ValueError("band limit must be nonnegative")
         self.n = n
         self.L = L
-        (self.constant_value, self.degrees, self.parity, self.parity_columns,
-         self.flip_invariant, self._scale, self._col, self._m,
-         self._circle_plans) = _basis_columns(n, L)
+        (self.constant_value, self.degrees, self.parity, self.sectors,
+         self.parity_columns, self.flip_invariant, self._blocks, self._scale,
+         self._col, self._m, self._circle_plans) = _basis_columns(n, L)
         self.size = len(self.degrees)
         # trailing shapes of the values, frame gradients and packed Hessians
         self.part_shapes = ((), (n - 1,), (n * (n - 1) // 2,))
+
+    def blocks(self, fold: bool):
+        """The basis positions, in degree order, of each diagonal block of a
+        quadratic form that commutes with a sign group: without fold the
+        group {I, -I} and its two parity blocks (even, odd), the
+        parity_columns; with fold every coordinate flip, and its 2^(n-1)
+        even (parity, sector) blocks, then the 2^(n-1) odd ones, each in
+        sector order.  Either way block 0 starts with the constant.  Read-
+        only; a block of a band-b basis is a prefix of the same block at any
+        larger band, and may be empty."""
+        return self._blocks[bool(fold)]
 
     # ------------------------------------------------------------------
     def eval_derivs(self, points: np.ndarray, order: int = 2):
@@ -524,6 +552,7 @@ class SphereGrid:
         self.pair_nodes = self.nodes[:half]
         self._tables = None       # per parity block (B, G, H), see basis_tables
         self._factors = None      # see ring_rows
+        self._orbits = None       # see flip_orbits
         self._frames = None
 
     @property
@@ -565,43 +594,91 @@ class SphereGrid:
         return tuple(tuple(T[:, :len(basis.parity_columns[b])] for T in self._tables[b])
                      for b in blocks)
 
-    def ring_rows(self, basis: HarmonicBasis, block: int, first: int, rings: slice, out):
-        """Write the rows of basis_tables(basis.L)[block] from column `first`
-        on the grid's `rings` into out = (values, gradients, Hessians),
+    def ring_rows(self, basis: HarmonicBasis, block: int, first: int, rings: slice,
+                  out, fold: bool = False):
+        """Write the rows of basis.blocks(fold)[block] from column `first` on
+        the grid's `rings` into out = (values, gradients, Hessians),
         skipping None, bit for bit: from the factors (HarmonicBasis._factors)
-        of the even, then the odd columns, cached at the largest band asked."""
+        of the even, then the odd columns, cached at the largest band asked.
+        Without fold these are the rows of basis_tables(basis.L)[block];
+        with fold only the rings' flip-orbit representatives (flip_orbits)."""
         if self._factors is None or len(self._factors[2]) < basis.size:
             cols = np.concatenate(basis.parity_columns)
             (ct, st), (cp, sp) = self.product_factors
+            where = np.empty(len(cols), dtype=np.intp)
+            where[cols] = np.arange(len(cols))
             self._factors = (*basis._factors(ct, st, np.arctan2(sp, cp), 2, cols),
-                             basis.degrees[cols], len(basis.parity_columns[0]))
-        F, lons, degrees, e = self._factors
-        s = slice(block * e + first, block * e + len(basis.parity_columns[block]))
+                             basis.degrees[cols], len(basis.parity_columns[0]), where)
+        F, lons, degrees, e, where = self._factors
+        if fold:   # the sector's columns, scattered through its parity's
+            s = where[basis.blocks(True)[block][first:]]
+            lons = [f[:self.flip_orbits()[3], s] for f in lons]
+        else:
+            s = slice(block * e + first, block * e + len(basis.parity_columns[block]))
+            lons = [f[:, s] for f in lons]
         n_lon = len(lons[0])
-        _combine([f[rings, None, s] for f in F], [f[:, s] for f in lons], degrees[s],
+        _combine([f[rings, None, s] for f in F], lons, degrees[s],
                  [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
                   for T in out])
 
-    def row_chunks(self, band: int, parts, blocks, first: int = 0):
+    def row_chunks(self, band: int, parts, blocks, first: int = 0, fold: bool = False):
         """Yield (rows, views): a slice of the pair rows, in order, and per
-        block in `blocks` the (values, gradients, Hessians) of
-        basis_tables(band)[block] there from column `first` on, None for the
-        parts not listed: chunks of whole rings, at most CHUNK_ROWS rows
-        (one ring at least), that ring_rows writes into buffers reused from
-        chunk to chunk, and no table."""
+        block in `blocks` (indices into HarmonicBasis(n, band).blocks(fold))
+        the (values, gradients, Hessians) of that block's columns there from
+        column `first` on, None for the parts not listed: chunks of whole
+        rings, at most CHUNK_ROWS rows (one ring at least), that ring_rows
+        writes into buffers reused from chunk to chunk, and no table.
+
+        Without fold the rows are every pair row, and a block's views are
+        those of basis_tables(band)[block].  With fold they are only the
+        flip-orbit representatives, and `rows` slices flip_orbits()'s
+        `first`: a form summed there, each row weighted by its orbit's
+        size, is the whole sum on a block of one sign sector when the
+        integrand is flip-invariant."""
         basis = HarmonicBasis(self.n, band)
-        n_ring, n_lon = (len(f[0]) for f in self.product_factors)
+        if fold:
+            n_ring, n_lon = self.flip_orbits()[2:]
+        else:
+            n_ring, n_lon = (len(f[0]) for f in self.product_factors)
         per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
-        bufs = [[np.empty((per * n_lon, len(basis.parity_columns[b]) - first) + k)
+        bufs = [[np.empty((per * n_lon, len(basis.blocks(fold)[b]) - first) + k)
                  if i in parts else None for i, k in enumerate(basis.part_shapes)]
                 for b in blocks]
         for k0 in range(0, n_ring, per):
-            rows = slice(k0 * n_lon, min(k0 + per, n_ring) * n_lon)
+            rings = slice(k0, min(k0 + per, n_ring))
+            rows = slice(k0 * n_lon, rings.stop * n_lon)
             views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
                      for buf in bufs]
             for b, out in zip(blocks, views):
-                self.ring_rows(basis, b, first, slice(k0, k0 + per), out)
+                self.ring_rows(basis, b, first, rings, out, fold)
             yield rows, views
+
+    def flip_orbits(self):
+        """(first, sizes, rings, longitudes): the pair nodes' orbits under
+        every coordinate flip x_i -> -x_i, a pair node and its antipode
+        being one.  first holds each orbit's first pair node, ascending, and
+        sizes its node count: 4, or 2 on a coordinate plane, at n=3; 2, or 1
+        on an axis, at n=2.  They are the product of the first `rings`
+        rings and the first `longitudes` longitudes, the first quadrant
+        that _half_circle puts first: of the longitudes at n=3, of the
+        rings (angles) at n=2.  Cached, read-only."""
+        if self._orbits is None:
+            n_ring, n_lon = (len(f[0]) for f in self.product_factors)
+            c = n_lon if self.n == 3 else 2 * n_ring   # nodes on the circle
+            q = c // 4
+            sizes = np.full(q + 1, 2 ** (self.n - 1))
+            # a node on an axis of the circle, at angle 0 and at pi/2 when
+            # that is a node, is fixed by one flip (up to its antipode)
+            sizes[0] //= 2
+            if 4 * q == c:
+                sizes[q] //= 2
+            rings, lons = (n_ring, q + 1) if self.n == 3 else (q + 1, 1)
+            first = (np.arange(rings)[:, None] * n_lon + np.arange(lons)).ravel()
+            sizes = np.tile(sizes, n_ring) if self.n == 3 else sizes
+            for arr in (first, sizes):
+                arr.setflags(write=False)
+            self._orbits = (first, sizes, rings, lons)
+        return self._orbits
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the
