@@ -22,8 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
-                          frame_eigvalsh, frame_solve, sign_fold, tangent_frames,
-                          to_ambient, unpack_sym)
+                          frame_eigvalsh, frame_solve, sign_fold, tangent_frames)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -194,18 +193,29 @@ class SpectralBody(BodyEvaluator):
         self.basis = basis
         self.coeffs = coeffs
         self.sign_symmetric = not np.any(coeffs[~basis.flip_invariant])
+        self._plan = None   # n=3: basis.synthesis of the even columns, on first use
 
     def jet(self, X, order=2):
-        """(h, grad h, Hess h) up to `order` from one expand() of the even
-        columns: grad h = E g + f u and Hess h = E (H + f I) E^t / r in the
-        frames E = tangent_frames(u), written with scalars at n=2 (E the
-        single tangent e), bit for bit the frame products."""
+        """(h, grad h, Hess h) up to `order` from the frame parts f, g, H of
+        the even columns' expansion: grad h = E g + f u and
+        Hess h = E R E^t / r, R = H + f I, in the frames E = tangent_frames(u).
+        At n=2 expand gives the parts and E is the single tangent e, written
+        with scalars bit for bit the frame products.  At n=3 one product with
+        the body's synthesis matrix (HarmonicBasis.synthesis, built on first
+        use) gives them at one Legendre table of the points' colatitudes, and
+        E = (e_theta, e_phi) is built from its cos phi and sin phi; Hess h is
+        summed as sum_ab R_ab e_a e_b^t, exactly symmetric."""
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
         # the odd coefficients are zero, so only the even columns are expanded
         even = self.basis.parity_columns[0]
-        f, g, H = self.basis.expand(u, self.coeffs[even], order, even)
+        if self.n == 2:
+            f, g, H = self.basis.expand(u, self.coeffs[even], order, even)
+        else:
+            if self._plan is None:
+                self._plan = self.basis.synthesis(self.coeffs[even], even)
+            (f, g, H), (cp, sp) = self.basis.synthesis_jet(u, self._plan, order)
         h = r * f
         if order == 0:
             return (h,)
@@ -218,12 +228,18 @@ class SpectralBody(BodyEvaluator):
                 return h, grad
             R = e * (H + f[:, None]) + 0.0
             return h, grad, (_outer(R, e) + 0.0) / r[:, None, None]
-        E = tangent_frames(u)
-        grad = to_ambient(E, g, 1) + f[:, None] * u
+        x, y, z = u.T
+        e_t = np.stack([z * cp, z * sp, -np.hypot(x, y)], axis=1)
+        e_p = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
+        grad = g[:, :1] * e_t + g[:, 1:] * e_p + f[:, None] * u
         if order == 1:
             return h, grad
-        R = unpack_sym(H) + f[:, None, None] * np.eye(self.n - 1)
-        return h, grad, to_ambient(E, R, 2) / r[:, None, None]
+        cross = _outer(e_t, e_p)
+        cross += cross.transpose(0, 2, 1)
+        R = np.stack([H[:, 0] + f, H[:, 1], H[:, 2] + f], axis=1) / r[:, None]
+        R = R[:, :, None, None]
+        return h, grad, (R[:, 0] * _outer(e_t, e_t) + R[:, 1] * cross
+                         + R[:, 2] * _outer(e_p, e_p))
 
 
 class LinearImageBody(BodyEvaluator):

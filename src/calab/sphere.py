@@ -28,13 +28,19 @@ import numpy as np
 # spectral tail fraction above which derivative fields carry tail_warning
 TAIL_WARNING = 1e-8
 
+# most entries of an identity chunk in HarmonicBasis.synthesis and of a
+# per-block temporary in synthesis_jet: below 128 KB, malloc's default mmap
+# threshold, so that repeated calls reuse heap memory instead of faulting in
+# fresh pages
+_SYNTHESIS_BLOCK = 1 << 14
+
 
 @functools.cache
 def _legendre_coefficients(L: int):
-    """Per band l = 1..L, the column recurrence's coefficients of _legendre:
-    a (l, 1), a b (l, 1) for l >= 2 (None at l = 1), and the sectoral
-    factor.  Built once per L, read-only."""
-    out = []
+    """The coefficients of _legendre's recurrences: per band l = 1..L the
+    column recurrence's a (l, 1) and a b (l, 1) (None at l = 1), and the
+    (L, 1) sectoral factors.  Built once per L, read-only."""
+    columns = []
     for l in range(1, L + 1):
         m = np.arange(l)[:, None]
         a = np.sqrt((4 * l * l - 1) / (l * l - m * m))
@@ -43,25 +49,36 @@ def _legendre_coefficients(L: int):
         if l >= 2:
             ab = a * np.sqrt(((l - 1) ** 2 - m * m) / (4 * (l - 1) ** 2 - 1))
             ab.setflags(write=False)
-        out.append((a, ab, -np.sqrt((2 * l + 1) / (2 * l))))
-    return tuple(out)
+        columns.append((a, ab))
+    l = np.arange(1, L + 1)[:, None]
+    sectoral = -np.sqrt((2 * l + 1) / (2 * l))
+    sectoral.setflags(write=False)
+    return tuple(columns), sectoral
 
 
 def _legendre(ct: np.ndarray, st: np.ndarray, L: int) -> np.ndarray:
     """N P_l^m(cos theta) = Y_l^m(theta, 0), Condon-Shortley phase included,
     for 0 <= m <= l <= L as an (L+1, L+1, T) table that is zero for m > l.
 
-    Column recurrence in l from the sectoral seed (Holmes & Featherstone,
-    J. Geodesy 76, 2002), its coefficients cached per L
-    (_legendre_coefficients); it never divides by sin theta.
+    The sectoral diagonal P_l^l is one running product of its factors times
+    sin theta; each column then follows the recurrence in l from it (Holmes
+    & Featherstone, J. Geodesy 76, 2002), its coefficients cached per L
+    (_legendre_coefficients), written in place.  It never divides by
+    sin theta.
     """
+    columns, sectoral = _legendre_coefficients(L)
     P = np.zeros((L + 1, L + 1, len(ct)))
-    P[0, 0] = 0.5 / np.sqrt(np.pi)
-    for l, (a, ab, sectoral) in enumerate(_legendre_coefficients(L), start=1):
-        P[l, :l] = a * ct * P[l - 1, :l]
+    diagonal = np.empty((L + 1, len(ct)))
+    diagonal[0] = 0.5 / np.sqrt(np.pi)
+    np.multiply(sectoral, st, out=diagonal[1:])
+    band = np.arange(L + 1)
+    P[band, band] = np.cumprod(diagonal, axis=0)
+    for l, (a, ab) in enumerate(columns, start=1):
+        row = P[l, :l]
+        np.multiply(a, ct, out=row)
+        row *= P[l - 1, :l]
         if ab is not None:
-            P[l, :l] -= ab * P[l - 2, :l]
-        P[l, l] = sectoral * st * P[l - 1, l - 1]
+            row -= ab * P[l - 2, :l]
     return P
 
 
@@ -263,16 +280,16 @@ class HarmonicBasis:
         order, columns), shapes (P,), (P, n-1) and (P, n(n-1)/2), None above
         `order`.
 
-        At n=2 no per-point table of the basis is formed: cos kt and sin kt
-        are taken once per selected degree k and multiplied by the
-        coefficients on those columns, their t-derivative and their second
-        t-derivative, one product for every order.  At n=3 it contracts the
-        frame_derivs tables."""
+        No per-point table of the basis is formed, at n=3 either.  At n=2
+        cos kt and sin kt are taken once per selected degree k and multiplied
+        by the coefficients on those columns, their t-derivative and their
+        second t-derivative, one product for every order.  At n=3 the
+        coefficients are folded into a synthesis matrix (synthesis), which
+        synthesis_jet applies to one Legendre table at the points' distinct
+        colatitudes."""
         c = np.asarray(coeffs, dtype=float)
         if self.n == 3:
-            B, G, H = self.frame_derivs(points, order, columns)
-            return (B @ c, None if G is None else c @ G,
-                    None if H is None else c @ H)
+            return self.synthesis_jet(points, self.synthesis(c, columns), order)[0]
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         sel = slice(None) if columns is None else np.asarray(columns)
         key = None if columns is None else (sel.dtype.str, sel.tobytes())
@@ -302,6 +319,87 @@ class HarmonicBasis:
         gather = np.stack([col, (col + K) % (2 * K), col], axis=1)
         mult = np.stack([np.ones(2 * K), np.where(col < K, k, -k), -(k * k)], axis=1)
         return ks, slot, self._scale[sel], gather, mult
+
+    def synthesis(self, coeffs: np.ndarray, columns=None):
+        """n=3: the synthesis matrix of sum_j coeffs_j phi_j over the
+        `columns` (default all), for synthesis_jet.
+
+        It maps the (l, m) table of _legendre at band L+1 to the sums over l,
+        per colatitude, against each longitude factor 1, cos m phi, sin m phi
+        (m = 1..L), of the value, the frame gradient (d_theta, m/sin theta)
+        and the packed Hessian (tt, tp, pp = -l(l+1) value - tt).  It is
+        built from _ladder applied to identity tables, a chunk of the table
+        entries at a time, so the derivative formulas are _ladder's.
+        Returns (keep, Mt): the table entries (flat (l, m) positions) some
+        row reads, and the (len(keep), 6 (2L+1)) transposed matrix on them,
+        part-major.  Storage O((L+1) (L+2)^2); nothing is cached."""
+        L, S = self.L, self.L + 2
+        sel = slice(None) if columns is None else np.asarray(columns)
+        l = self.degrees[sel]
+        # C[kind, l, m]: the scaled coefficients of the cos- and sin-type columns
+        C = np.zeros((2, L + 1, L + 1))
+        np.add.at(C, (self._col[sel] // (L + 1), l, self._m[sel]),
+                  self._scale[sel] * np.asarray(coeffs, dtype=float))
+        band = np.arange(L + 1)[:, None, None]
+        # the table's nonzero entries, m <= l, as flat (l, m) positions
+        tri = np.flatnonzero(np.tri(S, dtype=bool))
+        K = len(tri)
+        step = max(1, _SYNTHESIS_BLOCK // (S * S))
+        # per part, the rows against cos m phi, m = 0..L, then sin m phi, m = 1..L
+        M = np.empty((6, 2 * L + 1, K))
+        for k0 in range(0, K, step):
+            k = slice(k0, min(k0 + step, K))
+            eye = np.zeros((S * S, k.stop - k0))
+            eye[tri[k], np.arange(k.stop - k0)] = 1.0
+            P = eye.reshape(S, S, -1)
+            dP, Ps = _ladder(P)
+            ddP, dPs = _ladder(dP)
+            P, dP, ddP = (T[:L + 1, :L + 1] for T in (P, dP, ddP))
+            parts = np.stack([P, dP, Ps[:, :L + 1], ddP, dPs[:, :L + 1],
+                              -band * (band + 1) * P - ddP])
+            # per part and m, the sums over l of either kind's coefficients
+            R = np.matmul(C.transpose(2, 0, 1), parts.transpose(0, 2, 1, 3))
+            # the m/sin theta parts take the phi-derivative's factors
+            R[[2, 4]] = np.stack([R[[2, 4], :, 1], -R[[2, 4], :, 0]], axis=2)
+            M[:, :L + 1, k] = R[:, :, 0]
+            M[:, L + 1:, k] = R[:, 1:, 1]
+        M = M.reshape(-1, K)
+        read = M.any(axis=0)
+        return tri[read], np.ascontiguousarray(M[:, read].T)
+
+    def synthesis_jet(self, points: np.ndarray, plan, order: int = 2):
+        """n=3: the expansion of a synthesis plan at unit points, as
+        expand: ((P,), (P, 2), (P, 3)) frame parts, None above `order`, and
+        the points' (cos phi, sin phi), phi = arctan2(y, x) as in
+        frame_derivs.  One _legendre table at the distinct colatitudes; then,
+        per block of points in colatitude order, one product of the block's
+        table columns with the plan's matrix, a gather to the points and the
+        sums against the longitude factors, cos m phi + i sin m phi the m-th
+        power of cos phi + i sin phi.  The blocks keep each temporary below
+        _SYNTHESIS_BLOCK entries.  Every part is computed at every order, so
+        each is bit-identical across orders."""
+        keep, Mt = plan
+        L = self.L
+        pts = np.atleast_2d(np.asarray(points, dtype=float))
+        x, y, z = pts.T
+        ct, first, inv = np.unique(z, return_index=True, return_inverse=True)
+        P = _legendre(ct, np.hypot(x[first], y[first]), L + 1).reshape(-1, len(ct))
+        phi = np.arctan2(y, x)
+        cp, sp = np.cos(phi), np.sin(phi)
+        lons = np.empty((len(pts), 2 * L + 1))
+        lons[:, 0] = 1.0
+        w = np.cumprod(np.repeat((cp + 1j * sp)[:, None], L, axis=1), axis=1)
+        lons[:, 1:L + 1], lons[:, L + 1:] = w.real, w.imag
+        out = np.empty((len(pts), 6))
+        by_ring = np.argsort(inv, kind="stable")
+        step = max(1, _SYNTHESIS_BLOCK // Mt.shape[1])
+        for a in range(0, len(pts), step):
+            idx = by_ring[a:a + step]
+            t0 = inv[idx[0]]
+            rows = (P[keep, t0:inv[idx[-1]] + 1].T @ Mt)[inv[idx] - t0]
+            out[idx] = np.einsum("pqj,pj->pq", rows.reshape(len(idx), 6, -1), lons[idx])
+        return (out[:, 0], out[:, 1:3] if order > 0 else None,
+                out[:, 3:] if order > 1 else None), (cp, sp)
 
     # ------------------------------------------------------------------
     def _factors(self, ct, st, phi, order, sel):

@@ -195,6 +195,37 @@ def test_spectral_jet_matches_ambient_tables(n):
             assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
 
 
+def test_spectral_bodies_on_one_basis_keep_their_own_synthesis():
+    # n=3: each body builds its synthesis matrix on first use and keeps it;
+    # two bodies on one basis, their jets interleaved, each match their own
+    # tables (the basis holds no matrix); the jet's parts are bit-identical
+    # across orders and its Hessian exactly symmetric
+    basis = HarmonicBasis(3, 8)
+    rng = np.random.default_rng(3)
+    X = np.concatenate([rng.normal(size=(50, 3)), build_grid(3, 8).pair_nodes])
+    r = np.linalg.norm(X, axis=1)
+    u = X / r[:, None]
+    bodies = []
+    for scale in (0.05, 0.1):
+        c = scale * rng.normal(size=basis.size) * np.exp(-0.3 * basis.degrees)
+        c[0] = 3.0
+        c[basis.parity < 0] = 0.0
+        bodies.append(SpectralBody(3, c, basis))
+    for _ in range(2):
+        for body in bodies:
+            h, grad, H = body.jet(X, 2)
+            B, G, _ = basis.eval_derivs(u, order=1)
+            f = B @ body.coeffs
+            assert np.abs(h - r * f).max() <= 1e-13 * np.abs(r * f).max()
+            ref = np.einsum("iak,a->ik", G, body.coeffs) + f[:, None] * u
+            assert np.abs(grad - ref).max() <= 1e-13 * np.abs(ref).max()
+            assert np.array_equal(H, H.transpose(0, 2, 1))
+            for order in (0, 1):
+                for a, b in zip(body.jet(X, order), (h, grad)):
+                    assert np.array_equal(a, b)
+    assert bodies[0]._plan is not bodies[1]._plan
+
+
 def test_euler_identity_on_grid():
     g = build_grid(3, 12)
     for body in [ellipsoid(np.diag([2.0, 1.0, 0.5])), perturbed_ball(3, 0.15)]:

@@ -4,7 +4,8 @@ The library has its own Gauss-Legendre rule, Nelder-Mead, polar seed search
 and Cholesky reduction of the symmetric-definite Galerkin pencils, so no
 scipy module is needed at run time; the tests use scipy only as an oracle.
 A fresh interpreter shows that neither the import nor a pinch, polar,
-spectrum or Hessian-gap run brings any scipy module in.
+spectrum or Hessian-gap run brings any scipy module in.  The CLI's import
+leaves the modules that only some commands use out as well.
 """
 
 import json
@@ -31,8 +32,9 @@ pinching.optimize_image(bodies.evaluate_on_grid(v["body"], v["grid"]),
                         iters=v["optimize"]["iters"])
 seen["optimize_image"] = scipy_modules()
 bodies.evaluate_on_grid(bodies.polar(v["body"], v["grid"]), v["grid"])
-seen["polar"] = scipy_modules()
 g = build_grid(3, 8)
+bodies.evaluate_on_grid(bodies.polar(bodies.perturbed_ball(3, 0.1), g), g)
+seen["polar"] = scipy_modules()
 system = spectral.assemble(build_state(bodies.evaluate_on_grid(
     bodies.perturbed_ball(3, 0.1), g)), spectral.GalerkinBasis(g, 8))
 spectral.solve_spectrum(system, k=4)
@@ -59,3 +61,14 @@ def test_cli_import_leaves_the_thread_pool_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == []
+
+
+def test_cli_import_leaves_acceptance_out():
+    # only verify-all runs the acceptance criteria, so calab.acceptance loads
+    # when a verify-all config is read or run
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = ("import json, sys, calab.cli; "
+             "print(json.dumps('calab.acceptance' in sys.modules))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) is False

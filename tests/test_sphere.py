@@ -539,10 +539,10 @@ def test_column_selection_keeps_each_column(n):
 @pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8)])
 def test_expand_is_the_contracted_tables(n, L):
     # expand(points, c, order, columns) is c contracted with
-    # frame_derivs(points, order, columns): at n=2 (no per-point tables) to
-    # 1e-14 of each output's max |value| (measured <= 4.6e-16), at n=3 bit
-    # for bit; on a column subset that mixes parities, at random points and
-    # at the grid nodes, with the derivatives above `order` None
+    # frame_derivs(points, order, columns), which expand does not form: to
+    # 1e-14 of each output's max |value| (measured <= 4.6e-16 at n=2 and
+    # <= 4.2e-16 at n=3); on a column subset that mixes parities, at random
+    # points and at the grid nodes, with the derivatives above `order` None
     basis = HarmonicBasis(n, L)
     rng = np.random.default_rng(L)
     pts = rng.normal(size=(40, n))
@@ -558,8 +558,6 @@ def test_expand_is_the_contracted_tables(n, L):
         for k in range(3):
             if k > order:
                 assert out[k] is None and ref[k] is None
-            elif n == 3:
-                assert np.array_equal(out[k], ref[k])
             else:
                 assert out[k].shape == ref[k].shape
                 assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
@@ -567,6 +565,75 @@ def test_expand_is_the_contracted_tables(n, L):
     c = rng.normal(size=basis.size)
     ref = basis.frame_derivs(pts, 2)[0] @ c
     assert np.abs(basis.expand(pts, c, 0)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+def _tables_expansion(basis, pts, c, order, cols):
+    B, G, H = basis.frame_derivs(pts, order, cols)
+    return (B @ c, None if G is None else c @ G, None if H is None else c @ H)
+
+
+def _assert_close_parts(out, ref, order):
+    # each output to 1e-14 of its max |value|, the parts above order None
+    for k in range(3):
+        if k > order:
+            assert out[k] is None and ref[k] is None
+        else:
+            assert out[k].shape == ref[k].shape
+            assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
+
+
+@pytest.mark.parametrize("L", [8, 24])
+def test_synthesis_matches_the_tables(L):
+    # synthesis_jet of the synthesis matrix against the frame_derivs tables
+    # contracted with the coefficients, at random points and at grid nodes,
+    # on every column and on a subset that mixes parities and kinds; each
+    # part bit-identical across orders
+    basis = HarmonicBasis(3, L)
+    rng = np.random.default_rng(L + 1)
+    pts = rng.normal(size=(60, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.concatenate([pts, build_grid(3, L).pair_nodes])
+    even, odd = basis.parity_columns
+    for cols in (None, np.concatenate([odd[::3], even[1::2]])):
+        c = rng.normal(size=basis.size if cols is None else len(cols))
+        plan = basis.synthesis(c, cols)
+        full = basis.synthesis_jet(pts, plan, 2)[0]
+        for order in (0, 1, 2):
+            out = basis.synthesis_jet(pts, plan, order)[0]
+            _assert_close_parts(out, _tables_expansion(basis, pts, c, order, cols), order)
+            for a, b in zip(out[:order + 1], full):
+                assert np.array_equal(a, b)
+
+
+def test_synthesis_at_and_near_the_poles():
+    # nodes at both poles, with x or y -0.0, and points near them: the
+    # longitude is arctan2(y, x) as in frame_derivs and tangent_frames, so
+    # the frame parts and the returned (cos phi, sin phi) agree with both, on
+    # every column and on orders m <= 2, where m/sin(theta) matters most
+    basis = HarmonicBasis(3, 8)
+    rng = np.random.default_rng(5)
+    near = rng.normal(size=(20, 3)) * [1e-4, 1e-4, 1.0]
+    near /= np.linalg.norm(near, axis=1, keepdims=True)
+    pts = np.concatenate([[[x, y, z] for z in (1.0, -1.0) for x, y in
+                           ((0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (-0.0, -0.0))], near])
+    low = np.flatnonzero(basis._m <= 2)
+    for cols in (None, low[::-1]):
+        c = rng.normal(size=basis.size if cols is None else len(cols))
+        for order in (0, 1, 2):
+            out, (cp, sp) = basis.synthesis_jet(pts, basis.synthesis(c, cols), order)
+            _assert_close_parts(out, _tables_expansion(basis, pts, c, order, cols), order)
+            e_phi = tangent_frames(pts)[:, :, 1]
+            assert np.array_equal(e_phi[:, 0], -sp) and np.array_equal(e_phi[:, 1], cp)
+
+
+def test_synthesis_storage_is_bounded():
+    # at most 6 (2L+1) rows on the nonzero Legendre entries, m <= l <= L+1:
+    # O(parts (L+1) (L+2)^2) per plan
+    L = 24
+    basis = HarmonicBasis(3, L)
+    keep, Mt = basis.synthesis(np.random.default_rng(0).normal(size=basis.size))
+    assert Mt.shape == (len(keep), 6 * (2 * L + 1))
+    assert len(keep) <= (L + 2) * (L + 3) // 2
 
 
 def test_band_tables_rebuild_only_for_a_larger_band():
