@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
-                          frame_eigvalsh, frame_solve, sign_fold, tangent_frames)
+                          frame_eigvalsh, frame_solve, sign_fold)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -103,9 +103,10 @@ def _osculating_adjugate(h, dh, Hh):
     if Q.shape[1] == 2:
         adj = np.stack([np.stack([d, -b], axis=1), np.stack([-b, a], axis=1)], axis=1)
     else:
-        # the rows of adj Q are the cross products of Q's columns
-        c0, c1, c2 = Q[:, :, 0], Q[:, :, 1], Q[:, :, 2]
-        adj = np.stack([np.cross(c1, c2), np.cross(c2, c0), np.cross(c0, c1)], axis=1)
+        # row i of adj Q is c_{i+1} x c_{i+2} for Q's columns c (indices mod 3)
+        r, s = [1, 2, 0], [2, 0, 1]
+        Qr, Qs = Q[:, r], Q[:, s]
+        adj = (Qr[:, :, r] * Qs[:, :, s] - Qs[:, :, r] * Qr[:, :, s]).transpose(0, 2, 1)
     pd = (a > 0) & (a * d - b * b > 0) & (np.einsum("ij,ij->i", Q[:, :, 0], adj[:, 0]) > 0)
     adj[~pd] = np.nan
     return adj
@@ -290,7 +291,9 @@ class FireySumBody(BodyEvaluator):
     w = sum s_i w_i, grad F = F w and
 
         Hess log F = sum s_i (H_i/h_i - w_i w_i^t) + p (sum s_i w_i w_i^t - w w^t),
-        Hess F = F (Hess log F + w w^t).
+        Hess F = F (Hess log F + w w^t) = F (sum s_i H_i/h_i + (p-1) s_K s_L d d^t),
+
+    d = w_K - w_L, as s_K + s_L = 1 (to 1e-12 at p = 0).
 
     For p < 1 the result may fail convexity; validity is reported by
     evaluate_on_grid, not repaired here.  Sign-symmetric when both terms are.
@@ -331,12 +334,10 @@ class FireySumBody(BodyEvaluator):
         grad = F[:, None] * w
         if order == 1:
             return F, grad
-        wwK, wwL, ww = _outer(wK, wK), _outer(wL, wL), _outer(w, w)
-        sK, sL = sK[:, None, None], sL[:, None, None]
-        hess_log = (sK * (jK[2] / u[:, None, None] - wwK)
-                    + sL * (jL[2] / v[:, None, None] - wwL)
-                    + p * (sK * wwK + sL * wwL - ww))
-        return F, grad, F[:, None, None] * (hess_log + ww)
+        d = wK - wL
+        hess = (F * sK / u)[:, None, None] * jK[2] + (F * sL / v)[:, None, None] * jL[2]
+        hess += ((p - 1.0) * F * sK * sL)[:, None, None] * _outer(d, d)
+        return F, grad, hess
 
 
 class LqNormBody(BodyEvaluator):
@@ -392,48 +393,35 @@ class PolarBody(BodyEvaluator):
     The polar has its base's symmetries: it is origin-symmetric, and
     sign-symmetric when the base is.  jet() folds the query rows over that
     sign group (sphere.sign_fold: +-I, or every coordinate flip), solves at
-    one representative row of each orbit (the first row under +-I, |u| under
-    the flips) and unfolds with the per-row signs D as h[inverse],
-    D grad h[inverse] and D D^2h[inverse] D.  A point whose norm is zero or
-    not finite raises ValueError.
+    one row of each orbit (the first under +-I, |u| under the flips) and
+    unfolds with the per-row signs D as h[inverse], D grad h[inverse] and
+    D D^2h[inverse] D.  A point of zero or non-finite norm raises ValueError.
+    Grid work is done once: construction takes one second-order base jet at
+    the reference grid's orbit representatives and unfolds it to the pair
+    nodes, with adj(DQD) = D adj(Q) D below (a base not positive and finite
+    there raises ValueError naming the pair node).  Rows bit for bit the
+    grid's nodes or pair nodes take its cached fold (SphereGrid.sign_fold)
+    and one maximizer, solved at the representatives on the first such query
+    and kept (_grid_solution, read by certificate); other rows are folded and
+    solved per query.  The Hessian and the unfold are formed per query.
 
-    Seed: psi(theta) = <u, v> for the vertex v = theta/h(theta) of the
-    discrete polar polytope, so each point starts at the pair node +-theta
-    (the base is even) of largest |<u, v>|, signed by <u, v>, taken in row
-    blocks of _SEED_BLOCK points.  One second-order base jet at the pair
-    nodes, taken at construction (a base not positive and finite there
-    raises ValueError), gives the vertices and Q = grad h grad h^t + h D^2h:
-    sqrt(x^t Q x) is the ellipsoid with the node's h, grad h and D^2h, and
-    its polar's maximizer Q^-1 u / |Q^-1 u| is the start, exact where h^2 is
-    a quadratic form (ellipsoids, their linear images, their p=2 Firey sums
-    with a ball, polars of these).  Its base jet replaces Newton's first
-    step; a point keeps the node and its jet where Q is not positive-definite
-    or psi is lower at the start.  Guarded Newton on the sphere (_newton)
-    then runs on the points not yet certified, in the tangent frames F at
-    theta: frame matrices (sphere.frame_solve for the step) at n=3, and at
-    n=2, where F is the single tangent e = (-theta_y, theta_x), the same
-    loop on (N,) scalars (1x1 frame bookkeeping costs more than the
-    arithmetic there).
-    A point is certified when the tangential gradient of psi is at most
-    1e-13 psi and F^T Hess(psi) F is negative-definite.  The certificate
-    proves the maximizer global only when the base h is convex:
-    on the slice <u, theta> = 1, psi = 1/h, so a strict local maximum of psi
-    is then its unique global one.  The loop stops when every point is
-    certified or after _NEWTON_CAP steps.  A point whose base jet is not
-    finite takes no step, and a candidate whose base jet is not finite is a
-    rejected step, so neither makes a NaN step.  Points left uncertified (bases
-    whose support function is not C^2, such as the l_q balls) are solved
-    again from the polytope seed with _PG_STEPS projected-gradient ascent steps
-    before the Newton loop, and keep whichever psi is larger.
+    Seed: each point starts at the vertex theta/h(theta) of the discrete
+    polar polytope of largest psi, theta = +-pair node, or better at the
+    maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid
+    sqrt(x^t Q x), Q = grad h grad h^t + h D^2h (exact where h^2 is a
+    quadratic form: ellipsoids, their linear images, their p=2 Firey sums
+    with a ball, polars of these).  Guarded Newton on the sphere (_newton)
+    runs in the tangent frames F at theta until |F^T grad psi| <= 1e-13 psi
+    with F^T Hess(psi) F negative-definite, which proves the maximum global
+    when h is convex (on the slice <u, theta> = 1, psi = 1/h), or for
+    _NEWTON_CAP steps.  Points left uncertified (bases not C^2, such as the
+    l_q balls) are solved again from the seed with _PG_STEPS
+    projected-gradient steps before Newton, and keep the larger psi.
 
-    The gradient of the result is envelope-exact (= maximizer point
-    theta/h(theta) on the boundary of the polar).  The Hessian is closed-form
-    by the implicit-function theorem at the maximizer: with the base jet
-    h, grad h at theta, A = F^T Hess(psi) F and
-    M = I/h - grad h theta^T / h^2 (the U-derivative of grad_theta psi),
-    Hess h_{K deg}(u) = -M^T F A^{-1} F^T M, at n=2 the scalar form
-    -(M^T e)(e^T M)/A (_planar_hessian).  Against the exact inverse
-    ellipsoid, h, its gradient and its Hessian agree to ~1e-13 relative.
+    The gradient theta/h(theta) at the maximizer is envelope-exact; the
+    Hessian is the implicit-function form -M^T F A^{-1} F^T M there, with
+    A = F^T Hess(psi) F and M = I/h - grad h theta^T / h^2 (at n=2 the
+    scalar form, _planar_hessian).
     """
 
     _NEWTON_CAP = 8
@@ -451,27 +439,38 @@ class PolarBody(BodyEvaluator):
         super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
         self.sign_symmetric = base.sign_symmetric
+        self._grid, self._solutions = grid, {}   # see _grid_solution
         self._ref_nodes = grid.pair_nodes
-        self._ref_jet = base.jet(grid.pair_nodes, 2)
-        h = self._ref_jet[0]
+        # the base jet at the grid's orbit representatives, unfolded to the
+        # pair nodes: h, D grad h and D D^2h D, and adj(DQD) = D adj(Q) D
+        first, inverse, D = grid.sign_fold(self.sign_symmetric)
+        inverse, D = inverse[:len(grid.pair_nodes)], D[:len(grid.pair_nodes)]
+        R = D[first] * grid.nodes[first]
+        jet = base.jet(R, 2)
+        h = jet[0][inverse]
         bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
         if bad.size:
             raise ValueError(f"support function must be positive and finite on the "
                              f"grid: pair node {bad[0]} {grid.pair_nodes[bad[0]]} "
                              f"reads {h[bad[0]]}")
+        DD, adj = D[:, :, None] * D[:, None, :], _osculating_adjugate(*jet)
+        self._ref_jet = (h, D * jet[1][inverse], DD * jet[2][inverse])
         self._vertices_t = np.ascontiguousarray((grid.pair_nodes / h[:, None]).T)
-        self._ref_adj = _osculating_adjugate(*self._ref_jet)
+        self._ref_adj = DD * adj[inverse]
+        self._orbit_ref = (R, jet, adj, np.ascontiguousarray((R / jet[0][:, None]).T))
 
-    def _seed_index(self, U):
+    def _seed_index(self, U, V=None):
         """(index, sign) of the vertex v of largest psi = sign * <U, v> for
-        each unit U: the argmax of |<U, v>|, one block of rows at a time."""
+        each unit U, among the columns of V (default the pair nodes'
+        vertices): the argmax of |<U, v>|, one block of rows at a time."""
+        V = self._vertices_t if V is None else V
         idx = np.empty(len(U), dtype=np.intp)
-        buf = np.empty((min(self._SEED_BLOCK, len(U)), self._vertices_t.shape[1]))
+        buf = np.empty((min(self._SEED_BLOCK, len(U)), V.shape[1]))
         for i in range(0, len(U), self._SEED_BLOCK):
             block = U[i:i + self._SEED_BLOCK]
-            dots = np.matmul(block, self._vertices_t, out=buf[:len(block)])
+            dots = np.matmul(block, V, out=buf[:len(block)])
             np.abs(dots, out=dots).argmax(axis=1, out=idx[i:i + len(block)])
-        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._vertices_t[:, idx]))
+        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, V[:, idx]))
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -486,37 +485,47 @@ class PolarBody(BodyEvaluator):
 
     @staticmethod
     def _frame_terms(U, TH, h, dh, Hh):
-        """(F, F^T grad psi, F^T Hess(psi) F) at TH, F = tangent_frames(TH).
-
-        With a = F^T u, b = F^T grad h and t = <u, theta> (F^T theta = 0):
-        F^T grad psi = a/h - (t/h^2) b and
-        F^T Hess(psi) F = -(a b^T + b a^T)/h^2 - (t/h^2) F^T D^2h F
-        + 2 (t/h^3) b b^T."""
-        F = tangent_frames(TH)
-        Ft = F.transpose(0, 2, 1)
-        ab = Ft @ np.stack([U, dh], axis=-1)
-        a, b = ab[..., 0], ab[..., 1]
-        t = np.einsum("ij,ij->i", U, TH)
-        grad = a / h[:, None] - (t / h**2)[:, None] * b
-        cross = _outer(a, b)
-        A = (-(cross + cross.transpose(0, 2, 1)) / h[:, None, None] ** 2
-             - (t / h**2)[:, None, None] * (Ft @ Hh @ F)
-             + 2.0 * (t / h**3)[:, None, None] * _outer(b, b))
-        return F, grad, A
+        """(F, F^T grad psi, F^T Hess(psi) F) at TH: with a = F^T u,
+        b = F^T grad h and t = <u, theta>, a/h - (t/h^2) b and
+        -(a b^T + b a^T)/h^2 - (t/h^2) F^T D^2h F + 2 (t/h^3) b b^T.  F is
+        sphere.tangent_frames(TH) to rounding (the longitude's cos and sin
+        as x/rho, y/rho, (1, 0) at the poles), formed coordinate-major as
+        its rows E (n-1, n, N), where one product gives a, b and F^T D^2h."""
+        if TH.shape[1] == 2:
+            E = _turn(TH).T[None]
+        else:
+            x, y, z = TH.T
+            rho = np.hypot(x, y)
+            c, s = np.divide(TH.T[:2], rho, where=rho > 0,
+                             out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
+            E = np.array([[z * c, z * s, -rho], [-s, c, 0.0 * rho]])
+        W = np.concatenate([U.T[:, None], dh.T[:, None], Hh.transpose(1, 2, 0)], axis=1)
+        P = (E[:, :, None] * W).sum(axis=1)
+        a, b = P[:, 0], P[:, 1]
+        t = np.einsum("ij,ij->i", U, TH) / h**2
+        cross = a[:, None] * b
+        A = (-(cross + cross.transpose(1, 0, 2)) / h**2
+             - t * (P[:, None, 2:] * E).sum(axis=2)
+             + 2.0 * (t / h) * (b[:, None] * b))
+        return E.transpose(2, 1, 0), (a / h - t * b).T, A.transpose(2, 0, 1)
 
     def _maximize(self, U):
         """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
         unit U: Newton from the osculating start (from the polytope seed where
         that start does not apply or is worse), then the fallback from the
         polytope seed for the uncertified."""
-        idx, sign = self._seed_index(U)
-        h, dh, Hh = self._ref_jet
-        seed = sign[:, None] * self._ref_nodes[idx]
+        nodes, (h, dh, Hh), adj, V = (self._ref_nodes, self._ref_jet, self._ref_adj, None)
+        if self.sign_symmetric and not (U < 0).any():
+            # the vertices are flip-invariant: for U >= 0 a best one is |v|,
+            # a representative's
+            nodes, (h, dh, Hh), adj, V = self._orbit_ref
+        idx, sign = self._seed_index(U, V)
+        seed = sign[:, None] * nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
         jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
         # the maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid;
-        # _ref_adj is NaN where Q is not positive-definite
-        v = np.einsum("ijk,ik->ij", self._ref_adj[idx], U)
+        # adj is NaN where Q is not positive-definite
+        v = np.einsum("ijk,ik->ij", adj[idx], U)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         osc = np.flatnonzero(np.isfinite(v).all(axis=1))
         start = seed.copy()
@@ -566,73 +575,90 @@ class PolarBody(BodyEvaluator):
         return e, a / h - t * b, -2.0 * a * b / h**2 - t * c + 2.0 * (t / h) * b * b
 
     def _terms(self, U, TH, h, dh, Hh):
-        """(F, g, A, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
+        """(F, A, g, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
         A = F^T Hess(psi) F: _planar_terms at n=2 (F = e, g and A scalars),
         _frame_terms otherwise."""
         F, g, A = (self._planar_terms if U.shape[1] == 2 else self._frame_terms)(
             U, TH, h, dh, Hh)
         if g.ndim == 1:
-            return F, g, A, np.abs(g), A
-        return F, g, A, np.linalg.norm(g, axis=1), frame_eigvalsh(A)[:, -1]
+            return F, A, g, np.abs(g), A
+        return F, A, g, np.sqrt(np.einsum("ij,ij->i", g, g)), frame_eigvalsh(A)[:, -1]
 
     def _newton(self, U, th, jet=None):
         """Guarded Newton ascent from th until each point is certified or
-        _NEWTON_CAP steps have been taken.
-
-        jet is the second-order base jet at th when the caller holds it
-        (taken here otherwise).  Each point keeps theta, psi, the base jet and
-        the terms of _terms there; a step costs one second-order base jet and
-        one _terms at the candidate, which serve its acceptance test and, once
-        it is accepted, the next step.  Returns ((theta, psi, h, grad h,
+        _NEWTON_CAP steps have been taken; jet is the second-order base jet
+        at th when the caller holds it.  A step costs one base jet and one
+        _terms at the candidate, which serve its acceptance test and, once it
+        is accepted, the next step; only the points still stepping take part,
+        gathered when some point stops.  Returns ((theta, psi, h, grad h,
         Hess h, F, A), certified), F as (N, n, n-1) and A as (N, n-1, n-1)
         at the returned theta, so jet() reuses them."""
         N, n = U.shape
-        th = th.copy()
         h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
-        out = (th, np.einsum("ij,ij->i", U, th) / h, h, dh, Hh,
-               *self._terms(U, th, h, dh, Hh))
-        psi, F, g, A, gnorm, lam = out[1], *out[5:]
-        radius = np.full(N, 0.2)
+        # theta, psi, h, grad h, Hess h, F, A (the result), g, |g|, top
+        # eigenvalue of A
+        cur = [th.copy(), np.einsum("ij,ij->i", U, th) / h, h, dh, Hh,
+               *self._terms(U, th, h, dh, Hh)]
         # a point whose base jet is not finite (so psi, |g| or the top
         # eigenvalue of A is not) takes no step, and a candidate whose base
         # jet is not finite is a rejected step: such points stay uncertified,
         # for the fallback
-        live = np.isfinite(psi + gnorm + lam)
+        live = np.isfinite(cur[1] + cur[8] + cur[9])
+        # the rows `act` of the result still stepping, their U and state cur
+        out, certified = cur[:7], np.zeros(N, dtype=bool)
+        act, Ua, radius = np.arange(N), U, np.full(N, 0.2)
         for it in range(self._NEWTON_CAP + 1):
             # a certified point takes no more steps, so it stays certified
-            certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
-            act = np.flatnonzero(~certified & live)
-            if not act.size or it == self._NEWTON_CAP:
-                break
-            ta, pa, Fa, ga, Aa, na, ra = (a[act] for a in (th, psi, F, g, A, gnorm, radius))
+            cert = (cur[8] <= self._GRAD_TOL * cur[1]) & (cur[9] < 0)
+            step = ~cert & live & (it < self._NEWTON_CAP)
+            k = np.count_nonzero(step)
+            if k < len(act) or not k:
+                certified[act] = cert
+                if len(act) == N:
+                    out = cur[:7]
+                else:
+                    for a, b in zip(out, cur):
+                        a[act] = b
+                if not k:
+                    break
+                act, Ua, radius, live = act[step], Ua[step], radius[step], True
+                cur = [a[step] for a in cur]
+            ta, pa, F, A, g, na, lam = cur[0], cur[1], *cur[5:]
             # Newton step, shifted to stay an ascent step, inside a trust
             # radius that shrinks on each rejected step
-            shift = np.maximum(lam[act] + 1e-9, 0.0) + 1e-12
+            shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
             if g.ndim == 1:  # n=2: F is the single tangent e, g and A scalars
-                s = -ga / (Aa - shift)
+                s = -g / (A - shift)
                 norm = np.abs(s)
-                s *= np.minimum(norm, ra) / np.maximum(norm, 1e-300)
-                gain, cand = ga * s, ta + s[:, None] * Fa
+                s *= np.minimum(norm, radius) / np.maximum(norm, 1e-300)
+                gain, cand = g * s, ta + s[:, None] * F
             else:
-                s = -frame_solve(Aa - shift[:, None, None] * np.eye(n - 1),
-                                 ga[:, :, None])[:, :, 0]
-                norm = np.linalg.norm(s, axis=1)
-                s *= (np.minimum(norm, ra) / np.maximum(norm, 1e-300))[:, None]
-                gain = np.einsum("ij,ij->i", ga, s)
-                cand = ta + (Fa @ s[:, :, None])[:, :, 0]
-            cand /= np.linalg.norm(cand, axis=1, keepdims=True)
-            Ua, jc = U[act], self.base.jet(cand, 2)
+                if n == 2:  # 1x1 frame matrices
+                    s = -g / (A[:, 0] - shift[:, None])
+                else:  # A - shift I is negative-definite: Cramer's rule
+                    a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
+                    s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
+                                 axis=1) / (a * c - b * b)[:, None]
+                norm = np.sqrt(np.einsum("ij,ij->i", s, s))
+                s *= (np.minimum(norm, radius) / np.maximum(norm, 1e-300))[:, None]
+                gain = np.einsum("ij,ij->i", g, s)
+                cand = ta + np.einsum("ijk,ik->ij", F, s)
+            cand /= np.sqrt(np.einsum("ij,ij->i", cand, cand))[:, None]
+            jc = self.base.jet(cand, 2)
             pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
-            tc = self._terms(Ua, cand, *jc)
+            new = (cand, pc, *jc, *self._terms(Ua, cand, *jc))
             # a step whose first-order gain is below psi's rounding is judged
             # by the gradient, which still resolves it
-            ok = np.where(gain <= self._UNRESOLVED * pa, tc[3] < na,
-                          pc >= pa * self._ACCEPT) & np.isfinite(pc + tc[3] + tc[4])
-            keep = act[ok]
-            for a, b in zip(out, (cand, pc, *jc, *tc)):
-                a[keep] = b[ok]
-            radius[act] = np.where(ok, ra, 0.25 * np.minimum(ra, norm))
-        return out[:5] + (F.reshape(N, n, n - 1), A.reshape(N, n - 1, n - 1)), certified
+            ok = np.where(gain <= self._UNRESOLVED * pa, new[8] < na,
+                          pc >= pa * self._ACCEPT) & np.isfinite(pc + new[8] + new[9])
+            if ok.all():
+                cur = list(new)
+            else:
+                for a, b in zip(cur, new):
+                    a[ok] = b[ok]
+            radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
+        return tuple(out[:5]) + (out[5].reshape(N, n, n - 1),
+                                 out[6].reshape(N, n - 1, n - 1)), certified
 
     @staticmethod
     def _planar_hessian(U, th, h, dh, e, A):
@@ -655,8 +681,17 @@ class PolarBody(BodyEvaluator):
         if bad.size:
             raise ValueError(f"polar support needs points of nonzero finite "
                              f"norm: row {bad[0]} is {pts[bad[0]]}")
-        first, inverse, D = sign_fold(pts, self.sign_symmetric)
-        j = self._folded_jet(D[first] * pts[first], r[first], order)
+        grid = self._grid
+        if any(pts.shape == Y.shape and pts.tobytes() == Y.tobytes()
+               for Y in (grid.nodes, grid.pair_nodes)):
+            U, r, sol = self._grid_solution()
+            _, inverse, D = grid.sign_fold(self.sign_symmetric)
+            inverse, D = inverse[:len(pts)], D[:len(pts)]
+        else:
+            first, inverse, D = sign_fold(pts, self.sign_symmetric)
+            r, U = r[first], D[first] * pts[first] / r[first, None]
+            sol = self._maximize(U)
+        j = self._folded_jet(U, r, sol, order)
         # unfold: h is invariant, grad h and D^2 h transform with the signs
         out = [j[0][inverse]]
         if order > 0:
@@ -665,10 +700,34 @@ class PolarBody(BodyEvaluator):
             out.append(D[:, :, None] * j[2][inverse] * D[:, None, :])
         return tuple(out)
 
-    def _folded_jet(self, pts, r, order):
-        """The jet at points no two of which share an orbit of the fold."""
-        U = pts / r[:, None]
-        th, val, hb, dh, _, frames, A = self._maximize(U)
+    def _grid_solution(self):
+        """(U, r, _maximize(U)) at the reference grid's orbit representatives
+        R = r U: solved on the first grid query, kept read-only."""
+        flips = self.sign_symmetric
+        if flips not in self._solutions:
+            first, _, D = self._grid.sign_fold(flips)
+            R = D[first] * self._grid.nodes[first]
+            r = np.linalg.norm(R, axis=1)
+            U = R / r[:, None]
+            sol = (U, r, self._maximize(U))
+            for a in (U, r, *sol[2]):
+                a.setflags(write=False)
+            self._solutions[flips] = sol
+        return self._solutions[flips]
+
+    @property
+    def certificate(self) -> tuple[int, float]:
+        """(points left uncertified, largest |F^T grad psi|/psi) at the grid
+        solution's maximizers, kept after both passes; deterministic."""
+        U, _, (th, psi, h, dh, Hh, _, _) = self._grid_solution()
+        gnorm, lam = self._terms(U, th, h, dh, Hh)[3:]
+        certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
+        return int((~certified).sum()), float(np.max(gnorm / psi))
+
+    def _folded_jet(self, U, r, sol, order):
+        """The jet at the points r U, no two of which share an orbit of the
+        fold, from the maximizer sol = _maximize(U)."""
+        th, val, hb, dh, _, frames, A = sol
         h = r * val
         if order == 0:
             return (h,)
@@ -682,15 +741,18 @@ class PolarBody(BodyEvaluator):
             return h, grad, self._planar_hessian(U, th, hb, dh, frames[:, :, 0],
                                                  A[:, 0, 0]) / r[:, None, None]
         Ft = frames.transpose(0, 2, 1)
-        b = Ft @ dh[:, :, None]
-        FtM = (Ft - b * th[:, None, :] / hb[:, None, None]) / hb[:, None, None]
-        # a base Hessian exactly degenerate at the maximizer makes A singular:
-        # those points get a NaN Hessian, which evaluate_on_grid reports
-        ok = frame_det(A) != 0.0
-        sol = np.full_like(FtM, np.nan)
-        sol[ok] = frame_solve(A[ok], FtM[ok])
-        H = -FtM.transpose(0, 2, 1) @ sol
-        return h, grad, _symmetric_tangential(H, U) / r[:, None, None]
+        hb = hb[:, None, None]
+        FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / hb) / hb
+        # projected on the tangent space at U (M U = 0 to rounding), so that
+        # -FtM^T A^-1 FtM, symmetrized, is the projected Hessian; a base
+        # Hessian exactly degenerate at the maximizer makes A singular: those
+        # points get a NaN Hessian, which evaluate_on_grid reports
+        FtM -= (FtM @ U[:, :, None]) * U[:, None, :]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            S = frame_solve(A, FtM)
+        S[frame_det(A) == 0.0] = np.nan
+        H = -FtM.transpose(0, 2, 1) @ S
+        return h, grad, 0.5 * (H + H.transpose(0, 2, 1)) / r[:, None, None]
 
 
 # ----------------------------------------------------------------------

@@ -584,7 +584,8 @@ def main(argv=None) -> int:
         with open(args.config) as fh:
             cfg = json.load(fh)
         values = validate(args.command, cfg, args.seed)
-    except (OSError, json.JSONDecodeError, ConfigError) as exc:
+    except (OSError, json.JSONDecodeError, ConfigError, MemoryError) as exc:
+        # MemoryError: a grid or body too large to build on this machine
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

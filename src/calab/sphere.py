@@ -651,6 +651,7 @@ class SphereGrid:
         self._tables = None       # per parity block (B, G, H), see basis_tables
         self._factors = None      # see ring_rows
         self._orbits = None       # see flip_orbits
+        self._folds = {}          # see sign_fold
         self._frames = None
 
     @property
@@ -777,6 +778,17 @@ class SphereGrid:
                 arr.setflags(write=False)
             self._orbits = (first, sizes, rings, lons)
         return self._orbits
+
+    def sign_fold(self, flips: bool = False):
+        """sign_fold(nodes, flips), cached per sign group, read-only.  Each
+        orbit holds a pair node, so the pair nodes fold onto the same rows,
+        as the prefix (first, inverse[:N/2], D[:N/2])."""
+        if flips not in self._folds:
+            fold = sign_fold(self.nodes, flips)
+            for arr in fold:
+                arr.setflags(write=False)
+            self._folds[flips] = fold
+        return self._folds[flips]
 
     def tangent_frames(self) -> np.ndarray:
         """Orthonormal tangent frames E (N/2, n, n-1) at the pair nodes, the

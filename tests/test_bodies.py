@@ -1,5 +1,8 @@
 """Tests for support-function evaluators and Brunn-Minkowski quantities."""
 
+import re
+import sys
+import threading
 import warnings
 
 import numpy as np
@@ -468,6 +471,144 @@ def test_polar_jet_folds_antipodes(n, L, name):
     assert seen == [57]
 
 
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["ellipsoid", "perturbed"])
+def test_polar_grid_solution_is_solved_once_and_reused(n, name):
+    # support(nodes), jet(pair_nodes, 2), jet(nodes, 1) and a copy of the
+    # nodes on one polar: one _maximize, at the orbit representatives (the
+    # flip orbits for the sign-symmetric ellipsoid, the pair nodes for the
+    # perturbed ball), and every output bit for bit that of a fresh polar
+    # making that call alone.  Off-grid points are solved per query, the
+    # same as on a fresh polar
+    g = build_grid(n, 24 if n == 3 else 16)
+    base = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7][:n])),
+            "perturbed": lambda: perturbed_ball(n, 0.1)}[name]()
+    P = polar(base, g)
+    seen = []
+    maximize = P._maximize
+    P._maximize = lambda U: seen.append(len(U)) or maximize(U)
+    off = unit_vectors(np.random.default_rng(41), 200, n)
+    for X, order in ((g.nodes, 0), (g.pair_nodes, 2), (g.nodes, 1), (g.nodes.copy(), 2),
+                     (off, 2)):
+        for a, b in zip(P.jet(X, order), polar(base, g).jet(X, order)):
+            assert np.array_equal(a, b)
+    orbits = len(g.sign_fold(base.sign_symmetric)[0])
+    assert seen == [orbits, len(off)]
+    assert orbits == (len(g.pair_nodes) if name == "perturbed" else
+                      {2: 18, 3: 182}[n])
+
+
+def test_polars_in_threads_share_a_fresh_grid():
+    # more threads than cores fill one fresh grid's fold cache and solve
+    # their polars on it at once, switching every microsecond: each reads
+    # what a serial run on its own grid reads, bit for bit
+    bases = [ellipsoid(np.diag([2.0, 1.0, 0.7])), perturbed_ball(3, 0.1)] * 4
+    ref = [polar(b, build_grid(3, 8)).jet(build_grid(3, 8).nodes, 2) for b in bases]
+    g = build_grid(3, 8)
+    got = [None] * len(bases)
+
+    def run(i):
+        got[i] = polar(bases[i], g).jet(g.nodes, 2)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(bases))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for a, b in zip(got, ref):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
+
+
+def test_polars_on_one_grid_keep_their_own_solutions():
+    # three polars share a grid and its cached folds, their grid queries
+    # interleaved; so do the two polars of the numeric-gauge smoothing, the
+    # outer one's base holding the inner one.  Each reads what a fresh one
+    # does, bit for bit
+    g = build_grid(3, 16)
+    bases = [ellipsoid(np.diag([2.0, 1.0, 0.7])), lq_gauge_body(4, 3),
+             perturbed_ball(3, 0.1)]
+    polars = [polar(b, g) for b in bases]
+    for X, order in ((g.nodes, 0), (g.pair_nodes, 2), (g.nodes, 1)):
+        for base, P in zip(bases, polars):
+            for a, b in zip(P.jet(X, order), polar(base, g).jet(X, order)):
+                assert np.array_equal(a, b, equal_nan=True)
+    E = ellipsoid(np.diag([2.0, 1.0, 1.0]))
+
+    def smoothed():
+        return construct(E, g, 1.0, 1.0, gauge="numeric")[0]
+
+    kt = smoothed()
+    assert np.array_equal(kt.support(g.nodes), smoothed().support(g.nodes))
+    bg, ref = evaluate_on_grid(kt, g), evaluate_on_grid(smoothed(), g)
+    assert np.array_equal(bg.h, ref.h) and np.array_equal(bg.D2h_frame, ref.D2h_frame)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_reference_jet_unfolds_exactly(n):
+    # on a sign-symmetric base construction takes the base jet at the flip
+    # orbit representatives only; unfolded with the signs it is the base's
+    # jet at every pair node exactly, and so are the vertices and adj Q
+    from calab.bodies import _osculating_adjugate
+    g = build_grid(n, 24 if n == 3 else 16)
+    E = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
+    for base in (ball(1.3, n), E, ellipsoid(np.diag([1.0, 3.0, 1.5][:n])),
+                 LqNormBody(4, n), LqNormBody(3, n), lq_gauge_body(4, n),
+                 firey_sum(1.0, E, 1.0, LqNormBody(4, n), 2.0),
+                 firey_sum(0.1, ball(1.0, n), 1.0, lq_gauge_body(4, n), 1.0)):
+        assert base.sign_symmetric
+        calls = []
+        jet = base.jet
+        base.jet = lambda X, order=2: calls.append(len(X)) or jet(X, order)
+        P = polar(base, g)
+        del base.jet
+        # (the l_q bodies with 1 < q < 2 call their own jet for D^2h)
+        assert calls[0] == len(g.sign_fold(True)[0]) and len(g.pair_nodes) not in calls
+        ref = base.jet(g.pair_nodes, 2)
+        for a, b in zip(P._ref_jet, ref):
+            assert np.array_equal(a, b)
+        assert np.array_equal(P._ref_adj, _osculating_adjugate(*ref), equal_nan=True)
+        assert np.array_equal(P._vertices_t, (g.pair_nodes / ref[0][:, None]).T)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_of_a_sign_symmetric_base_not_positive_names_the_pair_node(n):
+    # the check reads the unfolded support, so it names the first pair node
+    # where the base is not positive, as a jet at every pair node would
+    g = build_grid(n, 16)
+    base = perturbed_ball(n, -5.0, coeffs=[(2, 0, 1.0)])
+    assert base.sign_symmetric
+    bad = np.flatnonzero(base.support(g.pair_nodes) <= 0)[0]
+    with pytest.raises(ValueError, match=re.escape(f"pair node {bad} {g.pair_nodes[bad]} ")):
+        polar(base, g)
+
+
+def test_polar_certificate_counts_the_uncertified_orbit_points():
+    # the ball and diagonal ellipsoids certify every orbit point; the l4
+    # ball is not C^2 on the axes, and its count is a recount of the
+    # certificate from _terms at the kept maximizers (39 of 182 at L=24)
+    for L in (16, 24):
+        g = build_grid(3, L)
+        for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
+                     ellipsoid(np.diag([2.0, 1.0, 1.0]))):
+            count, stationarity = polar(base, g).certificate
+            assert count == 0 and stationarity <= PolarBody._GRAD_TOL
+    g = build_grid(3, 24)
+    P = polar(lq_gauge_body(4, 3), g)
+    P.support(g.nodes)
+    U, _, (th, psi, *_) = P._grid_solution()
+    _, _, _, gnorm, lam = P._terms(U, th, *P.base.jet(th, 2))
+    certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
+    assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
+    assert 0 < P.certificate[0] < len(U) == 182
+    assert polar(lq_gauge_body(4, 3), g).certificate == P.certificate
+
+
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
 @pytest.mark.parametrize("name", ["ellipsoid", "smoothed_l4", "bipolar_l43"])
 def test_polar_jet_folded_over_flips_matches_the_unfolded_solve(n, L, name):
@@ -534,6 +675,15 @@ def test_polar_rejects_zero_and_non_finite_points(row):
     for order in (0, 1, 2):
         with pytest.raises(ValueError, match="row 1 "):
             P.jet([[1.0, 0.0, 0.0], row], order)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_jet_at_no_points(n):
+    # an empty query takes no Newton step and returns empty arrays
+    g = build_grid(n, 8)
+    for base in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), perturbed_ball(n, 0.1)):
+        out = polar(base, g).jet(np.empty((0, n)), 2)
+        assert [a.shape for a in out] == [(0,), (0, n), (0, n, n)]
 
 
 class _CountingBody(BodyEvaluator):

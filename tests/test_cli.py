@@ -595,7 +595,56 @@ def test_console_entry_point(tmp_path):
     assert "checks passed" in proc.stdout
 
 
+def test_config_too_large_to_allocate_exits_2(tmp_path):
+    # L = 10^6 asks validate for a 7.28 TiB Gauss-Legendre matrix: a config
+    # error (exit 2, one line, nothing written), not a MemoryError traceback.
+    # The child caps its own address space at 2 GiB after importing calab, so
+    # the allocation fails there whatever the machine's overcommit policy
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 3, "L": 1000000},
+                                            "body": {"type": "ball", "r": 1.0}})
+    out = tmp_path / "out"
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = ("import resource, sys; from calab import cli; "
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30)); "
+            "sys.exit(cli.main(sys.argv[1:]))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, "spectrum", "--config", str(cfg), "--out", str(out)],
+        capture_output=True, text=True,
+        env={**os.environ, "OPENBLAS_NUM_THREADS": "1",
+             "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])})
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith("config error: ") and proc.stderr.count("\n") == 1
+    assert not out.exists()
+
+
+def test_memory_error_while_running_still_writes_the_report(tmp_path, monkeypatch):
+    # only validate's MemoryError is a config error: one raised by the
+    # command itself is a failure of the run, exit 1 with the report written
+    def run(values, threads):
+        raise MemoryError("Unable to allocate 1.00 TiB")
+
+    monkeypatch.setitem(cli.COMMAND_TABLE, "pinch",
+                        cli.COMMAND_TABLE["pinch"]._replace(run=run))
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 8},
+                                            "body": {"type": "ball"}})
+    out = tmp_path / "out"
+    assert run_cli(["pinch", "--config", cfg, "--out", out]) == 1
+    assert "MemoryError" in json.loads((out / "report.json").read_text())["error"]
+
+
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
+
+
+def test_sweep_config_report_is_the_same_at_two_threads(tmp_path):
+    # the sweep's bodies share one grid, and each polar fills the grid's fold
+    # cache with the same read-only value whichever thread stores it
+    reports = []
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}"
+        assert run_cli(["sweep", "--config", CONFIGS / "sweep_random_n2.json",
+                        "--out", out, "--threads", threads]) == 0
+        reports.append([(out / name).read_bytes() for name in ("report.json", "sweep.csv")])
+    assert reports[0] == reports[1]
 
 
 def _config_command(stem: str) -> str:

@@ -213,6 +213,24 @@ def test_coordinate_flips_of_nodes_are_nodes(n, L, n_nodes):
         assert len(first) == (N // 4 + 1 if N % 4 == 0 else (N + 2) // 4)
 
 
+@pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
+def test_grid_sign_fold_is_cached_for_nodes_and_pair_nodes(n, L):
+    # the grid keeps sign_fold of its nodes per sign group, read-only; its
+    # prefix is the pair nodes' own fold: both fold onto the same rows
+    g = build_grid(n, L)
+    for flips in (False, True):
+        fold = g.sign_fold(flips)
+        assert g.sign_fold(flips) is fold
+        assert not any(a.flags.writeable for a in fold)
+        for a, b in zip(fold, sign_fold(g.nodes, flips)):
+            assert np.array_equal(a, b)
+        half = len(g.pair_nodes)
+        first, inverse, D = sign_fold(g.pair_nodes, flips)
+        assert np.array_equal(first, fold[0])
+        assert np.array_equal(inverse, fold[1][:half]) and np.array_equal(D, fold[2][:half])
+    assert len(g.sign_fold(True)[0]) == {2: 18, 3: 182}[n]
+
+
 def test_legendre_coefficients_are_cached_bit_for_bit():
     # the cached recurrence coefficients give the table of the recurrence
     # that forms them on every call, bit for bit
