@@ -439,14 +439,14 @@ class PolarBody(BodyEvaluator):
         super().__init__(base.n, label=f"polar({base.label})")
         self.base = base
         self.sign_symmetric = base.sign_symmetric
-        self._grid, self._solutions = grid, {}   # see _grid_solution
+        self._grid, self._solution = grid, None   # see _grid_solution
         self._ref_nodes = grid.pair_nodes
-        # the base jet at the grid's orbit representatives, unfolded to the
+        # the base jet at the grid's orbit representatives R, unfolded to the
         # pair nodes: h, D grad h and D D^2h D, and adj(DQD) = D adj(Q) D
         first, inverse, D = grid.sign_fold(self.sign_symmetric)
         inverse, D = inverse[:len(grid.pair_nodes)], D[:len(grid.pair_nodes)]
-        R = D[first] * grid.nodes[first]
-        jet = base.jet(R, 2)
+        self._reps = D[first] * grid.nodes[first]
+        jet = base.jet(self._reps, 2)
         h = jet[0][inverse]
         bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
         if bad.size:
@@ -457,20 +457,17 @@ class PolarBody(BodyEvaluator):
         self._ref_jet = (h, D * jet[1][inverse], DD * jet[2][inverse])
         self._vertices_t = np.ascontiguousarray((grid.pair_nodes / h[:, None]).T)
         self._ref_adj = DD * adj[inverse]
-        self._orbit_ref = (R, jet, adj, np.ascontiguousarray((R / jet[0][:, None]).T))
 
-    def _seed_index(self, U, V=None):
+    def _seed_index(self, U):
         """(index, sign) of the vertex v of largest psi = sign * <U, v> for
-        each unit U, among the columns of V (default the pair nodes'
-        vertices): the argmax of |<U, v>|, one block of rows at a time."""
-        V = self._vertices_t if V is None else V
+        each unit U: the argmax of |<U, v>|, one block of rows at a time."""
         idx = np.empty(len(U), dtype=np.intp)
-        buf = np.empty((min(self._SEED_BLOCK, len(U)), V.shape[1]))
+        buf = np.empty((min(self._SEED_BLOCK, len(U)), self._vertices_t.shape[1]))
         for i in range(0, len(U), self._SEED_BLOCK):
             block = U[i:i + self._SEED_BLOCK]
-            dots = np.matmul(block, V, out=buf[:len(block)])
+            dots = np.matmul(block, self._vertices_t, out=buf[:len(block)])
             np.abs(dots, out=dots).argmax(axis=1, out=idx[i:i + len(block)])
-        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, V[:, idx]))
+        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._vertices_t[:, idx]))
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -485,20 +482,17 @@ class PolarBody(BodyEvaluator):
 
     @staticmethod
     def _frame_terms(U, TH, h, dh, Hh):
-        """(F, F^T grad psi, F^T Hess(psi) F) at TH: with a = F^T u,
+        """(F, F^T grad psi, F^T Hess(psi) F) at TH, n=3: with a = F^T u,
         b = F^T grad h and t = <u, theta>, a/h - (t/h^2) b and
         -(a b^T + b a^T)/h^2 - (t/h^2) F^T D^2h F + 2 (t/h^3) b b^T.  F is
         sphere.tangent_frames(TH) to rounding (the longitude's cos and sin
         as x/rho, y/rho, (1, 0) at the poles), formed coordinate-major as
-        its rows E (n-1, n, N), where one product gives a, b and F^T D^2h."""
-        if TH.shape[1] == 2:
-            E = _turn(TH).T[None]
-        else:
-            x, y, z = TH.T
-            rho = np.hypot(x, y)
-            c, s = np.divide(TH.T[:2], rho, where=rho > 0,
-                             out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
-            E = np.array([[z * c, z * s, -rho], [-s, c, 0.0 * rho]])
+        its rows E (2, 3, N), where one product gives a, b and F^T D^2h."""
+        x, y, z = TH.T
+        rho = np.hypot(x, y)
+        c, s = np.divide(TH.T[:2], rho, where=rho > 0,
+                         out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
+        E = np.array([[z * c, z * s, -rho], [-s, c, 0.0 * rho]])
         W = np.concatenate([U.T[:, None], dh.T[:, None], Hh.transpose(1, 2, 0)], axis=1)
         P = (E[:, :, None] * W).sum(axis=1)
         a, b = P[:, 0], P[:, 1]
@@ -514,18 +508,14 @@ class PolarBody(BodyEvaluator):
         unit U: Newton from the osculating start (from the polytope seed where
         that start does not apply or is worse), then the fallback from the
         polytope seed for the uncertified."""
-        nodes, (h, dh, Hh), adj, V = (self._ref_nodes, self._ref_jet, self._ref_adj, None)
-        if self.sign_symmetric and not (U < 0).any():
-            # the vertices are flip-invariant: for U >= 0 a best one is |v|,
-            # a representative's
-            nodes, (h, dh, Hh), adj, V = self._orbit_ref
-        idx, sign = self._seed_index(U, V)
-        seed = sign[:, None] * nodes[idx]
+        idx, sign = self._seed_index(U)
+        h, dh, Hh = self._ref_jet
+        seed = sign[:, None] * self._ref_nodes[idx]
         # the base is even: its jet at -node is (h, -grad h, Hess h) at node
         jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
         # the maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid;
-        # adj is NaN where Q is not positive-definite
-        v = np.einsum("ijk,ik->ij", adj[idx], U)
+        # _ref_adj is NaN where Q is not positive-definite
+        v = np.einsum("ijk,ik->ij", self._ref_adj[idx], U)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         osc = np.flatnonzero(np.isfinite(v).all(axis=1))
         start = seed.copy()
@@ -577,7 +567,7 @@ class PolarBody(BodyEvaluator):
     def _terms(self, U, TH, h, dh, Hh):
         """(F, A, g, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
         A = F^T Hess(psi) F: _planar_terms at n=2 (F = e, g and A scalars),
-        _frame_terms otherwise."""
+        _frame_terms at n=3."""
         F, g, A = (self._planar_terms if U.shape[1] == 2 else self._frame_terms)(
             U, TH, h, dh, Hh)
         if g.ndim == 1:
@@ -614,11 +604,8 @@ class PolarBody(BodyEvaluator):
             k = np.count_nonzero(step)
             if k < len(act) or not k:
                 certified[act] = cert
-                if len(act) == N:
-                    out = cur[:7]
-                else:
-                    for a, b in zip(out, cur):
-                        a[act] = b
+                for a, b in zip(out, cur):
+                    a[act] = b
                 if not k:
                     break
                 act, Ua, radius, live = act[step], Ua[step], radius[step], True
@@ -633,8 +620,8 @@ class PolarBody(BodyEvaluator):
                 s *= np.minimum(norm, radius) / np.maximum(norm, 1e-300)
                 gain, cand = g * s, ta + s[:, None] * F
             else:
-                if n == 2:  # 1x1 frame matrices
-                    s = -g / (A[:, 0] - shift[:, None])
+                if n == 2:  # the 1x1 frame matrices of a frame kernel at n=2
+                    s = -frame_solve(A - shift[:, None, None], g[:, :, None])[:, :, 0]
                 else:  # A - shift I is negative-definite: Cramer's rule
                     a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
                     s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
@@ -703,17 +690,14 @@ class PolarBody(BodyEvaluator):
     def _grid_solution(self):
         """(U, r, _maximize(U)) at the reference grid's orbit representatives
         R = r U: solved on the first grid query, kept read-only."""
-        flips = self.sign_symmetric
-        if flips not in self._solutions:
-            first, _, D = self._grid.sign_fold(flips)
-            R = D[first] * self._grid.nodes[first]
-            r = np.linalg.norm(R, axis=1)
-            U = R / r[:, None]
+        if self._solution is None:
+            r = np.linalg.norm(self._reps, axis=1)
+            U = self._reps / r[:, None]
             sol = (U, r, self._maximize(U))
             for a in (U, r, *sol[2]):
                 a.setflags(write=False)
-            self._solutions[flips] = sol
-        return self._solutions[flips]
+            self._solution = sol
+        return self._solution
 
     @property
     def certificate(self) -> tuple[int, float]:

@@ -929,6 +929,17 @@ def test_polar_fallback_takes_its_own_jets():
     assert orders.count(1) == P._PG_STEPS
 
 
+def _planar_frame_terms(U, TH, h, dh, Hh):
+    """PolarBody._frame_terms' formulas at n=2, in the frames
+    tangent_frames(TH): (N, 2, 1) frames and 1x1 frame matrices."""
+    F = tangent_frames(TH)
+    Ft = F.transpose(0, 2, 1)
+    a, b = (Ft @ U[:, :, None])[:, :, 0], (Ft @ dh[:, :, None])[:, :, 0]
+    t, hh = (np.einsum("ij,ij->i", U, TH) / h**2)[:, None], h[:, None]
+    A = -2.0 * a * b / hh**2 - t * (Ft @ Hh @ F)[:, :, 0] + 2.0 * (t / hh) * b * b
+    return F, a / hh - t * b, A[:, :, None]
+
+
 @pytest.mark.parametrize("name", list(_planar_bases(None)))
 def test_planar_newton_matches_frame_kernel(name):
     # at n=2 Newton runs on the (N,) scalars of _planar_terms; fed the 1x1
@@ -943,7 +954,7 @@ def test_planar_newton_matches_frame_kernel(name):
     base = _CountingBody(_planar_bases(g)[name]())
     U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(26), 40, 2)])
     P, frame = polar(base, g), polar(base, g)
-    frame._planar_terms = frame._frame_terms
+    frame._planar_terms = _planar_frame_terms
     idx, sign = P._seed_index(U)
     h, dh, Hh = P._ref_jet
     jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
