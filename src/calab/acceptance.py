@@ -39,12 +39,10 @@ from calab.minkowski import (
 from calab.pinching import measure_pinching, threshold_main, threshold_strong
 from calab.spectral import (
     GalerkinBasis,
-    assemble,
     bochner_residual,
+    compute_spectrum,
     hessian_gap_even,
     invariance_check,
-    solve_spectrum,
-    spectrum_of_body,
 )
 from calab.sphere import HarmonicBasis, build_grid
 
@@ -101,13 +99,13 @@ def criterion_hilbert_eigenvalue(seed: int = 0) -> list[Check]:
     out = []
     g3 = build_grid(3, 20)
     for label, body in _BODIES_3():
-        rep = spectrum_of_body(body, g3, k=6)
+        rep, _ = compute_spectrum(evaluate_on_grid(body, g3), k=6)
         out.append(_close(f"n3/{label}/lambda1", rep.lambda1, 2.0, 1e-3))
         mult = [m for v, m in rep.multiplicities if abs(v - rep.lambda1) < 1e-2]
         out.append(_close(f"n3/{label}/multiplicity", mult[0], 3, 0))
     g2 = _grid2()
     for label, body in _BODIES_2():
-        rep = spectrum_of_body(body, g2, k=5)
+        rep, _ = compute_spectrum(evaluate_on_grid(body, g2), k=5)
         out.append(_close(f"n2/{label}/lambda1", rep.lambda1, 1.0, 1e-6))
         mult = [m for v, m in rep.multiplicities if abs(v - rep.lambda1) < 1e-3]
         out.append(_close(f"n2/{label}/multiplicity", mult[0], 2, 0))
@@ -117,12 +115,13 @@ def criterion_hilbert_eigenvalue(seed: int = 0) -> list[Check]:
 def criterion_even_gap(seed: int = 0) -> list[Check]:
     """lambda_1_even of balls and ellipsoids equals 2n."""
     g2 = _grid2()
-    rep = spectrum_of_body(ball(1.0, 2), g2, k=2)
+    rep, _ = compute_spectrum(evaluate_on_grid(ball(1.0, 2), g2), k=2)
     out = [_close("n2/ball/lambda1_even", rep.lambda1_even, 4.0, 1e-6)]
     g3 = build_grid(3, 20)
-    rep = spectrum_of_body(ball(1.0, 3), g3, k=2)
+    rep, _ = compute_spectrum(evaluate_on_grid(ball(1.0, 3), g3), k=2)
     out.append(_close("n3/ball/lambda1_even", rep.lambda1_even, 6.0, 1e-3))
-    rep = spectrum_of_body(ellipsoid(np.diag([2.0, 1.0, 1.0])), g3, k=2)
+    ell = evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), g3)
+    rep, _ = compute_spectrum(ell, k=2)
     out.append(_close("n3/ellipsoid/lambda1_even", rep.lambda1_even, 6.0, 1e-3))
     return out
 
@@ -178,11 +177,9 @@ def criterion_gap_identity(seed: int = 0) -> list[Check]:
     cases = [(2, _grid2(), _BODIES_2()), (3, build_grid(3, 20), _BODIES_3())]
     for n, g, bodies in cases:
         for label, body in bodies:
-            st = build_state(evaluate_on_grid(body, g))
-            system = assemble(st, GalerkinBasis(g, g.band_limit))
-            gap = hessian_gap_even(system)
-            lam = solve_spectrum(system, k=2,
-                                 subspace="even-nonconstant").lambda1_even
+            rep, system = compute_spectrum(evaluate_on_grid(body, g), k=2,
+                                           subspace="even-nonconstant")
+            gap, lam = hessian_gap_even(system), rep.lambda1_even
             rel = abs(gap - (lam - n + 2)) / lam
             out.append(_le(f"n{n}/{label}/gap_identity", rel, 1e-3))
             if label == "ball":
@@ -197,7 +194,8 @@ def criterion_planar_log_bm(seed: int = 0, count: int = 200) -> list[Check]:
     worst = np.inf
     for k in range(count):
         body = random_even_body(2, seed=seed * 1000 + k)
-        rep = spectrum_of_body(body, g, k=2, subspace="even-nonconstant")
+        rep, _ = compute_spectrum(evaluate_on_grid(body, g), k=2,
+                                  subspace="even-nonconstant")
         worst = min(worst, rep.lambda1_even)
     return [_ge("n2/min_lambda1_even", worst, 2.0, 1e-6)]
 
@@ -262,7 +260,8 @@ def criterion_pinching_spectral(seed: int = 0) -> list[Check]:
     for n, g, count in cases:
         for k in range(count):
             body = random_even_body(n, seed=seed * 500 + 7 * k)
-            rep = spectrum_of_body(body, g, k=2, subspace="even-nonconstant")
+            rep, _ = compute_spectrum(evaluate_on_grid(body, g), k=2,
+                                      subspace="even-nonconstant")
             lam = rep.lambda1_even
             for _ in range(3):
                 Z = rng.normal(size=(n, n)) * 0.25

@@ -34,8 +34,8 @@ from calab.calculus import build_state
 from calab.isomorphic import construct, isometric_gamma, p_gamma_D, verify
 from calab.minkowski import TargetMeasure, minimize
 from calab.pinching import measure_pinching, optimize_image
-from calab.spectral import (GalerkinBasis, assemble, bochner_residual,
-                            hessian_gap_even, solve_spectrum)
+from calab.spectral import (GalerkinBasis, bochner_residual, compute_spectrum,
+                            hessian_gap_even)
 from calab.sphere import build_grid
 
 
@@ -216,11 +216,9 @@ def _check(name, value, expected, tolerance, passed) -> dict:
 
 
 def _cmd_spectrum(v, threads):
-    grid, tol = v["grid"], v["lambda1_tol"]
-    n = grid.n
-    band = grid.band_limit if v["degree_max"] is None else v["degree_max"]
-    system = assemble(build_state(v["body"]), GalerkinBasis(grid, band))
-    rep = solve_spectrum(system, k=v["k"], subspace=v["subspace"])
+    n, tol = v["grid"].n, v["lambda1_tol"]
+    rep, _ = compute_spectrum(v["body"], v["degree_max"], k=v["k"],
+                              subspace=v["subspace"])
     eigs, resid = rep.eigenvalues, rep.residuals
     checks = [
         _check("lambda1", rep.lambda1, n - 1, tol,
@@ -414,9 +412,7 @@ _SWEEP_HEADER = ["index", "label", "lambda1", "lambda1_even", "hessian_gap",
 def _sweep_one(idx, body, grid):
     try:
         bg = evaluate_on_grid(body, grid)
-        st = build_state(bg)
-        system = assemble(st, GalerkinBasis(grid, grid.band_limit))
-        rep = solve_spectrum(system, k=4)
+        rep, system = compute_spectrum(bg, k=4)
         gap = hessian_gap_even(system)
         pin = measure_pinching(bg)
         q = quantities(bg)

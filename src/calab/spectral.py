@@ -9,8 +9,9 @@ body that states sign_symmetric splits further, into one block per parity
 and sign sector, each summed over the flip-orbit representatives alone.
 The generalized eigenproblem is dense symmetric definite, solved per block
 by a Cholesky reduction to a standard one (numpy only), and the blocks'
-spectra are merged.  The integrated
-Bochner identity of a field is checked on the same rows.
+spectra are merged; compute_spectrum is that whole chain on a body sampled
+on its grid.  The integrated Bochner identity of a field is checked on the
+same rows.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from calab.bodies import BodyEvaluator, evaluate_on_grid, linear_image
+from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
 from calab.calculus import (CentroAffineState, build_state, conjugate_hessian_rows,
                              conjugate_hessian_weights)
 from calab.sphere import SphereGrid, _parity_rows, packed_positions
@@ -353,16 +354,16 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     )
 
 
-def spectrum_of_body(body: BodyEvaluator, grid: SphereGrid,
-                     degree_max: int | None = None, k: int | None = None,
-                     subspace: str = "all") -> SpectrumReport:
-    """One-call pipeline: grid evaluation, state, assembly, eigen solve."""
-    Lb = grid.band_limit if degree_max is None else degree_max
-    bg = evaluate_on_grid(body, grid)
-    state = build_state(bg)
-    basis = GalerkinBasis(grid, Lb)
-    system = assemble(state, basis)
-    return solve_spectrum(system, k=k, subspace=subspace)
+def compute_spectrum(bg: BodyOnGrid, band: int | None = None, k: int | None = None,
+                     subspace: str = "all") -> tuple[SpectrumReport, GalerkinSystem]:
+    """The spectrum pipeline: the state of the body on its grid, the forms
+    on the basis of degree <= band (the grid's L by default), and the k
+    smallest eigenpairs on the subspace (solve_spectrum).  The system is
+    returned too, for the Hessian gap (hessian_gap_even)."""
+    grid = bg.grid
+    basis = GalerkinBasis(grid, grid.band_limit if band is None else band)
+    system = assemble(build_state(bg), basis)
+    return solve_spectrum(system, k=k, subspace=subspace), system
 
 
 # ----------------------------------------------------------------------
@@ -432,8 +433,9 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
 def invariance_check(bodyK: BodyEvaluator, T: np.ndarray, grid: SphereGrid,
                      degree_max: int | None = None, count: int = 10) -> dict:
     """Spectra of K and T(K) computed independently and compared (sorted)."""
-    repK = spectrum_of_body(bodyK, grid, degree_max, k=count)
-    repT = spectrum_of_body(linear_image(bodyK, T), grid, degree_max, k=count)
+    repK, _ = compute_spectrum(evaluate_on_grid(bodyK, grid), degree_max, k=count)
+    repT, _ = compute_spectrum(evaluate_on_grid(linear_image(bodyK, T), grid),
+                               degree_max, k=count)
     a, b = repK.eigenvalues[:count], repT.eigenvalues[:count]
     gaps = np.abs(a - b) / np.maximum(np.abs(a), 1.0)
     return {

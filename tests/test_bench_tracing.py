@@ -25,12 +25,12 @@ import numpy as np
 import tracing
 from calab import bodies, calculus, spectral
 from calab.bodies import ball, ellipsoid, evaluate_on_grid
-from calab.spectral import spectrum_of_body
+from calab.spectral import compute_spectrum
 from calab.sphere import build_grid
 tracer = tracing.Tracer()
 tracing.install(tracer)
 grid = build_grid(2, 8)
-spectrum_of_body(ball(1.0, 2), grid, k=3)
+compute_spectrum(bodies.evaluate_on_grid(ball(1.0, 2), grid), k=3)
 state = calculus.build_state(bodies.evaluate_on_grid(ball(1.0, 2), grid))
 spectral.hessian_gap_even(spectral.assemble(state, spectral.GalerkinBasis(grid, 8)))
 grid.basis_tables()

@@ -31,7 +31,7 @@ from calab.pinching import (
     threshold_main,
     threshold_strong,
 )
-from calab.spectral import spectrum_of_body
+from calab.spectral import compute_spectrum
 from calab.sphere import build_grid, tangent_frames
 
 
@@ -291,8 +291,9 @@ def test_optimize_image_improves_perturbed_ball():
 
 
 def lambda1_even(body, g):
-    return spectrum_of_body(body, g, k=2,
-                            subspace="even-nonconstant").lambda1_even
+    rep, _ = compute_spectrum(evaluate_on_grid(body, g), k=2,
+                              subspace="even-nonconstant")
+    return rep.lambda1_even
 
 
 def test_spectral_consistency_ball():

@@ -21,10 +21,10 @@ from calab.spectral import (
     GalerkinBasis,
     assemble,
     bochner_residual,
+    compute_spectrum,
     hessian_gap_even,
     invariance_check,
     solve_spectrum,
-    spectrum_of_body,
 )
 from calab.sphere import CHUNK_ROWS, build_grid
 
@@ -289,10 +289,10 @@ def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
     # that of the L=24 grid
     body = perturbed_ball(3, 0.1)
     g = build_grid(3, 48)
-    rep = spectrum_of_body(body, g, degree_max=16)
+    rep, _ = compute_spectrum(evaluate_on_grid(body, g), 16)
     assert g._tables is None
     assert sum(T.nbytes for T in g._factors[0] + g._factors[1]) <= factor_bytes_bound(g, 289)
-    ref = spectrum_of_body(body, build_grid(3, 24), degree_max=16)
+    ref, _ = compute_spectrum(evaluate_on_grid(body, build_grid(3, 24)), 16)
     assert abs(rep.lambda1_even - ref.lambda1_even) <= 1e-10
 
 
@@ -443,7 +443,7 @@ def test_streamed_planar_spectrum_on_a_fine_grid():
 
 def test_ball_spectrum_n3():
     g = build_grid(3, 16)
-    rep = spectrum_of_body(ball(1.0, 3), g, k=12)
+    rep, _ = compute_spectrum(evaluate_on_grid(ball(1.0, 3), g), k=12)
     assert abs(rep.eigenvalues[0]) < 1e-8
     assert rep.multiplicities[0][1] == 1
     v1, m1 = rep.multiplicities[1]
@@ -455,13 +455,14 @@ def test_ball_spectrum_n3():
 
 def test_ball_even_gap_n2():
     g = build_grid(2, 16)
-    rep = spectrum_of_body(ball(1.0, 2), g)
+    rep, _ = compute_spectrum(evaluate_on_grid(ball(1.0, 2), g))
     assert abs(rep.lambda1_even - 4.0) < 1e-9
 
 
 def test_ellipsoid_spectrum_matches_ball():
     g = build_grid(3, 16)
-    rep = spectrum_of_body(ellipsoid(np.diag([2.0, 1.0, 1.0])), g, k=10)
+    rep, _ = compute_spectrum(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0, 1.0])), g),
+                              k=10)
     assert abs(rep.lambda1 - 2.0) < 1e-6
     assert abs(rep.lambda1_even - 6.0) < 1e-3
 
@@ -479,7 +480,7 @@ def test_eigenvalues_nonnegative_random_bodies():
     for seed in range(3):
         body = random_even_body(2, seed=seed)
         g = build_grid(2, 16)
-        rep = spectrum_of_body(body, g, k=10)
+        rep, _ = compute_spectrum(evaluate_on_grid(body, g), k=10)
         assert rep.eigenvalues.min() > -1e-8
         assert rep.residuals.max() < 1e-8
 
@@ -488,18 +489,40 @@ def test_lambda1_is_dimension_minus_one():
     # Hilbert's theorem: lambda_1 = n-1 with multiplicity exactly n
     g2 = build_grid(2, 62, n_nodes=256)
     for seed in (0, 1):
-        rep = spectrum_of_body(random_even_body(2, seed=seed), g2, k=6)
+        rep, _ = compute_spectrum(evaluate_on_grid(random_even_body(2, seed=seed), g2),
+                                  k=6)
         assert abs(rep.lambda1 - 1.0) < 1e-6
         lam1_cluster = [m for v, m in rep.multiplicities
                         if abs(v - rep.lambda1) < 1e-3]
         assert lam1_cluster[0] == 2
 
     g3 = build_grid(3, 20)
-    rep = spectrum_of_body(perturbed_ball(3, 0.1), g3, k=6)
+    rep, _ = compute_spectrum(evaluate_on_grid(perturbed_ball(3, 0.1), g3), k=6)
     assert abs(rep.lambda1 - 2.0) < 1e-3
     lam1_cluster = [m for v, m in rep.multiplicities
                     if abs(v - rep.lambda1) < 1e-2]
     assert lam1_cluster[0] == 3
+
+
+@pytest.mark.parametrize("subspace", ["all", "even-nonconstant"])
+@pytest.mark.parametrize("body, n, band, fold", [
+    (random_even_body(2, 5), 2, 8, False),                 # a band below L
+    (perturbed_ball(3, 0.1), 3, None, False),              # whole parity blocks
+    (ellipsoid(np.diag([2.0, 1.0, 1.0])), 3, None, True),  # sign-sector blocks
+], ids=["random_n2_band8", "perturbed_n3", "ellipsoid_n3"])
+def test_compute_spectrum_is_the_written_out_chain(body, n, band, fold, subspace):
+    g = build_grid(n, 16)
+    rep, system = compute_spectrum(evaluate_on_grid(body, g), band, k=6,
+                                   subspace=subspace)
+    assert system.fold is fold
+    ref_system = assemble(build_state(evaluate_on_grid(body, g)),
+                          GalerkinBasis(g, 16 if band is None else band))
+    ref = solve_spectrum(ref_system, k=6, subspace=subspace)
+    assert np.array_equal(rep.eigenvalues, ref.eigenvalues)
+    assert rep.lambda1 == ref.lambda1
+    assert rep.lambda1_even == ref.lambda1_even
+    assert np.array_equal(rep.residuals, ref.residuals)
+    assert hessian_gap_even(system) == hessian_gap_even(ref_system)
 
 
 def test_first_eigenspace_spanned_by_adapted_linear():
