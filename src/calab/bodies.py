@@ -194,29 +194,26 @@ class SpectralBody(BodyEvaluator):
         self.basis = basis
         self.coeffs = coeffs
         self.sign_symmetric = not np.any(coeffs[~basis.flip_invariant])
-        self._plan = None   # n=3: basis.synthesis of the even columns, on first use
+        self._plan = None   # basis.synthesis of the even columns, on first use
 
     def jet(self, X, order=2):
         """(h, grad h, Hess h) up to `order` from the frame parts f, g, H of
         the even columns' expansion: grad h = E g + f u and
         Hess h = E R E^t / r, R = H + f I, in the frames E = tangent_frames(u).
-        At n=2 expand gives the parts and E is the single tangent e, written
-        with scalars bit for bit the frame products.  At n=3 one product with
-        the body's synthesis matrix (HarmonicBasis.synthesis, built on first
-        use) gives them at one Legendre table of the points' colatitudes, and
-        E = (e_theta, e_phi) is built from its cos phi and sin phi; Hess h is
-        summed as sum_ab R_ab e_a e_b^t, exactly symmetric."""
+        One synthesis_jet of the body's synthesis plan (HarmonicBasis.synthesis,
+        built on first use) gives the parts.  At n=2 E is the single tangent
+        e, written with scalars bit for bit the frame products.  At n=3
+        E = (e_theta, e_phi) is built from the cos phi and sin phi that
+        synthesis_jet returns; Hess h is summed as sum_ab R_ab e_a e_b^t,
+        exactly symmetric."""
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
-        # the odd coefficients are zero, so only the even columns are expanded
-        even = self.basis.parity_columns[0]
-        if self.n == 2:
-            f, g, H = self.basis.expand(u, self.coeffs[even], order, even)
-        else:
-            if self._plan is None:
-                self._plan = self.basis.synthesis(self.coeffs[even], even)
-            (f, g, H), (cp, sp) = self.basis.synthesis_jet(u, self._plan, order)
+        if self._plan is None:
+            # the odd coefficients are zero, so only the even columns are expanded
+            even = self.basis.parity_columns[0]
+            self._plan = self.basis.synthesis(self.coeffs[even], even)
+        (f, g, H), lon = self.basis.synthesis_jet(u, self._plan, order)
         h = r * f
         if order == 0:
             return (h,)
@@ -230,6 +227,7 @@ class SpectralBody(BodyEvaluator):
             R = e * (H + f[:, None]) + 0.0
             return h, grad, (_outer(R, e) + 0.0) / r[:, None, None]
         x, y, z = u.T
+        cp, sp = lon
         e_t = np.stack([z * cp, z * sp, -np.hypot(x, y)], axis=1)
         e_p = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
         grad = g[:, :1] * e_t + g[:, 1:] * e_p + f[:, None] * u
@@ -619,13 +617,10 @@ class PolarBody(BodyEvaluator):
                 norm = np.abs(s)
                 s *= np.minimum(norm, radius) / np.maximum(norm, 1e-300)
                 gain, cand = g * s, ta + s[:, None] * F
-            else:
-                if n == 2:  # the 1x1 frame matrices of a frame kernel at n=2
-                    s = -frame_solve(A - shift[:, None, None], g[:, :, None])[:, :, 0]
-                else:  # A - shift I is negative-definite: Cramer's rule
-                    a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
-                    s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
-                                 axis=1) / (a * c - b * b)[:, None]
+            else:  # n=3: A - shift I is negative-definite, Cramer's rule
+                a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
+                s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
+                             axis=1) / (a * c - b * b)[:, None]
                 norm = np.sqrt(np.einsum("ij,ij->i", s, s))
                 s *= (np.minimum(norm, radius) / np.maximum(norm, 1e-300))[:, None]
                 gain = np.einsum("ij,ij->i", g, s)

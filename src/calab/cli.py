@@ -249,8 +249,7 @@ _PINCH_FIELDS = ["r_curv", "R_curv", "A", "B", "r_in", "R_out", "p_main", "p_str
 
 
 def _cmd_pinch(v, threads):
-    body = v["body"]
-    bg = evaluate_on_grid(body, v["grid"])
+    bg = v["body"]
     rep = best = measure_pinching(bg)
     payload = {"pinching": rep.to_dict()}
     if v["optimize"] is not None:
@@ -263,7 +262,7 @@ def _cmd_pinch(v, threads):
                      rep.r_curv <= rep.r_in + 1e-8),
               _check("rolling_upper", rep.R_out, rep.R_curv, 1e-8,
                      rep.R_out <= rep.R_curv + 1e-8)]
-    row = [body.label] + [repr(float(getattr(best, f))) for f in _PINCH_FIELDS]
+    row = [bg.body.label] + [repr(float(getattr(best, f))) for f in _PINCH_FIELDS]
     return checks, payload, {"pinching.json": payload,
                              "pinching.csv": (["label"] + _PINCH_FIELDS, [row])}
 
@@ -493,7 +492,7 @@ COMMAND_TABLE = {
         "tolerance": (float, lambda v: 1e-6 if v["grid"].n == 2 else 1e-3),
     }, _bochner_ranges),
     "pinch": Command(_cmd_pinch, {
-        "grid": _GRID, "body": (_body, REQUIRED),
+        "grid": _GRID, "body": (_strong_body, REQUIRED),
         "optimize": ({"iters": (int, 200)}, None),
     }, _pinch_iters),
     "isomorphic": Command(_cmd_isomorphic, {

@@ -8,7 +8,9 @@ antipodally symmetric so that even/odd splitting is exact, and closed under
 each coordinate flip bit for bit, so that sign_fold finds the orbits of
 either sign group among their nodes.  Differentiation is
 spectral; the tests check it against finite differences of the homogeneous
-extension (tests/oracles.py).
+extension (tests/oracles.py).  Off the grid, a coefficient vector is expanded
+by one plan/apply pair at both n: HarmonicBasis.synthesis folds the
+coefficients into a matrix, and synthesis_jet applies it at any unit points.
 
 Every even quantity lives on the pair nodes, one node of each antipodal pair.
 With A(u) = -u, a full-grid field f is read there as the pair (f, f o A) with
@@ -28,10 +30,10 @@ import numpy as np
 # spectral tail fraction above which derivative fields carry tail_warning
 TAIL_WARNING = 1e-8
 
-# most entries of an identity chunk in HarmonicBasis.synthesis and of a
-# per-block temporary in synthesis_jet: below 128 KB, malloc's default mmap
-# threshold, so that repeated calls reuse heap memory instead of faulting in
-# fresh pages
+# n=3: most entries of an identity chunk in HarmonicBasis.synthesis and of
+# a per-block temporary in synthesis_jet: below 128 KB, malloc's default
+# mmap threshold, so that repeated calls reuse heap memory instead of
+# faulting in fresh pages
 _SYNTHESIS_BLOCK = 1 << 14
 
 
@@ -138,7 +140,8 @@ def _basis_columns(n: int, L: int):
     degree, parity and sign sector, the even and odd positions, the
     flip-invariant mask, the diagonal blocks of both groups (see
     HarmonicBasis.blocks), scale, col and m (all read-only), and the dict of
-    expand's per-selection data at n=2."""
+    synthesis's coefficient-independent data per column selection
+    (_circle_plan), filled at n=2 only."""
     # value of the constant basis function, 1/sqrt(|S^{n-1}|)
     constant_value = 1.0 / np.sqrt(2.0 * np.pi) if n == 2 else 0.5 / np.sqrt(np.pi)
     # each column's (degree l, order m, kind 0 cos / 1 sin); l = m at n=2
@@ -273,40 +276,11 @@ class HarmonicBasis:
         _combine([f[inv] for f in rings], lons, self.degrees[sel], out)
         return tuple(out)
 
-    def expand(self, points: np.ndarray, coeffs: np.ndarray, order: int = 2,
-               columns=None):
-        """The expansion sum_j coeffs_j phi_j over the `columns` (default all)
-        and its frame derivatives: coeffs contracted with frame_derivs(points,
-        order, columns), shapes (P,), (P, n-1) and (P, n(n-1)/2), None above
-        `order`.
-
-        No per-point table of the basis is formed, at n=3 either.  At n=2
-        cos kt and sin kt are taken once per selected degree k and multiplied
-        by the coefficients on those columns, their t-derivative and their
-        second t-derivative, one product for every order.  At n=3 the
-        coefficients are folded into a synthesis matrix (synthesis), which
-        synthesis_jet applies to one Legendre table at the points' distinct
-        colatitudes."""
-        c = np.asarray(coeffs, dtype=float)
-        if self.n == 3:
-            return self.synthesis_jet(points, self.synthesis(c, columns), order)[0]
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        sel = slice(None) if columns is None else np.asarray(columns)
-        key = None if columns is None else (sel.dtype.str, sel.tobytes())
-        if key not in self._circle_plans:
-            self._circle_plans[key] = self._circle_plan(sel)
-        ks, slot, scale, gather, mult = self._circle_plans[key]
-        v = np.bincount(slot, weights=scale * c, minlength=2 * len(ks))
-        t = np.arctan2(pts[:, 1], pts[:, 0])
-        kt = np.multiply.outer(t, ks)
-        out = np.concatenate([np.cos(kt), np.sin(kt)], axis=1) @ (v[gather] * mult)
-        return (out[:, 0], out[:, 1:2] if order > 0 else None,
-                out[:, 2:] if order > 1 else None)
-
     def _circle_plan(self, sel):
-        """The selected degrees ks, each coefficient's column of
-        [cos ks t, sin ks t] and scale, and the map from the coefficients v on
-        those columns to (v, d/dt v, d^2/dt^2 v): v[gather] * mult."""
+        """n=2, per column selection: the selected degrees ks, each
+        coefficient's column of [cos ks t, sin ks t] and scale, and the map
+        from the coefficients v on those columns to (v, d/dt v, d^2/dt^2 v):
+        v[gather] * mult."""
         deg = self.degrees[sel]
         present = np.zeros(self.L + 1, dtype=bool)
         present[deg] = True
@@ -321,25 +295,39 @@ class HarmonicBasis:
         return ks, slot, self._scale[sel], gather, mult
 
     def synthesis(self, coeffs: np.ndarray, columns=None):
-        """n=3: the synthesis matrix of sum_j coeffs_j phi_j over the
-        `columns` (default all), for synthesis_jet.
+        """The synthesis plan of sum_j coeffs_j phi_j over the `columns`
+        (default all), for synthesis_jet: (keep, Mt), a matrix Mt on the rows
+        keep of a table that synthesis_jet takes at the points.
 
-        It maps the (l, m) table of _legendre at band L+1 to the sums over l,
-        per colatitude, against each longitude factor 1, cos m phi, sin m phi
-        (m = 1..L), of the value, the frame gradient (d_theta, m/sin theta)
-        and the packed Hessian (tt, tp, pp = -l(l+1) value - tt).  It is
-        built from _ladder applied to identity tables, a chunk of the table
-        entries at a time, so the derivative formulas are _ladder's.
-        Returns (keep, Mt): the table entries (flat (l, m) positions) some
-        row reads, and the (len(keep), 6 (2L+1)) transposed matrix on them,
-        part-major.  Storage O((L+1) (L+2)^2); nothing is cached."""
-        L, S = self.L, self.L + 2
+        n=2: keep is the selected degrees ks and Mt the (2 len(ks), 3) map
+        from [cos ks t, sin ks t] to the value, the t-derivative and the
+        second t-derivative.  Its coefficient-independent part (_circle_plan)
+        is cached per (basis, columns); Mt folds the coefficients into it.
+
+        n=3: the map from the (l, m) table of _legendre at band L+1 to the
+        sums over l, per colatitude, against each longitude factor 1,
+        cos m phi, sin m phi (m = 1..L), of the value, the frame gradient
+        (d_theta, m/sin theta) and the packed Hessian (tt, tp, pp =
+        -l(l+1) value - tt).  It is built from _ladder applied to identity
+        tables, a chunk of the table entries at a time, so the derivative
+        formulas are _ladder's.  keep is the table entries (flat (l, m)
+        positions) some row reads, and Mt the (len(keep), 6 (2L+1))
+        transposed matrix on them, part-major.  Storage O((L+1) (L+2)^2);
+        nothing is cached."""
+        c = np.asarray(coeffs, dtype=float)
         sel = slice(None) if columns is None else np.asarray(columns)
+        if self.n == 2:
+            key = None if columns is None else (sel.dtype.str, sel.tobytes())
+            if key not in self._circle_plans:
+                self._circle_plans[key] = self._circle_plan(sel)
+            ks, slot, scale, gather, mult = self._circle_plans[key]
+            v = np.bincount(slot, weights=scale * c, minlength=2 * len(ks))
+            return ks, v[gather] * mult
+        L, S = self.L, self.L + 2
         l = self.degrees[sel]
         # C[kind, l, m]: the scaled coefficients of the cos- and sin-type columns
         C = np.zeros((2, L + 1, L + 1))
-        np.add.at(C, (self._col[sel] // (L + 1), l, self._m[sel]),
-                  self._scale[sel] * np.asarray(coeffs, dtype=float))
+        np.add.at(C, (self._col[sel] // (L + 1), l, self._m[sel]), self._scale[sel] * c)
         band = np.arange(L + 1)[:, None, None]
         # the table's nonzero entries, m <= l, as flat (l, m) positions
         tri = np.flatnonzero(np.tri(S, dtype=bool))
@@ -368,19 +356,28 @@ class HarmonicBasis:
         return tri[read], np.ascontiguousarray(M[:, read].T)
 
     def synthesis_jet(self, points: np.ndarray, plan, order: int = 2):
-        """n=3: the expansion of a synthesis plan at unit points, as
-        expand: ((P,), (P, 2), (P, 3)) frame parts, None above `order`, and
+        """The expansion of a synthesis plan at unit points: its frame parts,
+        shapes (P,), (P, n-1) and (P, n(n-1)/2) (value, frame gradient,
+        packed Hessian as in frame_derivs), None above `order`, and at n=3
         the points' (cos phi, sin phi), phi = arctan2(y, x) as in
-        frame_derivs.  One _legendre table at the distinct colatitudes; then,
-        per block of points in colatitude order, one product of the block's
-        table columns with the plan's matrix, a gather to the points and the
-        sums against the longitude factors, cos m phi + i sin m phi the m-th
-        power of cos phi + i sin phi.  The blocks keep each temporary below
-        _SYNTHESIS_BLOCK entries.  Every part is computed at every order, so
-        each is bit-identical across orders."""
+        frame_derivs (None at n=2).  Every part is computed at every order,
+        so each is bit-identical across orders.
+
+        n=2: one product of [cos ks t, sin ks t], t the points' angles, with
+        the plan's matrix.  n=3: one _legendre table at the distinct
+        colatitudes; then, per block of points in colatitude order, one
+        product of the block's table columns with the plan's matrix, a gather
+        to the points and the sums against the longitude factors,
+        cos m phi + i sin m phi the m-th power of cos phi + i sin phi.  The
+        blocks keep each temporary below _SYNTHESIS_BLOCK entries."""
         keep, Mt = plan
         L = self.L
         pts = np.atleast_2d(np.asarray(points, dtype=float))
+        if self.n == 2:
+            kt = np.multiply.outer(np.arctan2(pts[:, 1], pts[:, 0]), keep)
+            out = np.concatenate([np.cos(kt), np.sin(kt)], axis=1) @ Mt
+            return (out[:, 0], out[:, 1:2] if order > 0 else None,
+                    out[:, 2:] if order > 1 else None), None
         x, y, z = pts.T
         ct, first, inv = np.unique(z, return_index=True, return_inverse=True)
         P = _legendre(ct, np.hypot(x[first], y[first]), L + 1).reshape(-1, len(ct))

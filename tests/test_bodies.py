@@ -929,50 +929,6 @@ def test_polar_fallback_takes_its_own_jets():
     assert orders.count(1) == P._PG_STEPS
 
 
-def _planar_frame_terms(U, TH, h, dh, Hh):
-    """PolarBody._frame_terms' formulas at n=2, in the frames
-    tangent_frames(TH): (N, 2, 1) frames and 1x1 frame matrices."""
-    F = tangent_frames(TH)
-    Ft = F.transpose(0, 2, 1)
-    a, b = (Ft @ U[:, :, None])[:, :, 0], (Ft @ dh[:, :, None])[:, :, 0]
-    t, hh = (np.einsum("ij,ij->i", U, TH) / h**2)[:, None], h[:, None]
-    A = -2.0 * a * b / hh**2 - t * (Ft @ Hh @ F)[:, :, 0] + 2.0 * (t / hh) * b * b
-    return F, a / hh - t * b, A[:, :, None]
-
-
-@pytest.mark.parametrize("name", list(_planar_bases(None)))
-def test_planar_newton_matches_frame_kernel(name):
-    # at n=2 Newton runs on the (N,) scalars of _planar_terms; fed the 1x1
-    # frame matrices of _frame_terms instead, the same loop is the frame
-    # algorithm of n=3.  From the same seeds both take the same steps
-    # (identical base-jet rows), leave the same points uncertified for the
-    # fallback, and the polar jets agree (measured <= 1.8e-15 relative on C^2
-    # bases).  The l4 ball is not C^2 on the axes and its D^2h is a difference
-    # of its gradient: there the Hessians differ by ~1e-12 relative, so only h
-    # and the uncertified set are compared
-    g = build_grid(2, 16)
-    base = _CountingBody(_planar_bases(g)[name]())
-    U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(26), 40, 2)])
-    P, frame = polar(base, g), polar(base, g)
-    frame._planar_terms = _planar_frame_terms
-    idx, sign = P._seed_index(U)
-    h, dh, Hh = P._ref_jet
-    jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
-    rows, uncertified = [], []
-    for body in (P, frame):
-        base.calls.clear()
-        _, certified = body._newton(U, _seed(P, U), tuple(a.copy() for a in jet))
-        rows.append([len(X) for _, X in base.calls])
-        uncertified.append(np.flatnonzero(~certified))
-    assert np.array_equal(uncertified[0], uncertified[1])
-    got, ref = P.jet(U, 2), frame.jet(U, 2)
-    smooth = name != "l4_ball"
-    for a, b in list(zip(got, ref))[:3 if smooth else 1]:
-        assert np.abs(a - b).max() <= 1e-14 * np.abs(b).max()
-    if smooth:
-        assert rows[0] == rows[1]
-
-
 def test_polar_runs_one_newton_loop_at_every_dimension(monkeypatch):
     # n=2 and n=3 both run PolarBody._newton, once from the seeds and once
     # more for the fallback pass (the l4 balls, not C^2 on the axes, leave
@@ -993,7 +949,8 @@ def test_polar_runs_one_newton_loop_at_every_dimension(monkeypatch):
 def test_planar_spectral_jet_is_the_frame_formula_bit_for_bit(seed):
     # the n=2 branch of SpectralBody.jet writes E g + f u and
     # E (H + f I) E^t / r with the single tangent e as scalar products: bit
-    # for bit the frame -> ambient formula, sign bits included, at every order
+    # for bit the frame -> ambient formula on the synthesis_jet parts, sign
+    # bits included, at every order
     body = random_even_body(2, seed, band=8, strength=0.3)
     rng = np.random.default_rng(28)
     X = np.vstack([rng.normal(size=(60, 2)) * rng.uniform(0.1, 5.0, size=(60, 1)),
@@ -1001,8 +958,9 @@ def test_planar_spectral_jet_is_the_frame_formula_bit_for_bit(seed):
     r = np.linalg.norm(X, axis=1)
     u = X / r[:, None]
     even = body.basis.parity_columns[0]
+    plan = body.basis.synthesis(body.coeffs[even], even)
     for order in (0, 1, 2):
-        f, g, H = body.basis.expand(u, body.coeffs[even], order, even)
+        f, g, H = body.basis.synthesis_jet(u, plan, order)[0]
         ref = [r * f]
         E = tangent_frames(u)
         if order > 0:
@@ -1015,6 +973,22 @@ def test_planar_spectral_jet_is_the_frame_formula_bit_for_bit(seed):
         for a, b in zip(got, ref):
             assert a.shape == b.shape
             assert np.array_equal(a, b) and np.array_equal(np.signbit(a), np.signbit(b))
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_spectral_body_builds_its_synthesis_plan_once(monkeypatch, n):
+    # the plan is built on the first jet and reused by every later one, of
+    # any order, at both dimensions
+    drawn = random_even_body(n, 0, band=6, strength=0.3)
+    calls = []
+    build = HarmonicBasis.synthesis
+    monkeypatch.setattr(HarmonicBasis, "synthesis",
+                        lambda self, *a: calls.append(self.n) or build(self, *a))
+    body = SpectralBody(n, drawn.coeffs, drawn.basis)
+    X = unit_vectors(np.random.default_rng(29), 20, n)
+    for order in (0, 1, 2, 0):
+        body.jet(X, order)
+    assert calls == [n]
 
 
 def test_random_even_body_builds_its_check_grid_once(monkeypatch):

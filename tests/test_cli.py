@@ -277,6 +277,7 @@ _NOT_STRONGLY_CONVEX = {"type": "perturbed_ball", "eps": 1.5}
 @pytest.mark.parametrize("command,payload", [
     pytest.param("spectrum", {"body": _NOT_STRONGLY_CONVEX}, id="spectrum_body"),
     pytest.param("bochner", {"body": _NOT_STRONGLY_CONVEX}, id="bochner_body"),
+    pytest.param("pinch", {"body": _NOT_STRONGLY_CONVEX}, id="pinch_body"),
     pytest.param("solve", {"target": {"p": 0.5, "body": _NOT_STRONGLY_CONVEX}},
                  id="solve_target_body"),
     pytest.param("isomorphic", {"body": _NOT_STRONGLY_CONVEX, "alpha": 0.5,
@@ -290,11 +291,15 @@ def test_body_not_strongly_convex_exits_2(tmp_path, capsys, command, payload):
     assert "not strongly convex on the grid" in capsys.readouterr().err
 
 
-def test_numerical_failure_exit_1_report_written(tmp_path):
-    # a wildly non-convex body: grid evaluation raises, report still lands
+def test_numerical_failure_exit_1_report_written(tmp_path, monkeypatch):
+    # a numerical routine that raises on valid input: the report still lands
+    def measure_pinching(bg):
+        raise ValueError("non-finite derivative on the grid")
+
+    monkeypatch.setattr(cli, "measure_pinching", measure_pinching)
     cfg = write_config(tmp_path, "c.json", {
         "grid": {"n": 2, "L": 8},
-        "body": {"type": "perturbed_ball", "eps": 5.0},
+        "body": {"type": "ball"},
     })
     out = tmp_path / "out"
     code = run_cli(["pinch", "--config", cfg, "--out", out])

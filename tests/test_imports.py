@@ -28,10 +28,9 @@ from calab.calculus import build_state
 from calab.sphere import build_grid
 cfg = json.load(open({str(ROOT / "configs" / "pinch_ellipsoid.json")!r}))
 v = cli.validate("pinch", cfg, seed=0)
-pinching.optimize_image(bodies.evaluate_on_grid(v["body"], v["grid"]),
-                        iters=v["optimize"]["iters"])
+pinching.optimize_image(v["body"], iters=v["optimize"]["iters"])
 seen["optimize_image"] = scipy_modules()
-bodies.evaluate_on_grid(bodies.polar(v["body"], v["grid"]), v["grid"])
+bodies.evaluate_on_grid(bodies.polar(v["body"].body, v["grid"]), v["grid"])
 g = build_grid(3, 8)
 bodies.evaluate_on_grid(bodies.polar(bodies.perturbed_ball(3, 0.1), g), g)
 seen["polar"] = scipy_modules()

@@ -171,7 +171,7 @@ def test_nelder_mead_matches_scipy_on_rosenbrock(x0, maxiter):
 def test_nelder_mead_matches_scipy_on_the_pinch_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
     v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
-    bg = evaluate_on_grid(v["body"], v["grid"])
+    bg = v["body"]
     objective = _p_strong_objective(bg, _isotropic_centre(bg))
     _assert_matches_scipy_nelder_mead(objective, np.zeros(6), v["optimize"]["iters"],
                                       1e-6, 1e-9)
@@ -184,7 +184,7 @@ def test_optimize_image_reaches_the_ball_of_the_pinch_config():
     path = Path(__file__).resolve().parents[1] / "configs" / "pinch_ellipsoid.json"
     v = cli.validate("pinch", json.loads(path.read_text()), seed=0)
     iters = v["optimize"]["iters"]
-    res = optimize_image(evaluate_on_grid(v["body"], v["grid"]), iters=iters)
+    res = optimize_image(v["body"], iters=iters)
     assert res["iterations"] < iters
     assert abs(res["report"].p_strong - 2.0) < 1e-6
 

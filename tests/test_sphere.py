@@ -554,37 +554,6 @@ def test_column_selection_keeps_each_column(n):
             assert T.flags.c_contiguous
 
 
-@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8)])
-def test_expand_is_the_contracted_tables(n, L):
-    # expand(points, c, order, columns) is c contracted with
-    # frame_derivs(points, order, columns), which expand does not form: to
-    # 1e-14 of each output's max |value| (measured <= 4.6e-16 at n=2 and
-    # <= 4.2e-16 at n=3); on a column subset that mixes parities, at random
-    # points and at the grid nodes, with the derivatives above `order` None
-    basis = HarmonicBasis(n, L)
-    rng = np.random.default_rng(L)
-    pts = rng.normal(size=(40, n))
-    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = np.concatenate([pts, build_grid(n, L).nodes])
-    even, odd = basis.parity_columns
-    cols = np.concatenate([even[::2], odd[1::3]])[::-1]
-    c = rng.normal(size=len(cols))
-    for order in (0, 1, 2):
-        out = basis.expand(pts, c, order, cols)
-        B, G, H = basis.frame_derivs(pts, order, cols)
-        ref = (B @ c, None if G is None else c @ G, None if H is None else c @ H)
-        for k in range(3):
-            if k > order:
-                assert out[k] is None and ref[k] is None
-            else:
-                assert out[k].shape == ref[k].shape
-                assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
-    # columns=None expands the whole basis
-    c = rng.normal(size=basis.size)
-    ref = basis.frame_derivs(pts, 2)[0] @ c
-    assert np.abs(basis.expand(pts, c, 0)[0] - ref).max() <= 1e-14 * np.abs(ref).max()
-
-
 def _tables_expansion(basis, pts, c, order, cols):
     B, G, H = basis.frame_derivs(pts, order, cols)
     return (B @ c, None if G is None else c @ G, None if H is None else c @ H)
@@ -600,24 +569,27 @@ def _assert_close_parts(out, ref, order):
             assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
 
 
-@pytest.mark.parametrize("L", [8, 24])
-def test_synthesis_matches_the_tables(L):
-    # synthesis_jet of the synthesis matrix against the frame_derivs tables
-    # contracted with the coefficients, at random points and at grid nodes,
-    # on every column and on a subset that mixes parities and kinds; each
-    # part bit-identical across orders
-    basis = HarmonicBasis(3, L)
-    rng = np.random.default_rng(L + 1)
-    pts = rng.normal(size=(60, 3))
+@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8), (3, 24)])
+def test_synthesis_matches_the_tables(n, L):
+    # synthesis_jet of the synthesis plan is the coefficients contracted with
+    # the frame_derivs tables, which it does not form: to 1e-14 of each
+    # part's max |value| (measured <= 4.6e-16 at n=2 and <= 4.2e-16 at n=3),
+    # at random points and at the grid nodes, on every column and on a
+    # reversed subset that mixes parities and kinds; each part bit-identical
+    # across orders, and the longitudes (cos phi, sin phi) returned at n=3 only
+    basis = HarmonicBasis(n, L)
+    rng = np.random.default_rng(L + n)
+    pts = rng.normal(size=(60, n))
     pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-    pts = np.concatenate([pts, build_grid(3, L).pair_nodes])
+    pts = np.concatenate([pts, build_grid(n, L).nodes])
     even, odd = basis.parity_columns
-    for cols in (None, np.concatenate([odd[::3], even[1::2]])):
+    for cols in (None, np.concatenate([even[::2], odd[1::3]])[::-1]):
         c = rng.normal(size=basis.size if cols is None else len(cols))
         plan = basis.synthesis(c, cols)
         full = basis.synthesis_jet(pts, plan, 2)[0]
         for order in (0, 1, 2):
-            out = basis.synthesis_jet(pts, plan, order)[0]
+            out, lon = basis.synthesis_jet(pts, plan, order)
+            assert (lon is None) == (n == 2)
             _assert_close_parts(out, _tables_expansion(basis, pts, c, order, cols), order)
             for a, b in zip(out[:order + 1], full):
                 assert np.array_equal(a, b)
