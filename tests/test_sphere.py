@@ -569,10 +569,11 @@ def _assert_close_parts(out, ref, order):
             assert np.abs(out[k] - ref[k]).max() <= 1e-14 * np.abs(ref[k]).max()
 
 
-@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8), (3, 24)])
-def test_synthesis_matches_the_tables(n, L):
-    # synthesis_jet of the synthesis plan is the coefficients contracted with
-    # the frame_derivs tables, which it does not form: to 1e-14 of each
+@pytest.mark.parametrize("n,L", [(2, 16), (2, 62), (3, 8)])
+def test_expand_is_the_contracted_tables(n, L):
+    # expanding coefficients through synthesis and synthesis_jet, as
+    # SpectralBody does at both n, is the coefficients contracted with the
+    # frame_derivs tables, which the plan does not form: to 1e-14 of each
     # part's max |value| (measured <= 4.6e-16 at n=2 and <= 4.2e-16 at n=3),
     # at random points and at the grid nodes, on every column and on a
     # reversed subset that mixes parities and kinds; each part bit-identical
@@ -590,6 +591,29 @@ def test_synthesis_matches_the_tables(n, L):
         for order in (0, 1, 2):
             out, lon = basis.synthesis_jet(pts, plan, order)
             assert (lon is None) == (n == 2)
+            _assert_close_parts(out, _tables_expansion(basis, pts, c, order, cols), order)
+            for a, b in zip(out[:order + 1], full):
+                assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("L", [8, 24])
+def test_synthesis_matches_the_tables(L):
+    # synthesis_jet of the synthesis matrix against the frame_derivs tables
+    # contracted with the coefficients, at random points and at grid nodes,
+    # on every column and on a subset that mixes parities and kinds; each
+    # part bit-identical across orders
+    basis = HarmonicBasis(3, L)
+    rng = np.random.default_rng(L + 1)
+    pts = rng.normal(size=(60, 3))
+    pts /= np.linalg.norm(pts, axis=1, keepdims=True)
+    pts = np.concatenate([pts, build_grid(3, L).pair_nodes])
+    even, odd = basis.parity_columns
+    for cols in (None, np.concatenate([odd[::3], even[1::2]])):
+        c = rng.normal(size=basis.size if cols is None else len(cols))
+        plan = basis.synthesis(c, cols)
+        full = basis.synthesis_jet(pts, plan, 2)[0]
+        for order in (0, 1, 2):
+            out = basis.synthesis_jet(pts, plan, order)[0]
             _assert_close_parts(out, _tables_expansion(basis, pts, c, order, cols), order)
             for a, b in zip(out[:order + 1], full):
                 assert np.array_equal(a, b)
