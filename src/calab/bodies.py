@@ -68,6 +68,22 @@ class BodyEvaluator:
         return None
 
 
+def _grid_jet(body: BodyEvaluator, nodes: np.ndarray) -> tuple:
+    """body.jet(nodes, 2) at a grid's node set, read-only and kept on the
+    body for the last set asked, which is known by its contents: grids built
+    apart with equal nodes share it.  evaluate_on_grid (random_even_body's
+    check among its callers) and PolarBody's reference jet read the body's
+    jet at the pair nodes through it, so a body's is computed once."""
+    key = (nodes.shape, nodes.tobytes())
+    kept = getattr(body, "_kept_grid_jet", None)
+    if kept is None or kept[0] != key:
+        jet = body.jet(nodes, 2)
+        for a in jet:
+            a.setflags(write=False)
+        kept = body._kept_grid_jet = (key, jet)
+    return kept[1]
+
+
 def _symmetric_tangential(H, U):
     """Symmetrized H projected on the tangent spaces at the unit points U
     (the Hessian of a 1-homogeneous function annihilates the position)."""
@@ -394,14 +410,16 @@ class PolarBody(BodyEvaluator):
     one row of each orbit (the first under +-I, |u| under the flips) and
     unfolds with the per-row signs D as h[inverse], D grad h[inverse] and
     D D^2h[inverse] D.  A point of zero or non-finite norm raises ValueError.
-    Grid work is done once: construction takes one second-order base jet at
-    the reference grid's orbit representatives and unfolds it to the pair
-    nodes, with adj(DQD) = D adj(Q) D below (a base not positive and finite
-    there raises ValueError naming the pair node).  Rows bit for bit the
-    grid's nodes or pair nodes take its cached fold (SphereGrid.sign_fold)
-    and one maximizer, solved at the representatives on the first such query
-    and kept (_grid_solution, read by certificate); other rows are folded and
-    solved per query.  The Hessian and the unfold are formed per query.
+    Grid work is done once: construction takes the base's grid jet
+    (_grid_jet) at the reference grid's orbit representatives, under +-I the
+    pair nodes themselves, so the jet evaluate_on_grid reads there, and
+    unfolds it to the pair nodes, with adj(DQD) = D adj(Q) D below (a base
+    not positive and finite there raises ValueError naming the pair node).
+    Rows bit for bit the grid's nodes or pair nodes take its cached fold
+    (SphereGrid.sign_fold) and one maximizer, solved at the representatives
+    on the first such query and kept (_grid_solution, read by certificate);
+    other rows are folded and solved per query.  The Hessian and the unfold
+    are formed per query.
 
     Seed: each point starts at the vertex theta/h(theta) of the discrete
     polar polytope of largest psi, theta = +-pair node, or better at the
@@ -444,7 +462,7 @@ class PolarBody(BodyEvaluator):
         first, inverse, D = grid.sign_fold(self.sign_symmetric)
         inverse, D = inverse[:len(grid.pair_nodes)], D[:len(grid.pair_nodes)]
         self._reps = D[first] * grid.nodes[first]
-        jet = base.jet(self._reps, 2)
+        jet = _grid_jet(base, self._reps)
         h = jet[0][inverse]
         bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
         if bad.size:
@@ -801,8 +819,9 @@ def perturbed_ball(n: int, eps: float, coeffs=None) -> BodyEvaluator:
 
 @functools.cache
 def _check_grid(n: int, L: int) -> SphereGrid:
-    """random_even_body's rejection grid, built once per (n, L) and handed to
-    no other caller."""
+    """random_even_body's rejection grid, built once per (n, L).  Its nodes
+    are bit for bit build_grid(n, L)'s, so the accepted body's grid jet
+    (_grid_jet) serves its evaluation on any such grid."""
     return build_grid(n, L)
 
 
@@ -897,10 +916,11 @@ class BodyOnGrid:
 
 
 def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
-    """Sample a body at the grid's pair nodes and derive its geometry."""
+    """Sample a body at the grid's pair nodes and derive its geometry; h and
+    x are the read-only arrays of the body's grid jet (_grid_jet)."""
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
-    h, x, H = body.jet(grid.pair_nodes, 2)
+    h, x, H = _grid_jet(body, grid.pair_nodes)
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("support function must be positive and finite on the grid")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):

@@ -8,14 +8,16 @@ pair nodes, in the grid's chunks of whole rings (SphereGrid.row_chunks).  A
 body that states sign_symmetric splits further, into one block per parity
 and sign sector, each summed over the flip-orbit representatives alone.
 The generalized eigenproblem is dense symmetric definite, solved per block
-by a Cholesky reduction to a standard one (numpy only), and the blocks'
-spectra are merged; compute_spectrum is that whole chain on a body sampled
-on its grid.  The integrated Bochner identity of a field is checked on the
-same rows.
+by a Cholesky reduction to a standard one (numpy only), for its eigenvalues
+alone, and the blocks' spectra are merged; a report forms the eigenvectors
+of its selected pairs when they are first read.  compute_spectrum is that
+whole chain on a body sampled on its grid.  The integrated Bochner identity
+of a field is checked on the same rows.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -79,13 +81,45 @@ class GalerkinSystem:
 
 @dataclass(frozen=True)
 class SpectrumReport:
+    """The spectrum solve_spectrum took: the eigenvalues, solved with the
+    report, and the eigenvectors and their residuals, formed from the
+    system's blocks on first read (one Cholesky reduction and eigh per block
+    that holds a selected pair) and kept."""
+
     eigenvalues: np.ndarray
     multiplicities: list[tuple[float, int]]   # (cluster value, count)
     lambda1: float | None
     lambda1_even: float | None
-    eigenvectors: np.ndarray                  # columns, basis coefficients
-    residuals: np.ndarray
     subspace: str
+    _system: GalerkinSystem = field(repr=False, compare=False)
+    # per block that holds a selected pair: (block, the pairs' positions in
+    # eigenvalues, their indices in the block's ascending spectrum)
+    _selected: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def eigenvectors(self) -> np.ndarray:
+        """Columns, basis coefficients: the mass-orthonormal eigenvector of
+        each eigenvalue (_block_eigenvectors), zero off its block."""
+        system = self._system
+        vecs = np.zeros((system.basis.size, len(self.eigenvalues)))
+        for block, cols, index in self._selected:
+            vecs[np.ix_(system.blocks[block], cols)] = _block_eigenvectors(
+                system, block, index)
+        return vecs
+
+    @functools.cached_property
+    def residuals(self) -> np.ndarray:
+        """|S v - lambda M v| / |M v| for each eigenvalue lambda and its
+        eigenvector v, on v's block."""
+        system, vecs = self._system, self.eigenvectors
+        out = np.zeros(len(self.eigenvalues))
+        for block, cols, _ in self._selected:
+            v = vecs[np.ix_(system.blocks[block], cols)]
+            Mv = system.mass[block] @ v
+            r = np.linalg.norm(system.stiffness[block] @ v - Mv * self.eigenvalues[cols],
+                               axis=0)
+            out[cols] = r / np.maximum(np.linalg.norm(Mv, axis=0), 1e-300)
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -264,20 +298,17 @@ def _reduce_pencil(A: np.ndarray, B: np.ndarray):
     return Li, Li @ A @ Li.T
 
 
-def _block_eigh(system: GalerkinSystem, block: int, first: int, last: int):
-    """Every eigenvalue (ascending) of the block's pencil (stiffness, mass),
-    and the eigenvectors first..last in full basis coordinates with their
-    relative residuals |S v - lambda M v| / |M v| on the block."""
-    S, M = system.stiffness[block], system.mass[block]
-    Li, C = _reduce_pencil(S, M)
-    eigs, y = np.linalg.eigh(C)
-    v = Li.T @ y[:, first:last + 1]
-    Mv = M @ v
-    resid = np.linalg.norm(S @ v - Mv * eigs[first:last + 1], axis=0)
-    resid /= np.maximum(np.linalg.norm(Mv, axis=0), 1e-300)
-    vecs = np.zeros((system.basis.size, v.shape[1]))
-    vecs[system.blocks[block]] = v
-    return eigs, vecs, resid
+def _block_eigvalsh(system: GalerkinSystem, block: int) -> np.ndarray:
+    """Every eigenvalue (ascending) of the block's pencil (stiffness, mass)."""
+    _, C = _reduce_pencil(system.stiffness[block], system.mass[block])
+    return np.linalg.eigvalsh(C)
+
+
+def _block_eigenvectors(system: GalerkinSystem, block: int, index) -> np.ndarray:
+    """The eigenvectors of the block's pencil at the given indices of its
+    ascending spectrum, in the block's coordinates, mass-orthonormal."""
+    Li, C = _reduce_pencil(system.stiffness[block], system.mass[block])
+    return Li.T @ np.linalg.eigh(C)[1][:, index]
 
 
 def _even_nonconstant(system: GalerkinSystem):
@@ -287,36 +318,40 @@ def _even_nonconstant(system: GalerkinSystem):
             if parity > 0 and len(system.blocks[block]) > (block == 0)]
 
 
-def _merged_eigh(system: GalerkinSystem, blocks, k: int):
-    """The k smallest eigenpairs over the given blocks, each a (block,
-    first) pair solved from its eigenpair `first` on (_block_eigh), merged in
-    ascending order (stably, so by block on ties), and every block's
-    eigenvalues."""
-    eigs, vecs, resid, every = [], [], [], []
-    for block, first in blocks:
-        count = min(k, len(system.blocks[block]) - first)
-        e, v, r = _block_eigh(system, block, first, first + count - 1)
+def _merged_eigvalsh(system: GalerkinSystem, blocks, k: int):
+    """The k smallest eigenvalues over the given blocks, each a (block,
+    first) pair whose spectrum counts from its eigenvalue `first` on, merged
+    in ascending order (stably, so by block on ties); the pairs they select,
+    as SpectrumReport._selected; and every block's eigenvalues."""
+    every = [_block_eigvalsh(system, block) for block, _ in blocks]
+    eigs, owner, index = [], [], []
+    for (block, first), e in zip(blocks, every):
+        count = min(k, len(e) - first)
         eigs.append(e[first:first + count])
-        vecs.append(v)
-        resid.append(r)
-        every.append(e)
-    eigs = np.concatenate(eigs)
-    order = np.argsort(eigs, kind="stable")[:k]
-    return (eigs[order], np.concatenate(vecs, axis=1)[:, order],
-            np.concatenate(resid)[order], every)
+        owner.append(np.full(count, block))
+        index.append(np.arange(first, first + count))
+    order = np.argsort(np.concatenate(eigs), kind="stable")[:k]
+    owner, index = np.concatenate(owner)[order], np.concatenate(index)[order]
+    selected = []
+    for block, _ in blocks:
+        cols = np.flatnonzero(owner == block)
+        if cols.size:
+            selected.append((block, cols, index[cols]))
+    return np.concatenate(eigs)[order], tuple(selected), every
 
 
 def solve_spectrum(system: GalerkinSystem, k: int | None = None,
                    subspace: str = "all") -> SpectrumReport:
-    """k smallest generalized eigenpairs of (stiffness, mass).
+    """k smallest generalized eigenvalues of (stiffness, mass), and their
+    eigenvectors on first read (SpectrumReport).
 
-    subspace 'all' solves each diagonal block for its k smallest pairs and
-    merges them; 'even-nonconstant' solves the even blocks alike, and drops
-    the constant, whose eigenvalue is an exact 0 (the stiffness annihilates
-    it, and the other eigenvectors are mass-orthogonal to it), from block 0.
-    lambda1_even is the least even eigenvalue after that 0, over every even
-    block: one parity block, or the even sign sectors of a sign_symmetric
-    body, which the merge makes one spectrum.
+    subspace 'all' solves each diagonal block for its eigenvalues only and
+    merges the k smallest; 'even-nonconstant' solves the even blocks alike,
+    and drops the constant, whose eigenvalue is an exact 0 (the stiffness
+    annihilates it, and the other eigenvectors are mass-orthogonal to it),
+    from block 0.  lambda1_even is the least even eigenvalue after that 0,
+    over every even block: one parity block, or the even sign sectors of a
+    sign_symmetric body, which the merge makes one spectrum.
     """
     nb = system.basis.size
     if k is None:
@@ -327,14 +362,14 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
     even = _even_nonconstant(system)
     lambda1_even = None
     if subspace == "all":
-        eigs, vecs, resid, every = _merged_eigh(
+        eigs, selected, every = _merged_eigvalsh(
             system, [(block, 0) for block in range(len(system.blocks))], k)
         if even:
             lambda1_even = float(min(every[block][first] for block, first in even))
     elif subspace == "even-nonconstant":
-        eigs, vecs, resid = np.zeros(0), np.zeros((nb, 0)), np.zeros(0)
+        eigs, selected = np.zeros(0), ()
         if even:
-            eigs, vecs, resid, _ = _merged_eigh(system, even, k)
+            eigs, selected, _ = _merged_eigvalsh(system, even, k)
             lambda1_even = float(eigs[0])
     else:
         raise ValueError(f"unknown subspace {subspace!r}")
@@ -348,9 +383,9 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
         multiplicities=_cluster(eigs),
         lambda1=lambda1,
         lambda1_even=lambda1_even,
-        eigenvectors=vecs,
-        residuals=resid,
         subspace=subspace,
+        _system=system,
+        _selected=selected,
     )
 
 

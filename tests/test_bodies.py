@@ -1007,6 +1007,73 @@ def test_random_even_body_builds_its_check_grid_once(monkeypatch):
     assert all(np.array_equal(a, b) for a, b in zip(first, again))
 
 
+@pytest.mark.parametrize("seed", [0, 7, 42])
+def test_a_sweep_row_takes_one_pair_node_jet_of_its_body(seed, monkeypatch):
+    # a sweep row's body is checked on random_even_body's own grid, then
+    # sampled, and its polar built and sampled on the row's grid: the body's
+    # second-order jet at the pair nodes, whose bytes the three share, is
+    # taken once (the drawn bodies rejected before it are not counted)
+    grid = build_grid(2, 16)
+    calls = []
+    jet = SpectralBody.jet
+
+    def spy(self, X, order=2):
+        X = np.asarray(X, dtype=float)
+        if (order == 2 and X.shape == grid.pair_nodes.shape
+                and X.tobytes() == grid.pair_nodes.tobytes()):
+            calls.append(self)
+        return jet(self, X, order)
+
+    monkeypatch.setattr(SpectralBody, "jet", spy)
+    body = random_even_body(2, seed, band=8)
+    evaluate_on_grid(body, grid)
+    evaluate_on_grid(polar(body, grid), grid)
+    assert sum(b is body for b in calls) == 1
+
+
+def test_the_shared_grid_jet_is_read_only():
+    body, grid = random_even_body(2, 3, band=8), build_grid(2, 16)
+    bg = evaluate_on_grid(body, grid)
+    # a grid built apart with the same nodes reads the same arrays
+    again = evaluate_on_grid(body, build_grid(2, 16))
+    assert again.h is bg.h and again.x is bg.x
+    for a in (bg.h, bg.x):
+        with pytest.raises(ValueError, match="read-only"):
+            a[0] = 1.0
+    # another node set takes its own jet
+    other = evaluate_on_grid(body, build_grid(2, 16, n_nodes=96))
+    assert other.h is not bg.h and len(other.h) == 48
+
+
+def test_threads_sampling_one_body_on_two_grids_read_their_own_jets():
+    # more threads than cores sample one body on two grids at once, each
+    # replacing the body's kept jet, switching every microsecond: each reads
+    # its own grid's jet, bit for bit a serial run's
+    body = perturbed_ball(3, 0.1)
+    grids = [build_grid(3, 8), build_grid(3, 12)] * 4
+    ref = [body.jet(g.pair_nodes, 2) for g in grids]
+    got = [None] * len(grids)
+
+    def run(i):
+        for _ in range(20):
+            bg = evaluate_on_grid(body, grids[i])
+            got[i] = (bg.h, bg.x)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=run, args=(i,)) for i in range(len(grids))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    for (h, x), (rh, rx, _) in zip(got, ref):
+        assert np.array_equal(h, rh) and np.array_equal(x, rx)
+
+
 def test_bipolar_roundtrip():
     g = build_grid(3, 24)
     body = perturbed_ball(3, 0.12)

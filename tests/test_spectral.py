@@ -190,9 +190,9 @@ def test_one_eigensolve_per_block(monkeypatch):
     _, sys_ = system_for(_rotated_ellipsoid(), 3, 8)
     full = solve_spectrum(sys_)
     calls = []
-    block_eigh = spectral._block_eigh
-    monkeypatch.setattr(spectral, "_block_eigh",
-                        lambda *a: calls.append(a) or block_eigh(*a))
+    block_eigvalsh = spectral._block_eigvalsh
+    monkeypatch.setattr(spectral, "_block_eigvalsh",
+                        lambda *a: calls.append(a) or block_eigvalsh(*a))
     rep = solve_spectrum(sys_, k=1)
     assert len(calls) == len(sys_.blocks)
     assert rep.lambda1_even == full.lambda1_even
@@ -510,11 +510,31 @@ def test_lambda1_is_dimension_minus_one():
     (perturbed_ball(3, 0.1), 3, None, False),              # whole parity blocks
     (ellipsoid(np.diag([2.0, 1.0, 1.0])), 3, None, True),  # sign-sector blocks
 ], ids=["random_n2_band8", "perturbed_n3", "ellipsoid_n3"])
-def test_compute_spectrum_is_the_written_out_chain(body, n, band, fold, subspace):
+def test_compute_spectrum_is_the_written_out_chain(body, n, band, fold, subspace,
+                                                  monkeypatch):
     g = build_grid(n, 16)
+    eighs = []
+    eigh = np.linalg.eigh
+    monkeypatch.setattr(np.linalg, "eigh", lambda a: eighs.append(len(a)) or eigh(a))
     rep, system = compute_spectrum(evaluate_on_grid(body, g), band, k=6,
                                    subspace=subspace)
     assert system.fold is fold
+    # the solve and its eigenvalues take no eigh; the residuals take one per
+    # block that holds a selected pair, on first read only
+    assert rep.lambda1 > 0 and rep.lambda1_even > 0 and len(rep.eigenvalues) == 6
+    assert eighs == []
+    assert rep.residuals.max() <= 1e-10 and rep.residuals is rep.residuals
+    selected = {b for b, cols in enumerate(system.blocks)
+                if np.any(rep.eigenvectors[cols])}
+    assert sorted(eighs) == sorted(len(system.blocks[b]) for b in selected)
+    # against a full eigh (scipy's, vectors too) of each block's pencil
+    keep = [(b, 0) for b in range(len(system.blocks))] if subspace == "all" else [
+        (b, int(b == 0)) for b, p in enumerate(system.parities) if p > 0]
+    full = np.sort(np.concatenate([
+        scipy.linalg.eigh(system.stiffness[b], system.mass[b])[0][first:]
+        for b, first in keep]))[:6]
+    assert np.all(np.abs(rep.eigenvalues - full)
+                  <= 1e-12 * np.maximum(np.abs(full), 1.0))
     ref_system = assemble(build_state(evaluate_on_grid(body, g)),
                           GalerkinBasis(g, 16 if band is None else band))
     ref = solve_spectrum(ref_system, k=6, subspace=subspace)
