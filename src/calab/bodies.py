@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, frame_det,
-                          frame_eigvalsh, frame_solve, sign_fold)
+from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, circle_synthesis,
+                          frame_det, frame_eigvalsh, frame_solve, sign_fold)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -62,6 +62,14 @@ class BodyEvaluator:
 
     def support(self, X) -> np.ndarray:
         return self.jet(X, 0)[0]
+
+    def circle_jet(self, t) -> tuple:
+        """n=2: (h, h', h'') of h(cos t, sin t) in the angles t, read from
+        jet(): h' = <e, grad h> and h + h'' = e^t D^2h e, e = (-sin t, cos t)."""
+        X = np.stack([np.cos(t), np.sin(t)], axis=1)
+        h, dh, Hh = self.jet(X, 2)
+        e = _turn(X)
+        return h, np.einsum("ij,ij->i", e, dh), np.einsum("ij,ijk,ik->i", e, Hh, e) - h
 
     def gauge_body(self) -> "BodyEvaluator | None":
         """Closed-form evaluator for the Minkowski gauge ||.||_K, if known."""
@@ -111,18 +119,15 @@ _TURN = np.array([-1.0, 1.0])
 
 def _osculating_adjugate(h, dh, Hh):
     """adj Q for Q = grad h grad h^t + h D^2h = Hess(h^2)/2 at each row, NaN
-    where Q is not positive-definite by Sylvester's minors (n = 2, 3).
+    where Q is not positive-definite by Sylvester's minors (n = 3).
     sqrt(x^t Q x) is the ellipsoid that matches h, grad h and D^2h there, so
     adj Q u points to its polar's maximizer at u."""
     Q = _outer(dh, dh) + h[:, None, None] * Hh
     a, b, d = Q[:, 0, 0], Q[:, 1, 0], Q[:, 1, 1]
-    if Q.shape[1] == 2:
-        adj = np.stack([np.stack([d, -b], axis=1), np.stack([-b, a], axis=1)], axis=1)
-    else:
-        # row i of adj Q is c_{i+1} x c_{i+2} for Q's columns c (indices mod 3)
-        r, s = [1, 2, 0], [2, 0, 1]
-        Qr, Qs = Q[:, r], Q[:, s]
-        adj = (Qr[:, :, r] * Qs[:, :, s] - Qs[:, :, r] * Qr[:, :, s]).transpose(0, 2, 1)
+    # row i of adj Q is c_{i+1} x c_{i+2} for Q's columns c (indices mod 3)
+    r, s = [1, 2, 0], [2, 0, 1]
+    Qr, Qs = Q[:, r], Q[:, s]
+    adj = (Qr[:, :, r] * Qs[:, :, s] - Qs[:, :, r] * Qr[:, :, s]).transpose(0, 2, 1)
     pd = (a > 0) & (a * d - b * b > 0) & (np.einsum("ij,ij->i", Q[:, :, 0], adj[:, 0]) > 0)
     adj[~pd] = np.nan
     return adj
@@ -225,11 +230,7 @@ class SpectralBody(BodyEvaluator):
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
-        if self._plan is None:
-            # the odd coefficients are zero, so only the even columns are expanded
-            even = self.basis.parity_columns[0]
-            self._plan = self.basis.synthesis(self.coeffs[even], even)
-        (f, g, H), lon = self.basis.synthesis_jet(u, self._plan, order)
+        (f, g, H), lon = self.basis.synthesis_jet(u, self._synthesis_plan(), order)
         h = r * f
         if order == 0:
             return (h,)
@@ -255,6 +256,17 @@ class SpectralBody(BodyEvaluator):
         R = R[:, :, None, None]
         return h, grad, (R[:, 0] * _outer(e_t, e_t) + R[:, 1] * cross
                          + R[:, 2] * _outer(e_p, e_p))
+
+    def circle_jet(self, t):
+        """n=2: the plan's expansion at the angles t, no ambient jet formed."""
+        return tuple(circle_synthesis(np.asarray(t, dtype=float), self._synthesis_plan()).T)
+
+    def _synthesis_plan(self):
+        if self._plan is None:
+            # the odd coefficients are zero, so only the even columns are expanded
+            even = self.basis.parity_columns[0]
+            self._plan = self.basis.synthesis(self.coeffs[even], even)
+        return self._plan
 
 
 class LinearImageBody(BodyEvaluator):
@@ -404,34 +416,38 @@ class LqNormBody(BodyEvaluator):
 class PolarBody(BodyEvaluator):
     """Numeric polar: h_{K deg}(u) = max over unit theta of psi = <u, theta>/h(theta).
 
-    The polar has its base's symmetries: it is origin-symmetric, and
-    sign-symmetric when the base is.  jet() folds the query rows over that
-    sign group (sphere.sign_fold: +-I, or every coordinate flip), solves at
-    one row of each orbit (the first under +-I, |u| under the flips) and
+    The polar has its base's symmetries (origin, and every coordinate flip
+    when the base is sign-symmetric).  jet() folds the query rows over that
+    sign group (sphere.sign_fold), solves at one row of each orbit and
     unfolds with the per-row signs D as h[inverse], D grad h[inverse] and
-    D D^2h[inverse] D.  A point of zero or non-finite norm raises ValueError.
-    Grid work is done once: construction takes the base's grid jet
-    (_grid_jet) at the reference grid's orbit representatives, under +-I the
-    pair nodes themselves, so the jet evaluate_on_grid reads there, and
-    unfolds it to the pair nodes, with adj(DQD) = D adj(Q) D below (a base
-    not positive and finite there raises ValueError naming the pair node).
-    Rows bit for bit the grid's nodes or pair nodes take its cached fold
-    (SphereGrid.sign_fold) and one maximizer, solved at the representatives
-    on the first such query and kept (_grid_solution, read by certificate);
-    other rows are folded and solved per query.  The Hessian and the unfold
-    are formed per query.
+    D D^2h[inverse] D; a point of zero or non-finite norm raises ValueError.
+    Construction takes the base's grid jet (_grid_jet) at the grid's orbit
+    representatives R (under +-I the pair nodes) and raises ValueError
+    naming a pair node where the base is not positive and finite.  Grid rows
+    (bit for bit the nodes or pair nodes) take the grid's cached fold and
+    one maximizer, solved on the first such query and kept (_grid_solution).
 
-    Seed: each point starts at the vertex theta/h(theta) of the discrete
-    polar polytope of largest psi, theta = +-pair node, or better at the
-    maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid
-    sqrt(x^t Q x), Q = grad h grad h^t + h D^2h (exact where h^2 is a
-    quadratic form: ellipsoids, their linear images, their p=2 Firey sums
-    with a ball, polars of these).  Guarded Newton on the sphere (_newton)
-    runs in the tangent frames F at theta until |F^T grad psi| <= 1e-13 psi
-    with F^T Hess(psi) F negative-definite, which proves the maximum global
-    when h is convex (on the slice <u, theta> = 1, psi = 1/h), or for
+    Polytope seed (_seed_index): the vertex theta/h(theta) of largest psi
+    over the grid's +-pair nodes, searched among R's vertices and unfolded
+    per row as D R.  At n=3 Newton (_newton, in the tangent frames F) starts
+    there or, better, at the maximizer Q^-1 u / |Q^-1 u| of the seed's
+    osculating ellipsoid, Q = grad h grad h^t + h D^2h (_frame_start).
+
+    At n=2 Newton (_circle_newton) runs on the angle: psi(t) = cos(t - a)/h(t)
+    for u = (cos a, sin a), with (h, h', h'') from base.circle_jet.  The
+    maximizer is beta^-1(a) for the boundary-angle map
+    beta(t) = t + atan2(h', h), whose derivative h R/(h^2 + h'^2),
+    R = h + h'', is positive on a strongly convex base.  Where R > 0 at
+    every pair node, Newton starts at the cubic Hermite interpolant of
+    beta^-1 at the nodes (_boundary_start), with no seed search; otherwise
+    at the polytope seed or its osculating ellipse's maximizer
+    (_circle_start).
+
+    A point is certified when |psi'| <= 1e-13 psi and psi'' < 0 (frame
+    gradient and negative-definite frame Hessian at n=3), which proves the
+    maximum global when h is convex; Newton stops there or after
     _NEWTON_CAP steps.  Points left uncertified (bases not C^2, such as the
-    l_q balls) are solved again from the seed with _PG_STEPS
+    l_q balls) are solved again from the polytope seed with _PG_STEPS
     projected-gradient steps before Newton, and keep the larger psi.
 
     The gradient theta/h(theta) at the maximizer is envelope-exact; the
@@ -456,34 +472,58 @@ class PolarBody(BodyEvaluator):
         self.base = base
         self.sign_symmetric = base.sign_symmetric
         self._grid, self._solution = grid, None   # see _grid_solution
-        self._ref_nodes = grid.pair_nodes
-        # the base jet at the grid's orbit representatives R, unfolded to the
-        # pair nodes: h, D grad h and D D^2h D, and adj(DQD) = D adj(Q) D
-        first, inverse, D = grid.sign_fold(self.sign_symmetric)
+        # the seeds' sign group
+        self._flips = base.sign_symmetric
+        first, inverse, D = grid.sign_fold(self._flips)
         inverse, D = inverse[:len(grid.pair_nodes)], D[:len(grid.pair_nodes)]
         self._reps = D[first] * grid.nodes[first]
         jet = _grid_jet(base, self._reps)
-        h = jet[0][inverse]
-        bad = np.flatnonzero(~(np.isfinite(h) & (h > 0)))
+        h = jet[0]
+        bad = np.flatnonzero(~(np.isfinite(h) & (h > 0))[inverse])
         if bad.size:
             raise ValueError(f"support function must be positive and finite on the "
                              f"grid: pair node {bad[0]} {grid.pair_nodes[bad[0]]} "
-                             f"reads {h[bad[0]]}")
-        DD, adj = D[:, :, None] * D[:, None, :], _osculating_adjugate(*jet)
-        self._ref_jet = (h, D * jet[1][inverse], DD * jet[2][inverse])
-        self._vertices_t = np.ascontiguousarray((grid.pair_nodes / h[:, None]).T)
-        self._ref_adj = DD * adj[inverse]
+                             f"reads {h[inverse[bad[0]]]}")
+        self._vertices_t = np.ascontiguousarray((self._reps / h[:, None]).T)
+        if self.n == 3:
+            self._ref_jet, self._ref_adj = jet, _osculating_adjugate(*jet)
+            return
+        # the circle jet at R, unfolded to the pair nodes' angles mod pi
+        # (h' is odd under a flip)
+        e = _turn(self._reps)
+        d1 = np.einsum("ij,ij->i", e, jet[1])
+        R = np.einsum("ij,ijk,ik->i", e, jet[2], e)
+        self._ref_jet, self._inverse_map = (h, d1, R - h), None
+        if not (R > 0).all():
+            return
+        t = np.arctan2(grid.pair_nodes[:, 1], grid.pair_nodes[:, 0]) % np.pi
+        h, d1, R = h[inverse], D[:, 0] * D[:, 1] * d1[inverse], R[inverse]
+        order = np.argsort(t)
+        t, h, d1, R = t[order], h[order], d1[order], R[order]
+        beta = t + np.arctan2(d1, h)
+        m = (h * h + d1 * d1) / (h * R)
+        # one period of beta(t + pi) = beta(t) + pi
+        beta, t, m = (np.concatenate([x, x[:1] + p])
+                      for x, p in ((beta, np.pi), (t, np.pi), (m, 0.0)))
+        if np.isfinite(m).all() and (beta[1:] > beta[:-1]).all():
+            self._inverse_map = (beta, t, m)
 
     def _seed_index(self, U):
-        """(index, sign) of the vertex v of largest psi = sign * <U, v> for
-        each unit U: the argmax of |<U, v>|, one block of rows at a time."""
+        """(index, D) of the polytope seed D R of each unit U: the vertex
+        r = R/h(R) of largest |<V, r>|, one block of rows at a time, with
+        V = U and D = sign <U, r> under +-I; under the flips r >= 0, V = |U|
+        and D = sign(U), since <U, D r> = <|U|, r> is r's orbit's best."""
+        V = np.abs(U) if self._flips else U
         idx = np.empty(len(U), dtype=np.intp)
         buf = np.empty((min(self._SEED_BLOCK, len(U)), self._vertices_t.shape[1]))
         for i in range(0, len(U), self._SEED_BLOCK):
-            block = U[i:i + self._SEED_BLOCK]
+            block = V[i:i + self._SEED_BLOCK]
             dots = np.matmul(block, self._vertices_t, out=buf[:len(block)])
             np.abs(dots, out=dots).argmax(axis=1, out=idx[i:i + len(block)])
-        return idx, np.copysign(1.0, np.einsum("ij,ji->i", U, self._vertices_t[:, idx]))
+        if self._flips:
+            return idx, np.copysign(1.0, U)
+        sign = np.copysign(1.0, np.einsum("ij,ji->i", U, self._vertices_t[:, idx]))
+        return idx, np.broadcast_to(sign[:, None], U.shape)
 
     # -- maximizer of psi = <u, theta>/h(theta) over unit theta ----------
     def _psi(self, U, TH):
@@ -520,37 +560,88 @@ class PolarBody(BodyEvaluator):
         return E.transpose(2, 1, 0), (a / h - t * b).T, A.transpose(2, 0, 1)
 
     def _maximize(self, U):
-        """(theta, psi, h, grad h, Hess h, F, A) at the maximizer for each
-        unit U: Newton from the osculating start (from the polytope seed where
-        that start does not apply or is worse), then the fallback from the
-        polytope seed for the uncertified."""
-        idx, sign = self._seed_index(U)
+        """The maximizer of each unit U, then the fallback for the
+        uncertified: (t, psi, h, h', psi', psi'') at n=2, t the angle of
+        theta, and (theta, psi, h, grad h, Hess h, F, A) at n=3."""
+        if self.n == 2:
+            a = np.arctan2(U[:, 1], U[:, 0])
+            if self._inverse_map is None:
+                best, certified = self._circle_newton(a, *self._circle_start(U, a))
+            else:
+                best, certified = self._circle_newton(a, self._boundary_start(a))
+        else:
+            best, certified = self._newton(U, *self._frame_start(U))
+        idx = np.flatnonzero(~certified)
+        if idx.size:
+            k, D = self._seed_index(U[idx])
+            th = self._projected_gradient(U[idx], D * self._reps[k])
+            alt = (self._circle_newton(a[idx], np.arctan2(th[:, 1], th[:, 0]))
+                   if self.n == 2 else self._newton(U[idx], th))[0]
+            better = alt[1] > best[1][idx]
+            for x, y in zip(best, alt):
+                x[idx[better]] = y[better]
+        return best
+
+    def _frame_start(self, U):
+        """n=3: (start, base jet there): the polytope seed, or the osculating
+        maximizer where Q is positive-definite and psi there is not lower.
+        The jet at D R is (h, D grad h, D D^2h D), and adj(DQD) = D adj(Q) D."""
+        idx, D = self._seed_index(U)
         h, dh, Hh = self._ref_jet
-        seed = sign[:, None] * self._ref_nodes[idx]
-        # the base is even: its jet at -node is (h, -grad h, Hess h) at node
-        jet = (h[idx], sign[:, None] * dh[idx], Hh[idx])
-        # the maximizer Q^-1 u / |Q^-1 u| of the node's osculating ellipsoid;
+        seed = D * self._reps[idx]
+        DD = D[:, :, None] * D[:, None, :]
+        jet = (h[idx], D * dh[idx], DD * Hh[idx])
         # _ref_adj is NaN where Q is not positive-definite
-        v = np.einsum("ijk,ik->ij", self._ref_adj[idx], U)
+        v = np.einsum("ijk,ik->ij", DD * self._ref_adj[idx], U)
         v /= np.linalg.norm(v, axis=1, keepdims=True)
         osc = np.flatnonzero(np.isfinite(v).all(axis=1))
         start = seed.copy()
         if osc.size:
-            # the start is taken where psi there is at least psi at the node
             jo = self.base.jet(v[osc], 2)
             up = (np.einsum("ij,ij->i", U[osc], v[osc]) / jo[0]
                   >= np.einsum("ij,ij->i", U[osc], seed[osc]) / jet[0][osc])
             start[osc[up]] = v[osc[up]]
             for a, b in zip(jet, jo):
                 a[osc[up]] = b[up]
-        best, certified = self._newton(U, start, jet)
-        idx = np.flatnonzero(~certified)
-        if idx.size:
-            alt, _ = self._newton(U[idx], self._projected_gradient(U[idx], seed[idx]))
-            better = alt[1] > best[1][idx]
-            for a, b in zip(best, alt):
-                a[idx[better]] = b[better]
-        return best
+        return start, jet
+
+    def _circle_start(self, U, a):
+        """n=2: (start angles, circle jet there): the polytope seed, or the
+        osculating maximizer where R > 0 and psi there is not lower.  In the
+        seed's frame (theta, e), Q = [[h^2, h h'], [h h', h'^2 + h R]], so
+        that maximizer lies at the angle of adj Q (cos, sin)(a - t)."""
+        idx, D = self._seed_index(U)
+        seed = D * self._reps[idx]
+        t = np.arctan2(seed[:, 1], seed[:, 0])
+        h, d1, d2 = (x[idx] for x in self._ref_jet)
+        d1 *= D[:, 0] * D[:, 1]
+        c, s = np.cos(a - t), np.sin(a - t)
+        R = h + d2
+        delta = np.arctan2(h * (h * s - d1 * c), (d1 * d1 + h * R) * c - h * d1 * s)
+        osc = np.flatnonzero((R > 0) & np.isfinite(delta))
+        if osc.size:
+            v = t[osc] + delta[osc]
+            jo = self.base.circle_jet(v)
+            up = np.cos(a[osc] - v) / jo[0] >= c[osc] / h[osc]
+            t[osc[up]] = v[up]
+            for x, y in zip((h, d1, d2), jo):
+                x[osc[up]] = y[up]
+        return t, (h, d1, d2)
+
+    def _boundary_start(self, a):
+        """n=2: the cubic Hermite interpolant of beta^-1 at the angles a,
+        clipped to the interval's node angles, which bracket beta^-1 as beta
+        increases (the cubic overshoots on eccentric bases)."""
+        beta, t, m = self._inverse_map
+        k = np.floor((a - beta[0]) / np.pi)
+        b = a - k * np.pi
+        j = np.searchsorted(beta[1:-1], b, side="right")
+        d = beta[j + 1] - beta[j]
+        s = (b - beta[j]) / d
+        t0, t1 = t[j], t[j + 1]
+        x = t0 + s * s * (3.0 - 2.0 * s) * (t1 - t0) + d * s * (1.0 - s) * (
+            (1.0 - s) * m[j] - s * m[j + 1])
+        return np.minimum(np.maximum(x, t0), t1) + k * np.pi
 
     def _projected_gradient(self, U, th):
         """_PG_STEPS projected-gradient ascent steps from th (one first-order
@@ -568,38 +659,21 @@ class PolarBody(BodyEvaluator):
             step = np.where(ok, step * 1.5, step * 0.4)
         return th
 
-    @staticmethod
-    def _planar_terms(U, TH, h, dh, Hh):
-        """(e, psi', psi'') at TH along e = (-theta_y, theta_x), n=2: the
-        frame terms of _frame_terms as (N,) scalars.  With a = <e, u>,
-        b = <e, grad h>, c = e^t D^2h e and t = <u, theta>,
-        psi' = a/h - (t/h^2) b and psi'' = -2ab/h^2 - (t/h^2) c + 2 (t/h^3) b^2."""
-        e = _turn(TH)
-        a, b = np.einsum("ij,ij->i", e, U), np.einsum("ij,ij->i", e, dh)
-        t = np.einsum("ij,ij->i", U, TH) / h**2
-        c = np.einsum("ij,ijk,ik->i", e, Hh, e)
-        return e, a / h - t * b, -2.0 * a * b / h**2 - t * c + 2.0 * (t / h) * b * b
-
     def _terms(self, U, TH, h, dh, Hh):
         """(F, A, g, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
-        A = F^T Hess(psi) F: _planar_terms at n=2 (F = e, g and A scalars),
-        _frame_terms at n=3."""
-        F, g, A = (self._planar_terms if U.shape[1] == 2 else self._frame_terms)(
-            U, TH, h, dh, Hh)
-        if g.ndim == 1:
-            return F, A, g, np.abs(g), A
+        A = F^T Hess(psi) F (_frame_terms)."""
+        F, g, A = self._frame_terms(U, TH, h, dh, Hh)
         return F, A, g, np.sqrt(np.einsum("ij,ij->i", g, g)), frame_eigvalsh(A)[:, -1]
 
     def _newton(self, U, th, jet=None):
-        """Guarded Newton ascent from th until each point is certified or
-        _NEWTON_CAP steps have been taken; jet is the second-order base jet
-        at th when the caller holds it.  A step costs one base jet and one
-        _terms at the candidate, which serve its acceptance test and, once it
-        is accepted, the next step; only the points still stepping take part,
-        gathered when some point stops.  Returns ((theta, psi, h, grad h,
-        Hess h, F, A), certified), F as (N, n, n-1) and A as (N, n-1, n-1)
-        at the returned theta, so jet() reuses them."""
-        N, n = U.shape
+        """n=3: guarded Newton ascent from th until each point is certified
+        or _NEWTON_CAP steps have been taken; jet is the second-order base
+        jet at th when the caller holds it.  A step costs one base jet and
+        one _terms at the candidate, which serve its acceptance test and,
+        once it is accepted, the next step; only the points still stepping
+        take part, gathered when some point stops.  Returns ((theta, psi,
+        h, grad h, Hess h, F, A), certified)."""
+        N = len(U)
         h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
         # theta, psi, h, grad h, Hess h, F, A (the result), g, |g|, top
         # eigenvalue of A
@@ -627,22 +701,17 @@ class PolarBody(BodyEvaluator):
                 act, Ua, radius, live = act[step], Ua[step], radius[step], True
                 cur = [a[step] for a in cur]
             ta, pa, F, A, g, na, lam = cur[0], cur[1], *cur[5:]
-            # Newton step, shifted to stay an ascent step, inside a trust
-            # radius that shrinks on each rejected step
+            # Newton step, shifted to stay an ascent step (A - shift I is
+            # negative-definite; Cramer's rule), inside a trust radius that
+            # shrinks on each rejected step
             shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
-            if g.ndim == 1:  # n=2: F is the single tangent e, g and A scalars
-                s = -g / (A - shift)
-                norm = np.abs(s)
-                s *= np.minimum(norm, radius) / np.maximum(norm, 1e-300)
-                gain, cand = g * s, ta + s[:, None] * F
-            else:  # n=3: A - shift I is negative-definite, Cramer's rule
-                a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
-                s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
-                             axis=1) / (a * c - b * b)[:, None]
-                norm = np.sqrt(np.einsum("ij,ij->i", s, s))
-                s *= (np.minimum(norm, radius) / np.maximum(norm, 1e-300))[:, None]
-                gain = np.einsum("ij,ij->i", g, s)
-                cand = ta + np.einsum("ijk,ik->ij", F, s)
+            a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
+            s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
+                         axis=1) / (a * c - b * b)[:, None]
+            norm = np.sqrt(np.einsum("ij,ij->i", s, s))
+            s *= (np.minimum(norm, radius) / np.maximum(norm, 1e-300))[:, None]
+            gain = np.einsum("ij,ij->i", g, s)
+            cand = ta + np.einsum("ijk,ik->ij", F, s)
             cand /= np.sqrt(np.einsum("ij,ij->i", cand, cand))[:, None]
             jc = self.base.jet(cand, 2)
             pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
@@ -657,17 +726,67 @@ class PolarBody(BodyEvaluator):
                 for a, b in zip(cur, new):
                     a[ok] = b[ok]
             radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
-        return tuple(out[:5]) + (out[5].reshape(N, n, n - 1),
-                                 out[6].reshape(N, n - 1, n - 1)), certified
+        return tuple(out), certified
 
     @staticmethod
-    def _planar_hessian(U, th, h, dh, e, A):
-        """The implicit-function Hessian at n=2 from (N,) scalars and
-        n-vectors: with the tangent e at theta, m = M^t e =
-        (e - <e, grad h> theta / h) / h and A = psi'' there, -m m^t / A
-        projected on the tangent space at U, -p p^t / A with
-        p = m - <U, m> U.  NaN where A == 0."""
-        m = (e - (np.einsum("ij,ij->i", e, dh) / h)[:, None] * th) / h[:, None]
+    def _circle_terms(a, t, h, d1, d2):
+        """(psi, psi', psi'') of psi(t) = cos(t - a)/h(t) from the circle jet
+        (h, h', h'') at t."""
+        d = a - t
+        c = np.cos(d)
+        psi = c / h
+        g = (np.sin(d) - psi * d1) / h
+        return psi, g, -(2.0 * d1 * g + c + psi * d2) / h
+
+    def _circle_newton(self, a, t, jet=None):
+        """n=2: _newton's guarded ascent on the angle from t, for the query
+        angles a, with (N,) scalars and one base circle jet per step (jet,
+        the circle jet at t, when the caller holds it).  Returns ((t, psi,
+        h, h', psi', psi''), certified)."""
+        h, d1, d2 = self.base.circle_jet(t) if jet is None else jet
+        psi, g, A = self._circle_terms(a, t, h, d1, d2)
+        cur = [np.array(t, dtype=float), psi, h, d1, g, A]
+        live = np.isfinite(psi + g + A)
+        out, certified = list(cur), np.zeros(len(a), dtype=bool)
+        act, aa, radius = np.arange(len(a)), a, np.full(len(a), 0.2)
+        for it in range(self._NEWTON_CAP + 1):
+            cert = (np.abs(cur[4]) <= self._GRAD_TOL * cur[1]) & (cur[5] < 0)
+            step = ~cert & live & (it < self._NEWTON_CAP)
+            k = np.count_nonzero(step)
+            if k < len(act) or not k:
+                certified[act] = cert
+                for x, y in zip(out, cur):
+                    x[act] = y
+                if not k:
+                    break
+                act, aa, radius, live = act[step], aa[step], radius[step], True
+                cur = [x[step] for x in cur]
+            t, psi, _, _, g, A = cur
+            # _newton's shifted step: A - shift = min(A, -1e-9) - 1e-12
+            s = g / (1e-12 - np.minimum(A, -1e-9))
+            norm = np.abs(s)
+            s = np.maximum(np.minimum(s, radius), -radius)
+            cand = t + s
+            jc = self.base.circle_jet(cand)
+            pc, gc, Ac = self._circle_terms(aa, cand, *jc)
+            new = [cand, pc, jc[0], jc[1], gc, Ac]
+            ok = np.where(g * s <= self._UNRESOLVED * psi, np.abs(gc) < np.abs(g),
+                          pc >= psi * self._ACCEPT) & np.isfinite(pc + gc + Ac)
+            if ok.all():
+                cur = new
+                continue
+            for x, y in zip(cur, new):
+                x[ok] = y[ok]
+            radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
+        return tuple(out), certified
+
+    @staticmethod
+    def _planar_hessian(U, th, h, d1, A):
+        """The implicit-function Hessian at n=2 from theta, h, h' and
+        A = psi'' at the maximizer: with the tangent e at theta, m = M^t e =
+        (e - h' theta / h) / h, -m m^t / A projected on the tangent space at
+        U, -p p^t / A with p = m - <U, m> U.  NaN where A == 0."""
+        m = (_turn(th) - (d1 / h)[:, None] * th) / h[:, None]
         m -= np.einsum("ij,ij->i", U, m)[:, None] * U
         inv = np.full_like(A, np.nan)
         np.divide(-1.0, A, out=inv, where=A != 0.0)
@@ -715,28 +834,37 @@ class PolarBody(BodyEvaluator):
     @property
     def certificate(self) -> tuple[int, float]:
         """(points left uncertified, largest |F^T grad psi|/psi) at the grid
-        solution's maximizers, kept after both passes; deterministic."""
-        U, _, (th, psi, h, dh, Hh, _, _) = self._grid_solution()
-        gnorm, lam = self._terms(U, th, h, dh, Hh)[3:]
+        solution's maximizers, kept after both passes (at n=2 psi' and
+        psi''); deterministic."""
+        U, _, sol = self._grid_solution()
+        psi = sol[1]
+        if self.n == 2:
+            gnorm, lam = np.abs(sol[4]), sol[5]
+        else:
+            gnorm, lam = self._terms(U, sol[0], *sol[2:5])[3:]
         certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
         return int((~certified).sum()), float(np.max(gnorm / psi))
 
     def _folded_jet(self, U, r, sol, order):
         """The jet at the points r U, no two of which share an orbit of the
         fold, from the maximizer sol = _maximize(U)."""
-        th, val, hb, dh, _, frames, A = sol
-        h = r * val
+        h = r * sol[1]
         if order == 0:
             return (h,)
+        if self.n == 2:
+            t, _, hb, d1, _, A = sol
+            th = np.stack([np.cos(t), np.sin(t)], axis=1)
+            grad = th / hb[:, None]
+            if order == 1:
+                return h, grad
+            return h, grad, self._planar_hessian(U, th, hb, d1, A) / r[:, None, None]
+        th, _, hb, dh, _, frames, A = sol
         grad = th / hb[:, None]
         if order == 1:
             return h, grad
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
         # the frame's derivative drops out, and M U = grad_theta psi = 0;
         # F^T M = (F^T - b theta^T / h) / h with b = F^T grad h
-        if self.n == 2:
-            return h, grad, self._planar_hessian(U, th, hb, dh, frames[:, :, 0],
-                                                 A[:, 0, 0]) / r[:, None, None]
         Ft = frames.transpose(0, 2, 1)
         hb = hb[:, None, None]
         FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / hb) / hb

@@ -28,6 +28,7 @@ from calab.sphere import (
     _antipodal_rows,
     _unfold,
     analyze,
+    packed_indices,
     packed_positions,
 )
 
@@ -82,7 +83,7 @@ def conjugate_hessian_weights(state: CentroAffineState, scale=1.0):
     from packed Hessian and gradient components to those of
     conjugate_hessian_packed, times scale (a scalar, or one per node)."""
     K, p = state.K, state.p
-    iu, ju = np.triu_indices(K.shape[-1])
+    iu, ju = packed_indices(K.shape[-1])
     off = np.where(iu == ju, 0.0, 1.0)
     # (K Hmat K^t)[q1, q2] = sum over r1 <= r2 of H[r1 r2] times
     # K[q1, r1] K[q2, r2] + K[q1, r2] K[q2, r1] (one term when r1 = r2)

@@ -19,7 +19,7 @@ import numpy as np
 
 from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
 from calab.sphere import (HarmonicBasis, SphereGrid, frame_det, frame_eigvalsh,
-                          unpack_sym)
+                          packed_indices, unpack_sym)
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ class _EvenModel:
         self.B = np.asfortranarray(B)
         # packed R(phi) rows (node, component) against the coefficients,
         # column-major too, and their (node, component, function) view
-        r, s = np.triu_indices(grid.n - 1)
+        r, s = packed_indices(grid.n - 1)
         R_phi = H.transpose(0, 2, 1) + (r == s)[:, None] * B[:, None, :]
         self._R_rows = np.asfortranarray(R_phi.reshape(-1, H.shape[1]))
         self._R_phi = self._R_rows.reshape(R_phi.shape)

@@ -374,8 +374,7 @@ class HarmonicBasis:
         L = self.L
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         if self.n == 2:
-            kt = np.multiply.outer(np.arctan2(pts[:, 1], pts[:, 0]), keep)
-            out = np.concatenate([np.cos(kt), np.sin(kt)], axis=1) @ Mt
+            out = circle_synthesis(np.arctan2(pts[:, 1], pts[:, 0]), plan)
             return (out[:, 0], out[:, 1:2] if order > 0 else None,
                     out[:, 2:] if order > 1 else None), None
         x, y, z = pts.T
@@ -451,12 +450,31 @@ def _combine(rings, lons, degrees, out):
         pp -= H[..., 0]
 
 
+def circle_synthesis(t: np.ndarray, plan) -> np.ndarray:
+    """n=2: the (P, 3) value, t-derivative and second t-derivative of a
+    synthesis plan's expansion at the angles t: one product of
+    [cos ks t, sin ks t] with the plan's matrix."""
+    keep, Mt = plan
+    kt = np.multiply.outer(t, keep)
+    return np.concatenate([np.cos(kt), np.sin(kt)], axis=1) @ Mt
+
+
+@functools.cache
+def packed_indices(q: int) -> tuple:
+    """np.triu_indices(q), the packed upper triangle's (rows, columns);
+    cached, read-only."""
+    rc = np.triu_indices(q)
+    for a in rc:
+        a.setflags(write=False)
+    return rc
+
+
 @functools.cache
 def packed_positions(q: int) -> np.ndarray:
     """(q, q) position of each entry of a symmetric matrix in its packed
     upper triangle (np.triu_indices(q) order), so packed[..., pos] unpacks.
     Read-only."""
-    r, c = np.triu_indices(q)
+    r, c = packed_indices(q)
     pos = np.empty((q, q), dtype=int)
     pos[r, c] = pos[c, r] = np.arange(len(r))
     pos.setflags(write=False)

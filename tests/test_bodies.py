@@ -316,9 +316,18 @@ def test_polar_of_l4_norm_is_l43_norm():
 
 
 def _seed(P, U):
-    """The polytope seed +-node of each unit U."""
-    idx, sign = P._seed_index(U)
-    return sign[:, None] * P._ref_nodes[idx]
+    """The polytope seed D R of each unit U, R a representative."""
+    idx, D = P._seed_index(U)
+    return D * P._reps[idx]
+
+
+def _fallback_psi(P, U):
+    """psi after the fallback pass run on every point: projected-gradient
+    steps from the polytope seed, then Newton (on the angle at n=2)."""
+    th = P._projected_gradient(U, _seed(P, U))
+    if P.n == 3:
+        return P._newton(U, th)[0][1]
+    return P._circle_newton(np.arctan2(U[:, 1], U[:, 0]), np.arctan2(th[:, 1], th[:, 0]))[0][1]
 
 
 def _planar_bases(g):
@@ -356,24 +365,29 @@ def test_polar_maximizer_never_below_fallback(name, L):
     P = polar(body, g)
     U = np.vstack([unit_vectors(np.random.default_rng(15), 200, n), g.nodes])
     h = P._maximize(U)[1]
-    h_fallback = P._newton(U, P._projected_gradient(U, _seed(P, U)))[0][1]
-    assert np.all(h >= h_fallback * (1.0 - 1e-14))
+    assert np.all(h >= _fallback_psi(P, U) * (1.0 - 1e-14))
 
 
 @pytest.mark.parametrize("name", ["ellipsoid", "random"])
 def test_polar_seed_is_the_best_polytope_vertex(name):
     # brute force over the vertices +-theta/h(theta) of the pair nodes: the
     # blocked |dot-product| argmax picks the vertex of largest
-    # psi = <u, theta/h(theta)>, except at near-ties (within 4 ulps)
+    # psi = <u, theta/h(theta)>, except at near-ties (within 4 ulps).  The
+    # sign-symmetric ellipsoid's seed search runs over its 182 flip-orbit
+    # representatives, each seed D R a +-pair node
     body = {"ellipsoid": lambda: ellipsoid(np.diag([2.0, 1.0, 0.7])),
             "random": lambda: random_even_body(3, 7000)}[name]()
     g = build_grid(3, 24)
     P = polar(body, g)
+    assert P._vertices_t.shape[1] == (182 if name == "ellipsoid" else 676)
     V = g.pair_nodes / body.support(g.pair_nodes)[:, None]
     U = np.vstack([unit_vectors(np.random.default_rng(16), 3000, 3), g.nodes])
+    W = np.concatenate([g.pair_nodes, -g.pair_nodes])
     psi = U @ np.concatenate([V, -V]).T
-    idx, sign = P._seed_index(U)
-    got = psi[np.arange(len(U)), np.where(sign > 0, idx, idx + len(V))]
+    # the brute force's column of each seed (0.0 and -0.0 match)
+    column = {tuple(w + 0.0): k for k, w in enumerate(W)}
+    seed = _seed(P, U) + 0.0
+    got = psi[np.arange(len(U)), [column[tuple(x)] for x in seed]]
     best = psi.max(axis=1)
     differ = got != best
     assert np.all(best - got <= 4 * np.spacing(best))
@@ -552,9 +566,10 @@ def test_polars_on_one_grid_keep_their_own_solutions():
 @pytest.mark.parametrize("n", [2, 3])
 def test_polar_reference_jet_unfolds_exactly(n):
     # on a sign-symmetric base construction takes the base jet at the flip
-    # orbit representatives only; unfolded with the signs it is the base's
-    # jet at every pair node exactly, and so are the vertices and adj Q
-    from calab.bodies import _osculating_adjugate
+    # orbit representatives only, the reference set of the seeds; unfolded
+    # with the signs it is the base's jet at every pair node exactly (at n=2
+    # its circle jet, h' odd under a flip), and so are the vertices and adj Q
+    from calab.bodies import _osculating_adjugate, _turn
     g = build_grid(n, 24 if n == 3 else 16)
     E = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
     for base in (ball(1.3, n), E, ellipsoid(np.diag([1.0, 3.0, 1.5][:n])),
@@ -569,11 +584,23 @@ def test_polar_reference_jet_unfolds_exactly(n):
         del base.jet
         # (the l_q bodies with 1 < q < 2 call their own jet for D^2h)
         assert calls[0] == len(g.sign_fold(True)[0]) and len(g.pair_nodes) not in calls
+        first, inverse, D = g.sign_fold(True)
+        inverse, D = inverse[:len(g.pair_nodes)], D[:len(g.pair_nodes)]
+        assert np.array_equal(P._reps, D[first] * g.nodes[first])
         ref = base.jet(g.pair_nodes, 2)
-        for a, b in zip(P._ref_jet, ref):
-            assert np.array_equal(a, b)
-        assert np.array_equal(P._ref_adj, _osculating_adjugate(*ref), equal_nan=True)
-        assert np.array_equal(P._vertices_t, (g.pair_nodes / ref[0][:, None]).T)
+        if n == 2:
+            e = _turn(g.pair_nodes)
+            ref = (ref[0], np.einsum("ij,ij->i", e, ref[1]),
+                   np.einsum("ij,ijk,ik->i", e, ref[2], e) - ref[0])
+            unfold = (1.0, D[:, 0] * D[:, 1], 1.0)
+        else:
+            DD = D[:, :, None] * D[:, None, :]
+            unfold = (1.0, D, DD)
+            assert np.array_equal(DD * P._ref_adj[inverse], _osculating_adjugate(*ref),
+                                  equal_nan=True)
+        for a, s, b in zip(P._ref_jet, unfold, ref):
+            assert np.array_equal(s * a[inverse], b)
+        assert np.array_equal(D * P._vertices_t.T[inverse], g.pair_nodes / ref[0][:, None])
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -636,18 +663,23 @@ def test_planar_polar_hessian_is_the_frame_form(name):
     # at n=2 the implicit-function Hessian is -p p^t / A from scalars and
     # 2-vectors; the frame form -(F^t M)^t A^-1 F^t M, symmetrized and
     # projected on the tangent space, agrees to 1e-15 of its largest entry
-    # (measured <= 5.6e-16), NaN at the same points
+    # (measured <= 5.6e-16), NaN at the same points.  The frame form is
+    # built from the angle solution: theta = (cos t, sin t), the frame
+    # F = tangent_frames(theta), grad h = h theta + h' e and A = psi''
     from calab.bodies import _symmetric_tangential
     from calab.sphere import frame_solve
     g = build_grid(2, 16)
     P = polar(_planar_bases(g)[name](), g)
     U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(33), 40, 2)])
-    th, _, h, dh, _, F, A = P._maximize(U)
+    t, _, h, d1, _, A = P._maximize(U)
+    th = np.stack([np.cos(t), np.sin(t)], axis=1)
+    F = tangent_frames(th)
+    dh = h[:, None] * th + d1[:, None] * F[:, :, 0]
     Ft = F.transpose(0, 2, 1)
     FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / h[:, None, None]) / h[:, None, None]
     with np.errstate(divide="ignore", invalid="ignore"):
-        frame = _symmetric_tangential(-FtM.transpose(0, 2, 1) @ frame_solve(A, FtM), U)
-    scalar = P._planar_hessian(U, th, h, dh, F[:, :, 0], A[:, 0, 0])
+        frame = _symmetric_tangential(-FtM.transpose(0, 2, 1) @ frame_solve(A[:, None, None], FtM), U)
+    scalar = P._planar_hessian(U, th, h, d1, A)
     ok = np.isfinite(frame).all(axis=(1, 2))
     assert np.array_equal(ok, np.isfinite(scalar).all(axis=(1, 2)))
     assert ok.any()
@@ -745,18 +777,19 @@ def test_polar_base_jets():
 @pytest.fixture
 def maximize_jets(monkeypatch):
     """(label, second-order base jets taken) of each PolarBody._maximize
-    call, nested polars included."""
+    call, nested polars included: circle jets at n=2."""
     seen = []
     run = PolarBody._maximize
 
     def spy(self, U):
-        jets, base_jet = [], self.base.jet
+        jets, base_jet, circle_jet = [], self.base.jet, self.base.circle_jet
         self.base.jet = lambda X, order=2: jets.append(order) or base_jet(X, order)
+        self.base.circle_jet = lambda t: jets.append("circle") or circle_jet(t)
         try:
             return run(self, U)
         finally:
-            del self.base.jet
-            seen.append((self.label, jets.count(2)))
+            del self.base.jet, self.base.circle_jet
+            seen.append((self.label, jets.count("circle" if self.n == 2 else 2)))
 
     monkeypatch.setattr(PolarBody, "_maximize", spy)
     return seen
@@ -813,23 +846,121 @@ def test_polar_osculating_start_takes_no_more_base_jets(name, most, maximize_jet
     assert maximize_jets and max(count for _, count in maximize_jets) <= most
 
 
+def test_strongly_convex_planar_polar_takes_no_seed_search(monkeypatch):
+    # on a base strongly convex at every pair node the n=2 start is the
+    # inverse of the boundary-angle map, so the polytope seed search, whose
+    # cost grows as N^2, never runs: the planar flagged body's base
+    # 0.01B + B_{4/3} (sign-symmetric) and a random body at 4096 nodes, on
+    # the grid and off it, every point certified
+    calls = []
+    run = PolarBody._seed_index
+    monkeypatch.setattr(PolarBody, "_seed_index",
+                        lambda self, U: calls.append(len(U)) or run(self, U))
+    g = build_grid(2, 62, n_nodes=4096)
+    for base in (firey_sum(0.01, ball(1.0, 2), 1.0, LqNormBody(4, 2), 1.0),
+                 random_even_body(2, 5, band=8)):
+        P = polar(base, g)
+        assert evaluate_on_grid(P, g).valid and P.certificate[0] == 0
+        P.jet(unit_vectors(np.random.default_rng(35), 100, 2), 2)
+    assert calls == []
+
+
+@pytest.mark.parametrize("seed", [0, 7, 1280, 1319])
+def test_planar_polar_takes_at_most_three_circle_jets(seed, monkeypatch):
+    # the n=2 start lies within ~1e-4 rad of the maximizer (median 2.3e-6
+    # at L=16), so _maximize takes the circle jets of the start and of two
+    # Newton candidates at most; a spectral base reads them from its
+    # synthesis plan and forms no ambient jet
+    calls = []
+    circle, jet = SpectralBody.circle_jet, SpectralBody.jet
+    monkeypatch.setattr(SpectralBody, "circle_jet",
+                        lambda self, t: calls.append("circle") or circle(self, t))
+    monkeypatch.setattr(SpectralBody, "jet",
+                        lambda self, X, order=2: calls.append(order) or jet(self, X, order))
+    g = build_grid(2, 16)
+    P = polar(random_even_body(2, seed, band=8), g)
+    for X in (g.pair_nodes, unit_vectors(np.random.default_rng(36), 100, 2)):
+        calls.clear()
+        P.jet(X, 2)
+        assert 1 < len(calls) <= 3 and set(calls) == {"circle"}
+
+
+@pytest.mark.parametrize("name", list(_planar_bases(None)))
+def test_planar_polar_matches_a_dense_brute_force(name):
+    # the n=2 polar's h against the largest psi over 20000 angles, refined
+    # three times 1000-fold around it: within 1e-14 relative (measured
+    # <= 1.0e-15) at the pair nodes and at random points.  The non-convex
+    # base, not strongly convex at every pair node, takes the polytope
+    # start; every other base here the boundary-map start
+    g = build_grid(2, 16)
+    base = _planar_bases(g)[name]()
+    P = polar(base, g)
+    assert (P._inverse_map is None) == (name == "non_convex")
+    U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(40), 20, 2)])
+
+    def psi(t, u):
+        TH = np.stack([np.cos(t), np.sin(t)], axis=1)
+        return TH @ u / base.support(TH)
+
+    t = np.linspace(0.0, 2 * np.pi, 20_000, endpoint=False)
+    TH = np.stack([np.cos(t), np.sin(t)], axis=1)
+    ref = []
+    for u, k in zip(U, (U @ (TH / base.support(TH)[:, None]).T).argmax(axis=1)):
+        c, w = t[k], t[1]
+        for _ in range(3):
+            s = c + np.linspace(-w, w, 2001)
+            c, w = s[psi(s, u).argmax()], w / 1000
+        ref.append(psi(np.array([c]), u)[0])
+    assert np.all(np.abs(P.support(U) / ref - 1.0) <= 1e-14)
+
+
+@pytest.mark.parametrize("name", ["random0", "diag(6,1)", "non_convex",
+                                  "polar_smoothed_l43", "l4_ball"])
+def test_planar_polar_certificate_is_a_recount(name):
+    # at n=2 the certificate reads the psi' and psi'' kept with the grid
+    # solution: a recount from _circle_terms on a fresh circle jet at the
+    # kept angles gives the same count and largest |psi'|/psi.  The l4 ball
+    # leaves its axis point (0, 1) uncertified: the angle pi/2 rounds to
+    # cos t = 6.1e-17, where its gradient, ~|x|^(1/3), reads 3.9e-6
+    g = build_grid(2, 16)
+    P = polar(_planar_bases(g)[name](), g)
+    U, _, (t, psi, *_) = P._grid_solution()
+    _, d, A = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), t, *P.base.circle_jet(t))
+    certified = (np.abs(d) <= P._GRAD_TOL * psi) & (A < 0)
+    assert P.certificate == ((~certified).sum(), (np.abs(d) / psi).max())
+    assert P.certificate[0] == (name == "l4_ball")
+
+
 def test_polar_start_is_never_below_the_seed(monkeypatch):
     # psi at the start Newton runs from is at least psi at the polytope seed,
     # on convex and non-convex bases alike; the start moves off the node
-    # wherever Q is positive-definite and psi there is not lower
+    # wherever Q is positive-definite and psi there is not lower.  At n=2
+    # the polytope start serves the bases not strongly convex at every pair
+    # node (the non-convex perturbed ball; the l4 norm, flat on the axes),
+    # and Newton runs on the angle: the start and seed are compared as
+    # angles
     starts = []
-    run = PolarBody._newton
+    run, run2 = PolarBody._newton, PolarBody._circle_newton
     monkeypatch.setattr(PolarBody, "_newton",
                         lambda self, U, th, jet=None: starts.append(th) or run(self, U, th, jet))
-    for n, base in ((2, perturbed_ball(2, 1.5)), (2, random_even_body(2, 1)),
+    monkeypatch.setattr(PolarBody, "_circle_newton",
+                        lambda self, a, t, jet=None: starts.append(t) or run2(self, a, t, jet))
+    for n, base in ((2, perturbed_ball(2, 1.5)), (2, LqNormBody(4, 2)),
                     (3, random_even_body(3, 7000)), (3, LqNormBody(4, 3))):
         g = build_grid(n, 16)
         P = polar(base, g)
         U = np.vstack([unit_vectors(np.random.default_rng(31), 200, n), g.pair_nodes])
         starts.clear()
         P._maximize(U)
-        moved = (starts[0] != _seed(P, U)).any(axis=1)
-        assert np.all(P._psi(U, starts[0]) >= P._psi(U, _seed(P, U)))
+        start, seed = starts[0], _seed(P, U)
+        if n == 2:
+            assert P._inverse_map is None
+            seed = np.arctan2(seed[:, 1], seed[:, 0])
+            moved = start != seed
+            start, seed = (np.stack([np.cos(t), np.sin(t)], axis=1) for t in (start, seed))
+        else:
+            moved = (start != seed).any(axis=1)
+        assert np.all(P._psi(U, start) >= P._psi(U, seed))
         assert moved.any()
 
 
@@ -838,9 +969,27 @@ def test_osculating_adjugate(n):
     # Q adj Q = det(Q) I for Q = grad h grad h^t + h D^2h where Q is
     # positive-definite, and adj Q is NaN where it is not: at the l4 norm's
     # nodes in a coordinate plane D^2h loses rank and Q with it (Sylvester's
-    # minors may read such a Q as definite by a rounding error, and keep it)
+    # minors may read such a Q as definite by a rounding error, and keep it).
+    # At n=2 the adjugate is written in the seed's angle (_circle_start): the
+    # start moves along Q^-1 u, to 1e-12, and never where Q is indefinite
     from calab.bodies import _osculating_adjugate
     g = build_grid(n, 16)
+    if n == 2:
+        for base in (random_even_body(2, 3), LqNormBody(4, 2)):
+            P = polar(base, g)
+            U = np.vstack([unit_vectors(np.random.default_rng(34), 200, 2), g.pair_nodes])
+            t = P._circle_start(U, np.arctan2(U[:, 1], U[:, 0]))[0]
+            seed = _seed(P, U)
+            h, dh, Hh = base.jet(seed, 2)
+            Q = dh[:, :, None] * dh[:, None, :] + h[:, None, None] * Hh
+            lam = np.linalg.eigvalsh(Q)
+            moved = t != np.arctan2(seed[:, 1], seed[:, 0])
+            assert moved.any() and not moved[lam[:, 0] < 1e-12 * lam[:, -1]].any()
+            v = np.linalg.solve(Q[moved], U[moved, :, None])[:, :, 0]
+            v /= np.linalg.norm(v, axis=1, keepdims=True)
+            start = np.stack([np.cos(t[moved]), np.sin(t[moved])], axis=1)
+            assert np.abs(start - v).max() < 1e-12
+        return
     for base in (random_even_body(n, 3), LqNormBody(4, n)):
         h, dh, Hh = base.jet(g.pair_nodes, 2)
         Q = dh[:, :, None] * dh[:, None, :] + h[:, None, None] * Hh
@@ -889,7 +1038,11 @@ def test_polar_newton_takes_no_separate_gradient(n):
     grad = P._psi_grad
     P._psi_grad = lambda *a: calls.append(len(a[0])) or grad(*a)
     U = unit_vectors(np.random.default_rng(29), 50, n)
-    P._newton(U, _seed(P, U))
+    if n == 2:
+        seed = _seed(P, U)
+        P._circle_newton(np.arctan2(U[:, 1], U[:, 0]), np.arctan2(seed[:, 1], seed[:, 0]))
+    else:
+        P._newton(U, _seed(P, U))
     assert calls == []
     P._projected_gradient(U, _seed(P, U))
     assert calls == [len(U)] * P._PG_STEPS
@@ -930,19 +1083,22 @@ def test_polar_fallback_takes_its_own_jets():
 
 
 def test_polar_runs_one_newton_loop_at_every_dimension(monkeypatch):
-    # n=2 and n=3 both run PolarBody._newton, once from the seeds and once
-    # more for the fallback pass (the l4 balls, not C^2 on the axes, leave
-    # points uncertified)
+    # each dimension runs one Newton loop, on the angle at n=2
+    # (PolarBody._circle_newton) and in the tangent frames at n=3
+    # (PolarBody._newton), once from the starts and once more for the
+    # fallback pass (the l4 balls, not C^2 on the axes, leave points
+    # uncertified)
     calls = []
-    run = PolarBody._newton
-    monkeypatch.setattr(PolarBody, "_newton",
-                        lambda self, *a: calls.append(a[0].shape[1]) or run(self, *a))
+    for name in ("_newton", "_circle_newton"):
+        monkeypatch.setattr(PolarBody, name, lambda self, *a, name=name, run=getattr(
+            PolarBody, name): calls.append(name) or run(self, *a))
     for n in (2, 3):
         g = build_grid(n, 8)
         for body in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), lq_gauge_body(4, n)):
             calls.clear()
             polar(body, g).jet(unit_vectors(np.random.default_rng(27), 20, n), 2)
-            assert calls == [n] * (1 if body.label == "ellipsoid" else 2)
+            loop = "_circle_newton" if n == 2 else "_newton"
+            assert calls == [loop] * (1 if body.label == "ellipsoid" else 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -1429,14 +1585,15 @@ def test_polar_of_the_l4_ball_is_the_l4_norm():
 
 def test_body_evaluator_is_an_interface():
     # BodyEvaluator carries no numerics: each family differentiates itself,
-    # the l_q ball through LqNormBody's jet, and the finite-difference
-    # oracles the tests read live in tests/oracles.py
+    # the l_q ball through LqNormBody's jet, the finite-difference oracles
+    # the tests read live in tests/oracles.py, and support and circle_jet
+    # read jet
     import ast
     import inspect
     from calab import bodies
     (cls,) = ast.parse(inspect.getsource(BodyEvaluator)).body
     methods = {f.name for f in cls.body if isinstance(f, ast.FunctionDef)}
-    assert methods == {"__init__", "jet", "support", "gauge_body"}
+    assert methods == {"__init__", "jet", "support", "circle_jet", "gauge_body"}
     assert "jet" not in vars(bodies._LqBall)
 
 
