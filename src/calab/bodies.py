@@ -429,31 +429,34 @@ class PolarBody(BodyEvaluator):
 
     Polytope seed (_seed_index): the vertex theta/h(theta) of largest psi
     over the grid's +-pair nodes, searched among R's vertices and unfolded
-    per row as D R.  At n=3 Newton (_newton, in the tangent frames F) starts
-    there or, better, at the maximizer Q^-1 u / |Q^-1 u| of the seed's
-    osculating ellipsoid, Q = grad h grad h^t + h D^2h (_frame_start).
+    per row as D R.  At n=3 the ascent (_newton, in the tangent frames F)
+    starts there or, better, at the maximizer Q^-1 u / |Q^-1 u| of the
+    seed's osculating ellipsoid, Q = grad h grad h^t + h D^2h (_frame_start).
 
-    At n=2 Newton (_circle_newton) runs on the angle: psi(t) = cos(t - a)/h(t)
-    for u = (cos a, sin a), with (h, h', h'') from base.circle_jet.  The
+    n=2 is the one-tangent case, F = e = turn(theta), and the ascent
+    (_circle_newton) runs on the angle: psi(t) = cos(t - a)/h(t) for
+    u = (cos a, sin a), with (h, h', h'') from base.circle_jet.  The
     maximizer is beta^-1(a) for the boundary-angle map
     beta(t) = t + atan2(h', h), whose derivative h R/(h^2 + h'^2),
     R = h + h'', is positive on a strongly convex base.  Where R > 0 at
-    every pair node, Newton starts at the cubic Hermite interpolant of
-    beta^-1 at the nodes (_boundary_start), with no seed search; otherwise
-    at the polytope seed or its osculating ellipse's maximizer
-    (_circle_start).
+    every pair node, the ascent starts at the cubic Hermite interpolant of
+    beta^-1 at the nodes, with no seed search; otherwise at the polytope
+    seed (_circle_start).
 
-    A point is certified when |psi'| <= 1e-13 psi and psi'' < 0 (frame
-    gradient and negative-definite frame Hessian at n=3), which proves the
-    maximum global when h is convex; Newton stops there or after
-    _NEWTON_CAP steps.  Points left uncertified (bases not C^2, such as the
-    l_q balls) are solved again from the polytope seed with _PG_STEPS
-    projected-gradient steps before Newton, and keep the larger psi.
+    Both dimensions run one guarded ascent (_ascend): Newton steps inside a
+    trust radius, on a state whose leading entries are [x, psi, |grad psi|,
+    top eigenvalue of A, h] (x = theta at n=3, the angle t at n=2), with
+    A = F^T Hess(psi) F.  A point is certified when |grad psi| <= 1e-13 psi
+    and that eigenvalue is < 0, which proves the maximum global when h is
+    convex; the ascent stops there or after _NEWTON_CAP steps.  Points left
+    uncertified (bases not C^2, such as the l_q balls) are solved again from
+    the polytope seed with _PG_STEPS projected-gradient steps before the
+    ascent, and keep the larger psi.  The state at the maximizer is kept, so
+    certificate and the Hessian read it without forming it again.
 
     The gradient theta/h(theta) at the maximizer is envelope-exact; the
     Hessian is the implicit-function form -M^T F A^{-1} F^T M there, with
-    A = F^T Hess(psi) F and M = I/h - grad h theta^T / h^2 (at n=2 the
-    scalar form, _planar_hessian).
+    M = I/h - grad h theta^T / h^2 (at n=2 the 1x1 A = psi'').
     """
 
     _NEWTON_CAP = 8
@@ -493,7 +496,7 @@ class PolarBody(BodyEvaluator):
         e = _turn(self._reps)
         d1 = np.einsum("ij,ij->i", e, jet[1])
         R = np.einsum("ij,ijk,ik->i", e, jet[2], e)
-        self._ref_jet, self._inverse_map = (h, d1, R - h), None
+        self._inverse_map = None
         if not (R > 0).all():
             return
         t = np.arctan2(grid.pair_nodes[:, 1], grid.pair_nodes[:, 0]) % np.pi
@@ -560,15 +563,12 @@ class PolarBody(BodyEvaluator):
         return E.transpose(2, 1, 0), (a / h - t * b).T, A.transpose(2, 0, 1)
 
     def _maximize(self, U):
-        """The maximizer of each unit U, then the fallback for the
-        uncertified: (t, psi, h, h', psi', psi'') at n=2, t the angle of
-        theta, and (theta, psi, h, grad h, Hess h, F, A) at n=3."""
+        """The ascent state at the maximizer of each unit U, then the
+        fallback for the uncertified: _frame_state's at n=3 and
+        _circle_state's at n=2."""
         if self.n == 2:
             a = np.arctan2(U[:, 1], U[:, 0])
-            if self._inverse_map is None:
-                best, certified = self._circle_newton(a, *self._circle_start(U, a))
-            else:
-                best, certified = self._circle_newton(a, self._boundary_start(a))
+            best, certified = self._circle_newton(a, self._circle_start(U, a))
         else:
             best, certified = self._newton(U, *self._frame_start(U))
         idx = np.flatnonzero(~certified)
@@ -606,32 +606,14 @@ class PolarBody(BodyEvaluator):
         return start, jet
 
     def _circle_start(self, U, a):
-        """n=2: (start angles, circle jet there): the polytope seed, or the
-        osculating maximizer where R > 0 and psi there is not lower.  In the
-        seed's frame (theta, e), Q = [[h^2, h h'], [h h', h'^2 + h R]], so
-        that maximizer lies at the angle of adj Q (cos, sin)(a - t)."""
-        idx, D = self._seed_index(U)
-        seed = D * self._reps[idx]
-        t = np.arctan2(seed[:, 1], seed[:, 0])
-        h, d1, d2 = (x[idx] for x in self._ref_jet)
-        d1 *= D[:, 0] * D[:, 1]
-        c, s = np.cos(a - t), np.sin(a - t)
-        R = h + d2
-        delta = np.arctan2(h * (h * s - d1 * c), (d1 * d1 + h * R) * c - h * d1 * s)
-        osc = np.flatnonzero((R > 0) & np.isfinite(delta))
-        if osc.size:
-            v = t[osc] + delta[osc]
-            jo = self.base.circle_jet(v)
-            up = np.cos(a[osc] - v) / jo[0] >= c[osc] / h[osc]
-            t[osc[up]] = v[up]
-            for x, y in zip((h, d1, d2), jo):
-                x[osc[up]] = y[up]
-        return t, (h, d1, d2)
-
-    def _boundary_start(self, a):
-        """n=2: the cubic Hermite interpolant of beta^-1 at the angles a,
-        clipped to the interval's node angles, which bracket beta^-1 as beta
-        increases (the cubic overshoots on eccentric bases)."""
+        """n=2: the start angles for the units U at the angles a: the cubic
+        Hermite interpolant of beta^-1 at a, clipped to the interval's node
+        angles, which bracket beta^-1 as beta increases (the cubic overshoots
+        on eccentric bases); the polytope seed's on a base with no map."""
+        if self._inverse_map is None:
+            idx, D = self._seed_index(U)
+            seed = D * self._reps[idx]
+            return np.arctan2(seed[:, 1], seed[:, 0])
         beta, t, m = self._inverse_map
         k = np.floor((a - beta[0]) / np.pi)
         b = a - k * np.pi
@@ -659,37 +641,34 @@ class PolarBody(BodyEvaluator):
             step = np.where(ok, step * 1.5, step * 0.4)
         return th
 
-    def _terms(self, U, TH, h, dh, Hh):
-        """(F, A, g, |g|, top eigenvalue of A) at TH, g = F^T grad psi and
-        A = F^T Hess(psi) F (_frame_terms)."""
-        F, g, A = self._frame_terms(U, TH, h, dh, Hh)
-        return F, A, g, np.sqrt(np.einsum("ij,ij->i", g, g)), frame_eigvalsh(A)[:, -1]
+    @staticmethod
+    def _certified(state):
+        """|grad psi| <= _GRAD_TOL psi and a negative top eigenvalue of A,
+        read from an ascent state."""
+        return (state[2] <= PolarBody._GRAD_TOL * state[1]) & (state[3] < 0)
 
-    def _newton(self, U, th, jet=None):
-        """n=3: guarded Newton ascent from th until each point is certified
-        or _NEWTON_CAP steps have been taken; jet is the second-order base
-        jet at th when the caller holds it.  A step costs one base jet and
-        one _terms at the candidate, which serve its acceptance test and,
-        once it is accepted, the next step; only the points still stepping
-        take part, gathered when some point stops.  Returns ((theta, psi,
-        h, grad h, Hess h, F, A), certified)."""
-        N = len(U)
-        h, dh, Hh = self.base.jet(th, 2) if jet is None else jet
-        # theta, psi, h, grad h, Hess h, F, A (the result), g, |g|, top
-        # eigenvalue of A
-        cur = [th.copy(), np.einsum("ij,ij->i", U, th) / h, h, dh, Hh,
-               *self._terms(U, th, h, dh, Hh)]
-        # a point whose base jet is not finite (so psi, |g| or the top
-        # eigenvalue of A is not) takes no step, and a candidate whose base
-        # jet is not finite is a rejected step: such points stay uncertified,
-        # for the fallback
-        live = np.isfinite(cur[1] + cur[8] + cur[9])
-        # the rows `act` of the result still stepping, their U and state cur
-        out, certified = cur[:7], np.zeros(N, dtype=bool)
-        act, Ua, radius = np.arange(N), U, np.full(N, 0.2)
+    def _ascend(self, cur, propose):
+        """Guarded ascent from the state cur = [x, psi, |grad psi|, top
+        eigenvalue of A, h, ...] of each point until it is certified or
+        _NEWTON_CAP steps have been taken.  propose(rows, cur, radius) takes
+        the state of the rows still stepping and their trust radii, and
+        returns the candidates' state, the steps' first-order gains and their
+        lengths before the radius clip.  A candidate's state serves its
+        acceptance test and, once it is accepted, the next step; only the
+        points still stepping take part, gathered when some point stops.
+        Returns (state, certified)."""
+        N = len(cur[0])
+        # a point whose base jet is not finite (so psi, |grad psi| or the top
+        # eigenvalue is not) takes no step, and a candidate whose base jet is
+        # not finite is a rejected step: such points stay uncertified, for the
+        # fallback
+        live = np.isfinite(cur[1] + cur[2] + cur[3])
+        # the rows `act` of the result still stepping, their state cur
+        out, certified = list(cur), np.zeros(N, dtype=bool)
+        act, radius = np.arange(N), np.full(N, 0.2)
         for it in range(self._NEWTON_CAP + 1):
             # a certified point takes no more steps, so it stays certified
-            cert = (cur[8] <= self._GRAD_TOL * cur[1]) & (cur[9] < 0)
+            cert = self._certified(cur)
             step = ~cert & live & (it < self._NEWTON_CAP)
             k = np.count_nonzero(step)
             if k < len(act) or not k:
@@ -698,35 +677,52 @@ class PolarBody(BodyEvaluator):
                     a[act] = b
                 if not k:
                     break
-                act, Ua, radius, live = act[step], Ua[step], radius[step], True
+                act, radius, live = act[step], radius[step], True
                 cur = [a[step] for a in cur]
-            ta, pa, F, A, g, na, lam = cur[0], cur[1], *cur[5:]
+            new, gain, norm = propose(act, cur, radius)
+            # a step whose first-order gain is below psi's rounding is judged
+            # by the gradient, which still resolves it
+            ok = np.where(gain <= self._UNRESOLVED * cur[1], new[2] < cur[2],
+                          new[1] >= cur[1] * self._ACCEPT)
+            ok &= np.isfinite(new[1] + new[2] + new[3])
+            if ok.all():
+                cur = new
+                continue
+            for a, b in zip(cur, new):
+                a[ok] = b[ok]
+            # the trust radius shrinks on each rejected step
+            radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
+        return tuple(out), certified
+
+    def _frame_state(self, U, TH, jet):
+        """n=3 ascent state at TH from the second-order base jet there:
+        [theta, psi, |g|, top eigenvalue of A, h, grad h, Hess h, F, A, g],
+        with F, g = F^T grad psi and A of _frame_terms."""
+        F, g, A = self._frame_terms(U, TH, *jet)
+        return [TH, np.einsum("ij,ij->i", U, TH) / jet[0],
+                np.sqrt(np.einsum("ij,ij->i", g, g)), frame_eigvalsh(A)[:, -1], *jet, F, A, g]
+
+    def _newton(self, U, th, jet=None):
+        """n=3: _ascend from th in the tangent frames, with one base jet and
+        one _frame_terms per step at the candidate; jet is the second-order
+        base jet at th when the caller holds it."""
+        def propose(rows, cur, radius):
+            ta, lam, F, A, g = cur[0], cur[3], *cur[7:]
             # Newton step, shifted to stay an ascent step (A - shift I is
-            # negative-definite; Cramer's rule), inside a trust radius that
-            # shrinks on each rejected step
+            # negative-definite; Cramer's rule)
             shift = np.maximum(lam + 1e-9, 0.0) + 1e-12
             a, b, c = A[:, 0, 0] - shift, A[:, 1, 0], A[:, 1, 1] - shift
             s = np.stack([b * g[:, 1] - c * g[:, 0], b * g[:, 0] - a * g[:, 1]],
                          axis=1) / (a * c - b * b)[:, None]
             norm = np.sqrt(np.einsum("ij,ij->i", s, s))
             s *= (np.minimum(norm, radius) / np.maximum(norm, 1e-300))[:, None]
-            gain = np.einsum("ij,ij->i", g, s)
             cand = ta + np.einsum("ijk,ik->ij", F, s)
             cand /= np.sqrt(np.einsum("ij,ij->i", cand, cand))[:, None]
-            jc = self.base.jet(cand, 2)
-            pc = np.einsum("ij,ij->i", Ua, cand) / jc[0]
-            new = (cand, pc, *jc, *self._terms(Ua, cand, *jc))
-            # a step whose first-order gain is below psi's rounding is judged
-            # by the gradient, which still resolves it
-            ok = np.where(gain <= self._UNRESOLVED * pa, new[8] < na,
-                          pc >= pa * self._ACCEPT) & np.isfinite(pc + new[8] + new[9])
-            if ok.all():
-                cur = list(new)
-            else:
-                for a, b in zip(cur, new):
-                    a[ok] = b[ok]
-            radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
-        return tuple(out), certified
+            return (self._frame_state(U[rows], cand, self.base.jet(cand, 2)),
+                    np.einsum("ij,ij->i", g, s), norm)
+
+        jet = self.base.jet(th, 2) if jet is None else jet
+        return self._ascend(self._frame_state(U, th.copy(), jet), propose)
 
     @staticmethod
     def _circle_terms(a, t, h, d1, d2):
@@ -738,59 +734,27 @@ class PolarBody(BodyEvaluator):
         g = (np.sin(d) - psi * d1) / h
         return psi, g, -(2.0 * d1 * g + c + psi * d2) / h
 
-    def _circle_newton(self, a, t, jet=None):
-        """n=2: _newton's guarded ascent on the angle from t, for the query
-        angles a, with (N,) scalars and one base circle jet per step (jet,
-        the circle jet at t, when the caller holds it).  Returns ((t, psi,
-        h, h', psi', psi''), certified)."""
-        h, d1, d2 = self.base.circle_jet(t) if jet is None else jet
-        psi, g, A = self._circle_terms(a, t, h, d1, d2)
-        cur = [np.array(t, dtype=float), psi, h, d1, g, A]
-        live = np.isfinite(psi + g + A)
-        out, certified = list(cur), np.zeros(len(a), dtype=bool)
-        act, aa, radius = np.arange(len(a)), a, np.full(len(a), 0.2)
-        for it in range(self._NEWTON_CAP + 1):
-            cert = (np.abs(cur[4]) <= self._GRAD_TOL * cur[1]) & (cur[5] < 0)
-            step = ~cert & live & (it < self._NEWTON_CAP)
-            k = np.count_nonzero(step)
-            if k < len(act) or not k:
-                certified[act] = cert
-                for x, y in zip(out, cur):
-                    x[act] = y
-                if not k:
-                    break
-                act, aa, radius, live = act[step], aa[step], radius[step], True
-                cur = [x[step] for x in cur]
-            t, psi, _, _, g, A = cur
+    def _circle_state(self, a, t, jet):
+        """n=2 ascent state at the angles t from the circle jet there, for
+        the query angles a: [t, psi, |psi'|, psi'', h, h', psi']."""
+        psi, g, A = self._circle_terms(a, t, *jet)
+        return [t, psi, np.abs(g), A, jet[0], jet[1], g]
+
+    def _circle_newton(self, a, t):
+        """n=2: _ascend on the angle from t, for the query angles a, with
+        (N,) scalars and one base circle jet at t and at each step's
+        candidates."""
+        def propose(rows, cur, radius):
+            t, A, g = cur[0], cur[3], cur[6]
             # _newton's shifted step: A - shift = min(A, -1e-9) - 1e-12
             s = g / (1e-12 - np.minimum(A, -1e-9))
             norm = np.abs(s)
             s = np.maximum(np.minimum(s, radius), -radius)
             cand = t + s
-            jc = self.base.circle_jet(cand)
-            pc, gc, Ac = self._circle_terms(aa, cand, *jc)
-            new = [cand, pc, jc[0], jc[1], gc, Ac]
-            ok = np.where(g * s <= self._UNRESOLVED * psi, np.abs(gc) < np.abs(g),
-                          pc >= psi * self._ACCEPT) & np.isfinite(pc + gc + Ac)
-            if ok.all():
-                cur = new
-                continue
-            for x, y in zip(cur, new):
-                x[ok] = y[ok]
-            radius = np.where(ok, radius, 0.25 * np.minimum(radius, norm))
-        return tuple(out), certified
+            return self._circle_state(a[rows], cand, self.base.circle_jet(cand)), g * s, norm
 
-    @staticmethod
-    def _planar_hessian(U, th, h, d1, A):
-        """The implicit-function Hessian at n=2 from theta, h, h' and
-        A = psi'' at the maximizer: with the tangent e at theta, m = M^t e =
-        (e - h' theta / h) / h, -m m^t / A projected on the tangent space at
-        U, -p p^t / A with p = m - <U, m> U.  NaN where A == 0."""
-        m = (_turn(th) - (d1 / h)[:, None] * th) / h[:, None]
-        m -= np.einsum("ij,ij->i", U, m)[:, None] * U
-        inv = np.full_like(A, np.nan)
-        np.divide(-1.0, A, out=inv, where=A != 0.0)
-        return inv[:, None, None] * _outer(m, m)
+        t = np.array(t, dtype=float)
+        return self._ascend(self._circle_state(a, t, self.base.circle_jet(t)), propose)
 
     # -- evaluator interface ----------------------------------------------
     def jet(self, X, order=2):
@@ -834,40 +798,33 @@ class PolarBody(BodyEvaluator):
     @property
     def certificate(self) -> tuple[int, float]:
         """(points left uncertified, largest |F^T grad psi|/psi) at the grid
-        solution's maximizers, kept after both passes (at n=2 psi' and
-        psi''); deterministic."""
-        U, _, sol = self._grid_solution()
-        psi = sol[1]
-        if self.n == 2:
-            gnorm, lam = np.abs(sol[4]), sol[5]
-        else:
-            gnorm, lam = self._terms(U, sol[0], *sol[2:5])[3:]
-        certified = (gnorm <= self._GRAD_TOL * psi) & (lam < 0)
-        return int((~certified).sum()), float(np.max(gnorm / psi))
+        solution's maximizers, read off the ascent state kept after both
+        passes; deterministic."""
+        _, _, sol = self._grid_solution()
+        return int((~self._certified(sol)).sum()), float(np.max(sol[2] / sol[1]))
 
     def _folded_jet(self, U, r, sol, order):
         """The jet at the points r U, no two of which share an orbit of the
-        fold, from the maximizer sol = _maximize(U)."""
+        fold, from the ascent state sol = _maximize(U) at the maximizers."""
         h = r * sol[1]
         if order == 0:
             return (h,)
+        hb = sol[4]
         if self.n == 2:
-            t, _, hb, d1, _, A = sol
-            th = np.stack([np.cos(t), np.sin(t)], axis=1)
-            grad = th / hb[:, None]
-            if order == 1:
-                return h, grad
-            return h, grad, self._planar_hessian(U, th, hb, d1, A) / r[:, None, None]
-        th, _, hb, dh, _, frames, A = sol
+            # the one-tangent frame F = e, b = h' and the 1x1 A = psi''
+            th = np.stack([np.cos(sol[0]), np.sin(sol[0])], axis=1)
+            Ft, b, A = _turn(th)[:, None], sol[5][:, None, None], sol[3][:, None, None]
+        else:
+            th, Ft, A = sol[0], sol[7].transpose(0, 2, 1), sol[8]
+            b = Ft @ sol[5][:, :, None]
         grad = th / hb[:, None]
         if order == 1:
             return h, grad
         # implicit-function Hessian: grad_theta psi = 0 at the maximizer, so
         # the frame's derivative drops out, and M U = grad_theta psi = 0;
         # F^T M = (F^T - b theta^T / h) / h with b = F^T grad h
-        Ft = frames.transpose(0, 2, 1)
         hb = hb[:, None, None]
-        FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / hb) / hb
+        FtM = (Ft - b * th[:, None, :] / hb) / hb
         # projected on the tangent space at U (M U = 0 to rounding), so that
         # -FtM^T A^-1 FtM, symmetrized, is the projected Hessian; a base
         # Hessian exactly degenerate at the maximizer makes A singular: those

@@ -26,8 +26,8 @@ from calab.bodies import (
     quantities,
 )
 from calab.isomorphic import _RoundedGaugeBody, construct
-from calab.sphere import (HarmonicBasis, build_grid, tangent_frames, to_ambient,
-                          unpack_sym)
+from calab.sphere import (HarmonicBasis, build_grid, frame_eigvalsh, tangent_frames,
+                          to_ambient, unpack_sym)
 from oracles import fd_grad, fd_hess
 
 
@@ -341,8 +341,14 @@ def _planar_bases(g):
         "polar_smoothed_l43": lambda: polar(
             firey_sum(0.01, ball(1.0, 2), 1.0, LqNormBody(4, 2), 1.0), g),
         "l4_ball": lambda: lq_gauge_body(4, 2),
+        "l4_norm": lambda: LqNormBody(4, 2),
     })
     return bases
+
+
+# the _planar_bases that are strongly convex, and so is their polar
+_STRONGLY_CONVEX_PLANAR = [k for k in _planar_bases(None)
+                           if k not in ("non_convex", "l4_ball", "l4_norm")]
 
 
 @pytest.mark.parametrize("L", [8, 24])
@@ -567,8 +573,9 @@ def test_polars_on_one_grid_keep_their_own_solutions():
 def test_polar_reference_jet_unfolds_exactly(n):
     # on a sign-symmetric base construction takes the base jet at the flip
     # orbit representatives only, the reference set of the seeds; unfolded
-    # with the signs it is the base's jet at every pair node exactly (at n=2
-    # its circle jet, h' odd under a flip), and so are the vertices and adj Q
+    # with the signs it is the base's jet at every pair node exactly, and so
+    # are the vertices and, at n=3, adj Q; at n=2 the inverse boundary-map
+    # table is built from the base's circle jet at every pair node exactly
     from calab.bodies import _osculating_adjugate, _turn
     g = build_grid(n, 24 if n == 3 else 16)
     E = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
@@ -588,19 +595,28 @@ def test_polar_reference_jet_unfolds_exactly(n):
         inverse, D = inverse[:len(g.pair_nodes)], D[:len(g.pair_nodes)]
         assert np.array_equal(P._reps, D[first] * g.nodes[first])
         ref = base.jet(g.pair_nodes, 2)
-        if n == 2:
-            e = _turn(g.pair_nodes)
-            ref = (ref[0], np.einsum("ij,ij->i", e, ref[1]),
-                   np.einsum("ij,ijk,ik->i", e, ref[2], e) - ref[0])
-            unfold = (1.0, D[:, 0] * D[:, 1], 1.0)
-        else:
+        assert np.array_equal(D * P._vertices_t.T[inverse], g.pair_nodes / ref[0][:, None])
+        if n == 3:
             DD = D[:, :, None] * D[:, None, :]
-            unfold = (1.0, D, DD)
             assert np.array_equal(DD * P._ref_adj[inverse], _osculating_adjugate(*ref),
                                   equal_nan=True)
-        for a, s, b in zip(P._ref_jet, unfold, ref):
-            assert np.array_equal(s * a[inverse], b)
-        assert np.array_equal(D * P._vertices_t.T[inverse], g.pair_nodes / ref[0][:, None])
+            for a, s, b in zip(P._ref_jet, (1.0, D, DD), ref):
+                assert np.array_equal(s * a[inverse], b)
+            continue
+        # the boundary-angle map's table at the pair nodes' angles mod pi,
+        # where R > 0 at every one, from the circle jet there
+        e = _turn(g.pair_nodes)
+        h, d1 = ref[0], np.einsum("ij,ij->i", e, ref[1])
+        R = np.einsum("ij,ijk,ik->i", e, ref[2], e)
+        if not (R > 0).all():
+            assert P._inverse_map is None
+            continue
+        t = np.arctan2(g.pair_nodes[:, 1], g.pair_nodes[:, 0]) % np.pi
+        o = np.argsort(t)
+        h, d1, R, t = h[o], d1[o], R[o], t[o]
+        table = (t + np.arctan2(d1, h), t, (h * h + d1 * d1) / (h * R))
+        for a, b in zip(P._inverse_map, table):
+            assert np.array_equal(a[:-1], b)
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -615,25 +631,45 @@ def test_polar_of_a_sign_symmetric_base_not_positive_names_the_pair_node(n):
         polar(base, g)
 
 
-def test_polar_certificate_counts_the_uncertified_orbit_points():
-    # the ball and diagonal ellipsoids certify every orbit point; the l4
-    # ball is not C^2 on the axes, and its count is a recount of the
-    # certificate from _terms at the kept maximizers (39 of 182 at L=24)
-    for L in (16, 24):
-        g = build_grid(3, L)
-        for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
-                     ellipsoid(np.diag([2.0, 1.0, 1.0]))):
-            count, stationarity = polar(base, g).certificate
-            assert count == 0 and stationarity <= PolarBody._GRAD_TOL
-    g = build_grid(3, 24)
-    P = polar(lq_gauge_body(4, 3), g)
-    P.support(g.nodes)
-    U, _, (th, psi, *_) = P._grid_solution()
-    _, _, _, gnorm, lam = P._terms(U, th, *P.base.jet(th, 2))
-    certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
-    assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
-    assert 0 < P.certificate[0] < len(U) == 182
-    assert polar(lq_gauge_body(4, 3), g).certificate == P.certificate
+@pytest.mark.parametrize("n", [2, 3])
+def test_polar_certificate_reads_the_kept_ascent_state(n):
+    # the certificate reads the |grad psi| and top eigenvalue of A kept with
+    # the grid solution: bit for bit those a fresh _frame_terms (n=3) or
+    # _circle_terms (n=2) forms on a fresh base jet at the kept maximizers.
+    # Expected counts of orbit points left uncertified: none on the smooth
+    # bases; the l4 ball is not C^2 on the axes, and leaves 39 of 182 at
+    # n=3, L=24; at n=2 its axis point (0, 1), where the angle pi/2 rounds
+    # to cos t = 6.1e-17 and its gradient, ~|x|^(1/3), reads 3.9e-6; the l4
+    # norm, flat on the axes, its axis point (1, 0), where psi'' is exactly
+    # 0 (at (0, 1) the same rounding of pi/2 leaves psi'' just below 0)
+    if n == 3:
+        cases = [(L, base, 0) for L in (16, 24)
+                 for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
+                              ellipsoid(np.diag([2.0, 1.0, 1.0])))]
+        cases.append((24, lq_gauge_body(4, 3), 39))
+    else:
+        bases = _planar_bases(build_grid(2, 16))
+        cases = [(16, bases[k](), {"l4_ball": 1, "l4_norm": 1}.get(k, 0))
+                 for k in ("random0", "diag(6,1)", "non_convex", "polar_smoothed_l43",
+                           "l4_ball", "l4_norm")]
+    for L, base, count in cases:
+        g = build_grid(n, L)
+        P = polar(base, g)
+        U, _, sol = P._grid_solution()
+        x, psi = sol[:2]
+        if n == 3:
+            _, d, A = P._frame_terms(U, x, *P.base.jet(x, 2))
+            gnorm, lam = np.sqrt(np.einsum("ij,ij->i", d, d)), frame_eigvalsh(A)[:, -1]
+        else:
+            _, d, lam = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), x, *P.base.circle_jet(x))
+            gnorm = np.abs(d)
+        assert np.array_equal(sol[2], gnorm) and np.array_equal(sol[3], lam)
+        certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
+        assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
+        assert P.certificate[0] == count
+        if not count:
+            assert P.certificate[1] <= P._GRAD_TOL
+        assert polar(base, g).certificate == P.certificate
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
@@ -658,32 +694,18 @@ def test_polar_jet_folded_over_flips_matches_the_unfolded_solve(n, L, name):
         assert np.abs(a - b).max() <= 1e-11 * np.abs(b).max()
 
 
-@pytest.mark.parametrize("name", list(_planar_bases(None)))
-def test_planar_polar_hessian_is_the_frame_form(name):
-    # at n=2 the implicit-function Hessian is -p p^t / A from scalars and
-    # 2-vectors; the frame form -(F^t M)^t A^-1 F^t M, symmetrized and
-    # projected on the tangent space, agrees to 1e-15 of its largest entry
-    # (measured <= 5.6e-16), NaN at the same points.  The frame form is
-    # built from the angle solution: theta = (cos t, sin t), the frame
-    # F = tangent_frames(theta), grad h = h theta + h' e and A = psi''
-    from calab.bodies import _symmetric_tangential
-    from calab.sphere import frame_solve
+@pytest.mark.parametrize("name", _STRONGLY_CONVEX_PLANAR)
+def test_planar_bipolar_jet_is_the_base_jet(name):
+    # polar(polar(K)) = K: at n=2 the bipolar's jet, whose D^2h is the
+    # implicit-function Hessian of a polar whose base jet holds another
+    # polar's, reproduces K's at the L=16 pair nodes and at random points, to
+    # 1e-12 of each output's largest entry (measured <= 5.5e-16 for h,
+    # 1.0e-13 for grad h and 1.1e-13 for D^2h)
     g = build_grid(2, 16)
-    P = polar(_planar_bases(g)[name](), g)
+    base = _planar_bases(g)[name]()
     U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(33), 40, 2)])
-    t, _, h, d1, _, A = P._maximize(U)
-    th = np.stack([np.cos(t), np.sin(t)], axis=1)
-    F = tangent_frames(th)
-    dh = h[:, None] * th + d1[:, None] * F[:, :, 0]
-    Ft = F.transpose(0, 2, 1)
-    FtM = (Ft - (Ft @ dh[:, :, None]) * th[:, None, :] / h[:, None, None]) / h[:, None, None]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        frame = _symmetric_tangential(-FtM.transpose(0, 2, 1) @ frame_solve(A[:, None, None], FtM), U)
-    scalar = P._planar_hessian(U, th, h, d1, A)
-    ok = np.isfinite(frame).all(axis=(1, 2))
-    assert np.array_equal(ok, np.isfinite(scalar).all(axis=(1, 2)))
-    assert ok.any()
-    assert np.abs(scalar[ok] - frame[ok]).max() <= 1e-15 * np.abs(frame[ok]).max()
+    for a, b in zip(polar(polar(base, g), g).jet(U, 2), base.jet(U, 2)):
+        assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
 
 
 def test_polar_nan_hessian_reaches_only_its_antipode():
@@ -889,13 +911,14 @@ def test_planar_polar_takes_at_most_three_circle_jets(seed, monkeypatch):
 def test_planar_polar_matches_a_dense_brute_force(name):
     # the n=2 polar's h against the largest psi over 20000 angles, refined
     # three times 1000-fold around it: within 1e-14 relative (measured
-    # <= 1.0e-15) at the pair nodes and at random points.  The non-convex
-    # base, not strongly convex at every pair node, takes the polytope
-    # start; every other base here the boundary-map start
+    # <= 1.0e-15) at the pair nodes and at random points.  The bases not
+    # strongly convex at every pair node (the non-convex perturbed ball, and
+    # the l4 norm, whose R is 0 on the axes) take the polytope seed start;
+    # every other base here the boundary-map start
     g = build_grid(2, 16)
     base = _planar_bases(g)[name]()
     P = polar(base, g)
-    assert (P._inverse_map is None) == (name == "non_convex")
+    assert (P._inverse_map is None) == (name in ("non_convex", "l4_norm"))
     U = np.vstack([g.pair_nodes, unit_vectors(np.random.default_rng(40), 20, 2)])
 
     def psi(t, u):
@@ -914,83 +937,33 @@ def test_planar_polar_matches_a_dense_brute_force(name):
     assert np.all(np.abs(P.support(U) / ref - 1.0) <= 1e-14)
 
 
-@pytest.mark.parametrize("name", ["random0", "diag(6,1)", "non_convex",
-                                  "polar_smoothed_l43", "l4_ball"])
-def test_planar_polar_certificate_is_a_recount(name):
-    # at n=2 the certificate reads the psi' and psi'' kept with the grid
-    # solution: a recount from _circle_terms on a fresh circle jet at the
-    # kept angles gives the same count and largest |psi'|/psi.  The l4 ball
-    # leaves its axis point (0, 1) uncertified: the angle pi/2 rounds to
-    # cos t = 6.1e-17, where its gradient, ~|x|^(1/3), reads 3.9e-6
-    g = build_grid(2, 16)
-    P = polar(_planar_bases(g)[name](), g)
-    U, _, (t, psi, *_) = P._grid_solution()
-    _, d, A = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), t, *P.base.circle_jet(t))
-    certified = (np.abs(d) <= P._GRAD_TOL * psi) & (A < 0)
-    assert P.certificate == ((~certified).sum(), (np.abs(d) / psi).max())
-    assert P.certificate[0] == (name == "l4_ball")
-
-
 def test_polar_start_is_never_below_the_seed(monkeypatch):
-    # psi at the start Newton runs from is at least psi at the polytope seed,
-    # on convex and non-convex bases alike; the start moves off the node
-    # wherever Q is positive-definite and psi there is not lower.  At n=2
-    # the polytope start serves the bases not strongly convex at every pair
-    # node (the non-convex perturbed ball; the l4 norm, flat on the axes),
-    # and Newton runs on the angle: the start and seed are compared as
-    # angles
+    # psi at the start the n=3 ascent runs from is at least psi at the
+    # polytope seed, on convex and non-convex bases alike; the start moves off
+    # the node wherever Q is positive-definite and psi there is not lower
     starts = []
-    run, run2 = PolarBody._newton, PolarBody._circle_newton
+    run = PolarBody._newton
     monkeypatch.setattr(PolarBody, "_newton",
                         lambda self, U, th, jet=None: starts.append(th) or run(self, U, th, jet))
-    monkeypatch.setattr(PolarBody, "_circle_newton",
-                        lambda self, a, t, jet=None: starts.append(t) or run2(self, a, t, jet))
-    for n, base in ((2, perturbed_ball(2, 1.5)), (2, LqNormBody(4, 2)),
-                    (3, random_even_body(3, 7000)), (3, LqNormBody(4, 3))):
-        g = build_grid(n, 16)
+    for base in (random_even_body(3, 7000), LqNormBody(4, 3)):
+        g = build_grid(3, 16)
         P = polar(base, g)
-        U = np.vstack([unit_vectors(np.random.default_rng(31), 200, n), g.pair_nodes])
+        U = np.vstack([unit_vectors(np.random.default_rng(31), 200, 3), g.pair_nodes])
         starts.clear()
         P._maximize(U)
         start, seed = starts[0], _seed(P, U)
-        if n == 2:
-            assert P._inverse_map is None
-            seed = np.arctan2(seed[:, 1], seed[:, 0])
-            moved = start != seed
-            start, seed = (np.stack([np.cos(t), np.sin(t)], axis=1) for t in (start, seed))
-        else:
-            moved = (start != seed).any(axis=1)
         assert np.all(P._psi(U, start) >= P._psi(U, seed))
-        assert moved.any()
+        assert (start != seed).any()
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_osculating_adjugate(n):
+def test_osculating_adjugate():
     # Q adj Q = det(Q) I for Q = grad h grad h^t + h D^2h where Q is
     # positive-definite, and adj Q is NaN where it is not: at the l4 norm's
     # nodes in a coordinate plane D^2h loses rank and Q with it (Sylvester's
-    # minors may read such a Q as definite by a rounding error, and keep it).
-    # At n=2 the adjugate is written in the seed's angle (_circle_start): the
-    # start moves along Q^-1 u, to 1e-12, and never where Q is indefinite
+    # minors may read such a Q as definite by a rounding error, and keep it)
     from calab.bodies import _osculating_adjugate
-    g = build_grid(n, 16)
-    if n == 2:
-        for base in (random_even_body(2, 3), LqNormBody(4, 2)):
-            P = polar(base, g)
-            U = np.vstack([unit_vectors(np.random.default_rng(34), 200, 2), g.pair_nodes])
-            t = P._circle_start(U, np.arctan2(U[:, 1], U[:, 0]))[0]
-            seed = _seed(P, U)
-            h, dh, Hh = base.jet(seed, 2)
-            Q = dh[:, :, None] * dh[:, None, :] + h[:, None, None] * Hh
-            lam = np.linalg.eigvalsh(Q)
-            moved = t != np.arctan2(seed[:, 1], seed[:, 0])
-            assert moved.any() and not moved[lam[:, 0] < 1e-12 * lam[:, -1]].any()
-            v = np.linalg.solve(Q[moved], U[moved, :, None])[:, :, 0]
-            v /= np.linalg.norm(v, axis=1, keepdims=True)
-            start = np.stack([np.cos(t[moved]), np.sin(t[moved])], axis=1)
-            assert np.abs(start - v).max() < 1e-12
-        return
-    for base in (random_even_body(n, 3), LqNormBody(4, n)):
+    g = build_grid(3, 16)
+    for base in (random_even_body(3, 3), LqNormBody(4, 3)):
         h, dh, Hh = base.jet(g.pair_nodes, 2)
         Q = dh[:, :, None] * dh[:, None, :] + h[:, None, None] * Hh
         adj = _osculating_adjugate(h, dh, Hh)
@@ -999,7 +972,7 @@ def test_osculating_adjugate(n):
         assert ok[lam[:, 0] > 1e-12 * lam[:, -1]].all()
         assert not ok[lam[:, 0] < -1e-12 * lam[:, -1]].any()
         assert ok.all() == (base.label != "l4-norm")
-        res = Q[ok] @ adj[ok] - np.linalg.det(Q[ok])[:, None, None] * np.eye(n)
+        res = Q[ok] @ adj[ok] - np.linalg.det(Q[ok])[:, None, None] * np.eye(3)
         assert np.abs(res).max() < 1e-14 * np.abs(Q).max() * np.abs(adj[ok]).max()
 
 
@@ -1061,7 +1034,7 @@ def test_polar_hessian_reuses_newton_frame_terms(name):
     calls = []
     terms = P._frame_terms
     P._frame_terms = lambda *a: calls.append(len(a[0])) or terms(*a)
-    th, _, h, dh, Hh, F, A = P._maximize(U)
+    th, _, _, _, h, dh, Hh, F, A, _ = P._maximize(U)
     count = len(calls)
     P.jet(U, 2)
     assert len(calls) == 2 * count
@@ -1083,22 +1056,20 @@ def test_polar_fallback_takes_its_own_jets():
 
 
 def test_polar_runs_one_newton_loop_at_every_dimension(monkeypatch):
-    # each dimension runs one Newton loop, on the angle at n=2
-    # (PolarBody._circle_newton) and in the tangent frames at n=3
-    # (PolarBody._newton), once from the starts and once more for the
-    # fallback pass (the l4 balls, not C^2 on the axes, leave points
-    # uncertified)
+    # both dimensions run the one guarded ascent (PolarBody._ascend), on the
+    # angle at n=2 and in the tangent frames at n=3, once from the starts and
+    # once more for the fallback pass (the l4 balls, not C^2 on the axes,
+    # leave points uncertified)
     calls = []
-    for name in ("_newton", "_circle_newton"):
-        monkeypatch.setattr(PolarBody, name, lambda self, *a, name=name, run=getattr(
-            PolarBody, name): calls.append(name) or run(self, *a))
+    run = PolarBody._ascend
+    monkeypatch.setattr(PolarBody, "_ascend",
+                        lambda self, cur, propose: calls.append(self.n) or run(self, cur, propose))
     for n in (2, 3):
         g = build_grid(n, 8)
         for body in (ellipsoid(np.diag([2.0, 1.0, 0.7][:n])), lq_gauge_body(4, n)):
             calls.clear()
             polar(body, g).jet(unit_vectors(np.random.default_rng(27), 20, n), 2)
-            loop = "_circle_newton" if n == 2 else "_newton"
-            assert calls == [loop] * (1 if body.label == "ellipsoid" else 2)
+            assert calls == [n] * (1 if body.label == "ellipsoid" else 2)
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
