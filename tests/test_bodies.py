@@ -631,45 +631,54 @@ def test_polar_of_a_sign_symmetric_base_not_positive_names_the_pair_node(n):
         polar(base, g)
 
 
-@pytest.mark.parametrize("n", [2, 3])
-def test_polar_certificate_reads_the_kept_ascent_state(n):
+def _assert_certificate_reads_the_kept_state(P, count):
     # the certificate reads the |grad psi| and top eigenvalue of A kept with
     # the grid solution: bit for bit those a fresh _frame_terms (n=3) or
-    # _circle_terms (n=2) forms on a fresh base jet at the kept maximizers.
-    # Expected counts of orbit points left uncertified: none on the smooth
-    # bases; the l4 ball is not C^2 on the axes, and leaves 39 of 182 at
-    # n=3, L=24; at n=2 its axis point (0, 1), where the angle pi/2 rounds
-    # to cos t = 6.1e-17 and its gradient, ~|x|^(1/3), reads 3.9e-6; the l4
+    # _circle_terms (n=2) forms on a fresh base jet at the kept maximizers
+    U, _, sol = P._grid_solution()
+    x, psi = sol[:2]
+    if P.n == 3:
+        _, d, A = P._frame_terms(U, x, *P.base.jet(x, 2))
+        gnorm, lam = np.sqrt(np.einsum("ij,ij->i", d, d)), frame_eigvalsh(A)[:, -1]
+    else:
+        _, d, lam = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), x, *P.base.circle_jet(x))
+        gnorm = np.abs(d)
+    assert np.array_equal(sol[2], gnorm) and np.array_equal(sol[3], lam)
+    certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
+    assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
+    assert P.certificate[0] == count
+    if not count:
+        assert P.certificate[1] <= P._GRAD_TOL
+
+
+def test_polar_certificate_counts_the_uncertified_orbit_points():
+    # the ball and diagonal ellipsoids certify every orbit point; the l4
+    # ball is not C^2 on the axes, and leaves 39 of 182 uncertified at L=24
+    cases = [(L, base, 0) for L in (16, 24)
+             for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
+                          ellipsoid(np.diag([2.0, 1.0, 1.0])))]
+    cases.append((24, lq_gauge_body(4, 3), 39))
+    for L, base, count in cases:
+        g = build_grid(3, L)
+        P = polar(base, g)
+        _assert_certificate_reads_the_kept_state(P, count)
+        assert polar(base, g).certificate == P.certificate
+
+
+@pytest.mark.parametrize("name", ["random0", "diag(6,1)", "non_convex",
+                                  "polar_smoothed_l43", "l4_ball", "l4_norm"])
+def test_planar_polar_certificate_is_a_recount(name):
+    # at n=2 the certificate reads the psi' and psi'' kept with the grid
+    # solution.  The smooth bases certify every orbit point; the l4 ball
+    # leaves its axis point (0, 1), where the angle pi/2 rounds to
+    # cos t = 6.1e-17 and its gradient, ~|x|^(1/3), reads 3.9e-6; the l4
     # norm, flat on the axes, its axis point (1, 0), where psi'' is exactly
     # 0 (at (0, 1) the same rounding of pi/2 leaves psi'' just below 0)
-    if n == 3:
-        cases = [(L, base, 0) for L in (16, 24)
-                 for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
-                              ellipsoid(np.diag([2.0, 1.0, 1.0])))]
-        cases.append((24, lq_gauge_body(4, 3), 39))
-    else:
-        bases = _planar_bases(build_grid(2, 16))
-        cases = [(16, bases[k](), {"l4_ball": 1, "l4_norm": 1}.get(k, 0))
-                 for k in ("random0", "diag(6,1)", "non_convex", "polar_smoothed_l43",
-                           "l4_ball", "l4_norm")]
-    for L, base, count in cases:
-        g = build_grid(n, L)
-        P = polar(base, g)
-        U, _, sol = P._grid_solution()
-        x, psi = sol[:2]
-        if n == 3:
-            _, d, A = P._frame_terms(U, x, *P.base.jet(x, 2))
-            gnorm, lam = np.sqrt(np.einsum("ij,ij->i", d, d)), frame_eigvalsh(A)[:, -1]
-        else:
-            _, d, lam = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), x, *P.base.circle_jet(x))
-            gnorm = np.abs(d)
-        assert np.array_equal(sol[2], gnorm) and np.array_equal(sol[3], lam)
-        certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
-        assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
-        assert P.certificate[0] == count
-        if not count:
-            assert P.certificate[1] <= P._GRAD_TOL
-        assert polar(base, g).certificate == P.certificate
+    g = build_grid(2, 16)
+    base = _planar_bases(g)[name]()
+    P = polar(base, g)
+    _assert_certificate_reads_the_kept_state(P, int(name in ("l4_ball", "l4_norm")))
+    assert polar(base, g).certificate == P.certificate
 
 
 @pytest.mark.parametrize("n,L", [(2, 16), (3, 24)])
