@@ -14,7 +14,7 @@ from dataclasses import dataclass, asdict
 import numpy as np
 
 from calab.bodies import BodyOnGrid, evaluate_on_grid, linear_image
-from calab.sphere import unpack_sym
+from calab.sphere import packed_positions, unpack_sym
 
 
 @dataclass(frozen=True)
@@ -75,17 +75,11 @@ def measure_pinching(bg: BodyOnGrid) -> PinchingReport:
 # optimization over centro-affine images
 
 
-def _sym_from_vec(z: np.ndarray, n: int) -> np.ndarray:
-    """Traceless symmetric matrix from its upper triangle, row by row."""
-    S = unpack_sym(np.asarray(z, dtype=float))
-    return S - np.trace(S) / n * np.eye(n)
-
-
 def _spd_exp(S: np.ndarray) -> np.ndarray:
-    """exp(S) for symmetric S, exactly symmetric: the upper triangle of
-    (V e^w) V^t mirrored into the lower."""
+    """exp(S - tr(S)/n) for symmetric S, of determinant 1 and exactly
+    symmetric: the upper triangle of (V e^w) V^t mirrored into the lower."""
     w, V = np.linalg.eigh(S)
-    T = (V * np.exp(w)[None, :]) @ V.T
+    T = (V * np.exp(w - w.sum() / len(w))[None, :]) @ V.T
     lower = np.tril_indices(len(T), -1)
     T[lower] = T.T[lower]
     return T
@@ -155,8 +149,8 @@ def _nelder_mead(f, x0, maxiter: int, xatol: float, fatol: float):
 def _isotropic_centre(bg: BodyOnGrid) -> np.ndarray:
     """optimize_image's chart centre z0: the upper triangle of the traceless
     part of -1/2 log Q, Q = sum_j w_j v_j x_j x_j^t over the pair nodes
-    (x = grad h, v the cone-volume density), so exp(z0) takes K to about its
-    isotropic position (an ellipsoid to a ball)."""
+    (x = grad h, v the cone-volume density), so exp(z0) takes K near its
+    isotropic position (an ellipsoid to a ball in the continuum)."""
     n = bg.n
     w, V = np.linalg.eigh((bg.x.T * (bg.grid.pair_weights * bg.vk_density)) @ bg.x)
     S = (V * (-0.5 * np.log(w))[None, :]) @ V.T
@@ -164,21 +158,20 @@ def _isotropic_centre(bg: BodyOnGrid) -> np.ndarray:
 
 
 def _image_samples(bg: BodyOnGrid):
-    """The pinching samples of every image T(K), T = exp(S) for traceless
+    """The pinching samples of every image T(K), T = exp(S - tr(S)/n) for
     symmetric S, from K's jet on the grid alone: a function of S returning
     h_TK(u) (N/2,) and the tangent eigenvalues of (h D^2h)_TK(u) (N/2, n-1),
     ascending, at u = T^-1 v / |T^-1 v| for each pair node v.
 
-    T is symmetric with det T = 1, so h_TK(x) = h_K(T x), h_TK(u) =
+    T is symmetric with det T = 1, so h_TK(x) = h_K(Tx), h_TK(u) =
     h_K(v) / |T^-1 v| and (h D^2h)_TK(u) = h_K(v) T D^2h_K(v) T, whose tangent
-    eigenvalues are those of the frame matrix (h D2h_frame)(v) F^t T^2 F
-    (F the node's tangent frame).  Both are linear in the packed upper
-    triangles of T^2 and T^-2, so the per-node coefficient rows are built
-    here once, and each call takes one eigh of S and two matrix-vector
-    products.  The 2x2 eigenvalues are m + sqrt(((a - d)/2)^2 + bc),
-    m = (a + d)/2, and (ad - bc) divided by it, which do not cancel near a
-    ball."""
-    n, q = bg.n, bg.n - 1
+    eigenvalues are those of the frame matrix [[a, b], [c, d]] =
+    (h D2h_frame)(v) F^t T^2 F (F v's tangent frame).  |T^-1 v|^2 and
+    (a + d)/2, (a - d)/2, b, c are linear in the packed T^-2 and T^2, so
+    their per-node rows are built once; a call takes one eigh and three
+    small products.  The 2x2 eigenvalues are (a + d)/2 -+
+    sqrt(((a - d)/2)^2 + bc), which does not cancel near a ball."""
+    n, q, half = bg.n, bg.n - 1, len(bg.h)
     rows, cols = np.triu_indices(n)
     v, F = bg.grid.pair_nodes, bg.grid.tangent_frames()
     # |T^-1 v|^2 = v^t T^-2 v, an off-diagonal entry counted twice
@@ -186,34 +179,43 @@ def _image_samples(bg: BodyOnGrid):
     # F^t P F for symmetric P, per packed entry of P
     G = F[:, rows, :, None] * F[:, cols, None, :]
     G = (G + G.transpose(0, 1, 3, 2)) * np.where(rows == cols, 0.5, 1.0)[:, None, None]
-    hR = bg.h[:, None, None] * bg.D2h_frame
-    entry_rows = np.einsum("ikm,ipml->iklp", hR, G).reshape(-1, len(rows))
+    E = np.einsum("ikm,ipml->klip", bg.h[:, None, None] * bg.D2h_frame, G)
+    if q == 2:
+        E = np.stack([E[0, 0] + E[1, 1], E[0, 0] - E[1, 1], 2 * E[0, 1], 2 * E[1, 0]]) / 2
+    form_rows = E.reshape(-1, len(rows))
+    signs = np.array([2.0, -2.0])
 
     def samples(S):
         w, V = np.linalg.eigh(S)
-        T2 = (V * np.exp(2.0 * w)[None, :]) @ V.T
-        Tinv2 = (V * np.exp(-2.0 * w)[None, :]) @ V.T
-        h = bg.h / np.sqrt(norm_rows @ Tinv2[rows, cols])
-        M = (entry_rows @ T2[rows, cols]).reshape(-1, q, q)
+        t2, tinv2 = ((V[rows] * V[cols])
+                     @ np.exp(np.multiply.outer(w - w.sum() / n, signs))).T
+        h = bg.h / np.sqrt(norm_rows @ tinv2)
+        r = (form_rows @ t2).reshape(-1, half)
         if q == 1:
-            return h, M[:, 0]
-        a, b, c, d = M[:, 0, 0], M[:, 0, 1], M[:, 1, 0], M[:, 1, 1]
-        # M is similar to a symmetric matrix, so the discriminant is >= 0 but
-        # for rounding where the two eigenvalues nearly meet
-        big = 0.5 * (a + d) + np.sqrt(np.maximum((0.5 * (a - d)) ** 2 + b * c, 0.0))
-        return h, np.stack([(a * d - b * c) / big, big], axis=1)
+            return h, r.T
+        m, s, bc, c = r
+        bc *= c
+        s *= s
+        s += bc
+        # the frame matrix is similar to a symmetric one, so the discriminant
+        # is >= 0 but for rounding where the two eigenvalues nearly meet
+        np.sqrt(np.maximum(s, 0.0, out=s), out=s)
+        np.subtract(m, s, out=bc)
+        s += m
+        return h, r[2:0:-1].T
     return samples
 
 
 def _p_strong_objective(bg: BodyOnGrid, centre: np.ndarray):
     """optimize_image's objective: p_strong of T(K) at T = exp(centre + z) for
-    the traceless log-chart coordinates z, from the samples of _image_samples
+    the traceless log-chart coordinates z, from _image_samples' extremes
     (T(K) is sampled at u = T^-1 v / |T^-1 v|, not at the grid nodes)."""
-    samples = _image_samples(bg)
+    samples, pos = _image_samples(bg), packed_positions(bg.n)
 
     def objective(z):
-        h, eig = samples(_sym_from_vec(centre + z, bg.n))
-        return threshold_strong(float(eig.min()), float(eig.max()), float(h.max()), bg.n)
+        h, eig = samples((centre + z)[pos])
+        return threshold_strong(float(eig[:, 0].min()), float(eig[:, -1].max()),
+                                float(h.max()), bg.n)
     return objective
 
 
@@ -237,7 +239,7 @@ def optimize_image(bg: BodyOnGrid, iters: int = 200) -> dict:
     z, nit, converged = _nelder_mead(_p_strong_objective(bg, centre),
                                      np.zeros(n * (n + 1) // 2), iters,
                                      xatol=1e-6, fatol=1e-9)
-    best_T = _spd_exp(_sym_from_vec(centre + z, n))
+    best_T = _spd_exp(unpack_sym(centre + z))
     report = measure_pinching(evaluate_on_grid(linear_image(bg.body, best_T), bg.grid))
     return {"T": best_T, "report": report, "iterations": nit,
             "stopped_by": "tolerance" if converged else "iteration cap"}

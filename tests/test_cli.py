@@ -497,6 +497,21 @@ def test_spectrum_without_lambda1_fails_check(tmp_path):
     assert (out / "spectrum.json").exists()
 
 
+@pytest.mark.parametrize("cfg", [
+    {"grid": {"n": 3, "L": 20}, "body": {"type": "ball"}, "k": 10},
+    {"grid": {"n": 2, "L": 16}, "body": {"type": "random", "seed": 3}},
+], ids=["ball_n3", "random_n2"])
+def test_spectrum_even_nonconstant_passes_without_lambda1_check(tmp_path, cfg):
+    # the linear functions, eigenvalue n - 1, are odd and outside this
+    # subspace, so its lambda1 (6 for the ball at n=3) is not checked
+    cfg = write_config(tmp_path, "c.json", {**cfg, "subspace": "even-nonconstant"})
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 0
+    report = json.loads((out / "report.json").read_text())
+    assert report["pass"]
+    assert "lambda1" not in [c["name"] for c in report["checks"]]
+
+
 def test_isomorphic_command(tmp_path):
     cfg = write_config(tmp_path, "c.json", {
         "grid": {"n": 2, "L": 20},

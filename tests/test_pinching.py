@@ -24,7 +24,6 @@ from calab.pinching import (
     _isotropic_centre,
     _nelder_mead,
     _spd_exp,
-    _sym_from_vec,
     _p_strong_objective,
     measure_pinching,
     optimize_image,
@@ -32,7 +31,7 @@ from calab.pinching import (
     threshold_strong,
 )
 from calab.spectral import compute_spectrum
-from calab.sphere import build_grid, tangent_frames
+from calab.sphere import build_grid, tangent_frames, unpack_sym
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +176,13 @@ def test_nelder_mead_matches_scipy_on_the_pinch_config():
                                       1e-6, 1e-9)
 
 
+def test_nelder_mead_matches_scipy_on_an_n2_pinch_objective():
+    # n=2 takes _image_samples' one-eigenvalue branch
+    bg = evaluate_on_grid(random_even_body(2, 7007), build_grid(2, 16))
+    objective = _p_strong_objective(bg, _isotropic_centre(bg))
+    _assert_matches_scipy_nelder_mead(objective, np.zeros(3), 200, 1e-6, 1e-9)
+
+
 def test_optimize_image_reaches_the_ball_of_the_pinch_config():
     # Nelder-Mead starts at the isotropic position, where the ellipsoid is a
     # ball (p_strong 2 at n=3), and stops by its tolerances before the cap;
@@ -217,7 +223,7 @@ def test_image_samples_match_the_image_body(n, name):
     samples = _image_samples(evaluate_on_grid(body, g))
     rng = np.random.default_rng(11)
     for _ in range(5):
-        S = _sym_from_vec(0.3 * rng.normal(size=n * (n + 1) // 2), n)
+        S = unpack_sym(0.3 * rng.normal(size=n * (n + 1) // 2))
         T = _spd_exp(S)
         u = np.linalg.solve(T, g.pair_nodes.T).T
         u /= np.linalg.norm(u, axis=1, keepdims=True)
@@ -227,6 +233,24 @@ def test_image_samples_match_the_image_body(n, name):
         h_s, eig_s = samples(S)
         assert np.abs(h_s - h).max() <= 1e-12
         assert np.abs(eig_s - eig).max() <= 1e-12
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", sorted(_IMAGE_BODIES))
+def test_objective_is_p_strong_of_the_image_samples(n, name):
+    # the objective reduces the extremes of _image_samples, here given the
+    # traceless chart matrix formed apart from it
+    g = build_grid(n, 16)
+    bg = evaluate_on_grid(_IMAGE_BODIES[name](n, g), g)
+    centre = _isotropic_centre(bg)
+    objective, samples = _p_strong_objective(bg, centre), _image_samples(bg)
+    rng = np.random.default_rng(13)
+    for _ in range(5):
+        z = 0.3 * rng.normal(size=n * (n + 1) // 2)
+        S = unpack_sym(centre + z)
+        h, eig = samples(S - np.trace(S) / n * np.eye(n))
+        p = threshold_strong(eig.min(), eig.max(), h.max(), n)
+        assert abs(objective(z) - p) <= 1e-13 * abs(p)
 
 
 def test_optimize_image_rejects_a_body_not_strongly_convex():
