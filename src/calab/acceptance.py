@@ -309,8 +309,20 @@ def criterion_smoothing_construction(seed: int = 0) -> list[Check]:
     return out
 
 
+def _round_trip(label: str, E, g, p: float) -> list[Check]:
+    """Solve for the L^p surface-area measure of E on g: the solution is E
+    up to scale, with a small EL residual."""
+    res = minimize(TargetMeasure.from_body(evaluate_on_grid(E, g), p), p)
+    h, hE = res.body.support(g.nodes), E.support(g.nodes)
+    scale = np.mean(h) / np.mean(hE)
+    return [_le(f"{label}/recovery_error",
+                float(np.abs(h / (hE * scale) - 1.0).max()), 1e-3),
+            _le(f"{label}/el_residual", res.el_residual, 1e-4)]
+
+
 def criterion_solver_round_trips(seed: int = 0) -> list[Check]:
-    """Lebesgue target returns the disc; S_p round trip returns the ellipse."""
+    """Lebesgue target returns the disc; S_p round trips return the ellipse
+    (p = 0.5) and, at n=3, the ellipsoid diag(1.2, 1, 0.9) (p = 0 and 0.5)."""
     g = _grid2()
     out = []
     mu = TargetMeasure.from_density(g, np.ones(g.node_count))
@@ -321,14 +333,10 @@ def criterion_solver_round_trips(seed: int = 0) -> list[Check]:
     out.append(_le("lebesgue/el_residual", res.el_residual, 1e-4))
 
     E = ellipsoid(np.diag([1.5, 1.0]))
-    muE = TargetMeasure.from_body(evaluate_on_grid(E, g), 0.5)
-    res2 = minimize(muE, 0.5)
-    h2 = res2.body.support(g.nodes)
-    hE = E.support(g.nodes)
-    scale = np.mean(h2) / np.mean(hE)
-    out.append(_le("ellipse/recovery_error",
-                   float(np.abs(h2 / (hE * scale) - 1.0).max()), 1e-3))
-    out.append(_le("ellipse/el_residual", res2.el_residual, 1e-4))
+    out += _round_trip("ellipse", E, g, 0.5)
+    g3, E3 = build_grid(3, 16), ellipsoid(np.diag([1.2, 1.0, 0.9]))
+    for p in (0.0, 0.5):
+        out += _round_trip(f"ellipsoid_n3/p{p}", E3, g3, p)
 
     probe1 = uniqueness_probe(ball(1.0, 2), 0.0, n_starts=5, seed=seed + 1, grid=g)
     out.append(_close("ball/clusters", probe1["clusters"], 1, 0))

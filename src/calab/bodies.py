@@ -28,6 +28,8 @@ from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, circle_synthesi
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
 # tangential eigenvalue of D^2 h over the nodes exceeds this
 VALID_MIN_EIG = 1e-12
+# the draws random_even_body makes before it raises
+_RANDOM_DRAWS = 32
 
 
 def _as_points(X, n):
@@ -92,14 +94,6 @@ def _grid_jet(body: BodyEvaluator, nodes: np.ndarray) -> tuple:
     return kept[1]
 
 
-def _symmetric_tangential(H, U):
-    """Symmetrized H projected on the tangent spaces at the unit points U
-    (the Hessian of a 1-homogeneous function annihilates the position)."""
-    H = 0.5 * (H + H.transpose(0, 2, 1))
-    proj = np.eye(U.shape[1])[None] - U[:, :, None] * U[:, None, :]
-    return proj @ H @ proj
-
-
 def _outer(a, b):
     return a[:, :, None] * b[:, None, :]
 
@@ -135,32 +129,6 @@ def _osculating_adjugate(h, dh, Hh):
 
 # ----------------------------------------------------------------------
 # concrete families
-
-
-class BallBody(BodyEvaluator):
-    sign_symmetric = True
-
-    def __init__(self, r: float, n: int):
-        if not (np.isfinite(r) and r > 0):
-            raise ValueError(f"radius r must be positive and finite, got {r}")
-        super().__init__(n, label=f"ball({r})")
-        self.r = float(r)
-
-    def jet(self, X, order=2):
-        pts = _as_points(X, self.n)
-        r = np.linalg.norm(pts, axis=1)
-        h = self.r * r
-        if order == 0:
-            return (h,)
-        grad = self.r * pts / r[:, None]
-        if order == 1:
-            return h, grad
-        u = pts / r[:, None]
-        proj = np.eye(self.n)[None] - _outer(u, u)
-        return h, grad, (self.r / r)[:, None, None] * proj
-
-    def gauge_body(self):
-        return BallBody(1.0 / self.r, self.n)
 
 
 class EllipsoidBody(BodyEvaluator):
@@ -403,14 +371,19 @@ class LqNormBody(BodyEvaluator):
         return h, grad, hess
 
     def _gradient_difference(self, pts):
-        """D^2h as central differences of the closed-form gradient."""
+        """D^2h as central differences of the closed-form gradient,
+        symmetrized and projected on the tangent spaces (the Hessian of a
+        1-homogeneous function annihilates the position)."""
         step = 1e-4
         H = np.empty((len(pts), self.n, self.n))
         for j in range(self.n):
             e = np.zeros(self.n)
             e[j] = step
             H[:, :, j] = (self.jet(pts + e, 1)[1] - self.jet(pts - e, 1)[1]) / (2 * step)
-        return _symmetric_tangential(H, pts / np.linalg.norm(pts, axis=1, keepdims=True))
+        H = 0.5 * (H + H.transpose(0, 2, 1))
+        U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
+        proj = np.eye(self.n)[None] - _outer(U, U)
+        return proj @ H @ proj
 
 
 class PolarBody(BodyEvaluator):
@@ -842,7 +815,12 @@ class PolarBody(BodyEvaluator):
 
 
 def ball(r: float, n: int) -> BodyEvaluator:
-    return BallBody(r, n)
+    """The ball of radius r: the ellipsoid r I."""
+    if not (np.isfinite(r) and r > 0):
+        raise ValueError(f"radius r must be positive and finite, got {r}")
+    body = EllipsoidBody(r * np.eye(n))
+    body.label = f"ball({r})"
+    return body
 
 
 def ellipsoid(A) -> BodyEvaluator:
@@ -910,14 +888,14 @@ def _check_grid(n: int, L: int) -> SphereGrid:
     return build_grid(n, L)
 
 
-def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
+def random_even_body(n: int, seed: int, band: int = 8,
                      strength: float = 0.3) -> BodyEvaluator:
     """Random valid origin-symmetric body; rejection-samples until D^2 h > 0."""
     rng = np.random.default_rng(seed)
     basis = HarmonicBasis(n, band)
     check_grid = _check_grid(n, max(2 * band, 8))
     even_pert = (basis.parity > 0) & (basis.degrees > 0)
-    for trial in range(budget):
+    for trial in range(_RANDOM_DRAWS):
         c = np.zeros(basis.size)
         amp = rng.normal(size=int(even_pert.sum()))
         decay = np.exp(-0.5 * basis.degrees[even_pert])
@@ -930,7 +908,7 @@ def random_even_body(n: int, seed: int, budget: int = 32, band: int = 8,
             continue
         if bg.valid:
             return body
-    raise RuntimeError(f"rejection budget exhausted after {budget} draws")
+    raise RuntimeError(f"rejection budget exhausted after {_RANDOM_DRAWS} draws")
 
 
 class _LqBall(LqNormBody):

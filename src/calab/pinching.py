@@ -228,10 +228,13 @@ def optimize_image(bg: BodyOnGrid, iters: int = 200) -> dict:
     convex raises ValueError.  The search reads K's jet on the grid only
     (_p_strong_objective); the returned report measures the best image on
     the grid.  Deterministic: starts from K's isotropic position
-    (_isotropic_centre); returns the best image found (no global
+    (_isotropic_centre) and returns whichever of the search result and that
+    start measures the lower p_strong on the grid, the search result on ties
+    (the samples can rate an image better than the grid does; no global
     guarantee).  stopped_by is "tolerance" when Nelder-Mead's stopping test
     held at its last iteration, the iteration cap included, and "iteration
-    cap" otherwise."""
+    cap" otherwise; iterations and stopped_by describe the search either
+    way."""
     if not bg.valid:
         raise ValueError("optimize_image requires a strongly convex body on the grid")
     n = bg.n
@@ -239,7 +242,11 @@ def optimize_image(bg: BodyOnGrid, iters: int = 200) -> dict:
     z, nit, converged = _nelder_mead(_p_strong_objective(bg, centre),
                                      np.zeros(n * (n + 1) // 2), iters,
                                      xatol=1e-6, fatol=1e-9)
-    best_T = _spd_exp(unpack_sym(centre + z))
-    report = measure_pinching(evaluate_on_grid(linear_image(bg.body, best_T), bg.grid))
+
+    def measured(chart):
+        T = _spd_exp(unpack_sym(chart))
+        return T, measure_pinching(evaluate_on_grid(linear_image(bg.body, T), bg.grid))
+    # min keeps the first of equal values: the search result on ties
+    best_T, report = min(map(measured, (centre + z, centre)), key=lambda m: m[1].p_strong)
     return {"T": best_T, "report": report, "iterations": nit,
             "stopped_by": "tolerance" if converged else "iteration cap"}

@@ -11,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 
 from calab.bodies import (
     BodyEvaluator,
+    EllipsoidBody,
     LqNormBody,
     PolarBody,
     SpectralBody,
@@ -45,6 +46,30 @@ def test_ball_support_values():
     B = ball(2.0, 3)
     e = np.array([[0.0, 0.0, 1.0]])
     assert abs(B.support(e)[0] - 2.0) < 1e-14
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("r", [0.5, 2.0])
+def test_ball_is_the_ellipsoid_rI(n, r):
+    # ball(r, n) is the ellipsoid r I: its jet is r|x|, r x/|x| and
+    # (r/|x|)(I - u u^t) to 1e-15 relative at points of any norm; it is
+    # sign-symmetric and its gauge is the ball of radius 1/r
+    B = ball(r, n)
+    assert isinstance(B, EllipsoidBody) and np.array_equal(B.A, r * np.eye(n))
+    assert B.label == f"ball({r})" and B.sign_symmetric
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(200, n)) * np.exp(rng.uniform(-3.0, 3.0, size=(200, 1)))
+    norm = np.linalg.norm(X, axis=1)
+    u = X / norm[:, None]
+    h, grad, hess = B.jet(X, 2)
+    assert np.abs(h / (r * norm) - 1.0).max() < 1e-15
+    assert np.abs(grad - r * u).max() < 1e-15 * r
+    proj = np.eye(n)[None] - u[:, :, None] * u[:, None, :]
+    scale = (r / norm)[:, None, None]
+    assert (np.abs(hess - scale * proj) / scale).max() < 1e-15
+    G = B.gauge_body()
+    assert G.sign_symmetric
+    assert np.abs(G.support(X) / (norm / r) - 1.0).max() < 1e-15
 
 
 def test_ellipsoid_axis_values():
@@ -109,7 +134,7 @@ def test_spectral_body_rejects_odd_coefficient(n):
 
 def test_random_even_body_budget_exhaustion():
     with pytest.raises(RuntimeError):
-        random_even_body(2, seed=0, budget=1, strength=500.0)
+        random_even_body(2, seed=0, strength=500.0)
 
 
 # ---------------------------------------------------------------------------

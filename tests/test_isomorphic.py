@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from calab.bodies import (
+    EllipsoidBody,
+    PolarBody,
     ball,
     ellipsoid,
     evaluate_on_grid,
@@ -103,6 +105,22 @@ def test_direct_route_of_odd_lq_ball():
     assert np.abs(kt.support(g.nodes) - h_direct).max() < 1e-6
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_direct_route_of_a_ball_is_closed_form(n, monkeypatch):
+    # a ball is the ellipsoid r I, so the direct route takes the quadratic
+    # gauge formula and solves no polar; it still meets the dual-route gate
+    g = build_grid(n, 16)
+    body = ball(1.3, n)
+    kt, _ = construct(body, g, 0.5, 0.3)
+    built = []
+    init = PolarBody.__init__
+    monkeypatch.setattr(PolarBody, "__init__",
+                        lambda self, *a: built.append(a) or init(self, *a))
+    h_direct = direct_route_support(body, g, 0.5, 0.3)
+    assert built == []
+    assert np.abs(kt.support(g.nodes) - h_direct).max() < 1e-6
+
+
 @pytest.mark.parametrize("gauge", ["closed", "foo"])
 def test_construct_rejects_unknown_gauge(gauge):
     with pytest.raises(ValueError, match="gauge"):
@@ -113,11 +131,11 @@ def test_construct_rejects_unknown_gauge(gauge):
 def test_construct_requires_positive_support():
     g = build_grid(2, 16)
 
-    class Bad(ball(1.0, 2).__class__):
+    class Bad(EllipsoidBody):
         def support(self, X):
             return np.zeros(len(np.atleast_2d(X)))
 
-    bad = Bad(1.0, 2)
+    bad = Bad(np.eye(2))
     with pytest.raises(ValueError):
         construct(bad, g, 1.0, 1.0)
 
