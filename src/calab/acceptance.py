@@ -36,7 +36,7 @@ from calab.minkowski import (
     minkowski_inequality_gap,
     uniqueness_probe,
 )
-from calab.pinching import measure_pinching, threshold_main, threshold_strong
+from calab.pinching import _spd_exp, measure_pinching, threshold_main, threshold_strong
 from calab.spectral import (
     GalerkinBasis,
     bochner_residual,
@@ -44,7 +44,7 @@ from calab.spectral import (
     hessian_gap_even,
     invariance_check,
 )
-from calab.sphere import HarmonicBasis, build_grid
+from calab.sphere import build_grid
 
 
 @dataclass(frozen=True)
@@ -265,10 +265,7 @@ def criterion_pinching_spectral(seed: int = 0) -> list[Check]:
             lam = rep.lambda1_even
             for _ in range(3):
                 Z = rng.normal(size=(n, n)) * 0.25
-                S = 0.5 * (Z + Z.T)
-                S -= np.trace(S) / n * np.eye(n)
-                w, V = np.linalg.eigh(S)
-                T = (V * np.exp(w)[None, :]) @ V.T
+                T = _spd_exp(0.5 * (Z + Z.T))
                 pin = measure_pinching(evaluate_on_grid(linear_image(body, T), g))
                 worst = min(worst, lam - (n - pin.p_strong))
     return [_ge("min_slack_over_images", worst, 0.0, 1e-2)]
@@ -326,7 +323,8 @@ def criterion_solver_round_trips(seed: int = 0) -> list[Check]:
     g = _grid2()
     out = []
     mu = TargetMeasure.from_density(g, np.ones(g.node_count))
-    res = minimize(mu, 0.0, init=_perturbed_start(g, seed))
+    start = random_even_body(2, seed=seed + 5, band=16, strength=0.07)
+    res = minimize(mu, 0.0, init=start.coeffs)
     h = res.body.support(g.nodes)
     out.append(_le("lebesgue/shape_error",
                    float(np.abs(h / np.mean(h) - 1.0).max()), 1e-4))
@@ -343,16 +341,6 @@ def criterion_solver_round_trips(seed: int = 0) -> list[Check]:
     probe2 = uniqueness_probe(E, 0.5, n_starts=5, seed=seed + 2, grid=g)
     out.append(_close("ellipse/clusters", probe2["clusters"], 1, 0))
     return out
-
-
-def _perturbed_start(g, seed):
-    """The unit ball's band-16 coefficients plus a small random even part."""
-    basis = HarmonicBasis(g.n, 16)
-    pert = np.random.default_rng(seed + 5).normal(size=basis.size) * np.exp(-basis.degrees)
-    pert[basis.parity < 0] = 0.0
-    c = 0.05 * pert
-    c[0] += 1.0 / basis.constant_value
-    return c
 
 
 def criterion_minkowski_inequality(seed: int = 0) -> list[Check]:

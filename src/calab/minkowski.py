@@ -17,7 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from calab.bodies import BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid
+from calab.bodies import (BodyEvaluator, BodyOnGrid, SpectralBody, evaluate_on_grid,
+                          random_even_body)
 from calab.sphere import (HarmonicBasis, SphereGrid, frame_det, frame_eigvalsh,
                           packed_indices, unpack_sym)
 
@@ -305,7 +306,8 @@ def minimize(mu: TargetMeasure, p: float, init: np.ndarray | None = None,
 
 def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
                      grid: SphereGrid) -> dict:
-    """Minimize from several random feasible starts with mu = S_p K and
+    """Minimize with mu = S_p K from n_starts random even bodies
+    (random_even_body at the solver's band, seeds seed * n_starts + i) and
     cluster the minimizers, which minimize returns at unit volume, by single
     linkage at sup distance 1e-2.
 
@@ -315,23 +317,9 @@ def uniqueness_probe(bodyK: BodyEvaluator, p: float, n_starts: int, seed: int,
     bg = evaluate_on_grid(bodyK, grid)
     mu = TargetMeasure.from_body(bg, p)
     model = _EvenModel(grid, _BAND)
-    rng = np.random.default_rng(seed)
-
-    results = []
-    for _ in range(n_starts):
-        c = model.ball_coeffs()
-        pert = rng.normal(size=model.basis.size) * np.exp(-0.7 * model.basis.degrees)
-        pert[~model.even_mask] = 0.0
-        pert[0] = 0.0
-        scale = 0.3
-        for _ in range(20):
-            cand = c + scale * pert
-            _, det, mn = model.geometry(cand[model.even_mask])
-            if det is not None and mn > 1e-4:
-                c = cand
-                break
-            scale *= 0.5
-        results.append(minimize(mu, p, init=c))
+    results = [minimize(mu, p, init=random_even_body(grid.n, seed=seed * n_starts + i,
+                                                     band=_BAND, strength=0.8).coeffs)
+               for i in range(n_starts)]
 
     hs = np.array([model.B @ r.coeffs[model.even_mask] for r in results])
     # sup |h_i - h_j| / mean h_i for i < j, mirrored

@@ -82,12 +82,12 @@ class GalerkinSystem:
 @dataclass(frozen=True)
 class SpectrumReport:
     """The spectrum solve_spectrum took: the eigenvalues, solved with the
-    report, and the eigenvectors and their residuals, formed from the
-    system's blocks on first read (one Cholesky reduction and eigh per block
-    that holds a selected pair) and kept."""
+    report; their clusters, formed on first read and kept; and the
+    eigenvectors and their residuals, formed from the system's blocks on
+    first read (one Cholesky reduction and eigh per block that holds a
+    selected pair) and kept."""
 
     eigenvalues: np.ndarray
-    multiplicities: list[tuple[float, int]]   # (cluster value, count)
     lambda1: float | None
     lambda1_even: float | None
     subspace: str
@@ -95,6 +95,11 @@ class SpectrumReport:
     # per block that holds a selected pair: (block, the pairs' positions in
     # eigenvalues, their indices in the block's ascending spectrum)
     _selected: tuple = field(repr=False, compare=False)
+
+    @functools.cached_property
+    def multiplicities(self) -> list[tuple[float, int]]:
+        """(cluster value, count) of each eigenvalue cluster (_cluster)."""
+        return _cluster(self.eigenvalues)
 
     @functools.cached_property
     def eigenvectors(self) -> np.ndarray:
@@ -380,7 +385,6 @@ def solve_spectrum(system: GalerkinSystem, k: int | None = None,
 
     return SpectrumReport(
         eigenvalues=eigs,
-        multiplicities=_cluster(eigs),
         lambda1=lambda1,
         lambda1_even=lambda1_even,
         subspace=subspace,

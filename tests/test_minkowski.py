@@ -408,6 +408,41 @@ def test_uniqueness_probe_single_linkage_is_transitive(grid, monkeypatch):
     assert np.all(np.diag(dist) == 0.0)
 
 
+def test_uniqueness_probe_starts_are_random_even_bodies(grid, monkeypatch):
+    import calab.minkowski as minkowski
+
+    model = minkowski._EvenModel(grid, 16)
+    inits = []
+
+    def spy(mu, p, init=None, **kw):
+        inits.append(init)
+        return minkowski.SolveResult(
+            coeffs=model.ball_coeffs(), band=16, n=2, value=0.0, el_residual=0.0,
+            iterations=0, converged=True, normalization=1.0)
+
+    monkeypatch.setattr(minkowski, "minimize", spy)
+    uniqueness_probe(ball(1.0, 2), 0.5, n_starts=3, seed=4, grid=grid)
+    assert len(inits) == 3
+    for i, init in enumerate(inits):
+        ref = random_even_body(2, seed=4 * 3 + i, band=16, strength=0.8).coeffs
+        assert np.array_equal(init, ref)
+
+
+def test_probe_starts_are_distinct_and_feasible_on_the_model_grid(grid):
+    # the starts criterion_solver_round_trips draws (probe seeds seed + 1 and
+    # seed + 2, five starts each) at verify-all seeds 0..9: minimize accepts
+    # each, and no two coincide
+    import calab.minkowski as minkowski
+
+    model = minkowski._EvenModel(grid, 16)
+    starts = [random_even_body(2, seed=s * 5 + i, band=16, strength=0.8).coeffs
+              for s in range(1, 12) for i in range(5)]
+    assert len({c.tobytes() for c in starts}) == len(starts)
+    for c in starts:
+        _, det, min_eig = model.geometry(c[model.even_mask])
+        assert det is not None and min_eig > 0
+
+
 def test_uniqueness_probe_needs_a_start(grid):
     with pytest.raises(ValueError, match="n_starts"):
         uniqueness_probe(ball(1.0, 2), 0.5, n_starts=0, seed=0, grid=grid)

@@ -199,6 +199,21 @@ def test_one_eigensolve_per_block(monkeypatch):
     assert rep.eigenvalues[0] == full.eigenvalues[0]
 
 
+def test_clusters_formed_once_on_first_read(monkeypatch):
+    calls = []
+    cluster = spectral._cluster
+    monkeypatch.setattr(spectral, "_cluster",
+                        lambda eigs: calls.append(len(eigs)) or cluster(eigs))
+    _, sys_ = system_for(ball(1.0, 3), 3, 8)
+    rep = solve_spectrum(sys_, k=6)
+    assert calls == []
+    first = rep.multiplicities
+    assert rep.multiplicities is first and calls == [6]
+    assert rep.to_dict()["multiplicities"] == [[v, m] for v, m in first]
+    assert calls == [6]
+    assert first == cluster(rep.eigenvalues)
+
+
 def test_hessform_built_only_when_read(monkeypatch):
     calls = []
     build = spectral._hessian_form
