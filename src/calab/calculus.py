@@ -56,18 +56,21 @@ class CentroAffineState:
         return np.sqrt(self.grid.pair_weights * self.nu_density)
 
 
+def _grad_log_h(bg: BodyOnGrid) -> np.ndarray:
+    """(N/2, n-1) grad log h in the frames, E^t x / h."""
+    return np.einsum("ikq,ik->iq", bg.grid.tangent_frames(), bg.x) / bg.h[:, None]
+
+
 def build_state(bg: BodyOnGrid) -> CentroAffineState:
     """The state of a strongly convex body, and the one place where
     D2h_frame is factored."""
     if not bg.valid:
         raise ValueError("state requires a strongly convex body on the grid")
-    h = bg.h
-    # grad log h = tangential part of the boundary point x over h
-    grad_log_h = np.einsum("ikq,ik->iq", bg.grid.tangent_frames(), bg.x) / h[:, None]
-    K = np.sqrt(h)[:, None, None] * np.linalg.inv(np.linalg.cholesky(bg.D2h_frame))
+    grad_log_h = _grad_log_h(bg)
+    K = np.sqrt(bg.h)[:, None, None] * np.linalg.inv(np.linalg.cholesky(bg.D2h_frame))
     return CentroAffineState(
         bg=bg,
-        nu_density=h * bg.sk_density,
+        nu_density=bg.h * bg.sk_density,
         grad_log_h=grad_log_h,
         K=K,
         p=np.einsum("iqr,ir->iq", K, grad_log_h),
@@ -136,24 +139,6 @@ def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
 # ----------------------------------------------------------------------
 # the Ricci check
 
-# arc length of the great-circle steps that difference d log h
-_RICCI_FD_STEP = 1e-4
-
-
-def _hess_log_h_fd(state: CentroAffineState) -> np.ndarray:
-    """Psi_ab = (grad0_a d log h)(e_b), (N/2, m, m), the round Hessian of log h
-    in the grid frames: central differences of v = x/h - c, the ambient
-    grad log h, along the great circles c = cos eps u +- sin eps e_a, read
-    on e_b.  One first-order jet of the body at all 2m N/2 points."""
-    u, E = state.grid.pair_nodes, state.grid.tangent_frames()
-    eps = _RICCI_FD_STEP
-    steps = np.sin(eps) * E.transpose(2, 0, 1)                  # (m, N, n)
-    c = np.concatenate([np.cos(eps) * u + steps, np.cos(eps) * u - steps])
-    c = c.reshape(-1, u.shape[1])
-    h, x = state.bg.body.jet(c, 1)
-    v = (x / h[:, None] - c).reshape(2, *steps.shape)
-    return np.einsum("aik,ikb->iab", v[0] - v[1], E) / (2.0 * eps)
-
 
 def _conjugate_ricci(p: np.ndarray, psi: np.ndarray) -> np.ndarray:
     """Ric*_bc = R*^a_abc, (P, m, m), of grad* = grad0 + A on the round unit
@@ -179,11 +164,13 @@ def ricci_star_check(state: CentroAffineState) -> dict:
 
     Ric* comes from the conjugate connection in the grid frames at every
     pair node (_conjugate_ricci; Ric* and g are even), with the round Hessian
-    of log h differenced along great circles.  Constant for every body; at
-    n=2 both sides vanish identically.
+    of log h read from the body's jet on the grid: Psi = g - I - q q^t.
+    Constant for every body; at n=2 both sides vanish identically.
     """
     g = state.bg.D2h_frame / state.bg.h[:, None, None]
-    ric = _conjugate_ricci(state.grad_log_h, _hess_log_h_fd(state))
+    q = _grad_log_h(state.bg)  # from the body, not the state: a wrong state shows
+    psi = g - np.eye(state.n - 1) - q[:, :, None] * q[:, None, :]
+    ric = _conjugate_ricci(state.grad_log_h, psi)
     rel = (np.linalg.norm(ric - (state.n - 2) * g, axis=(1, 2))
            / np.linalg.norm(g, axis=(1, 2)))
     worst = int(np.argmax(rel))

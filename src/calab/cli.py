@@ -215,17 +215,28 @@ def _check(name, value, expected, tolerance, passed) -> dict:
             "tolerance": float(tolerance), "pass": bool(passed)}
 
 
+def _lambda1_tol(v):
+    return 1e-3 if v["grid"].n == 3 else 1e-6
+
+
+def _floor_check(values, n, tol) -> dict:
+    """Brunn-Minkowski: no eigenvalue of -L_K off the constants lies below n - 1."""
+    least = min(values, default=None)
+    return _check("brunn_minkowski_floor", least, n - 1, tol,
+                  least is None or least >= n - 1 - tol)
+
+
 def _cmd_spectrum(v, threads):
     n, tol = v["grid"].n, v["lambda1_tol"]
     rep, _ = compute_spectrum(v["body"], v["degree_max"], k=v["k"],
                               subspace=v["subspace"])
     eigs, resid = rep.eigenvalues, rep.residuals
     # n - 1 is the eigenvalue of the linear functions, which are odd: only
-    # the full subspace holds them
+    # the full subspace holds them; outside it the floor applies
     checks = [
         _check("lambda1", rep.lambda1, n - 1, tol,
                rep.lambda1 is not None and abs(rep.lambda1 - (n - 1)) <= tol),
-    ] if v["subspace"] == "all" else []
+    ] if v["subspace"] == "all" else [_floor_check(eigs, n, tol)]
     checks += [
         _check("eigenvalues_nonnegative", eigs.min(), 0.0, 1e-8, eigs.min() >= -1e-8),
         _check("max_residual", resid.max(), 0.0, 1e-8, resid.max() <= 1e-8),
@@ -440,8 +451,10 @@ def _cmd_sweep(v, threads):
         rows = list(map(_sweep_one, *jobs))
     failed = [r for r in rows if r[-1]]
     count = len(v["bodies"])
+    lambdas = (float(x) for r in rows if not r[-1] for x in r[2:4])  # lambda1(_even)
     checks = [_check("rows", len(rows), count, 0, len(rows) == count),
-              _check("errors", len(failed), 0.0, 0, len(failed) == 0)]
+              _check("errors", len(failed), 0.0, 0, len(failed) == 0),
+              _floor_check(lambdas, v["grid"].n, _lambda1_tol(v))]
     return (checks, {"rows": len(rows), "errors": len(failed)},
             {"sweep.csv": (_SWEEP_HEADER, rows)})
 
@@ -484,7 +497,7 @@ _GRID = (_grid, REQUIRED)
 COMMAND_TABLE = {
     "spectrum": Command(_cmd_spectrum, {
         "grid": _GRID, "body": (_strong_body, {"type": "ball"}), "k": (int, 10),
-        "lambda1_tol": (float, lambda v: 1e-3 if v["grid"].n == 3 else 1e-6),
+        "lambda1_tol": (float, _lambda1_tol),
         "degree_max": (int, None),
         "subspace": (("all", "even-nonconstant"), "all"),
     }, _spectrum_ranges),

@@ -80,6 +80,20 @@ def fd_hess(body: BodyEvaluator, X, step: float = 1e-4) -> np.ndarray:
     return proj @ H @ proj
 
 
+def jet_consistency_error(bg: BodyOnGrid, step: float) -> float:
+    """Max deviation of bg.D2h_frame from central differences of the body's
+    gradient (its boundary point) along the great circles cos(step) u +-
+    sin(step) e_a through each pair node u, read on the frame vectors e_b,
+    relative to max |D2h_frame|.  O(step^2) when the jet's D^2h is the
+    derivative of its gradient."""
+    u, E = bg.grid.pair_nodes, bg.grid.tangent_frames()
+    steps = np.sin(step) * E.transpose(2, 0, 1)                  # (m, N/2, n)
+    c = np.concatenate([np.cos(step) * u + steps, np.cos(step) * u - steps])
+    x = bg.body.jet(c.reshape(-1, u.shape[1]), 1)[1].reshape(2, *steps.shape)
+    fd = np.einsum("aik,ikb->iba", x[0] - x[1], E) / (2.0 * step)
+    return float(np.abs(fd - bg.D2h_frame).max() / np.abs(bg.D2h_frame).max())
+
+
 # ----------------------------------------------------------------------
 # sphere
 

@@ -510,6 +510,42 @@ def test_spectrum_even_nonconstant_passes_without_lambda1_check(tmp_path, cfg):
     report = json.loads((out / "report.json").read_text())
     assert report["pass"]
     assert "lambda1" not in [c["name"] for c in report["checks"]]
+    floor = [c for c in report["checks"] if c["name"] == "brunn_minkowski_floor"][0]
+    assert floor["pass"] and floor["value"] >= floor["expected"]
+
+
+def _floor_record(out):
+    report = json.loads((out / "report.json").read_text())
+    assert not report["pass"] and "error" not in report
+    return [c for c in report["checks"] if c["name"] == "brunn_minkowski_floor"][0]
+
+
+@pytest.mark.parametrize("n,L,least", [(2, 16, 0.0776), (3, 24, 0.5926)])
+def test_spectrum_below_the_brunn_minkowski_floor_exits_1(tmp_path, n, L, least):
+    # the l4 ball's support ||x||_{4/3} has unbounded D^2h on the coordinate
+    # planes, between the grid's nodes: lambda1_even lands far below n - 1,
+    # a failed check, with the report still written
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": n, "L": L},
+                                            "body": {"type": "lq", "q": 4},
+                                            "subspace": "even-nonconstant"})
+    out = tmp_path / "out"
+    assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 1
+    floor = _floor_record(out)
+    assert not floor["pass"] and floor["expected"] == n - 1
+    assert floor["value"] == pytest.approx(least, abs=1e-4)
+    assert (out / "spectrum.json").exists()
+
+
+def test_sweep_below_the_brunn_minkowski_floor_exits_1(tmp_path):
+    # the row's lambda1 (0.0372) and lambda1_even (0.0776) are both below 1
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16},
+                                            "bodies": [{"type": "lq", "q": 4}]})
+    out = tmp_path / "out"
+    assert run_cli(["sweep", "--config", cfg, "--out", out]) == 1
+    floor = _floor_record(out)
+    assert not floor["pass"] and floor["tolerance"] == 1e-6
+    assert floor["value"] == pytest.approx(0.0372, abs=1e-4)
+    assert (out / "sweep.csv").exists()
 
 
 def test_isomorphic_command(tmp_path):
