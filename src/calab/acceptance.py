@@ -8,7 +8,7 @@ both drive these functions.  Grid resolutions and tolerances are pinned here.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -47,8 +47,7 @@ from calab.spectral import (
 from calab.sphere import build_grid
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     name: str
     value: float
     expected: float
@@ -56,7 +55,7 @@ class Check:
     passed: bool
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def _le(name, value, bound, tol=0.0) -> Check:

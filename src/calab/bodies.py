@@ -17,7 +17,7 @@ coordinate flip x_i -> -x_i says so in sign_symmetric, from how it was built
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -955,8 +955,7 @@ def polar(body: BodyEvaluator, grid: SphereGrid) -> BodyEvaluator:
 # grid evaluation
 
 
-@dataclass(frozen=True)
-class BodyOnGrid:
+class BodyOnGrid(NamedTuple):
     """A body sampled at the grid's pair nodes (the antipode -u reads h(u),
     -x(u) and D2h_frame(u)).  The tangential Hessian is held as
     D2h_frame = F^t D^2h F in the grid's tangent frames F
@@ -1006,8 +1005,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
 # scalar quantities
 
 
-@dataclass(frozen=True)
-class Quantities:
+class Quantities(NamedTuple):
     volume: float
     omega_n: float
     r_in: float

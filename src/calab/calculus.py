@@ -18,7 +18,7 @@ matrices; sphere.to_ambient maps frame components out where needed.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,8 +33,7 @@ from calab.sphere import (
 )
 
 
-@dataclass(frozen=True)
-class CentroAffineState:
+class CentroAffineState(NamedTuple):
     bg: BodyOnGrid
     nu_density: np.ndarray        # (N/2,) h * det D^2 h (primal volume density)
     grad_log_h: np.ndarray        # (N/2, n-1) grad log h in the frames, E^t x / h

@@ -186,7 +186,7 @@ def _density_csv(path, where, top):
             rows = list(csv.DictReader(fh))
         nodes = np.array([int(r["node"]) for r in rows], dtype=int)
         values = np.array([float(r["value"]) for r in rows])
-    except (OSError, KeyError, TypeError, ValueError) as exc:
+    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
         raise ConfigError(f"bad {where}: {exc}") from exc
     if not np.array_equal(np.sort(nodes), np.arange(count)):
         raise ConfigError(f"{where} nodes must be exactly 0..{count - 1}")
@@ -593,10 +593,11 @@ def main(argv=None) -> int:
     t0 = time.perf_counter()
     # read and validate the whole config before touching the output dir
     try:
-        with open(args.config) as fh:
+        with open(args.config, encoding="utf-8") as fh:
             cfg = json.load(fh)
         values = validate(args.command, cfg, args.seed)
-    except (OSError, json.JSONDecodeError, ConfigError, MemoryError) as exc:
+    except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError,
+            MemoryError) as exc:
         # MemoryError: a grid or body too large to build on this machine
         print(f"config error: {exc}", file=sys.stderr)
         return 2

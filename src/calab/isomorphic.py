@@ -13,7 +13,7 @@ numerical verification of each bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -30,8 +30,7 @@ from calab.pinching import measure_pinching
 from calab.sphere import SphereGrid
 
 
-@dataclass(frozen=True)
-class IsoParams:
+class IsoParams(NamedTuple):
     n: int
     alpha: float
     beta: float
@@ -43,7 +42,7 @@ class IsoParams:
     dbm_bound: float  # Banach-Mazur distance bound to the input body
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def predicted_params(n: int, alpha: float, beta: float, D: float) -> IsoParams:

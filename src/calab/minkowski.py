@@ -13,7 +13,7 @@ backtracking line search with an eigenvalue floor.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -23,8 +23,7 @@ from calab.sphere import (HarmonicBasis, SphereGrid, frame_det, frame_eigvalsh,
                           packed_indices, unpack_sym)
 
 
-@dataclass(frozen=True)
-class TargetMeasure:
+class TargetMeasure(NamedTuple):
     grid: SphereGrid
     density: np.ndarray   # (N/2,) at the pair nodes
 
@@ -48,8 +47,7 @@ class TargetMeasure:
         return cls(bg.grid, bg.h ** (1.0 - p) * bg.sk_density)
 
 
-@dataclass(frozen=True)
-class SolveResult:
+class SolveResult(NamedTuple):
     coeffs: np.ndarray          # full-basis coefficients of h (odd entries 0)
     band: int
     n: int

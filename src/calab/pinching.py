@@ -9,7 +9,7 @@ which the spectral bound lambda_1_even >= n - p holds.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from typing import NamedTuple
 
 import numpy as np
 
@@ -17,8 +17,7 @@ from calab.bodies import BodyOnGrid, evaluate_on_grid, linear_image
 from calab.sphere import packed_positions, unpack_sym
 
 
-@dataclass(frozen=True)
-class PinchingReport:
+class PinchingReport(NamedTuple):
     n: int
     r_curv: float     # min eigenvalue of D^2 h over the nodes
     R_curv: float     # max eigenvalue of D^2 h
@@ -31,7 +30,7 @@ class PinchingReport:
     admissible: bool  # p_strong < 1
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        return self._asdict()
 
 
 def threshold_main(r: float, R: float, n: int) -> float:

@@ -18,7 +18,7 @@ of a field is checked on the same rows.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -28,17 +28,29 @@ from calab.calculus import (CentroAffineState, build_state, conjugate_hessian_ro
 from calab.sphere import SphereGrid, _parity_rows, packed_positions
 
 
-@dataclass(frozen=True)
-class GalerkinBasis:
+class _Immutable:
+    """A record whose fields __init__ puts in the instance __dict__, where
+    functools.cached_property also stores; setting or deleting an attribute
+    raises AttributeError."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class GalerkinBasis(_Immutable):
     """The grid basis functions of degree <= degree_max, the trial/test
     space: a prefix of the grid basis, which is in degree order."""
 
-    grid: SphereGrid
-    degree_max: int
+    def __init__(self, grid: SphereGrid, degree_max: int):
+        if not 0 <= degree_max <= grid.band_limit:
+            raise ValueError(f"degree_max must be in 0..{grid.band_limit}")
+        vars(self).update(grid=grid, degree_max=degree_max)
 
-    def __post_init__(self):
-        if not 0 <= self.degree_max <= self.grid.band_limit:
-            raise ValueError(f"degree_max must be in 0..{self.grid.band_limit}")
+    def __repr__(self) -> str:
+        return f"GalerkinBasis(grid={self.grid!r}, degree_max={self.degree_max!r})"
 
     @property
     def size(self) -> int:
@@ -49,8 +61,7 @@ class GalerkinBasis:
         return self.grid.basis.degrees[:self.size]
 
 
-@dataclass(frozen=True)
-class GalerkinSystem:
+class GalerkinSystem(NamedTuple):
     """The diagonal blocks of the stiffness and mass matrices, and the state
     whose rows the Hessian form (_hessian_form) is built from on the block
     a caller asks for.
@@ -71,7 +82,12 @@ class GalerkinSystem:
     ids: tuple[int, ...]                # per block: its row_chunks block
     stiffness: tuple[np.ndarray, ...]   # per block: Dirichlet form against nu
     mass: tuple[np.ndarray, ...]        # per block: L^2(nu) Gram matrix
-    state: CentroAffineState = field(repr=False)
+    state: CentroAffineState
+
+    def __repr__(self) -> str:
+        # the state, the body's rows on the grid, is left out
+        return "GalerkinSystem({})".format(", ".join(
+            f"{k}={v!r}" for k, v in zip(self._fields[:-1], self[:-1])))
 
     @property
     def fold(self) -> bool:
@@ -79,22 +95,27 @@ class GalerkinSystem:
         return bool(self.state.bg.body.sign_symmetric)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Immutable):
     """The spectrum solve_spectrum took: the eigenvalues, solved with the
     report; their clusters, formed on first read and kept; and the
     eigenvectors and their residuals, formed from the system's blocks on
     first read (one Cholesky reduction and eigh per block that holds a
     selected pair) and kept."""
 
-    eigenvalues: np.ndarray
-    lambda1: float | None
-    lambda1_even: float | None
-    subspace: str
-    _system: GalerkinSystem = field(repr=False, compare=False)
-    # per block that holds a selected pair: (block, the pairs' positions in
-    # eigenvalues, their indices in the block's ascending spectrum)
-    _selected: tuple = field(repr=False, compare=False)
+    def __init__(self, eigenvalues: np.ndarray, lambda1: float | None,
+                 lambda1_even: float | None, subspace: str,
+                 _system: GalerkinSystem, _selected: tuple):
+        # _selected, per block that holds a selected pair: (block, the pairs'
+        # positions in eigenvalues, their indices in the block's ascending
+        # spectrum)
+        vars(self).update(eigenvalues=eigenvalues, lambda1=lambda1,
+                          lambda1_even=lambda1_even, subspace=subspace,
+                          _system=_system, _selected=_selected)
+
+    def __repr__(self) -> str:
+        return (f"SpectrumReport(eigenvalues={self.eigenvalues!r}, "
+                f"lambda1={self.lambda1!r}, lambda1_even={self.lambda1_even!r}, "
+                f"subspace={self.subspace!r})")
 
     @functools.cached_property
     def multiplicities(self) -> list[tuple[float, int]]:

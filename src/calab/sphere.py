@@ -23,7 +23,7 @@ command reads: they are kept for the benchmark tracer, which wraps them.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -896,8 +896,7 @@ def build_grid(n: int, L: int, n_nodes: int | None = None) -> SphereGrid:
 # fields
 
 
-@dataclass(frozen=True)
-class ScalarField:
+class ScalarField(NamedTuple):
     grid: SphereGrid
     values: np.ndarray
 
@@ -909,15 +908,13 @@ class ScalarField:
         return cls(grid, v)
 
 
-@dataclass(frozen=True)
-class TangentField:
+class TangentField(NamedTuple):
     grid: SphereGrid
     vectors: np.ndarray  # (N, n), orthogonal to the node directions
     tail_warning: bool = False
 
 
-@dataclass(frozen=True)
-class TangentTensorField:
+class TangentTensorField(NamedTuple):
     grid: SphereGrid
     tensors: np.ndarray  # (N, n, n), symmetric, annihilate the node directions
     tail_warning: bool = False

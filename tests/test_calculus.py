@@ -1,7 +1,5 @@
 """Tests for the centro-affine metric, conjugate calculus, Ricci and duality."""
 
-import dataclasses
-
 import numpy as np
 import pytest
 
@@ -444,7 +442,7 @@ def test_jet_consistency_sees_a_wrong_hessian(base):
 def test_ricci_check_sees_a_wrong_connection():
     # the check must not pass vacuously: a 5% error in d log h shows
     st = state_for(ellipsoid(np.diag([2.0, 1.0, 0.7])), 3, 16)
-    wrong = dataclasses.replace(st, grad_log_h=1.05 * st.grad_log_h)
+    wrong = st._replace(grad_log_h=1.05 * st.grad_log_h)
     assert ricci_star_check(wrong)["max_relative_deviation"] >= 1e-3
 
 

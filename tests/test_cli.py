@@ -48,13 +48,17 @@ def test_spectrum_command_writes_report(tmp_path):
     assert (out / "timing.txt").exists()
 
 
-def test_malformed_config_exits_2_no_partial_outputs(tmp_path):
-    bad = tmp_path / "bad.json"
-    bad.write_text("{not json")
-    out = tmp_path / "out"
-    code = run_cli(["spectrum", "--config", bad, "--out", out])
-    assert code == 2
-    assert not out.exists()
+def test_malformed_config_exits_2_no_partial_outputs(tmp_path, capsys):
+    # not JSON, and not UTF-8 (a valid config followed by the byte 0xff)
+    for name, data in (("bad.json", b"{not json"),
+                       ("latin.json", b'{"grid": {"n": 2, "L": 8}}\xff')):
+        bad = tmp_path / name
+        bad.write_bytes(data)
+        out = tmp_path / "out"
+        code = run_cli(["spectrum", "--config", bad, "--out", out])
+        assert code == 2
+        assert "config error:" in capsys.readouterr().err
+        assert not out.exists()
 
 
 def test_missing_body_field_exits_2(tmp_path):
@@ -417,13 +421,16 @@ def test_solve_density_csv_placed_by_node(tmp_path):
 
 
 @pytest.mark.parametrize("case", ["missing_file", "duplicate_node", "nonpositive",
-                                  "odd", "nan_value", "inf_value"])
-def test_solve_bad_density_csv_exits_2(tmp_path, case):
+                                  "odd", "nan_value", "inf_value", "oversized_field"])
+def test_solve_bad_density_csv_exits_2(tmp_path, capsys, case):
     # the node list and the density itself (finite, positive, even) are
     # checked before anything is written
     grid = {"n": 2, "L": 24}
     csv_path = tmp_path / "density.csv"
-    if case != "missing_file":
+    if case == "oversized_field":
+        # one field past the csv module's 131072-character limit
+        csv_path.write_text("node,value\n0," + "1" * 140_000 + "\n")
+    elif case != "missing_file":
         rows = _ellipse_density_rows(grid, 0.5)
         if case == "duplicate_node":
             rows[1] = (0, rows[1][1])
@@ -444,6 +451,7 @@ def test_solve_bad_density_csv_exits_2(tmp_path, case):
     })
     out = tmp_path / "out"
     assert run_cli(["solve", "--config", cfg, "--out", out]) == 2
+    assert "config error:" in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -71,3 +71,23 @@ def test_cli_import_leaves_acceptance_out():
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) is False
+
+
+def test_import_builds_no_dataclass():
+    # calab's records are NamedTuples and small immutable classes, which
+    # the import builds without generating code: dataclasses does not load
+    # unless numpy already loaded it, and no calab class is a dataclass
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    probe = (
+        "import inspect, json, sys, numpy\n"
+        "before = 'dataclasses' in sys.modules\n"
+        "import calab, calab.cli, calab.acceptance\n"
+        "mods = [m for n, m in sys.modules.items() if n.split('.')[0] == 'calab']\n"
+        "print(json.dumps({'loaded': 'dataclasses' in sys.modules and not before,\n"
+        "    'dataclasses': sorted(f'{m.__name__}.{name}' for m in mods\n"
+        "        for name, cls in inspect.getmembers(m, inspect.isclass)\n"
+        "        if cls.__module__ == m.__name__\n"
+        "        and hasattr(cls, '__dataclass_fields__'))}))")
+    out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
+                         capture_output=True, text=True, check=True).stdout
+    assert json.loads(out) == {"loaded": False, "dataclasses": []}

@@ -1,7 +1,6 @@
 """Tests for the Galerkin spectrum of the Hilbert-Brunn-Minkowski operator."""
 
 import tracemalloc
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -740,10 +739,10 @@ def test_non_definite_pencils_raise(n):
     _, sys_ = system_for(perturbed_ball(n, 0.1), n, 8)
     col = 1   # the first even non-constant column of the even block
     S, M = sys_.stiffness, sys_.mass
-    bad_stiffness = replace(sys_, stiffness=(_with_negative_diagonal(S[0], col),) + S[1:])
+    bad_stiffness = sys_._replace(stiffness=(_with_negative_diagonal(S[0], col),) + S[1:])
     with pytest.raises(ValueError, match="stiffness is singular on the even non-constant"):
         hessian_gap_even(bad_stiffness)
-    bad_mass = replace(sys_, mass=(_with_negative_diagonal(M[0], col),) + M[1:])
+    bad_mass = sys_._replace(mass=(_with_negative_diagonal(M[0], col),) + M[1:])
     for subspace in ("all", "even-nonconstant"):
         with pytest.raises(np.linalg.LinAlgError):
             solve_spectrum(bad_mass, k=4, subspace=subspace)
