@@ -20,8 +20,10 @@ import argparse
 import csv
 import json
 import math
+import operator
 import sys
 import time
+from functools import partial
 from pathlib import Path
 from typing import Callable, NamedTuple
 
@@ -55,11 +57,14 @@ def _read(kind, value, where: str, top: dict):
     A kind is float, int or str; a tuple of allowed strings; a list of kinds
     (a list of exactly that length, read item by item) or ``[kind, ...]`` (a
     list of any length); a dict of keys (a nested object, see ``_object``); or
-    a reader ``f(value, where, top)`` for values that are built, such as the
-    grid and bodies.  ``top`` holds the top-level values read so far."""
+    a reader ``f(value, where, top)``, such as the grid, the bodies and
+    ``_bounded`` numbers, whose ValueError, LookupError, RuntimeError or
+    ArithmeticError becomes a ConfigError naming ``where`` here and only here.
+    ``top`` holds the top-level values read so far."""
     if kind is float or kind is int:
+        # the comparison also rejects NaN, inf and an int beyond every float
         if (isinstance(value, bool) or not isinstance(value, (int, float))
-                or (isinstance(value, float) and not math.isfinite(value))):
+                or not abs(value) <= sys.float_info.max):
             raise ConfigError(f"{where} must be a number, got {value!r}")
         if kind is int and value != int(value):
             raise ConfigError(f"{where} must be an integer, got {value!r}")
@@ -82,7 +87,30 @@ def _read(kind, value, where: str, top: dict):
         kinds = kind[:1] * len(value) if many else kind
         return [_read(k, item, f"{where}[{i}]", top)
                 for i, (k, item) in enumerate(zip(kinds, value))]
-    return kind(value, where, top)
+    try:
+        return kind(value, where, top)
+    except (ValueError, LookupError, RuntimeError, ArithmeticError) as exc:
+        raise ConfigError(f"bad {where}: {exc}") from exc
+
+
+def _in_range(kind, low, high, open_, value, where, top):
+    x = _read(kind, value, where, top)
+    low, high = (b(top) if callable(b) else b for b in (low, high))
+    inside = operator.lt if open_ else operator.le
+    if inside(low, x) and (high is None or inside(x, high)):
+        return x
+    if high is None:
+        span = f"greater than {low}" if open_ else f"at least {low}"
+    else:
+        span = f"in ({low}, {high})" if open_ else f"in {low}..{high}"
+    raise ConfigError(f"{where} must be {span}, got {value!r}")
+
+
+def _bounded(kind, low, high=None, open_=False):
+    """A reader of a number of ``kind`` in [low, high], or in (low, high) with
+    ``open_``; ``high`` None is no upper bound.  A bound is a number or a
+    function of the top-level values read so far."""
+    return partial(_in_range, kind, low, high, open_)
 
 
 def _object(keys: dict, raw, where: str, top: dict, out: dict) -> dict:
@@ -113,14 +141,15 @@ def _object(keys: dict, raw, where: str, top: dict, out: dict) -> dict:
 def _grid(raw, where, top):
     g = _object({"n": (int, REQUIRED), "L": (int, REQUIRED), "nodes": (int, None)},
                 raw, where, top, {})
-    try:
-        return build_grid(g["n"], g["L"], n_nodes=g["nodes"])
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return build_grid(g["n"], g["L"], n_nodes=g["nodes"])
 
 
 def _grid_n(top):
     return top["grid"].n
+
+
+def _grid_L(top):
+    return top["grid"].band_limit
 
 
 def _ellipsoid(diag, matrix):
@@ -153,10 +182,7 @@ def _body(raw, where, top):
     n = top["grid"].n
     if args.get("n", n) != n:
         raise ConfigError(f"{where} has dimension {args['n']}, the grid n={n}")
-    try:
-        body = build(**args)
-    except (LookupError, ValueError, RuntimeError) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    body = build(**args)
     if body.n != n:  # an ellipsoid's dimension is its matrix size
         raise ConfigError(f"{where} has dimension {body.n}, the grid n={n}")
     return body
@@ -165,11 +191,7 @@ def _body(raw, where, top):
 def _strong_body(raw, where, top):
     """The body of a descriptor evaluated on the grid (a BodyOnGrid, which
     the handler reuses); it must be strongly convex there."""
-    body = _body(raw, where, top)
-    try:
-        bg = evaluate_on_grid(body, top["grid"])
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    bg = evaluate_on_grid(_body(raw, where, top), top["grid"])
     if not bg.valid:
         raise ConfigError(f"{where} is not strongly convex on the grid (least "
                           f"eigenvalue of D^2h {bg.min_eig_D2h:.3g})")
@@ -183,19 +205,16 @@ def _density_csv(path, where, top):
     count = top["grid"].node_count
     try:
         with open(_read(str, path, where, top), newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        nodes = np.array([int(r["node"]) for r in rows], dtype=int)
-        values = np.array([float(r["value"]) for r in rows])
-    except (OSError, KeyError, TypeError, ValueError, csv.Error) as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+            rows = list(csv.DictReader(fh, restval=""))  # a short row reads ""
+    except (OSError, csv.Error) as exc:
+        raise ConfigError(f"cannot read {where}: {exc}") from exc
+    nodes = np.array([int(r["node"]) for r in rows], dtype=int)
+    values = np.array([float(r["value"]) for r in rows])
     if not np.array_equal(np.sort(nodes), np.arange(count)):
         raise ConfigError(f"{where} nodes must be exactly 0..{count - 1}")
     density = np.empty(count)
     density[nodes] = values
-    try:
-        return TargetMeasure.from_density(top["grid"], density)
-    except ValueError as exc:
-        raise ConfigError(f"bad {where}: {exc}") from exc
+    return TargetMeasure.from_density(top["grid"], density)
 
 
 # ----------------------------------------------------------------------
@@ -282,59 +301,38 @@ def _cmd_pinch(v, threads):
                              "pinching.csv": (["label"] + _PINCH_FIELDS, [row])}
 
 
-def _pinch_iters(v):
-    """An image search takes at least one iteration."""
-    if v["optimize"] is not None and v["optimize"]["iters"] < 1:
-        raise ConfigError("optimize.iters must be at least 1")
-
-
-def _spectrum_ranges(v):
-    """degree_max within 0..L of the grid, k within 1..the dimension of the
-    subspace: the basis size, or its even columns but the constant; a
-    nonnegative lambda1_tol."""
-    if v["lambda1_tol"] < 0:
-        raise ConfigError("lambda1_tol must be nonnegative")
+def _subspace_size(v):
+    """The dimension of the spectrum's subspace at degree_max: the basis
+    size, or its even columns but the constant."""
     basis = v["grid"].basis
-    L = basis.L
-    if v["degree_max"] is not None and not 0 <= v["degree_max"] <= L:
-        raise ConfigError(f"degree_max must be in 0..{L}, the grid's L")
-    band = L if v["degree_max"] is None else v["degree_max"]
+    band = basis.L if v["degree_max"] is None else v["degree_max"]
     cols = basis.degrees <= band
-    if v["subspace"] == "even-nonconstant":
-        size = int((cols & (basis.parity > 0)).sum()) - 1
-    else:
-        size = int(cols.sum())
+    if v["subspace"] == "all":
+        return int(cols.sum())
+    size = int((cols & (basis.parity > 0)).sum()) - 1
     if size < 1:
         raise ConfigError(f"subspace {v['subspace']} is empty at degree_max {band}")
-    if not 1 <= v["k"] <= size:
-        raise ConfigError(f"k must be in 1..{size}, the dimension of subspace "
-                          f"{v['subspace']}")
+    return size
 
 
 def _isomorphic_alpha(v):
     """alpha from the distance budget gamma = (1+beta) sqrt(1+alpha^2), or
-    the explicit alpha and beta; both must be positive.  A certificate
-    (r_in, R_out) must have 0 < r_in <= R_out, and the slack must be
-    nonnegative."""
-    if v["slack"] < 0:
-        raise ConfigError("slack must be nonnegative")
+    the explicit alpha and beta.  A certificate needs r_in <= R_out."""
     cert = v["certificate"]
-    if cert is not None and not 0 < cert[0] <= cert[1]:
-        raise ConfigError("certificate [r_in, R_out] needs 0 < r_in <= R_out, "
-                          f"got {cert}")
+    if cert is not None and cert[0] > cert[1]:
+        raise ConfigError(f"certificate [r_in, R_out] needs r_in <= R_out, got {cert}")
     if v["gamma"] is None:
         if v["alpha"] is None or v["beta"] is None:
             raise ConfigError("isomorphic needs 'gamma', or 'alpha' and 'beta'")
-        if v["alpha"] <= 0 or v["beta"] <= 0:
-            raise ConfigError("alpha and beta must be positive")
         return
     if v["alpha"] is not None:
         raise ConfigError("isomorphic takes 'gamma' or 'alpha', not both")
-    if v["beta"] <= 0:
-        raise ConfigError("beta must be positive")
-    if v["gamma"] <= 1.0 + v["beta"]:
+    r = v["gamma"] / (1.0 + v["beta"])
+    if not r > 1.0:
         raise ConfigError("gamma target must exceed 1 + beta")
-    v["alpha"] = float(np.sqrt((v["gamma"] / (1.0 + v["beta"])) ** 2 - 1.0))
+    v["alpha"] = alpha = math.sqrt(r - 1.0) * math.sqrt(r + 1.0)  # r^2 may overflow
+    if not math.isfinite(alpha * alpha):  # the construction squares alpha
+        raise ConfigError(f"gamma target {v['gamma']!r} is too large: alpha^2 overflows")
 
 
 def _cmd_isomorphic(v, threads):
@@ -356,29 +354,9 @@ def _cmd_isomorphic(v, threads):
         "iso_verification.csv": (["check", "measured", "bound", "pass"], rows)}
 
 
-def _bochner_ranges(v):
-    """At least one field, of band 1..L: a constant field has zero residual;
-    a nonnegative tolerance."""
-    L = v["grid"].band_limit
-    if v["n_fields"] < 1:
-        raise ConfigError("n_fields must be at least 1")
-    if v["tolerance"] < 0:
-        raise ConfigError("tolerance must be nonnegative")
-    if not 1 <= v["field_band"] <= L:
-        raise ConfigError(f"field_band must be in 1..{L}, the grid's L")
-
-
 def _solve_target(v):
-    t = v["target"]
-    if (t["body"] is None) == (t["density_csv"] is None):
+    if (v["target"]["body"] is None) == (v["target"]["density_csv"] is None):
         raise ConfigError("solve target needs one of 'body' and 'density_csv'")
-    n, L = v["grid"].n, v["grid"].band_limit
-    if not 0 <= v["band"] <= L:
-        raise ConfigError(f"band must be in 0..{L}, the grid's L")
-    if not -n < t["p"] < 1:
-        raise ConfigError(f"target p must lie in ({-n}, 1)")
-    if v["max_iter"] < 1:
-        raise ConfigError("max_iter must be at least 1")
 
 
 def _cmd_solve(v, threads):
@@ -410,8 +388,8 @@ def _sweep_bodies(v):
         seeds = fam["seeds"]
         if seeds is None:
             seeds = range(v["seed"], v["seed"] + fam["count"])
-        v["bodies"] = [_body({"type": "random", "seed": s, "band": fam["band"],
-                              "strength": fam["strength"]}, f"family seed {s}", v)
+        v["bodies"] = [_read(_body, {"type": "random", "seed": s, "band": fam["band"],
+                                     "strength": fam["strength"]}, f"family seed {s}", v)
                        for s in seeds]
     if not v["bodies"]:
         raise ConfigError("sweep names no body: give a non-empty 'bodies' list, "
@@ -493,40 +471,46 @@ class Command(NamedTuple):
 
 
 _GRID = (_grid, REQUIRED)
+_POSITIVE = _bounded(float, 0, open_=True)
 
 COMMAND_TABLE = {
     "spectrum": Command(_cmd_spectrum, {
-        "grid": _GRID, "body": (_strong_body, {"type": "ball"}), "k": (int, 10),
-        "lambda1_tol": (float, _lambda1_tol),
-        "degree_max": (int, None),
+        "grid": _GRID, "body": (_strong_body, {"type": "ball"}),
         "subspace": (("all", "even-nonconstant"), "all"),
-    }, _spectrum_ranges),
+        # with all, lambda1 needs degree_max >= 1 (the linear functions) and k >= 2
+        "degree_max": (_bounded(int, lambda v: int(v["subspace"] == "all"), _grid_L), None),
+        "k": (_bounded(int, lambda v: 1 + (v["subspace"] == "all"), _subspace_size), 10),
+        "lambda1_tol": (_bounded(float, 0), _lambda1_tol),
+    }),
     "bochner": Command(_cmd_bochner, {
         "grid": _GRID,
         "body": (_strong_body, lambda v: {"type": "random", "seed": v["seed"]}),
-        "n_fields": (int, 20),
-        "field_band": (int, lambda v: max(v["grid"].band_limit // 3, 4)),
-        "tolerance": (float, lambda v: 1e-6 if v["grid"].n == 2 else 1e-3),
-    }, _bochner_ranges),
+        "n_fields": (_bounded(int, 1), 20),
+        # a constant field has zero residual
+        "field_band": (_bounded(int, 1, _grid_L), lambda v: max(_grid_L(v) // 3, 4)),
+        "tolerance": (_bounded(float, 0), lambda v: 1e-6 if v["grid"].n == 2 else 1e-3),
+    }),
     "pinch": Command(_cmd_pinch, {
         "grid": _GRID, "body": (_strong_body, REQUIRED),
-        "optimize": ({"iters": (int, 200)}, None),
-    }, _pinch_iters),
+        "optimize": ({"iters": (_bounded(int, 1), 200)}, None),
+    }),
     "isomorphic": Command(_cmd_isomorphic, {
         "grid": _GRID, "body": (_strong_body, REQUIRED),
-        "gamma": (float, None), "alpha": (float, None),
+        "gamma": (float, None), "alpha": (_POSITIVE, None),
         # with a gamma target, beta defaults to the constant-order choice
         # 1 + sqrt(2) of the isomorphic regime
-        "beta": (float, lambda v: None if v["gamma"] is None else 1.0 + math.sqrt(2.0)),
-        "certificate": ([float, float], None),
-        "slack": (float, 0.02), "C": (float, 1.0),
+        "beta": (_POSITIVE, lambda v: None if v["gamma"] is None else 1.0 + math.sqrt(2.0)),
+        "certificate": ([_POSITIVE, float], None),
+        "slack": (_bounded(float, 0), 0.02), "C": (_POSITIVE, 1.0),
         "gauge": (("auto", "numeric"), "auto"),
     }, _isomorphic_alpha),
     "solve": Command(_cmd_solve, {
         "grid": _GRID,
-        "target": ({"p": (float, REQUIRED), "body": (_strong_body, None),
+        "target": ({"p": (_bounded(float, lambda v: -_grid_n(v), 1, open_=True), REQUIRED),
+                    "body": (_strong_body, None),
                     "density_csv": (_density_csv, None)}, REQUIRED),
-        "band": (int, 16), "max_iter": (int, 4000),
+        "band": (_bounded(int, 0, _grid_L), 16),
+        "max_iter": (_bounded(int, 1), 4000),
     }, _solve_target),
     "sweep": Command(_cmd_sweep, {
         "grid": _GRID, "bodies": ([_body, ...], None),

@@ -226,8 +226,8 @@ def isometric_gamma(n: int, D: float, C: float = 1.0) -> float:
 
     The constant C is not pinned down by the theory; callers supply it
     (default 1.0)."""
-    if D <= 0 or n < 2:
-        raise ValueError("need D > 0 and n >= 2")
+    if D <= 0 or C <= 0 or n < 2:
+        raise ValueError("need D > 0, C > 0 and n >= 2")
     return 1.0 + C * np.sqrt(D) / n**0.25
 
 

@@ -1,6 +1,8 @@
 """Tests for the command-line front end: exit codes, files, determinism."""
 
+import copy
 import json
+import math
 import os
 import subprocess
 import sys
@@ -8,6 +10,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from calab import cli
 from calab.bodies import ellipsoid, evaluate_on_grid
@@ -254,6 +257,14 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                  id="sweep_family_seeds_empty"),
     pytest.param("sweep", {"grid": {"n": 2, "L": 8}, "bodies": []},
                  id="sweep_bodies_empty"),
+    # C <= 0 puts the isometric distance budget at or below 1
+    pytest.param("isomorphic", {**_ISO, "C": -1.0}, id="iso_C_negative"),
+    pytest.param("isomorphic", {**_ISO, "C": 0}, id="iso_C_zero"),
+    # alpha = sqrt((gamma / (1 + beta))^2 - 1), whose square would overflow
+    pytest.param("isomorphic", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+                                "gamma": 1e200, "beta": 0.3}, id="iso_gamma_overflow"),
+    # an integer JSON number beyond every float
+    pytest.param("isomorphic", {**_ISO, "alpha": 10**400}, id="iso_alpha_beyond_float"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
@@ -491,18 +502,19 @@ def test_spectrum_empty_even_nonconstant_subspace_exits_2(tmp_path, capsys,
     assert "subspace even-nonconstant is empty" in capsys.readouterr().err
 
 
-def test_spectrum_without_lambda1_fails_check(tmp_path):
-    # k=1 keeps only the zero eigenvalue: lambda1 is null and its check
-    # fails, but the run still writes its full report
-    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 8}, "k": 1})
-    out = tmp_path / "out"
-    assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 1
-    report = json.loads((out / "report.json").read_text())
-    assert "error" not in report
-    lam = [c for c in report["checks"] if c["name"] == "lambda1"][0]
-    assert lam["value"] is None and not lam["pass"]
-    assert report["result"]["spectrum"]["lambda1"] is None
-    assert (out / "spectrum.json").exists()
+def test_spectrum_without_lambda1_fails_check(tmp_path, capsys):
+    # with subspace all, k=1 keeps only the constant's zero eigenvalue and
+    # degree_max 0 only the constant: lambda1 could never be read, so both
+    # are config errors, not a full solve whose lambda1 check fails
+    for name, payload in (("k", {"grid": {"n": 3, "L": 8}, "k": 1}),
+                          ("degree_max", {"grid": {"n": 2, "L": 8}, "degree_max": 0,
+                                          "k": 1})):
+        cfg = write_config(tmp_path, "c.json", payload)
+        out = tmp_path / "out"
+        assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: {name} must be in ") and err.count("\n") == 1
+        assert not out.exists()
 
 
 @pytest.mark.parametrize("cfg", [
@@ -761,3 +773,123 @@ def test_pinch_report_explains_its_search(tmp_path, config, iters, stopped_by):
     assert opt["iterations"] <= iters
     if stopped_by == "iteration cap":
         assert opt["iterations"] == iters
+
+
+# ---------------------------------------------------------------------------
+# the bounds of COMMAND_TABLE, read off the table itself
+
+_BOUND_BASES = {  # a valid config of each command that gives every bounded key
+    "spectrum": {"grid": {"n": 2, "L": 8}, "k": 2},
+    "bochner": {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}},
+    "pinch": {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"},
+              "optimize": {"iters": 200}},
+    "isomorphic": {**_ISO, "certificate": [1.0, 1.8]},
+    "solve": {"grid": {"n": 2, "L": 16}, "target": {"p": 0.5, "body": {"type": "ball"}}},
+}
+
+
+def _bounded_paths(kind, path=()):
+    """(path, reader) of each _bounded reader in a kind: a command's keys, a
+    nested object's or a fixed-length list's items."""
+    if isinstance(kind, dict):
+        for key, (sub, _) in kind.items():
+            yield from _bounded_paths(sub, path + (key,))
+    elif isinstance(kind, list) and Ellipsis not in kind:
+        for i, sub in enumerate(kind):
+            yield from _bounded_paths(sub, path + (i,))
+    elif getattr(kind, "func", None) is cli._in_range:
+        yield path, kind
+
+
+_BOUNDED = [(command, path, reader) for command, entry in cli.COMMAND_TABLE.items()
+            for path, reader in _bounded_paths(entry.keys)]
+
+
+def _step(kind, x, direction):
+    """The next number of ``kind`` after x, up (+1) or down (-1)."""
+    return x + direction if kind is int else math.nextafter(x, direction * math.inf)
+
+
+def _with(config, path, value):
+    """A copy of ``config`` with ``value`` at ``path``."""
+    config = copy.deepcopy(config)
+    *parents, last = path
+    node = config
+    for key in parents:
+        node = node[key]
+    node[last] = value
+    return config
+
+
+def test_bounded_keys_are_every_single_key_range():
+    assert sorted(f"{c}:{'.'.join(map(str, p))}" for c, p, _ in _BOUNDED) == sorted([
+        "spectrum:degree_max", "spectrum:k", "spectrum:lambda1_tol",
+        "bochner:n_fields", "bochner:field_band", "bochner:tolerance",
+        "pinch:optimize.iters",
+        "isomorphic:alpha", "isomorphic:beta", "isomorphic:certificate.0",
+        "isomorphic:slack", "isomorphic:C",
+        "solve:target.p", "solve:band", "solve:max_iter"])
+
+
+@pytest.mark.parametrize("command,path,reader", _BOUNDED,
+                         ids=[f"{c}-{'.'.join(map(str, p))}" for c, p, _ in _BOUNDED])
+def test_each_bound_is_where_the_table_puts_it(tmp_path, capsys, command, path, reader):
+    # at each bound: the value on its inside passes validate (the bound
+    # itself when it is closed, the nearest number inside when it is open)
+    # and the value one step out raises ConfigError; through cli.main that
+    # one exits 2 with a one-line config error and creates no --out
+    kind, low, high, open_ = reader.args
+    base = _BOUND_BASES[command]
+    values = cli.validate(command, base, 0)
+    edges = [(low, -1)] + ([] if high is None else [(high, 1)])
+    for bound, outward in edges:
+        bound = bound(values) if callable(bound) else bound
+        inside = _step(kind, bound, -outward) if open_ else bound
+        outside = bound if open_ else _step(kind, bound, outward)
+        cli.validate(command, _with(base, path, inside), 0)
+        with pytest.raises(cli.ConfigError):
+            cli.validate(command, _with(base, path, outside), 0)
+        cfg = write_config(tmp_path, "c.json", _with(base, path, outside))
+        out = tmp_path / "out"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: ") and err.count("\n") == 1, err
+        assert not out.exists()
+
+
+# numeric keys whose value does not size the work validate does (the grid,
+# a random body's band and a sweep family's count do, and are left out)
+_FUZZ_KEYS = {
+    "spectrum": [("k",), ("lambda1_tol",), ("degree_max",)],
+    "bochner": [("n_fields",), ("field_band",), ("tolerance",)],
+    "pinch": [("optimize", "iters")],
+    "isomorphic": [("gamma",), ("alpha",), ("beta",), ("certificate",),
+                   ("slack",), ("C",)],
+    "solve": [("target", "p"), ("band",), ("max_iter",)],
+}
+_NUMBERS = st.one_of(st.integers(-(10**400), 10**400), st.floats(),
+                     st.sampled_from([0, -1, 1e200, 1e308, -1e308, 10**400]))
+_VALUES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3),
+                    st.lists(_NUMBERS, max_size=3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(sorted(_FUZZ_KEYS)).flatmap(lambda command: st.tuples(
+    st.just(command),
+    st.dictionaries(st.sampled_from(_FUZZ_KEYS[command]), _VALUES, min_size=1))))
+@example(("isomorphic", {("gamma",): 1e200, ("beta",): 0.3}))
+@example(("isomorphic", {("gamma",): 1e308}))
+def test_validate_returns_or_raises_config_error(case):
+    # whatever numbers, booleans, strings or lists these keys hold, validate
+    # either returns or raises ConfigError; an alpha derived from gamma is
+    # positive and the construction can square it
+    command, drawn = case
+    config = {k: x for k, x in _BOUND_BASES[command].items() if k not in ("alpha", "beta")}
+    for path, value in drawn.items():
+        config = _with(config, path, value)
+    try:
+        values = cli.validate(command, config, 0)
+    except cli.ConfigError:
+        return
+    if command == "isomorphic" and values["gamma"] is not None:
+        assert values["alpha"] > 0 and math.isfinite(values["alpha"] * values["alpha"])

@@ -226,3 +226,7 @@ def test_isometric_gamma_value():
     assert isometric_gamma(16, 4.0, 1.0) == 2.0
     with pytest.raises(ValueError):
         isometric_gamma(16, -1.0)
+    # C <= 0 would put the distance budget at or below 1
+    for C in (0.0, -1.0):
+        with pytest.raises(ValueError):
+            isometric_gamma(16, 4.0, C)
