@@ -22,7 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from calab.sphere import (HarmonicBasis, SphereGrid, build_grid, circle_synthesis,
-                          frame_det, frame_eigvalsh, frame_solve, sign_fold)
+                          frame_det, frame_eigvalsh, frame_solve, frame_vectors,
+                          sign_fold, turn)
 
 
 # a body is strongly convex on a grid (BodyOnGrid.valid) when the smallest
@@ -70,7 +71,7 @@ class BodyEvaluator:
         jet(): h' = <e, grad h> and h + h'' = e^t D^2h e, e = (-sin t, cos t)."""
         X = np.stack([np.cos(t), np.sin(t)], axis=1)
         h, dh, Hh = self.jet(X, 2)
-        e = _turn(X)
+        e = turn(X)
         return h, np.einsum("ij,ij->i", e, dh), np.einsum("ij,ijk,ik->i", e, Hh, e) - h
 
     def gauge_body(self) -> "BodyEvaluator | None":
@@ -100,15 +101,6 @@ def _outer(a, b):
 
 def _is_diagonal(M):
     return not np.any(M - np.diag(np.diag(M)))
-
-
-def _turn(X):
-    """(-y, x) for each row (x, y): the counterclockwise tangent at n=2, bit
-    for bit sphere.tangent_frames' column."""
-    return X[:, ::-1] * _TURN
-
-
-_TURN = np.array([-1.0, 1.0])
 
 
 def _osculating_adjugate(h, dh, Hh):
@@ -193,8 +185,8 @@ class SpectralBody(BodyEvaluator):
         built on first use) gives the parts.  At n=2 E is the single tangent
         e, written with scalars bit for bit the frame products.  At n=3
         E = (e_theta, e_phi) is built from the cos phi and sin phi that
-        synthesis_jet returns; Hess h is summed as sum_ab R_ab e_a e_b^t,
-        exactly symmetric."""
+        synthesis_jet returns (sphere.frame_vectors); Hess h is summed as
+        sum_ab R_ab e_a e_b^t, exactly symmetric."""
         pts = _as_points(X, self.n)
         r = np.linalg.norm(pts, axis=1)
         u = pts / r[:, None]
@@ -205,16 +197,13 @@ class SpectralBody(BodyEvaluator):
         if self.n == 2:
             # the frame is the single tangent e: the same products as scalars,
             # + 0.0 turning -0.0 into +0.0 as the frame products' sums do
-            e = _turn(u)
+            e = turn(u)
             grad = (e * g + 0.0) + f[:, None] * u
             if order == 1:
                 return h, grad
             R = e * (H + f[:, None]) + 0.0
             return h, grad, (_outer(R, e) + 0.0) / r[:, None, None]
-        x, y, z = u.T
-        cp, sp = lon
-        e_t = np.stack([z * cp, z * sp, -np.hypot(x, y)], axis=1)
-        e_p = np.stack([-sp, cp, np.zeros_like(cp)], axis=1)
+        e_t, e_p = frame_vectors(u, *lon).transpose(0, 2, 1).copy()
         grad = g[:, :1] * e_t + g[:, 1:] * e_p + f[:, None] * u
         if order == 1:
             return h, grad
@@ -466,7 +455,7 @@ class PolarBody(BodyEvaluator):
             return
         # the circle jet at R, unfolded to the pair nodes' angles mod pi
         # (h' is odd under a flip)
-        e = _turn(self._reps)
+        e = turn(self._reps)
         d1 = np.einsum("ij,ij->i", e, jet[1])
         R = np.einsum("ij,ijk,ik->i", e, jet[2], e)
         self._inverse_map = None
@@ -517,14 +506,14 @@ class PolarBody(BodyEvaluator):
         """(F, F^T grad psi, F^T Hess(psi) F) at TH, n=3: with a = F^T u,
         b = F^T grad h and t = <u, theta>, a/h - (t/h^2) b and
         -(a b^T + b a^T)/h^2 - (t/h^2) F^T D^2h F + 2 (t/h^3) b b^T.  F is
-        sphere.tangent_frames(TH) to rounding (the longitude's cos and sin
-        as x/rho, y/rho, (1, 0) at the poles), formed coordinate-major as
-        its rows E (2, 3, N), where one product gives a, b and F^T D^2h."""
-        x, y, z = TH.T
-        rho = np.hypot(x, y)
+        sphere.tangent_frames(TH) to rounding, its rows E (2, 3, N) the
+        coordinate-major frame_vectors at the longitude's cos and sin x/rho,
+        y/rho, (1, 0) at the poles, where one product gives a, b and
+        F^T D^2h."""
+        rho = np.hypot(TH[:, 0], TH[:, 1])
         c, s = np.divide(TH.T[:2], rho, where=rho > 0,
                          out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
-        E = np.array([[z * c, z * s, -rho], [-s, c, 0.0 * rho]])
+        E = frame_vectors(TH, c, s)
         W = np.concatenate([U.T[:, None], dh.T[:, None], Hh.transpose(1, 2, 0)], axis=1)
         P = (E[:, :, None] * W).sum(axis=1)
         a, b = P[:, 0], P[:, 1]
@@ -786,7 +775,7 @@ class PolarBody(BodyEvaluator):
         if self.n == 2:
             # the one-tangent frame F = e, b = h' and the 1x1 A = psi''
             th = np.stack([np.cos(sol[0]), np.sin(sol[0])], axis=1)
-            Ft, b, A = _turn(th)[:, None], sol[5][:, None, None], sol[3][:, None, None]
+            Ft, b, A = turn(th)[:, None], sol[5][:, None, None], sol[3][:, None, None]
         else:
             th, Ft, A = sol[0], sol[7].transpose(0, 2, 1), sol[8]
             b = Ft @ sol[5][:, :, None]
@@ -828,7 +817,7 @@ def ellipsoid(A) -> BodyEvaluator:
 
 
 def _coeff_vector(n: int, entries, basis: HarmonicBasis) -> np.ndarray:
-    """Coefficient vector from (degree, order, value) triples.
+    """Coefficient vector from (degree, order, value) triples at basis.column.
 
     n=2: order 0 = cos(k t), 1 = sin(k t).  n=3: order m in [-l, l], with
     m > 0 the cos-type and m < 0 the sin-type real harmonic.
@@ -837,24 +826,12 @@ def _coeff_vector(n: int, entries, basis: HarmonicBasis) -> np.ndarray:
     for deg, order, val in entries:
         if deg < 0:
             raise ValueError(f"harmonic degree must be nonnegative, got {deg}")
-        if n == 2:
-            if order not in (0, 1) or (deg == 0 and order != 0):
-                raise ValueError("order must be 0 (cos) or 1 (sin), and 0 at degree 0")
-            if deg == 0:
-                c[0] += val
-                continue
-            idx = 1 + 2 * (deg - 1) + order
-        else:
-            if abs(order) > deg:
-                raise ValueError("order exceeds degree")
-            base = deg**2  # functions of degree < deg
-            if order == 0:
-                idx = base
-            elif order > 0:
-                idx = base + 2 * order - 1
-            else:
-                idx = base - 2 * order
-        c[idx] += val
+        if n == 2 and (order not in (0, 1) or (deg == 0 and order != 0)):
+            raise ValueError("order must be 0 (cos) or 1 (sin), and 0 at degree 0")
+        if n == 3 and abs(order) > deg:
+            raise ValueError("order exceeds degree")
+        m, kind = (deg, order) if n == 2 else (abs(order), int(order < 0))
+        c[basis.column(deg, m, kind)] += val
     return c
 
 

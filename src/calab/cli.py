@@ -144,48 +144,41 @@ def _grid(raw, where, top):
     return build_grid(g["n"], g["L"], n_nodes=g["nodes"])
 
 
-def _grid_n(top):
-    return top["grid"].n
-
-
 def _grid_L(top):
     return top["grid"].band_limit
 
 
-def _ellipsoid(diag, matrix):
+def _ellipsoid(diag, matrix, n):
     if (diag is None) == (matrix is None):
         raise ConfigError("an ellipsoid needs one of 'diag' and 'matrix'")
-    return ellipsoid(np.diag(diag) if matrix is None else matrix)
+    body = ellipsoid(np.diag(diag) if matrix is None else matrix)
+    if body.n != n:  # the one body whose dimension is its own: its matrix size
+        raise ValueError(f"the ellipsoid has dimension {body.n}, the grid n={n}")
+    return body
 
 
-# body type -> (constructor, config keys = its keyword arguments)
+# body type -> (constructor, config keys = its keyword arguments but n)
 BODY_TYPES = {
-    "ball": (ball, {"r": (float, 1.0), "n": (int, _grid_n)}),
+    "ball": (ball, {"r": (float, 1.0)}),
     "ellipsoid": (_ellipsoid, {"diag": ([float, ...], None),
                                "matrix": ([[float, ...], ...], None)}),
-    "perturbed_ball": (perturbed_ball, {"n": (int, _grid_n), "eps": (float, 0.1),
+    "perturbed_ball": (perturbed_ball, {"eps": (float, 0.1),
                                         "coeffs": ([[int, int, float], ...], None)}),
-    "random": (random_even_body, {"n": (int, _grid_n), "seed": (int, REQUIRED),
-                                  "band": (int, 8), "strength": (float, 0.3)}),
-    "lq": (lq_gauge_body, {"q": (int, 4), "n": (int, _grid_n)}),
+    "random": (random_even_body, {"seed": (int, REQUIRED), "band": (int, 8),
+                                  "strength": (float, 0.3)}),
+    "lq": (lq_gauge_body, {"q": (int, 4)}),
 }
 
 
 def _body(raw, where, top):
-    """The body of a descriptor; it must live in the grid's dimension."""
+    """The body of a descriptor, built in the grid's dimension n."""
     if not isinstance(raw, dict):
         raise ConfigError(f"{where} must be a body object, got {raw!r}")
     build, keys = BODY_TYPES[_read(tuple(BODY_TYPES), raw.get("type"),
                                    f"{where}.type", top)]
     args = _object(keys, {k: x for k, x in raw.items() if k != "type"}, where,
                    top, {})
-    n = top["grid"].n
-    if args.get("n", n) != n:
-        raise ConfigError(f"{where} has dimension {args['n']}, the grid n={n}")
-    body = build(**args)
-    if body.n != n:  # an ellipsoid's dimension is its matrix size
-        raise ConfigError(f"{where} has dimension {body.n}, the grid n={n}")
-    return body
+    return build(n=top["grid"].n, **args)
 
 
 def _strong_body(raw, where, top):
@@ -330,9 +323,9 @@ def _isomorphic_alpha(v):
     r = v["gamma"] / (1.0 + v["beta"])
     if not r > 1.0:
         raise ConfigError("gamma target must exceed 1 + beta")
-    v["alpha"] = alpha = math.sqrt(r - 1.0) * math.sqrt(r + 1.0)  # r^2 may overflow
-    if not math.isfinite(alpha * alpha):  # the construction squares alpha
-        raise ConfigError(f"gamma target {v['gamma']!r} is too large: alpha^2 overflows")
+    # r^2 may overflow; the derived alpha is read as a given one
+    v["alpha"] = _read(_ALPHA, math.sqrt(r - 1.0) * math.sqrt(r + 1.0),
+                       f"alpha of gamma target {v['gamma']!r}", v)
 
 
 def _cmd_isomorphic(v, threads):
@@ -472,6 +465,7 @@ class Command(NamedTuple):
 
 _GRID = (_grid, REQUIRED)
 _POSITIVE = _bounded(float, 0, open_=True)
+_ALPHA = _bounded(float, 0, math.sqrt(sys.float_info.max), open_=True)  # alpha^2 finite
 
 COMMAND_TABLE = {
     "spectrum": Command(_cmd_spectrum, {
@@ -496,7 +490,7 @@ COMMAND_TABLE = {
     }),
     "isomorphic": Command(_cmd_isomorphic, {
         "grid": _GRID, "body": (_strong_body, REQUIRED),
-        "gamma": (float, None), "alpha": (_POSITIVE, None),
+        "gamma": (float, None), "alpha": (_ALPHA, None),
         # with a gamma target, beta defaults to the constant-order choice
         # 1 + sqrt(2) of the isomorphic regime
         "beta": (_POSITIVE, lambda v: None if v["gamma"] is None else 1.0 + math.sqrt(2.0)),
@@ -506,7 +500,7 @@ COMMAND_TABLE = {
     }, _isomorphic_alpha),
     "solve": Command(_cmd_solve, {
         "grid": _GRID,
-        "target": ({"p": (_bounded(float, lambda v: -_grid_n(v), 1, open_=True), REQUIRED),
+        "target": ({"p": (_bounded(float, lambda v: -v["grid"].n, 1, open_=True), REQUIRED),
                     "body": (_strong_body, None),
                     "density_csv": (_density_csv, None)}, REQUIRED),
         "band": (_bounded(int, 0, _grid_L), 16),
@@ -582,7 +576,8 @@ def main(argv=None) -> int:
         values = validate(args.command, cfg, args.seed)
     except (OSError, UnicodeDecodeError, json.JSONDecodeError, ConfigError,
             MemoryError) as exc:
-        # MemoryError: a grid or body too large to build on this machine
+        if isinstance(exc, MemoryError):  # a grid or body too large for this machine
+            exc = "out of memory while building the grid or bodies (MemoryError)"
         print(f"config error: {exc}", file=sys.stderr)
         return 2
 

@@ -139,8 +139,8 @@ def _basis_columns(n: int, L: int):
     shared by its instances: the constant function's value, each column's
     degree, parity and sign sector, the even and odd positions, the
     flip-invariant mask, the diagonal blocks of both groups (see
-    HarmonicBasis.blocks), scale, col and m (all read-only), and the dict of
-    synthesis's coefficient-independent data per column selection
+    HarmonicBasis.blocks), scale, col, m and kind (all read-only), and the
+    dict of synthesis's coefficient-independent data per column selection
     (_circle_plan), filled at n=2 only."""
     # value of the constant basis function, 1/sqrt(|S^{n-1}|)
     constant_value = 1.0 / np.sqrt(2.0 * np.pi) if n == 2 else 0.5 / np.sqrt(np.pi)
@@ -181,10 +181,10 @@ def _basis_columns(n: int, L: int):
         scale = np.where(m == 0, 1.0, np.sqrt(2.0))
         col = m + kind * (L + 1)
     for arr in (l, parity, sectors, *parity_columns, *blocks[1], flip_invariant,
-                scale, col, m):
+                scale, col, m, kind):
         arr.setflags(write=False)
     return (constant_value, l, parity, sectors, parity_columns, flip_invariant,
-            blocks, scale, col, m, {})
+            blocks, scale, col, m, kind, {})
 
 
 class HarmonicBasis:
@@ -213,10 +213,20 @@ class HarmonicBasis:
         self.L = L
         (self.constant_value, self.degrees, self.parity, self.sectors,
          self.parity_columns, self.flip_invariant, self._blocks, self._scale,
-         self._col, self._m, self._circle_plans) = _basis_columns(n, L)
+         self._col, self._m, self._kind, self._circle_plans) = _basis_columns(n, L)
         self.size = len(self.degrees)
         # trailing shapes of the values, frame gradients and packed Hessians
         self.part_shapes = ((), (n - 1,), (n * (n - 1) // 2,))
+
+    def column(self, degree: int, m: int, kind: int) -> int:
+        """The basis position, in _basis_columns' mode order, of the function
+        of `degree`, order m >= 0 and kind 0 (cos) or 1 (sin), 0 at m = 0:
+        N P_lm cos m phi or N P_lm sin m phi at n=3, and cos kt or sin kt
+        with m = k at n=2.  KeyError for a function outside the basis."""
+        at = np.flatnonzero((self.degrees == degree) & (self._m == m) & (self._kind == kind))
+        if len(at) != 1:
+            raise KeyError(f"no basis function of degree {degree}, m={m}, kind {kind}")
+        return int(at[0])
 
     def blocks(self, fold: bool):
         """The basis positions, in degree order, of each diagonal block of a
@@ -601,24 +611,35 @@ def sign_fold(X: np.ndarray, flips: bool = False):
     return first, inverse, D
 
 
+def turn(X: np.ndarray) -> np.ndarray:
+    """(-y, x) for each row (x, y): the counterclockwise tangent, the frame
+    at n=2."""
+    return X[:, ::-1] * _TURN
+
+
+_TURN = np.array([-1.0, 1.0])
+
+
+def frame_vectors(u: np.ndarray, cp: np.ndarray, sp: np.ndarray) -> np.ndarray:
+    """(e_theta, e_phi), (2, 3, P) coordinate-major, at unit points u (n=3) of
+    (cos, sin) phi = (cp, sp), from cos theta = z and sin theta = |(x, y)|:
+    defined at the exact poles too."""
+    x, y, z = u.T
+    return np.array([[z * cp, z * sp, -np.hypot(x, y)], [-sp, cp, np.zeros_like(cp)]])
+
+
 def tangent_frames(points: np.ndarray) -> np.ndarray:
     """Orthonormal tangent frames E (P, n, n-1) at unit points, the frames of
-    HarmonicBasis.frame_derivs: the counterclockwise tangent (-y, x) at n=2,
-    and at n=3 the colatitude and longitude directions (e_theta, e_phi),
-    built from cos theta = z and sin theta = |(x, y)| so that they are
-    defined at the exact poles too (with phi = 0 there)."""
+    HarmonicBasis.frame_derivs: turn(points) at n=2, and at n=3
+    frame_vectors at the longitude phi = arctan2(y, x), 0 at the poles."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     n = pts.shape[1]
     if n == 2:
-        return np.stack([-pts[:, 1], pts[:, 0]], axis=-1)[:, :, None]
+        return turn(pts)[:, :, None]
     if n != 3:
         raise ValueError(f"tangent frames are built for n=2 and n=3, not n={n}")
-    x, y, z = pts.T
-    phi = np.arctan2(y, x)
-    cp, sp = np.cos(phi), np.sin(phi)
-    e_th = np.stack([z * cp, z * sp, -np.hypot(x, y)], axis=-1)
-    e_ph = np.stack([-sp, cp, np.zeros_like(sp)], axis=-1)
-    return np.stack([e_th, e_ph], axis=-1)
+    phi = np.arctan2(pts[:, 1], pts[:, 0])
+    return np.ascontiguousarray(frame_vectors(pts, np.cos(phi), np.sin(phi)).T)
 
 
 # ----------------------------------------------------------------------
@@ -772,26 +793,16 @@ class SphereGrid:
         every coordinate flip x_i -> -x_i, a pair node and its antipode
         being one.  first holds each orbit's first pair node, ascending, and
         sizes its node count: 4, or 2 on a coordinate plane, at n=3; 2, or 1
-        on an axis, at n=2.  They are the product of the first `rings`
-        rings and the first `longitudes` longitudes, the first quadrant
-        that _half_circle puts first: of the longitudes at n=3, of the
-        rings (angles) at n=2.  Cached, read-only."""
+        on an axis, at n=2; both read from sign_fold(True).  They are the
+        product of the first `rings` rings and the first `longitudes`
+        longitudes, the first quadrant that _half_circle puts first: of the
+        longitudes at n=3, of the rings (angles) at n=2.  Cached, read-only."""
         if self._orbits is None:
-            n_ring, n_lon = (len(f[0]) for f in self.product_factors)
-            c = n_lon if self.n == 3 else 2 * n_ring   # nodes on the circle
-            q = c // 4
-            sizes = np.full(q + 1, 2 ** (self.n - 1))
-            # a node on an axis of the circle, at angle 0 and at pi/2 when
-            # that is a node, is fixed by one flip (up to its antipode)
-            sizes[0] //= 2
-            if 4 * q == c:
-                sizes[q] //= 2
-            rings, lons = (n_ring, q + 1) if self.n == 3 else (q + 1, 1)
-            first = (np.arange(rings)[:, None] * n_lon + np.arange(lons)).ravel()
-            sizes = np.tile(sizes, n_ring) if self.n == 3 else sizes
-            for arr in (first, sizes):
-                arr.setflags(write=False)
-            self._orbits = (first, sizes, rings, lons)
+            first, inverse, _ = self.sign_fold(True)
+            sizes = np.bincount(inverse[:len(self.pair_weights)])
+            sizes.setflags(write=False)
+            rings = len(self.product_factors[0][0]) if self.n == 3 else len(first)
+            self._orbits = (first, sizes, rings, len(first) // rings)
         return self._orbits
 
     def sign_fold(self, flips: bool = False):

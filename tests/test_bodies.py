@@ -28,7 +28,7 @@ from calab.bodies import (
 )
 from calab.isomorphic import _RoundedGaugeBody, construct
 from calab.sphere import (HarmonicBasis, build_grid, frame_eigvalsh, tangent_frames,
-                          to_ambient, unpack_sym)
+                          to_ambient, turn, unpack_sym)
 from oracles import fd_grad, fd_hess
 
 
@@ -112,6 +112,23 @@ def test_perturbed_ball_rejects_bad_circle_order(coeffs):
     # to land on sin 3t, a body that is not origin-symmetric
     with pytest.raises(ValueError, match="order"):
         perturbed_ball(2, 0.1, coeffs)
+
+
+def test_spectral_body_frames_are_the_tangent_frames(monkeypatch):
+    # at n=3 SpectralBody.jet builds its frames with sphere.frame_vectors at
+    # the longitude synthesis_jet returns: bit for bit tangent_frames, at
+    # random points of any norm, the poles and points on the coordinate planes
+    from calab import bodies
+    seen = []
+    vectors = bodies.frame_vectors
+    monkeypatch.setattr(bodies, "frame_vectors",
+                        lambda u, cp, sp: seen.append((u, vectors(u, cp, sp))) or seen[-1][1])
+    rng = np.random.default_rng(3)
+    pts = rng.normal(size=(500, 3))
+    pts = np.concatenate([pts, np.eye(3), -np.eye(3), pts * [1, 1, 0], pts * [0, 1, 1]])
+    perturbed_ball(3, 0.1).jet(pts, 2)
+    (u, frames), = seen
+    assert np.array_equal(frames.T, tangent_frames(u))
 
 
 @pytest.mark.parametrize("n", [2, 3])
@@ -601,7 +618,7 @@ def test_polar_reference_jet_unfolds_exactly(n):
     # with the signs it is the base's jet at every pair node exactly, and so
     # are the vertices and, at n=3, adj Q; at n=2 the inverse boundary-map
     # table is built from the base's circle jet at every pair node exactly
-    from calab.bodies import _osculating_adjugate, _turn
+    from calab.bodies import _osculating_adjugate
     g = build_grid(n, 24 if n == 3 else 16)
     E = ellipsoid(np.diag([2.0, 1.0, 0.7][:n]))
     for base in (ball(1.3, n), E, ellipsoid(np.diag([1.0, 3.0, 1.5][:n])),
@@ -630,7 +647,7 @@ def test_polar_reference_jet_unfolds_exactly(n):
             continue
         # the boundary-angle map's table at the pair nodes' angles mod pi,
         # where R > 0 at every one, from the circle jet there
-        e = _turn(g.pair_nodes)
+        e = turn(g.pair_nodes)
         h, d1 = ref[0], np.einsum("ij,ij->i", e, ref[1])
         R = np.einsum("ij,ijk,ik->i", e, ref[2], e)
         if not (R > 0).all():

@@ -102,6 +102,31 @@ def test_missing_or_mismatched_body_exits_2(tmp_path, command, payload):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("body,message", [
+    pytest.param({"type": "ball", "n": 3}, "body has unknown key 'n'", id="ball_n"),
+    pytest.param({"type": "perturbed_ball", "n": 3}, "body has unknown key 'n'",
+                 id="perturbed_ball_n"),
+    pytest.param({"type": "random", "seed": 1, "n": 3}, "body has unknown key 'n'",
+                 id="random_n"),
+    pytest.param({"type": "lq", "n": 3}, "body has unknown key 'n'", id="lq_n"),
+    pytest.param({"type": "ellipsoid", "diag": [2, 1]},
+                 "the ellipsoid has dimension 2, the grid n=3", id="ellipsoid_2d"),
+    pytest.param({"type": "ellipsoid", "matrix": np.eye(4).tolist()},
+                 "the ellipsoid has dimension 4, the grid n=3", id="ellipsoid_4d"),
+])
+def test_a_body_takes_the_grids_dimension(tmp_path, capsys, body, message):
+    # a body is built in the grid's n: stating n, even the grid's own, names
+    # an unknown key, and an ellipsoid, whose matrix sets its size, must
+    # match the grid; one config error line, nothing written
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 3, "L": 8}, "body": body})
+    out = tmp_path / "out"
+    assert run_cli(["pinch", "--config", cfg, "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and err.count("\n") == 1, err
+    assert message in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("command,payload,flag", [
     pytest.param("bochner", {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}},
                  ["--seed", -1], id="bochner_seed"),
@@ -265,6 +290,9 @@ _ISO = {"grid": {"n": 2, "L": 8}, "body": {"type": "ball"}, "alpha": 0.5,
                                 "gamma": 1e200, "beta": 0.3}, id="iso_gamma_overflow"),
     # an integer JSON number beyond every float
     pytest.param("isomorphic", {**_ISO, "alpha": 10**400}, id="iso_alpha_beyond_float"),
+    # a given alpha whose square would overflow, like one derived from gamma
+    pytest.param("isomorphic", {**_ISO, "alpha": 1e200, "beta": 1},
+                 id="iso_alpha_square_overflow"),
 ])
 def test_non_numeric_optional_key_exits_2(tmp_path, command, payload):
     cfg = write_config(tmp_path, "c.json", payload)
@@ -693,6 +721,22 @@ def test_config_too_large_to_allocate_exits_2(tmp_path):
     assert not out.exists()
 
 
+def test_memory_error_in_validate_names_the_failure(tmp_path, capsys, monkeypatch):
+    # a bare MemoryError has an empty message; the config error line still
+    # says what failed
+    def build_grid(*args, **kwargs):
+        raise MemoryError()
+
+    monkeypatch.setattr(cli, "build_grid", build_grid)
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 8},
+                                            "body": {"type": "ball"}})
+    out = tmp_path / "out"
+    assert run_cli(["pinch", "--config", cfg, "--out", out]) == 2
+    assert capsys.readouterr().err == ("config error: out of memory while building "
+                                       "the grid or bodies (MemoryError)\n")
+    assert not out.exists()
+
+
 def test_memory_error_while_running_still_writes_the_report(tmp_path, monkeypatch):
     # only validate's MemoryError is a config error: one raised by the
     # command itself is a failure of the run, exit 1 with the report written
@@ -879,10 +923,11 @@ _VALUES = st.one_of(_NUMBERS, st.booleans(), st.none(), st.text(max_size=3),
     st.dictionaries(st.sampled_from(_FUZZ_KEYS[command]), _VALUES, min_size=1))))
 @example(("isomorphic", {("gamma",): 1e200, ("beta",): 0.3}))
 @example(("isomorphic", {("gamma",): 1e308}))
+@example(("isomorphic", {("alpha",): 1e200, ("beta",): 1}))
 def test_validate_returns_or_raises_config_error(case):
     # whatever numbers, booleans, strings or lists these keys hold, validate
-    # either returns or raises ConfigError; an alpha derived from gamma is
-    # positive and the construction can square it
+    # either returns or raises ConfigError; an alpha, given or derived from
+    # gamma, is positive and the construction can square it
     command, drawn = case
     config = {k: x for k, x in _BOUND_BASES[command].items() if k not in ("alpha", "beta")}
     for path, value in drawn.items():
@@ -891,5 +936,5 @@ def test_validate_returns_or_raises_config_error(case):
         values = cli.validate(command, config, 0)
     except cli.ConfigError:
         return
-    if command == "isomorphic" and values["gamma"] is not None:
+    if command == "isomorphic":
         assert values["alpha"] > 0 and math.isfinite(values["alpha"] * values["alpha"])

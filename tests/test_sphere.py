@@ -417,6 +417,26 @@ def test_tangent_frames_are_orthonormal_and_tangent(n):
     assert np.abs(np.einsum("ikr,ik->ir", E, pts)).max() <= 1e-15
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_column_places_each_harmonic_at_its_basis_position(n):
+    # the basis order: by degree; at n=2 cos kt then sin kt (m = k); at n=3
+    # m = 0, then cos and sin of each m = 1..l.  column maps every mode to
+    # its position, one position each, and rejects a mode outside the basis
+    L = 8
+    basis = HarmonicBasis(n, L)
+    if n == 2:
+        modes = [(0, 0, 0)] + [(k, k, kind) for k in range(1, L + 1) for kind in (0, 1)]
+    else:
+        modes = [(l, m, kind) for l in range(L + 1) for m in range(l + 1)
+                 for kind in ((0,) if m == 0 else (0, 1))]
+    assert [basis.column(*mode) for mode in modes] == list(range(basis.size))
+    assert np.array_equal(basis.degrees, [l for l, _, _ in modes])
+    assert np.array_equal(basis._m, [m for _, m, _ in modes])
+    for bad in ((L + 1, 0, 0), (0, 0, 1), (2, 3, 0) if n == 3 else (2, 1, 0)):
+        with pytest.raises(KeyError):
+            basis.column(*bad)
+
+
 def test_tangent_frames_reject_other_dimensions():
     with pytest.raises(ValueError, match="n=4"):
         tangent_frames(np.eye(4))
