@@ -509,18 +509,23 @@ class PolarBody(BodyEvaluator):
         sphere.tangent_frames(TH) to rounding, its rows E (2, 3, N) the
         coordinate-major frame_vectors at the longitude's cos and sin x/rho,
         y/rho, (1, 0) at the poles, where one product gives a, b and
-        F^T D^2h."""
+        F^T D^2h.  Both sums over the three coordinates are added in
+        coordinate order, whatever E's memory layout."""
         rho = np.hypot(TH[:, 0], TH[:, 1])
         c, s = np.divide(TH.T[:2], rho, where=rho > 0,
                          out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
         E = frame_vectors(TH, c, s)
         W = np.concatenate([U.T[:, None], dh.T[:, None], Hh.transpose(1, 2, 0)], axis=1)
-        P = (E[:, :, None] * W).sum(axis=1)
+        P = E[:, 0, None] * W[0]
+        P += E[:, 1, None] * W[1]
+        P += E[:, 2, None] * W[2]
         a, b = P[:, 0], P[:, 1]
         t = np.einsum("ij,ij->i", U, TH) / h**2
         cross = a[:, None] * b
-        A = (-(cross + cross.transpose(1, 0, 2)) / h**2
-             - t * (P[:, None, 2:] * E).sum(axis=2)
+        FHF = P[:, None, 2] * E[:, 0]
+        FHF += P[:, None, 3] * E[:, 1]
+        FHF += P[:, None, 4] * E[:, 2]
+        A = (-(cross + cross.transpose(1, 0, 2)) / h**2 - t * FHF
              + 2.0 * (t / h) * (b[:, None] * b))
         return E.transpose(2, 1, 0), (a / h - t * b).T, A.transpose(2, 0, 1)
 

@@ -99,7 +99,8 @@ def conjugate_hessian_weights(state: CentroAffineState, scale=1.0):
 
 def conjugate_hessian_rows(weights, grad: np.ndarray, hess: np.ndarray, out=None):
     """conjugate_hessian_packed of rows with these weights; `out`, a pair of
-    (rows, q, k) arrays, takes the result and the gradient term."""
+    (rows, q, k) arrays, takes the result and the gradient term, and the
+    second may be hess's own memory: hess is read first."""
     WH, WG = weights
     if out is None:
         return WH @ np.swapaxes(hess, -1, -2) + WG @ np.swapaxes(grad, -1, -2)

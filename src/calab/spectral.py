@@ -171,16 +171,17 @@ def _reuse(buf, shape):
 
 def _gram_sums(chunks):
     """X^t X per position, summed in order over the tuples of row chunks X
-    (rows, ..., k) yielded, later products through one buffer each."""
+    (rows, ..., k) yielded, each of the same k; later products through one
+    buffer that every position shares."""
     sums = work = None
     for Xs in chunks:
         Xs = [X.reshape(-1, X.shape[-1]) for X in Xs]
         if sums is None:
             sums = [X.T @ X for X in Xs]
             continue
-        work = work or [np.empty_like(A) for A in sums]
-        for A, X, W in zip(sums, Xs, work):
-            A += np.matmul(X.T, X, out=W)
+        work = np.empty_like(sums[0]) if work is None else work
+        for A, X in zip(sums, Xs):
+            A += np.matmul(X.T, X, out=work)
     return sums
 
 
@@ -257,18 +258,27 @@ def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndar
     the basis functions' conjugate Hessians (calculus.conjugate_hessian_rows,
     whose sqrt 2 weights make the Gram product the full Frobenius inner
     product) at weight 2 w nu, on the rows and with the orbit sizes that
-    assemble read."""
+    assemble read.
+
+    Each Gram product reads a whole chunk's rows, but they are built from
+    gradient and Hessian rows a ring at a time (SphereGrid.chunk_runs), the
+    gradient term written over the Hessian rows once they are read, so
+    that the stream holds no more than assemble's."""
     state, fold = system.state, system.fold
     at, sq = _streamed_rows(state, fold)
     weights = [W[at] for W in conjugate_hessian_weights(state, sq)]
+    q, k = weights[0].shape[-1], len(system.blocks[block]) - first
 
     def rows():
-        Q = work = None
-        for r, ((_, G, H),) in state.grid.row_chunks(system.basis.degree_max, (1, 2),
-                                                     (system.ids[block],), first, fold):
-            shape = (len(G), H.shape[-1], G.shape[1])
-            Q, work = _reuse(Q, shape), _reuse(work, shape)
-            yield (conjugate_hessian_rows([W[r] for W in weights], G, H, (Q, work)),)
+        Q = None
+        for r, runs in state.grid.chunk_runs(system.basis.degree_max, (1, 2),
+                                             (system.ids[block],), first, fold):
+            Q = _reuse(Q, (r.stop - r.start, q, k))
+            for sub, ((_, G, H),) in runs:
+                conjugate_hessian_rows([W[sub] for W in weights], G, H,
+                                       (Q[sub.start - r.start:sub.stop - r.start],
+                                        H.reshape(len(H), q, k)))
+            yield (Q,)
 
     return _gram_sums(rows())[0]
 
@@ -298,19 +308,22 @@ def _zero_tol(eigs: np.ndarray) -> float:
 
 
 def _lower_inverse(L: np.ndarray) -> np.ndarray:
-    """Inverse of a lower-triangular L by 2x2 block recursion on GEMMs:
+    """Inverse of a lower-triangular L, whose upper triangle is zero,
+    written over L and returned, by 2x2 block recursion on GEMMs:
     [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1}, D^{-1}]].
-    np.linalg.inv would take a general LU of the whole matrix."""
+    np.linalg.inv would take a general LU of the whole matrix.  The
+    products are those of an out-of-place recursion, so are the bits; the
+    sign is taken after D^{-1} (C A^{-1}), which negates exactly."""
     n = len(L)
     if n <= 32:
-        return np.linalg.inv(L)
+        L[...] = np.linalg.inv(L)
+        return L
     h = n // 2
     Ai, Di = _lower_inverse(L[:h, :h]), _lower_inverse(L[h:, h:])
-    out = np.zeros_like(L)
-    out[:h, :h] = Ai
-    out[h:, h:] = Di
-    out[h:, :h] = -Di @ (L[h:, :h] @ Ai)
-    return out
+    C = L[h:, :h]
+    C[...] = Di @ (C @ Ai)
+    np.negative(C, out=C)
+    return L
 
 
 def _reduce_pencil(A: np.ndarray, B: np.ndarray):
@@ -319,14 +332,16 @@ def _reduce_pencil(A: np.ndarray, B: np.ndarray):
     (Golub & Van Loan, Matrix Computations, 8.7).  C has the pencil's
     eigenvalues, and an eigenvector y of C maps back to v = L^{-t} y, with
     v^t B v = I.  A B that is not positive definite raises
-    np.linalg.LinAlgError from the Cholesky step."""
+    np.linalg.LinAlgError from the Cholesky step.  Holds at most three
+    matrices of B's size besides A and B: L^{-1}, L^{-1} A and C."""
     Li = _lower_inverse(np.linalg.cholesky(B))
     return Li, Li @ A @ Li.T
 
 
 def _block_eigvalsh(system: GalerkinSystem, block: int) -> np.ndarray:
-    """Every eigenvalue (ascending) of the block's pencil (stiffness, mass)."""
-    _, C = _reduce_pencil(system.stiffness[block], system.mass[block])
+    """Every eigenvalue (ascending) of the block's pencil (stiffness, mass);
+    L^{-1} is dropped before the eigensolve."""
+    C = _reduce_pencil(system.stiffness[block], system.mass[block])[1]
     return np.linalg.eigvalsh(C)
 
 
@@ -477,12 +492,18 @@ def hessian_gap_even(system: GalerkinSystem) -> float:
     those columns only."""
     gaps = []
     for block, first in _even_nonconstant(system):
+        H = _hessian_form(system, block, first)
         try:
-            _, C = _reduce_pencil(_hessian_form(system, block, first),
-                                  system.stiffness[block][first:, first:])
+            Li = _lower_inverse(np.linalg.cholesky(system.stiffness[block][first:, first:]))
         except np.linalg.LinAlgError:
             raise ValueError("stiffness is singular on the even non-constant "
                              "subspace") from None
+        # _reduce_pencil's products, H dropped once L^{-1} H exists and
+        # L^{-1} before the eigensolve: three matrices of H's size at most
+        C = Li @ H
+        del H
+        C = C @ Li.T
+        del Li
         gaps.append(np.linalg.eigvalsh(C)[0])
     if not gaps:
         raise ValueError("the even non-constant subspace is empty at degree_max "

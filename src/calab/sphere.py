@@ -281,6 +281,8 @@ class HarmonicBasis:
             ct, first, inv = np.unique(z, return_index=True, return_inverse=True)
             st, phi = np.hypot(x[first], y[first]), np.arctan2(y, x)
         rings, lons = self._factors(ct, st, phi, order, sel)
+        if self.n == 3:
+            lons = _longitudes(lons, self._m[sel], self._kind[sel], order)
         out = [np.empty((len(pts), rings[0].shape[1]) + k)
                for k in self.part_shapes[:order + 1]] + [None] * (2 - order)
         _combine([f[inv] for f in rings], lons, self.degrees[sel], out)
@@ -415,7 +417,8 @@ class HarmonicBasis:
         {1, cos k theta, sin k theta} and its theta-derivative; per column,
         the scale and -k^2 times it (both orders always).  n=3: per ring,
         N P_lm, then d_theta and m/sin theta of it, then d_theta of those two;
-        per phi, {1, cos m phi, sin m phi} and its phi-derivative over m."""
+        per phi, one table [cos m phi, sin m phi], m = 0..L, whatever the
+        selection, from which _longitudes gathers the columns' factors."""
         l, m, scale, col = self.degrees[sel], self._m[sel], self._scale[sel], self._col[sel]
         if self.n == 2:
             kt = np.arange(1, self.L + 1) * np.arctan2(st, ct)[:, None]
@@ -425,16 +428,28 @@ class HarmonicBasis:
                     [scale[None], (-(l * l) * scale)[None]])
         # band L+1 feeds the ladder that yields m P_l^m / sin theta
         P = _legendre(ct, st, self.L + (order > 0))
-        mphi = np.multiply.outer(phi, np.arange(self.L + 1))
-        c, s = np.cos(mphi), np.sin(mphi)
-        lons = [np.concatenate([c, s], axis=1)[:, col]]
-        if order > 0:
-            lons.append(np.concatenate([-s, c], axis=1)[:, col])
         tables = [P]
         for _ in range(order):
             P, Ps = _ladder(P)
             tables += [P, Ps]
-        return [np.ascontiguousarray((T[l, m] * scale[:, None]).T) for T in tables], lons
+        mphi = np.multiply.outer(phi, np.arange(self.L + 1))
+        return ([np.ascontiguousarray((T[l, m] * scale[:, None]).T) for T in tables],
+                np.concatenate([np.cos(mphi), np.sin(mphi)], axis=1))
+
+
+def _longitudes(cs, m, kind, order: int = 1):
+    """n=3: the longitude factors of columns of order m and kind (0 cos,
+    1 sin) up to `order`, per longitude: cos m phi or sin m phi, then its
+    phi-derivative over m, -sin m phi or cos m phi, gathered from the table
+    cs = [cos m phi, sin m phi] of HarmonicBasis._factors (the signs are
+    exact, so each factor keeps its bits)."""
+    half = cs.shape[1] // 2
+    col = m + kind * half
+    lons = [cs[:, col]]
+    if order > 0:
+        lons.append(cs[:, col + (1 - 2 * kind) * half])
+        lons[1] *= 2.0 * kind - 1.0
+    return lons
 
 
 def _combine(rings, lons, degrees, out):
@@ -737,6 +752,14 @@ class SphereGrid:
         of the even, then the odd columns, cached at the largest band asked.
         Without fold these are the rows of basis_tables(basis.L)[block];
         with fold only the rings' flip-orbit representatives (flip_orbits)."""
+        self._ring_rows(rings, out, *self._block_factors(basis, block, first, fold))
+
+    def _block_factors(self, basis: HarmonicBasis, block: int, first: int, fold: bool):
+        """ring_rows' factors of one block's columns: the cached ring factors,
+        the block's positions among their columns, its degrees, and its
+        longitude factors on the longitudes ring_rows writes, gathered once
+        per call.  The cache keeps the ring factors per column and, at n=3,
+        one table of cos m phi and sin m phi per longitude (_longitudes)."""
         if self._factors is None or len(self._factors[2]) < basis.size:
             cols = np.concatenate(basis.parity_columns)
             (ct, st), (cp, sp) = self.product_factors
@@ -745,14 +768,20 @@ class SphereGrid:
             self._factors = (*basis._factors(ct, st, np.arctan2(sp, cp), 2, cols),
                              basis.degrees[cols], len(basis.parity_columns[0]), where)
         F, lons, degrees, e, where = self._factors
-        if fold:   # the sector's columns, scattered through its parity's
-            s = where[basis.blocks(True)[block][first:]]
-            lons = [f[:self.flip_orbits()[3], s] for f in lons]
+        pos = (basis.blocks(True)[block] if fold else basis.parity_columns[block])[first:]
+        # a sector's columns are scattered through its parity's
+        s = where[pos] if fold else slice(block * e + first, block * e + first + len(pos))
+        n_lon = self.flip_orbits()[3] if fold else None
+        if self.n == 2:
+            lons = [f[:n_lon, s] for f in lons]
         else:
-            s = slice(block * e + first, block * e + len(basis.parity_columns[block]))
-            lons = [f[:, s] for f in lons]
+            lons = _longitudes(lons[:n_lon], basis._m[pos], basis._kind[pos])
+        return F, s, degrees[s], lons
+
+    def _ring_rows(self, rings: slice, out, F, s, degrees, lons):
+        """ring_rows from _block_factors' factors."""
         n_lon = len(lons[0])
-        _combine([f[rings, None, s] for f in F], lons, degrees[s],
+        _combine([f[rings, None, s] for f in F], lons, degrees,
                  [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
                   for T in out])
 
@@ -770,37 +799,61 @@ class SphereGrid:
         `first`: a form summed there, each row weighted by its orbit's
         size, is the whole sum on a block of one sign sector when the
         integrand is flip-invariant."""
+        for _, runs in self._chunks(band, parts, blocks, first, fold, False):
+            yield from runs
+
+    def chunk_runs(self, band: int, parts, blocks, first: int = 0, fold: bool = False):
+        """row_chunks' chunks as (rows, runs): runs yields the chunk's
+        (rows, views) as row_chunks yields its chunks, but a ring at a time
+        at n=3, from buffers of one ring (at n=2, where a ring is one node,
+        the whole chunk at once).  For a stream that reads a chunk's rows in
+        one product after building each row from wider ones."""
+        return self._chunks(band, parts, blocks, first, fold, True)
+
+    def _chunks(self, band, parts, blocks, first, fold, by_ring):
+        """chunk_runs, in runs of one ring when by_ring, else of the whole
+        chunk (row_chunks); each block's factors are gathered once."""
         basis = HarmonicBasis(self.n, band)
         if fold:
             n_ring, n_lon = self.flip_orbits()[2:]
         else:
             n_ring, n_lon = (len(f[0]) for f in self.product_factors)
         per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
-        bufs = [[np.empty((per * n_lon, len(basis.blocks(fold)[b]) - first) + k)
+        run = 1 if by_ring and n_lon > 1 else per
+        factors = [self._block_factors(basis, b, first, fold) for b in blocks]
+        bufs = [[np.empty((run * n_lon, len(basis.blocks(fold)[b]) - first) + k)
                  if i in parts else None for i, k in enumerate(basis.part_shapes)]
                 for b in blocks]
+
+        def runs(k0, k1):
+            for j0 in range(k0, k1, run):
+                rings = slice(j0, min(j0 + run, k1))
+                rows = slice(j0 * n_lon, rings.stop * n_lon)
+                views = [tuple(None if T is None else T[:rows.stop - rows.start]
+                               for T in buf) for buf in bufs]
+                for f, out in zip(factors, views):
+                    self._ring_rows(rings, out, *f)
+                yield rows, views
+
         for k0 in range(0, n_ring, per):
-            rings = slice(k0, min(k0 + per, n_ring))
-            rows = slice(k0 * n_lon, rings.stop * n_lon)
-            views = [tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
-                     for buf in bufs]
-            for b, out in zip(blocks, views):
-                self.ring_rows(basis, b, first, rings, out, fold)
-            yield rows, views
+            k1 = min(k0 + per, n_ring)
+            yield slice(k0 * n_lon, k1 * n_lon), runs(k0, k1)
 
     def flip_orbits(self):
         """(first, sizes, rings, longitudes): the pair nodes' orbits under
         every coordinate flip x_i -> -x_i, a pair node and its antipode
         being one.  first holds each orbit's first pair node, ascending, and
         sizes its node count: 4, or 2 on a coordinate plane, at n=3; 2, or 1
-        on an axis, at n=2; both read from sign_fold(True).  They are the
-        product of the first `rings` rings and the first `longitudes`
-        longitudes, the first quadrant that _half_circle puts first: of the
-        longitudes at n=3, of the rings (angles) at n=2.  Cached, read-only."""
+        on an axis, at n=2; both read from sign_fold(pair_nodes, True), as
+        every orbit holds a pair node.  They are the product of the first
+        `rings` rings and the first `longitudes` longitudes, the first
+        quadrant that _half_circle puts first: of the longitudes at n=3, of
+        the rings (angles) at n=2.  Cached, read-only."""
         if self._orbits is None:
-            first, inverse, _ = self.sign_fold(True)
-            sizes = np.bincount(inverse[:len(self.pair_weights)])
-            sizes.setflags(write=False)
+            first, inverse, _ = sign_fold(self.pair_nodes, True)
+            sizes = np.bincount(inverse)
+            for arr in (first, sizes):
+                arr.setflags(write=False)
             rings = len(self.product_factors[0][0]) if self.n == 3 else len(first)
             self._orbits = (first, sizes, rings, len(first) // rings)
         return self._orbits

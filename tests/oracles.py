@@ -14,6 +14,8 @@ oracle works on the whole grid.
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 
 from calab import spectral
@@ -386,6 +388,40 @@ def hessform(system: GalerkinSystem) -> tuple[np.ndarray, ...]:
     can count its builds)."""
     return tuple(spectral._hessian_form(system, block)
                  for block in range(len(system.blocks)))
+
+
+def lower_inverse_reference(L: np.ndarray) -> np.ndarray:
+    """The out-of-place block recursion that spectral._lower_inverse runs in
+    place: inverse of a lower-triangular L, leaves of at most 32 rows by
+    np.linalg.inv, [[A, 0], [C, D]]^{-1} = [[A^{-1}, 0], [-D^{-1} C A^{-1},
+    D^{-1}]] above them."""
+    n = len(L)
+    if n <= 32:
+        return np.linalg.inv(L)
+    h = n // 2
+    Ai, Di = lower_inverse_reference(L[:h, :h]), lower_inverse_reference(L[h:, h:])
+    out = np.zeros_like(L)
+    out[:h, :h] = Ai
+    out[h:, h:] = Di
+    out[h:, :h] = -Di @ (L[h:, :h] @ Ai)
+    return out
+
+
+def transient_peak(fn):
+    """(fn(), the peak of tracemalloc's traced memory during the call above
+    its value at the call's start, in bytes), tracing for the call if
+    nothing traces yet."""
+    started = not tracemalloc.is_tracing()
+    if started:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        if started:
+            tracemalloc.stop()
 
 
 def full_matrix(system: GalerkinSystem, blocks) -> np.ndarray:

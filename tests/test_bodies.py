@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from calab import bodies
 from calab.bodies import (
     BodyEvaluator,
     EllipsoidBody,
@@ -1091,6 +1092,32 @@ def test_polar_hessian_reuses_newton_frame_terms(name):
     assert len(calls) == 2 * count
     F2, _, A2 = terms(U, th, h, dh, Hh)
     assert np.array_equal(F, F2) and np.array_equal(A, A2)
+
+
+def test_polar_frame_terms_do_not_follow_the_frames_layout(monkeypatch):
+    # the same frame values as a non-contiguous view (a transposed copy of
+    # stacked (P, 3) rows) give the same bits: the sums over the three
+    # coordinates run in coordinate order either way
+    P = polar(ellipsoid(np.diag([2.0, 1.0, 0.7])), build_grid(3, 8))
+    U = unit_vectors(np.random.default_rng(31), 40, 3)
+    th = P._maximize(U)[0]
+    th[:2] = [[0.0, 0.0, 1.0], [0.6, 0.0, 0.8]]   # a pole and the x-z plane
+    jet = P.base.jet(th, 2)
+    ref = P._frame_terms(U, th, *jet)
+    frames = bodies.frame_vectors
+    seen = []
+
+    def strided(*a):
+        E = frames(*a)
+        E = np.ascontiguousarray(E.transpose(0, 2, 1)).transpose(0, 2, 1)
+        seen.append(E.flags.c_contiguous)
+        return E
+
+    monkeypatch.setattr(bodies, "frame_vectors", strided)
+    got = P._frame_terms(U, th, *jet)
+    assert seen == [False]
+    for a, b in zip(got, ref):
+        assert np.array_equal(a, b)
 
 
 def test_polar_fallback_takes_its_own_jets():

@@ -129,6 +129,19 @@ def test_flip_orbits_are_the_sign_fold_of_the_pair_nodes(name):
     assert abs(sizes @ g.pair_weights[first] - total) <= 1e-15 * total
 
 
+@pytest.mark.parametrize("args", [(3, 16, None), (3, 24, None), (2, 16, None), (2, 62, 256)],
+                         ids=["n3-L16", "n3-L24", "n2-L16", "n2-256"])
+def test_flip_orbits_fold_the_pair_nodes_as_the_full_grid_does(args):
+    # flip_orbits folds the pair nodes alone; every orbit holds a pair node,
+    # so its representatives and sizes are those of the grid's cached fold
+    # of every node, read on the pair nodes
+    g = build_grid(*args)
+    first, sizes, _, _ = g.flip_orbits()
+    full_first, inverse, _ = g.sign_fold(True)
+    assert np.array_equal(first, full_first)
+    assert np.array_equal(sizes, np.bincount(inverse[:len(g.pair_weights)]))
+
+
 @pytest.mark.parametrize("name", list(GRIDS))
 def test_sector_labels_are_the_flip_characters(name):
     # f_a(S u) = chi_a(S) f_a(u) for each coordinate flip S, on the nodes,

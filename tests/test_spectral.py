@@ -1,6 +1,10 @@
 """Tests for the Galerkin spectrum of the Hilbert-Brunn-Minkowski operator."""
 
-import tracemalloc
+import json
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +33,7 @@ from calab.sphere import CHUNK_ROWS, build_grid
 
 from oracles import (degree_order_tables, discrete_bochner_residual,
                      first_eigenspace_deficiency, full_matrix, hessform,
-                     take_gram_assembly, unfold)
+                     lower_inverse_reference, take_gram_assembly, transient_peak, unfold)
 
 
 def system_for(body, n, L):
@@ -290,11 +294,12 @@ def test_sub_band_system_is_leading_block_of_full_band(n, L, band):
         assert np.abs(A - ref).max() <= 1e-13 * np.abs(ref).max(), name
 
 
-def factor_bytes_bound(g, nb):
-    """Bytes of the separable factors of nb columns on a product grid: five
-    per ring and two per longitude."""
+def factor_bytes_bound(g, band):
+    """Bytes of the separable factors of the band's (band+1)^2 columns on an
+    n=3 product grid: five per ring and column, and per longitude one cos m
+    phi and one sin m phi for each m <= band."""
     (ct, _), (cp, _) = g.product_factors
-    return (5 * len(ct) + 2 * len(cp)) * nb * 8
+    return (5 * len(ct) * (band + 1) ** 2 + 2 * len(cp) * (band + 1)) * 8
 
 
 def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
@@ -305,7 +310,7 @@ def test_sub_band_spectrum_on_fine_grid_builds_only_its_tables():
     g = build_grid(3, 48)
     rep, _ = compute_spectrum(evaluate_on_grid(body, g), 16)
     assert g._tables is None
-    assert sum(T.nbytes for T in g._factors[0] + g._factors[1]) <= factor_bytes_bound(g, 289)
+    assert sum(T.nbytes for T in [*g._factors[0], g._factors[1]]) <= factor_bytes_bound(g, 16)
     ref, _ = compute_spectrum(evaluate_on_grid(body, build_grid(3, 24)), 16)
     assert abs(rep.lambda1_even - ref.lambda1_even) <= 1e-10
 
@@ -321,7 +326,7 @@ def test_sub_band_bochner_on_fine_grid_builds_only_its_tables():
     c = np.random.default_rng(3).normal(size=nb)
     res = bochner_residual(st, c)
     assert g._tables is None
-    assert sum(T.nbytes for T in g._factors[0] + g._factors[1]) <= factor_bytes_bound(g, nb)
+    assert sum(T.nbytes for T in [*g._factors[0], g._factors[1]]) <= factor_bytes_bound(g, 8)
     full = np.zeros(g.basis.size)
     full[:nb] = c
     assert abs(bochner_residual(st, full) - res) <= 1e-15
@@ -423,16 +428,67 @@ def test_streamed_spectrum_memory_on_a_fine_grid():
     # 54 MB of the tables' path
     g = build_grid(3, 48)
     st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
-    tracemalloc.start()
-    try:
+
+    def pipeline():
         sys_ = assemble(st, GalerkinBasis(g, 16))
         solve_spectrum(sys_)
         hessian_gap_even(sys_)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
+
+    _, peak = transient_peak(pipeline)
     assert g._tables is None
     assert peak <= 8e6
+
+
+# each phase's traced transient at n=3, L=24 on perturbed_ball(3, 0.1), in
+# units of the largest block's nb^2 doubles (nb = 325): the assembly holds
+# its forms, one Gram work buffer and one chunk of rows; the solve one
+# reduction, three matrices; the gap the Hessian-form stream, its sum, one
+# work buffer, a chunk of conjugate-Hessian rows and a ring of rows.  The
+# out-of-place inverse, a work buffer per form and a whole chunk of
+# gradient and Hessian rows read 8.4, 3.25 and 5.8.
+PHASE_BUDGET = {"assemble": 7.5, "solve_spectrum": 3.1, "hessian_gap_even": 4.6}
+
+
+def test_pipeline_phases_keep_their_transient_budget():
+    # in a fresh interpreter, so that no cache of an earlier test is reused
+    script = textwrap.dedent("""
+        import json, sys
+        sys.path[:0] = sys.argv[1:]
+        from oracles import transient_peak
+        from calab.bodies import evaluate_on_grid, perturbed_ball
+        from calab.calculus import build_state
+        from calab.spectral import (GalerkinBasis, assemble, hessian_gap_even,
+                                    solve_spectrum)
+        from calab.sphere import build_grid
+        g = build_grid(3, 24)
+        st = build_state(evaluate_on_grid(perturbed_ball(3, 0.1), g))
+        system, a = transient_peak(lambda: assemble(st, GalerkinBasis(g, 24)))
+        _, s = transient_peak(lambda: solve_spectrum(system, k=10))
+        _, h = transient_peak(lambda: hessian_gap_even(system))
+        unit = 8 * max(len(b) for b in system.blocks) ** 2
+        print(json.dumps({"assemble": a / unit, "solve_spectrum": s / unit,
+                          "hessian_gap_even": h / unit}))
+    """)
+    tests = Path(__file__).resolve().parent
+    run = subprocess.run([sys.executable, "-c", script, str(tests.parent / "src"), str(tests)],
+                         capture_output=True, text=True, check=True)
+    got = json.loads(run.stdout)
+    assert {k: v for k, v in got.items() if v > PHASE_BUDGET[k]} == {}, got
+
+
+def test_lower_inverse_in_place_is_the_out_of_place_recursion():
+    # bit for bit, across the 32/33 leaf boundary and two levels above it;
+    # the inverse is written over the factor it is given
+    rng = np.random.default_rng(7)
+    for n in range(1, 131):
+        A = rng.normal(size=(n, n))
+        L = np.linalg.cholesky(A @ A.T + n * np.eye(n))
+        ref = lower_inverse_reference(L.copy())
+        got = spectral._lower_inverse(L)
+        assert got is L
+        assert np.array_equal(got, ref), n
+        assert np.abs(got @ np.linalg.cholesky(A @ A.T + n * np.eye(n))
+                      - np.eye(n)).max() <= 1e-12, n
 
 
 def test_streamed_planar_spectrum_on_a_fine_grid():
