@@ -2,9 +2,8 @@
 
 A body is an evaluator for the jet (h, grad h, Hess h) of its 1-homogeneous
 support function in ambient coordinates: closed-form, but for polars (a
-maximization) and for D^2h of the l_q norms with 1 < q < 2 (a difference of
-their closed-form gradient).  Grid sampling is a view: linear images,
-Firey sums and polars compose evaluators exactly, without resampling.
+maximization).  Grid sampling is a view: linear images, Firey sums and
+polars compose evaluators exactly, without resampling.
 
 Every body is origin-symmetric by construction, h(-x) = h(x): each family
 is, SpectralBody rejects odd-degree coefficients, and linear images, Firey
@@ -325,12 +324,9 @@ class FireySumBody(BodyEvaluator):
 
 class LqNormBody(BodyEvaluator):
     """h(x) = ||x||_q for real q > 1, the support function of the unit l_{q'}
-    ball, q' = q/(q-1); smooth away from the origin.  h and grad h are
-    closed-form through powers of |x|, and so is D^2h for q >= 2.  For
-    1 < q < 2, D^2h ~ |x_i|^(q-2) is infinite on the coordinate hyperplanes
-    (where flip-exact grids have nodes), so D^2h is a central difference of
-    the closed-form gradient instead, symmetrized and projected on the tangent
-    space."""
+    ball, q' = q/(q-1); h, grad h and D^2h are closed-form through powers of
+    |x|.  For q < 2, D^2h ~ |x_i|^(q-2) is +inf on the diagonal entry of each
+    zero coordinate x_i (flip-exact grids have nodes there): not strongly convex."""
 
     sign_symmetric = True
 
@@ -351,28 +347,12 @@ class LqNormBody(BodyEvaluator):
         grad = w / h[:, None] ** (q - 1)
         if order == 1:
             return h, grad
-        if q < 2:
-            return h, grad, self._gradient_difference(pts)
         hess = np.zeros((len(pts), self.n, self.n))
         idx = np.arange(self.n)
-        hess[:, idx, idx] = (q - 1) * a ** (q - 2) / h[:, None] ** (q - 1)
+        with np.errstate(divide="ignore"):
+            hess[:, idx, idx] = (q - 1) * a ** (q - 2) / h[:, None] ** (q - 1)
         hess -= (q - 1) * _outer(w, w) / h[:, None, None] ** (2 * q - 1)
         return h, grad, hess
-
-    def _gradient_difference(self, pts):
-        """D^2h as central differences of the closed-form gradient,
-        symmetrized and projected on the tangent spaces (the Hessian of a
-        1-homogeneous function annihilates the position)."""
-        step = 1e-4
-        H = np.empty((len(pts), self.n, self.n))
-        for j in range(self.n):
-            e = np.zeros(self.n)
-            e[j] = step
-            H[:, :, j] = (self.jet(pts + e, 1)[1] - self.jet(pts - e, 1)[1]) / (2 * step)
-        H = 0.5 * (H + H.transpose(0, 2, 1))
-        U = pts / np.linalg.norm(pts, axis=1, keepdims=True)
-        proj = np.eye(self.n)[None] - _outer(U, U)
-        return proj @ H @ proj
 
 
 class PolarBody(BodyEvaluator):
@@ -502,6 +482,7 @@ class PolarBody(BodyEvaluator):
         return g
 
     @staticmethod
+    @np.errstate(invalid="ignore")
     def _frame_terms(U, TH, h, dh, Hh):
         """(F, F^T grad psi, F^T Hess(psi) F) at TH, n=3: with a = F^T u,
         b = F^T grad h and t = <u, theta>, a/h - (t/h^2) b and
@@ -510,7 +491,8 @@ class PolarBody(BodyEvaluator):
         coordinate-major frame_vectors at the longitude's cos and sin x/rho,
         y/rho, (1, 0) at the poles, where one product gives a, b and
         F^T D^2h.  Both sums over the three coordinates are added in
-        coordinate order, whatever E's memory layout."""
+        coordinate order, whatever E's memory layout.  An infinite base D^2h
+        (on the l_q balls' planes) makes A NaN, silently: _ascend leaves it uncertified."""
         rho = np.hypot(TH[:, 0], TH[:, 1])
         c, s = np.divide(TH.T[:2], rho, where=rho > 0,
                          out=np.array([[1.0], [0.0]]).repeat(len(TH), axis=1))
@@ -912,8 +894,8 @@ def lq_gauge_body(q: int, n: int) -> BodyEvaluator:
     LqNormBody(q) at the caller's q (the dual of the dual exponent need not
     round back to q).
 
-    Not strongly convex as given (curvature degenerates on the axes); used as
-    a rough input for the smoothing construction, which only needs its gauge.
+    Not strongly convex, D^2h being +inf on the coordinate planes: an input
+    for the smoothing construction, which only needs its gauge.
     """
     if q < 2:
         raise ValueError(f"q must be >= 2, got {q}")
@@ -968,7 +950,7 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
     if not np.all(np.isfinite(h)) or np.any(h <= 0):
         raise ValueError("support function must be positive and finite on the grid")
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
-        raise ValueError("non-finite derivative on the grid")
+        raise ValueError("non-finite derivative on the grid: not strongly convex")
     F = grid.tangent_frames()
     R = F.transpose(0, 2, 1) @ H @ F
     R = 0.5 * (R + R.transpose(0, 2, 1))

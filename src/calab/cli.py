@@ -5,11 +5,12 @@ Usage:  calab <command> --config <path> --out <dir> [--seed N] [--threads N]
 Each command is one entry of ``COMMAND_TABLE``: its handler and the kind and
 default of each config key.  ``validate`` reads the whole config against it
 before anything is written, builds the grid and the bodies, evaluates on the
-grid the bodies that must be strongly convex there (the body of spectrum
-and bochner, solve's target) and reads density files; it is the only place a ConfigError is
-raised.  The handlers only compute.  Reports are JSON (byte-deterministic
-for a fixed config and seed); tabular results go to CSV, wall-clock timing
-to a separate timing file.
+grid the bodies that must be strongly convex there (the body of spectrum,
+bochner and pinch, solve's target, isomorphic's where its D^2h is read) and
+reads density files; it is the only place a ConfigError is raised.  The
+handlers only compute.  Reports are JSON (byte-deterministic for a fixed
+config and seed); tabular results go to CSV, wall-clock timing to a separate
+timing file.
 Exit status: 0 all checks pass, 1 numerical failure (report still written),
 2 configuration error (nothing written).
 """
@@ -184,11 +185,27 @@ def _body(raw, where, top):
 def _strong_body(raw, where, top):
     """The body of a descriptor evaluated on the grid (a BodyOnGrid, which
     the handler reuses); it must be strongly convex there."""
-    bg = evaluate_on_grid(_body(raw, where, top), top["grid"])
+    return _strongly_convex(_body(raw, where, top), where, top)
+
+
+def _strongly_convex(body, where, top):
+    bg = evaluate_on_grid(body, top["grid"])
     if not bg.valid:
         raise ConfigError(f"{where} is not strongly convex on the grid (least "
                           f"eigenvalue of D^2h {bg.min_eig_D2h:.3g})")
     return bg
+
+
+def _gauge_input(raw, where, top):
+    """isomorphic's body: its support positive and finite at the pair nodes,
+    strongly convex where its D^2h is read (numeric or no closed-form gauge)."""
+    body = _body(raw, where, top)
+    if top["gauge"] == "numeric" or body.gauge_body() is None:
+        return _strongly_convex(body, where, top).body
+    h = body.support(top["grid"].pair_nodes)
+    if not ((h > 0) & (h < np.inf)).all():
+        raise ValueError("support function must be positive and finite on the grid")
+    return body
 
 
 def _density_csv(path, where, top):
@@ -330,7 +347,7 @@ def _isomorphic_alpha(v):
 
 def _cmd_isomorphic(v, threads):
     grid = v["grid"]
-    kt, params = construct(v["body"].body, grid, v["alpha"], v["beta"],
+    kt, params = construct(v["body"], grid, v["alpha"], v["beta"],
                            gauge=v["gauge"], certificate=v["certificate"])
     res = verify(evaluate_on_grid(kt, grid), params, slack=v["slack"])
     checks = [_check(f"bound/{c['name']}", c["measured"], c["bound"],
@@ -489,14 +506,14 @@ COMMAND_TABLE = {
         "optimize": ({"iters": (_bounded(int, 1), 200)}, None),
     }),
     "isomorphic": Command(_cmd_isomorphic, {
-        "grid": _GRID, "body": (_strong_body, REQUIRED),
+        "grid": _GRID, "gauge": (("auto", "numeric"), "auto"),
+        "body": (_gauge_input, REQUIRED),
         "gamma": (float, None), "alpha": (_ALPHA, None),
         # with a gamma target, beta defaults to the constant-order choice
         # 1 + sqrt(2) of the isomorphic regime
         "beta": (_POSITIVE, lambda v: None if v["gamma"] is None else 1.0 + math.sqrt(2.0)),
         "certificate": ([_POSITIVE, float], None),
         "slack": (_bounded(float, 0), 0.02), "C": (_POSITIVE, 1.0),
-        "gauge": (("auto", "numeric"), "auto"),
     }, _isomorphic_alpha),
     "solve": Command(_cmd_solve, {
         "grid": _GRID,

@@ -96,6 +96,20 @@ def jet_consistency_error(bg: BodyOnGrid, step: float) -> float:
     return float(np.abs(fd - bg.D2h_frame).max() / np.abs(bg.D2h_frame).max())
 
 
+class ScaledHessian(BodyEvaluator):
+    """A body whose jet reports factor * D^2h: a wrong D^2h for
+    jet_consistency_error to see, or (factor > 1) a metric h D^2h scaled
+    away from its support."""
+
+    def __init__(self, base: BodyEvaluator, factor: float):
+        super().__init__(base.n, "scaled_hessian")
+        self.base, self.factor = base, factor
+
+    def jet(self, X, order=2):
+        out = self.base.jet(X, order)
+        return out if order < 2 else (*out[:2], self.factor * out[2])
+
+
 # ----------------------------------------------------------------------
 # sphere
 

@@ -494,7 +494,7 @@ def test_polar_of_a_base_with_nan_hessians_takes_no_nan_step():
     try:
         bg = evaluate_on_grid(K, g)
     except ValueError as exc:
-        assert str(exc) == "non-finite derivative on the grid"
+        assert str(exc) == "non-finite derivative on the grid: not strongly convex"
     else:
         assert np.isfinite(bg.D2h_frame).all()
 
@@ -686,7 +686,8 @@ def _assert_certificate_reads_the_kept_state(P, count):
     else:
         _, d, lam = P._circle_terms(np.arctan2(U[:, 1], U[:, 0]), x, *P.base.circle_jet(x))
         gnorm = np.abs(d)
-    assert np.array_equal(sol[2], gnorm) and np.array_equal(sol[3], lam)
+    # lam is NaN where the base D^2h is infinite (the l_q balls' planes)
+    assert np.array_equal(sol[2], gnorm) and np.array_equal(sol[3], lam, equal_nan=True)
     certified = (gnorm <= P._GRAD_TOL * psi) & (lam < 0)
     assert P.certificate == ((~certified).sum(), (gnorm / psi).max())
     assert P.certificate[0] == count
@@ -696,11 +697,13 @@ def _assert_certificate_reads_the_kept_state(P, count):
 
 def test_polar_certificate_counts_the_uncertified_orbit_points():
     # the ball and diagonal ellipsoids certify every orbit point; the l4
-    # ball is not C^2 on the axes, and leaves 39 of 182 uncertified at L=24
+    # ball's D^2h is +inf on the coordinate planes, where the ascent takes no
+    # Newton step: it leaves 36 of 182 uncertified at L=24, the 26 whose
+    # maximizer is on a plane and 10 within 1.3e-4 of one
     cases = [(L, base, 0) for L in (16, 24)
              for base in (ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7])),
                           ellipsoid(np.diag([2.0, 1.0, 1.0])))]
-    cases.append((24, lq_gauge_body(4, 3), 39))
+    cases.append((24, lq_gauge_body(4, 3), 36))
     for L, base, count in cases:
         g = build_grid(3, L)
         P = polar(base, g)
@@ -1435,6 +1438,8 @@ def _jet_families():
         "lq2.5_norm": LqNormBody(2.5, n),
         "rounded_gauge": _RoundedGaugeBody(LqNormBody(4, n), 0.5),
     }
+    # no finite-difference check: a polar, and l_q norms with q < 2, whose
+    # D^2h ~ |x_i|^(q-2) the oracle's step does not resolve near the planes
     numeric = {
         "polar": polar(E, g),
         "lq_ball": lq_gauge_body(4, n),
@@ -1470,14 +1475,16 @@ def _points(n):
 def test_jet_homogeneity_euler_radial(body, closed_form):
     # h(tX) = t h(X), <X, grad h> = h and D^2h X = 0 at hypothesis-chosen
     # points, relative to h and to the scale h/|X| of D^2h X; measured
-    # <= 2.6e-15 over 1000 examples per family
+    # <= 2.6e-15 over 1000 examples per family.  An l_q norm with q < 2 has
+    # D^2h = +inf on the coordinate planes, so D^2h X = 0 is checked off them
     @settings(max_examples=30, deadline=None, derandomize=True)
     @given(_points(body.n), st.floats(0.25, 4.0))
     def check(x, t):
         h, grad, hess = (a[0] for a in body.jet(x[None], 2))
         assert abs(body.jet(t * x[None], 0)[0][0] - t * h) <= 1e-13 * t * h
         assert abs(x @ grad - h) <= 1e-13 * h
-        assert np.linalg.norm(hess @ x) <= 1e-13 * h / np.linalg.norm(x)
+        if getattr(body, "q", 2) >= 2 or x.all():
+            assert np.linalg.norm(hess @ x) <= 1e-13 * h / np.linalg.norm(x)
 
     check()
 
@@ -1560,14 +1567,14 @@ def test_lq_gauge_body_sandwich():
 
 @pytest.mark.parametrize("n", [2, 3])
 @pytest.mark.parametrize("q", [1.25, 4.0 / 3.0, 1.5, 1.75])
-def test_lq_norm_below_2_differences_only_its_hessian(q, n):
-    # for 1 < q < 2, h and grad h are the written-out closed form (measured:
-    # h bit for bit, grad h to 2.2e-16) at random points and at the grid's
-    # nodes, the coordinate hyperplanes included, where D^2h ~ |x_i|^(q-2) is
-    # infinite and the differenced D^2h stays finite; the jet orders are
-    # bit-identical; and D^2h is the finite-difference oracle's, within 1e-6
-    # of the closed form off the hyperplanes (|x_i| >= 0.2 |x|; measured
-    # <= 1.4e-7 relative)
+def test_lq_norm_below_2_hessian_is_infinite_on_the_planes(q, n):
+    # for 1 < q < 2 the jet is the closed form at random points and at the
+    # grid's nodes, the coordinate hyperplanes included: h and grad h bit for
+    # bit as written out, the jet orders bit-identical, D^2h the
+    # finite-difference oracle's within 1e-6 off the hyperplanes
+    # (|x_i| >= 0.2 |x|; measured <= 1.4e-7 relative), and +inf on exactly
+    # the diagonal entries of the zero coordinates, where D^2h ~ |x_i|^(q-2)
+    # is infinite
     rng = np.random.default_rng(40)
     X = np.vstack([unit_vectors(rng, 200, n) * rng.uniform(0.5, 2.0, size=(200, 1)),
                    build_grid(n, 8).nodes])
@@ -1579,18 +1586,16 @@ def test_lq_norm_below_2_differences_only_its_hessian(q, n):
     h, grad, H = full
     a = np.abs(X)
     h0 = (a**q).sum(axis=1) ** (1.0 / q)
-    g0 = np.sign(X) * (a / h0[:, None]) ** (q - 1)
-    assert np.abs(h - h0).max() <= 1e-15 * h0.max()
-    assert np.abs(grad - g0).max() <= 1e-15
-    assert np.isfinite(H).all()
-    assert np.abs(H - fd_hess(body, X)).max() <= 1e-12 * np.abs(H).max()
+    assert np.array_equal(h, h0)
+    assert np.array_equal(grad, np.copysign(a ** (q - 1), X) / h0[:, None] ** (q - 1))
+    plane = np.zeros(H.shape, dtype=bool)
+    plane[:, range(n), range(n)] = X == 0
+    assert plane.any() and np.array_equal(np.isposinf(H), plane)
+    assert np.isfinite(H[~plane]).all()
     off = (a >= 0.2 * np.linalg.norm(X, axis=1, keepdims=True)).all(axis=1)
     assert 0 < off.sum() < len(X)
-    ho, go = h0[off], g0[off]
-    H0 = (q - 1) / ho[:, None, None] * (
-        np.eye(n) * ((a[off] / ho[:, None]) ** (q - 2))[:, None, :]
-        - go[:, :, None] * go[:, None, :])
-    assert np.abs(H[off] - H0).max() <= 1e-6 * np.abs(H0).max()
+    fd = fd_hess(body, X[off])
+    assert np.abs(H[off] - fd).max() <= 1e-6 * np.abs(fd).max()
 
 
 @pytest.mark.parametrize("q", [1, 0.5, np.nan])
@@ -1650,9 +1655,7 @@ def test_body_evaluator_is_an_interface():
 # origin symmetry, the contract the Galerkin assembly sums over
 # ---------------------------------------------------------------------------
 
-# Bodies agree at antipodal nodes to ~1e-15 relative.  The l_q balls agree
-# exactly: the grid's antipodes are exact negations, their gradient is exactly
-# odd, and their D^2h is a central difference of that gradient.
+# Bodies agree at antipodal nodes to ~1e-15 relative.
 _SYMMETRY_TOL = 1e-13
 
 
@@ -1669,8 +1672,6 @@ def _symmetric_bodies(n, g):
         "ellipsoid_matrix": ellipsoid(A @ A.T + n * np.eye(n)),
         "perturbed_ball": pb,
         "random": random_even_body(n, seed=1),
-        "lq4": lq_gauge_body(4, n),
-        "lq3": lq_gauge_body(3, n),
         "polar": polar(pb, g),
         "linear_image": linear_image(pb, np.eye(n) + 0.3 * A),
         "firey": firey_sum(1.0, E, 0.8, pb, 2.0),
@@ -1741,3 +1742,11 @@ def test_bodies_are_origin_symmetric_on_grid(n, L, nodes):
                             ("D2h", F.transpose(0, 2, 1) @ H @ F, bg.D2h_frame)):
             err = np.abs(a - b).max() / np.abs(b).max()
             assert err <= _SYMMETRY_TOL, (name, label, err)
+    # the l_q balls, D^2h = +inf on the coordinate planes and so not on the
+    # grid, agree exactly: the grid's antipodes are exact negations, and
+    # their closed-form jet is even in each |x_i| but for the gradient's signs
+    for q in (3, 4):
+        body = lq_gauge_body(q, n)
+        for a, b, sign in zip(body.jet(g.nodes[anti], 2), body.jet(g.pair_nodes, 2),
+                              (1.0, -1.0, 1.0)):
+            assert np.array_equal(a, sign * b), q

@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from calab.bodies import (
-    BodyEvaluator,
+    LqNormBody,
     ball,
     ellipsoid,
     evaluate_on_grid,
     firey_sum,
     linear_image,
+    lq_gauge_body,
     perturbed_ball,
     polar,
     random_even_body,
@@ -21,6 +22,7 @@ from calab.calculus import (
     hbm_apply,
     ricci_star_check,
 )
+from calab.isomorphic import construct
 from calab.spectral import bochner_residual
 from calab.sphere import (
     ScalarField,
@@ -46,6 +48,7 @@ from oracles import (
     duality_roundtrip_error,
     integrated_divergence_residual,
     jet_consistency_error,
+    ScaledHessian,
     pushforward_invariance_error,
     state_diagnostics,
 )
@@ -420,23 +423,38 @@ def test_jet_hessian_is_the_derivative_of_its_gradient(make_body, L):
     assert _jet_is_consistent(evaluate_on_grid(make_body(), build_grid(3, L)))
 
 
-class _ScaledHessian(BodyEvaluator):
-    """A body whose jet reports 1.01 D^2h."""
-
-    def __init__(self, base):
-        super().__init__(base.n, "scaled_hessian")
-        self.base = base
-
-    def jet(self, X, order=2):
-        out = self.base.jet(X, order)
-        return out if order < 2 else (*out[:2], 1.01 * out[2])
-
-
 @pytest.mark.parametrize("base", [ball(1.0, 3), ellipsoid(np.diag([2.0, 1.0, 0.7]))],
                          ids=["ball", "diag2107"])
 def test_jet_consistency_sees_a_wrong_hessian(base):
-    bg = evaluate_on_grid(_ScaledHessian(base), build_grid(3, 16))
+    bg = evaluate_on_grid(ScaledHessian(base, 1.01), build_grid(3, 16))
     assert not _jet_is_consistent(bg)
+
+
+def _lq_family(name, n, g):
+    if name == "smoothed_lq4":
+        return construct(lq_gauge_body(4, n), g, 0.5, 0.3)[0]
+    if name == "polar_lq4_sum":
+        return polar(firey_sum(0.1, ball(1.0, n), 1.0, LqNormBody(4, n), 1.0), g)
+    return LqNormBody(float(name[2:]), n)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("name", ["lq2.5", "lq3", "lq4", "smoothed_lq4", "polar_lq4_sum"])
+def test_lq_family_jets_are_consistent(name, n):
+    # and a 1.01-scaled D^2h is not.  D^2h ~ |x_i|^(q-2) of LqNormBody(q)
+    # has no first-order Taylor term across a coordinate plane for 2 < q < 4,
+    # and the grid has nodes there: its error falls as step^(q-2), 3.16x at
+    # q = 2.5 and 10x at q = 3 from step 1e-3 to 1e-4 (measured within 1e-6)
+    g = build_grid(n, 16)
+    body = _lq_family(name, n, g)
+    bg, wrong = (evaluate_on_grid(b, g) for b in (body, ScaledHessian(body, 1.01)))
+    if name in ("lq2.5", "lq3"):
+        fall = 10.0 ** (float(name[2:]) - 2.0)
+        for b, ok in ((bg, True), (wrong, False)):
+            ratio = jet_consistency_error(b, 1e-3) / jet_consistency_error(b, 1e-4)
+            assert (abs(ratio / fall - 1.0) <= 0.05) == ok
+    else:
+        assert _jet_is_consistent(bg) and not _jet_is_consistent(wrong)
 
 
 def test_ricci_check_sees_a_wrong_connection():

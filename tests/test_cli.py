@@ -13,11 +13,11 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from calab import cli
-from calab.bodies import ellipsoid, evaluate_on_grid
+from calab.bodies import ball, ellipsoid, evaluate_on_grid
 from calab.minkowski import TargetMeasure
 from calab.sphere import build_grid
 
-from oracles import unfold
+from oracles import ScaledHessian, unfold
 
 
 def write_config(tmp_path, name, payload):
@@ -517,6 +517,19 @@ def test_isomorphic_lq_body_without_closed_form_gauge(tmp_path):
     assert json.loads((out / "report.json").read_text())["pass"]
 
 
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the support overflows
+def test_isomorphic_body_support_not_finite_exits_2(tmp_path, capsys):
+    # with the auto gauge isomorphic reads only the support of a body with a
+    # closed-form gauge, which must still be finite at the pair nodes
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": {"n": 2, "L": 8}, "alpha": 0.5, "beta": 0.3,
+        "body": {"type": "ellipsoid", "diag": [1e200, 1e200]}})
+    out = tmp_path / "out"
+    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert "support function must be positive and finite" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("degree_max", [0, 1])
 def test_spectrum_empty_even_nonconstant_subspace_exits_2(tmp_path, capsys,
                                                           degree_max):
@@ -568,13 +581,22 @@ def _floor_record(out):
     return [c for c in report["checks"] if c["name"] == "brunn_minkowski_floor"][0]
 
 
-@pytest.mark.parametrize("n,L,least", [(2, 16, 0.0776), (3, 24, 0.5926)])
-def test_spectrum_below_the_brunn_minkowski_floor_exits_1(tmp_path, n, L, least):
-    # the l4 ball's support ||x||_{4/3} has unbounded D^2h on the coordinate
-    # planes, between the grid's nodes: lambda1_even lands far below n - 1,
-    # a failed check, with the report still written
-    cfg = write_config(tmp_path, "c.json", {"grid": {"n": n, "L": L},
-                                            "body": {"type": "lq", "q": 4},
+@pytest.fixture
+def scaled_hessian_body(monkeypatch):
+    # the unit ball with D^2h x 5: the metric h D^2h is 5 times the round
+    # one, so -L_K's spectrum is the round one's over 5 (lambda1 = (n - 1)/5,
+    # lambda1_even = 2n/5), below the Brunn-Minkowski floor n - 1
+    monkeypatch.setitem(cli.BODY_TYPES, "scaled_hessian",
+                        (lambda n: ScaledHessian(ball(1.0, n), 5.0), {}))
+
+
+@pytest.mark.parametrize("n,least", [(2, 0.8), (3, 1.2)])
+def test_spectrum_below_the_brunn_minkowski_floor_exits_1(tmp_path, scaled_hessian_body,
+                                                         n, least):
+    # lambda1_even lands below n - 1: a failed check, with the report still
+    # written
+    cfg = write_config(tmp_path, "c.json", {"grid": {"n": n, "L": 16},
+                                            "body": {"type": "scaled_hessian"},
                                             "subspace": "even-nonconstant"})
     out = tmp_path / "out"
     assert run_cli(["spectrum", "--config", cfg, "--out", out]) == 1
@@ -584,16 +606,43 @@ def test_spectrum_below_the_brunn_minkowski_floor_exits_1(tmp_path, n, L, least)
     assert (out / "spectrum.json").exists()
 
 
-def test_sweep_below_the_brunn_minkowski_floor_exits_1(tmp_path):
-    # the row's lambda1 (0.0372) and lambda1_even (0.0776) are both below 1
+def test_sweep_below_the_brunn_minkowski_floor_exits_1(tmp_path, scaled_hessian_body):
+    # the row's lambda1 (0.2) and lambda1_even (0.8) are both below 1
     cfg = write_config(tmp_path, "c.json", {"grid": {"n": 2, "L": 16},
-                                            "bodies": [{"type": "lq", "q": 4}]})
+                                            "bodies": [{"type": "scaled_hessian"}]})
     out = tmp_path / "out"
     assert run_cli(["sweep", "--config", cfg, "--out", out]) == 1
     floor = _floor_record(out)
     assert not floor["pass"] and floor["tolerance"] == 1e-6
-    assert floor["value"] == pytest.approx(0.0372, abs=1e-4)
+    assert floor["value"] == pytest.approx(0.2, abs=1e-4)
     assert (out / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("q", [3, 4])
+def test_lq_body_is_refused_where_its_hessian_is_read(tmp_path, capsys, q, n):
+    # the l_q ball's support ||x||_{q/(q-1)} has D^2h = +inf on the
+    # coordinate planes, where the grid has nodes: it is not strongly convex,
+    # so every command that reads its D^2h refuses it, isomorphic under the
+    # numeric gauge included, and nothing is written; a sweep writes the
+    # reason in the body's row
+    body = {"type": "lq", "q": q}
+    runs = [("spectrum", {"body": body, "subspace": subspace})
+            for subspace in ("all", "even-nonconstant")]
+    runs += [(command, {"body": body}) for command in ("pinch", "bochner")]
+    runs.append(("isomorphic", {"body": body, "alpha": 0.5, "beta": 0.3,
+                                "gauge": "numeric"}))
+    for i, (command, payload) in enumerate(runs):
+        cfg = write_config(tmp_path, f"c{i}.json", {"grid": {"n": n, "L": 8}, **payload})
+        out = tmp_path / f"out{i}"
+        assert run_cli([command, "--config", cfg, "--out", out]) == 2, command
+        assert not out.exists()
+        err = capsys.readouterr().err
+        assert err.startswith("config error: bad body: ") and "not strongly convex" in err
+    cfg = write_config(tmp_path, "sweep.json", {"grid": {"n": n, "L": 8}, "bodies": [body]})
+    assert run_cli(["sweep", "--config", cfg, "--out", tmp_path / "sweep"]) == 1
+    row = (tmp_path / "sweep" / "sweep.csv").read_text().splitlines()[1]
+    assert row.endswith("non-finite derivative on the grid: not strongly convex")
 
 
 def test_isomorphic_command(tmp_path):
