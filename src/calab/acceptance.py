@@ -137,17 +137,17 @@ def criterion_gl_invariance(seed: int = 0) -> list[Check]:
     g3 = build_grid(3, 24)
     body3 = perturbed_ball(3, 0.1)
     out.append(_le("n3/rotation/max_gap",
-                   invariance_check(body3, R3, g3)["max_gap"], 1e-8))
+                   invariance_check(body3, R3, g3), 1e-8))
     out.append(_le("n3/stretch/max_gap",
-                   invariance_check(body3, np.diag([2.0, 1.0, 1.0]), g3)["max_gap"],
+                   invariance_check(body3, np.diag([2.0, 1.0, 1.0]), g3),
                    1e-3))
     g2 = _grid2()
     body2 = perturbed_ball(2, 0.1)
     R2 = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
     out.append(_le("n2/rotation/max_gap",
-                   invariance_check(body2, R2, g2)["max_gap"], 1e-8))
+                   invariance_check(body2, R2, g2), 1e-8))
     out.append(_le("n2/stretch/max_gap",
-                   invariance_check(body2, np.diag([2.0, 1.0]), g2)["max_gap"],
+                   invariance_check(body2, np.diag([2.0, 1.0]), g2),
                    1e-3))
     return out
 

@@ -424,11 +424,7 @@ class PolarBody(BodyEvaluator):
         self._reps = D[first] * grid.nodes[first]
         jet = _grid_jet(base, self._reps)
         h = jet[0]
-        bad = np.flatnonzero(~(np.isfinite(h) & (h > 0))[inverse])
-        if bad.size:
-            raise ValueError(f"support function must be positive and finite on the "
-                             f"grid: pair node {bad[0]} {grid.pair_nodes[bad[0]]} "
-                             f"reads {h[inverse[bad[0]]]}")
+        check_support(grid, h[inverse])
         self._vertices_t = np.ascontiguousarray((self._reps / h[:, None]).T)
         if self.n == 3:
             self._ref_jet, self._ref_adj = jet, _osculating_adjugate(*jet)
@@ -941,14 +937,22 @@ class BodyOnGrid(NamedTuple):
         return self.grid.n
 
 
+def check_support(grid: SphereGrid, h: np.ndarray) -> None:
+    """Raise ValueError naming the first pair node where the support values
+    h, one per pair node, are not positive and finite."""
+    bad = np.flatnonzero(~((h > 0) & (h < np.inf)))
+    if bad.size:
+        raise ValueError(f"support function must be positive and finite on the grid: "
+                         f"pair node {bad[0]} {grid.pair_nodes[bad[0]]} reads {h[bad[0]]}")
+
+
 def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
     """Sample a body at the grid's pair nodes and derive its geometry; h and
     x are the read-only arrays of the body's grid jet (_grid_jet)."""
     if body.n != grid.n:
         raise ValueError("body/grid dimension mismatch")
     h, x, H = _grid_jet(body, grid.pair_nodes)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        raise ValueError("support function must be positive and finite on the grid")
+    check_support(grid, h)
     if not (np.all(np.isfinite(x)) and np.all(np.isfinite(H))):
         raise ValueError("non-finite derivative on the grid: not strongly convex")
     F = grid.tangent_frames()
@@ -972,25 +976,15 @@ def evaluate_on_grid(body: BodyEvaluator, grid: SphereGrid) -> BodyOnGrid:
 class Quantities(NamedTuple):
     volume: float
     omega_n: float
-    r_in: float
-    R_out: float
     polar_volume: float
 
 
 def quantities(bg: BodyOnGrid) -> Quantities:
-    """Volume, centro-affine surface area, polar volume, and the
-    origin-symmetric sandwich radii r_in <= h <= R_out."""
+    """Volume, centro-affine surface area and polar volume (the sandwich
+    radii are measure_pinching's)."""
     if not bg.valid:
         raise ValueError("body is not strongly convex on the grid")
-    w = bg.grid.pair_weights
-    n = bg.grid.n
-    volume = float(w @ bg.vk_density)
-    omega = float(w @ np.sqrt(bg.sk_density / bg.h ** (n - 1))) / n
-    polar_volume = float(w @ bg.h ** (-n)) / n
-    return Quantities(
-        volume=volume,
-        omega_n=omega,
-        r_in=float(bg.h.min()),
-        R_out=float(bg.h.max()),
-        polar_volume=polar_volume,
-    )
+    w, n = bg.grid.pair_weights, bg.grid.n
+    return Quantities(volume=float(w @ bg.vk_density),
+                      omega_n=float(w @ np.sqrt(bg.sk_density / bg.h ** (n - 1))) / n,
+                      polar_volume=float(w @ bg.h ** (-n)) / n)

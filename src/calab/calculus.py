@@ -82,8 +82,8 @@ def build_state(bg: BodyOnGrid) -> CentroAffineState:
 
 def conjugate_hessian_weights(state: CentroAffineState, scale=1.0):
     """(WH, WG): per pair node, the (q, q) and (q, n-1) maps, q = n(n-1)/2,
-    from packed Hessian and gradient components to those of
-    conjugate_hessian_packed, times scale (a scalar, or one per node)."""
+    from packed Hessian and gradient components to conjugate_hessian_rows',
+    times scale (a scalar, or one per node)."""
     K, p = state.K, state.p
     iu, ju = packed_indices(K.shape[-1])
     off = np.where(iu == ju, 0.0, 1.0)
@@ -98,9 +98,15 @@ def conjugate_hessian_weights(state: CentroAffineState, scale=1.0):
 
 
 def conjugate_hessian_rows(weights, grad: np.ndarray, hess: np.ndarray, out=None):
-    """conjugate_hessian_packed of rows with these weights; `out`, a pair of
-    (rows, q, k) arrays, takes the result and the gradient term, and the
-    second may be hess's own memory: hess is read first."""
+    """K Hess* f K^t = K Hess f K^t + p (x) t + t (x) p, t = K grad f: the
+    conjugate Hessian in the metric's orthonormal coframe (K^t K = g^{-1}),
+    packed q1 <= q2 with the off-diagonal components weighted sqrt 2, so
+    their square sum is ||Hess* f||_g^2 and their diagonal sum L f.  grad
+    (rows, k, n-1) and hess (rows, k, q) are k functions' frame gradients
+    and packed Hessians, laid out as the basis tables are, and weights
+    conjugate_hessian_weights on those rows; the result is (rows, q, k).
+    `out`, a pair of (rows, q, k) arrays, takes the result and the gradient
+    term, and the second may be hess's own memory: hess is read first."""
     WH, WG = weights
     if out is None:
         return WH @ np.swapaxes(hess, -1, -2) + WG @ np.swapaxes(grad, -1, -2)
@@ -108,30 +114,13 @@ def conjugate_hessian_rows(weights, grad: np.ndarray, hess: np.ndarray, out=None
     return np.add(out[0], np.matmul(WG, np.swapaxes(grad, -1, -2), out=out[1]), out=out[0])
 
 
-def conjugate_hessian_packed(state: CentroAffineState, grad: np.ndarray,
-                             hess: np.ndarray, scale=1.0) -> np.ndarray:
-    """K Hess* f K^t, the conjugate Hessian in the metric's orthonormal
-    coframe (K^t K = g^{-1}), as its packed components q1 <= q2 with the
-    off-diagonal ones weighted sqrt 2: their sum of squares is
-    ||Hess* f||_g^2 and their diagonal sum is L f = tr(g^{-1} Hess* f).
-
-    grad (N/2, k, n-1) and hess (N/2, k, n(n-1)/2) are the frame gradients
-    and packed covariant Hessians of k functions at the pair nodes, laid out
-    as the basis tables are; the result is (N/2, n(n-1)/2, k), each node's
-    rows times scale (a scalar, or one per node): conjugate_hessian_rows
-    over all rows.  With t = K grad f, Hess* f = Hess f + d log h (x) df +
-    df (x) d log h becomes K Hess* f K^t = K Hess f K^t + p (x) t + t (x) p."""
-    return conjugate_hessian_rows(conjugate_hessian_weights(state, scale), grad, hess)
-
-
 def hbm_apply(state: CentroAffineState, f: ScalarField) -> ScalarField:
-    """The Hilbert-Brunn-Minkowski operator, the diagonal sum of
-    conjugate_hessian_packed, from one analysis of f, at every node of the
-    grid."""
+    """The Hilbert-Brunn-Minkowski operator at every node of the grid, the
+    diagonal sum of conjugate_hessian_rows from one analysis of f."""
     grid = state.grid
     c = analyze(f)
-    Q = conjugate_hessian_packed(state, _antipodal_rows(grid, c, 1),
-                                 _antipodal_rows(grid, c, 2))
+    Q = conjugate_hessian_rows(conjugate_hessian_weights(state),
+                               _antipodal_rows(grid, c, 1), _antipodal_rows(grid, c, 2))
     Lf = Q[:, packed_positions(state.n - 1).diagonal()].sum(axis=1)
     return ScalarField.from_values(grid, _unfold(grid, Lf))
 

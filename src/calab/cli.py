@@ -31,7 +31,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 import calab
-from calab.bodies import (ball, ellipsoid, evaluate_on_grid, lq_gauge_body,
+from calab.bodies import (ball, check_support, ellipsoid, evaluate_on_grid, lq_gauge_body,
                           perturbed_ball, polar, quantities, random_even_body)
 from calab.calculus import build_state
 from calab.isomorphic import construct, isometric_gamma, p_gamma_D, verify
@@ -202,9 +202,7 @@ def _gauge_input(raw, where, top):
     body = _body(raw, where, top)
     if top["gauge"] == "numeric" or body.gauge_body() is None:
         return _strongly_convex(body, where, top).body
-    h = body.support(top["grid"].pair_nodes)
-    if not ((h > 0) & (h < np.inf)).all():
-        raise ValueError("support function must be positive and finite on the grid")
+    check_support(top["grid"], body.support(top["grid"].pair_nodes))
     return body
 
 
@@ -551,12 +549,16 @@ def validate(command: str, cfg, seed: int) -> dict:
     return values
 
 
+def _report_header(command: str, cfg, seed: int) -> dict:
+    """The keys every report opens with, a failed run's too."""
+    return {"command": command, "config": cfg, "seed": seed, "version": calab.__version__}
+
+
 def run_command(command: str, cfg, values: dict, threads: int = 1):
     """Run a command on its validated values: the deterministic report (which
     echoes the raw config) and the output files."""
     checks, payload, files = COMMAND_TABLE[command].run(values, threads)
-    report = {"command": command, "config": cfg, "seed": values["seed"],
-              "version": calab.__version__, "checks": checks,
+    report = {**_report_header(command, cfg, values["seed"]), "checks": checks,
               "pass": bool(all(c["pass"] for c in checks)), "result": payload}
     return report, files
 
@@ -608,9 +610,8 @@ def main(argv=None) -> int:
     try:
         report, files = run_command(args.command, cfg, values, threads=args.threads)
     except Exception as exc:  # numerical failure: report what we know
-        report = {"command": args.command, "config": cfg, "seed": args.seed,
-                  "checks": [], "pass": False,
-                  "error": f"{type(exc).__name__}: {exc}"}
+        report = {**_report_header(args.command, cfg, args.seed), "checks": [],
+                  "pass": False, "error": f"{type(exc).__name__}: {exc}"}
         (out_dir / "report.json").write_bytes(report_bytes(report))
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1

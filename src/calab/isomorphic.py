@@ -22,6 +22,7 @@ from calab.bodies import (
     BodyOnGrid,
     EllipsoidBody,
     ball,
+    check_support,
     firey_sum,
     linear_image,
     polar,
@@ -69,12 +70,12 @@ def _sandwich(bodyK: BodyEvaluator, grid: SphereGrid, alpha: float, beta: float,
               certificate: tuple[float, float] | None) -> tuple[float, float]:
     """(r_in, D = R_out/r_in) of the certificate (r_in, R_out), read off the
     support values at the pair nodes when not given, after checking that
-    alpha and beta are positive, the support is positive and 0 < r_in <= R_out."""
+    alpha and beta are positive, the support is positive and finite there
+    (check_support) and 0 < r_in <= R_out."""
     if alpha <= 0 or beta <= 0:
         raise ValueError("alpha and beta must be positive")
     h = bodyK.support(grid.pair_nodes)
-    if not np.all(np.isfinite(h)) or np.any(h <= 0):
-        raise ValueError("sandwich certificate absent: support not positive")
+    check_support(grid, h)
     if certificate is None:
         certificate = (float(h.min()), float(h.max()))
     r_in, R_out = certificate

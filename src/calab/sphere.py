@@ -700,7 +700,7 @@ class SphereGrid:
             arr.setflags(write=False)
         self.pair_nodes = self.nodes[:half]
         self._tables = None       # per parity block (B, G, H), see basis_tables
-        self._factors = None      # see ring_rows
+        self._factors = None      # see _block_factors
         self._orbits = None       # see flip_orbits
         self._folds = {}          # see sign_fold
         self._frames = None
@@ -718,7 +718,7 @@ class SphereGrid:
         HarmonicBasis.frame_derivs).
 
         Read-only views of one cached table set per parity block, each
-        ring_rows of all rings and stored once filled; only the blocks
+        _ring_rows of all rings and stored once filled; only the blocks
         asked for are built.  The column recurrences do not depend on the
         band, so a band-b view is a column prefix of any larger band's; a
         block's tables are rebuilt at `band` only when they hold fewer
@@ -736,7 +736,8 @@ class SphereGrid:
             if tables[block] is None or tables[block][0].shape[1] < len(cols):
                 out = tuple(np.empty((len(self.pair_weights), len(cols)) + k)
                             for k in basis.part_shapes)
-                self.ring_rows(basis, block, 0, slice(None), out)
+                self._ring_rows(slice(None), out,
+                                *self._block_factors(basis, block, 0, False))
                 for T in out:
                     T.setflags(write=False)
                 tables[block] = out
@@ -744,21 +745,13 @@ class SphereGrid:
         return tuple(tuple(T[:, :len(basis.parity_columns[b])] for T in self._tables[b])
                      for b in blocks)
 
-    def ring_rows(self, basis: HarmonicBasis, block: int, first: int, rings: slice,
-                  out, fold: bool = False):
-        """Write the rows of basis.blocks(fold)[block] from column `first` on
-        the grid's `rings` into out = (values, gradients, Hessians),
-        skipping None, bit for bit: from the factors (HarmonicBasis._factors)
-        of the even, then the odd columns, cached at the largest band asked.
-        Without fold these are the rows of basis_tables(basis.L)[block];
-        with fold only the rings' flip-orbit representatives (flip_orbits)."""
-        self._ring_rows(rings, out, *self._block_factors(basis, block, first, fold))
-
     def _block_factors(self, basis: HarmonicBasis, block: int, first: int, fold: bool):
-        """ring_rows' factors of one block's columns: the cached ring factors,
-        the block's positions among their columns, its degrees, and its
-        longitude factors on the longitudes ring_rows writes, gathered once
-        per call.  The cache keeps the ring factors per column and, at n=3,
+        """_ring_rows' factors of basis.blocks(fold)[block] from column
+        `first` on: the ring factors (HarmonicBasis._factors) of the even,
+        then the odd columns, cached at the largest band asked, the block's
+        positions among their columns, its degrees, and its longitude
+        factors on the longitudes _ring_rows writes, gathered once per
+        call.  The cache keeps the ring factors per column and, at n=3,
         one table of cos m phi and sin m phi per longitude (_longitudes)."""
         if self._factors is None or len(self._factors[2]) < basis.size:
             cols = np.concatenate(basis.parity_columns)
@@ -779,7 +772,9 @@ class SphereGrid:
         return F, s, degrees[s], lons
 
     def _ring_rows(self, rings: slice, out, F, s, degrees, lons):
-        """ring_rows from _block_factors' factors."""
+        """Write _block_factors' block's rows on the grid's `rings` into out =
+        (values, gradients, Hessians), skipping None, bit for bit: without
+        fold basis_tables' rows, with fold the flip-orbit representatives'."""
         n_lon = len(lons[0])
         _combine([f[rings, None, s] for f in F], lons, degrees,
                  [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
@@ -790,7 +785,7 @@ class SphereGrid:
         block in `blocks` (indices into HarmonicBasis(n, band).blocks(fold))
         the (values, gradients, Hessians) of that block's columns there from
         column `first` on, None for the parts not listed: chunks of whole
-        rings, at most CHUNK_ROWS rows (one ring at least), that ring_rows
+        rings, at most CHUNK_ROWS rows (one ring at least), that _ring_rows
         writes into buffers reused from chunk to chunk, and no table.
 
         Without fold the rows are every pair row, and a block's views are

@@ -20,7 +20,8 @@ import numpy as np
 
 from calab import spectral
 from calab.bodies import BodyEvaluator, BodyOnGrid, quantities
-from calab.calculus import CentroAffineState, conjugate_hessian_packed
+from calab.calculus import (CentroAffineState, conjugate_hessian_rows,
+                             conjugate_hessian_weights)
 from calab.minkowski import TargetMeasure
 from calab.spectral import GalerkinSystem, solve_spectrum
 from calab.sphere import (
@@ -237,11 +238,16 @@ def fd_hessian_on_sphere(fn, points, step: float = 1e-3) -> np.ndarray:
 # centro-affine calculus
 
 
+def conjugate_hessian_packed(state: CentroAffineState, grad, hess, scale=1.0):
+    """calculus.conjugate_hessian_rows on every pair row, times scale."""
+    return conjugate_hessian_rows(conjugate_hessian_weights(state, scale), grad, hess)
+
+
 def conjugate_hessian_frames(state: CentroAffineState, grad: np.ndarray,
                              hess: np.ndarray):
     """Hess* f as frame matrices (N/2, k, m, m), and L f (N/2, k), of k
     functions from their frame gradients (N/2, k, m) and frame Hessians
-    (N/2, k, m, m): calculus.conjugate_hessian_packed's components
+    (N/2, k, m, m): conjugate_hessian_packed's components
     unweighted, unpacked to K Hess* f K^t and mapped back through K^{-1}."""
     iu, ju = np.triu_indices(grad.shape[-1])
     Q = conjugate_hessian_packed(state, grad, hess[..., iu, ju])

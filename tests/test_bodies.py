@@ -28,6 +28,7 @@ from calab.bodies import (
     quantities,
 )
 from calab.isomorphic import _RoundedGaugeBody, construct
+from calab.pinching import measure_pinching
 from calab.sphere import (HarmonicBasis, build_grid, frame_eigvalsh, tangent_frames,
                           to_ambient, turn, unpack_sym)
 from oracles import fd_grad, fd_hess
@@ -1510,19 +1511,20 @@ def test_minkowski_superadditivity_of_volume():
 
 def test_ball_quantities():
     g = build_grid(3, 12)
-    q = quantities(evaluate_on_grid(ball(1.0, 3), g))
+    bg = evaluate_on_grid(ball(1.0, 3), g)
+    q, pin = quantities(bg), measure_pinching(bg)
     assert abs(q.volume - 4.0 * np.pi / 3.0) < 1e-10
     assert abs(q.omega_n - 4.0 * np.pi / 3.0) < 1e-10
-    assert abs(q.r_in - 1.0) < 1e-12 and abs(q.R_out - 1.0) < 1e-12
+    assert abs(pin.r_in - 1.0) < 1e-12 and abs(pin.R_out - 1.0) < 1e-12
     # exact volume-product equality for the ball
     assert abs(q.omega_n**2 - q.volume * q.polar_volume) < 1e-9
 
 
 def test_ellipsoid_sandwich_radii():
     g = build_grid(2, 16)
-    q = quantities(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0])), g))
-    assert abs(q.r_in - 1.0) < 1e-12
-    assert abs(q.R_out - 2.0) < 1e-12
+    pin = measure_pinching(evaluate_on_grid(ellipsoid(np.diag([2.0, 1.0])), g))
+    assert abs(pin.r_in - 1.0) < 1e-12
+    assert abs(pin.R_out - 2.0) < 1e-12
 
 
 def test_volume_scaling_under_linear_maps():

@@ -18,7 +18,6 @@ from calab.bodies import (
 from calab.calculus import (
     _conjugate_ricci,
     build_state,
-    conjugate_hessian_packed,
     hbm_apply,
     ricci_star_check,
 )
@@ -42,6 +41,7 @@ from calab.sphere import (
 from oracles import (
     adapted_linear_derivs,
     conjugate_hessian_frames,
+    conjugate_hessian_packed,
     fd_hbm_terms,
     duality_isometry_check,
     duality_map,

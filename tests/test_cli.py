@@ -12,8 +12,9 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import calab
 from calab import cli
-from calab.bodies import ball, ellipsoid, evaluate_on_grid
+from calab.bodies import ball, ellipsoid, evaluate_on_grid, perturbed_ball
 from calab.minkowski import TargetMeasure
 from calab.sphere import build_grid
 
@@ -350,6 +351,9 @@ def test_numerical_failure_exit_1_report_written(tmp_path, monkeypatch):
     report = json.loads((out / "report.json").read_text())
     assert not report["pass"]
     assert "error" in report
+    assert report["version"] == calab.__version__
+    assert sorted(report) == ["checks", "command", "config", "error", "pass",
+                              "seed", "version"]
 
 
 def test_report_determinism(tmp_path):
@@ -528,6 +532,24 @@ def test_isomorphic_body_support_not_finite_exits_2(tmp_path, capsys):
     assert run_cli(["isomorphic", "--config", cfg, "--out", out]) == 2
     assert not out.exists()
     assert "support function must be positive and finite" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_isomorphic_body_support_not_positive_names_the_node(tmp_path, capsys, n):
+    # the numeric-gauge path reads the support through evaluate_on_grid: the
+    # config error names the first pair node where it is not positive
+    body = {"type": "perturbed_ball", "eps": 3.0}
+    grid = build_grid(n, 12)
+    h = perturbed_ball(n, 3.0).support(grid.pair_nodes)
+    i = int(np.flatnonzero(h <= 0)[0])
+    cfg = write_config(tmp_path, "c.json", {
+        "grid": {"n": n, "L": 12}, "alpha": 0.5, "beta": 0.3, "body": body})
+    out = tmp_path / "out"
+    assert run_cli(["isomorphic", "--config", cfg, "--out", out]) == 2
+    assert not out.exists()
+    assert capsys.readouterr().err.startswith(
+        "config error: bad body: support function must be positive and finite on "
+        f"the grid: pair node {i} {grid.pair_nodes[i]} reads ")
 
 
 @pytest.mark.parametrize("degree_max", [0, 1])

@@ -5,9 +5,12 @@ and Cholesky reduction of the symmetric-definite Galerkin pencils, so no
 scipy module is needed at run time; the tests use scipy only as an oracle.
 A fresh interpreter shows that neither the import nor a pinch, polar,
 spectrum or Hessian-gap run brings any scipy module in.  The CLI's import
-leaves the modules that only some commands use out as well.
+leaves the modules that only some commands use out as well.  And no module
+imports a name it never reads (calab/__init__.py, whose imports are the
+package's re-exports, aside).
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -15,6 +18,7 @@ import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "calab"
 
 _PROBE = f"""
 import json, sys
@@ -91,3 +95,37 @@ def test_import_builds_no_dataclass():
     out = subprocess.run([sys.executable, "-c", probe], env=env, cwd=ROOT,
                          capture_output=True, text=True, check=True).stdout
     assert json.loads(out) == {"loaded": False, "dataclasses": []}
+
+
+def unread_imports(source: str) -> list[str]:
+    """'line: name' for each name the source imports and never reads (as
+    an AST Name, also the base of an attribute); __future__ imports aside."""
+    bound, read = [], set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Import):
+            bound += [(node.lineno, (a.asname or a.name).split(".")[0])
+                      for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [(node.lineno, a.asname or a.name) for a in node.names]
+    return [f"{line}: {name}" for line, name in sorted(bound) if name not in read]
+
+
+def test_no_module_imports_a_name_it_never_reads():
+    found = {p.name: unread_imports(p.read_text())
+             for p in sorted(SRC.glob("*.py")) if p.name != "__init__.py"}
+    assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def test_each_unread_import_is_seen():
+    # plain, dotted, aliased and from-imports, at module level or in a
+    # function; a read as an attribute's base or in an annotation counts
+    source = ("from __future__ import annotations\n"
+              "import os\nimport numpy as np\nimport concurrent.futures\n"
+              "from json import dumps, loads as load\n"
+              "def f(x: Path) -> None:\n"
+              "    from pathlib import Path, PurePath\n"
+              "    return np.zeros(1), load(x)\n")
+    assert unread_imports(source) == [
+        "2: os", "4: concurrent", "5: dumps", "7: PurePath"]

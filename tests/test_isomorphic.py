@@ -1,5 +1,7 @@
 """Tests for the smoothing construction and its closed-form parameter bounds."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,6 +12,8 @@ from calab.bodies import (
     ellipsoid,
     evaluate_on_grid,
     lq_gauge_body,
+    perturbed_ball,
+    polar,
 )
 from calab.isomorphic import (
     construct,
@@ -138,6 +142,33 @@ def test_construct_requires_positive_support():
     bad = Bad(np.eye(2))
     with pytest.raises(ValueError):
         construct(bad, g, 1.0, 1.0)
+
+
+def support_failure(body, g) -> str:
+    """The message of a body whose support is not positive and finite at
+    some pair node: it names the first such node."""
+    h = body.support(g.pair_nodes)
+    i = np.flatnonzero(~(np.isfinite(h) & (h > 0)))[0]
+    return re.escape("support function must be positive and finite on the grid: "
+                     f"pair node {i} {g.pair_nodes[i]} reads ")
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # the support overflows
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("make", [
+    # the constant term of the perturbed ball is too small: h < 0 somewhere
+    pytest.param(lambda n: perturbed_ball(n, 3.0), id="negative"),
+    pytest.param(lambda n: ellipsoid(np.diag([1e200] * n)), id="infinite"),
+])
+def test_every_support_check_names_the_failing_pair_node(n, make):
+    g = build_grid(n, 12)
+    body = make(n)
+    message = support_failure(body, g)
+    for route in (lambda: evaluate_on_grid(body, g), lambda: polar(body, g),
+                  lambda: construct(body, g, 0.5, 0.3),
+                  lambda: direct_route_support(body, g, 0.5, 0.3)):
+        with pytest.raises(ValueError, match=message):
+            route()
 
 
 @pytest.mark.parametrize("route", [construct, direct_route_support])

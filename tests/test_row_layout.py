@@ -1,9 +1,9 @@
 """Only calab.sphere knows how the grid's basis rows are laid out.
 
 Every grid is a product grid, and its pair rows are rings times longitudes.
-SphereGrid owns that layout: it writes a ring range's rows (ring_rows) and
+SphereGrid owns that layout: it writes a ring range's rows (_ring_rows) and
 streams them in chunks of whole rings (row_chunks, at most CHUNK_ROWS rows).
-Anywhere else in src/calab, reading `product_factors`, `ring_rows` or
+Anywhere else in src/calab, reading `product_factors`, `_ring_rows` or
 `CHUNK_ROWS` counts rings and longitudes, sizes chunks or fills buffers by
 hand.
 """
@@ -12,7 +12,7 @@ import ast
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "calab"
-LAYOUT_NAMES = ("product_factors", "ring_rows", "CHUNK_ROWS")
+LAYOUT_NAMES = ("product_factors", "_ring_rows", "CHUNK_ROWS")
 
 
 def row_layout_reads(source: str) -> list[str]:
@@ -39,8 +39,8 @@ def test_each_row_layout_read_is_seen():
     # the grid's own streaming that replaces them
     assert row_layout_reads("n_ring = len(grid.product_factors[0][0])") == [
         "1: product_factors"]
-    assert row_layout_reads("grid.ring_rows(basis, 0, 0, slice(0, 2), out)") == [
-        "1: ring_rows"]
+    assert row_layout_reads("grid._ring_rows(slice(0, 2), out, *factors)") == [
+        "1: _ring_rows"]
     assert row_layout_reads("from calab.sphere import CHUNK_ROWS\n"
                             "per = CHUNK_ROWS // 4\nm = sphere.CHUNK_ROWS") == [
         "1: CHUNK_ROWS", "2: CHUNK_ROWS", "3: CHUNK_ROWS"]

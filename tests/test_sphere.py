@@ -704,7 +704,7 @@ def test_band_tables_are_stored_only_once_filled(monkeypatch):
     def fail(*args):
         raise MemoryError
 
-    monkeypatch.setattr(g, "ring_rows", fail)
+    monkeypatch.setattr(g, "_ring_rows", fail)
     with pytest.raises(MemoryError):
         g.basis_tables()
     assert g._tables is None
