@@ -25,7 +25,7 @@ import numpy as np
 from calab.bodies import BodyEvaluator, BodyOnGrid, evaluate_on_grid, linear_image
 from calab.calculus import (CentroAffineState, build_state, conjugate_hessian_rows,
                              conjugate_hessian_weights)
-from calab.sphere import SphereGrid, _parity_rows, packed_positions
+from calab.sphere import SphereGrid, packed_positions
 
 
 class _Immutable:
@@ -239,8 +239,7 @@ def assemble(state: CentroAffineState, basis: GalerkinBasis) -> GalerkinSystem:
     def rows(block):
         # one block at a time: its two sums stay in cache across the chunks
         X = Y = None
-        for r, ((B, G, _),) in grid.row_chunks(basis.degree_max, (0, 1), (block,),
-                                               fold=fold):
+        for r, (B, G, _) in grid.row_chunks(basis.degree_max, (0, 1), block, fold=fold):
             X = np.matmul(Ksq[r], G.transpose(0, 2, 1),
                           out=_reuse(X, (len(G), grid.n - 1, G.shape[1])))
             Y = np.multiply(B, sq[r, None], out=_reuse(Y, B.shape))
@@ -272,9 +271,9 @@ def _hessian_form(system: GalerkinSystem, block: int, first: int = 0) -> np.ndar
     def rows():
         Q = None
         for r, runs in state.grid.chunk_runs(system.basis.degree_max, (1, 2),
-                                             (system.ids[block],), first, fold):
+                                             system.ids[block], first, fold):
             Q = _reuse(Q, (r.stop - r.start, q, k))
-            for sub, ((_, G, H),) in runs:
+            for sub, (_, G, H) in runs:
                 conjugate_hessian_rows([W[sub] for W in weights], G, H,
                                        (Q[sub.start - r.start:sub.stop - r.start],
                                         H.reshape(len(H), q, k)))
@@ -454,26 +453,34 @@ def bochner_residual(state: CentroAffineState, coeffs) -> float:
 
     The rows are those of the Galerkin forms: K grad f and
     conjugate_hessian_rows, whose diagonal sum is Lf.  Each term is a
-    quadratic form Q, and the body is origin-symmetric, so
-    Q(f) = Q(f_even) + Q(f_odd): the cross terms are odd and vanish against
-    the even measure.  Each part is contracted with its parity's rows and
-    summed over the pair nodes at the row weights 2 w nu, in row_chunks."""
+    quadratic form Q that commutes with the body's sign group, so Q(f) is
+    the sum of Q over f's parts on assemble's blocks: the cross terms
+    vanish against the measure.  Each part is contracted with its block's
+    rows, summed over assemble's rows at its orbit weights, the blocks'
+    streams advanced together a chunk at a time."""
     grid, c = state.grid, np.asarray(coeffs, dtype=float)
     degrees, nb = grid.basis.degrees, c.size
     if (c.ndim != 1 or not 1 <= nb <= grid.basis.size
             or (nb < grid.basis.size and degrees[nb] == degrees[nb - 1])):
         raise ValueError(f"{c.shape} coefficients: their count must be the "
                          f"basis size of one band 0..{grid.band_limit}")
-    sq = state.sqrt_weights
-    weights = conjugate_hessian_weights(state, sq)
+    fold = bool(state.bg.body.sign_symmetric)
+    at, sq = _streamed_rows(state, fold)
+    weights = [W[at] for W in conjugate_hessian_weights(state, sq)]
+    K, sq = state.K[at], sq[at]
+    blocks = [(i, c[cols[cols < nb]]) for i, cols in enumerate(grid.basis.blocks(fold))
+              if cols[0] < nb]
     diagonal = packed_positions(state.n - 1).diagonal()
     t1 = t2 = t3 = 0.0
-    for r, views in grid.row_chunks(int(degrees[nb - 1]), (1, 2), (0, 1)):
-        grad = _parity_rows(grid, c, 1, views)
-        Q = conjugate_hessian_rows([W[r] for W in weights], grad,
-                                   _parity_rows(grid, c, 2, views))
+    for chunk in zip(*(grid.row_chunks(int(degrees[nb - 1]), (1, 2), i, fold=fold)
+                       for i, _ in blocks), strict=True):
+        r = chunk[0][0]
+        grad, hess = (np.stack([np.moveaxis(T[part], 1, -1) @ cb
+                                for (_, T), (_, cb) in zip(chunk, blocks)], axis=1)
+                      for part in (1, 2))
+        Q = conjugate_hessian_rows([W[r] for W in weights], grad, hess)
         Lf = Q[:, diagonal].sum(axis=1)
-        Kgrad = sq[r, None, None] * (grad @ np.swapaxes(state.K[r], -1, -2))
+        Kgrad = sq[r, None, None] * (grad @ np.swapaxes(K[r], -1, -2))
         t1 += float(np.sum(Lf**2))
         t2 += float(np.sum(Q**2))
         t3 += float(np.sum(Kgrad**2))

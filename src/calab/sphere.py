@@ -780,34 +780,35 @@ class SphereGrid:
                  [T if T is None else T.reshape((len(T) // n_lon, n_lon) + T.shape[1:])
                   for T in out])
 
-    def row_chunks(self, band: int, parts, blocks, first: int = 0, fold: bool = False):
-        """Yield (rows, views): a slice of the pair rows, in order, and per
-        block in `blocks` (indices into HarmonicBasis(n, band).blocks(fold))
-        the (values, gradients, Hessians) of that block's columns there from
-        column `first` on, None for the parts not listed: chunks of whole
-        rings, at most CHUNK_ROWS rows (one ring at least), that _ring_rows
-        writes into buffers reused from chunk to chunk, and no table.
+    def row_chunks(self, band: int, parts, block: int, first: int = 0, fold: bool = False):
+        """Yield (rows, views): a slice of the pair rows, in order, and the
+        (values, gradients, Hessians) there of block `block` of
+        HarmonicBasis(n, band).blocks(fold) from column `first` on, None for
+        the parts not listed: chunks of whole rings, at most CHUNK_ROWS rows
+        (one ring at least), that _ring_rows writes into buffers reused from
+        chunk to chunk, and no table.  Streams of different blocks at one
+        band and fold yield the same rows, chunk by chunk.
 
-        Without fold the rows are every pair row, and a block's views are
-        those of basis_tables(band)[block].  With fold they are only the
-        flip-orbit representatives, and `rows` slices flip_orbits()'s
-        `first`: a form summed there, each row weighted by its orbit's
-        size, is the whole sum on a block of one sign sector when the
-        integrand is flip-invariant."""
-        for _, runs in self._chunks(band, parts, blocks, first, fold, False):
+        Without fold the rows are every pair row, and the views are those of
+        basis_tables(band)[block].  With fold they are only the flip-orbit
+        representatives, and `rows` slices flip_orbits()'s `first`: a form
+        summed there, each row weighted by its orbit's size, is the whole
+        sum on a block of one sign sector when the integrand is
+        flip-invariant."""
+        for _, runs in self._chunks(band, parts, block, first, fold, False):
             yield from runs
 
-    def chunk_runs(self, band: int, parts, blocks, first: int = 0, fold: bool = False):
+    def chunk_runs(self, band: int, parts, block: int, first: int = 0, fold: bool = False):
         """row_chunks' chunks as (rows, runs): runs yields the chunk's
         (rows, views) as row_chunks yields its chunks, but a ring at a time
         at n=3, from buffers of one ring (at n=2, where a ring is one node,
         the whole chunk at once).  For a stream that reads a chunk's rows in
         one product after building each row from wider ones."""
-        return self._chunks(band, parts, blocks, first, fold, True)
+        return self._chunks(band, parts, block, first, fold, True)
 
-    def _chunks(self, band, parts, blocks, first, fold, by_ring):
+    def _chunks(self, band, parts, block, first, fold, by_ring):
         """chunk_runs, in runs of one ring when by_ring, else of the whole
-        chunk (row_chunks); each block's factors are gathered once."""
+        chunk (row_chunks); the block's factors are gathered once."""
         basis = HarmonicBasis(self.n, band)
         if fold:
             n_ring, n_lon = self.flip_orbits()[2:]
@@ -815,19 +816,16 @@ class SphereGrid:
             n_ring, n_lon = (len(f[0]) for f in self.product_factors)
         per = min(max(CHUNK_ROWS // n_lon, 1), n_ring)
         run = 1 if by_ring and n_lon > 1 else per
-        factors = [self._block_factors(basis, b, first, fold) for b in blocks]
-        bufs = [[np.empty((run * n_lon, len(basis.blocks(fold)[b]) - first) + k)
-                 if i in parts else None for i, k in enumerate(basis.part_shapes)]
-                for b in blocks]
+        factors = self._block_factors(basis, block, first, fold)
+        buf = [np.empty((run * n_lon, len(basis.blocks(fold)[block]) - first) + k)
+               if i in parts else None for i, k in enumerate(basis.part_shapes)]
 
         def runs(k0, k1):
             for j0 in range(k0, k1, run):
                 rings = slice(j0, min(j0 + run, k1))
                 rows = slice(j0 * n_lon, rings.stop * n_lon)
-                views = [tuple(None if T is None else T[:rows.stop - rows.start]
-                               for T in buf) for buf in bufs]
-                for f, out in zip(factors, views):
-                    self._ring_rows(rings, out, *f)
+                views = tuple(None if T is None else T[:rows.stop - rows.start] for T in buf)
+                self._ring_rows(rings, views, *factors)
                 yield rows, views
 
         for k0 in range(0, n_ring, per):
@@ -987,21 +985,15 @@ def quad_values(grid: SphereGrid, values: np.ndarray) -> float:
     return float(grid.weights @ np.asarray(values))
 
 
-def _parity_rows(grid: SphereGrid, coeffs: np.ndarray, table: int, views=None) -> np.ndarray:
-    """(N/2, 2, ...) rows at the pair nodes of the even and the odd part of
-    f, f with the coefficients of one band b, each part from its band-b
-    table (0 values, 1 gradients, 2 packed Hessians), or from the rows of
-    those tables in `views`."""
-    c = np.asarray(coeffs, dtype=float)
-    views = views or grid.basis_tables(int(grid.basis.degrees[len(c) - 1]))
-    return np.stack([np.moveaxis(T[table], 1, -1) @ c[cols[:T[table].shape[1]]]
-                     for T, cols in zip(views, grid.basis.parity_columns)], axis=1)
-
-
 def _antipodal_rows(grid: SphereGrid, coeffs: np.ndarray, table: int) -> np.ndarray:
     """(N/2, 2, ...) rows of f and f o A, whose coefficients are pi c, at the
-    pair nodes (see _parity_rows)."""
-    even, odd = np.moveaxis(_parity_rows(grid, coeffs, table), 1, 0)
+    pair nodes, f with the coefficients of one band b: the even part of f
+    plus and minus the odd, each part from its band-b table (0 values,
+    1 gradients, 2 packed Hessians)."""
+    c = np.asarray(coeffs, dtype=float)
+    tables = grid.basis_tables(int(grid.basis.degrees[len(c) - 1]))
+    even, odd = (np.moveaxis(T[table], 1, -1) @ c[cols[:T[table].shape[1]]]
+                 for T, cols in zip(tables, grid.basis.parity_columns))
     return np.stack([even + odd, even - odd], axis=1)
 
 

@@ -460,14 +460,14 @@ def take_gram_assembly(state: CentroAffineState, degree_max: int):
     pair nodes, at n=3 the product-grid tables (degree_order_tables), which
     are no pointwise evaluation.  Per parity block, the block's columns are
     copied out of the row matrix with np.take and Gram-multiplied, chunk by
-    chunk of the grid's row_chunks, the products summed in order; zero
+    chunk of the grid's chunk_runs, the products summed in order; zero
     outside the blocks."""
     grid = state.grid
     basis = HarmonicBasis(grid.n, degree_max)
     B, G, _ = (degree_order_tables(grid, degree_max) if grid.n == 3
                else basis.frame_derivs(grid.pair_nodes, order=2))
     blocks = [cols for cols in basis.parity_columns if len(cols)]
-    chunks = [rows for rows, _ in grid.row_chunks(degree_max, (), ())]
+    chunks = [rows for rows, _ in grid.chunk_runs(degree_max, (), 0)]
 
     def gram(X):
         nb = X.shape[-1]

@@ -44,5 +44,5 @@ def test_each_row_layout_read_is_seen():
     assert row_layout_reads("from calab.sphere import CHUNK_ROWS\n"
                             "per = CHUNK_ROWS // 4\nm = sphere.CHUNK_ROWS") == [
         "1: CHUNK_ROWS", "2: CHUNK_ROWS", "3: CHUNK_ROWS"]
-    assert row_layout_reads("for rows, views in grid.row_chunks(8, (0, 1), (0,)):\n"
+    assert row_layout_reads("for rows, views in grid.row_chunks(8, (0, 1), 0):\n"
                             "    pass\nT = grid.basis_tables(8)") == []

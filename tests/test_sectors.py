@@ -15,7 +15,8 @@ from calab.bodies import (BodyEvaluator, LqNormBody, ball, ellipsoid, evaluate_o
                           firey_sum, linear_image, lq_gauge_body, perturbed_ball, polar)
 from calab.calculus import build_state
 from calab.isomorphic import construct
-from calab.spectral import GalerkinBasis, assemble, hessian_gap_even, solve_spectrum
+from calab.spectral import (GalerkinBasis, assemble, bochner_residual, hessian_gap_even,
+                            solve_spectrum)
 from calab.sphere import HarmonicBasis, build_grid, sign_fold
 
 from oracles import full_matrix
@@ -105,6 +106,68 @@ def test_sector_blocks_read_only_the_orbit_rows(monkeypatch):
     seen.clear()
     _system(perturbed_ball(3, 0.1), grid, 12)
     assert seen == [grid.node_count // 2] * 2
+
+
+BOCHNER_CASES = {
+    "ball-n2-256": lambda: (ball(1.0, 2), build_grid(2, 62, 256)),
+    "ellipsoid-n2-256": lambda: (ellipsoid(np.diag([2.0, 1.0])), build_grid(2, 62, 256)),
+    "ball-n3-L16": lambda: (ball(1.0, 3), build_grid(3, 16)),
+    "ellipsoid-n3-L16": lambda: (ellipsoid(np.diag([2.0, 1.0, 0.7])), build_grid(3, 16)),
+    "ball-n3-L24": lambda: (ball(1.0, 3), build_grid(3, 24)),
+    "ellipsoid-n3-L24": lambda: (ellipsoid(np.diag([2.0, 1.0, 0.7])), build_grid(3, 24)),
+}
+
+
+@pytest.mark.parametrize("case", list(BOCHNER_CASES))
+def test_bochner_residual_reads_the_sector_blocks_on_the_orbit_rows(case, monkeypatch):
+    # bochner_residual reads a sign-symmetric body as assemble does: one
+    # stream per sector block, each of the flip-orbit rows alone, and five
+    # random fields (even and odd parts) agree with the same state read on
+    # whole parity blocks to 1e-12 (the residual is relative to the
+    # identity's largest term already)
+    body, grid = BOCHNER_CASES[case]()
+    assert body.sign_symmetric
+    st = build_state(evaluate_on_grid(body, grid))
+    rng = np.random.default_rng(grid.n + grid.band_limit)
+    fields = [rng.normal(size=grid.basis.size) for _ in range(5)]
+    assert all(np.abs(c[grid.basis.parity < 0]).max() > 0.1 for c in fields)
+    seen = []
+    chunks = grid.row_chunks
+    monkeypatch.setattr(grid, "row_chunks", lambda *a, **k: (
+        seen.append(sum(r.stop - r.start for r, _ in chunks(*a, **k))) or chunks(*a, **k)))
+    folded = [bochner_residual(st, c) for c in fields]
+    assert seen == [len(grid.flip_orbits()[0])] * (2 ** grid.n * len(fields))
+    seen.clear()
+    monkeypatch.setattr(body, "sign_symmetric", False)
+    whole = [bochner_residual(st, c) for c in fields]
+    assert seen == [grid.node_count // 2] * (2 * len(fields))
+    assert _relative(folded, whole) <= 1e-12
+
+
+@pytest.mark.parametrize("args", [(2, 62, 256), (2, 62, 4096), (3, 16, None), (3, 24, None)],
+                         ids=["n2-256", "n2-4096", "n3-L16", "n3-L24"])
+@pytest.mark.parametrize("fold", [False, True])
+def test_block_streams_at_one_band_and_fold_yield_the_same_rows(args, fold):
+    # bochner_residual advances its blocks' streams in lockstep: at one band
+    # and fold every block's stream yields the same row slices, chunk by
+    # chunk, and chunk_runs the same chunks; a stream carries one block, a
+    # (values, gradients, Hessians) triple with None for the parts not asked
+    g = build_grid(*args)
+    for band in (g.band_limit // 2, g.band_limit):
+        blocks = [i for i, cols in enumerate(HarmonicBasis(g.n, band).blocks(fold))
+                  if len(cols)]
+        assert len(blocks) == (2 ** g.n if fold else 2)
+        rows = [[r for r, _ in g.row_chunks(band, (), i, fold=fold)] for i in blocks]
+        assert all(r == rows[0] for r in rows)
+        assert [r for r, _ in g.chunk_runs(band, (), blocks[-1], fold=fold)] == rows[0]
+        for i, parts in zip(blocks, [(0,), (1, 2), (0, 2), (0, 1, 2)] * 2):
+            cols = len(HarmonicBasis(g.n, band).blocks(fold)[i])
+            for _, views in g.row_chunks(band, parts, i, fold=fold):
+                assert len(views) == 3
+                for part, T in enumerate(views):
+                    assert (T is None) == (part not in parts)
+                    if T is not None:
+                        assert T.shape[1] == cols
 
 
 # ---------------------------------------------------------------------------

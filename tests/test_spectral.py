@@ -357,7 +357,7 @@ def test_chunk_rows_are_the_table_rows_bit_for_bit(n, L, n_nodes):
         for block, first, parts in ((0, 0, (0, 1, 2)), (1, 0, (0, 1, 2)),
                                     (0, 1, (1, 2)), (1, 2, (0,))):
             stop = chunks = 0
-            for rows, (views,) in g.row_chunks(band, parts, (block,), first):
+            for rows, views in g.row_chunks(band, parts, block, first):
                 assert rows.start == stop
                 assert rows.stop - rows.start <= max(CHUNK_ROWS, ring)
                 stop = rows.stop
@@ -412,7 +412,7 @@ def test_one_chunk_grids_keep_the_single_gram_bit_for_bit(grid):
     # a grid of at most CHUNK_ROWS pair rows is one chunk: its stiffness,
     # mass and Hessian forms are the single Gram products, bit for bit
     g = grid()
-    assert len(list(g.row_chunks(g.band_limit, (), (0,)))) == 1
+    assert len(list(g.row_chunks(g.band_limit, (), 0))) == 1
     st = build_state(evaluate_on_grid(perturbed_ball(g.n, 0.1), g))
     sys_ = assemble(st, GalerkinBasis(g, g.band_limit))
     for first in (0, 1):
